@@ -25,12 +25,11 @@ from .credential import (
     verify_credential_signature,
     verify_presentation,
 )
-from .crypto import KeyPurpose, SymmetricKey
+from .crypto import SymmetricKey
 from .messages import (
     CHALLENGE_TYPES,
     EnvelopeReject,
     MessagePayload,
-    NonceSession,
     PayloadError,
     ReplayGuard,
     is_valid_pin,
@@ -38,11 +37,11 @@ from .messages import (
     mint_tid,
     payload,
     seal,
-    validate_nonce_echo,
 )
 
-# Kinds that answer an exchange this agent opened; they must match an open
-# nonce session.  Everything else is a fresh request guarded by TID/state.
+# Kinds that answer an exchange this agent opened; each must take an open
+# expectation (see ``Agent.expect``).  Everything else is a fresh request
+# guarded by TID/state.
 RESPONSE_KINDS = frozenset(
     {
         "ownershipClaimResp",
@@ -215,14 +214,14 @@ class Agent:
         self.world = world
         self.rng = world.rng
         self.online = True
-        self.root_keys = crypto.generate_keypair(self.rng, KeyPurpose.DID_ROOT)
+        self.root_keys = crypto.generate_keypair(self.rng)
         self.did = crypto.derive_did(self.root_keys.public_key)
         self.email = f"{agent_id.lower()}@mail.local"
         self.connections: dict[str, Connection] = {}
         self.connections_by_id: dict[str, Connection] = {}
         self.inbox: list[simnet.OobMessage] = []
-        self._expected: dict[tuple[str, str, str], NonceSession] = {}
-        self._direct_expected: dict[tuple[str, str, str], NonceSession] = {}
+        # (peer, kind, nonce hex or "*") -> context of one open exchange
+        self._expected: dict[tuple[str, str, str], dict] = {}
         world.register_agent(self)
 
     # -- wiring ----------------------------------------------------------
@@ -253,25 +252,20 @@ class Agent:
         )
         self.world.send_envelope(self.agent_id, env, p.kind)
 
-    def expect(self, conn: Connection, kind: str, nonce: Optional[bytes], context: dict | None = None) -> None:
-        key = (conn.conn_id, kind, nonce.hex() if nonce is not None else "*")
-        self._expected[key] = NonceSession(nonce=nonce, context=dict(context or {}))
+    def expect(self, peer: str, kind: str, nonce: Optional[bytes], context: dict | None = None) -> None:
+        """Open a single-use expectation for a ``kind`` reply from ``peer``.
 
-    def drop_expectation(self, conn: Connection, kind: str, nonce: Optional[bytes]) -> None:
-        self._expected.pop((conn.conn_id, kind, nonce.hex() if nonce is not None else "*"), None)
+        ``nonce=None`` accepts any nonce, for offers whose nonce the peer mints
+        (the credential offer that closes a used-product claim).
+        """
+        self._expected[(peer, kind, nonce.hex() if nonce is not None else "*")] = dict(context or {})
 
-    def _take_session(self, conn: Connection, kind: str, nonce: bytes) -> Optional[NonceSession]:
-        exact = (conn.conn_id, kind, nonce.hex())
-        session = self._expected.get(exact)
-        if session is not None and validate_nonce_echo(session, nonce):
-            del self._expected[exact]
-            return session
-        wildcard = (conn.conn_id, kind, "*")
-        session = self._expected.get(wildcard)
-        if session is not None and validate_nonce_echo(session, nonce):
-            del self._expected[wildcard]
-            return session
-        return None
+    def _take_expectation(self, peer: str, kind: str, nonce: bytes) -> Optional[dict]:
+        """Pop the expectation a reply answers, exact nonce first; None if there is none."""
+        context = self._expected.pop((peer, kind, nonce.hex()), None)
+        if context is None:
+            context = self._expected.pop((peer, kind, "*"), None)
+        return context
 
     # -- inbound dispatch --------------------------------------------------
 
@@ -306,20 +300,18 @@ class Agent:
             return "rejected:malformed-payload"
         if not sender_conn.replay.register(nonce, p.kind):
             return "rejected:replay"
-        session = None
+        context = None
         if p.kind in RESPONSE_KINDS:
-            session = self._take_session(sender_conn, p.kind, nonce)
-            if session is None:
+            context = self._take_expectation(sender_conn.conn_id, p.kind, nonce)
+            if context is None:
                 return "rejected:nonce-mismatch"
-        return self.handle_payload(sender_conn, nonce, p, session)
+        return self.handle_payload(sender_conn, nonce, p, context)
 
-    def handle_payload(
-        self, conn: Connection, nonce: bytes, p: MessagePayload, session: Optional[NonceSession]
-    ) -> str:
+    def handle_payload(self, conn: Connection, nonce: bytes, p: MessagePayload, context: Optional[dict]) -> str:
         name = self.HANDLERS.get(p.kind)
         if name is None:
             return "rejected:unexpected-kind"
-        return getattr(self, name)(conn, nonce, p, session)
+        return getattr(self, name)(conn, nonce, p, context)
 
     def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
         return "rejected:unexpected-kind"
@@ -347,8 +339,8 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     """
     world = inviter.world
     conn_id = world.rng.token(8).hex()
-    inviter_keys = crypto.generate_keypair(world.rng, KeyPurpose.CONNECTION)
-    invitee_keys = crypto.generate_keypair(world.rng, KeyPurpose.CONNECTION)
+    inviter_keys = crypto.generate_keypair(world.rng)
+    invitee_keys = crypto.generate_keypair(world.rng)
     inviter.add_connection(
         Connection(conn_id, inviter_keys, invitee_keys.public_key, invitee.did.uri, invitee.agent_id)
     )
@@ -463,7 +455,7 @@ class ManufacturerAgent(Agent):
 
     # -- new-product claim (tid + pin) ---------------------------------------
 
-    def _on_ownership_claim_req(self, conn, nonce, p, session) -> str:
+    def _on_ownership_claim_req(self, conn, nonce, p, context) -> str:
         if p.body["pin"] is not None:
             return self._claim_new(conn, nonce, p)
         return self._claim_used(conn, nonce, p)
@@ -480,13 +472,13 @@ class ManufacturerAgent(Agent):
         vc = self._issue(product)
         del self.claimants[claim.product_code]  # entry consumed; the pair is single-use
         self.send(conn, nonce, payload("ownershipClaimResp", credential=vc))
-        self.expect(conn, "ownershipClaimAck", nonce)
+        self.expect(conn.conn_id, "ownershipClaimAck", nonce)
         self._emit_product_updated(product, "new-purchase")
         return "accepted"
 
     # -- transfer authorisation ----------------------------------------------
 
-    def _on_ownership_transfer_req(self, conn, nonce, p, session) -> str:
+    def _on_ownership_transfer_req(self, conn, nonce, p, context) -> str:
         code = p.body["productCode"]
         if code in self.claimants:
             # the product is already being claimed or transferred right now
@@ -507,7 +499,7 @@ class ManufacturerAgent(Agent):
         self.send(
             conn, nonce, payload("ownershipProofReq", attributes=list(self.schema.attribute_names), challenge=challenge)
         )
-        self.expect(conn, "ownershipProofResp", nonce, context={"productCode": code, "challenge": challenge})
+        self.expect(conn.conn_id, "ownershipProofResp", nonce, context={"productCode": code, "challenge": challenge})
         return "accepted"
 
     def _rollback_transfer(self, code: str) -> None:
@@ -516,9 +508,9 @@ class ManufacturerAgent(Agent):
         if product is not None and product.status == "transfer_pending":
             product.status = "sold"
 
-    def _on_ownership_proof_resp(self, conn, nonce, p, session) -> str:
-        code = session.context["productCode"]
-        challenge = session.context["challenge"]
+    def _on_ownership_proof_resp(self, conn, nonce, p, context) -> str:
+        code = context["productCode"]
+        challenge = context["challenge"]
         product = self.products[code]
         presentation = p.body["presentation"]
         report = verify_presentation(presentation, challenge, self.world.registry, conn.remote_public_key)
@@ -562,7 +554,7 @@ class ManufacturerAgent(Agent):
                 challengeType=claim.challenge_type,
             ),
         )
-        self.expect(conn, "pinChallengeResp", nonce, context={"tid": claim.tid})
+        self.expect(conn.conn_id, "pinChallengeResp", nonce, context={"tid": claim.tid})
         return "accepted"
 
     def draw_challenge(self) -> tuple[int, str]:
@@ -582,9 +574,9 @@ class ManufacturerAgent(Agent):
             return False, "challenge-mismatch"
         return True, ""
 
-    def _on_pin_challenge_resp(self, conn, nonce, p, session) -> str:
-        claim = self._claimant_by_tid(session.context["tid"], "used")
-        if claim is None or p.body["tid"] != session.context["tid"]:
+    def _on_pin_challenge_resp(self, conn, nonce, p, context) -> str:
+        claim = self._claimant_by_tid(context["tid"], "used")
+        if claim is None or p.body["tid"] != context["tid"]:
             return "rejected:unknown-tid"
         ok, reason = self.check_challenge_response(claim, p.body["challengeResult"])
         if not ok:
@@ -612,8 +604,7 @@ class ManufacturerAgent(Agent):
                 revoke_nonce,
                 payload("revokeVC", credentialId=old_credential_id, productCode=product.product_code),
             )
-            self.expect(old_conn, "revokeVCResp", revoke_nonce)
-        product.status = "transferred"
+            self.expect(old_conn.conn_id, "revokeVCResp", revoke_nonce)
         product.conn_id = buyer_conn.conn_id
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
@@ -622,7 +613,7 @@ class ManufacturerAgent(Agent):
         new_vc = self._issue(product)
         offer_nonce = crypto.fresh_nonce(self.rng)  # issuance leg runs under its own nonce
         self.send(buyer_conn, offer_nonce, payload("ownershipClaimResp", credential=new_vc))
-        self.expect(buyer_conn, "ownershipClaimAck", offer_nonce)
+        self.expect(buyer_conn.conn_id, "ownershipClaimAck", offer_nonce)
         del self.claimants[claim.product_code]
         self._emit_product_updated(product, "transfer-committed")
         return "accepted"
@@ -643,11 +634,11 @@ class ManufacturerAgent(Agent):
             },
         )
 
-    def _on_revoke_vc_resp(self, conn, nonce, p, session) -> str:
+    def _on_revoke_vc_resp(self, conn, nonce, p, context) -> str:
         # informational; revocation took effect when the registry entry landed
         return "accepted" if p.body["status"] == "accepted" else "rejected:holder-declined"
 
-    def _on_ownership_claim_ack(self, conn, nonce, p, session) -> str:
+    def _on_ownership_claim_ack(self, conn, nonce, p, context) -> str:
         return "accepted" if p.body["status"] == "accepted" else "rejected:holder-declined"
 
     def state_dump(self) -> dict:
@@ -681,25 +672,23 @@ class DistributorAgent(Agent):
             email=buyer_email,
         )
         self.world.send_direct(self.agent_id, manufacturer_id, nonce, req)
-        self._direct_expected[(manufacturer_id, "productSellingResp", nonce.hex())] = NonceSession(
-            nonce, {"productCode": product_code, "email": buyer_email}
-        )
+        self.expect(manufacturer_id, "productSellingResp", nonce, {"productCode": product_code, "email": buyer_email})
 
     def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        session = self._direct_expected.pop((frm, "productSellingResp", dm.nonce.hex()), None)
-        if session is None or not validate_nonce_echo(session, dm.nonce):
+        context = self._take_expectation(frm, "productSellingResp", dm.nonce)
+        if context is None:
             return "rejected:nonce-mismatch"
         if dm.error is not None:
             return f"rejected:{dm.error}"
         if dm.payload is None or dm.payload.kind != "productSellingResp":
             return "rejected:unexpected-kind"
         tid = dm.payload.body["tid"]
-        self.sales.append({"productCode": session.context["productCode"], "tid": tid})
+        self.sales.append({"productCode": context["productCode"], "tid": tid})
         self.world.send_email(
             self.agent_id,
-            session.context["email"],
+            context["email"],
             "tid",
-            {"productCode": session.context["productCode"], "tid": tid, "nonce": dm.nonce.hex()},
+            {"productCode": context["productCode"], "tid": tid, "nonce": dm.nonce.hex()},
         )
         return "accepted"
 
@@ -746,7 +735,7 @@ class WalletAgent(Agent):
             )
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin, key=None))
-        self.expect(conn, "ownershipClaimResp", nonce, context={"tid": tid})
+        self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": tid})
 
     def start_sell(self, buyer_did: str, product_code: str) -> str:
         """Open a sale: mint a TID and ask the buyer for an encrypted PIN."""
@@ -759,7 +748,7 @@ class WalletAgent(Agent):
         )
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("PINReq", tid=tid))
-        self.expect(conn, "PINResp", nonce, context={"tid": tid})
+        self.expect(conn.conn_id, "PINResp", nonce, context={"tid": tid})
         return tid
 
     def start_transfer(self, manufacturer_did: str, product_code: str) -> None:
@@ -783,8 +772,8 @@ class WalletAgent(Agent):
                 "ownershipTransferReq", productCode=product_code, encryptedPin=entry.encrypted_pin, tid=entry.tid
             ),
         )
-        self.expect(conn, "ownershipProofReq", nonce, context={"productCode": product_code})
-        self.expect(conn, "ownershipTransferResp", nonce, context={"productCode": product_code})
+        self.expect(conn.conn_id, "ownershipProofReq", nonce, context={"productCode": product_code})
+        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context={"productCode": product_code})
 
     def claim_used(self, manufacturer_did: str, tid: str) -> None:
         """Claim a second-hand purchase: reveal the symmetric key to the manufacturer."""
@@ -794,11 +783,11 @@ class WalletAgent(Agent):
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=None, key=entry.key.key_bytes))
-        self.expect(conn, "pinChallengeReq", nonce, context={"tid": tid})
+        self.expect(conn.conn_id, "pinChallengeReq", nonce, context={"tid": tid})
 
     # -- handlers -------------------------------------------------------------
 
-    def _on_pin_req(self, conn, nonce, p, session) -> str:
+    def _on_pin_req(self, conn, nonce, p, context) -> str:
         tid = p.body["tid"]
         pin = mint_pin(self.rng)
         key = crypto.generate_symmetric_key(self.rng)
@@ -828,10 +817,10 @@ class WalletAgent(Agent):
         self.send(conn, nonce, payload("PINResp", encryptedPin=entry.encrypted_pin, tid=tid))
         return "accepted"
 
-    def _on_pin_resp(self, conn, nonce, p, session) -> str:
-        if p.body["tid"] != session.context["tid"]:
+    def _on_pin_resp(self, conn, nonce, p, context) -> str:
+        if p.body["tid"] != context["tid"]:
             return "rejected:tid-mismatch"
-        entry = self._claim_entry(session.context["tid"], role="selling")
+        entry = self._claim_entry(context["tid"], role="selling")
         if entry is None:
             return "rejected:unknown-tid"
         entry.encrypted_pin = bytes(p.body["encryptedPin"])  # opaque to this wallet
@@ -846,25 +835,25 @@ class WalletAgent(Agent):
                 return vc
         return None
 
-    def _on_ownership_proof_req(self, conn, nonce, p, session) -> str:
-        vc = self._select_credential(session.context["productCode"], p.body["attributes"])
+    def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
+        vc = self._select_credential(context["productCode"], p.body["attributes"])
         if vc is None:
             return "rejected:no-matching-credential"
         presentation = present_proof(vc, bytes(p.body["challenge"]), self.did.uri, conn.local.private_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"
 
-    def _on_pin_challenge_req(self, conn, nonce, p, session) -> str:
+    def _on_pin_challenge_req(self, conn, nonce, p, context) -> str:
         entry = self._claim_entry(p.body["tid"], role="buying")
         if entry is None or entry.pin is None:
             return "rejected:unknown-tid"
         result = evaluate_challenge(pin_numeric(entry.pin), p.body["challengeBy"], p.body["challengeType"])
         self.send(conn, nonce, payload("pinChallengeResp", tid=entry.tid, challengeResult=result))
         # the credential offer that follows runs under a nonce the issuer mints
-        self.expect(conn, "ownershipClaimResp", None, context={"tid": entry.tid})
+        self.expect(conn.conn_id, "ownershipClaimResp", None, context={"tid": entry.tid})
         return "accepted"
 
-    def _on_ownership_claim_resp(self, conn, nonce, p, session) -> str:
+    def _on_ownership_claim_resp(self, conn, nonce, p, context) -> str:
         vc = p.body["credential"]
         ok, reason = verify_credential_signature(vc, self.world.registry)
         if ok and self.world.registry.is_revoked(vc.credential_id):
@@ -873,17 +862,17 @@ class WalletAgent(Agent):
             self.send(conn, nonce, payload("ownershipClaimAck", status="rejected"))
             return f"rejected:{reason}"
         self.credentials.append(vc)
-        entry = self._claim_entry(session.context.get("tid", ""))
+        entry = self._claim_entry(context.get("tid", ""))
         if entry is not None:
             entry.product_code = vc.attribute("productCode")
         self.send(conn, nonce, payload("ownershipClaimAck", status="accepted"))
         return "accepted"
 
-    def _on_ownership_transfer_resp(self, conn, nonce, p, session) -> str:
-        self.drop_expectation(conn, "ownershipProofReq", nonce)
+    def _on_ownership_transfer_resp(self, conn, nonce, p, context) -> str:
+        self._expected.pop((conn.conn_id, "ownershipProofReq", nonce.hex()), None)
         return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
 
-    def _on_revoke_vc(self, conn, nonce, p, session) -> str:
+    def _on_revoke_vc(self, conn, nonce, p, context) -> str:
         self.revoked_ids.add(p.body["credentialId"])
         self.send(conn, nonce, payload("revokeVCResp", status="accepted"))
         return "accepted"
@@ -939,8 +928,8 @@ class AdversaryWallet(WalletAgent):
                 tid=mint_tid(self.rng),
             ),
         )
-        self.expect(conn, "ownershipProofReq", nonce, context={"productCode": product_code})
-        self.expect(conn, "ownershipTransferResp", nonce, context={"productCode": product_code})
+        self.expect(conn.conn_id, "ownershipProofReq", nonce, context={"productCode": product_code})
+        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context={"productCode": product_code})
 
     def _forged_credential(self, product_code: str) -> VerifiableCredential:
         schema = product_schema()
@@ -979,8 +968,8 @@ class AdversaryWallet(WalletAgent):
             issued_at=issued_at,
         )
 
-    def _on_ownership_proof_req(self, conn, nonce, p, session) -> str:
-        vc = self._forged_credential(session.context["productCode"])
+    def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
+        vc = self._forged_credential(context["productCode"])
         presentation = present_proof(vc, bytes(p.body["challenge"]), self.did.uri, conn.local.private_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"

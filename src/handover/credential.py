@@ -73,12 +73,6 @@ class VerifiableCredential:
 
 
 @dataclass(frozen=True)
-class ProofRequest:
-    requested_attribute_names: tuple[str, ...]
-    challenge_nonce: bytes
-
-
-@dataclass(frozen=True)
 class ProofPresentation:
     credential: VerifiableCredential
     challenge_nonce: bytes

@@ -13,7 +13,6 @@ import base64
 import hashlib
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -69,18 +68,12 @@ class Rng:
         return self._inner.choice(seq)
 
 
-class KeyPurpose(Enum):
-    CONNECTION = "connection"
-    DID_ROOT = "did-root"
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """Signing + key-agreement pair; both halves are raw 32-byte keys."""
 
     public_key: bytes
     private_key: bytes
-    purpose: KeyPurpose = KeyPurpose.CONNECTION
 
 
 @dataclass(frozen=True)
@@ -105,13 +98,13 @@ class Did:
         return f"did:{self.method}:{self.identifier}"
 
 
-def generate_keypair(rng: Rng, purpose: KeyPurpose = KeyPurpose.CONNECTION) -> KeyPair:
+def generate_keypair(rng: Rng) -> KeyPair:
     """Generate a fresh dual-purpose key pair from the injected RNG."""
     ed_seed = rng.token(32)
     x_seed = rng.token(32)
     ed_pub = Ed25519PrivateKey.from_private_bytes(ed_seed).public_key().public_bytes_raw()
     x_pub = X25519PrivateKey.from_private_bytes(x_seed).public_key().public_bytes_raw()
-    return KeyPair(public_key=ed_pub + x_pub, private_key=ed_seed + x_seed, purpose=purpose)
+    return KeyPair(public_key=ed_pub + x_pub, private_key=ed_seed + x_seed)
 
 
 def _check_key(key: bytes, what: str) -> None:

@@ -61,11 +61,16 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
         pos += length
         if tag == b"B":
             return raw, pos
-        text = raw.decode("utf-8" if tag == b"S" else "ascii")
-        return (int(text) if tag == b"I" else text), pos
+        try:
+            text = raw.decode("utf-8" if tag == b"S" else "ascii")
+            return (int(text) if tag == b"I" else text), pos
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise EncodingError(f"bad {tag.decode()} value") from exc
     if tag == b"Q":
         num, pos = _decode_at(data, pos)
         den, pos = _decode_at(data, pos)
+        if type(num) is not int or type(den) is not int or den == 0:
+            raise EncodingError("fraction needs two integers and a non-zero denominator")
         return Fraction(num, den), pos
     if tag == b"L":
         if pos + 4 > len(data):
@@ -81,7 +86,11 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
 
 
 def decode_value(data: bytes) -> Any:
-    value, pos = _decode_at(data, 0)
+    """Invert :func:`encode_value`; any malformed input raises :class:`EncodingError`."""
+    try:
+        value, pos = _decode_at(data, 0)
+    except RecursionError as exc:
+        raise EncodingError("lists nested too deeply") from exc
     if pos != len(data):
         raise EncodingError("trailing bytes after value")
     return value

@@ -9,9 +9,9 @@ nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from . import crypto
 from .credential import ProofPresentation, VerifiableCredential, vc_from_wire, vc_to_wire
@@ -251,11 +251,11 @@ def unseal_at_mediator(mediator_private_key: bytes, envelope: Envelope) -> tuple
     plain = crypto.asym_decrypt(mediator_private_key, envelope.outer_ciphertext)
     try:
         tag, recipient_did, inner_ct = decode_value(plain)
-    except (EncodingError, ValueError) as exc:
+    except (EncodingError, TypeError, ValueError) as exc:
         raise crypto.DecryptError("malformed outer layer") from exc
-    if tag != "route":
+    if tag != "route" or not isinstance(recipient_did, str) or not isinstance(inner_ct, bytes):
         raise crypto.DecryptError("malformed outer layer")
-    return str(recipient_did), bytes(inner_ct)
+    return recipient_did, inner_ct
 
 
 def open_inner(endpoint_private_key: bytes, inner_ciphertext: bytes) -> InnerView:
@@ -263,16 +263,13 @@ def open_inner(endpoint_private_key: bytes, inner_ciphertext: bytes) -> InnerVie
     plain = crypto.asym_decrypt(endpoint_private_key, inner_ciphertext)
     try:
         tag, sender_did, nonce, payload_bytes, signature = decode_value(plain)
-    except (EncodingError, ValueError) as exc:
+    except (EncodingError, TypeError, ValueError) as exc:
         raise crypto.DecryptError("malformed inner layer") from exc
-    if tag != "inner":
+    if tag != "inner" or not isinstance(sender_did, str) or not all(
+        isinstance(part, bytes) for part in (nonce, payload_bytes, signature)
+    ):
         raise crypto.DecryptError("malformed inner layer")
-    return InnerView(
-        sender_did=str(sender_did),
-        nonce=bytes(nonce),
-        payload_bytes=bytes(payload_bytes),
-        signature=bytes(signature),
-    )
+    return InnerView(sender_did=sender_did, nonce=nonce, payload_bytes=payload_bytes, signature=signature)
 
 
 def verify_inner(view: InnerView, sender_public_key: bytes) -> tuple[bytes, MessagePayload]:
@@ -282,14 +279,7 @@ def verify_inner(view: InnerView, sender_public_key: bytes) -> tuple[bytes, Mess
     return view.nonce, decode_payload(view.payload_bytes)
 
 
-def unseal_at_endpoint(
-    endpoint_private_key: bytes, sender_public_key: bytes, inner_ciphertext: bytes
-) -> tuple[bytes, MessagePayload]:
-    """Open and verify in one step, for callers that already know the sender."""
-    return verify_inner(open_inner(endpoint_private_key, inner_ciphertext), sender_public_key)
-
-
-# -- replay and nonce-echo discipline ---------------------------------------
+# -- replay discipline -------------------------------------------------------
 
 
 class ReplayGuard:
@@ -306,32 +296,5 @@ class ReplayGuard:
         self._consumed.add(item)
         return True
 
-    def seen(self, nonce: bytes, kind: str) -> bool:
-        return (bytes(nonce), kind) in self._consumed
-
     def dump(self) -> list[str]:
         return sorted(f"{nonce.hex()}:{kind}" for nonce, kind in self._consumed)
-
-
-@dataclass
-class NonceSession:
-    """One outstanding exchange: the nonce we expect echoed back.
-
-    ``nonce=None`` accepts any fresh nonce (used for offers whose nonce the
-    peer mints, e.g. the credential offer that closes a used-product claim).
-    A session validates successfully exactly once.
-    """
-
-    nonce: Optional[bytes]
-    context: dict = field(default_factory=dict)
-    consumed: bool = False
-
-
-def validate_nonce_echo(session: NonceSession, received_nonce: bytes) -> bool:
-    """Accept iff the echo matches and the session was not already consumed."""
-    if session.consumed:
-        return False
-    if session.nonce is not None and bytes(received_nonce) != session.nonce:
-        return False
-    session.consumed = True
-    return True

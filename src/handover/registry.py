@@ -100,11 +100,10 @@ class VerifiableDataRegistry:
             timestamp=self._now(),
         )
         self._entries.append(entry)
-        self._apply(entry)
+        self._apply(entry, doc)
         return entry.entry_id
 
-    def _apply(self, entry: LedgerEntry) -> None:
-        doc = json.loads(entry.payload)
+    def _apply(self, entry: LedgerEntry, doc: dict) -> None:
         if entry.kind is EntryKind.DID_DOC:
             self._did_docs[doc["did"]] = DidDocument(
                 did=doc["did"],
@@ -208,5 +207,5 @@ class VerifiableDataRegistry:
         vdr = cls()
         for entry in entries:
             vdr._entries.append(entry)
-            vdr._apply(entry)
+            vdr._apply(entry, json.loads(entry.payload))
         return vdr

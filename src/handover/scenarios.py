@@ -1,9 +1,17 @@
 """Declarative scenario runner: casts agents, executes scripted steps, checks
 expected verdicts, and runs the global invariant scan over the trace.
 
-Every step yields exactly one verdict string, derived from the decision point
-of the flow it drives, so scripts can assert rejects as easily as successes.
-The built-in scenarios cover the honest lifecycles and the stock attacks.
+Every step yields exactly one verdict string, so scripts can assert rejects as
+easily as successes.  ``connect``, ``offline`` and ``online`` yield ``ok``.
+Every other step runs to quiescence and is judged on one list: the verdicts
+of the step's ssi/https deliveries to agents (not to the mediator), in trace
+order.  An empty list yields ``no-decision``.  A protocol step yields the
+first entry that is not ``accepted``, or ``accepted`` if there is none.  An
+attack step (``replay``, ``tamper``, ``spoof``) yields ``all-rejected`` when
+every entry is a rejection or dead letter and it injected more than one
+message, the last entry when it injected one, and ``accepted-<op>``
+otherwise.  The built-in scenarios cover the honest lifecycles and the stock
+attacks.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ STEP_OPS = (
     "spoof",
     "adversary_transfer",
 )
+ATTACK_OPS = ("replay", "tamper", "spoof")
 
 
 class ScenarioError(Exception):
@@ -231,25 +240,12 @@ def build_world(spec: ScenarioSpec, seed: Optional[int] = None) -> tuple[World, 
 # -- step execution ----------------------------------------------------------------
 
 
-def _last_decision(delta: list[dict], candidates: list[tuple[str, str]]) -> str:
-    verdict = None
-    for rec in delta:
-        for to, kind in candidates:
-            if rec["to"] == to and rec["kind"] == kind and rec["channel"] in (
-                simnet.CHANNEL_SSI,
-                simnet.CHANNEL_HTTPS,
-            ):
-                verdict = rec["verdict"]
-    return verdict if verdict is not None else "no-decision"
-
-
-def _injected_verdicts(delta: list[dict], marker: str) -> list[str]:
+def _delivery_verdicts(world: World, mark: int) -> list[str]:
+    """Verdicts of the ssi/https deliveries to agents (not the mediator) since ``mark``."""
     return [
         rec["verdict"]
-        for rec in delta
-        if rec.get("meta", {}).get("injected") == marker
-        and rec["channel"] == simnet.CHANNEL_SSI
-        and rec["to"] not in (simnet.MEDIATOR_ID,)
+        for rec in world.trace[mark:]
+        if rec["channel"] in (simnet.CHANNEL_SSI, simnet.CHANNEL_HTTPS) and rec["to"] != simnet.MEDIATOR_ID
     ]
 
 
@@ -264,9 +260,10 @@ def _latest_email(wallet: WalletAgent, subject: str, product: Optional[str] = No
 
 
 def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step: ScenarioStep) -> str:
-    """Run one step to quiescence and return its decision verdict."""
+    """Run one step to quiescence and return its verdict (rule in the module docstring)."""
     mark = len(world.trace)
     manufacturer = cast[spec.manufacturer]
+    injections = 1
     try:
         if step.op == "connect":
             establish_connection(cast[step.args["a"]], cast[step.args["b"]])
@@ -286,10 +283,8 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
             distributor = cast[step.args.get("distributor", spec.distributor)]
             buyer = cast[step.args["buyer"]]
             distributor.record_sale(manufacturer.agent_id, step.args["product"], buyer.email)
-            world.run_until_quiescent()
-            return _last_decision(world.trace[mark:], [(manufacturer.agent_id, "productSellingReq")])
 
-        if step.op == "claim_new":
+        elif step.op == "claim_new":
             wallet = cast[step.args["wallet"]]
             product = step.args.get("product")
             tid = step.args.get("tid")
@@ -306,33 +301,17 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
                     return "rejected:no-pin-email"
                 pin = fields["pin"]
             wallet.claim_new(manufacturer.did.uri, tid, pin)
-            world.run_until_quiescent()
-            return _last_decision(
-                world.trace[mark:],
-                [(manufacturer.agent_id, "ownershipClaimReq"), (wallet.agent_id, "ownershipClaimResp")],
-            )
 
-        if step.op == "sell":
+        elif step.op == "sell":
             seller = cast[step.args["seller"]]
             buyer = cast[step.args["buyer"]]
             seller.start_sell(buyer.did.uri, step.args["product"])
-            world.run_until_quiescent()
-            return _last_decision(world.trace[mark:], [(seller.agent_id, "PINResp")])
 
-        if step.op == "transfer":
+        elif step.op == "transfer":
             seller = cast[step.args["seller"]]
             seller.start_transfer(manufacturer.did.uri, step.args["product"])
-            world.run_until_quiescent()
-            return _last_decision(
-                world.trace[mark:],
-                [
-                    (manufacturer.agent_id, "ownershipTransferReq"),
-                    (seller.agent_id, "ownershipProofReq"),
-                    (manufacturer.agent_id, "ownershipProofResp"),
-                ],
-            )
 
-        if step.op == "claim_used":
+        elif step.op == "claim_used":
             wallet = cast[step.args["wallet"]]
             tid = step.args.get("tid")
             if tid is None:
@@ -343,30 +322,20 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
                     return "rejected:no-purchase-data"
                 tid = entry.tid
             wallet.claim_used(manufacturer.did.uri, tid)
-            world.run_until_quiescent()
-            return _last_decision(
-                world.trace[mark:],
-                [
-                    (manufacturer.agent_id, "ownershipClaimReq"),
-                    (wallet.agent_id, "pinChallengeReq"),
-                    (manufacturer.agent_id, "pinChallengeResp"),
-                    (wallet.agent_id, "ownershipClaimResp"),
-                ],
-            )
 
-        if step.op == "replay":
+        elif step.op == "adversary_transfer":
+            adversary = cast[step.args["adversary"]]
+            adversary.attack_mode = step.args.get("mode", "self-issued")
+            adversary.craft_transfer_request(manufacturer.did.uri, step.args["product"])
+
+        elif step.op == "replay":
             seqs = _resolve_seqs(world, step.args.get("seq", "all-ssi"))
             for seq in seqs:
                 world.inject(AdversaryAction(kind="replay", seq=seq))
                 world.run_until_quiescent()
-            verdicts = _injected_verdicts(world.trace[mark:], "replay")
-            if not verdicts:
-                return "no-decision"
-            if all(v.startswith("rejected") for v in verdicts):
-                return "all-rejected" if len(seqs) > 1 else verdicts[-1]
-            return "accepted-replay"
+            injections = len(seqs)
 
-        if step.op == "tamper":
+        elif step.op == "tamper":
             seqs = _resolve_seqs(world, step.args.get("seq", "last-ssi"))
             for seq in seqs:
                 world.inject(
@@ -378,14 +347,9 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
                     )
                 )
                 world.run_until_quiescent()
-            verdicts = _injected_verdicts(world.trace[mark:], "tamper")
-            if not verdicts:
-                return "no-decision"
-            if all(v.startswith("rejected") or v.startswith("dead-letter") for v in verdicts):
-                return "all-rejected" if len(seqs) > 1 else verdicts[-1]
-            return "accepted-tamper"
+            injections = len(seqs)
 
-        if step.op == "spoof":
+        elif step.op == "spoof":
             forged = cast[step.args["a"]] if "a" in step.args else None
             forged_did = forged.did.uri if forged else step.args.get("forged_sender", "did:handover:ghost")
             message = step.args.get("message", {})
@@ -399,25 +363,20 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
                     knows_endpoint_key=step.args.get("knows_endpoint_key", True),
                 )
             )
-            world.run_until_quiescent()
-            verdicts = _injected_verdicts(world.trace[mark:], "spoof")
-            return verdicts[-1] if verdicts else "no-decision"
 
-        if step.op == "adversary_transfer":
-            adversary = cast[step.args["adversary"]]
-            adversary.attack_mode = step.args.get("mode", "self-issued")
-            adversary.craft_transfer_request(manufacturer.did.uri, step.args["product"])
-            world.run_until_quiescent()
-            return _last_decision(
-                world.trace[mark:],
-                [
-                    (manufacturer.agent_id, "ownershipTransferReq"),
-                    (manufacturer.agent_id, "ownershipProofResp"),
-                ],
-            )
+        else:
+            raise ScenarioError(step.op, "unhandled op")  # unreachable: ops validated at parse time
     except AgentActionError:
         return "rejected:action-failed"
-    raise ScenarioError(step.op, "unhandled op")  # unreachable: ops validated at parse time
+    world.run_until_quiescent()
+    verdicts = _delivery_verdicts(world, mark)
+    if not verdicts:
+        return "no-decision"
+    if step.op in ATTACK_OPS:
+        if all(v.startswith(("rejected", "dead-letter")) for v in verdicts):
+            return "all-rejected" if injections > 1 else verdicts[-1]
+        return f"accepted-{step.op}"
+    return next((v for v in verdicts if v != "accepted"), "accepted")
 
 
 def _resolve_seqs(world: World, selector) -> list[int]:

@@ -70,7 +70,6 @@ class AdversaryAction:
     recipient: Optional[str] = None  # agent id the envelope routes to
     knows_endpoint_key: bool = True
     via_connection_with: Optional[str] = None  # whose leaked connection key seals the inner
-    trigger_tick: Optional[int] = None
 
 
 class SimError(Exception):
@@ -363,16 +362,12 @@ class World:
         original = self.wire_log.get(action.seq)
         if original is None:
             raise SimError(f"replay: event {action.seq} was never on the wire")
-        delay = 1
-        if action.trigger_tick is not None:
-            delay = max(1, action.trigger_tick - self.clock)
         return self.schedule(
             frm=original.frm,
             to=original.to,
             channel=original.channel,
             body=original.body,
             kind=original.kind,
-            delay=delay,
             meta={"injected": "replay", "of": action.seq},
         )
 

@@ -14,9 +14,12 @@ from handover.agents import (
     pin_numeric,
 )
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
-from handover.encoding import canonical_json
-from handover.messages import payload
+from handover.encoding import canonical_json, encode, encode_value
+from handover.messages import Envelope, payload
+from handover.scenarios import ScenarioStep, execute_step
 from handover.simnet import World
+
+from conftest import fresh_lifecycle
 
 
 def make_world(seed=7, wallets=("B1", "B2"), products=("PC-100",)):
@@ -497,6 +500,62 @@ def test_unsolicited_response_rejected():
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "PINResp"]
     assert verdicts[-1] == "rejected:nonce-mismatch"
+
+
+def test_second_credential_offer_rejected():
+    # the used-claim offer expectation accepts any nonce, but only once
+    result = fresh_lifecycle()
+    world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
+    offer = payload("ownershipClaimResp", credential=b2.credentials[0])
+    mf.send(mf.connections[b2.did.uri], crypto.fresh_nonce(world.rng), offer)
+    world.run_until_quiescent()
+    verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "ownershipClaimResp"]
+    assert verdicts == ["accepted", "rejected:nonce-mismatch"]
+    assert len(b2.credentials) == 1
+
+
+def test_duplicate_selling_response_rejected_on_direct_channel():
+    # the direct channel has no replay guard; the single-use expectation stops the duplicate
+    world, cast = make_world()
+    sell_to(world, cast)
+    ds = cast["DS"]
+    sales = list(ds.sales)
+    request = next(r for r in world.trace if r["to"] == "MF" and r["kind"] == "productSellingReq")
+    nonce = bytes.fromhex(request["meta"]["nonce"])
+    world.send_direct("MF", "DS", nonce, payload("productSellingResp", tid=sales[0]["tid"]))
+    world.run_until_quiescent()
+    verdicts = [r["verdict"] for r in world.trace if r["to"] == "DS" and r["kind"] == "productSellingResp"]
+    assert verdicts == ["accepted", "rejected:nonce-mismatch"]
+    assert ds.sales == sales
+
+
+def test_transfer_step_verdict_comes_from_deciding_wallet():
+    # after the resale B1's credential is revoked: the wallet, not MF, rejects the proof request
+    result = fresh_lifecycle()
+    step = ScenarioStep(op="transfer", args={"seller": "B1", "product": "PC-100"}, expect="")
+    verdict = execute_step(result.world, result.cast, result.spec, step)
+    assert verdict == "rejected:no-matching-credential"
+
+
+@pytest.mark.parametrize(
+    "inner_plain",
+    [
+        b"Q" + encode_value(1) + encode_value(0),  # fraction with a zero denominator
+        b"N",  # not a list
+        encode(["inner", "did:handover:x", None, b"", b""]),  # nonce is not bytes
+    ],
+    ids=["zero-denominator", "not-a-list", "none-nonce"],
+)
+def test_malformed_inner_layer_rejected(inner_plain):
+    # needs only the public half of a connection key, no signing key
+    world, cast = run_sale_and_claim()
+    mf, b1 = cast["MF"], cast["B1"]
+    inner = crypto.asym_encrypt(world.rng, mf.connections[b1.did.uri].local.public_key, inner_plain)
+    outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", mf.did.uri, inner]))
+    world.send_envelope("adversary", Envelope(outer), "PINReq")
+    world.run_until_quiescent()
+    last_two = [(r["to"], r["verdict"]) for r in world.trace[-2:]]
+    assert last_two == [("MD", "forwarded"), ("MF", "rejected:decrypt-error")]
 
 
 def test_email_eavesdropper_boundary():

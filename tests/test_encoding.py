@@ -65,6 +65,38 @@ def test_unknown_tag_rejected():
         decode_value(b"Zjunk")
 
 
+def _text(tag, raw):
+    return tag + len(raw).to_bytes(4, "big") + raw
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"Q" + encode_value(1) + encode_value(0),
+        b"Q" + encode_value("1") + encode_value(2),
+        b"Q" + encode_value(1) + b"N",
+        b"Q" + encode_value([1]) + encode_value(2),
+        _text(b"I", b"x"),
+        _text(b"I", b"\xff"),
+        _text(b"S", b"\xff"),
+        b"L\x00\x00\x00\x01" * 5000 + b"N",  # nested deeper than the interpreter recurses
+    ],
+    ids=[
+        "zero-denominator",
+        "str-numerator",
+        "none-denominator",
+        "list-numerator",
+        "int-not-a-number",
+        "int-not-ascii",
+        "str-not-utf8",
+        "deep-nesting",
+    ],
+)
+def test_malformed_input_raises_only_encoding_error(data):
+    with pytest.raises(EncodingError):
+        decode_value(data)
+
+
 def test_unencodable_values_rejected():
     with pytest.raises(EncodingError):
         encode_value(object())

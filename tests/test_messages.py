@@ -11,7 +11,6 @@ from handover.encoding import encode
 from handover.messages import (
     ALL_KINDS,
     EnvelopeReject,
-    NonceSession,
     PayloadError,
     ReplayGuard,
     canonical_encode_payload,
@@ -22,9 +21,7 @@ from handover.messages import (
     open_inner,
     payload,
     seal,
-    unseal_at_endpoint,
     unseal_at_mediator,
-    validate_nonce_echo,
     verify_inner,
 )
 
@@ -182,7 +179,8 @@ def test_seal_unseal_full_chain(parties):
     env, nonce, p = sealed(parties)
     recipient_did, inner = unseal_at_mediator(parties["mediator"].private_key, env)
     assert recipient_did == "did:handover:endpoint"
-    got_nonce, got_payload = unseal_at_endpoint(parties["endpoint"].private_key, parties["sender"].public_key, inner)
+    view = open_inner(parties["endpoint"].private_key, inner)
+    got_nonce, got_payload = verify_inner(view, parties["sender"].public_key)
     assert got_nonce == nonce
     assert got_payload == p
 
@@ -255,7 +253,7 @@ def test_adversary_key_resign_rejected(parties):
     )
     _, inner = unseal_at_mediator(parties["mediator"].private_key, env)
     with pytest.raises(EnvelopeReject) as err:
-        unseal_at_endpoint(parties["endpoint"].private_key, parties["sender"].public_key, inner)
+        verify_inner(open_inner(parties["endpoint"].private_key, inner), parties["sender"].public_key)
     assert err.value.reason == "bad-signature"
 
 
@@ -295,7 +293,7 @@ def test_mediator_view_hides_payload(parties):
         assert b"PINReq" not in mediator_view
 
 
-# -- replay guard and nonce sessions ----------------------------------------
+# -- replay guard ------------------------------------------------------------
 
 
 def test_replay_guard_consumes_pairs(rng):
@@ -304,26 +302,7 @@ def test_replay_guard_consumes_pairs(rng):
     assert guard.register(nonce, "PINReq")
     assert not guard.register(nonce, "PINReq")  # replay of the same pair
     assert guard.register(nonce, "PINResp")  # same nonce, different kind is a new pair
-    assert guard.seen(nonce, "PINReq")
-
-
-def test_nonce_echo_first_accept_then_reject(rng):
-    nonce = fresh_nonce(rng)
-    session = NonceSession(nonce=nonce)
-    assert validate_nonce_echo(session, nonce)
-    assert not validate_nonce_echo(session, nonce)  # consumed sessions always reject
-
-
-def test_nonce_echo_wrong_session_rejected(rng):
-    session = NonceSession(nonce=fresh_nonce(rng))
-    assert not validate_nonce_echo(session, fresh_nonce(rng))
-    assert not session.consumed
-
-
-def test_nonce_echo_wildcard_binds_once(rng):
-    session = NonceSession(nonce=None)
-    assert validate_nonce_echo(session, fresh_nonce(rng))
-    assert not validate_nonce_echo(session, fresh_nonce(rng))
+    assert not guard.register(nonce, "PINReq")  # still consumed after other pairs
 
 
 @given(

@@ -2,7 +2,8 @@ import pytest
 
 from handover import crypto
 from handover.agents import WalletAgent, establish_connection
-from handover.messages import mint_tid, payload, seal
+from handover.encoding import encode
+from handover.messages import Envelope, mint_tid, payload, seal
 from handover.scenarios import builtin_scenario, run_scenario
 from handover.simnet import AdversaryAction, SimError, World
 
@@ -135,6 +136,18 @@ def test_replay_rejected_at_endpoint():
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "replay" and r["to"] == "B"]
     assert injected and injected[-1]["verdict"] == "rejected:replay"
     assert len(b.claiming) == 1
+
+
+@pytest.mark.parametrize(
+    "outer_plain", [b"N", encode(["route", "did:handover:nobody", None])], ids=["not-a-list", "none-inner"]
+)
+def test_malformed_outer_layer_dead_lettered(outer_plain):
+    # the mediator key is public: anyone can make the mediator open this
+    world, a, b = two_wallets()
+    outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), outer_plain)
+    world.send_envelope("adversary", Envelope(outer), "PINReq")
+    world.run_until_quiescent()
+    assert world.trace[-1]["verdict"] == "dead-letter:unreadable"
 
 
 def test_spoof_with_leaked_endpoint_key_fails_signature():
