@@ -26,12 +26,11 @@ from .credential import (
 from .crypto import Rng
 from .registry import VerifiableDataRegistry
 from .scenarios import BUILTIN_SCENARIOS, builtin_scenario, load_scenario_file, run_scenario
-from .simnet import AdversaryAction, World
+from .simnet import World
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversaryAction",
     "AdversaryWallet",
     "BUILTIN_SCENARIOS",
     "DistributorAgent",

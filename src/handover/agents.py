@@ -898,22 +898,20 @@ class WalletAgent(Agent):
 class AdversaryWallet(WalletAgent):
     """Wallet that plays the protocol dishonestly to probe the manufacturer.
 
-    ``attack_mode`` controls how ownership proof requests are answered:
-    ``self-issued`` presents a credential signed by the adversary under its own
-    published definition, ``unknown-creddef`` references a definition that is
-    not on the registry, and ``garbage`` presents a victim-definition credential
-    with an invalid signature.
+    The ``mode`` of each transfer request controls how the proof request is
+    answered: ``self-issued`` presents a credential signed by the adversary
+    under its own published definition, ``unknown-creddef`` references a
+    definition that is not on the registry, and ``garbage`` presents a
+    victim-definition credential with an invalid signature.
     """
 
     ROLE = "adversary-wallet"
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
-        self.attack_mode = "self-issued"
         self.target_cred_def_id: Optional[str] = None
-        self._own_cred_def: Optional[CredentialDefinition] = None
 
-    def craft_transfer_request(self, manufacturer_did: str, product_code: str) -> None:
+    def craft_transfer_request(self, manufacturer_did: str, product_code: str, mode: str) -> None:
         """Send a transfer request for a product this wallet never owned."""
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
@@ -928,22 +926,20 @@ class AdversaryWallet(WalletAgent):
                 tid=mint_tid(self.rng),
             ),
         )
-        self.expect(conn.conn_id, "ownershipProofReq", nonce, context={"productCode": product_code})
-        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context={"productCode": product_code})
+        context = {"productCode": product_code, "mode": mode}
+        self.expect(conn.conn_id, "ownershipProofReq", nonce, context=context)
+        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context=context)
 
-    def _forged_credential(self, product_code: str) -> VerifiableCredential:
+    def _forged_credential(self, product_code: str, mode: str) -> VerifiableCredential:
         schema = product_schema()
-        if self.attack_mode == "self-issued":
+        if mode == "self-issued":
             # a definition the registry will happily resolve, but not the victim's
             cred_def_id = f"creddef:{self.did.uri}:{schema.schema_id}"
-            if self._own_cred_def is None:
+            if self.world.registry.find_cred_def(cred_def_id) is None:
                 self.world.registry.publish_cred_def(
                     cred_def_id, schema.schema_id, self.did.uri, self.root_keys.public_key
                 )
-                self._own_cred_def = CredentialDefinition(
-                    cred_def_id, schema.schema_id, self.did.uri, self.root_keys.public_key
-                )
-        elif self.attack_mode == "unknown-creddef":
+        elif mode == "unknown-creddef":
             cred_def_id = "creddef:did:handover:nobody:ghost"
         else:  # "garbage": victim's definition, signature that cannot verify
             cred_def_id = self.target_cred_def_id or "creddef:unset"
@@ -969,7 +965,7 @@ class AdversaryWallet(WalletAgent):
         )
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
-        vc = self._forged_credential(context["productCode"])
+        vc = self._forged_credential(context["productCode"], context["mode"])
         presentation = present_proof(vc, bytes(p.body["challenge"]), self.did.uri, conn.local.private_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"

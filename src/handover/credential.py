@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import crypto
 from .encoding import encode
@@ -101,15 +101,26 @@ def vc_to_wire(vc: VerifiableCredential) -> list:
     ]
 
 
-def vc_from_wire(obj: Sequence) -> VerifiableCredential:
+def vc_from_wire(obj: Any) -> VerifiableCredential:
+    """Invert :func:`vc_to_wire`; any other shape raises ``ValueError``."""
+    if not isinstance(obj, list) or len(obj) != 6:
+        raise ValueError("credential is not a 6-field list")
     credential_id, cred_def_id, attrs, signature, registry_id, issued_at = obj
+    if not (
+        all(isinstance(v, str) for v in (credential_id, cred_def_id, registry_id))
+        and isinstance(attrs, list)
+        and all(isinstance(a, list) and len(a) == 2 and all(isinstance(v, str) for v in a) for a in attrs)
+        and isinstance(signature, bytes)
+        and type(issued_at) is int
+    ):
+        raise ValueError("credential field has the wrong type")
     return VerifiableCredential(
-        credential_id=str(credential_id),
-        cred_def_id=str(cred_def_id),
-        attributes=tuple((str(n), str(v)) for n, v in attrs),
-        issuer_signature=bytes(signature),
-        revocation_registry_id=str(registry_id),
-        issued_at=int(issued_at),
+        credential_id=credential_id,
+        cred_def_id=cred_def_id,
+        attributes=tuple((n, v) for n, v in attrs),
+        issuer_signature=signature,
+        revocation_registry_id=registry_id,
+        issued_at=issued_at,
     )
 
 

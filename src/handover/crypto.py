@@ -28,7 +28,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 NONCE_LEN = 16
 SYM_KEY_LEN = 32
 KEY_LEN = 64  # ed25519 half || x25519 half
-SIGNATURE_LEN = 64
 _GCM_IV_LEN = 12
 _GCM_TAG_LEN = 16
 _HYBRID_OVERHEAD = 32 + _GCM_IV_LEN + _GCM_TAG_LEN

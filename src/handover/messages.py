@@ -161,19 +161,22 @@ def _field_to_wire(ftype: str, value: Any) -> Any:
 
 
 def _field_from_wire(ftype: str, value: Any) -> Any:
+    """Rebuild a credential or presentation field; a wrong shape raises ``ValueError``."""
     if ftype == "vc":
         return vc_from_wire(value)
     if ftype == "presentation":
+        if not isinstance(value, list) or len(value) != 4:
+            raise ValueError("presentation is not a 4-field list")
         wire_vc, nonce, holder_did, signature = value
+        if not (isinstance(nonce, bytes) and isinstance(holder_did, str) and isinstance(signature, bytes)):
+            raise ValueError("presentation field has the wrong type")
         return ProofPresentation(
             credential=vc_from_wire(wire_vc),
-            challenge_nonce=bytes(nonce),
-            holder_did=str(holder_did),
-            presentation_signature=bytes(signature),
+            challenge_nonce=nonce,
+            holder_did=holder_did,
+            presentation_signature=signature,
         )
-    if ftype == "str_list":
-        return [str(v) for v in value]
-    return value
+    return value  # plain and str_list fields are type-checked by validate_payload
 
 
 def canonical_encode_payload(p: MessagePayload) -> bytes:
@@ -197,7 +200,10 @@ def decode_payload(data: bytes) -> MessagePayload:
         raise PayloadError(f"unknown kind {kind!r}")
     if len(obj) != len(spec) + 1:
         raise PayloadError(f"{kind}: wrong field count")
-    body = {name: _field_from_wire(ftype, raw) for (name, ftype), raw in zip(spec, obj[1:])}
+    try:
+        body = {name: _field_from_wire(ftype, raw) for (name, ftype), raw in zip(spec, obj[1:])}
+    except ValueError as exc:
+        raise PayloadError(f"{kind}: {exc}") from exc
     p = MessagePayload(kind=kind, body=body)
     validate_payload(p)
     return p

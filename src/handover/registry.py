@@ -86,16 +86,15 @@ class VerifiableDataRegistry:
             return self._clock()
         return len(self._entries)
 
-    def publish(self, kind: EntryKind, payload: bytes, author_did: str) -> int:
+    def publish(self, kind: EntryKind, doc: dict, author_did: str) -> int:
         """Append one entry; returns its id. Ids start at 1 and only grow."""
-        doc = json.loads(payload)
         self_publish = kind is EntryKind.DID_DOC and doc.get("did") == author_did
         if not self_publish and author_did not in self._did_docs:
             raise AuthorizationError(f"author {author_did} is not resolvable")
         entry = LedgerEntry(
             entry_id=len(self._entries) + 1,
             kind=kind,
-            payload=bytes(payload),
+            payload=canonical_json(doc).encode("utf-8"),
             author_did=author_did,
             timestamp=self._now(),
         )
@@ -126,29 +125,25 @@ class VerifiableDataRegistry:
     # -- typed writers ---------------------------------------------------
 
     def publish_did_doc(self, did_uri: str, verification_key: bytes, metadata: dict | None = None) -> int:
-        payload = canonical_json(
-            {"did": did_uri, "verification_key": verification_key.hex(), "metadata": metadata or {}}
-        ).encode("utf-8")
-        return self.publish(EntryKind.DID_DOC, payload, did_uri)
+        doc = {"did": did_uri, "verification_key": verification_key.hex(), "metadata": metadata or {}}
+        return self.publish(EntryKind.DID_DOC, doc, did_uri)
 
     def publish_schema(self, schema_id: str, attribute_names: Iterable[str], author_did: str) -> int:
-        payload = canonical_json({"schema_id": schema_id, "attribute_names": list(attribute_names)}).encode("utf-8")
-        return self.publish(EntryKind.SCHEMA, payload, author_did)
+        doc = {"schema_id": schema_id, "attribute_names": list(attribute_names)}
+        return self.publish(EntryKind.SCHEMA, doc, author_did)
 
     def publish_cred_def(self, cred_def_id: str, schema_id: str, issuer_did: str, issuer_public_key: bytes) -> int:
-        payload = canonical_json(
-            {
-                "cred_def_id": cred_def_id,
-                "schema_id": schema_id,
-                "issuer_did": issuer_did,
-                "issuer_public_key": issuer_public_key.hex(),
-            }
-        ).encode("utf-8")
-        return self.publish(EntryKind.CRED_DEF, payload, issuer_did)
+        doc = {
+            "cred_def_id": cred_def_id,
+            "schema_id": schema_id,
+            "issuer_did": issuer_did,
+            "issuer_public_key": issuer_public_key.hex(),
+        }
+        return self.publish(EntryKind.CRED_DEF, doc, issuer_did)
 
     def create_revocation_registry(self, registry_id: str, issuer_did: str) -> int:
-        payload = canonical_json({"registry_id": registry_id, "issuer_did": issuer_did}).encode("utf-8")
-        return self.publish(EntryKind.REVOCATION_REGISTRY, payload, issuer_did)
+        doc = {"registry_id": registry_id, "issuer_did": issuer_did}
+        return self.publish(EntryKind.REVOCATION_REGISTRY, doc, issuer_did)
 
     def revoke_credential(self, issuer_did: str, registry_id: str, credential_id: str) -> int:
         """Record a revocation event; only the registry's issuer may do this."""
@@ -159,8 +154,8 @@ class VerifiableDataRegistry:
             raise AuthorizationError(f"{issuer_did} is not the issuer of {registry_id}")
         if credential_id in reg.revoked_ids:
             raise AlreadyRevokedError(credential_id)
-        payload = canonical_json({"registry_id": registry_id, "credential_id": credential_id}).encode("utf-8")
-        return self.publish(EntryKind.REVOCATION_EVENT, payload, issuer_did)
+        doc = {"registry_id": registry_id, "credential_id": credential_id}
+        return self.publish(EntryKind.REVOCATION_EVENT, doc, issuer_did)
 
     # -- readers -----------------------------------------------------------
 

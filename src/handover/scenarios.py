@@ -34,7 +34,7 @@ from .agents import (
 from .encoding import canonical_json
 from .invariants import scan_trace
 from .messages import KIND_FIELDS, MessagePayload, payload
-from .simnet import AdversaryAction, World
+from .simnet import World
 
 STEP_OPS = (
     "connect",
@@ -79,15 +79,6 @@ class ScenarioSpec:
     adversaries: tuple[str, ...]
     products: tuple[str, ...]
     script: tuple[ScenarioStep, ...]
-
-    @property
-    def agent_names(self) -> tuple[str, ...]:
-        names = [self.manufacturer]
-        if self.distributor:
-            names.append(self.distributor)
-        names.extend(self.wallets)
-        names.extend(self.adversaries)
-        return tuple(names)
 
 
 @dataclass
@@ -325,27 +316,21 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
 
         elif step.op == "adversary_transfer":
             adversary = cast[step.args["adversary"]]
-            adversary.attack_mode = step.args.get("mode", "self-issued")
-            adversary.craft_transfer_request(manufacturer.did.uri, step.args["product"])
+            adversary.craft_transfer_request(
+                manufacturer.did.uri, step.args["product"], step.args.get("mode", "self-issued")
+            )
 
         elif step.op == "replay":
             seqs = _resolve_seqs(world, step.args.get("seq", "all-ssi"))
             for seq in seqs:
-                world.inject(AdversaryAction(kind="replay", seq=seq))
+                world.replay(seq)
                 world.run_until_quiescent()
             injections = len(seqs)
 
         elif step.op == "tamper":
             seqs = _resolve_seqs(world, step.args.get("seq", "last-ssi"))
             for seq in seqs:
-                world.inject(
-                    AdversaryAction(
-                        kind="tamper",
-                        seq=seq,
-                        byte_index=step.args.get("byte_index", 7),
-                        new_byte=step.args.get("new_byte", 0xA5),
-                    )
-                )
+                world.tamper(seq, step.args.get("byte_index", 7), step.args.get("new_byte", 0xA5))
                 world.run_until_quiescent()
             injections = len(seqs)
 
@@ -354,15 +339,8 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
             forged_did = forged.did.uri if forged else step.args.get("forged_sender", "did:handover:ghost")
             message = step.args.get("message", {})
             p = payload_from_json(message.get("kind", "PINReq"), message.get("body", {"tid": "00" * 16}))
-            world.inject(
-                AdversaryAction(
-                    kind="spoof",
-                    payload=p,
-                    forged_sender=forged_did,
-                    recipient=step.args["recipient"],
-                    knows_endpoint_key=step.args.get("knows_endpoint_key", True),
-                )
-            )
+            key_of = forged_did if step.args.get("knows_endpoint_key", True) else None
+            world.spoof(step.args["recipient"], forged_did, p, key_of)
 
         else:
             raise ScenarioError(step.op, "unhandled op")  # unreachable: ops validated at parse time

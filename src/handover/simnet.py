@@ -1,8 +1,8 @@
 """Deterministic in-memory network: event scheduler, store-and-forward
-mediator, out-of-band email channel, and injectable adversary actions.
+mediator, out-of-band email channel, and the drop/tamper/replay/spoof attacks.
 
 Logical time advances one tick per hop.  A run is a pure function of the seed,
-the scenario, and the injected actions, so traces replay byte-identically.
+the scenario, and the attacks applied, so traces replay byte-identically.
 """
 
 from __future__ import annotations
@@ -57,21 +57,6 @@ class DeliveryEvent:
     extra: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class AdversaryAction:
-    """One wire-level attack; referenced events must be observable (sealed) traffic."""
-
-    kind: str  # "replay" | "tamper" | "drop" | "spoof"
-    seq: Optional[int] = None
-    byte_index: Optional[int] = None
-    new_byte: Optional[int] = None
-    payload: Optional[MessagePayload] = None
-    forged_sender: Optional[str] = None  # DID the inner layer claims
-    recipient: Optional[str] = None  # agent id the envelope routes to
-    knows_endpoint_key: bool = True
-    via_connection_with: Optional[str] = None  # whose leaked connection key seals the inner
-
-
 class SimError(Exception):
     pass
 
@@ -111,15 +96,12 @@ class Mediator:
         self.queues.setdefault(agent_id, deque()).append((inner, event.kind))
         return "queued"
 
-    def poll(self, world: "World", agent_id: str) -> int:
+    def poll(self, world: "World", agent_id: str) -> None:
         """Drain the offline queue for an agent, preserving send order."""
         queue = self.queues.get(agent_id)
-        count = 0
         while queue:
             inner, kind = queue.popleft()
             world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind)
-            count += 1
-        return count
 
     def state_dump(self) -> dict:
         return {
@@ -138,7 +120,6 @@ class World:
         self.clock = 0
         self._seq = 0
         self._heap: list[tuple[int, int, DeliveryEvent]] = []
-        self._pending: set[int] = set()
         self._drops: set[int] = set()
         self._tampers: dict[int, list[tuple[int, int]]] = {}
         self.trace: list[dict] = []
@@ -202,7 +183,6 @@ class World:
             extra=dict(meta or {}),
         )
         heapq.heappush(self._heap, (event.deliver_at, event.seq, event))
-        self._pending.add(event.seq)
         return event.seq
 
     def send_envelope(self, sender_id: str, envelope: Envelope, kind: str) -> int:
@@ -272,7 +252,6 @@ class World:
         limit = max_ticks if max_ticks is not None else DEFAULT_MAX_TICKS
         while self._heap:
             deliver_at, _, event = heapq.heappop(self._heap)
-            self._pending.discard(event.seq)
             if deliver_at > limit:
                 self.timed_out = True
                 self.emit(
@@ -326,79 +305,72 @@ class World:
 
     # -- adversary interface ----------------------------------------------------------
 
-    def inject(self, action: AdversaryAction) -> Optional[int]:
-        """Apply one adversary action; returns the scheduled seq where applicable."""
-        if action.kind == "drop":
-            if action.seq not in self._pending:
-                raise SimError(f"drop: event {action.seq} is not in flight")
-            self._drops.add(action.seq)
-            return None
-        if action.kind == "tamper":
-            return self._inject_tamper(action)
-        if action.kind == "replay":
-            return self._inject_replay(action)
-        if action.kind == "spoof":
-            return self._inject_spoof(action)
-        raise SimError(f"unknown adversary action {action.kind}")
+    def drop(self, seq: int) -> None:
+        """Suppress event ``seq``, in flight or not yet scheduled."""
+        if seq in self.wire_log:
+            raise SimError(f"drop: event {seq} was already delivered")
+        self._drops.add(seq)
 
-    def _inject_tamper(self, action: AdversaryAction) -> Optional[int]:
-        original = self.wire_log.get(action.seq)
-        if action.seq in self._pending or original is None:
+    def tamper(self, seq: int, byte_index: int, new_byte: int) -> Optional[int]:
+        """Flip one byte of event ``seq``; returns the seq of a re-injected copy if it was delivered."""
+        original = self.wire_log.get(seq)
+        if original is None:
             # in flight, or a pre-registration against a deterministic future seq
-            self._tampers.setdefault(action.seq, []).append((action.byte_index, action.new_byte))
+            self._tampers.setdefault(seq, []).append((byte_index, new_byte))
             return None
         # already delivered: re-inject a tampered copy of the observed bytes
-        body = _flip_body_byte(original.body, action.byte_index, action.new_byte)
+        body = _flip_body_byte(original.body, byte_index, new_byte)
         return self.schedule(
             frm=original.frm,
             to=original.to,
             channel=original.channel,
             body=body,
             kind=original.kind,
-            meta={"injected": "tamper", "of": action.seq},
+            meta={"injected": "tamper", "of": seq},
         )
 
-    def _inject_replay(self, action: AdversaryAction) -> int:
-        original = self.wire_log.get(action.seq)
+    def replay(self, seq: int) -> int:
+        """Re-inject the observed bytes of delivered event ``seq``."""
+        original = self.wire_log.get(seq)
         if original is None:
-            raise SimError(f"replay: event {action.seq} was never on the wire")
+            raise SimError(f"replay: event {seq} was never on the wire")
         return self.schedule(
             frm=original.frm,
             to=original.to,
             channel=original.channel,
             body=original.body,
             kind=original.kind,
-            meta={"injected": "replay", "of": action.seq},
+            meta={"injected": "replay", "of": seq},
         )
 
-    def _inject_spoof(self, action: AdversaryAction) -> int:
-        recipient = self.agents[action.recipient]
-        endpoint_key = None
-        if action.knows_endpoint_key:
-            via = action.via_connection_with or action.forged_sender
-            conn = recipient.connections.get(via)
-            if conn is not None:
-                endpoint_key = conn.local.public_key
-        if endpoint_key is None:
-            endpoint_key = crypto.generate_keypair(self.rng).public_key
+    def spoof(self, recipient_id: str, forged_sender: str, payload: MessagePayload, key_of: Optional[str]) -> int:
+        """Send ``payload`` to ``recipient_id`` claiming to be ``forged_sender``, signed by a fresh attacker key.
+
+        ``key_of`` is the DID whose connection with the recipient leaked its
+        endpoint key; ``None``, or a DID with no such connection, means the
+        attacker encrypts to a random key.
+        """
+        recipient = self.agents[recipient_id]
+        conn = recipient.connections.get(key_of)
+        endpoint_key = conn.local.public_key if conn is not None else crypto.generate_keypair(self.rng).public_key
         attacker_keys = crypto.generate_keypair(self.rng)  # bound to no connection
         envelope = seal(
             self.rng,
             attacker_keys.private_key,
-            action.forged_sender,
+            forged_sender,
             endpoint_key,
             self.mediator.keys.public_key,
             recipient.did.uri,
             crypto.fresh_nonce(self.rng),
-            action.payload,
+            payload,
         )
         return self.schedule(
             frm="adversary",
             to=MEDIATOR_ID,
             channel=CHANNEL_SSI,
             body=envelope,
-            kind=action.payload.kind,
-            meta={"injected": "spoof", "forgedSender": action.forged_sender},
+            kind=payload.kind,
+            meta={"injected": "spoof", "forgedSender": forged_sender},
         )
 
     # -- whole-world introspection -------------------------------------------------------

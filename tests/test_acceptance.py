@@ -22,7 +22,6 @@ from handover.encoding import canonical_json
 from handover.invariants import scan_trace
 from handover.messages import CHALLENGE_TYPES, mint_pin
 from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, build_world, execute_step, run_scenario
-from handover.simnet import AdversaryAction
 
 from conftest import fresh_lifecycle
 
@@ -137,7 +136,7 @@ def test_criterion_04_replay_suite():
     before = canonical_json(world.state_dumps())
     replayed = 0
     for seq in sorted(world.wire_log):
-        world.inject(AdversaryAction(kind="replay", seq=seq))
+        world.replay(seq)
         world.run_until_quiescent()
         replayed += 1
     verdicts = [
@@ -168,9 +167,7 @@ def test_criterion_05_tamper_suite():
         length = len(body)
         positions = sorted({sampler.randint(0, length - 1) for _ in range(64)}) if length > 64 else range(length)
         for position in positions:
-            world.inject(
-                AdversaryAction(kind="tamper", seq=seq, byte_index=position, new_byte=body[position] ^ 0x55)
-            )
+            world.tamper(seq, position, body[position] ^ 0x55)
             world.run_until_quiescent()
             flips += 1
     injected = [
@@ -186,7 +183,7 @@ def test_criterion_05_tamper_suite():
     def drive(tamper_seq=None):
         world, cast = build_world(spec)
         if tamper_seq is not None:
-            world.inject(AdversaryAction(kind="tamper", seq=tamper_seq, byte_index=9, new_byte=0x42))
+            world.tamper(tamper_seq, 9, 0x42)
         for step in spec.script:
             execute_step(world, cast, spec, step)
         return world, cast
@@ -223,10 +220,9 @@ def test_criterion_06_spoof_suite():
     accepted = 0
     proof_failures = 0
     for attempt in range(100):
-        eve.attack_mode = modes[attempt % 3]
         product = "PC-404" if attempt % 7 == 3 else "PC-100"
         mark = len(world.trace)
-        eve.craft_transfer_request(mf.did.uri, product)
+        eve.craft_transfer_request(mf.did.uri, product, modes[attempt % 3])
         world.run_until_quiescent()
         delta = world.trace[mark:]
         for rec in delta:

@@ -15,7 +15,8 @@ from handover.agents import (
 )
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
-from handover.messages import Envelope, payload
+from handover.credential import vc_to_wire
+from handover.messages import Envelope, payload, signing_bytes
 from handover.scenarios import ScenarioStep, execute_step
 from handover.simnet import World
 
@@ -556,6 +557,41 @@ def test_malformed_inner_layer_rejected(inner_plain):
     world.run_until_quiescent()
     last_two = [(r["to"], r["verdict"]) for r in world.trace[-2:]]
     assert last_two == [("MD", "forwarded"), ("MF", "rejected:decrypt-error")]
+
+
+def _vc_wire(cast, attributes=None):
+    wire = vc_to_wire(cast["B1"].credentials[0])
+    if attributes is not None:
+        wire[2] = attributes
+    return wire
+
+
+@pytest.mark.parametrize(
+    "sender, recipient, fields",
+    [
+        ("B1", "MF", lambda cast: ["ownershipProofResp", [1]]),
+        ("B1", "MF", lambda cast: ["ownershipClaimResp", 5]),
+        ("MF", "B1", lambda cast: ["ownershipProofReq", 5, b"x"]),
+        ("MF", "B1", lambda cast: ["ownershipProofReq", [1], b"x"]),
+        ("B1", "MF", lambda cast: ["ownershipProofResp", [_vc_wire(cast), 5, "did:handover:x", b"s"]]),
+        ("MF", "B1", lambda cast: ["ownershipClaimResp", _vc_wire(cast, [["productCode", 7]])]),
+    ],
+    ids=["presentation-short", "vc-int", "str-list-int", "str-list-of-int", "presentation-int-nonce", "vc-int-attribute"],
+)
+def test_malformed_signed_payload_rejected(sender, recipient, fields):
+    # a connected peer signs, with its own connection key, a payload of the right kind and the wrong shape
+    world, cast = run_sale_and_claim()
+    frm, to = cast[sender], cast[recipient]
+    conn = frm.connections[to.did.uri]
+    nonce = crypto.fresh_nonce(world.rng)
+    payload_bytes = encode(fields(cast))
+    signature = crypto.sign(conn.local.private_key, signing_bytes(nonce, payload_bytes))
+    inner_plain = encode(["inner", frm.did.uri, nonce, payload_bytes, signature])
+    inner = crypto.asym_encrypt(world.rng, conn.remote_public_key, inner_plain)
+    outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", to.did.uri, inner]))
+    world.send_envelope(sender, Envelope(outer), fields(cast)[0])
+    world.run_until_quiescent()
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (recipient, "rejected:malformed-payload")
 
 
 def test_email_eavesdropper_boundary():

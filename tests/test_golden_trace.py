@@ -1,15 +1,17 @@
-"""Pinned trace and ledger bytes of every built-in scenario at its own seed.
+"""Pinned trace and ledger bytes of every built-in scenario at its own seed,
+and of one test-local scenario that runs the attack steps no built-in runs.
 
 A change that is meant to keep behaviour must leave these digests alone; a
 change to the wire format or the trace format updates them on purpose.  The
 digest covers the bytes ``write_trace`` / ``write_ledger`` would write.
 """
 
+import copy
 import hashlib
 
 import pytest
 
-from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, run_scenario
+from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenario, run_scenario
 
 GOLDEN = {
     "new-purchase": (
@@ -60,5 +62,39 @@ def test_golden_trace_and_ledger(name):
     result = run_scenario(builtin_scenario(name))
     assert result.ok
     trace_sha, ledger_sha = GOLDEN[name]
+    assert _digest(result.trace_lines()) == trace_sha
+    assert _digest(result.world.registry.ledger_lines()) == ledger_sha
+
+
+# tamper in flight, tamper a delivered event, spoof without the endpoint key,
+# spoof from a sender with no connection, spoof with a connected sender's DID
+ATTACK_STEPS_GOLDEN = (
+    "91fd6646457ae79e060308b7bad579346d916933428fe92e93748ef9b40e2712",
+    "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
+)
+
+
+def attack_steps_scenario():
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["name"] = "attack-steps"
+    data["seed"] = 53
+    data["cast"]["adversaries"] = ["EVE"]
+    revoke = {"kind": "revokeVC", "body": {"credentialId": "vc-x", "productCode": "PC-100"}}
+    data["script"] += [
+        {"op": "tamper", "seq": "last-ssi", "expect": "rejected:decrypt-error"},
+        {"op": "tamper", "seq": 20, "byte_index": 3, "new_byte": 0, "expect": "rejected:decrypt-error"},
+        {"op": "tamper", "seq": "all-ssi", "expect": "all-rejected"},
+        {"op": "replay", "seq": "last-ssi", "expect": "rejected:decrypt-error"},
+        {"op": "spoof", "a": "B2", "recipient": "MF", "knows_endpoint_key": False, "expect": "rejected:decrypt-error"},
+        {"op": "spoof", "forged_sender": "did:handover:ghost", "recipient": "B2", "expect": "rejected:decrypt-error"},
+        {"op": "spoof", "a": "B1", "recipient": "B2", "message": revoke, "expect": "rejected:bad-signature"},
+    ]
+    return parse_scenario(data)
+
+
+def test_golden_attack_steps():
+    result = run_scenario(attack_steps_scenario())
+    assert result.ok
+    trace_sha, ledger_sha = ATTACK_STEPS_GOLDEN
     assert _digest(result.trace_lines()) == trace_sha
     assert _digest(result.world.registry.ledger_lines()) == ledger_sha

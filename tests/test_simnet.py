@@ -4,8 +4,8 @@ from handover import crypto
 from handover.agents import WalletAgent, establish_connection
 from handover.encoding import encode
 from handover.messages import Envelope, mint_tid, payload, seal
-from handover.scenarios import builtin_scenario, run_scenario
-from handover.simnet import AdversaryAction, SimError, World
+from handover.scenarios import build_world, builtin_scenario, execute_step, run_scenario
+from handover.simnet import SimError, World
 
 from conftest import fresh_lifecycle
 
@@ -87,24 +87,48 @@ def test_drop_suppresses_delivery():
     world, a, b = two_wallets()
     ping(world, a, b)
     seq = world._seq  # the just-scheduled submission
-    world.inject(AdversaryAction(kind="drop", seq=seq))
+    world.drop(seq)
     world.run_until_quiescent()
     record = next(r for r in world.trace if r["seq"] == seq)
     assert record["verdict"] == "dropped"
     assert b.claiming == []
 
 
-def test_drop_requires_pending_event():
+def test_drop_preregistered_against_future_seq():
+    spec = builtin_scenario("full-lifecycle")
+    claim_steps = spec.script[:3]  # sale, connect B1-MF, new claim
+
+    def drive(drop_seq=None):
+        world, cast = build_world(spec)
+        if drop_seq is not None:
+            world.drop(drop_seq)
+        for step in claim_steps:
+            execute_step(world, cast, spec, step)
+        return world, cast
+
+    reference, _ = drive()
+    offer_seq = next(
+        seq for seq, ev in reference.wire_log.items() if ev.frm == "MF" and ev.kind == "ownershipClaimResp"
+    )
+    world, cast = drive(drop_seq=offer_seq)
+    record = next(r for r in world.trace if r["seq"] == offer_seq)
+    assert (record["from"], record["kind"], record["verdict"]) == ("MF", "ownershipClaimResp", "dropped")
+    assert cast["B1"].credentials == []
+
+
+def test_drop_delivered_event_raises():
     world, a, b = two_wallets()
+    ping(world, a, b)
+    world.run_until_quiescent()
     with pytest.raises(SimError):
-        world.inject(AdversaryAction(kind="drop", seq=12345))
+        world.drop(min(world.wire_log))
 
 
 def test_tamper_in_flight_outer_layer():
     world, a, b = two_wallets()
     ping(world, a, b)
     seq = world._seq
-    world.inject(AdversaryAction(kind="tamper", seq=seq, byte_index=11, new_byte=0x00))
+    world.tamper(seq, 11, 0x00)
     world.run_until_quiescent()
     record = next(r for r in world.trace if r["seq"] == seq)
     assert record["verdict"] == "dead-letter:unreadable"
@@ -119,7 +143,7 @@ def test_tamper_recorded_event_reinjects_rejected_copy():
     delivery_seq = max(
         seq for seq, ev in world.wire_log.items() if ev.to == "B"
     )
-    world.inject(AdversaryAction(kind="tamper", seq=delivery_seq, byte_index=3, new_byte=0x7F))
+    world.tamper(delivery_seq, 3, 0x7F)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "tamper"]
     assert injected and injected[-1]["verdict"] == "rejected:decrypt-error"
@@ -131,7 +155,7 @@ def test_replay_rejected_at_endpoint():
     ping(world, a, b)
     world.run_until_quiescent()
     submission_seq = min(world.wire_log)
-    world.inject(AdversaryAction(kind="replay", seq=submission_seq))
+    world.replay(submission_seq)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "replay" and r["to"] == "B"]
     assert injected and injected[-1]["verdict"] == "rejected:replay"
@@ -152,14 +176,7 @@ def test_malformed_outer_layer_dead_lettered(outer_plain):
 
 def test_spoof_with_leaked_endpoint_key_fails_signature():
     world, a, b = two_wallets()
-    world.inject(
-        AdversaryAction(
-            kind="spoof",
-            payload=payload("PINReq", tid=mint_tid(world.rng)),
-            forged_sender=a.did.uri,
-            recipient="B",
-        )
-    )
+    world.spoof("B", a.did.uri, payload("PINReq", tid=mint_tid(world.rng)), a.did.uri)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "spoof" and r["to"] == "B"]
     assert injected[-1]["verdict"] == "rejected:bad-signature"
@@ -167,15 +184,8 @@ def test_spoof_with_leaked_endpoint_key_fails_signature():
 
 def test_spoof_unknown_sender_rejected():
     world, a, b = two_wallets()
-    world.inject(
-        AdversaryAction(
-            kind="spoof",
-            payload=payload("PINReq", tid=mint_tid(world.rng)),
-            forged_sender="did:handover:ghost",
-            recipient="B",
-            via_connection_with=a.did.uri,  # leaked key of the A<->B connection
-        )
-    )
+    # leaked key of the A<->B connection
+    world.spoof("B", "did:handover:ghost", payload("PINReq", tid=mint_tid(world.rng)), a.did.uri)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "spoof" and r["to"] == "B"]
     assert injected[-1]["verdict"] == "rejected:unknown-sender"
@@ -183,15 +193,7 @@ def test_spoof_unknown_sender_rejected():
 
 def test_spoof_without_endpoint_key_cannot_decrypt():
     world, a, b = two_wallets()
-    world.inject(
-        AdversaryAction(
-            kind="spoof",
-            payload=payload("PINReq", tid=mint_tid(world.rng)),
-            forged_sender=a.did.uri,
-            recipient="B",
-            knows_endpoint_key=False,
-        )
-    )
+    world.spoof("B", a.did.uri, payload("PINReq", tid=mint_tid(world.rng)), None)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "spoof" and r["to"] == "B"]
     assert injected[-1]["verdict"] == "rejected:decrypt-error"
