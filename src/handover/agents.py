@@ -14,14 +14,13 @@ from typing import Optional
 
 from . import crypto, messages, simnet
 from .credential import (
-    CredentialDefinition,
-    CredentialSchema,
+    PRODUCT_ATTRIBUTE_NAMES,
+    PRODUCT_SCHEMA_ID,
     VerifiableCredential,
-    credential_signing_bytes,
+    cred_def_id_of,
     generate_vc,
-    make_credential_id,
     present_proof,
-    product_schema,
+    sign_vc,
     verify_credential_signature,
     verify_presentation,
 )
@@ -373,19 +372,11 @@ class ManufacturerAgent(Agent):
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
-        self.schema: CredentialSchema = product_schema()
-        self.cred_def = CredentialDefinition(
-            cred_def_id=f"creddef:{self.did.uri}:{self.schema.schema_id}",
-            schema_id=self.schema.schema_id,
-            issuer_did=self.did.uri,
-            issuer_public_key=self.root_keys.public_key,
-        )
-        self.revocation_registry_id = f"revreg:{self.did.uri}:{self.schema.schema_id}"
+        self.cred_def_id = cred_def_id_of(self.did.uri)
+        self.revocation_registry_id = f"revreg:{self.did.uri}:{PRODUCT_SCHEMA_ID}"
         vdr = world.registry
-        vdr.publish_schema(self.schema.schema_id, self.schema.attribute_names, self.did.uri)
-        vdr.publish_cred_def(
-            self.cred_def.cred_def_id, self.schema.schema_id, self.did.uri, self.root_keys.public_key
-        )
+        vdr.publish_schema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES, self.did.uri)
+        vdr.publish_cred_def(self.cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.root_keys.public_key)
         vdr.create_revocation_registry(self.revocation_registry_id, self.did.uri)
         self.products: dict[str, ProductRecord] = {}
         self.claimants: dict[str, ClaimantAttribute] = {}
@@ -404,8 +395,7 @@ class ManufacturerAgent(Agent):
     def _issue(self, product: ProductRecord) -> VerifiableCredential:
         vc = generate_vc(
             product.to_attributes(),
-            self.schema,
-            self.cred_def,
+            self.cred_def_id,
             self.root_keys.private_key,
             self.revocation_registry_id,
             issued_at=self.world.tick(),
@@ -496,9 +486,8 @@ class ManufacturerAgent(Agent):
         )
         product.status = "transfer_pending"
         challenge = crypto.fresh_nonce(self.rng)
-        self.send(
-            conn, nonce, payload("ownershipProofReq", attributes=list(self.schema.attribute_names), challenge=challenge)
-        )
+        proof_req = payload("ownershipProofReq", attributes=list(PRODUCT_ATTRIBUTE_NAMES), challenge=challenge)
+        self.send(conn, nonce, proof_req)
         self.expect(conn.conn_id, "ownershipProofResp", nonce, context={"productCode": code, "challenge": challenge})
         return "accepted"
 
@@ -515,7 +504,7 @@ class ManufacturerAgent(Agent):
         presentation = p.body["presentation"]
         report = verify_presentation(presentation, challenge, self.world.registry, conn.remote_public_key)
         reasons = list(report.reasons)
-        if not reasons and presentation.credential.cred_def_id != self.cred_def.cred_def_id:
+        if not reasons and presentation.credential.cred_def_id != self.cred_def_id:
             reasons.append("wrong-issuer")
         if not reasons and presentation.credential.attribute("productCode") != code:
             reasons.append("wrong-product")
@@ -907,10 +896,6 @@ class AdversaryWallet(WalletAgent):
 
     ROLE = "adversary-wallet"
 
-    def __init__(self, agent_id: str, world: "simnet.World") -> None:
-        super().__init__(agent_id, world)
-        self.target_cred_def_id: Optional[str] = None
-
     def craft_transfer_request(self, manufacturer_did: str, product_code: str, mode: str) -> None:
         """Send a transfer request for a product this wallet never owned."""
         conn = self.connection_with(manufacturer_did)
@@ -926,46 +911,33 @@ class AdversaryWallet(WalletAgent):
                 tid=mint_tid(self.rng),
             ),
         )
-        context = {"productCode": product_code, "mode": mode}
+        context = {"productCode": product_code, "mode": mode, "victimCredDefId": cred_def_id_of(manufacturer_did)}
         self.expect(conn.conn_id, "ownershipProofReq", nonce, context=context)
         self.expect(conn.conn_id, "ownershipTransferResp", nonce, context=context)
 
-    def _forged_credential(self, product_code: str, mode: str) -> VerifiableCredential:
-        schema = product_schema()
+    def _forged_credential(self, context: dict) -> VerifiableCredential:
+        mode = context["mode"]
         if mode == "self-issued":
             # a definition the registry will happily resolve, but not the victim's
-            cred_def_id = f"creddef:{self.did.uri}:{schema.schema_id}"
+            cred_def_id = cred_def_id_of(self.did.uri)
             if self.world.registry.find_cred_def(cred_def_id) is None:
                 self.world.registry.publish_cred_def(
-                    cred_def_id, schema.schema_id, self.did.uri, self.root_keys.public_key
+                    cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.root_keys.public_key
                 )
         elif mode == "unknown-creddef":
             cred_def_id = "creddef:did:handover:nobody:ghost"
         else:  # "garbage": victim's definition, signature that cannot verify
-            cred_def_id = self.target_cred_def_id or "creddef:unset"
-        attributes = {
-            name: (product_code if name == "productCode" else "forged") for name in schema.attribute_names
-        }
-        attributes["previouslySoldCount"] = "0"
-        attributes["firstPurchaseDate"] = "0"
-        attributes["lastPurchaseDate"] = "0"
-        ordered = tuple((name, str(attributes[name])) for name in schema.attribute_names)
-        issued_at = self.world.tick()
-        credential_id = make_credential_id(cred_def_id, ordered, issued_at)
-        signature = crypto.sign(
-            self.root_keys.private_key, credential_signing_bytes(credential_id, cred_def_id, ordered)
+            cred_def_id = context["victimCredDefId"]
+        attributes = dict.fromkeys(PRODUCT_ATTRIBUTE_NAMES, "forged")
+        attributes.update(
+            productCode=context["productCode"], previouslySoldCount="0", firstPurchaseDate="0", lastPurchaseDate="0"
         )
-        return VerifiableCredential(
-            credential_id=credential_id,
-            cred_def_id=cred_def_id,
-            attributes=ordered,
-            issuer_signature=signature,
-            revocation_registry_id="revreg:forged",
-            issued_at=issued_at,
+        return sign_vc(
+            tuple(attributes.items()), cred_def_id, self.root_keys.private_key, "revreg:forged", self.world.tick()
         )
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
-        vc = self._forged_credential(context["productCode"], context["mode"])
+        vc = self._forged_credential(context)
         presentation = present_proof(vc, bytes(p.body["challenge"]), self.did.uri, conn.local.private_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"

@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--trace", default=None, help="write the event trace (newline-delimited JSON)")
     run_p.add_argument("--ledger-out", default=None, help="write the registry ledger (newline-delimited JSON)")
-    run_p.add_argument("--max-ticks", type=int, default=None, help="abort if the logical clock passes this value")
+    run_p.add_argument("--max-ticks", type=int, default=None, help="deliver no event after this tick and fail the run")
 
     wallet_p = sub.add_parser("wallet", help="interactive wallet on top of a scenario world")
     wallet_p.add_argument("agent", help="wallet agent id from the scenario cast")

@@ -1,5 +1,9 @@
-"""Verifiable credential lifecycle: schema, issuance, presentation, and
-verification with a registry-backed revocation check.
+"""Verifiable credential lifecycle: issuance, presentation, and verification
+with a registry-backed revocation check.
+
+The schema and each issuer's credential definition live on the registry only;
+code holds the definition id, which :func:`cred_def_id_of` derives from the
+issuer DID.
 
 Credentials are plain signed attribute bundles over a canonical byte encoding;
 presentations bind a credential to a verifier-chosen challenge nonce so they
@@ -43,20 +47,6 @@ class UnpublishedDefinitionError(CredentialError):
 
 
 @dataclass(frozen=True)
-class CredentialSchema:
-    schema_id: str
-    attribute_names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class CredentialDefinition:
-    cred_def_id: str
-    schema_id: str
-    issuer_did: str
-    issuer_public_key: bytes
-
-
-@dataclass(frozen=True)
 class VerifiableCredential:
     credential_id: str
     cred_def_id: str
@@ -86,8 +76,9 @@ class VerificationReport:
     reasons: tuple[str, ...]
 
 
-def product_schema() -> CredentialSchema:
-    return CredentialSchema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES)
+def cred_def_id_of(issuer_did: str) -> str:
+    """Id of the product credential definition ``issuer_did`` publishes."""
+    return f"creddef:{issuer_did}:{PRODUCT_SCHEMA_ID}"
 
 
 def vc_to_wire(vc: VerifiableCredential) -> list:
@@ -128,35 +119,39 @@ def credential_signing_bytes(credential_id: str, cred_def_id: str, attributes: S
     return encode(["vc", credential_id, cred_def_id, [[n, v] for n, v in attributes]])
 
 
-def make_credential_id(cred_def_id: str, attributes: Sequence[tuple[str, str]], issued_at: int) -> str:
-    material = encode([cred_def_id, [[n, v] for n, v in attributes], issued_at])
-    return "vc-" + hashlib.sha256(material).hexdigest()[:24]
-
-
 def generate_vc(
     attributes: Mapping[str, object],
-    schema: CredentialSchema,
-    cred_def: CredentialDefinition,
+    cred_def_id: str,
     issuer_private_key: bytes,
     revocation_registry_id: str,
     issued_at: int,
     vdr: VerifiableDataRegistry,
 ) -> VerifiableCredential:
     """Issue a credential over ``attributes``; names must match the schema exactly."""
-    if vdr.find_cred_def(cred_def.cred_def_id) is None:
-        raise UnpublishedDefinitionError(cred_def.cred_def_id)
-    missing = [n for n in schema.attribute_names if n not in attributes]
-    extra = [n for n in attributes if n not in schema.attribute_names]
+    if vdr.find_cred_def(cred_def_id) is None:
+        raise UnpublishedDefinitionError(cred_def_id)
+    missing = [n for n in PRODUCT_ATTRIBUTE_NAMES if n not in attributes]
+    extra = [n for n in attributes if n not in PRODUCT_ATTRIBUTE_NAMES]
     if missing or extra:
         raise SchemaMismatchError(f"missing={missing} extra={extra}")
-    ordered = tuple((name, str(attributes[name])) for name in schema.attribute_names)
-    credential_id = make_credential_id(cred_def.cred_def_id, ordered, issued_at)
-    signature = crypto.sign(
-        issuer_private_key, credential_signing_bytes(credential_id, cred_def.cred_def_id, ordered)
-    )
+    ordered = tuple((name, str(attributes[name])) for name in PRODUCT_ATTRIBUTE_NAMES)
+    return sign_vc(ordered, cred_def_id, issuer_private_key, revocation_registry_id, issued_at)
+
+
+def sign_vc(
+    ordered: tuple[tuple[str, str], ...],
+    cred_def_id: str,
+    issuer_private_key: bytes,
+    revocation_registry_id: str,
+    issued_at: int,
+) -> VerifiableCredential:
+    """Sign ``ordered`` attributes under ``cred_def_id``, checking neither against the registry."""
+    material = encode([cred_def_id, [[n, v] for n, v in ordered], issued_at])
+    credential_id = "vc-" + hashlib.sha256(material).hexdigest()[:24]
+    signature = crypto.sign(issuer_private_key, credential_signing_bytes(credential_id, cred_def_id, ordered))
     return VerifiableCredential(
         credential_id=credential_id,
-        cred_def_id=cred_def.cred_def_id,
+        cred_def_id=cred_def_id,
         attributes=ordered,
         issuer_signature=signature,
         revocation_registry_id=revocation_registry_id,
@@ -186,11 +181,11 @@ def verify_credential_signature(vc: VerifiableCredential, vdr: VerifiableDataReg
     cred_def = vdr.find_cred_def(vc.cred_def_id)
     if cred_def is None:
         return False, "unknown-issuer"
-    doc = vdr.resolve_did(cred_def["issuer_did"])
-    if doc is None:
+    issuer_key = vdr.resolve_did(cred_def["issuer_did"])
+    if issuer_key is None:
         return False, "unknown-issuer"
     ok = crypto.verify(
-        doc.verification_key,
+        issuer_key,
         credential_signing_bytes(vc.credential_id, vc.cred_def_id, vc.attributes),
         vc.issuer_signature,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import struct
 from fractions import Fraction
+from math import gcd
 from typing import Any, Sequence
 
 
@@ -63,14 +64,17 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
             return raw, pos
         try:
             text = raw.decode("utf-8" if tag == b"S" else "ascii")
-            return (int(text) if tag == b"I" else text), pos
+            value = int(text) if tag == b"I" else text
         except ValueError as exc:  # includes UnicodeDecodeError
             raise EncodingError(f"bad {tag.decode()} value") from exc
+        if tag == b"I" and str(value) != text:
+            raise EncodingError("integer digits are not canonical")
+        return value, pos
     if tag == b"Q":
         num, pos = _decode_at(data, pos)
         den, pos = _decode_at(data, pos)
-        if type(num) is not int or type(den) is not int or den == 0:
-            raise EncodingError("fraction needs two integers and a non-zero denominator")
+        if type(num) is not int or type(den) is not int or den <= 0 or gcd(num, den) != 1:
+            raise EncodingError("fraction needs two integers in lowest terms and a positive denominator")
         return Fraction(num, den), pos
     if tag == b"L":
         if pos + 4 > len(data):
@@ -86,7 +90,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
 
 
 def decode_value(data: bytes) -> Any:
-    """Invert :func:`encode_value`; any malformed input raises :class:`EncodingError`."""
+    """Invert :func:`encode_value`; any input it did not produce raises :class:`EncodingError`."""
     try:
         value, pos = _decode_at(data, 0)
     except RecursionError as exc:

@@ -81,6 +81,7 @@ def _scan_pin_secrecy(
     wire_chunks: list[tuple[int, bytes]],
 ) -> list[dict]:
     violations = []
+    texts = [(agent_id, seq, state.get("role", ""), canonical_json(state)) for agent_id, (seq, state) in dumps.items()]
     for secret in secrets:
         owner = secret.get("owner")
         pin_bytes = secret["pin"].encode("ascii")
@@ -95,11 +96,9 @@ def _scan_pin_secrecy(
                         "detail": f"secret of {owner} visible on the wire",
                     }
                 )
-        for agent_id, (seq, state) in dumps.items():
+        for agent_id, seq, role, text in texts:
             if agent_id == owner:
                 continue  # the buyer legitimately holds its own PIN and key
-            role = state.get("role", "")
-            text = canonical_json(state)
             if secret["pin"] in text:
                 violations.append(
                     {

@@ -222,9 +222,7 @@ def build_world(spec: ScenarioSpec, seed: Optional[int] = None) -> tuple[World, 
     for name in spec.wallets:
         cast[name] = WalletAgent(name, world)
     for name in spec.adversaries:
-        adversary = AdversaryWallet(name, world)
-        adversary.target_cred_def_id = manufacturer.cred_def.cred_def_id
-        cast[name] = adversary
+        cast[name] = AdversaryWallet(name, world)
     return world, cast
 
 
@@ -374,11 +372,11 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute a whole scenario; the result carries verdicts, trace, and scan findings."""
     world, cast = build_world(spec, seed)
+    if max_ticks is not None:
+        world.max_ticks = max_ticks
     result = ScenarioResult(spec=spec, seed=seed if seed is not None else spec.seed, world=world, cast=cast)
     for index, step in enumerate(spec.script):
         verdict = execute_step(world, cast, spec, step)
-        if max_ticks is not None and world.clock > max_ticks:
-            world.timed_out = True
         result.steps.append(StepResult(index=index, op=step.op, verdict=verdict, expect=step.expect))
         world.emit(
             channel=simnet.CHANNEL_CONTROL,

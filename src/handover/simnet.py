@@ -1,13 +1,14 @@
 """Deterministic in-memory network: event scheduler, store-and-forward
 mediator, out-of-band email channel, and the drop/tamper/replay/spoof attacks.
 
-Logical time advances one tick per hop.  A run is a pure function of the seed,
-the scenario, and the attacks applied, so traces replay byte-identically.
+Logical time advances one tick per hop: every event is delivered one tick
+after it is sent, so one FIFO queue holds the events in delivery order.  A run
+is a pure function of the seed, the scenario, and the attacks applied, so
+traces replay byte-identically.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -69,28 +70,24 @@ class Mediator:
         self.routes: dict[str, str] = {}
         self.queues: dict[str, deque] = {}
         self.dead_letters: list[bytes] = []
-        self.audit_bytes: list[bytes] = []  # everything this process ever held
 
     def register(self, did_uri: str, agent_id: str) -> None:
         self.routes[did_uri] = agent_id
 
     def handle(self, world: "World", event: DeliveryEvent) -> str:
         envelope: Envelope = event.body
-        self.audit_bytes.append(envelope.outer_ciphertext)
         try:
             recipient_did, inner = unseal_at_mediator(self.keys.private_key, envelope)
         except crypto.DecryptError:
             self.dead_letters.append(envelope.outer_ciphertext)
             return "dead-letter:unreadable"
-        self.audit_bytes.append(inner)
         agent_id = self.routes.get(recipient_did)
         if agent_id is None or agent_id not in world.agents:
             self.dead_letters.append(inner)
             return "dead-letter"
-        markers = {k: v for k, v in event.extra.items() if k in ("injected", "of", "forgedSender", "tampered")}
         if world.agents[agent_id].online:
             world.schedule(
-                frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=event.kind, meta=markers
+                frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=event.kind, meta=event.extra
             )
             return "forwarded"
         self.queues.setdefault(agent_id, deque()).append((inner, event.kind))
@@ -119,7 +116,7 @@ class World:
         self.rng = crypto.Rng(seed)
         self.clock = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, DeliveryEvent]] = []
+        self._queue: deque[DeliveryEvent] = deque()
         self._drops: set[int] = set()
         self._tampers: dict[int, list[tuple[int, int]]] = {}
         self.trace: list[dict] = []
@@ -128,7 +125,7 @@ class World:
         self.mediator = Mediator(crypto.generate_keypair(self.rng))
         self.agents: dict[str, Any] = {}
         self.email_directory: dict[str, str] = {}
-        self.email_log: list[dict] = []  # what a mailbox eavesdropper would see
+        self.max_ticks = DEFAULT_MAX_TICKS  # no event is delivered after this tick
         self.timed_out = False
 
     # -- registration ------------------------------------------------------
@@ -169,12 +166,11 @@ class World:
         channel: str,
         body: Any,
         kind: str,
-        delay: int = 1,
         meta: dict | None = None,
     ) -> int:
         event = DeliveryEvent(
             seq=self._next_seq(),
-            deliver_at=self.clock + delay,
+            deliver_at=self.clock + 1,
             frm=frm,
             to=to,
             channel=channel,
@@ -182,7 +178,7 @@ class World:
             kind=kind,
             extra=dict(meta or {}),
         )
-        heapq.heappush(self._heap, (event.deliver_at, event.seq, event))
+        self._queue.append(event)
         return event.seq
 
     def send_envelope(self, sender_id: str, envelope: Envelope, kind: str) -> int:
@@ -196,7 +192,6 @@ class World:
         return self.schedule(frm=sender_id, to=recipient_id, channel=CHANNEL_HTTPS, body=dm, kind=kind)
 
     def send_email(self, sender_id: str, to_email: str, subject: str, fields: dict) -> int:
-        self.email_log.append({"to": to_email, "subject": subject, "fields": dict(fields)})
         agent_id = self.email_directory.get(to_email)
         if agent_id is None:
             return self.schedule(frm=sender_id, to="unknown-mailbox", channel=CHANNEL_OOB, body=None, kind=subject)
@@ -247,23 +242,31 @@ class World:
 
     # -- execution ----------------------------------------------------------------
 
-    def run_until_quiescent(self, max_ticks: int | None = None) -> bool:
-        """Execute pending events in (deliver_at, seq) order; False on tick overrun."""
-        limit = max_ticks if max_ticks is not None else DEFAULT_MAX_TICKS
-        while self._heap:
-            deliver_at, _, event = heapq.heappop(self._heap)
-            if deliver_at > limit:
-                self.timed_out = True
-                self.emit(
-                    channel=CHANNEL_CONTROL,
-                    kind="timeout",
-                    frm="-",
-                    to="-",
-                    verdict="timeout",
-                    meta={"limit": limit, "next": deliver_at},
-                )
+    def run_until_quiescent(self) -> bool:
+        """Deliver queued events in send order; False once the next one falls after ``max_ticks``.
+
+        The first overrun emits one ``timeout`` record; the event stays queued,
+        so raising ``max_ticks`` lets a later run deliver it.
+        """
+        while self._queue:
+            event = self._queue[0]
+            if event.deliver_at > self.max_ticks:
+                if not self.timed_out:
+                    self.timed_out = True
+                    self.emit(
+                        channel=CHANNEL_CONTROL,
+                        kind="timeout",
+                        frm="-",
+                        to="-",
+                        verdict="timeout",
+                        meta={"limit": self.max_ticks, "next": event.deliver_at},
+                    )
                 return False
-            self.clock = max(self.clock, deliver_at)
+            tampers = self._tampers.pop(event.seq, [])
+            if tampers and event.channel != CHANNEL_SSI:
+                raise SimError(f"tamper: event {event.seq} is not sealed wire bytes; the tamper is discarded")
+            self._queue.popleft()
+            self.clock = event.deliver_at
             if event.seq in self._drops:
                 self._drops.discard(event.seq)
                 self.emit(
@@ -275,7 +278,9 @@ class World:
                     seq=event.seq,
                 )
                 continue
-            self._apply_tampers(event)
+            for byte_index, new_byte in tampers:
+                event.body = _flip_body_byte(event.body, byte_index, new_byte)
+                event.extra["tampered"] = True
             verdict = self._dispatch(event)
             if event.channel == CHANNEL_SSI:
                 self.wire_log[event.seq] = event
@@ -290,11 +295,6 @@ class World:
             )
         return True
 
-    def _apply_tampers(self, event: DeliveryEvent) -> None:
-        for byte_index, new_byte in self._tampers.pop(event.seq, []):
-            event.body = _flip_body_byte(event.body, byte_index, new_byte)
-            event.extra["tampered"] = True
-
     def _dispatch(self, event: DeliveryEvent) -> str:
         if event.to == MEDIATOR_ID:
             return self.mediator.handle(self, event)
@@ -305,17 +305,22 @@ class World:
 
     # -- adversary interface ----------------------------------------------------------
 
+    def _require_pending(self, op: str, seq: int) -> None:
+        """Raise unless ``seq`` is queued or not yet used."""
+        if seq <= self._seq and all(event.seq != seq for event in self._queue):
+            raise SimError(f"{op}: event {seq} is neither queued nor in the future")
+
     def drop(self, seq: int) -> None:
-        """Suppress event ``seq``, in flight or not yet scheduled."""
-        if seq in self.wire_log:
-            raise SimError(f"drop: event {seq} was already delivered")
+        """Suppress event ``seq``, queued or not yet scheduled."""
+        self._require_pending("drop", seq)
         self._drops.add(seq)
 
     def tamper(self, seq: int, byte_index: int, new_byte: int) -> Optional[int]:
         """Flip one byte of event ``seq``; returns the seq of a re-injected copy if it was delivered."""
         original = self.wire_log.get(seq)
         if original is None:
-            # in flight, or a pre-registration against a deterministic future seq
+            # queued, or a pre-registration against a deterministic future seq
+            self._require_pending("tamper", seq)
             self._tampers.setdefault(seq, []).append((byte_index, new_byte))
             return None
         # already delivered: re-inject a tampered copy of the observed bytes
@@ -393,12 +398,6 @@ class World:
 
 
 def _flip_body_byte(body: Any, byte_index: int, new_byte: int) -> Any:
-    if isinstance(body, Envelope):
-        raw = bytearray(body.outer_ciphertext)
-        raw[byte_index % len(raw)] = new_byte & 0xFF
-        return Envelope(outer_ciphertext=bytes(raw))
-    if isinstance(body, (bytes, bytearray)):
-        raw = bytearray(body)
-        raw[byte_index % len(raw)] = new_byte & 0xFF
-        return bytes(raw)
-    raise SimError("tampering is defined for sealed wire bytes only")
+    raw = bytearray(body.outer_ciphertext if isinstance(body, Envelope) else body)
+    raw[byte_index % len(raw)] = new_byte & 0xFF
+    return Envelope(outer_ciphertext=bytes(raw)) if isinstance(body, Envelope) else bytes(raw)

@@ -253,7 +253,11 @@ def test_criterion_07_pin_secrecy_over_seeded_lifecycles():
             for rec in world.trace
             if rec["channel"] == "ssi" and "bytes" in rec["meta"]
         )
-        mediator_bytes = b"\x00".join(world.mediator.audit_bytes)
+        mediator_bytes = b"\x00".join(
+            bytes.fromhex(rec["meta"]["bytes"])
+            for rec in world.trace
+            if rec["channel"] == "ssi" and "MD" in (rec["from"], rec["to"])
+        )
         seller_text = canonical_json(result.cast["B1"].state_dump())
         mediator_text = canonical_json(world.mediator.state_dump())
         for secret in secrets:

@@ -598,7 +598,7 @@ def test_email_eavesdropper_boundary():
     # possession model: pin alone and tid alone fail; both plus a connection succeed
     world, cast = make_world(wallets=("B1", "EVE"))
     sell_to(world, cast)
-    stolen = {m["subject"]: m["fields"] for m in world.email_log}
+    stolen = {r["kind"]: r["meta"]["fields"] for r in world.trace if r["channel"] == "oob-email"}
     eve = cast["EVE"]
     establish_connection(eve, cast["MF"])
     eve.claim_new(cast["MF"].did.uri, stolen["tid"]["tid"], "AAAAAA")

@@ -169,3 +169,14 @@ def test_load_scenario_file_roundtrip(tmp_path):
     spec = load_scenario_file(str(path))
     result = run_scenario(spec)
     assert result.ok
+
+
+def test_run_max_ticks_stops_delivery_with_one_timeout_record(tmp_path):
+    trace = tmp_path / "trace.ndjson"
+    code, output = run_cli("run", "full-lifecycle", "--max-ticks", "5", "--trace", str(trace))
+    assert code == 1
+    assert "TIMEOUT" in output
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert sum(r["kind"] == "timeout" for r in records) == 1
+    deliveries = [r for r in records if r["channel"] in ("ssi", "https", "oob-email")]
+    assert deliveries and max(r["tick"] for r in deliveries) <= 5

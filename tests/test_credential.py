@@ -2,13 +2,12 @@ import pytest
 
 from handover.credential import (
     PRODUCT_ATTRIBUTE_NAMES,
-    CredentialDefinition,
+    PRODUCT_SCHEMA_ID,
     SchemaMismatchError,
     UnpublishedDefinitionError,
     VerifiableCredential,
     generate_vc,
     present_proof,
-    product_schema,
     vc_from_wire,
     vc_to_wire,
     verify_presentation,
@@ -32,20 +31,16 @@ SAMPLE_ATTRS = {
 def issuer_env(rng):
     issuer_keys = generate_keypair(rng)
     issuer_did = derive_did(issuer_keys.public_key)
-    vdr = VerifiableDataRegistry()
+    vdr = VerifiableDataRegistry(clock=lambda: 0)
     vdr.publish_did_doc(issuer_did.uri, issuer_did.verification_key)
-    schema = product_schema()
-    cred_def = CredentialDefinition("creddef-1", schema.schema_id, issuer_did.uri, issuer_keys.public_key)
-    vdr.publish_schema(schema.schema_id, schema.attribute_names, issuer_did.uri)
-    vdr.publish_cred_def("creddef-1", schema.schema_id, issuer_did.uri, issuer_keys.public_key)
+    vdr.publish_schema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES, issuer_did.uri)
+    vdr.publish_cred_def("creddef-1", PRODUCT_SCHEMA_ID, issuer_did.uri, issuer_keys.public_key)
     vdr.create_revocation_registry("revreg-1", issuer_did.uri)
     holder_keys = generate_keypair(rng)
     holder_did = derive_did(holder_keys.public_key)
     return {
         "rng": rng,
         "vdr": vdr,
-        "schema": schema,
-        "cred_def": cred_def,
         "issuer_keys": issuer_keys,
         "issuer_did": issuer_did,
         "holder_keys": holder_keys,
@@ -56,8 +51,7 @@ def issuer_env(rng):
 def issue(env, attrs=None, issued_at=3):
     return generate_vc(
         attrs or SAMPLE_ATTRS,
-        env["schema"],
-        env["cred_def"],
+        "creddef-1",
         env["issuer_keys"].private_key,
         "revreg-1",
         issued_at,
@@ -130,17 +124,10 @@ def test_any_single_byte_mutation_invalidates(issuer_env):
 
 
 def test_unpublished_cred_def_rejected(issuer_env):
-    ghost = CredentialDefinition(
-        "creddef-ghost",
-        issuer_env["schema"].schema_id,
-        issuer_env["issuer_did"].uri,
-        issuer_env["issuer_keys"].public_key,
-    )
     with pytest.raises(UnpublishedDefinitionError):
         generate_vc(
             SAMPLE_ATTRS,
-            issuer_env["schema"],
-            ghost,
+            "creddef-ghost",
             issuer_env["issuer_keys"].private_key,
             "revreg-1",
             1,

@@ -80,6 +80,13 @@ def _text(tag, raw):
         _text(b"I", b"\xff"),
         _text(b"S", b"\xff"),
         b"L\x00\x00\x00\x01" * 5000 + b"N",  # nested deeper than the interpreter recurses
+        _text(b"I", b"1_000"),
+        _text(b"I", b" 12"),
+        _text(b"I", b"+5"),
+        _text(b"I", b"-0"),
+        _text(b"I", b"07"),
+        b"Q" + encode_value(2) + encode_value(4),
+        b"Q" + encode_value(1) + encode_value(-2),
     ],
     ids=[
         "zero-denominator",
@@ -90,6 +97,13 @@ def _text(tag, raw):
         "int-not-ascii",
         "str-not-utf8",
         "deep-nesting",
+        "int-underscore",
+        "int-leading-space",
+        "int-plus-sign",
+        "int-minus-zero",
+        "int-leading-zero",
+        "fraction-not-reduced",
+        "fraction-negative-denominator",
     ],
 )
 def test_malformed_input_raises_only_encoding_error(data):
@@ -128,3 +142,26 @@ def test_injectivity_property(a, b):
     # tuples and lists encode identically by design; normalize before comparing
     if a != b:
         assert encode_value(a) != encode_value(b)
+
+
+_small_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+# bytes int() accepts in non-canonical digits, plus any byte at all
+_mutant_bytes = st.one_of(st.sampled_from(b" +-0_"), st.integers(0, 255))
+
+
+@st.composite
+def _mutated_encodings(draw):
+    data = bytearray(encode_value(draw(_small_values)))
+    data[draw(st.integers(0, len(data) - 1))] = draw(_mutant_bytes)
+    return bytes(data)
+
+
+@given(data=st.one_of(st.binary(max_size=64), _mutated_encodings()))
+@settings(max_examples=1000, deadline=None)
+def test_decoder_accepts_only_canonical_bytes(data):
+    # canonical: whatever decodes re-encodes to exactly the input bytes
+    try:
+        value = decode_value(data)
+    except EncodingError:
+        return
+    assert encode_value(value) == data

@@ -77,10 +77,18 @@ def test_empty_world_runs_to_quiescence():
 
 def test_max_ticks_timeout_report():
     world, a, b = two_wallets()
-    world.schedule(frm="A", to="B", channel="oob-email", body=None, kind="late", delay=500)
-    assert not world.run_until_quiescent(max_ticks=10)
+    world.max_ticks = 0
+    ping(world, a, b)
+    assert not world.run_until_quiescent()
+    assert not world.run_until_quiescent()  # still over budget: no second record
     assert world.timed_out
-    assert world.trace[-1]["kind"] == "timeout"
+    assert [r["kind"] for r in world.trace if r["channel"] == "control"][-1] == "timeout"
+    assert sum(r["kind"] == "timeout" for r in world.trace) == 1
+    assert not any(r["channel"] == "ssi" for r in world.trace)
+    # the event was kept queued, not lost: a larger budget delivers it
+    world.max_ticks = 10
+    assert world.run_until_quiescent()
+    assert len(b.claiming) == 1
 
 
 def test_drop_suppresses_delivery():
@@ -122,6 +130,32 @@ def test_drop_delivered_event_raises():
     world.run_until_quiescent()
     with pytest.raises(SimError):
         world.drop(min(world.wire_log))
+
+
+@pytest.mark.parametrize("attack", ["drop", "tamper"])
+def test_drop_or_tamper_of_used_unqueued_seq_raises(attack):
+    # seq 1 is the productSellingReq the sale step sent over https and delivered
+    spec = builtin_scenario("full-lifecycle")
+    world, cast = build_world(spec)
+    execute_step(world, cast, spec, spec.script[0])
+    assert world.trace[0]["seq"] == 1 and world.trace[0]["channel"] == "https"
+    with pytest.raises(SimError):
+        world.drop(1) if attack == "drop" else world.tamper(1, 3, 0)
+
+
+def test_tamper_of_unsealed_event_raises_and_keeps_it_queued():
+    spec = builtin_scenario("full-lifecycle")
+    world, cast = build_world(spec)
+    world.tamper(1, 3, 0)  # pre-registered against the productSellingReq the sale will send over https
+    cast["DS"].record_sale("MF", "PC-100", cast["B1"].email)
+    with pytest.raises(SimError):
+        world.run_until_quiescent()
+    assert world.trace == []
+    # the tamper is discarded and the event delivered untampered
+    assert world.run_until_quiescent()
+    record = world.trace[0]
+    assert (record["seq"], record["kind"], record["verdict"]) == (1, "productSellingReq", "accepted")
+    assert "tampered" not in record["meta"]
 
 
 def test_tamper_in_flight_outer_layer():
@@ -213,7 +247,10 @@ def test_mediator_blindness_full_lifecycle():
     for entry in result.cast["B1"].claiming:
         secrets.add(entry.tid.encode("ascii"))
     assert secrets
-    mediator_bytes = b"\x00".join(world.mediator.audit_bytes)
+    mediator_bytes = b"\x00".join(
+        bytes.fromhex(r["meta"]["bytes"]) for r in world.trace if r["channel"] == "ssi" and "MD" in (r["from"], r["to"])
+    )
+    assert mediator_bytes
     wire_bytes = b"\x00".join(
         bytes.fromhex(r["meta"]["bytes"]) for r in world.trace if r["channel"] == "ssi" and "bytes" in r["meta"]
     )
