@@ -217,7 +217,7 @@ class Agent:
         self.did = crypto.derive_did(self.root_keys.public_key)
         self.email = f"{agent_id.lower()}@mail.local"
         self.connections: dict[str, Connection] = {}
-        self.connections_by_id: dict[str, Connection] = {}
+        self._by_key_id: dict[bytes, Connection] = {}  # key id of conn.local -> conn
         self.inbox: list[simnet.OobMessage] = []
         # (peer, kind, nonce hex or "*") -> context of one open exchange
         self._expected: dict[tuple[str, str, str], dict] = {}
@@ -228,9 +228,9 @@ class Agent:
     def add_connection(self, conn: Connection) -> None:
         old = self.connections.get(conn.remote_did)
         if old is not None:
-            self.connections_by_id.pop(old.conn_id, None)
+            del self._by_key_id[crypto.key_id(old.local.public_key)]
         self.connections[conn.remote_did] = conn
-        self.connections_by_id[conn.conn_id] = conn
+        self._by_key_id[crypto.key_id(conn.local.public_key)] = conn
 
     def connection_with(self, remote_did: str) -> Connection:
         conn = self.connections.get(remote_did)
@@ -279,14 +279,12 @@ class Agent:
         return "rejected:unknown-channel"
 
     def _handle_ssi(self, inner_ciphertext: bytes) -> str:
-        view = None
-        for conn in self.connections.values():
-            try:
-                view = messages.open_inner(conn.local.private_key, inner_ciphertext)
-                break
-            except crypto.DecryptError:
-                continue
-        if view is None:
+        conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
+        if conn is None:
+            return "rejected:decrypt-error"
+        try:
+            view = messages.open_inner(conn.local.private_key, inner_ciphertext)
+        except crypto.DecryptError:
             return "rejected:decrypt-error"
         sender_conn = self.connections.get(view.sender_did)
         if sender_conn is None:
@@ -585,7 +583,7 @@ class ManufacturerAgent(Agent):
             verdict="ok",
             meta={"productCode": product.product_code, "credentialId": old_credential_id},
         )
-        old_conn = self.connections_by_id.get(product.conn_id)
+        old_conn = next((c for c in self.connections.values() if c.conn_id == product.conn_id), None)
         if old_conn is not None:
             revoke_nonce = crypto.fresh_nonce(self.rng)
             self.send(

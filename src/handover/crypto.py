@@ -4,7 +4,9 @@ symmetric authenticated encryption, nonces, and DID derivation.
 Every random draw goes through an injected :class:`Rng` handle so that a whole
 simulation run is reproducible from a single seed.  Key pairs bundle an
 Ed25519 signing key with an X25519 key-agreement key so one opaque public key
-supports both signing and encryption.
+supports both signing and encryption.  A hybrid ciphertext is recipient key
+id (8) || ephemeral X25519 public key (32) || AES-GCM IV (12) || ciphertext+tag;
+the key id lets a holder of many keys decrypt with the one it names.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 NONCE_LEN = 16
 SYM_KEY_LEN = 32
 KEY_LEN = 64  # ed25519 half || x25519 half
+KEY_ID_LEN = 8
 _GCM_IV_LEN = 12
 _GCM_TAG_LEN = 16
-_HYBRID_OVERHEAD = 32 + _GCM_IV_LEN + _GCM_TAG_LEN
+_HYBRID_OVERHEAD = KEY_ID_LEN + 32 + _GCM_IV_LEN + _GCM_TAG_LEN
 
 DID_METHOD = "handover"
 
@@ -133,11 +136,18 @@ def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub_half: bytes) -> byt
     return hashlib.sha256(b"handover/hybrid-v1" + shared + eph_pub + recipient_pub_half).digest()
 
 
-def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
-    """Hybrid encryption: ephemeral X25519 agreement wrapping an AES-GCM payload.
+def _x25519_key_id(x_pub_half: bytes) -> bytes:
+    return hashlib.sha256(b"handover/key-id-v1" + x_pub_half).digest()[:KEY_ID_LEN]
 
-    Output layout: ephemeral public key (32) || IV (12) || ciphertext+tag.
-    """
+
+def key_id(public_key: bytes) -> bytes:
+    """Name of ``public_key`` that :func:`asym_encrypt` writes in front of a ciphertext."""
+    _check_key(public_key, "public key")
+    return _x25519_key_id(public_key[32:])
+
+
+def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
+    """Hybrid encryption: ephemeral X25519 agreement wrapping an AES-GCM payload (layout above)."""
     _check_key(public_key, "public key")
     recipient_half = public_key[32:]
     eph_priv = X25519PrivateKey.from_private_bytes(rng.token(32))
@@ -145,19 +155,22 @@ def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
     shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(recipient_half))
     key = _hybrid_key(shared, eph_pub, recipient_half)
     iv = rng.token(_GCM_IV_LEN)
-    return eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
+    return _x25519_key_id(recipient_half) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
 
 
 def asym_decrypt(private_key: bytes, ciphertext: bytes) -> bytes:
-    """Invert :func:`asym_encrypt`; raises :class:`DecryptError` on any tampering."""
+    """Invert :func:`asym_encrypt`; raises :class:`DecryptError` on tampering or another key's id."""
     _check_key(private_key, "private key")
     if len(ciphertext) < _HYBRID_OVERHEAD:
         raise DecryptError("ciphertext truncated")
-    eph_pub, iv, body = ciphertext[:32], ciphertext[32:44], ciphertext[44:]
+    kid, rest = ciphertext[:KEY_ID_LEN], ciphertext[KEY_ID_LEN:]
+    eph_pub, iv, body = rest[:32], rest[32:44], rest[44:]
     priv = X25519PrivateKey.from_private_bytes(private_key[32:])
+    recipient_half = priv.public_key().public_bytes_raw()
+    if kid != _x25519_key_id(recipient_half):
+        raise DecryptError("ciphertext is addressed to another key")
     try:
         shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        recipient_half = priv.public_key().public_bytes_raw()
         key = _hybrid_key(shared, eph_pub, recipient_half)
         return AESGCM(key).decrypt(iv, bytes(body), None)
     except (InvalidTag, ValueError) as exc:

@@ -13,6 +13,10 @@ from typing import Iterable
 from .encoding import canonical_json
 
 
+def _violation(seq: int, invariant: str, detail: str) -> dict:
+    return {"seq": seq, "invariant": invariant, "detail": detail}
+
+
 def scan_trace(records: Iterable[dict]) -> list[dict]:
     """Return one violation dict per breached invariant, empty when clean."""
     violations: list[dict] = []
@@ -30,13 +34,8 @@ def scan_trace(records: Iterable[dict]) -> list[dict]:
             holders = live.setdefault(meta["productCode"], set())
             holders.add(meta["credentialId"])
             if len(holders) > 1:
-                violations.append(
-                    {
-                        "seq": seq,
-                        "invariant": "single-live-credential",
-                        "detail": f"{meta['productCode']} has {sorted(holders)} unrevoked",
-                    }
-                )
+                detail = f"{meta['productCode']} has {sorted(holders)} unrevoked"
+                violations.append(_violation(seq, "single-live-credential", detail))
         elif kind == "vc-revoked":
             live.get(meta["productCode"], set()).discard(meta["credentialId"])
         elif kind == "product-updated":
@@ -44,23 +43,13 @@ def scan_trace(records: Iterable[dict]) -> list[dict]:
             new_count = meta["previouslySoldCount"]
             old_count = sold_counts.get(code, 0)
             if new_count < old_count:
-                violations.append(
-                    {
-                        "seq": seq,
-                        "invariant": "counter-monotonicity",
-                        "detail": f"{code} previouslySoldCount {old_count} -> {new_count}",
-                    }
-                )
+                detail = f"{code} previouslySoldCount {old_count} -> {new_count}"
+                violations.append(_violation(seq, "counter-monotonicity", detail))
             elif new_count > old_count and not (
                 new_count == old_count + 1 and meta.get("reason") == "transfer-committed"
             ):
-                violations.append(
-                    {
-                        "seq": seq,
-                        "invariant": "counter-monotonicity",
-                        "detail": f"{code} count increased without a committed transfer",
-                    }
-                )
+                detail = f"{code} count increased without a committed transfer"
+                violations.append(_violation(seq, "counter-monotonicity", detail))
             sold_counts[code] = max(old_count, new_count)
         elif kind == "secret-minted":
             secrets.append({**meta, "seq": seq})
@@ -89,31 +78,13 @@ def _scan_pin_secrecy(
         key_bytes = bytes.fromhex(key_hex)
         for seq, chunk in wire_chunks:
             if pin_bytes in chunk or key_bytes in chunk or key_hex.encode("ascii") in chunk:
-                violations.append(
-                    {
-                        "seq": seq,
-                        "invariant": "pin-secrecy",
-                        "detail": f"secret of {owner} visible on the wire",
-                    }
-                )
+                violations.append(_violation(seq, "pin-secrecy", f"secret of {owner} visible on the wire"))
         for agent_id, seq, role, text in texts:
             if agent_id == owner:
                 continue  # the buyer legitimately holds its own PIN and key
             if secret["pin"] in text:
-                violations.append(
-                    {
-                        "seq": seq,
-                        "invariant": "pin-secrecy",
-                        "detail": f"plaintext PIN of {owner} stored by {agent_id}",
-                    }
-                )
+                violations.append(_violation(seq, "pin-secrecy", f"plaintext PIN of {owner} stored by {agent_id}"))
             # the manufacturer receives the key by design (used-product claim)
             if role != "manufacturer" and key_hex in text:
-                violations.append(
-                    {
-                        "seq": seq,
-                        "invariant": "pin-secrecy",
-                        "detail": f"symmetric key of {owner} stored by {agent_id}",
-                    }
-                )
+                violations.append(_violation(seq, "pin-secrecy", f"symmetric key of {owner} stored by {agent_id}"))
     return violations

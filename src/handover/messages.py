@@ -3,8 +3,9 @@
 An envelope is built sign-then-encrypt-then-wrap: the sender signs the
 (nonce, payload) pair with its per-connection key, encrypts the signed bundle
 to the endpoint's connection key, and wraps that together with the routing
-header under the mediator's key.  The mediator learns the recipient and
-nothing else.
+header under the mediator's key.  The mediator learns the recipient and,
+from the key id in front of the inner ciphertext, which of the recipient's
+connections the message is for; it never reads the signed bundle.
 """
 
 from __future__ import annotations

@@ -376,6 +376,8 @@ def run_scenario(
         world.max_ticks = max_ticks
     result = ScenarioResult(spec=spec, seed=seed if seed is not None else spec.seed, world=world, cast=cast)
     for index, step in enumerate(spec.script):
+        if world.timed_out:
+            break  # nothing is delivered past the budget, so a later verdict would mean nothing
         verdict = execute_step(world, cast, spec, step)
         result.steps.append(StepResult(index=index, op=step.op, verdict=verdict, expect=step.expect))
         world.emit(
@@ -410,11 +412,7 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "seed": 11,
         "cast": {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1"]},
         "products": ["PC-100"],
-        "script": [
-            {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
-            {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
-            {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
-        ],
+        "script": _LIFECYCLE_PREFIX[:3],
     },
     "full-lifecycle": {
         "name": "full-lifecycle",
@@ -428,12 +426,9 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "seed": 23,
         "cast": {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1"]},
         "products": ["PC-100"],
-        "script": [
-            {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
-            {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
-            {"op": "claim_new", "wallet": "B1", "pin": "WRONGP1", "expect": "rejected:unknown-claim"},
-            {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
-        ],
+        "script": _LIFECYCLE_PREFIX[:2]
+        + [{"op": "claim_new", "wallet": "B1", "pin": "WRONGP1", "expect": "rejected:unknown-claim"}]
+        + _LIFECYCLE_PREFIX[2:3],
     },
     "replay-attack": {
         "name": "replay-attack",
@@ -456,10 +451,8 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "seed": 37,
         "cast": {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1"], "adversaries": ["EVE"]},
         "products": ["PC-100"],
-        "script": [
-            {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
-            {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
-            {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
+        "script": _LIFECYCLE_PREFIX[:3]
+        + [
             {"op": "connect", "a": "EVE", "b": "MF", "expect": "ok"},
             {
                 "op": "adversary_transfer",
@@ -496,9 +489,8 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "seed": 41,
         "cast": {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1"]},
         "products": ["PC-100"],
-        "script": [
-            {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
-            {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        "script": _LIFECYCLE_PREFIX[:2]
+        + [
             {"op": "offline", "agent": "B1", "expect": "ok"},
             {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
             {"op": "online", "agent": "B1", "expect": "ok"},
@@ -509,9 +501,7 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "seed": 43,
         "cast": {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1", "B2"]},
         "products": ["PC-100"],
-        "script": [
-            {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
-        ],
+        "script": _LIFECYCLE_PREFIX[:1],
     },
 }
 

@@ -246,7 +246,8 @@ class World:
         """Deliver queued events in send order; False once the next one falls after ``max_ticks``.
 
         The first overrun emits one ``timeout`` record; the event stays queued,
-        so raising ``max_ticks`` lets a later run deliver it.
+        so raising ``max_ticks`` lets a later run deliver it.  A drained queue
+        clears, and raises on, any drop or tamper whose seq went to a record.
         """
         while self._queue:
             event = self._queue[0]
@@ -293,6 +294,12 @@ class World:
                 meta=self._event_meta(event),
                 seq=event.seq,
             )
+        stale = sorted(seq for seq in self._drops | self._tampers.keys() if seq <= self._seq)
+        if stale:
+            self._drops.difference_update(stale)
+            for seq in stale:
+                self._tampers.pop(seq, None)
+            raise SimError(f"drop/tamper: seq {stale} went to a trace record, not a queued event")
         return True
 
     def _dispatch(self, event: DeliveryEvent) -> str:

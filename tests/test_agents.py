@@ -16,8 +16,8 @@ from handover.agents import (
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.credential import vc_to_wire
-from handover.messages import Envelope, payload, signing_bytes
-from handover.scenarios import ScenarioStep, execute_step
+from handover.messages import Envelope, mint_tid, payload, signing_bytes
+from handover.scenarios import ScenarioStep, execute_step, parse_scenario, run_scenario
 from handover.simnet import World
 
 from conftest import fresh_lifecycle
@@ -167,6 +167,52 @@ def test_invitation_replay_cannot_read_prior_traffic():
             from handover.messages import open_inner
 
             open_inner(eve_conn.local.private_key, inner)
+
+
+def test_rekeyed_connection_opens_only_under_the_new_key():
+    world, cast = make_world()
+    b1, b2 = cast["B1"], cast["B2"]
+    old, _ = establish_connection(b1, b2)
+    new, _ = establish_connection(b1, b2)  # both sides replace the connection
+    for conn in (old, new):
+        b1.send(conn, crypto.fresh_nonce(world.rng), payload("PINReq", tid=mint_tid(world.rng)))
+    world.run_until_quiescent()
+    verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "PINReq"]
+    assert verdicts == ["rejected:decrypt-error", "accepted"]
+
+
+def test_one_decryption_per_ssi_delivery(monkeypatch):
+    # 4 products bought, claimed, resold and claimed again: MF ends with 8 connections
+    wallets, script = [], []
+    for i in range(4):
+        first, second, product = f"A{i}", f"B{i}", f"PC-{i}"
+        wallets += [first, second]
+        script += [
+            {"op": "record_sale", "product": product, "buyer": first, "expect": "accepted"},
+            {"op": "connect", "a": first, "b": "MF", "expect": "ok"},
+            {"op": "claim_new", "wallet": first, "product": product, "expect": "accepted"},
+            {"op": "connect", "a": first, "b": second, "expect": "ok"},
+            {"op": "sell", "seller": first, "buyer": second, "product": product, "expect": "accepted"},
+            {"op": "connect", "a": second, "b": "MF", "expect": "ok"},
+            {"op": "transfer", "seller": first, "product": product, "expect": "accepted"},
+            {"op": "claim_used", "wallet": second, "expect": "accepted"},
+        ]
+    cast = {"manufacturer": "MF", "distributor": "DS", "wallets": wallets}
+    spec = parse_scenario(
+        {"name": "fleet-4", "seed": 11, "cast": cast, "products": [f"PC-{i}" for i in range(4)], "script": script}
+    )
+    calls = []
+    decrypt = crypto.asym_decrypt
+
+    def counting_decrypt(private_key, ciphertext):
+        calls.append(ciphertext)
+        return decrypt(private_key, ciphertext)
+
+    monkeypatch.setattr(crypto, "asym_decrypt", counting_decrypt)
+    result = run_scenario(spec)
+    assert result.ok
+    # one at the mediator and one at the endpoint per message, each recorded as one ssi delivery
+    assert len(calls) == sum(r["channel"] == "ssi" for r in result.world.trace) > 0
 
 
 # -- sale and new-product claim flow -----------------------------------------------

@@ -109,6 +109,17 @@ def test_asym_wrong_private_key(rng):
         asym_decrypt(other.private_key, ct)
 
 
+def test_ciphertext_starts_with_recipient_key_id(rng):
+    keys, other = generate_keypair(rng), generate_keypair(rng)
+    ct = asym_encrypt(rng, keys.public_key, b"secret")
+    assert ct[: crypto.KEY_ID_LEN] == crypto.key_id(keys.public_key) != crypto.key_id(other.public_key)
+    with pytest.raises(DecryptError, match="another key"):
+        asym_decrypt(other.private_key, ct)
+    # naming the other key does not let it decrypt
+    with pytest.raises(DecryptError, match="authentication"):
+        asym_decrypt(other.private_key, crypto.key_id(other.public_key) + ct[crypto.KEY_ID_LEN :])
+
+
 def test_asym_truncated_ciphertext(rng):
     keys = generate_keypair(rng)
     ct = asym_encrypt(rng, keys.public_key, b"secret")

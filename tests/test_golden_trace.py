@@ -15,31 +15,31 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "5cac0191c34a216f3c288fca3b7bc55e3cd808820df73a08b9192af2ed871c0d",
+        "dcb2ad1455c3dae2f6194e2e5ed2800842e6d7b99fc7f5957bbf7e61aa65ba56",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
     ),
     "full-lifecycle": (
-        "a3999d29ec156d321c3115ce2f946621c38bf5983bc65b4b962bbb2a97a37f87",
+        "18f025ce4b1580a5df86d07707fe7d015e2c91138c83458343ec039e3a25000c",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
     ),
     "wrong-pin": (
-        "b4979842796df74621091d6689827c4ed789f82986933451b7e95e08b681c631",
+        "150f68c2b02a3266eb51ddd31a8c8e0ed5ffeed3506e617555a86506a09f1e5a",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
     ),
     "replay-attack": (
-        "86e131ff667878bb159f17265ed6bb7ffba4a249f85af5a8758ba5c2bdc6e73b",
+        "d4274ce97091c383d444557dc9ea358ebaa160fb6289650e07095d7b756b265a",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
     ),
     "duplicate-transfer": (
-        "38caceb001633861eeb80ec6f1318de68e0d7a475d41ad9b90c8fc74c61f9ac0",
+        "7b7d0ec63e54cbd1591fcaf4730a1655324164e93f936e93dcf5574cf3f9e45a",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
     ),
     "spoof-attack": (
-        "18f3e64783a46186d1ebe429c06a0d657e18fbeab6e7717920655115e0a0bb9a",
+        "8e44afe2568bba3bd80b8241e4baef679529d3ff596ebe193d4c3de09c476011",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
     ),
     "offline-claim": (
-        "c2b348093acbc6f6e2cb04d38c18a23c72b398daf3046e1ba322dd659f11a20b",
+        "d480f4a329a87bffcc5f83a121f9dcc6cedffad4a6a4bbba4deaba24aa25d062",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
     ),
     "sale-only": (
@@ -69,7 +69,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "91fd6646457ae79e060308b7bad579346d916933428fe92e93748ef9b40e2712",
+    "2577ec27982f9098e5ee12453854c8c3b68ab41dd99f2ac6d0348e63762cf2cf",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
 )
 

@@ -91,6 +91,16 @@ def test_max_ticks_timeout_report():
     assert len(b.claiming) == 1
 
 
+def test_run_scenario_runs_no_step_after_timeout():
+    spec = builtin_scenario("full-lifecycle")
+    result = run_scenario(spec, max_ticks=5)
+    kinds = [r["kind"] for r in result.world.trace if r["kind"] in ("timeout", "step")]
+    # only the step that ran over the budget is recorded after the timeout
+    assert kinds.count("timeout") == 1 and kinds[-2:] == ["timeout", "step"]
+    assert len(result.steps) == kinds.count("step") < len(spec.script)
+    assert not result.ok
+
+
 def test_drop_suppresses_delivery():
     world, a, b = two_wallets()
     ping(world, a, b)
@@ -141,6 +151,19 @@ def test_drop_or_tamper_of_used_unqueued_seq_raises(attack):
     assert world.trace[0]["seq"] == 1 and world.trace[0]["channel"] == "https"
     with pytest.raises(SimError):
         world.drop(1) if attack == "drop" else world.tamper(1, 3, 0)
+
+
+@pytest.mark.parametrize("attack", ["drop", "tamper"])
+def test_drop_or_tamper_of_seq_taken_by_trace_record_raises_and_is_cleared(attack):
+    # seq 1 becomes the connection-established record of the connect step, not an event
+    spec = builtin_scenario("full-lifecycle")
+    world, cast = build_world(spec)
+    world.drop(1) if attack == "drop" else world.tamper(1, 3, 0)
+    connect = next(step for step in spec.script if step.op == "connect")
+    with pytest.raises(SimError, match=r"seq \[1\]"):
+        execute_step(world, cast, spec, connect)
+    assert (world.trace[0]["seq"], world.trace[0]["kind"]) == (1, "connection-established")
+    assert not world._drops and not world._tampers
 
 
 def test_tamper_of_unsealed_event_raises_and_keeps_it_queued():
