@@ -242,7 +242,6 @@ class Agent:
         env = seal(
             self.rng,
             conn.local.private_key,
-            self.did.uri,
             conn.remote_public_key,
             self.world.mediator_public_key(),
             conn.remote_did,
@@ -279,6 +278,7 @@ class Agent:
         return "rejected:unknown-channel"
 
     def _handle_ssi(self, inner_ciphertext: bytes) -> str:
+        """Open, verify and dispatch on the one connection the key id names: that is the peer."""
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
@@ -286,23 +286,20 @@ class Agent:
             view = messages.open_inner(conn.local.private_key, inner_ciphertext)
         except crypto.DecryptError:
             return "rejected:decrypt-error"
-        sender_conn = self.connections.get(view.sender_did)
-        if sender_conn is None:
-            return "rejected:unknown-sender"
         try:
-            nonce, p = messages.verify_inner(view, sender_conn.remote_public_key)
+            nonce, p = messages.verify_inner(view, conn.remote_public_key)
         except EnvelopeReject as exc:
             return f"rejected:{exc.reason}"
         except PayloadError:
             return "rejected:malformed-payload"
-        if not sender_conn.replay.register(nonce, p.kind):
+        if not conn.replay.register(nonce, p.kind):
             return "rejected:replay"
         context = None
         if p.kind in RESPONSE_KINDS:
-            context = self._take_expectation(sender_conn.conn_id, p.kind, nonce)
+            context = self._take_expectation(conn.conn_id, p.kind, nonce)
             if context is None:
                 return "rejected:nonce-mismatch"
-        return self.handle_payload(sender_conn, nonce, p, context)
+        return self.handle_payload(conn, nonce, p, context)
 
     def handle_payload(self, conn: Connection, nonce: bytes, p: MessagePayload, context: Optional[dict]) -> str:
         name = self.HANDLERS.get(p.kind)
@@ -826,7 +823,7 @@ class WalletAgent(Agent):
         vc = self._select_credential(context["productCode"], p.body["attributes"])
         if vc is None:
             return "rejected:no-matching-credential"
-        presentation = present_proof(vc, bytes(p.body["challenge"]), self.did.uri, conn.local.private_key)
+        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local.private_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"
 
@@ -936,6 +933,6 @@ class AdversaryWallet(WalletAgent):
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
         vc = self._forged_credential(context)
-        presentation = present_proof(vc, bytes(p.body["challenge"]), self.did.uri, conn.local.private_key)
+        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local.private_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"

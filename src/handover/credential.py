@@ -7,7 +7,9 @@ issuer DID.
 
 Credentials are plain signed attribute bundles over a canonical byte encoding;
 presentations bind a credential to a verifier-chosen challenge nonce so they
-cannot be replayed.
+cannot be replayed.  A presentation names no holder: the verifier learns the
+holder from the key the message is addressed to, and checks the holder
+signature under that connection's peer key.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class VerifiableCredential:
 class ProofPresentation:
     credential: VerifiableCredential
     challenge_nonce: bytes
-    holder_did: str
     presentation_signature: bytes
 
 
@@ -159,21 +160,14 @@ def sign_vc(
     )
 
 
-def presentation_signing_bytes(vc: VerifiableCredential, challenge_nonce: bytes, holder_did: str) -> bytes:
-    return encode(["vp", vc_to_wire(vc), challenge_nonce, holder_did])
+def presentation_signing_bytes(vc: VerifiableCredential, challenge_nonce: bytes) -> bytes:
+    return encode(["vp", vc_to_wire(vc), challenge_nonce])
 
 
-def present_proof(
-    vc: VerifiableCredential, challenge_nonce: bytes, holder_did: str, holder_private_key: bytes
-) -> ProofPresentation:
+def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_private_key: bytes) -> ProofPresentation:
     """Wrap a credential in a presentation bound to ``challenge_nonce``."""
-    signature = crypto.sign(holder_private_key, presentation_signing_bytes(vc, challenge_nonce, holder_did))
-    return ProofPresentation(
-        credential=vc,
-        challenge_nonce=bytes(challenge_nonce),
-        holder_did=holder_did,
-        presentation_signature=signature,
-    )
+    signature = crypto.sign(holder_private_key, presentation_signing_bytes(vc, challenge_nonce))
+    return ProofPresentation(credential=vc, challenge_nonce=bytes(challenge_nonce), presentation_signature=signature)
 
 
 def verify_credential_signature(vc: VerifiableCredential, vdr: VerifiableDataRegistry) -> tuple[bool, str]:
@@ -208,9 +202,7 @@ def verify_presentation(
         reasons.append(reason)
     holder_ok = crypto.verify(
         holder_public_key,
-        presentation_signing_bytes(
-            presentation.credential, presentation.challenge_nonce, presentation.holder_did
-        ),
+        presentation_signing_bytes(presentation.credential, presentation.challenge_nonce),
         presentation.presentation_signature,
     )
     if not holder_ok:

@@ -6,6 +6,10 @@ to the endpoint's connection key, and wraps that together with the routing
 header under the mediator's key.  The mediator learns the recipient and,
 from the key id in front of the inner ciphertext, which of the recipient's
 connections the message is for; it never reads the signed bundle.
+
+The signed bundle names no sender: the recipient learns the sender from the
+key the message is addressed to.  Keys are pairwise, so that key names one
+connection, and the signature must verify under that connection's peer key.
 """
 
 from __future__ import annotations
@@ -148,12 +152,7 @@ def _field_to_wire(ftype: str, value: Any) -> Any:
     if ftype == "vc":
         return vc_to_wire(value)
     if ftype == "presentation":
-        return [
-            vc_to_wire(value.credential),
-            value.challenge_nonce,
-            value.holder_did,
-            value.presentation_signature,
-        ]
+        return [vc_to_wire(value.credential), value.challenge_nonce, value.presentation_signature]
     if ftype == "str_list":
         return list(value)
     if ftype in ("bytes", "opt_bytes") and value is not None:
@@ -166,17 +165,12 @@ def _field_from_wire(ftype: str, value: Any) -> Any:
     if ftype == "vc":
         return vc_from_wire(value)
     if ftype == "presentation":
-        if not isinstance(value, list) or len(value) != 4:
-            raise ValueError("presentation is not a 4-field list")
-        wire_vc, nonce, holder_did, signature = value
-        if not (isinstance(nonce, bytes) and isinstance(holder_did, str) and isinstance(signature, bytes)):
+        if not isinstance(value, list) or len(value) != 3:
+            raise ValueError("presentation is not a 3-field list")
+        wire_vc, nonce, signature = value
+        if not (isinstance(nonce, bytes) and isinstance(signature, bytes)):
             raise ValueError("presentation field has the wrong type")
-        return ProofPresentation(
-            credential=vc_from_wire(wire_vc),
-            challenge_nonce=nonce,
-            holder_did=holder_did,
-            presentation_signature=signature,
-        )
+        return ProofPresentation(vc_from_wire(wire_vc), nonce, signature)
     return value  # plain and str_list fields are type-checked by validate_payload
 
 
@@ -224,7 +218,6 @@ class Envelope:
 class InnerView:
     """Decrypted but *unverified* inner layer; payload stays opaque bytes."""
 
-    sender_did: str
     nonce: bytes
     payload_bytes: bytes
     signature: bytes
@@ -237,7 +230,6 @@ def signing_bytes(nonce: bytes, payload_bytes: bytes) -> bytes:
 def seal(
     rng: crypto.Rng,
     sender_private_key: bytes,
-    sender_did: str,
     endpoint_public_key: bytes,
     mediator_public_key: bytes,
     recipient_did: str,
@@ -247,7 +239,7 @@ def seal(
     """Sign, encrypt to the endpoint, then wrap for the mediator."""
     payload_bytes = canonical_encode_payload(p)
     signature = crypto.sign(sender_private_key, signing_bytes(nonce, payload_bytes))
-    inner_plain = encode(["inner", sender_did, nonce, payload_bytes, signature])
+    inner_plain = encode(["inner", nonce, payload_bytes, signature])
     inner_ct = crypto.asym_encrypt(rng, endpoint_public_key, inner_plain)
     outer_plain = encode(["route", recipient_did, inner_ct])
     return Envelope(outer_ciphertext=crypto.asym_encrypt(rng, mediator_public_key, outer_plain))
@@ -269,18 +261,17 @@ def open_inner(endpoint_private_key: bytes, inner_ciphertext: bytes) -> InnerVie
     """Decrypt the inner layer; the payload is not decoded until verified."""
     plain = crypto.asym_decrypt(endpoint_private_key, inner_ciphertext)
     try:
-        tag, sender_did, nonce, payload_bytes, signature = decode_value(plain)
+        tag, nonce, payload_bytes, signature = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:
         raise crypto.DecryptError("malformed inner layer") from exc
-    if tag != "inner" or not isinstance(sender_did, str) or not all(
-        isinstance(part, bytes) for part in (nonce, payload_bytes, signature)
-    ):
+    if tag != "inner" or not all(isinstance(part, bytes) for part in (nonce, payload_bytes, signature)):
         raise crypto.DecryptError("malformed inner layer")
-    return InnerView(sender_did=sender_did, nonce=nonce, payload_bytes=payload_bytes, signature=signature)
+    return InnerView(nonce=nonce, payload_bytes=payload_bytes, signature=signature)
 
 
 def verify_inner(view: InnerView, sender_public_key: bytes) -> tuple[bytes, MessagePayload]:
-    """Check the sender signature, then (and only then) decode the payload."""
+    """Check the signature under the peer key of the addressed connection, then
+    (and only then) decode the payload."""
     if not crypto.verify(sender_public_key, signing_bytes(view.nonce, view.payload_bytes), view.signature):
         raise EnvelopeReject("bad-signature")
     return view.nonce, decode_payload(view.payload_bytes)

@@ -356,11 +356,13 @@ class World:
         )
 
     def spoof(self, recipient_id: str, forged_sender: str, payload: MessagePayload, key_of: Optional[str]) -> int:
-        """Send ``payload`` to ``recipient_id`` claiming to be ``forged_sender``, signed by a fresh attacker key.
+        """Send ``payload`` to ``recipient_id``, signed by a fresh attacker key.
 
         ``key_of`` is the DID whose connection with the recipient leaked its
         endpoint key; ``None``, or a DID with no such connection, means the
-        attacker encrypts to a random key.
+        attacker encrypts to a random key.  The wire names no sender (the
+        recipient takes the peer of the connection the key names), so
+        ``forged_sender`` only labels the record as ``meta.forgedSender``.
         """
         recipient = self.agents[recipient_id]
         conn = recipient.connections.get(key_of)
@@ -369,7 +371,6 @@ class World:
         envelope = seal(
             self.rng,
             attacker_keys.private_key,
-            forged_sender,
             endpoint_key,
             self.mediator.keys.public_key,
             recipient.did.uri,

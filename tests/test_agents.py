@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from functools import reduce
 
@@ -17,7 +18,7 @@ from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.credential import vc_to_wire
 from handover.messages import Envelope, mint_tid, payload, signing_bytes
-from handover.scenarios import ScenarioStep, execute_step, parse_scenario, run_scenario
+from handover.scenarios import ScenarioStep, build_world, builtin_scenario, execute_step, parse_scenario, run_scenario
 from handover.simnet import World
 
 from conftest import fresh_lifecycle
@@ -179,6 +180,53 @@ def test_rekeyed_connection_opens_only_under_the_new_key():
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "PINReq"]
     assert verdicts == ["rejected:decrypt-error", "accepted"]
+
+
+def test_message_to_another_peers_connection_key_fails_signature():
+    # B2 signs with its own connection key but addresses MF's key of the B1
+    # connection: MF verifies under B1's key, because the key names the peer
+    spec = builtin_scenario("full-lifecycle")
+    world, cast = build_world(spec)
+    for step in spec.script[:6]:  # through connect B2-MF
+        assert execute_step(world, cast, spec, step) == step.expect
+    mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
+    before = mf.state_dump()
+    redirected = dataclasses.replace(
+        b2.connections[mf.did.uri], remote_public_key=b1.connections[mf.did.uri].remote_public_key
+    )
+    claim = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin="AAAAAA", key=None)
+    b2.send(redirected, crypto.fresh_nonce(world.rng), claim)
+    world.run_until_quiescent()
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
+    assert mf.state_dump() == before
+
+
+def test_every_delivery_redirected_to_another_connection_fails_signature():
+    # an inner layer re-encrypted to another connection key of its recipient
+    # is checked against that connection's peer, who did not sign it
+    result = fresh_lifecycle()
+    world = result.world
+    deliveries = [event for _, event in sorted(world.wire_log.items()) if event.to != "MD"]
+    assert len(deliveries) == 16
+    copies = 0
+    for event in deliveries:
+        recipient = world.agents[event.to]
+        conns = list(recipient.connections.values())
+        named = next(c for c in conns if crypto.key_id(c.local.public_key) == event.body[: crypto.KEY_ID_LEN])
+        plain = crypto.asym_decrypt(named.local.private_key, event.body)
+        for other in conns:
+            if other is named:
+                continue
+            before = recipient.state_dump()
+            inner = crypto.asym_encrypt(world.rng, other.local.public_key, plain)
+            route = encode(["route", recipient.did.uri, inner])
+            outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), route)
+            world.send_envelope("adversary", Envelope(outer), event.kind)
+            world.run_until_quiescent()
+            assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
+            assert recipient.state_dump() == before
+            copies += 1
+    assert copies == len(deliveries)  # every recipient ends with two connections
 
 
 def test_one_decryption_per_ssi_delivery(monkeypatch):
@@ -589,9 +637,10 @@ def test_transfer_step_verdict_comes_from_deciding_wallet():
     [
         b"Q" + encode_value(1) + encode_value(0),  # fraction with a zero denominator
         b"N",  # not a list
-        encode(["inner", "did:handover:x", None, b"", b""]),  # nonce is not bytes
+        encode(["inner", None, b"", b""]),  # nonce is not bytes
+        encode(["inner", "did:handover:x", b"\x00" * 16, b"", b""]),  # the layer that named its sender
     ],
-    ids=["zero-denominator", "not-a-list", "none-nonce"],
+    ids=["zero-denominator", "not-a-list", "none-nonce", "old-five-field"],
 )
 def test_malformed_inner_layer_rejected(inner_plain):
     # needs only the public half of a connection key, no signing key
@@ -619,7 +668,7 @@ def _vc_wire(cast, attributes=None):
         ("B1", "MF", lambda cast: ["ownershipClaimResp", 5]),
         ("MF", "B1", lambda cast: ["ownershipProofReq", 5, b"x"]),
         ("MF", "B1", lambda cast: ["ownershipProofReq", [1], b"x"]),
-        ("B1", "MF", lambda cast: ["ownershipProofResp", [_vc_wire(cast), 5, "did:handover:x", b"s"]]),
+        ("B1", "MF", lambda cast: ["ownershipProofResp", [_vc_wire(cast), 5, b"s"]]),
         ("MF", "B1", lambda cast: ["ownershipClaimResp", _vc_wire(cast, [["productCode", 7]])]),
     ],
     ids=["presentation-short", "vc-int", "str-list-int", "str-list-of-int", "presentation-int-nonce", "vc-int-attribute"],
@@ -632,7 +681,7 @@ def test_malformed_signed_payload_rejected(sender, recipient, fields):
     nonce = crypto.fresh_nonce(world.rng)
     payload_bytes = encode(fields(cast))
     signature = crypto.sign(conn.local.private_key, signing_bytes(nonce, payload_bytes))
-    inner_plain = encode(["inner", frm.did.uri, nonce, payload_bytes, signature])
+    inner_plain = encode(["inner", nonce, payload_bytes, signature])
     inner = crypto.asym_encrypt(world.rng, conn.remote_public_key, inner_plain)
     outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", to.did.uri, inner]))
     world.send_envelope(sender, Envelope(outer), fields(cast)[0])

@@ -37,14 +37,12 @@ def issuer_env(rng):
     vdr.publish_cred_def("creddef-1", PRODUCT_SCHEMA_ID, issuer_did.uri, issuer_keys.public_key)
     vdr.create_revocation_registry("revreg-1", issuer_did.uri)
     holder_keys = generate_keypair(rng)
-    holder_did = derive_did(holder_keys.public_key)
     return {
         "rng": rng,
         "vdr": vdr,
         "issuer_keys": issuer_keys,
         "issuer_did": issuer_did,
         "holder_keys": holder_keys,
-        "holder_did": holder_did,
     }
 
 
@@ -60,7 +58,7 @@ def issue(env, attrs=None, issued_at=3):
 
 
 def present(env, vc, nonce):
-    return present_proof(vc, nonce, env["holder_did"].uri, env["holder_keys"].private_key)
+    return present_proof(vc, nonce, env["holder_keys"].private_key)
 
 
 def verify(env, presentation, nonce):

@@ -15,31 +15,31 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "dcb2ad1455c3dae2f6194e2e5ed2800842e6d7b99fc7f5957bbf7e61aa65ba56",
+        "37a67b9c01afea8c92067fdd3055b21940e393b6b58012dbf8bc02a363f4e0ff",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
     ),
     "full-lifecycle": (
-        "18f025ce4b1580a5df86d07707fe7d015e2c91138c83458343ec039e3a25000c",
+        "89f20e9342c5ea2cf076d221d2e62c976f431c61a59ee43962703866ee322373",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
     ),
     "wrong-pin": (
-        "150f68c2b02a3266eb51ddd31a8c8e0ed5ffeed3506e617555a86506a09f1e5a",
+        "dcfe6085aac164acc397dcc6e01a61d5105aaf3a7cb3b107368341a5ff97940d",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
     ),
     "replay-attack": (
-        "d4274ce97091c383d444557dc9ea358ebaa160fb6289650e07095d7b756b265a",
+        "00f659a831d08107a6405835dbe8a8c8b0828ebd71054ff32442cd20b44ef802",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
     ),
     "duplicate-transfer": (
-        "7b7d0ec63e54cbd1591fcaf4730a1655324164e93f936e93dcf5574cf3f9e45a",
+        "cd8f297e161e35aca4208069741092b7a5ab77292c4d867188c0142b7e55d205",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
     ),
     "spoof-attack": (
-        "8e44afe2568bba3bd80b8241e4baef679529d3ff596ebe193d4c3de09c476011",
+        "399892276fa66cde2ac1cdb716fd58c57787324701e6ee4e5db7efe1cdb204dc",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
     ),
     "offline-claim": (
-        "d480f4a329a87bffcc5f83a121f9dcc6cedffad4a6a4bbba4deaba24aa25d062",
+        "2f85b3a38dcf6f4a3850c6961766916c3cb54211f527f89553f792e27712ad3f",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
     ),
     "sale-only": (
@@ -69,7 +69,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "2577ec27982f9098e5ee12453854c8c3b68ab41dd99f2ac6d0348e63762cf2cf",
+    "5994fe889f1daf1836be8a2e0bebc722fbdab019edde5c2dfe5d1b55e3091a6c",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
 )
 

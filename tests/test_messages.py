@@ -62,7 +62,7 @@ def sample_payload(kind):
         "ownershipTransferResp": dict(status="rejected"),
         "ownershipProofReq": dict(attributes=["productCode", "status"], challenge=b"\x04" * 16),
         "ownershipProofResp": dict(
-            presentation=present_proof(vc, b"\x04" * 16, "did:handover:holder", generate_keypair(Rng(1)).private_key)
+            presentation=present_proof(vc, b"\x04" * 16, generate_keypair(Rng(1)).private_key)
         ),
         "pinChallengeReq": dict(tid=TID, challengeBy=1234, challengeType="/"),
         "pinChallengeResp": dict(tid=TID, challengeResult=Fraction(15432, 125)),
@@ -165,7 +165,6 @@ def sealed(parties, p=None, nonce=None):
     env = seal(
         parties["rng"],
         parties["sender"].private_key,
-        "did:handover:sender",
         parties["endpoint"].public_key,
         parties["mediator"].public_key,
         "did:handover:endpoint",
@@ -225,12 +224,7 @@ def test_signature_stripped_or_replaced_rejected(parties):
     view = open_inner(parties["endpoint"].private_key, inner)
     with pytest.raises(EnvelopeReject) as err:
         verify_inner(
-            type(view)(
-                sender_did=view.sender_did,
-                nonce=view.nonce,
-                payload_bytes=view.payload_bytes,
-                signature=b"\x00" * 64,
-            ),
+            type(view)(nonce=view.nonce, payload_bytes=view.payload_bytes, signature=b"\x00" * 64),
             parties["sender"].public_key,
         )
     assert err.value.reason == "bad-signature"
@@ -244,7 +238,6 @@ def test_adversary_key_resign_rejected(parties):
     env = seal(
         parties["rng"],
         adversary.private_key,  # signs with its own key
-        "did:handover:sender",  # but claims the honest sender
         parties["endpoint"].public_key,
         parties["mediator"].public_key,
         "did:handover:endpoint",
@@ -263,17 +256,12 @@ def test_signature_binds_nonce_kind_and_body(parties):
     view = open_inner(parties["endpoint"].private_key, inner)
     # altering the nonce or any payload byte must invalidate the signature
     bad_nonce = type(view)(
-        sender_did=view.sender_did,
-        nonce=fresh_nonce(parties["rng"]),
-        payload_bytes=view.payload_bytes,
-        signature=view.signature,
+        nonce=fresh_nonce(parties["rng"]), payload_bytes=view.payload_bytes, signature=view.signature
     )
     with pytest.raises(EnvelopeReject):
         verify_inner(bad_nonce, parties["sender"].public_key)
     other_payload = canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))
-    bad_body = type(view)(
-        sender_did=view.sender_did, nonce=view.nonce, payload_bytes=other_payload, signature=view.signature
-    )
+    bad_body = type(view)(nonce=view.nonce, payload_bytes=other_payload, signature=view.signature)
     with pytest.raises(EnvelopeReject):
         verify_inner(bad_body, parties["sender"].public_key)
 
