@@ -228,9 +228,9 @@ class Agent:
     def add_connection(self, conn: Connection) -> None:
         old = self.connections.get(conn.remote_did)
         if old is not None:
-            del self._by_key_id[crypto.key_id(old.local.public_key)]
+            del self._by_key_id[old.local.kid]
         self.connections[conn.remote_did] = conn
-        self._by_key_id[crypto.key_id(conn.local.public_key)] = conn
+        self._by_key_id[conn.local.kid] = conn
 
     def connection_with(self, remote_did: str) -> Connection:
         conn = self.connections.get(remote_did)
@@ -240,13 +240,7 @@ class Agent:
 
     def send(self, conn: Connection, nonce: bytes, p: MessagePayload) -> None:
         env = seal(
-            self.rng,
-            conn.local.private_key,
-            conn.remote_public_key,
-            self.world.mediator_public_key(),
-            conn.remote_did,
-            nonce,
-            p,
+            self.rng, conn.local, conn.remote_public_key, self.world.mediator_public_key(), conn.remote_did, nonce, p
         )
         self.world.send_envelope(self.agent_id, env, p.kind)
 
@@ -283,7 +277,7 @@ class Agent:
         if conn is None:
             return "rejected:decrypt-error"
         try:
-            view = messages.open_inner(conn.local.private_key, inner_ciphertext)
+            view = messages.open_inner(conn.local, inner_ciphertext)
         except crypto.DecryptError:
             return "rejected:decrypt-error"
         try:
@@ -391,7 +385,7 @@ class ManufacturerAgent(Agent):
         vc = generate_vc(
             product.to_attributes(),
             self.cred_def_id,
-            self.root_keys.private_key,
+            self.root_keys,
             self.revocation_registry_id,
             issued_at=self.world.tick(),
             vdr=self.world.registry,
@@ -823,7 +817,7 @@ class WalletAgent(Agent):
         vc = self._select_credential(context["productCode"], p.body["attributes"])
         if vc is None:
             return "rejected:no-matching-credential"
-        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local.private_key)
+        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"
 
@@ -928,11 +922,11 @@ class AdversaryWallet(WalletAgent):
             productCode=context["productCode"], previouslySoldCount="0", firstPurchaseDate="0", lastPurchaseDate="0"
         )
         return sign_vc(
-            tuple(attributes.items()), cred_def_id, self.root_keys.private_key, "revreg:forged", self.world.tick()
+            tuple(attributes.items()), cred_def_id, self.root_keys, "revreg:forged", self.world.tick()
         )
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
         vc = self._forged_credential(context)
-        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local.private_key)
+        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"

@@ -123,7 +123,7 @@ def credential_signing_bytes(credential_id: str, cred_def_id: str, attributes: S
 def generate_vc(
     attributes: Mapping[str, object],
     cred_def_id: str,
-    issuer_private_key: bytes,
+    issuer_keys: crypto.KeyPair,
     revocation_registry_id: str,
     issued_at: int,
     vdr: VerifiableDataRegistry,
@@ -136,20 +136,20 @@ def generate_vc(
     if missing or extra:
         raise SchemaMismatchError(f"missing={missing} extra={extra}")
     ordered = tuple((name, str(attributes[name])) for name in PRODUCT_ATTRIBUTE_NAMES)
-    return sign_vc(ordered, cred_def_id, issuer_private_key, revocation_registry_id, issued_at)
+    return sign_vc(ordered, cred_def_id, issuer_keys, revocation_registry_id, issued_at)
 
 
 def sign_vc(
     ordered: tuple[tuple[str, str], ...],
     cred_def_id: str,
-    issuer_private_key: bytes,
+    issuer_keys: crypto.KeyPair,
     revocation_registry_id: str,
     issued_at: int,
 ) -> VerifiableCredential:
     """Sign ``ordered`` attributes under ``cred_def_id``, checking neither against the registry."""
     material = encode([cred_def_id, [[n, v] for n, v in ordered], issued_at])
     credential_id = "vc-" + hashlib.sha256(material).hexdigest()[:24]
-    signature = crypto.sign(issuer_private_key, credential_signing_bytes(credential_id, cred_def_id, ordered))
+    signature = crypto.sign(issuer_keys, credential_signing_bytes(credential_id, cred_def_id, ordered))
     return VerifiableCredential(
         credential_id=credential_id,
         cred_def_id=cred_def_id,
@@ -164,9 +164,9 @@ def presentation_signing_bytes(vc: VerifiableCredential, challenge_nonce: bytes)
     return encode(["vp", vc_to_wire(vc), challenge_nonce])
 
 
-def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_private_key: bytes) -> ProofPresentation:
+def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_keys: crypto.KeyPair) -> ProofPresentation:
     """Wrap a credential in a presentation bound to ``challenge_nonce``."""
-    signature = crypto.sign(holder_private_key, presentation_signing_bytes(vc, challenge_nonce))
+    signature = crypto.sign(holder_keys, presentation_signing_bytes(vc, challenge_nonce))
     return ProofPresentation(credential=vc, challenge_nonce=bytes(challenge_nonce), presentation_signature=signature)
 
 

@@ -4,9 +4,10 @@ symmetric authenticated encryption, nonces, and DID derivation.
 Every random draw goes through an injected :class:`Rng` handle so that a whole
 simulation run is reproducible from a single seed.  Key pairs bundle an
 Ed25519 signing key with an X25519 key-agreement key so one opaque public key
-supports both signing and encryption.  A hybrid ciphertext is recipient key
-id (8) || ephemeral X25519 public key (32) || AES-GCM IV (12) || ciphertext+tag;
-the key id lets a holder of many keys decrypt with the one it names.
+supports both signing and encryption.  A pair's private halves are parsed once,
+and the pair carries its key id.  A hybrid ciphertext is recipient key id (8)
+|| ephemeral X25519 public key (32) || AES-GCM IV (12) || ciphertext+tag; the
+key id lets a holder of many keys decrypt with the one it names.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -72,10 +73,15 @@ class Rng:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing + key-agreement pair; both halves are raw 32-byte keys."""
+    """Signing + key-agreement pair; both halves are raw 32-byte keys.  ``signer``
+    and ``agreer`` are the private halves, parsed once; ``kid`` is the key id.
+    None of the three takes part in ``==``, ``hash`` or ``repr``."""
 
     public_key: bytes
     private_key: bytes
+    signer: Ed25519PrivateKey = field(repr=False, compare=False)
+    agreer: X25519PrivateKey = field(repr=False, compare=False)
+    kid: bytes = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,11 +108,11 @@ class Did:
 
 def generate_keypair(rng: Rng) -> KeyPair:
     """Generate a fresh dual-purpose key pair from the injected RNG."""
-    ed_seed = rng.token(32)
-    x_seed = rng.token(32)
-    ed_pub = Ed25519PrivateKey.from_private_bytes(ed_seed).public_key().public_bytes_raw()
-    x_pub = X25519PrivateKey.from_private_bytes(x_seed).public_key().public_bytes_raw()
-    return KeyPair(public_key=ed_pub + x_pub, private_key=ed_seed + x_seed)
+    ed_seed, x_seed = rng.token(32), rng.token(32)
+    signer = Ed25519PrivateKey.from_private_bytes(ed_seed)
+    agreer = X25519PrivateKey.from_private_bytes(x_seed)
+    ed_pub, x_pub = signer.public_key().public_bytes_raw(), agreer.public_key().public_bytes_raw()
+    return KeyPair(ed_pub + x_pub, ed_seed + x_seed, signer, agreer, _x25519_key_id(x_pub))
 
 
 def _check_key(key: bytes, what: str) -> None:
@@ -114,12 +120,11 @@ def _check_key(key: bytes, what: str) -> None:
         raise KeyFormatError(f"{what} must be {KEY_LEN} bytes, got {len(key) if isinstance(key, (bytes, bytearray)) else type(key)}")
 
 
-def sign(private_key: bytes, message: bytes) -> bytes:
-    """Sign ``message``; the signature verifies only under the matching public key."""
-    _check_key(private_key, "private key")
+def sign(keys: KeyPair, message: bytes) -> bytes:
+    """Sign ``message``; the signature verifies only under ``keys.public_key``."""
     if not message:
         raise ValueError("refusing to sign an empty message")
-    return Ed25519PrivateKey.from_private_bytes(private_key[:32]).sign(bytes(message))
+    return keys.signer.sign(bytes(message))
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
@@ -140,12 +145,6 @@ def _x25519_key_id(x_pub_half: bytes) -> bytes:
     return hashlib.sha256(b"handover/key-id-v1" + x_pub_half).digest()[:KEY_ID_LEN]
 
 
-def key_id(public_key: bytes) -> bytes:
-    """Name of ``public_key`` that :func:`asym_encrypt` writes in front of a ciphertext."""
-    _check_key(public_key, "public key")
-    return _x25519_key_id(public_key[32:])
-
-
 def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
     """Hybrid encryption: ephemeral X25519 agreement wrapping an AES-GCM payload (layout above)."""
     _check_key(public_key, "public key")
@@ -158,20 +157,17 @@ def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
     return _x25519_key_id(recipient_half) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
 
 
-def asym_decrypt(private_key: bytes, ciphertext: bytes) -> bytes:
+def asym_decrypt(keys: KeyPair, ciphertext: bytes) -> bytes:
     """Invert :func:`asym_encrypt`; raises :class:`DecryptError` on tampering or another key's id."""
-    _check_key(private_key, "private key")
     if len(ciphertext) < _HYBRID_OVERHEAD:
         raise DecryptError("ciphertext truncated")
-    kid, rest = ciphertext[:KEY_ID_LEN], ciphertext[KEY_ID_LEN:]
-    eph_pub, iv, body = rest[:32], rest[32:44], rest[44:]
-    priv = X25519PrivateKey.from_private_bytes(private_key[32:])
-    recipient_half = priv.public_key().public_bytes_raw()
-    if kid != _x25519_key_id(recipient_half):
+    if ciphertext[:KEY_ID_LEN] != keys.kid:
         raise DecryptError("ciphertext is addressed to another key")
+    rest = ciphertext[KEY_ID_LEN:]
+    eph_pub, iv, body = rest[:32], rest[32:44], rest[44:]
     try:
-        shared = priv.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        key = _hybrid_key(shared, eph_pub, recipient_half)
+        shared = keys.agreer.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+        key = _hybrid_key(shared, eph_pub, keys.public_key[32:])
         return AESGCM(key).decrypt(iv, bytes(body), None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptError("authentication failed") from exc

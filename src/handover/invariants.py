@@ -3,11 +3,14 @@
 Works on any trace produced by a run: the trace carries registry events
 (issuance, revocation, product updates), audit records (minted secrets and
 final state dumps), and the raw wire bytes of every routed message, which is
-everything the global checks need.
+everything the global checks need.  The PIN-secrecy check joins the wire bytes
+into one buffer and searches it once per secret needle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Iterable
 
 from .encoding import canonical_json
@@ -71,14 +74,19 @@ def _scan_pin_secrecy(
 ) -> list[dict]:
     violations = []
     texts = [(agent_id, seq, state.get("role", ""), canonical_json(state)) for agent_id, (seq, state) in dumps.items()]
+    wire = b"".join(chunk for _, chunk in wire_chunks)
+    ends = list(accumulate(len(chunk) for _, chunk in wire_chunks))
     for secret in secrets:
-        owner = secret.get("owner")
-        pin_bytes = secret["pin"].encode("ascii")
-        key_hex = secret["keyHex"]
-        key_bytes = bytes.fromhex(key_hex)
-        for seq, chunk in wire_chunks:
-            if pin_bytes in chunk or key_bytes in chunk or key_hex.encode("ascii") in chunk:
-                violations.append(_violation(seq, "pin-secrecy", f"secret of {owner} visible on the wire"))
+        owner, key_hex, hit_chunks = secret.get("owner"), secret["keyHex"], set()
+        for needle in (secret["pin"].encode("ascii"), bytes.fromhex(key_hex), key_hex.encode("ascii")):
+            at = wire.find(needle)
+            while 0 <= at < len(wire):  # an empty needle also matches at the end of the buffer
+                i = bisect_right(ends, at)
+                if at + len(needle) <= ends[i]:  # a match across two chunks is no leak
+                    hit_chunks.add(i)
+                at = wire.find(needle, at + 1)
+        for i in sorted(hit_chunks):
+            violations.append(_violation(wire_chunks[i][0], "pin-secrecy", f"secret of {owner} visible on the wire"))
         for agent_id, seq, role, text in texts:
             if agent_id == owner:
                 continue  # the buyer legitimately holds its own PIN and key

@@ -229,7 +229,7 @@ def signing_bytes(nonce: bytes, payload_bytes: bytes) -> bytes:
 
 def seal(
     rng: crypto.Rng,
-    sender_private_key: bytes,
+    sender_keys: crypto.KeyPair,
     endpoint_public_key: bytes,
     mediator_public_key: bytes,
     recipient_did: str,
@@ -238,16 +238,16 @@ def seal(
 ) -> Envelope:
     """Sign, encrypt to the endpoint, then wrap for the mediator."""
     payload_bytes = canonical_encode_payload(p)
-    signature = crypto.sign(sender_private_key, signing_bytes(nonce, payload_bytes))
+    signature = crypto.sign(sender_keys, signing_bytes(nonce, payload_bytes))
     inner_plain = encode(["inner", nonce, payload_bytes, signature])
     inner_ct = crypto.asym_encrypt(rng, endpoint_public_key, inner_plain)
     outer_plain = encode(["route", recipient_did, inner_ct])
     return Envelope(outer_ciphertext=crypto.asym_encrypt(rng, mediator_public_key, outer_plain))
 
 
-def unseal_at_mediator(mediator_private_key: bytes, envelope: Envelope) -> tuple[str, bytes]:
+def unseal_at_mediator(mediator_keys: crypto.KeyPair, envelope: Envelope) -> tuple[str, bytes]:
     """Unwrap the outer layer: (recipient DID, opaque inner ciphertext)."""
-    plain = crypto.asym_decrypt(mediator_private_key, envelope.outer_ciphertext)
+    plain = crypto.asym_decrypt(mediator_keys, envelope.outer_ciphertext)
     try:
         tag, recipient_did, inner_ct = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:
@@ -257,9 +257,9 @@ def unseal_at_mediator(mediator_private_key: bytes, envelope: Envelope) -> tuple
     return recipient_did, inner_ct
 
 
-def open_inner(endpoint_private_key: bytes, inner_ciphertext: bytes) -> InnerView:
+def open_inner(endpoint_keys: crypto.KeyPair, inner_ciphertext: bytes) -> InnerView:
     """Decrypt the inner layer; the payload is not decoded until verified."""
-    plain = crypto.asym_decrypt(endpoint_private_key, inner_ciphertext)
+    plain = crypto.asym_decrypt(endpoint_keys, inner_ciphertext)
     try:
         tag, nonce, payload_bytes, signature = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:

@@ -77,7 +77,7 @@ class Mediator:
     def handle(self, world: "World", event: DeliveryEvent) -> str:
         envelope: Envelope = event.body
         try:
-            recipient_did, inner = unseal_at_mediator(self.keys.private_key, envelope)
+            recipient_did, inner = unseal_at_mediator(self.keys, envelope)
         except crypto.DecryptError:
             self.dead_letters.append(envelope.outer_ciphertext)
             return "dead-letter:unreadable"
@@ -370,7 +370,7 @@ class World:
         attacker_keys = crypto.generate_keypair(self.rng)  # bound to no connection
         envelope = seal(
             self.rng,
-            attacker_keys.private_key,
+            attacker_keys,
             endpoint_key,
             self.mediator.keys.public_key,
             recipient.did.uri,

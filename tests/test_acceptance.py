@@ -36,7 +36,7 @@ def _presentation_valid(result, wallet_name, vc_index=0):
     conn = wallet.connections[mf.did.uri]
     nonce = crypto.fresh_nonce(result.world.rng)
     vc = wallet.credentials[vc_index]
-    presentation = present_proof(vc, nonce, conn.local.private_key)
+    presentation = present_proof(vc, nonce, conn.local)
     return verify_presentation(presentation, nonce, result.world.registry, conn.local.public_key)
 
 

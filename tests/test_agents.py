@@ -167,7 +167,7 @@ def test_invitation_replay_cannot_read_prior_traffic():
         with pytest.raises(DecryptError):
             from handover.messages import open_inner
 
-            open_inner(eve_conn.local.private_key, inner)
+            open_inner(eve_conn.local, inner)
 
 
 def test_rekeyed_connection_opens_only_under_the_new_key():
@@ -212,8 +212,8 @@ def test_every_delivery_redirected_to_another_connection_fails_signature():
     for event in deliveries:
         recipient = world.agents[event.to]
         conns = list(recipient.connections.values())
-        named = next(c for c in conns if crypto.key_id(c.local.public_key) == event.body[: crypto.KEY_ID_LEN])
-        plain = crypto.asym_decrypt(named.local.private_key, event.body)
+        named = next(c for c in conns if c.local.kid == event.body[: crypto.KEY_ID_LEN])
+        plain = crypto.asym_decrypt(named.local, event.body)
         for other in conns:
             if other is named:
                 continue
@@ -252,9 +252,9 @@ def test_one_decryption_per_ssi_delivery(monkeypatch):
     calls = []
     decrypt = crypto.asym_decrypt
 
-    def counting_decrypt(private_key, ciphertext):
+    def counting_decrypt(keys, ciphertext):
         calls.append(ciphertext)
-        return decrypt(private_key, ciphertext)
+        return decrypt(keys, ciphertext)
 
     monkeypatch.setattr(crypto, "asym_decrypt", counting_decrypt)
     result = run_scenario(spec)
@@ -680,7 +680,7 @@ def test_malformed_signed_payload_rejected(sender, recipient, fields):
     conn = frm.connections[to.did.uri]
     nonce = crypto.fresh_nonce(world.rng)
     payload_bytes = encode(fields(cast))
-    signature = crypto.sign(conn.local.private_key, signing_bytes(nonce, payload_bytes))
+    signature = crypto.sign(conn.local, signing_bytes(nonce, payload_bytes))
     inner_plain = encode(["inner", nonce, payload_bytes, signature])
     inner = crypto.asym_encrypt(world.rng, conn.remote_public_key, inner_plain)
     outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", to.did.uri, inner]))

@@ -50,7 +50,7 @@ def issue(env, attrs=None, issued_at=3):
     return generate_vc(
         attrs or SAMPLE_ATTRS,
         "creddef-1",
-        env["issuer_keys"].private_key,
+        env["issuer_keys"],
         "revreg-1",
         issued_at,
         env["vdr"],
@@ -58,7 +58,7 @@ def issue(env, attrs=None, issued_at=3):
 
 
 def present(env, vc, nonce):
-    return present_proof(vc, nonce, env["holder_keys"].private_key)
+    return present_proof(vc, nonce, env["holder_keys"])
 
 
 def verify(env, presentation, nonce):
@@ -126,7 +126,7 @@ def test_unpublished_cred_def_rejected(issuer_env):
         generate_vc(
             SAMPLE_ATTRS,
             "creddef-ghost",
-            issuer_env["issuer_keys"].private_key,
+            issuer_env["issuer_keys"],
             "revreg-1",
             1,
             issuer_env["vdr"],

@@ -1,8 +1,11 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover import crypto
+from handover.scenarios import builtin_scenario, run_scenario
 from handover.crypto import (
     DecryptError,
     KeyFormatError,
@@ -52,14 +55,14 @@ def test_two_draws_from_one_rng_distinct(rng):
 
 def test_sign_verify_roundtrip(rng):
     keys = generate_keypair(rng)
-    sig = sign(keys.private_key, b"abc")
+    sig = sign(keys, b"abc")
     assert verify(keys.public_key, b"abc", sig)
 
 
 def test_verify_wrong_key_fails(rng):
     keys = generate_keypair(rng)
     other = generate_keypair(rng)
-    sig = sign(keys.private_key, b"abc")
+    sig = sign(keys, b"abc")
     assert not verify(other.public_key, b"abc", sig)
 
 
@@ -67,7 +70,7 @@ def test_single_bit_flip_oracle(rng):
     # exhaustive: flipping any single bit of a 32-byte message breaks the signature
     keys = generate_keypair(rng)
     message = rng.token(32)
-    sig = sign(keys.private_key, message)
+    sig = sign(keys, message)
     for byte_index in range(32):
         for bit in range(8):
             mutated = bytearray(message)
@@ -78,19 +81,22 @@ def test_single_bit_flip_oracle(rng):
 def test_sign_empty_message_rejected(rng):
     keys = generate_keypair(rng)
     with pytest.raises(ValueError):
-        sign(keys.private_key, b"")
+        sign(keys, b"")
 
 
 def test_sign_malformed_key(rng):
     with pytest.raises(KeyFormatError):
-        sign(b"\x00" * 12, b"abc")
-    with pytest.raises(KeyFormatError):
         verify(b"\x00" * 3, b"abc", b"\x00" * 64)
+    # a pair's parsed halves and key id take no part in ==, hash or repr
+    first, second = generate_keypair(Rng(42)), generate_keypair(Rng(42))
+    assert first.signer is not second.signer and first.agreer is not second.agreer
+    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    assert "signer" not in repr(first) and "agreer" not in repr(first) and "kid" not in repr(first)
 
 
 def test_asym_roundtrip_empty_payload(rng):
     keys = generate_keypair(rng)
-    assert asym_decrypt(keys.private_key, asym_encrypt(rng, keys.public_key, b"")) == b""
+    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, b"")) == b""
 
 
 def test_asym_roundtrip_one_mebibyte(rng):
@@ -98,7 +104,7 @@ def test_asym_roundtrip_one_mebibyte(rng):
     keys = generate_keypair(rng)
     payload = bytes(range(256)) * 4096
     assert len(payload) == 1 << 20
-    assert asym_decrypt(keys.private_key, asym_encrypt(rng, keys.public_key, payload)) == payload
+    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, payload)) == payload
 
 
 def test_asym_wrong_private_key(rng):
@@ -106,27 +112,27 @@ def test_asym_wrong_private_key(rng):
     other = generate_keypair(rng)
     ct = asym_encrypt(rng, keys.public_key, b"secret")
     with pytest.raises(DecryptError):
-        asym_decrypt(other.private_key, ct)
+        asym_decrypt(other, ct)
 
 
 def test_ciphertext_starts_with_recipient_key_id(rng):
     keys, other = generate_keypair(rng), generate_keypair(rng)
     ct = asym_encrypt(rng, keys.public_key, b"secret")
-    assert ct[: crypto.KEY_ID_LEN] == crypto.key_id(keys.public_key) != crypto.key_id(other.public_key)
+    assert ct[: crypto.KEY_ID_LEN] == keys.kid != other.kid
     with pytest.raises(DecryptError, match="another key"):
-        asym_decrypt(other.private_key, ct)
+        asym_decrypt(other, ct)
     # naming the other key does not let it decrypt
     with pytest.raises(DecryptError, match="authentication"):
-        asym_decrypt(other.private_key, crypto.key_id(other.public_key) + ct[crypto.KEY_ID_LEN :])
+        asym_decrypt(other, other.kid + ct[crypto.KEY_ID_LEN :])
 
 
 def test_asym_truncated_ciphertext(rng):
     keys = generate_keypair(rng)
     ct = asym_encrypt(rng, keys.public_key, b"secret")
     with pytest.raises(DecryptError):
-        asym_decrypt(keys.private_key, ct[: len(ct) // 2])
+        asym_decrypt(keys, ct[: len(ct) // 2])
     with pytest.raises(DecryptError):
-        asym_decrypt(keys.private_key, b"")
+        asym_decrypt(keys, b"")
 
 
 def test_sym_roundtrip_pin(rng):
@@ -197,7 +203,7 @@ def test_did_distinct_keys_distinct_ids(rng):
 def test_sign_verify_property(message, seed):
     rng = Rng(seed)
     keys = generate_keypair(rng)
-    assert verify(keys.public_key, message, sign(keys.private_key, message))
+    assert verify(keys.public_key, message, sign(keys, message))
 
 
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
@@ -205,7 +211,7 @@ def test_sign_verify_property(message, seed):
 def test_hybrid_roundtrip_property(message, seed):
     rng = Rng(seed)
     keys = generate_keypair(rng)
-    assert asym_decrypt(keys.private_key, asym_encrypt(rng, keys.public_key, message)) == message
+    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, message)) == message
 
 
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
@@ -214,3 +220,27 @@ def test_symmetric_roundtrip_property(message, seed):
     rng = Rng(seed)
     key = generate_symmetric_key(rng)
     assert sym_decrypt(key, sym_encrypt(rng, key, message)) == message
+
+
+def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
+    # a pair's private halves are parsed when it is generated; after that only
+    # the fresh ephemeral key of each hybrid encryption is parsed
+    calls = collections.Counter()
+
+    def count(owner, name, label):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(crypto.Ed25519PrivateKey, "from_private_bytes", "ed25519")
+    count(crypto.X25519PrivateKey, "from_private_bytes", "x25519")
+    count(crypto, "generate_keypair", "generate_keypair")
+    count(crypto, "asym_encrypt", "asym_encrypt")
+    assert run_scenario(builtin_scenario("full-lifecycle")).ok
+    assert calls["asym_encrypt"] > 0
+    assert calls["ed25519"] == calls["generate_keypair"]
+    assert calls["x25519"] == calls["generate_keypair"] + calls["asym_encrypt"]

@@ -62,7 +62,7 @@ def sample_payload(kind):
         "ownershipTransferResp": dict(status="rejected"),
         "ownershipProofReq": dict(attributes=["productCode", "status"], challenge=b"\x04" * 16),
         "ownershipProofResp": dict(
-            presentation=present_proof(vc, b"\x04" * 16, generate_keypair(Rng(1)).private_key)
+            presentation=present_proof(vc, b"\x04" * 16, generate_keypair(Rng(1)))
         ),
         "pinChallengeReq": dict(tid=TID, challengeBy=1234, challengeType="/"),
         "pinChallengeResp": dict(tid=TID, challengeResult=Fraction(15432, 125)),
@@ -164,7 +164,7 @@ def sealed(parties, p=None, nonce=None):
     nonce = nonce or fresh_nonce(parties["rng"])
     env = seal(
         parties["rng"],
-        parties["sender"].private_key,
+        parties["sender"],
         parties["endpoint"].public_key,
         parties["mediator"].public_key,
         "did:handover:endpoint",
@@ -176,9 +176,9 @@ def sealed(parties, p=None, nonce=None):
 
 def test_seal_unseal_full_chain(parties):
     env, nonce, p = sealed(parties)
-    recipient_did, inner = unseal_at_mediator(parties["mediator"].private_key, env)
+    recipient_did, inner = unseal_at_mediator(parties["mediator"], env)
     assert recipient_did == "did:handover:endpoint"
-    view = open_inner(parties["endpoint"].private_key, inner)
+    view = open_inner(parties["endpoint"], inner)
     got_nonce, got_payload = verify_inner(view, parties["sender"].public_key)
     assert got_nonce == nonce
     assert got_payload == p
@@ -186,28 +186,28 @@ def test_seal_unseal_full_chain(parties):
 
 def test_endpoint_wrong_key_fails(parties):
     env, _, _ = sealed(parties)
-    _, inner = unseal_at_mediator(parties["mediator"].private_key, env)
+    _, inner = unseal_at_mediator(parties["mediator"], env)
     wrong = generate_keypair(parties["rng"])
     with pytest.raises(DecryptError):
-        open_inner(wrong.private_key, inner)
+        open_inner(wrong, inner)
 
 
 def test_mediator_wrong_key_fails(parties):
     env, _, _ = sealed(parties)
     wrong = generate_keypair(parties["rng"])
     with pytest.raises(DecryptError):
-        unseal_at_mediator(wrong.private_key, env)
+        unseal_at_mediator(wrong, env)
 
 
 def test_flip_any_inner_byte_rejected(parties):
     # flip-one-byte oracle over the full inner ciphertext
     env, _, _ = sealed(parties)
-    _, inner = unseal_at_mediator(parties["mediator"].private_key, env)
+    _, inner = unseal_at_mediator(parties["mediator"], env)
     for index in range(len(inner)):
         mutated = bytearray(inner)
         mutated[index] ^= 0x20
         with pytest.raises(DecryptError):
-            open_inner(parties["endpoint"].private_key, bytes(mutated))
+            open_inner(parties["endpoint"], bytes(mutated))
 
 
 def test_flip_outer_byte_rejected(parties):
@@ -215,13 +215,13 @@ def test_flip_outer_byte_rejected(parties):
     mutated = bytearray(env.outer_ciphertext)
     mutated[10] ^= 0x01
     with pytest.raises(DecryptError):
-        unseal_at_mediator(parties["mediator"].private_key, type(env)(outer_ciphertext=bytes(mutated)))
+        unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(mutated)))
 
 
 def test_signature_stripped_or_replaced_rejected(parties):
     env, _, _ = sealed(parties)
-    _, inner = unseal_at_mediator(parties["mediator"].private_key, env)
-    view = open_inner(parties["endpoint"].private_key, inner)
+    _, inner = unseal_at_mediator(parties["mediator"], env)
+    view = open_inner(parties["endpoint"], inner)
     with pytest.raises(EnvelopeReject) as err:
         verify_inner(
             type(view)(nonce=view.nonce, payload_bytes=view.payload_bytes, signature=b"\x00" * 64),
@@ -237,23 +237,23 @@ def test_adversary_key_resign_rejected(parties):
     nonce = fresh_nonce(parties["rng"])
     env = seal(
         parties["rng"],
-        adversary.private_key,  # signs with its own key
+        adversary,  # signs with its own key
         parties["endpoint"].public_key,
         parties["mediator"].public_key,
         "did:handover:endpoint",
         nonce,
         p,
     )
-    _, inner = unseal_at_mediator(parties["mediator"].private_key, env)
+    _, inner = unseal_at_mediator(parties["mediator"], env)
     with pytest.raises(EnvelopeReject) as err:
-        verify_inner(open_inner(parties["endpoint"].private_key, inner), parties["sender"].public_key)
+        verify_inner(open_inner(parties["endpoint"], inner), parties["sender"].public_key)
     assert err.value.reason == "bad-signature"
 
 
 def test_signature_binds_nonce_kind_and_body(parties):
     env, nonce, p = sealed(parties, p=payload("ownershipClaimAck", status="accepted"))
-    _, inner = unseal_at_mediator(parties["mediator"].private_key, env)
-    view = open_inner(parties["endpoint"].private_key, inner)
+    _, inner = unseal_at_mediator(parties["mediator"], env)
+    view = open_inner(parties["endpoint"], inner)
     # altering the nonce or any payload byte must invalidate the signature
     bad_nonce = type(view)(
         nonce=fresh_nonce(parties["rng"]), payload_bytes=view.payload_bytes, signature=view.signature
@@ -274,7 +274,7 @@ def test_mediator_view_hides_payload(parties):
     env_b, _, _ = sealed(parties, p=payload("PINReq", tid=tid_b))
     assert len(env_a.outer_ciphertext) == len(env_b.outer_ciphertext)
     for env, tid in ((env_a, tid_a), (env_b, tid_b)):
-        recipient_did, inner = unseal_at_mediator(parties["mediator"].private_key, env)
+        recipient_did, inner = unseal_at_mediator(parties["mediator"], env)
         mediator_view = recipient_did.encode() + inner + env.outer_ciphertext
         assert tid.encode() not in mediator_view
         assert bytes.fromhex(tid) not in mediator_view

@@ -54,7 +54,7 @@ def test_unknown_recipient_dead_letter():
     conn = a.connections[b.did.uri]
     env = seal(
         world.rng,
-        conn.local.private_key,
+        conn.local,
         stranger.public_key,
         world.mediator_public_key(),
         "did:handover:nobody",
