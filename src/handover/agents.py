@@ -276,6 +276,8 @@ class Agent:
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
+        if conn.replay.holds(inner_ciphertext):
+            return "rejected:replay"
         try:
             view = messages.open_inner(conn.local, inner_ciphertext)
         except crypto.DecryptError:
@@ -286,7 +288,7 @@ class Agent:
             return f"rejected:{exc.reason}"
         except PayloadError:
             return "rejected:malformed-payload"
-        if not conn.replay.register(nonce, p.kind):
+        if not conn.replay.register(nonce, p.kind, inner_ciphertext):
             return "rejected:replay"
         context = None
         if p.kind in RESPONSE_KINDS:

@@ -18,7 +18,7 @@ import sys
 from typing import Optional, Sequence, TextIO
 
 from .agents import WalletAgent
-from .invariants import scan_trace
+from .invariants import UnreadableRecord, scan_trace
 from .simnet import SimError
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -71,22 +71,23 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
-    records = []
+    records, linenos = [], []
     try:
         with open(args.trace, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
+                if line.strip():
                     records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    out.write(f"{args.trace}:{lineno}: invalid JSON: {exc.msg}\n")
-                    return 2
+                    linenos.append(lineno)
+        violations = scan_trace(records)
+    except json.JSONDecodeError as exc:
+        out.write(f"{args.trace}:{lineno}: invalid JSON: {exc.msg}\n")
+        return 2
+    except UnreadableRecord as exc:
+        out.write(f"{args.trace}:{linenos[exc.args[0]]}: unreadable record: {exc.args[1]}\n")
+        return 2
     except OSError as exc:
         out.write(f"cannot read {args.trace}: {exc}\n")
         return 2
-    violations = scan_trace(records)
     for violation in violations:
         out.write(f"seq={violation['seq']} {violation['invariant']}: {violation['detail']}\n")
     out.write(f"{len(records)} records scanned, {len(violations)} violation(s)\n")

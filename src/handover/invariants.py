@@ -20,8 +20,12 @@ def _violation(seq: int, invariant: str, detail: str) -> dict:
     return {"seq": seq, "invariant": invariant, "detail": detail}
 
 
+class UnreadableRecord(ValueError):
+    """``args``: the index of a record the scan cannot read in the scanned sequence, and why."""
+
+
 def scan_trace(records: Iterable[dict]) -> list[dict]:
-    """Return one violation dict per breached invariant, empty when clean."""
+    """Return one violation dict per breached invariant, empty when clean; raise on an unreadable record."""
     violations: list[dict] = []
     live: dict[str, set[str]] = {}
     sold_counts: dict[str, int] = {}
@@ -29,39 +33,43 @@ def scan_trace(records: Iterable[dict]) -> list[dict]:
     dumps: dict[str, tuple[int, dict]] = {}
     wire_chunks: list[tuple[int, bytes]] = []
 
-    for rec in records:
-        kind = rec.get("kind", "")
-        meta = rec.get("meta", {})
-        seq = rec.get("seq", -1)
-        if kind == "vc-issued":
-            holders = live.setdefault(meta["productCode"], set())
-            holders.add(meta["credentialId"])
-            if len(holders) > 1:
-                detail = f"{meta['productCode']} has {sorted(holders)} unrevoked"
-                violations.append(_violation(seq, "single-live-credential", detail))
-        elif kind == "vc-revoked":
-            live.get(meta["productCode"], set()).discard(meta["credentialId"])
-        elif kind == "product-updated":
-            code = meta["productCode"]
-            new_count = meta["previouslySoldCount"]
-            old_count = sold_counts.get(code, 0)
-            if new_count < old_count:
-                detail = f"{code} previouslySoldCount {old_count} -> {new_count}"
-                violations.append(_violation(seq, "counter-monotonicity", detail))
-            elif new_count > old_count and not (
-                new_count == old_count + 1 and meta.get("reason") == "transfer-committed"
-            ):
-                detail = f"{code} count increased without a committed transfer"
-                violations.append(_violation(seq, "counter-monotonicity", detail))
-            sold_counts[code] = max(old_count, new_count)
-        elif kind == "secret-minted":
-            secrets.append({**meta, "seq": seq})
-        elif kind == "state-dump":
-            dumps[rec["from"]] = (seq, meta.get("state", {}))
-        if rec.get("channel") == "ssi" and "bytes" in meta:
-            wire_chunks.append((seq, bytes.fromhex(meta["bytes"])))
-        if rec.get("channel") == "oob-email" and "fields" in meta:
-            wire_chunks.append((seq, canonical_json(meta["fields"]).encode("utf-8")))
+    for index, rec in enumerate(records):
+        try:
+            kind = rec.get("kind", "")
+            meta = rec.get("meta", {})
+            seq = rec.get("seq", -1)
+            if kind == "vc-issued":
+                holders = live.setdefault(meta["productCode"], set())
+                holders.add(meta["credentialId"])
+                if len(holders) > 1:
+                    detail = f"{meta['productCode']} has {sorted(holders)} unrevoked"
+                    violations.append(_violation(seq, "single-live-credential", detail))
+            elif kind == "vc-revoked":
+                live.get(meta["productCode"], set()).discard(meta["credentialId"])
+            elif kind == "product-updated":
+                code = meta["productCode"]
+                new_count = meta["previouslySoldCount"]
+                old_count = sold_counts.get(code, 0)
+                if new_count < old_count:
+                    detail = f"{code} previouslySoldCount {old_count} -> {new_count}"
+                    violations.append(_violation(seq, "counter-monotonicity", detail))
+                elif new_count > old_count and not (
+                    new_count == old_count + 1 and meta.get("reason") == "transfer-committed"
+                ):
+                    detail = f"{code} count increased without a committed transfer"
+                    violations.append(_violation(seq, "counter-monotonicity", detail))
+                sold_counts[code] = max(old_count, new_count)
+            elif kind == "secret-minted":
+                meta["pin"].encode("ascii"), bytes.fromhex(meta["keyHex"])  # raise here, not in the scan below
+                secrets.append({**meta, "seq": seq})
+            elif kind == "state-dump":
+                dumps[rec["from"]] = (seq, {**meta.get("state", {})})  # raises unless the state is an object
+            if rec.get("channel") == "ssi" and "bytes" in meta:
+                wire_chunks.append((seq, bytes.fromhex(meta["bytes"])))
+            if rec.get("channel") == "oob-email" and "fields" in meta:
+                wire_chunks.append((seq, canonical_json(meta["fields"]).encode("utf-8")))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise UnreadableRecord(index, f"{type(exc).__name__}: {exc}") from exc
 
     violations.extend(_scan_pin_secrecy(secrets, dumps, wire_chunks))
     return violations

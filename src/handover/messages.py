@@ -10,6 +10,8 @@ connections the message is for; it never reads the signed bundle.
 The signed bundle names no sender: the recipient learns the sender from the
 key the message is addressed to.  Keys are pairwise, so that key names one
 connection, and the signature must verify under that connection's peer key.
+Its :class:`ReplayGuard` holds the consumed (nonce, kind) pairs and the
+ciphertexts that consumed them: an exact copy is a replay before any decryption.
 """
 
 from __future__ import annotations
@@ -281,17 +283,22 @@ def verify_inner(view: InnerView, sender_public_key: bytes) -> tuple[bytes, Mess
 
 
 class ReplayGuard:
-    """Per-connection cache of consumed (nonce, kind) pairs."""
+    """Consumed (nonce, kind) pairs and the exact ciphertexts that consumed them; a copy is a replay before decryption."""
 
     def __init__(self) -> None:
         self._consumed: set[tuple[bytes, str]] = set()
+        self._ciphertexts: set[bytes] = set()
 
-    def register(self, nonce: bytes, kind: str) -> bool:
-        """Consume the pair; False means it was already seen (replay)."""
+    def holds(self, inner_ciphertext: bytes) -> bool:
+        return inner_ciphertext in self._ciphertexts
+
+    def register(self, nonce: bytes, kind: str, inner_ciphertext: bytes) -> bool:
+        """Consume the pair and record its ciphertext; False means the pair was already seen (replay)."""
         item = (bytes(nonce), kind)
         if item in self._consumed:
             return False
         self._consumed.add(item)
+        self._ciphertexts.add(inner_ciphertext)  # the delivered object itself, not a copy
         return True
 
     def dump(self) -> list[str]:

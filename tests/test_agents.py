@@ -624,6 +624,82 @@ def test_duplicate_selling_response_rejected_on_direct_channel():
     assert ds.sales == sales
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends its first argument to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(first, *args):
+        calls.append(first)
+        return original(first, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def consumed_deliveries(world):
+    """The mediator-to-endpoint events of a run, each of which consumed a (nonce, kind) pair."""
+    return [event for _, event in sorted(world.wire_log.items()) if event.to != "MD"]
+
+
+def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
+    # a byte-exact copy is a replay before decryption: the replay step only
+    # opens the outer layer of the 16 replayed sender-to-mediator envelopes
+    spec = builtin_scenario("replay-attack")
+    world, cast = build_world(spec)
+    for step in spec.script[:-1]:
+        assert execute_step(world, cast, spec, step) == step.expect
+    decrypts = count_calls(monkeypatch, crypto, "asym_decrypt")
+    verifies = count_calls(monkeypatch, crypto, "verify")
+    assert execute_step(world, cast, spec, spec.script[-1]) == "all-rejected"
+    assert (len(decrypts), len(verifies)) == (16, 0)
+    assert all(keys is world.mediator.keys for keys in decrypts)
+
+
+def test_replayed_spoof_is_checked_again(monkeypatch):
+    # a rejected message consumed no pair, so its copy runs the full path and keeps its verdict
+    result = fresh_lifecycle()
+    world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
+    world.spoof("MF", b2.did.uri, payload("PINReq", tid=mint_tid(world.rng)), b2.did.uri)
+    world.run_until_quiescent()
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
+    verifies = count_calls(monkeypatch, crypto, "verify")
+    world.replay(world.trace[-1]["seq"])
+    world.run_until_quiescent()
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
+    assert len(verifies) == 1
+
+
+def test_reencrypted_consumed_message_is_a_replay_by_its_pair(monkeypatch):
+    # fresh ciphertext bytes around a consumed inner layer: the pair check, not the ciphertext record, rejects it
+    result = fresh_lifecycle()
+    world = result.world
+    deliveries = consumed_deliveries(world)
+    verifies = count_calls(monkeypatch, crypto, "verify")
+    for checked, event in enumerate(deliveries, 1):
+        recipient = world.agents[event.to]
+        named = next(c for c in recipient.connections.values() if c.local.kid == event.body[: crypto.KEY_ID_LEN])
+        inner = crypto.asym_encrypt(world.rng, named.local.public_key, crypto.asym_decrypt(named.local, event.body))
+        assert inner != event.body
+        outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", recipient.did.uri, inner]))
+        world.send_envelope("adversary", Envelope(outer), event.kind)
+        world.run_until_quiescent()
+        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:replay")
+        assert len(verifies) == checked  # one full open and verify per fresh ciphertext
+    assert len(deliveries) == 16
+
+
+@pytest.mark.parametrize("position", [crypto.KEY_ID_LEN, -1], ids=["after-key-id", "last-byte"])
+def test_replayed_copy_with_a_flipped_byte_is_a_decrypt_error(position):
+    # the ciphertext record is keyed by the exact bytes: a copy that keeps the key id
+    # (and, flipped after it, the GCM tag) is not a replay
+    result = fresh_lifecycle()
+    world = result.world
+    for event in consumed_deliveries(world):
+        world.tamper(event.seq, position, event.body[position] ^ 0x01)
+        world.run_until_quiescent()
+        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:decrypt-error")
+
+
 def test_transfer_step_verdict_comes_from_deciding_wallet():
     # after the resale B1's credential is revoked: the wallet, not MF, rejects the proof request
     result = fresh_lifecycle()

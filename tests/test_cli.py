@@ -110,6 +110,25 @@ def test_scan_bad_file_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ({"seq": 1, "kind": "vc-issued", "channel": "registry", "meta": {}}, "KeyError: 'productCode'"),
+        ({"seq": 1, "kind": "secret-minted", "channel": "audit", "meta": {}}, "KeyError: 'pin'"),
+        ({"seq": 1, "kind": "PINReq", "channel": "ssi", "meta": {"bytes": "zz"}}, "ValueError"),
+        ([1, 2], "AttributeError"),
+    ],
+    ids=["vc-issued-no-fields", "secret-minted-no-fields", "ssi-bad-hex", "not-an-object"],
+)
+def test_scan_unreadable_record_exit_2(tmp_path, record, reason):
+    trace = tmp_path / "trace.ndjson"
+    trace.write_text('{"seq": 0, "kind": "note"}\n\n' + json.dumps(record) + "\n")
+    code, output = run_cli("scan", str(trace))
+    assert code == 2
+    assert output.startswith(f"{trace}:3: unreadable record: {reason}")
+    assert "Traceback" not in output
+
+
 def test_list_builtins():
     code, output = run_cli("list")
     assert code == 0

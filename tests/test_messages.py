@@ -287,10 +287,19 @@ def test_mediator_view_hides_payload(parties):
 def test_replay_guard_consumes_pairs(rng):
     guard = ReplayGuard()
     nonce = fresh_nonce(rng)
-    assert guard.register(nonce, "PINReq")
-    assert not guard.register(nonce, "PINReq")  # replay of the same pair
-    assert guard.register(nonce, "PINResp")  # same nonce, different kind is a new pair
-    assert not guard.register(nonce, "PINReq")  # still consumed after other pairs
+    assert guard.register(nonce, "PINReq", b"ct-1")
+    assert not guard.register(nonce, "PINReq", b"ct-2")  # replay of the same pair
+    assert guard.register(nonce, "PINResp", b"ct-3")  # same nonce, different kind is a new pair
+    assert not guard.register(nonce, "PINReq", b"ct-4")  # still consumed after other pairs
+
+
+def test_replay_guard_holds_only_ciphertexts_that_consumed_a_pair(rng):
+    guard = ReplayGuard()
+    nonce = fresh_nonce(rng)
+    assert guard.register(nonce, "PINReq", b"ct-1")
+    assert not guard.register(nonce, "PINReq", b"ct-2")  # a fresh ciphertext of a consumed pair
+    assert guard.holds(b"ct-1") and not guard.holds(b"ct-2")
+    assert guard.dump() == [f"{nonce.hex()}:PINReq"]  # the dump lists pairs only
 
 
 @given(
