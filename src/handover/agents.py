@@ -145,9 +145,9 @@ class ProductRecord:
 class ClaimantAttribute:
     """Manufacturer-side pending claim: at most one per product code.
 
-    A used-product entry becomes claimable only once the seller's ownership
-    proof has verified (``authorized``); until then the buyer's claim is
-    rejected even with a matching TID.
+    A used-product entry exists only once the seller's ownership proof has
+    verified; until then a buyer's claim with the TID is ``unknown-tid``.
+    The key and challenge of each claim attempt stay with that attempt.
     """
 
     product_code: str
@@ -155,10 +155,6 @@ class ClaimantAttribute:
     form: str  # "new" (tid+pin sale) | "used" (tid+encrypted pin transfer)
     pin: Optional[str] = None
     encrypted_pin: Optional[bytes] = None
-    key: Optional[SymmetricKey] = None
-    challenge_by: Optional[int] = None
-    challenge_type: Optional[str] = None
-    authorized: bool = False
 
     def dump(self) -> dict:
         return {
@@ -167,10 +163,6 @@ class ClaimantAttribute:
             "form": self.form,
             "pin": self.pin,
             "encryptedPin": self.encrypted_pin.hex() if self.encrypted_pin else None,
-            "key": self.key.key_bytes.hex() if self.key else None,
-            "challengeBy": self.challenge_by,
-            "challengeType": self.challenge_type,
-            "authorized": self.authorized,
         }
 
 
@@ -459,41 +451,35 @@ class ManufacturerAgent(Agent):
 
     # -- transfer authorisation ----------------------------------------------
 
-    def _on_ownership_transfer_req(self, conn, nonce, p, context) -> str:
-        code = p.body["productCode"]
+    def _transfer_refusal(self, code: str) -> Optional[str]:
+        """Why ``code`` cannot start a transfer now, or None if it can."""
         if code in self.claimants:
-            # the product is already being claimed or transferred right now
-            self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
-            return "rejected:duplicate-transfer"
+            return "duplicate-transfer"  # the product is already being claimed or transferred
         product = self.products.get(code)
         if product is None:
-            self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
-            return "rejected:unknown-product"
+            return "unknown-product"
         if product.status != "sold":
+            return "not-transferable"
+        return None
+
+    def _on_ownership_transfer_req(self, conn, nonce, p, context) -> str:
+        code = p.body["productCode"]
+        refusal = self._transfer_refusal(code)
+        if refusal is not None:
             self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
-            return "rejected:not-transferable"
-        self.claimants[code] = ClaimantAttribute(
-            product_code=code, tid=p.body["tid"], form="used", encrypted_pin=bytes(p.body["encryptedPin"])
-        )
-        product.status = "transfer_pending"
+            return f"rejected:{refusal}"
         challenge = crypto.fresh_nonce(self.rng)
         proof_req = payload("ownershipProofReq", attributes=list(PRODUCT_ATTRIBUTE_NAMES), challenge=challenge)
         self.send(conn, nonce, proof_req)
-        self.expect(conn.conn_id, "ownershipProofResp", nonce, context={"productCode": code, "challenge": challenge})
+        # the request (product, TID, encrypted PIN) is stored nowhere else until the seller's proof verifies
+        self.expect(conn.conn_id, "ownershipProofResp", nonce, context={**p.body, "challenge": challenge})
         return "accepted"
-
-    def _rollback_transfer(self, code: str) -> None:
-        self.claimants.pop(code, None)
-        product = self.products.get(code)
-        if product is not None and product.status == "transfer_pending":
-            product.status = "sold"
 
     def _on_ownership_proof_resp(self, conn, nonce, p, context) -> str:
         code = context["productCode"]
-        challenge = context["challenge"]
         product = self.products[code]
         presentation = p.body["presentation"]
-        report = verify_presentation(presentation, challenge, self.world.registry, conn.remote_public_key)
+        report = verify_presentation(presentation, context["challenge"], self.world.registry, conn.remote_public_key)
         reasons = list(report.reasons)
         if not reasons and presentation.credential.cred_def_id != self.cred_def_id:
             reasons.append("wrong-issuer")
@@ -501,11 +487,15 @@ class ManufacturerAgent(Agent):
             reasons.append("wrong-product")
         if not reasons and presentation.credential.credential_id != product.current_credential_id:
             reasons.append("stale-credential")
-        if reasons:
-            self._rollback_transfer(code)
+        # checked again: another proof for the product may have verified since the request
+        reason = reasons[0] if reasons else self._transfer_refusal(code)
+        if reason is not None:
             self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
-            return f"rejected:{reasons[0]}"
-        self.claimants[code].authorized = True  # the buyer's claim is serviceable from here on
+            return f"rejected:{reason}"
+        self.claimants[code] = ClaimantAttribute(
+            product_code=code, tid=context["tid"], form="used", encrypted_pin=bytes(context["encryptedPin"])
+        )
+        product.status = "transfer_pending"
         self.send(conn, nonce, payload("ownershipTransferResp", status="accepted"))
         return "accepted"
 
@@ -515,39 +505,29 @@ class ManufacturerAgent(Agent):
         claim = self._claimant_by_tid(p.body["tid"], "used")
         if claim is None:
             return "rejected:unknown-tid"
-        if not claim.authorized:
-            # the seller never completed the ownership proof for this transfer
-            return "rejected:transfer-not-authorized"
         try:
             key = SymmetricKey(bytes(p.body["key"]))
         except crypto.KeyFormatError:
             return "rejected:bad-key"
-        claim.key = key  # the key only ever arrives with the buyer's claim
-        claim.challenge_by, claim.challenge_type = self.draw_challenge()
-        self.send(
-            conn,
-            nonce,
-            payload(
-                "pinChallengeReq",
-                tid=claim.tid,
-                challengeBy=claim.challenge_by,
-                challengeType=claim.challenge_type,
-            ),
-        )
-        self.expect(conn.conn_id, "pinChallengeResp", nonce, context={"tid": claim.tid})
+        challenge = self.draw_challenge()
+        challenge_req = payload("pinChallengeReq", tid=claim.tid, challengeBy=challenge[0], challengeType=challenge[1])
+        self.send(conn, nonce, challenge_req)
+        # the key and challenge belong to this attempt alone; another claim with the TID cannot overwrite them
+        context = {"tid": claim.tid, "key": key, "challenge": challenge}
+        self.expect(conn.conn_id, "pinChallengeResp", nonce, context=context)
         return "accepted"
 
     def draw_challenge(self) -> tuple[int, str]:
         """Fresh 3-4 digit operand and an arithmetic operator, uniformly drawn."""
         return self.rng.randint(100, 9999), self.rng.choice(CHALLENGE_TYPES)
 
-    def check_challenge_response(self, claim: ClaimantAttribute, result: Fraction) -> tuple[bool, str]:
-        """Decrypt the stored PIN and recompute; accept only on exact equality."""
-        if claim.key is None or claim.encrypted_pin is None or claim.challenge_by is None:
-            return False, "unknown-tid"
+    def check_challenge_response(
+        self, claim: ClaimantAttribute, key: SymmetricKey, challenge: tuple[int, str], result: Fraction
+    ) -> tuple[bool, str]:
+        """Decrypt the stored PIN with the attempt's key and recompute; accept only on exact equality."""
         try:
-            pin_plain = crypto.sym_decrypt(claim.key, claim.encrypted_pin).decode("ascii")
-            mf_result = evaluate_challenge(pin_numeric(pin_plain), claim.challenge_by, claim.challenge_type)
+            pin_plain = crypto.sym_decrypt(key, claim.encrypted_pin).decode("ascii")
+            mf_result = evaluate_challenge(pin_numeric(pin_plain), *challenge)
         except (crypto.DecryptError, UnicodeDecodeError, PinFormatError):
             return False, "pin-decrypt"
         if mf_result != result:
@@ -558,7 +538,8 @@ class ManufacturerAgent(Agent):
         claim = self._claimant_by_tid(context["tid"], "used")
         if claim is None or p.body["tid"] != context["tid"]:
             return "rejected:unknown-tid"
-        ok, reason = self.check_challenge_response(claim, p.body["challengeResult"])
+        result = p.body["challengeResult"]
+        ok, reason = self.check_challenge_response(claim, context["key"], context["challenge"], result)
         if not ok:
             # claimant entry stays; a legitimate buyer may retry the claim
             return f"rejected:{reason}"
@@ -695,7 +676,6 @@ class WalletAgent(Agent):
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
         self.credentials: list[VerifiableCredential] = []
-        self.revoked_ids: set[str] = set()
         self.claiming: list[OwnershipClaimingData] = []
 
     def _claim_entry(self, tid: str, role: str | None = None) -> Optional[OwnershipClaimingData]:
@@ -808,7 +788,7 @@ class WalletAgent(Agent):
 
     def _select_credential(self, product_code: str, requested: list[str]) -> Optional[VerifiableCredential]:
         for vc in self.credentials:
-            if vc.credential_id in self.revoked_ids:
+            if self.world.registry.is_revoked(vc.credential_id):
                 continue
             names = [name for name, _ in vc.attributes]
             if vc.attribute("productCode") == product_code and all(r in names for r in requested):
@@ -853,7 +833,7 @@ class WalletAgent(Agent):
         return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
 
     def _on_revoke_vc(self, conn, nonce, p, context) -> str:
-        self.revoked_ids.add(p.body["credentialId"])
+        # a notice only: the registry is the one record of revocation
         self.send(conn, nonce, payload("revokeVCResp", status="accepted"))
         return "accepted"
 
@@ -870,7 +850,6 @@ class WalletAgent(Agent):
             }
             for vc in self.credentials
         ]
-        d["revokedIds"] = sorted(self.revoked_ids)
         d["claiming"] = [entry.dump() for entry in self.claiming]
         return d
 

@@ -73,14 +73,18 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_scan(args: argparse.Namespace, out: TextIO) -> int:
     records, linenos = [], []
     try:
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
+        with open(args.trace, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.decode("utf-8")
                 if line.strip():
                     records.append(json.loads(line))
                     linenos.append(lineno)
         violations = scan_trace(records)
     except json.JSONDecodeError as exc:
         out.write(f"{args.trace}:{lineno}: invalid JSON: {exc.msg}\n")
+        return 2
+    except UnicodeDecodeError:
+        out.write(f"{args.trace}:{lineno}: not UTF-8\n")
         return 2
     except UnreadableRecord as exc:
         out.write(f"{args.trace}:{linenos[exc.args[0]]}: unreadable record: {exc.args[1]}\n")

@@ -55,7 +55,6 @@ KIND_FIELDS: dict[str, tuple[tuple[str, str], ...]] = {
     "revokeVCResp": (("status", "str"),),
 }
 
-ALL_KINDS = tuple(KIND_FIELDS)
 ACK_STATUSES = ("accepted", "rejected")
 CHALLENGE_TYPES = ("+", "-", "*", "/")
 

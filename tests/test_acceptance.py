@@ -103,15 +103,12 @@ def test_criterion_03_pin_challenge_soundness():
             tid="00" * 16,
             form="used",
             encrypted_pin=sym_encrypt(rng, key, true_pin.encode("ascii")),
-            key=key,
-            challenge_by=challenge_by,
-            challenge_type=challenge_type,
         )
         result = evaluate_challenge(pin_numeric(responder_pin), challenge_by, challenge_type)
         assert isinstance(result, Fraction)
         if challenge_type == "/":
             assert result == Fraction(pin_numeric(responder_pin), challenge_by)  # exact rational
-        accepted, _ = mf.check_challenge_response(claim, result)
+        accepted, _ = mf.check_challenge_response(claim, key, (challenge_by, challenge_type), result)
         # brute-force oracle: recompute both sides directly
         oracle = evaluate_challenge(pin_numeric(true_pin), challenge_by, challenge_type) == result
         assert accepted == oracle

@@ -18,7 +18,15 @@ from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.credential import vc_to_wire
 from handover.messages import Envelope, mint_tid, payload, signing_bytes
-from handover.scenarios import ScenarioStep, build_world, builtin_scenario, execute_step, parse_scenario, run_scenario
+from handover.scenarios import (
+    BUILTIN_SCENARIOS,
+    ScenarioStep,
+    build_world,
+    builtin_scenario,
+    execute_step,
+    parse_scenario,
+    run_scenario,
+)
 from handover.simnet import World
 
 from conftest import fresh_lifecycle
@@ -403,7 +411,7 @@ def test_transfer_happy_path():
     mf = cast["MF"]
     assert mf.products["PC-100"].status == "transfer_pending"
     claim = mf.claimants["PC-100"]
-    assert claim.form == "used" and claim.encrypted_pin is not None and claim.key is None
+    assert claim.form == "used" and claim.encrypted_pin is not None
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipTransferResp"]
     assert verdicts == ["accepted"]
 
@@ -449,8 +457,8 @@ def test_transfer_unclaimed_product_rejected():
 def test_transfer_with_revoked_credential_rejected_and_rolled_back():
     world, cast = full_used_transfer()
     mf, b1 = cast["MF"], cast["B1"]
-    # B1's credential is now revoked; force the wallet to present it anyway
-    b1.revoked_ids.clear()
+    # B1's credential is now revoked on the registry; force the wallet to present it anyway
+    b1._select_credential = lambda code, req: b1.credentials[0]
     entry = next(e for e in b1.claiming if e.role == "selling")
     assert entry is not None
     b1.start_transfer(mf.did.uri, "PC-100")
@@ -518,7 +526,8 @@ def test_used_claim_commits_ownership():
     new_vc = b2.credentials[0]
     assert world.registry.is_revoked(old_vc.credential_id)
     assert not world.registry.is_revoked(new_vc.credential_id)
-    assert old_vc.credential_id in b1.revoked_ids  # revocation notice landed
+    notices = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "revokeVC"]
+    assert notices == ["accepted"]  # revocation notice landed
     assert new_vc.attribute("previouslySoldCount") == "1"
     assert "PC-100" not in mf.claimants
 
@@ -583,6 +592,99 @@ def test_pin_challenge_handled_without_stored_data_rejected():
     assert verdicts[-1] == "rejected:unknown-tid"
 
 
+# -- agent state is written only by a step that authenticates its writer -----------------
+
+
+def test_declined_proof_request_leaves_the_product_transferable():
+    # after the resale B1 holds only a revoked credential, so it never answers MF's proof request
+    data = dict(BUILTIN_SCENARIOS["full-lifecycle"], name="declined-proof")
+    data["cast"] = dict(data["cast"], wallets=["B1", "B2", "B3"])
+    data["script"] = data["script"] + [
+        {"op": "transfer", "seller": "B1", "product": "PC-100", "expect": "rejected:no-matching-credential"},
+        {"op": "connect", "a": "B2", "b": "B3", "expect": "ok"},
+        {"op": "sell", "seller": "B2", "buyer": "B3", "product": "PC-100", "expect": "accepted"},
+        {"op": "transfer", "seller": "B2", "product": "PC-100", "expect": "accepted"},
+        {"op": "connect", "a": "B3", "b": "MF", "expect": "ok"},
+        {"op": "claim_used", "wallet": "B3", "expect": "accepted"},
+    ]
+    result = run_scenario(parse_scenario(data))
+    assert result.ok and result.violations == []
+    assert result.cast["MF"].products["PC-100"].previously_sold_count == 2
+    assert len(result.cast["B3"].credentials) == 1
+
+
+def test_unanswered_transfer_request_leaves_no_state():
+    world, cast = make_world(wallets=("B1", "B2", "B3"))
+    sell_to(world, cast)
+    claim_new(world, cast)
+    mf, b2, b3 = cast["MF"], cast["B2"], cast["B3"]
+    establish_connection(b2, mf)
+    # B2 holds no credential and opens no expectation: it leaves the proof request unanswered
+    request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=mint_tid(world.rng))
+    b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), request)
+    world.run_until_quiescent()
+    assert mf.products["PC-100"].status == "sold"
+    assert "PC-100" not in mf.claimants
+    # the owner's resale still completes
+    start_resale(world, cast, buyer="B3")
+    run_transfer(world, cast)
+    establish_connection(b3, mf)
+    b3.claim_used(mf.did.uri, next(e.tid for e in b3.claiming if e.role == "buying"))
+    world.run_until_quiescent()
+    assert len(b3.credentials) == 1
+    assert mf.products["PC-100"].conn_id == b3.connections[mf.did.uri].conn_id
+
+
+def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    run_transfer(world, cast)
+    mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
+    establish_connection(b2, mf)
+    tid = next(e.tid for e in b1.claiming if e.role == "selling")
+    b2.claim_used(mf.did.uri, tid)
+    # the seller minted the TID: it claims with a key of its own before B2 answers its challenge
+    rival = payload("ownershipClaimReq", tid=tid, pin=None, key=crypto.generate_symmetric_key(world.rng).key_bytes)
+    b1.send(b1.connections[mf.did.uri], crypto.fresh_nonce(world.rng), rival)
+    world.run_until_quiescent()
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    assert claims[-2:] == ["accepted", "accepted"]  # both attempts got a challenge
+    answers = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
+    assert answers == ["accepted"]
+    assert len(b2.credentials) == 1
+    assert mf.products["PC-100"].previously_sold_count == 1
+
+
+def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    b1, b2 = cast["B1"], cast["B2"]
+    notice = payload("revokeVC", credentialId=b1.credentials[0].credential_id, productCode="PC-100")
+    b2.send(b2.connections[b1.did.uri], crypto.fresh_nonce(world.rng), notice)
+    world.run_until_quiescent()
+    assert not world.registry.is_revoked(b1.credentials[0].credential_id)
+    run_transfer(world, cast)
+    proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
+    assert proofs == ["accepted"]
+    establish_connection(b2, cast["MF"])
+    b2.claim_used(cast["MF"].did.uri, next(e.tid for e in b2.claiming if e.role == "buying"))
+    world.run_until_quiescent()
+    assert len(b2.credentials) == 1
+
+
+def test_two_transfers_started_together_leave_one_claimant():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    mf, b1 = cast["MF"], cast["B1"]
+    b1.start_transfer(mf.did.uri, "PC-100")
+    b1.start_transfer(mf.did.uri, "PC-100")
+    world.run_until_quiescent()
+    responses = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipTransferResp"]
+    assert responses.count("accepted") == 1
+    assert list(mf.claimants) == ["PC-100"]
+    assert mf.products["PC-100"].status == "transfer_pending"
+
+
 # -- nonce/replay discipline at the agent level ----------------------------------------
 
 
@@ -607,6 +709,47 @@ def test_second_credential_offer_rejected():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "ownershipClaimResp"]
     assert verdicts == ["accepted", "rejected:nonce-mismatch"]
     assert len(b2.credentials) == 1
+
+
+def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    b1, b2 = cast["B1"], cast["B2"]
+    before = b2.state_dump()
+    nonce = crypto.fresh_nonce(world.rng)
+    b1.send(b1.connections[b2.did.uri], nonce, payload("ownershipClaimReq", tid="00" * 16, pin="AAAAAA", key=None))
+    world.run_until_quiescent()
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B2", "rejected:unexpected-kind")
+    after = b2.state_dump()
+    # only the connection's replay cache records the consumed message
+    cache_before = before["connections"][b1.did.uri].pop("replayCache")
+    cache_after = after["connections"][b1.did.uri].pop("replayCache")
+    assert cache_after == sorted(cache_before + [f"{nonce.hex()}:ownershipClaimReq"])
+    assert after == before
+
+
+@pytest.mark.parametrize("reason", ["revoked", "bad-issuer-sig"])
+def test_offered_credential_that_fails_its_check_is_refused(reason):
+    world, cast = full_used_transfer()
+    mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
+    old_vc, new_vc = b1.credentials[0], b2.credentials[0]
+    if reason == "revoked":
+        offered = old_vc
+    else:
+        offered = dataclasses.replace(new_vc, issuer_signature=bytes(len(new_vc.issuer_signature)))
+    # a claim MF does not answer leaves B1's expectation of a credential offer open
+    b1.claim_new(mf.did.uri, "ff" * 16, "AAAAAA")
+    world.run_until_quiescent()
+    nonce = bytes.fromhex(next(n for _, kind, n in b1._expected if kind == "ownershipClaimResp"))
+    conn = mf.connections[b1.did.uri]
+    mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))
+    mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
+    world.run_until_quiescent()
+    offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
+    assert offers[-1] == f"rejected:{reason}"
+    assert b1.credentials == [old_vc]
+    acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
+    assert acks[-1] == "rejected:holder-declined"  # B1 acknowledged with status rejected
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():

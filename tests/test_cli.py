@@ -87,18 +87,45 @@ def test_scan_clean_trace(tmp_path):
     assert "0 violation(s)" in output
 
 
-def test_scan_detects_planted_violation(tmp_path):
+def _plant_pin_on_wire(records):
+    secret = next(r for r in records if r["kind"] == "secret-minted")
+    wire = next(r for r in records if r["channel"] == "ssi" and "bytes" in r["meta"])
+    wire["meta"]["bytes"] += secret["meta"]["pin"].encode("ascii").hex()
+
+
+def _plant_second_live_credential(records):
+    issued = next(r for r in records if r["kind"] == "vc-issued")
+    records.append({**issued, "meta": {**issued["meta"], "credentialId": "vc-planted"}})
+
+
+def _plant_sold_count(count, reason):
+    def plant(records):
+        update = [r for r in records if r["kind"] == "product-updated"][-1]  # previouslySoldCount 1
+        records.append({**update, "meta": {**update["meta"], "previouslySoldCount": count, "reason": reason}})
+
+    return plant
+
+
+@pytest.mark.parametrize(
+    "plant, invariant",
+    [
+        (_plant_pin_on_wire, "pin-secrecy"),
+        (_plant_second_live_credential, "single-live-credential"),
+        (_plant_sold_count(0, "transfer-committed"), "counter-monotonicity"),
+        (_plant_sold_count(2, "new-purchase"), "counter-monotonicity"),
+    ],
+    ids=["pin-on-wire", "second-vc-issued", "sold-count-falls", "sold-count-rises-uncommitted"],
+)
+def test_scan_detects_planted_violation(tmp_path, plant, invariant):
     trace = tmp_path / "trace.ndjson"
     run_cli("run", "full-lifecycle", "--trace", str(trace))
     records = [json.loads(line) for line in trace.read_text().splitlines()]
-    secret = next(r for r in records if r["kind"] == "secret-minted")
-    # plant the buyer's plaintext pin into a wire record
-    wire = next(r for r in records if r["channel"] == "ssi" and "bytes" in r["meta"])
-    wire["meta"]["bytes"] += secret["meta"]["pin"].encode("ascii").hex()
+    plant(records)
     trace.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     code, output = run_cli("scan", str(trace))
     assert code == 1
-    assert "pin-secrecy" in output
+    assert f" {invariant}: " in output
+    assert "1 violation(s)" in output
 
 
 def test_scan_bad_file_exit_2(tmp_path):
@@ -108,6 +135,15 @@ def test_scan_bad_file_exit_2(tmp_path):
     assert code == 2
     code, _ = run_cli("scan", str(tmp_path / "missing.ndjson"))
     assert code == 2
+
+
+@pytest.mark.parametrize("content, lineno", [(b'{"seq": 1}\n\xff\xfe\n', 2), (b"\xff\xfe\n", 1)], ids=["line-2", "line-1"])
+def test_scan_not_utf8_exit_2(tmp_path, content, lineno):
+    trace = tmp_path / "trace.ndjson"
+    trace.write_bytes(content)
+    code, output = run_cli("scan", str(trace))
+    assert code == 2
+    assert output == f"{trace}:{lineno}: not UTF-8\n"
 
 
 @pytest.mark.parametrize(

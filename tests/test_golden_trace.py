@@ -15,35 +15,35 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "37a67b9c01afea8c92067fdd3055b21940e393b6b58012dbf8bc02a363f4e0ff",
+        "8b1f2e725cfa2df10bb96f3168aa7daf0d0dc84929eee108d0178d176ffdf50d",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
     ),
     "full-lifecycle": (
-        "89f20e9342c5ea2cf076d221d2e62c976f431c61a59ee43962703866ee322373",
+        "536491efb6b6db45f24de8e5ff4cc3b22b736e4610c1133647347dd876d52140",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
     ),
     "wrong-pin": (
-        "dcfe6085aac164acc397dcc6e01a61d5105aaf3a7cb3b107368341a5ff97940d",
+        "e033a6ade162fa876062cc9947154ab95e1453ab2ca182187ce9c2123423f62f",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
     ),
     "replay-attack": (
-        "00f659a831d08107a6405835dbe8a8c8b0828ebd71054ff32442cd20b44ef802",
+        "16cae65ecf03db8b454d6f5c92cb3c14b0f0396bb55aeac7a09ec9a3f529c213",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
     ),
     "duplicate-transfer": (
-        "cd8f297e161e35aca4208069741092b7a5ab77292c4d867188c0142b7e55d205",
+        "e1d221640857a27907c57281e84ec00ccbb0c87ebf175511776514c54a8fb10d",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
     ),
     "spoof-attack": (
-        "399892276fa66cde2ac1cdb716fd58c57787324701e6ee4e5db7efe1cdb204dc",
+        "f6319bcff94ca1ae2d81f49b45dd1710abe8d34274f9f1300b1090d174d488c1",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
     ),
     "offline-claim": (
-        "2f85b3a38dcf6f4a3850c6961766916c3cb54211f527f89553f792e27712ad3f",
+        "4849567e35ca7901c61cbe77ff8b6ff487686c9f14349b774c4526783122e69c",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
     ),
     "sale-only": (
-        "182e286304841b3bdf2a84a1ce4587eee3aa274e0d527ce127f9b33906771e54",
+        "8c282a567aea35b3885cf837fe8016eb76da2a6b22b1ade46dc2ab84c59c57bf",
         "bea0948189a15b3e1abe41a9287860725f89943dba1dfc01b682ddeba5b2b111",
     ),
 }
@@ -69,7 +69,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "5994fe889f1daf1836be8a2e0bebc722fbdab019edde5c2dfe5d1b55e3091a6c",
+    "11fd1866fdc1308274526d12825f32dedd73cb0e9958068d4729da180b512442",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
 )
 

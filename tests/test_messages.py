@@ -9,7 +9,7 @@ from handover.credential import VerifiableCredential, present_proof
 from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair
 from handover.encoding import encode
 from handover.messages import (
-    ALL_KINDS,
+    KIND_FIELDS,
     EnvelopeReject,
     PayloadError,
     ReplayGuard,
@@ -72,14 +72,14 @@ def sample_payload(kind):
     return payload(kind, **bodies[kind])
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", tuple(KIND_FIELDS))
 def test_codec_roundtrip_each_kind(kind):
     p = sample_payload(kind)
     assert decode_payload(canonical_encode_payload(p)) == p
 
 
 def test_fifteen_kinds_total():
-    assert len(ALL_KINDS) == 15
+    assert len(KIND_FIELDS) == 15
 
 
 def test_one_field_difference_changes_bytes():
