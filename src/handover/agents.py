@@ -38,8 +38,8 @@ from .messages import (
     seal,
 )
 
-# Kinds that answer an exchange this agent opened; each must take an open
-# expectation (see ``Agent.expect``).  Everything else is a fresh request
+# Kinds that answer an exchange this agent opened; each must match the open
+# exchange's nonce (see ``Agent.expect``).  Everything else is a fresh request
 # guarded by TID/state.
 RESPONSE_KINDS = frozenset(
     {
@@ -176,7 +176,6 @@ class OwnershipClaimingData:
 
     role: str  # "buying" | "selling"
     tid: str
-    counterparty_conn: str
     product_code: Optional[str] = None
     pin: Optional[str] = None
     key: Optional[SymmetricKey] = None
@@ -186,7 +185,6 @@ class OwnershipClaimingData:
         return {
             "role": self.role,
             "tid": self.tid,
-            "counterpartyConn": self.counterparty_conn,
             "productCode": self.product_code,
             "pin": self.pin,
             "key": self.key.key_bytes.hex() if self.key else None,
@@ -211,8 +209,8 @@ class Agent:
         self.connections: dict[str, Connection] = {}
         self._by_key_id: dict[bytes, Connection] = {}  # key id of conn.local -> conn
         self.inbox: list[simnet.OobMessage] = []
-        # (peer, kind, nonce hex or "*") -> context of one open exchange
-        self._expected: dict[tuple[str, str, str], dict] = {}
+        # (peer, kind) -> (nonce, context): one open exchange per kind, so connections x kinds bound it
+        self._expected: dict[tuple[str, str], tuple[bytes, dict]] = {}
         world.register_agent(self)
 
     # -- wiring ----------------------------------------------------------
@@ -236,20 +234,21 @@ class Agent:
         )
         self.world.send_envelope(self.agent_id, env, p.kind)
 
-    def expect(self, peer: str, kind: str, nonce: Optional[bytes], context: dict | None = None) -> None:
-        """Open a single-use expectation for a ``kind`` reply from ``peer``.
+    def expect(self, peer: str, kind: str, nonce: bytes, context: dict | None = None) -> None:
+        """Open the exchange that one ``kind`` reply from ``peer`` under ``nonce`` closes.
 
-        ``nonce=None`` accepts any nonce, for offers whose nonce the peer mints
-        (the credential offer that closes a used-product claim).
+        Every leg of an exchange runs under its request's nonce (Aries RFC 0008
+        threading).  A newer exchange of the same (peer, kind) replaces an
+        unanswered one, whose late reply then fails the nonce check.
         """
-        self._expected[(peer, kind, nonce.hex() if nonce is not None else "*")] = dict(context or {})
+        self._expected[(peer, kind)] = (nonce, dict(context or {}))
 
     def _take_expectation(self, peer: str, kind: str, nonce: bytes) -> Optional[dict]:
-        """Pop the expectation a reply answers, exact nonce first; None if there is none."""
-        context = self._expected.pop((peer, kind, nonce.hex()), None)
-        if context is None:
-            context = self._expected.pop((peer, kind, "*"), None)
-        return context
+        """Close the open exchange a reply answers; None if none is open under ``nonce``."""
+        open_exchange = self._expected.get((peer, kind))
+        if open_exchange is None or open_exchange[0] != nonce:
+            return None
+        return self._expected.pop((peer, kind))[1]
 
     # -- inbound dispatch --------------------------------------------------
 
@@ -308,7 +307,7 @@ class Agent:
             "online": self.online,
             "email": self.email,
             "connections": {did: conn.dump() for did, conn in sorted(self.connections.items())},
-            "expectations": sorted(f"{c}:{k}:{n}" for c, k, n in self._expected),
+            "expectations": sorted(f"{c}:{k}:{n.hex()}" for (c, k), (n, _) in self._expected.items()),
             "inbox": [{"subject": m.subject, "fields": dict(sorted(m.fields.items()))} for m in self.inbox],
         }
 
@@ -349,8 +348,8 @@ class ManufacturerAgent(Agent):
         "ownershipTransferReq": "_on_ownership_transfer_req",
         "ownershipProofResp": "_on_ownership_proof_resp",
         "pinChallengeResp": "_on_pin_challenge_resp",
-        "revokeVCResp": "_on_revoke_vc_resp",
-        "ownershipClaimAck": "_on_ownership_claim_ack",
+        "revokeVCResp": "_on_status_reply",
+        "ownershipClaimAck": "_on_status_reply",
     }
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
@@ -572,9 +571,9 @@ class ManufacturerAgent(Agent):
         product.email = self.world.agent_email(buyer_conn.remote_agent_id)
         product.status = "sold"
         new_vc = self._issue(product)
-        offer_nonce = crypto.fresh_nonce(self.rng)  # issuance leg runs under its own nonce
-        self.send(buyer_conn, offer_nonce, payload("ownershipClaimResp", credential=new_vc))
-        self.expect(buyer_conn.conn_id, "ownershipClaimAck", offer_nonce)
+        # the issuance leg closes the claim's exchange, so it runs under the claim's nonce
+        self.send(buyer_conn, nonce, payload("ownershipClaimResp", credential=new_vc))
+        self.expect(buyer_conn.conn_id, "ownershipClaimAck", nonce)
         del self.claimants[claim.product_code]
         self._emit_product_updated(product, "transfer-committed")
         return "accepted"
@@ -595,11 +594,8 @@ class ManufacturerAgent(Agent):
             },
         )
 
-    def _on_revoke_vc_resp(self, conn, nonce, p, context) -> str:
-        # informational; revocation took effect when the registry entry landed
-        return "accepted" if p.body["status"] == "accepted" else "rejected:holder-declined"
-
-    def _on_ownership_claim_ack(self, conn, nonce, p, context) -> str:
+    def _on_status_reply(self, conn, nonce, p, context) -> str:
+        # informational: revocation and issuance took effect when their registry entries landed
         return "accepted" if p.body["status"] == "accepted" else "rejected:holder-declined"
 
     def state_dump(self) -> dict:
@@ -690,9 +686,7 @@ class WalletAgent(Agent):
         """Send the new-product ownership claim with the emailed TID and PIN."""
         conn = self.connection_with(manufacturer_did)
         if self._claim_entry(tid) is None:
-            self.claiming.append(
-                OwnershipClaimingData(role="buying", tid=tid, counterparty_conn=conn.conn_id, pin=pin)
-            )
+            self.claiming.append(OwnershipClaimingData(role="buying", tid=tid, pin=pin))
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin, key=None))
         self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": tid})
@@ -701,11 +695,7 @@ class WalletAgent(Agent):
         """Open a sale: mint a TID and ask the buyer for an encrypted PIN."""
         conn = self.connection_with(buyer_did)
         tid = mint_tid(self.rng)
-        self.claiming.append(
-            OwnershipClaimingData(
-                role="selling", tid=tid, counterparty_conn=conn.conn_id, product_code=product_code
-            )
-        )
+        self.claiming.append(OwnershipClaimingData(role="selling", tid=tid, product_code=product_code))
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("PINReq", tid=tid))
         self.expect(conn.conn_id, "PINResp", nonce, context={"tid": tid})
@@ -754,7 +744,6 @@ class WalletAgent(Agent):
         entry = OwnershipClaimingData(
             role="buying",
             tid=tid,
-            counterparty_conn=conn.conn_id,
             pin=pin,
             key=key,
             encrypted_pin=crypto.sym_encrypt(self.rng, key, pin.encode("ascii")),
@@ -809,8 +798,8 @@ class WalletAgent(Agent):
             return "rejected:unknown-tid"
         result = evaluate_challenge(pin_numeric(entry.pin), p.body["challengeBy"], p.body["challengeType"])
         self.send(conn, nonce, payload("pinChallengeResp", tid=entry.tid, challengeResult=result))
-        # the credential offer that follows runs under a nonce the issuer mints
-        self.expect(conn.conn_id, "ownershipClaimResp", None, context={"tid": entry.tid})
+        # the credential offer that follows runs under the claim's nonce too
+        self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": entry.tid})
         return "accepted"
 
     def _on_ownership_claim_resp(self, conn, nonce, p, context) -> str:
@@ -829,7 +818,7 @@ class WalletAgent(Agent):
         return "accepted"
 
     def _on_ownership_transfer_resp(self, conn, nonce, p, context) -> str:
-        self._expected.pop((conn.conn_id, "ownershipProofReq", nonce.hex()), None)
+        self._take_expectation(conn.conn_id, "ownershipProofReq", nonce)  # still open if refused outright
         return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
 
     def _on_revoke_vc(self, conn, nonce, p, context) -> str:

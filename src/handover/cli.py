@@ -107,6 +107,8 @@ def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
 class WalletRepl:
     """Interactive wallet driving the scheduler one command at a time."""
 
+    COMMANDS = "inbox | credentials | claim <tid> <pin> | claim-used <tid> | sell <buyer> <product> | transfer <product> | connect <agent> | state | quit"
+
     def __init__(self, agent_id: str, spec: ScenarioSpec, seed: Optional[int]):
         self.result = run_scenario(spec, seed=seed)
         self.spec = self.result.spec
@@ -120,7 +122,7 @@ class WalletRepl:
 
     def run(self, stdin: TextIO, out: TextIO) -> int:
         out.write(f"wallet session for {self.agent.agent_id} ({self.agent.did.uri})\n")
-        out.write("commands: inbox credentials claim <tid> <pin> | claim-used <tid> | sell <buyer> <product> | transfer <product> | connect <agent> | state | quit\n")
+        out.write(f"commands: {self.COMMANDS}\n")
         while True:
             out.write(f"{self.agent.agent_id}> ")
             out.flush()
@@ -171,7 +173,7 @@ class WalletRepl:
         elif command == "connect":
             self._step("connect", out, a=self.agent.agent_id, b=rest[0])
         elif command == "help":
-            out.write("inbox | credentials | claim <tid> <pin> | claim-used <tid> | sell <buyer> <product> | transfer <product> | connect <agent> | state | quit\n")
+            out.write(self.COMMANDS + "\n")
         else:
             out.write(f"unknown command {command!r}\n")
 

@@ -36,30 +36,30 @@ from .invariants import scan_trace
 from .messages import KIND_FIELDS, MessagePayload, payload
 from .simnet import World
 
-STEP_OPS = (
-    "connect",
-    "record_sale",
-    "claim_new",
-    "sell",
-    "transfer",
-    "claim_used",
-    "offline",
-    "online",
-    "replay",
-    "tamper",
-    "spoof",
-    "adversary_transfer",
-)
+# Each op's agent arguments and the cast role each may name: any agent, a wallet
+# (adversaries too), an adversary, or the distributor (also the default).  "?": optional.
+STEP_OPS: dict[str, dict[str, str]] = {
+    "connect": {"a": "agent", "b": "agent"},
+    "record_sale": {"distributor": "distributor", "buyer": "agent"},
+    "claim_new": {"wallet": "wallet"},
+    "sell": {"seller": "wallet", "buyer": "agent"},
+    "transfer": {"seller": "wallet"},
+    "claim_used": {"wallet": "wallet"},
+    "offline": {"agent": "agent"},
+    "online": {"agent": "agent"},
+    "replay": {},
+    "tamper": {},
+    "spoof": {"a": "agent?", "recipient": "agent"},
+    "adversary_transfer": {"adversary": "adversary"},
+}
 ATTACK_OPS = ("replay", "tamper", "spoof")
 
 
 class ScenarioError(Exception):
-    """Scenario file is malformed; ``location`` points at the offending part."""
+    """Scenario file is malformed; the message starts with the offending part's location."""
 
     def __init__(self, location: str, problem: str):
         super().__init__(f"{location}: {problem}")
-        self.location = location
-        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,14 @@ def parse_scenario(data: dict) -> ScenarioSpec:
         raise ScenarioError("cast.distributor", "expected a string")
     wallets = tuple(_require(cast, "wallets", list, "cast"))
     adversaries = tuple(cast.get("adversaries", []))
+    if not all(isinstance(agent_name, str) for agent_name in wallets + adversaries):
+        raise ScenarioError("cast", "agent names must be strings")
     products = tuple(_require(data, "products", list, "scenario"))
     declared = {manufacturer, distributor, *wallets, *adversaries} - {None}
     if len(declared) != (2 if distributor else 1) + len(wallets) + len(adversaries):
         raise ScenarioError("cast", "agent names must be unique")
+    roles = {"agent": declared, "wallet": {*wallets, *adversaries}, "adversary": set(adversaries)}
+    roles["distributor"] = {distributor}
     script = []
     raw_script = _require(data, "script", list, "scenario")
     for index, raw in enumerate(raw_script):
@@ -158,9 +162,14 @@ def parse_scenario(data: dict) -> ScenarioSpec:
             raise ScenarioError(location, f"unknown op {op!r}")
         expect = _require(raw, "expect", str, location)
         args = {k: v for k, v in raw.items() if k not in ("op", "expect")}
-        for ref_key in ("a", "b", "wallet", "seller", "buyer", "distributor", "agent", "adversary"):
-            if ref_key in args and args[ref_key] not in declared:
-                raise ScenarioError(f"{location}.{ref_key}", f"undeclared agent {args[ref_key]!r}")
+        for ref_key, role in STEP_OPS[op].items():
+            agent = args.get(ref_key, distributor if role == "distributor" else None)
+            if agent is None and role.endswith("?"):
+                continue
+            if not isinstance(agent, str) or agent not in roles[role.rstrip("?")]:
+                raise ScenarioError(f"{location}.{ref_key}", f"{agent!r} is not in the cast as {role.rstrip('?')}")
+        if not isinstance(args.get("message", {}), dict):
+            raise ScenarioError(f"{location}.message", "expected an object")
         script.append(ScenarioStep(op=op, args=args, expect=expect))
     return ScenarioSpec(
         name=name,

@@ -16,7 +16,7 @@ from handover.agents import (
 )
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
-from handover.credential import vc_to_wire
+from handover.credential import present_proof, vc_to_wire
 from handover.messages import Envelope, mint_tid, payload, signing_bytes
 from handover.scenarios import (
     BUILTIN_SCENARIOS,
@@ -328,6 +328,11 @@ def test_claim_new_wrong_pin_rejected():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert verdicts == ["rejected:unknown-claim"]
     assert "PC-100" in cast["MF"].claimants  # entry not consumed
+    # the retried claim replaces the unanswered one and closes with its credential
+    cast["B1"].claim_new(cast["MF"].did.uri, emailed(cast["B1"], "tid")["tid"], emailed(cast["B1"], "pin")["pin"])
+    world.run_until_quiescent()
+    assert len(cast["B1"].credentials) == 1
+    assert not any(":ownershipClaimResp:" in e for e in cast["B1"].state_dump()["expectations"])
 
 
 def test_claim_new_flow_replay_rejected():
@@ -619,12 +624,15 @@ def test_unanswered_transfer_request_leaves_no_state():
     claim_new(world, cast)
     mf, b2, b3 = cast["MF"], cast["B2"], cast["B3"]
     establish_connection(b2, mf)
-    # B2 holds no credential and opens no expectation: it leaves the proof request unanswered
-    request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=mint_tid(world.rng))
-    b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), request)
-    world.run_until_quiescent()
+    # B2 holds no credential and opens no expectation: it leaves each proof request unanswered
+    for _ in range(3):
+        tid = mint_tid(world.rng)
+        request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
+        b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), request)
+        world.run_until_quiescent()
     assert mf.products["PC-100"].status == "sold"
     assert "PC-100" not in mf.claimants
+    assert sum(":ownershipProofResp:" in e for e in mf.state_dump()["expectations"]) == 1
     # the owner's resale still completes
     start_resale(world, cast, buyer="B3")
     run_transfer(world, cast)
@@ -653,6 +661,50 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     assert answers == ["accepted"]
     assert len(b2.credentials) == 1
     assert mf.products["PC-100"].previously_sold_count == 1
+
+
+def test_unanswered_used_claims_leave_one_challenge_open():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    run_transfer(world, cast)
+    mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
+    tid = next(e.tid for e in b1.claiming if e.role == "selling")
+    # the seller claims with the TID it minted and made-up keys, and never answers a challenge
+    for _ in range(3):
+        key = crypto.generate_symmetric_key(world.rng).key_bytes
+        attempt = payload("ownershipClaimReq", tid=tid, pin=None, key=key)
+        b1.send(b1.connections[mf.did.uri], crypto.fresh_nonce(world.rng), attempt)
+        world.run_until_quiescent()
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    assert claims[-3:] == ["accepted"] * 3
+    assert sum(":pinChallengeResp:" in e for e in mf.state_dump()["expectations"]) == 1
+    # the buyer's claim still completes
+    establish_connection(b2, mf)
+    b2.claim_used(mf.did.uri, tid)
+    world.run_until_quiescent()
+    assert len(b2.credentials) == 1
+
+
+def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    mf, b1 = cast["MF"], cast["B1"]
+    conn = b1.connections[mf.did.uri]
+    entry = next(e for e in b1.claiming if e.role == "selling")
+    first, second = crypto.fresh_nonce(world.rng), crypto.fresh_nonce(world.rng)
+    for nonce in (first, second):
+        request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=entry.encrypted_pin, tid=entry.tid)
+        b1.send(conn, nonce, request)
+    world.run_until_quiescent()
+    # the second request replaced the first exchange, so a proof under the first nonce answers nothing
+    presentation = present_proof(b1.credentials[0], bytes(16), conn.local)
+    b1.send(conn, first, payload("ownershipProofResp", presentation=presentation))
+    world.run_until_quiescent()
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:nonce-mismatch")
+    assert [e for e in mf.state_dump()["expectations"] if ":ownershipProofResp:" in e] == [
+        f"{conn.conn_id}:ownershipProofResp:{second.hex()}"
+    ]
+    assert mf.products["PC-100"].status == "sold"
 
 
 def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
@@ -700,7 +752,7 @@ def test_unsolicited_response_rejected():
 
 
 def test_second_credential_offer_rejected():
-    # the used-claim offer expectation accepts any nonce, but only once
+    # the used-claim offer closes the claim's exchange, so a second offer answers nothing
     result = fresh_lifecycle()
     world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
     offer = payload("ownershipClaimResp", credential=b2.credentials[0])
@@ -740,8 +792,8 @@ def test_offered_credential_that_fails_its_check_is_refused(reason):
     # a claim MF does not answer leaves B1's expectation of a credential offer open
     b1.claim_new(mf.did.uri, "ff" * 16, "AAAAAA")
     world.run_until_quiescent()
-    nonce = bytes.fromhex(next(n for _, kind, n in b1._expected if kind == "ownershipClaimResp"))
     conn = mf.connections[b1.did.uri]
+    nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))
     mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
     world.run_until_quiescent()

@@ -210,12 +210,52 @@ def test_wallet_repl_rejects_wrong_agent():
     assert "not a wallet" in output
 
 
-def test_parse_scenario_unknown_agent_reference():
+def _append_step(step):
+    return lambda data: data["script"].append({**step, "expect": "-"})
+
+
+@pytest.mark.parametrize(
+    "mutate, location",
+    [
+        (lambda data: data["script"][1].__setitem__("a", "GHOST"), "script[1].a"),
+        (_append_step({"op": "spoof", "a": "B1", "recipient": "GHOST"}), "script[3].recipient"),
+        (lambda data: data["script"][1].pop("b"), "script[1].b"),
+        (_append_step({"op": "online"}), "script[3].agent"),
+        (_append_step({"op": "adversary_transfer", "adversary": "B1", "product": "PC-100"}), "script[3].adversary"),
+        (lambda data: data["cast"].pop("distributor"), "script[0].distributor"),
+        (lambda data: data["cast"].__setitem__("wallets", ["B1", 7]), "cast"),
+        (_append_step({"op": "spoof", "a": "B1", "recipient": "MF", "message": "PINReq"}), "script[3].message"),
+        (_append_step({"op": "claim_new", "wallet": "MF", "tid": "00" * 16, "pin": "AAAAAA"}), "script[3].wallet"),
+        (_append_step({"op": "sell", "seller": "DS", "buyer": "B1", "product": "PC-100"}), "script[3].seller"),
+        (_append_step({"op": "transfer", "seller": "MF", "product": "PC-100"}), "script[3].seller"),
+        (_append_step({"op": "claim_used", "wallet": "DS", "tid": "00" * 16}), "script[3].wallet"),
+    ],
+    ids=[
+        "undeclared-a",
+        "spoof-undeclared-recipient",
+        "connect-without-b",
+        "online-without-agent",
+        "adversary-transfer-plain-wallet",
+        "record-sale-no-distributor",
+        "non-string-wallet",
+        "spoof-message-not-object",
+        "claim-new-manufacturer",
+        "sell-distributor",
+        "transfer-manufacturer",
+        "claim-used-distributor",
+    ],
+)
+def test_parse_scenario_unknown_agent_reference(tmp_path, mutate, location):
     data = json.loads(json.dumps(BUILTIN_SCENARIOS["new-purchase"]))
-    data["script"][1]["a"] = "GHOST"
+    mutate(data)
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
-    assert "GHOST" in str(err.value)
+    assert str(err.value).startswith(f"{location}: ")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, output = run_cli("run", str(path))
+    assert code == 2
+    assert output == f"scenario error: {err.value}\n"
 
 
 def test_load_scenario_file_roundtrip(tmp_path):

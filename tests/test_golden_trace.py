@@ -19,37 +19,37 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "8b1f2e725cfa2df10bb96f3168aa7daf0d0dc84929eee108d0178d176ffdf50d",
+        "9cdd8eb42ca2e1cf9f2c8342eea2d40fe5f8388db8eb55ffcff51f4d22412cc3",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "536491efb6b6db45f24de8e5ff4cc3b22b736e4610c1133647347dd876d52140",
+        "de797283c3ff03b0570414bf56a91b0a2706acac33ec4e4efecfa358613f58c1",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "e033a6ade162fa876062cc9947154ab95e1453ab2ca182187ce9c2123423f62f",
+        "b42dd9b39ddc452964d0fe676006fd21656dc0947e832c709bb1f64c5b0853a4",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "16cae65ecf03db8b454d6f5c92cb3c14b0f0396bb55aeac7a09ec9a3f529c213",
+        "79b0c6b7fcdad7f30bca104ff1c5bf7cf338ef1eb9c6df270b7d1642971592b5",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "e1d221640857a27907c57281e84ec00ccbb0c87ebf175511776514c54a8fb10d",
+        "9964329b799c143addec7c6460f592235c3f8a014e9b940ac9cfcc9ca5857a69",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "f6319bcff94ca1ae2d81f49b45dd1710abe8d34274f9f1300b1090d174d488c1",
+        "e4f09fbe0fbcfbd993c6a6e34b6828c12c11ed6803cf5900cece83d5894ea860",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "4849567e35ca7901c61cbe77ff8b6ff487686c9f14349b774c4526783122e69c",
+        "2b082be4c9f3e0dade988ac28d77e632bfc28affadcb5f23ed885f10ff075d7c",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -86,7 +86,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "11fd1866fdc1308274526d12825f32dedd73cb0e9958068d4729da180b512442",
+    "bf0e2927480528a82dc8424b2045bc7688ac500b89920f257884297aff9d402f",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
     "fa10eecdc06c80881763fbb1503cfb09d05aa06077ce3dea2ebf27c57a07f319",
 )
