@@ -148,6 +148,8 @@ class ClaimantAttribute:
     A used-product entry exists only once the seller's ownership proof has
     verified; until then a buyer's claim with the TID is ``unknown-tid``.
     The key and challenge of each claim attempt stay with that attempt.
+    Once issued, the credential stays here until the holder acknowledges it
+    (Aries RFC 0015), so a retried claim gets the same credential again.
     """
 
     product_code: str
@@ -155,6 +157,7 @@ class ClaimantAttribute:
     form: str  # "new" (tid+pin sale) | "used" (tid+encrypted pin transfer)
     pin: Optional[str] = None
     encrypted_pin: Optional[bytes] = None
+    credential: Optional[VerifiableCredential] = None
 
     def dump(self) -> dict:
         return {
@@ -163,6 +166,7 @@ class ClaimantAttribute:
             "form": self.form,
             "pin": self.pin,
             "encryptedPin": self.encrypted_pin.hex() if self.encrypted_pin else None,
+            "credentialId": self.credential.credential_id if self.credential else None,
         }
 
 
@@ -368,10 +372,12 @@ class ManufacturerAgent(Agent):
         self.products[product_code] = record
         return record
 
-    def _claimant_by_tid(self, tid: str, form: str) -> Optional[ClaimantAttribute]:
+    def _claimant_by_tid(self, tid: str, form: str, conn: Connection) -> Optional[ClaimantAttribute]:
+        """The open claim with ``tid``; once its credential is issued, only on the connection it went to."""
         for claim in self.claimants.values():
             if claim.tid == tid and claim.form == form:
-                return claim
+                issued = claim.credential is not None
+                return None if issued and self.products[claim.product_code].conn_id != conn.conn_id else claim
         return None
 
     def _issue(self, product: ProductRecord) -> VerifiableCredential:
@@ -433,26 +439,33 @@ class ManufacturerAgent(Agent):
         return self._claim_used(conn, nonce, p)
 
     def _claim_new(self, conn: Connection, nonce: bytes, p: MessagePayload) -> str:
-        claim = self._claimant_by_tid(p.body["tid"], "new")
+        claim = self._claimant_by_tid(p.body["tid"], "new", conn)
         if claim is None or claim.pin != p.body["pin"]:
             return "rejected:unknown-claim"
         product = self.products.get(claim.product_code)
         if product is None:
             return "rejected:unknown-product"
+        if claim.credential is not None:  # issued, not yet acknowledged
+            return self._offer(conn, nonce, claim)
         product.conn_id = conn.conn_id
         product.status = "sold"
-        vc = self._issue(product)
-        del self.claimants[claim.product_code]  # entry consumed; the pair is single-use
-        self.send(conn, nonce, payload("ownershipClaimResp", credential=vc))
-        self.expect(conn.conn_id, "ownershipClaimAck", nonce)
+        claim.credential = self._issue(product)
+        self._offer(conn, nonce, claim)
         self._emit_product_updated(product, "new-purchase")
+        return "accepted"
+
+    def _offer(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
+        """Offer the claim's credential; its ack, or the holder's proof with it, settles the claim."""
+        self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential))
+        self.expect(conn.conn_id, "ownershipClaimAck", nonce, context={"claim": claim})
         return "accepted"
 
     # -- transfer authorisation ----------------------------------------------
 
     def _transfer_refusal(self, code: str) -> Optional[str]:
         """Why ``code`` cannot start a transfer now, or None if it can."""
-        if code in self.claimants:
+        claim = self.claimants.get(code)
+        if claim is not None and claim.credential is None:
             return "duplicate-transfer"  # the product is already being claimed or transferred
         product = self.products.get(code)
         if product is None:
@@ -491,6 +504,7 @@ class ManufacturerAgent(Agent):
         if reason is not None:
             self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
             return f"rejected:{reason}"
+        # the proof shows the holder has the current credential: an unacknowledged offer of it is settled
         self.claimants[code] = ClaimantAttribute(
             product_code=code, tid=context["tid"], form="used", encrypted_pin=bytes(context["encryptedPin"])
         )
@@ -501,7 +515,7 @@ class ManufacturerAgent(Agent):
     # -- used-product claim (tid + symmetric key) -----------------------------
 
     def _claim_used(self, conn: Connection, nonce: bytes, p: MessagePayload) -> str:
-        claim = self._claimant_by_tid(p.body["tid"], "used")
+        claim = self._claimant_by_tid(p.body["tid"], "used", conn)
         if claim is None:
             return "rejected:unknown-tid"
         try:
@@ -534,7 +548,7 @@ class ManufacturerAgent(Agent):
         return True, ""
 
     def _on_pin_challenge_resp(self, conn, nonce, p, context) -> str:
-        claim = self._claimant_by_tid(context["tid"], "used")
+        claim = self._claimant_by_tid(context["tid"], "used", conn)
         if claim is None or p.body["tid"] != context["tid"]:
             return "rejected:unknown-tid"
         result = p.body["challengeResult"]
@@ -542,6 +556,8 @@ class ManufacturerAgent(Agent):
         if not ok:
             # claimant entry stays; a legitimate buyer may retry the claim
             return f"rejected:{reason}"
+        if claim.credential is not None:  # committed, not yet acknowledged
+            return self._offer(conn, nonce, claim)
         return self._commit_transfer(conn, nonce, claim)
 
     def _commit_transfer(self, buyer_conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
@@ -570,11 +586,9 @@ class ManufacturerAgent(Agent):
         product.last_purchase_date = self.world.tick()
         product.email = self.world.agent_email(buyer_conn.remote_agent_id)
         product.status = "sold"
-        new_vc = self._issue(product)
+        claim.credential = self._issue(product)
         # the issuance leg closes the claim's exchange, so it runs under the claim's nonce
-        self.send(buyer_conn, nonce, payload("ownershipClaimResp", credential=new_vc))
-        self.expect(buyer_conn.conn_id, "ownershipClaimAck", nonce)
-        del self.claimants[claim.product_code]
+        self._offer(buyer_conn, nonce, claim)
         self._emit_product_updated(product, "transfer-committed")
         return "accepted"
 
@@ -595,8 +609,13 @@ class ManufacturerAgent(Agent):
         )
 
     def _on_status_reply(self, conn, nonce, p, context) -> str:
-        # informational: revocation and issuance took effect when their registry entries landed
-        return "accepted" if p.body["status"] == "accepted" else "rejected:holder-declined"
+        # revocation and issuance took effect when their registry entries landed; an ack settles its claim
+        if p.body["status"] != "accepted":
+            return "rejected:holder-declined"
+        claim = context.get("claim")
+        if claim is not None and self.claimants.get(claim.product_code) is claim:
+            del self.claimants[claim.product_code]  # the claim is single-use
+        return "accepted"
 
     def state_dump(self) -> dict:
         d = super().state_dump()
@@ -810,7 +829,8 @@ class WalletAgent(Agent):
         if not ok:
             self.send(conn, nonce, payload("ownershipClaimAck", status="rejected"))
             return f"rejected:{reason}"
-        self.credentials.append(vc)
+        if all(held.credential_id != vc.credential_id for held in self.credentials):  # a retry re-offers
+            self.credentials.append(vc)
         entry = self._claim_entry(context.get("tid", ""))
         if entry is not None:
             entry.product_code = vc.attribute("productCode")

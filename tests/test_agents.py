@@ -16,6 +16,7 @@ from handover.agents import (
 )
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
+from handover.invariants import scan_trace
 from handover.credential import present_proof, vc_to_wire
 from handover.messages import Envelope, mint_tid, payload, signing_bytes
 from handover.scenarios import (
@@ -347,6 +348,84 @@ def test_claim_new_flow_replay_rejected():
     assert len(cast["B1"].credentials) == 1  # no second credential
 
 
+def test_two_claims_on_one_connection_before_the_first_offer_strand_nothing():
+    # B1 is offline, so its second claim replaces the first exchange before the first offer arrives
+    data = {
+        "name": "two-offline-claims",
+        "seed": 3,
+        "cast": {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1"]},
+        "products": ["PC-100", "PC-200"],
+        "script": [
+            {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
+            {"op": "record_sale", "product": "PC-200", "buyer": "B1", "expect": "accepted"},
+            {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+            {"op": "offline", "agent": "B1", "expect": "ok"},
+            {"op": "claim_new", "wallet": "B1", "product": "PC-100", "expect": "accepted"},
+            {"op": "claim_new", "wallet": "B1", "product": "PC-200", "expect": "accepted"},
+            {"op": "online", "agent": "B1", "expect": "ok"},
+        ],
+    }
+    spec = parse_scenario(data)
+    world, cast = build_world(spec)
+    for step in spec.script:
+        assert execute_step(world, cast, spec, step) == step.expect
+    mf, b1 = cast["MF"], cast["B1"]
+    offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
+    assert offers == ["rejected:nonce-mismatch", "accepted"]
+    assert [vc.attribute("productCode") for vc in b1.credentials] == ["PC-200"]
+    # the unacknowledged claim keeps its credential, and the retry over the same connection gets it
+    issued = mf.claimants["PC-100"].credential
+    assert issued.credential_id == mf.products["PC-100"].current_credential_id
+    retry = ScenarioStep(op="claim_new", args={"wallet": "B1", "product": "PC-100"}, expect="accepted")
+    assert execute_step(world, cast, spec, retry) == "accepted"
+    assert sorted(vc.credential_id for vc in b1.credentials) == sorted(
+        mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
+    )
+    assert mf.claimants == {}
+    assert sum(r["kind"] == "vc-issued" for r in world.trace) == 2
+    world.emit_state_dumps()
+    assert scan_trace(world.trace) == []
+
+
+def sale_and_claim_with_lost_ack():
+    """Sale and new claim in which B1's ``ownershipClaimAck`` never reaches the mediator."""
+    world, cast = run_sale_and_claim()
+    seq = next(r["seq"] for r in world.trace if r["from"] == "B1" and r["kind"] == "ownershipClaimAck")
+    world, cast = make_world()
+    world.drop(seq)  # the same seed schedules the same seqs
+    sell_to(world, cast)
+    claim_new(world, cast)
+    return world, cast
+
+
+def test_lost_claim_ack_keeps_the_claim_until_a_retry_settles_it():
+    world, cast = sale_and_claim_with_lost_ack()
+    mf, b1 = cast["MF"], cast["B1"]
+    vc = b1.credentials[0]
+    assert mf.claimants["PC-100"].credential == vc
+    # another connection with the emailed TID and PIN cannot take the unacknowledged claim
+    claim_new(world, cast, buyer="B2", tid=emailed(b1, "tid")["tid"], pin=emailed(b1, "pin")["pin"])
+    assert cast["B2"].credentials == []
+    # the retry gets the same credential, which B1 holds once
+    b1.claim_new(mf.did.uri, emailed(b1, "tid")["tid"], emailed(b1, "pin")["pin"])
+    world.run_until_quiescent()
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    assert claims == ["accepted", "rejected:unknown-claim", "accepted"]
+    assert b1.credentials == [vc] and mf.claimants == {}
+    assert sum(r["kind"] == "vc-issued" for r in world.trace) == 1
+
+
+def test_proof_with_the_credential_settles_an_unacknowledged_claim():
+    world, cast = sale_and_claim_with_lost_ack()
+    mf = cast["MF"]
+    start_resale(world, cast)
+    run_transfer(world, cast)
+    proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
+    assert proofs == ["accepted"]
+    assert mf.claimants["PC-100"].form == "used" and mf.claimants["PC-100"].credential is None
+    assert mf.products["PC-100"].status == "transfer_pending"
+
+
 # -- buyer/seller pin exchange flow ----------------------------------------------------
 
 
@@ -516,6 +595,33 @@ def full_used_transfer(seed=7):
     cast["B2"].claim_used(cast["MF"].did.uri, buyer_entry.tid)
     world.run_until_quiescent()
     return world, cast
+
+
+def test_lost_used_claim_ack_retry_gets_the_same_credential():
+    world, cast = full_used_transfer()
+    seq = next(r["seq"] for r in world.trace if r["from"] == "B2" and r["kind"] == "ownershipClaimAck")
+    world, cast = make_world()
+    world.drop(seq)  # the same seed schedules the same seqs
+    sell_to(world, cast)
+    claim_new(world, cast)
+    start_resale(world, cast)
+    run_transfer(world, cast)
+    mf, b2 = cast["MF"], cast["B2"]
+    establish_connection(b2, mf)
+    tid = next(e.tid for e in b2.claiming if e.role == "buying")
+    b2.claim_used(mf.did.uri, tid)
+    world.run_until_quiescent()
+    vc = b2.credentials[0]
+    assert mf.claimants["PC-100"].credential == vc
+    b2.claim_used(mf.did.uri, tid)  # answers a fresh challenge, then gets the same credential
+    world.run_until_quiescent()
+    assert b2.credentials == [vc] and mf.claimants == {}
+    assert [r["kind"] for r in world.trace if r["channel"] == "registry" and r["kind"] != "product-updated"] == [
+        "vc-issued",
+        "vc-revoked",
+        "vc-issued",
+    ]
+    assert mf.products["PC-100"].previously_sold_count == 1
 
 
 def test_used_claim_commits_ownership():

@@ -39,7 +39,7 @@ GOLDEN = {
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "9964329b799c143addec7c6460f592235c3f8a014e9b940ac9cfcc9ca5857a69",
+        "b0dbf2715efefc5d5545a20890980314302edac9ddce16c73f958a2eec359c4e",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
@@ -54,7 +54,7 @@ GOLDEN = {
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "8c282a567aea35b3885cf837fe8016eb76da2a6b22b1ade46dc2ab84c59c57bf",
+        "edd500c24f5e031aeea55197827119f16eae5265753a8345e611229d893c6b2a",
         "bea0948189a15b3e1abe41a9287860725f89943dba1dfc01b682ddeba5b2b111",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
