@@ -7,7 +7,11 @@ Ed25519 signing key with an X25519 key-agreement key so one opaque public key
 supports both signing and encryption.  A pair's private halves are parsed once,
 and the pair carries its key id.  A hybrid ciphertext is recipient key id (8)
 || ephemeral X25519 public key (32) || AES-GCM IV (12) || ciphertext+tag; the
-key id lets a holder of many keys decrypt with the one it names.
+key id lets a holder of many keys decrypt with the one it names.  One
+ephemeral key (32 RNG bytes) may serve every recipient of a message, as one
+``epk`` does in DIDComm v2 (ECDH-ES, RFC 7518 4.6): each ciphertext's AES key
+hashes in its recipient's key, and :func:`asym_encrypt` draws a fresh 12-byte
+IV.  A sealed envelope draws the ephemeral key, the inner IV, the outer IV.
 """
 
 from __future__ import annotations
@@ -145,13 +149,17 @@ def _x25519_key_id(x_pub_half: bytes) -> bytes:
     return hashlib.sha256(b"handover/key-id-v1" + x_pub_half).digest()[:KEY_ID_LEN]
 
 
-def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
-    """Hybrid encryption: ephemeral X25519 agreement wrapping an AES-GCM payload (layout above)."""
+def ephemeral_key(rng: Rng) -> X25519PrivateKey:
+    """Draw a fresh ephemeral X25519 key for the ciphertexts of one message."""
+    return X25519PrivateKey.from_private_bytes(rng.token(32))
+
+
+def asym_encrypt(rng: Rng, ephemeral: X25519PrivateKey, public_key: bytes, plaintext: bytes) -> bytes:
+    """Hybrid encryption: X25519 agreement of ``ephemeral`` with the recipient wrapping an AES-GCM payload (layout above)."""
     _check_key(public_key, "public key")
     recipient_half = public_key[32:]
-    eph_priv = X25519PrivateKey.from_private_bytes(rng.token(32))
-    eph_pub = eph_priv.public_key().public_bytes_raw()
-    shared = eph_priv.exchange(X25519PublicKey.from_public_bytes(recipient_half))
+    eph_pub = ephemeral.public_key().public_bytes_raw()
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_half))
     key = _hybrid_key(shared, eph_pub, recipient_half)
     iv = rng.token(_GCM_IV_LEN)
     return _x25519_key_id(recipient_half) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)

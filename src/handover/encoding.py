@@ -19,74 +19,73 @@ class EncodingError(Exception):
     """Value cannot be encoded, or bytes are not a valid encoding."""
 
 
-def _u32(n: int) -> bytes:
-    return struct.pack(">I", n)
+_HEAD = struct.Struct(">cI").pack  # tag, then a 4-byte big-endian length or item count
+_N, _I, _S, _B, _Q, _L = b"NISBQL"  # the decoder compares tags as integers
+
+
+def _write(out: bytearray, value: Any) -> None:
+    if isinstance(value, str):
+        raw = value.encode()
+        out += _HEAD(b"S", len(raw)) + raw
+    elif isinstance(value, (bytes, bytearray)):
+        out += _HEAD(b"B", len(value))
+        out += value
+    elif isinstance(value, (list, tuple)):
+        out += _HEAD(b"L", len(value))
+        for item in value:
+            _write(out, item)
+    elif value is None:
+        out += b"N"
+    elif isinstance(value, int) and not isinstance(value, bool):  # booleans are not part of the wire format
+        raw = str(value).encode()
+        out += _HEAD(b"I", len(raw)) + raw
+    elif isinstance(value, Fraction):
+        out += b"Q" + encode_value(value.numerator) + encode_value(value.denominator)
+    else:
+        raise EncodingError(f"cannot encode {type(value).__name__}")
 
 
 def encode_value(value: Any) -> bytes:
-    if value is None:
-        return b"N"
-    if isinstance(value, bool):
-        raise EncodingError("booleans are not part of the wire format")
-    if isinstance(value, int):
-        digits = str(value).encode("ascii")
-        return b"I" + _u32(len(digits)) + digits
-    if isinstance(value, str):
-        raw = value.encode("utf-8")
-        return b"S" + _u32(len(raw)) + raw
-    if isinstance(value, (bytes, bytearray)):
-        return b"B" + _u32(len(value)) + bytes(value)
-    if isinstance(value, Fraction):
-        return b"Q" + encode_value(value.numerator) + encode_value(value.denominator)
-    if isinstance(value, (list, tuple)):
-        parts = [encode_value(item) for item in value]
-        return b"L" + _u32(len(parts)) + b"".join(parts)
-    raise EncodingError(f"cannot encode {type(value).__name__}")
+    out = bytearray()
+    _write(out, value)
+    return bytes(out)
 
 
 def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
     if pos >= len(data):
         raise EncodingError("unexpected end of input")
-    tag = data[pos : pos + 1]
-    pos += 1
-    if tag == b"N":
-        return None, pos
-    if tag in (b"I", b"S", b"B"):
-        if pos + 4 > len(data):
-            raise EncodingError("truncated length prefix")
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        pos += 4
-        raw = data[pos : pos + length]
-        if len(raw) != length:
-            raise EncodingError("truncated value")
-        pos += length
-        if tag == b"B":
-            return raw, pos
+    tag = data[pos]
+    if tag in b"ISBL":
+        start = pos + 5
+        length = int.from_bytes(data[pos + 1 : start], "big")
+        end = start if tag == _L else start + length
+        if end > len(data):
+            raise EncodingError("truncated input")
+        if tag == _L:
+            items = []
+            for _ in range(length):
+                item, end = _decode_at(data, end)
+                items.append(item)
+            return items, end
+        raw = data[start:end]
+        if tag == _B:
+            return raw, end
         try:
-            text = raw.decode("utf-8" if tag == b"S" else "ascii")
-            value = int(text) if tag == b"I" else text
+            value = raw.decode() if tag == _S else int(raw)
         except ValueError as exc:  # includes UnicodeDecodeError
-            raise EncodingError(f"bad {tag.decode()} value") from exc
-        if tag == b"I" and str(value) != text:
+            raise EncodingError(f"bad {chr(tag)} value") from exc
+        if tag == _I and str(value).encode() != raw:
             raise EncodingError("integer digits are not canonical")
-        return value, pos
-    if tag == b"Q":
-        num, pos = _decode_at(data, pos)
+        return value, end
+    if tag == _N:
+        return None, pos + 1
+    if tag == _Q:
+        num, pos = _decode_at(data, pos + 1)
         den, pos = _decode_at(data, pos)
         if type(num) is not int or type(den) is not int or den <= 0 or gcd(num, den) != 1:
             raise EncodingError("fraction needs two integers in lowest terms and a positive denominator")
         return Fraction(num, den), pos
-    if tag == b"L":
-        if pos + 4 > len(data):
-            raise EncodingError("truncated length prefix")
-        (count,) = struct.unpack(">I", data[pos : pos + 4])
-        pos += 4
-        items = []
-        for _ in range(count):
-            item, pos = _decode_at(data, pos)
-            items.append(item)
-        return items, pos
-    raise EncodingError(f"unknown tag {tag!r}")
+    raise EncodingError(f"unknown tag {bytes([tag])!r}")
 
 
 def decode_value(data: bytes) -> Any:

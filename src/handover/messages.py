@@ -7,6 +7,14 @@ header under the mediator's key.  The mediator learns the recipient and,
 from the key id in front of the inner ciphertext, which of the recipient's
 connections the message is for; it never reads the signed bundle.
 
+Both layers are hybrid ciphertexts under one ephemeral X25519 key (layout in
+:mod:`handover.crypto`); each layer's AES key hashes in its own recipient's
+key, so each opens only under that key.  The outer layer is mediator key id ||
+ephemeral key || IV || AES-GCM(["route", recipient DID, inner layer]); the inner
+is endpoint key id || the same ephemeral key || its own IV || AES-GCM(["inner",
+nonce, payload, signature]).  ``seal`` draws 32 RNG bytes for the ephemeral
+key, then 12 for the inner IV, then 12 for the outer IV.
+
 The signed bundle names no sender: the recipient learns the sender from the
 key the message is addressed to.  Keys are pairwise, so that key names one
 connection, and the signature must verify under that connection's peer key.
@@ -237,13 +245,14 @@ def seal(
     nonce: bytes,
     p: MessagePayload,
 ) -> Envelope:
-    """Sign, encrypt to the endpoint, then wrap for the mediator."""
+    """Sign, encrypt to the endpoint, then wrap for the mediator, both layers under one ephemeral key."""
     payload_bytes = canonical_encode_payload(p)
     signature = crypto.sign(sender_keys, signing_bytes(nonce, payload_bytes))
     inner_plain = encode(["inner", nonce, payload_bytes, signature])
-    inner_ct = crypto.asym_encrypt(rng, endpoint_public_key, inner_plain)
+    ephemeral = crypto.ephemeral_key(rng)
+    inner_ct = crypto.asym_encrypt(rng, ephemeral, endpoint_public_key, inner_plain)
     outer_plain = encode(["route", recipient_did, inner_ct])
-    return Envelope(outer_ciphertext=crypto.asym_encrypt(rng, mediator_public_key, outer_plain))
+    return Envelope(outer_ciphertext=crypto.asym_encrypt(rng, ephemeral, mediator_public_key, outer_plain))
 
 
 def unseal_at_mediator(mediator_keys: crypto.KeyPair, envelope: Envelope) -> tuple[str, bytes]:

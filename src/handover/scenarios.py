@@ -33,24 +33,39 @@ from .agents import (
 )
 from .encoding import canonical_json
 from .invariants import scan_trace
-from .messages import KIND_FIELDS, MessagePayload, payload
+from .messages import KIND_FIELDS, MessagePayload, PayloadError, is_valid_pin, payload
 from .simnet import World
 
-# Each op's agent arguments and the cast role each may name: any agent, a wallet
-# (adversaries too), an adversary, or the distributor (also the default).  "?": optional.
+# Each op's arguments: an agent of a cast role (any agent, a wallet incl.
+# adversaries, an adversary, or the distributor, also the default) or a value
+# type (the checks below).  "?": the argument may be left out; no other is taken.
 STEP_OPS: dict[str, dict[str, str]] = {
     "connect": {"a": "agent", "b": "agent"},
-    "record_sale": {"distributor": "distributor", "buyer": "agent"},
-    "claim_new": {"wallet": "wallet"},
-    "sell": {"seller": "wallet", "buyer": "agent"},
-    "transfer": {"seller": "wallet"},
-    "claim_used": {"wallet": "wallet"},
+    "record_sale": {"distributor": "distributor", "buyer": "agent", "product": "str"},
+    "claim_new": {"wallet": "wallet", "product": "str?", "tid": "str?", "pin": "pin?"},
+    "sell": {"seller": "wallet", "buyer": "agent", "product": "str"},
+    "transfer": {"seller": "wallet", "product": "str"},
+    "claim_used": {"wallet": "wallet", "tid": "str?"},
     "offline": {"agent": "agent"},
     "online": {"agent": "agent"},
-    "replay": {},
-    "tamper": {},
-    "spoof": {"a": "agent?", "recipient": "agent"},
-    "adversary_transfer": {"adversary": "adversary"},
+    "replay": {"seq": "seq?"},
+    "tamper": {"seq": "seq?", "byte_index": "int?", "new_byte": "int?"},
+    "spoof": {
+        "a": "agent?",
+        "recipient": "agent",
+        "forged_sender": "str?",
+        "knows_endpoint_key": "bool?",
+        "message": "message?",
+    },
+    "adversary_transfer": {"adversary": "adversary", "product": "str", "mode": "str?"},
+}
+_VALUE_CHECKS = {
+    "str": lambda value: isinstance(value, str),
+    "pin": lambda value: isinstance(value, str) and is_valid_pin(value),
+    "int": lambda value: type(value) is int,
+    "bool": lambda value: isinstance(value, bool),
+    "seq": lambda value: type(value) is int or value in ("all-ssi", "last-ssi"),
+    "message": lambda value: isinstance(value, dict),
 }
 ATTACK_OPS = ("replay", "tamper", "spoof")
 
@@ -142,10 +157,12 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     if distributor is not None and not isinstance(distributor, str):
         raise ScenarioError("cast.distributor", "expected a string")
     wallets = tuple(_require(cast, "wallets", list, "cast"))
-    adversaries = tuple(cast.get("adversaries", []))
+    adversaries = tuple(_require(cast, "adversaries", list, "cast") if "adversaries" in cast else ())
     if not all(isinstance(agent_name, str) for agent_name in wallets + adversaries):
         raise ScenarioError("cast", "agent names must be strings")
     products = tuple(_require(data, "products", list, "scenario"))
+    if not all(isinstance(code, str) for code in products):
+        raise ScenarioError("scenario.products", "product codes must be strings")
     declared = {manufacturer, distributor, *wallets, *adversaries} - {None}
     if len(declared) != (2 if distributor else 1) + len(wallets) + len(adversaries):
         raise ScenarioError("cast", "agent names must be unique")
@@ -162,14 +179,21 @@ def parse_scenario(data: dict) -> ScenarioSpec:
             raise ScenarioError(location, f"unknown op {op!r}")
         expect = _require(raw, "expect", str, location)
         args = {k: v for k, v in raw.items() if k not in ("op", "expect")}
-        for ref_key, role in STEP_OPS[op].items():
-            agent = args.get(ref_key, distributor if role == "distributor" else None)
-            if agent is None and role.endswith("?"):
+        unknown = sorted(set(args) - set(STEP_OPS[op]))
+        if unknown:
+            raise ScenarioError(f"{location}.{unknown[0]}", f"{op} takes no argument {unknown[0]!r}")
+        for key, kind in STEP_OPS[op].items():
+            if key not in args and kind.endswith("?"):
                 continue
-            if not isinstance(agent, str) or agent not in roles[role.rstrip("?")]:
-                raise ScenarioError(f"{location}.{ref_key}", f"{agent!r} is not in the cast as {role.rstrip('?')}")
-        if not isinstance(args.get("message", {}), dict):
-            raise ScenarioError(f"{location}.message", "expected an object")
+            kind = kind.rstrip("?")
+            value = args.get(key, distributor if kind == "distributor" else None)
+            if kind in roles:
+                if not isinstance(value, str) or value not in roles[kind]:
+                    raise ScenarioError(f"{location}.{key}", f"{value!r} is not in the cast as {kind}")
+            elif not _VALUE_CHECKS[kind](value):
+                raise ScenarioError(f"{location}.{key}", f"expected a {kind}, got {value!r}")
+        if op == "spoof":
+            _spoof_payload(args.get("message", {}), f"{location}.message")
         script.append(ScenarioStep(op=op, args=args, expect=expect))
     return ScenarioSpec(
         name=name,
@@ -194,26 +218,32 @@ def load_scenario_file(path: str) -> ScenarioSpec:
     return parse_scenario(data)
 
 
-def payload_from_json(kind: str, body: dict, location: str = "payload") -> MessagePayload:
+def payload_from_json(kind: str, body: dict, location: str) -> MessagePayload:
     """Build a payload from scenario JSON; bytes fields are hex strings."""
     spec = KIND_FIELDS.get(kind)
     if spec is None:
         raise ScenarioError(location, f"unknown message kind {kind!r}")
+    if any(ftype in ("vc", "presentation") for _, ftype in spec):
+        raise ScenarioError(location, f"{kind} carries a credential or presentation, which cannot be scripted")
     converted = {}
-    for name, ftype in spec:
-        raw = body.get(name)
-        if ftype in ("bytes", "opt_bytes") and isinstance(raw, str):
-            converted[name] = bytes.fromhex(raw)
-        elif ftype == "fraction" and isinstance(raw, list):
-            converted[name] = Fraction(raw[0], raw[1])
-        elif ftype in ("vc", "presentation"):
-            raise ScenarioError(location, f"{kind}.{name} cannot be scripted")
-        else:
-            converted[name] = raw
     try:
+        for name, ftype in spec:
+            raw = body.get(name)
+            if ftype in ("bytes", "opt_bytes") and isinstance(raw, str):
+                raw = bytes.fromhex(raw)
+            elif ftype == "fraction" and isinstance(raw, list):
+                raw = Fraction(raw[0], raw[1])
+            converted[name] = raw
         return payload(kind, **converted)
-    except Exception as exc:
+    except (PayloadError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
         raise ScenarioError(location, f"invalid {kind} body: {exc}") from exc
+
+
+def _spoof_payload(message: dict, location: str) -> MessagePayload:
+    kind, body = message.get("kind", "PINReq"), message.get("body", {"tid": "00" * 16})
+    if not isinstance(kind, str) or not isinstance(body, dict):
+        raise ScenarioError(location, "expected a string kind and an object body")
+    return payload_from_json(kind, body, location)
 
 
 # -- world construction ---------------------------------------------------------
@@ -344,8 +374,7 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
         elif step.op == "spoof":
             forged = cast[step.args["a"]] if "a" in step.args else None
             forged_did = forged.did.uri if forged else step.args.get("forged_sender", "did:handover:ghost")
-            message = step.args.get("message", {})
-            p = payload_from_json(message.get("kind", "PINReq"), message.get("body", {"tid": "00" * 16}))
+            p = _spoof_payload(step.args.get("message", {}), "message")
             key_of = forged_did if step.args.get("knows_endpoint_key", True) else None
             world.spoof(step.args["recipient"], forged_did, p, key_of)
 
@@ -368,12 +397,8 @@ def _resolve_seqs(world: World, selector) -> list[int]:
     if selector == "all-ssi":
         return sorted(world.wire_log)
     if selector == "last-ssi":
-        if not world.wire_log:
-            return []
-        return [max(world.wire_log)]
-    if isinstance(selector, int):
-        return [selector]
-    raise ScenarioError("seq", f"bad event selector {selector!r}")
+        return [max(world.wire_log)] if world.wire_log else []
+    return [selector]  # a seq, checked at parse time
 
 
 def run_scenario(

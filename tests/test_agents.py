@@ -227,9 +227,10 @@ def test_every_delivery_redirected_to_another_connection_fails_signature():
             if other is named:
                 continue
             before = recipient.state_dump()
-            inner = crypto.asym_encrypt(world.rng, other.local.public_key, plain)
+            ephemeral = crypto.ephemeral_key(world.rng)
+            inner = crypto.asym_encrypt(world.rng, ephemeral, other.local.public_key, plain)
             route = encode(["route", recipient.did.uri, inner])
-            outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), route)
+            outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), route)
             world.send_envelope("adversary", Envelope(outer), event.kind)
             world.run_until_quiescent()
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
@@ -979,9 +980,10 @@ def test_reencrypted_consumed_message_is_a_replay_by_its_pair(monkeypatch):
     for checked, event in enumerate(deliveries, 1):
         recipient = world.agents[event.to]
         named = next(c for c in recipient.connections.values() if c.local.kid == event.body[: crypto.KEY_ID_LEN])
-        inner = crypto.asym_encrypt(world.rng, named.local.public_key, crypto.asym_decrypt(named.local, event.body))
+        ephemeral = crypto.ephemeral_key(world.rng)
+        inner = crypto.asym_encrypt(world.rng, ephemeral, named.local.public_key, crypto.asym_decrypt(named.local, event.body))
         assert inner != event.body
-        outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", recipient.did.uri, inner]))
+        outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", recipient.did.uri, inner]))
         world.send_envelope("adversary", Envelope(outer), event.kind)
         world.run_until_quiescent()
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:replay")
@@ -1023,8 +1025,9 @@ def test_malformed_inner_layer_rejected(inner_plain):
     # needs only the public half of a connection key, no signing key
     world, cast = run_sale_and_claim()
     mf, b1 = cast["MF"], cast["B1"]
-    inner = crypto.asym_encrypt(world.rng, mf.connections[b1.did.uri].local.public_key, inner_plain)
-    outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", mf.did.uri, inner]))
+    ephemeral = crypto.ephemeral_key(world.rng)
+    inner = crypto.asym_encrypt(world.rng, ephemeral, mf.connections[b1.did.uri].local.public_key, inner_plain)
+    outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", mf.did.uri, inner]))
     world.send_envelope("adversary", Envelope(outer), "PINReq")
     world.run_until_quiescent()
     last_two = [(r["to"], r["verdict"]) for r in world.trace[-2:]]
@@ -1059,8 +1062,9 @@ def test_malformed_signed_payload_rejected(sender, recipient, fields):
     payload_bytes = encode(fields(cast))
     signature = crypto.sign(conn.local, signing_bytes(nonce, payload_bytes))
     inner_plain = encode(["inner", nonce, payload_bytes, signature])
-    inner = crypto.asym_encrypt(world.rng, conn.remote_public_key, inner_plain)
-    outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), encode(["route", to.did.uri, inner]))
+    ephemeral = crypto.ephemeral_key(world.rng)
+    inner = crypto.asym_encrypt(world.rng, ephemeral, conn.remote_public_key, inner_plain)
+    outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", to.did.uri, inner]))
     world.send_envelope(sender, Envelope(outer), fields(cast)[0])
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (recipient, "rejected:malformed-payload")

@@ -258,6 +258,76 @@ def test_parse_scenario_unknown_agent_reference(tmp_path, mutate, location):
     assert output == f"scenario error: {err.value}\n"
 
 
+def _set_step_arg(index, key, value):
+    return lambda data: data["script"][index].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, location",
+    [
+        (lambda data: data["script"][0].pop("product"), "script[0].product"),
+        (_set_step_arg(0, "product", ["PC-100"]), "script[0].product"),
+        (_set_step_arg(0, "product", 100), "script[0].product"),
+        (_set_step_arg(2, "pin", 123456), "script[2].pin"),
+        (_set_step_arg(2, "pin", "x"), "script[2].pin"),
+        (_append_step({"op": "spoof", "a": "B1", "recipient": "MF", "message": {"body": "tid"}}), "script[3].message"),
+        (_append_step({"op": "spoof", "a": "B1", "recipient": "MF", "message": {"kind": ["PINReq"]}}), "script[3].message"),
+        (
+            _append_step({"op": "spoof", "recipient": "MF", "message": {"kind": "PINResp", "body": {"encryptedPin": "zz"}}}),
+            "script[3].message",
+        ),
+        (_append_step({"op": "spoof", "recipient": "MF", "message": {"kind": "ownershipClaimResp"}}), "script[3].message"),
+        (
+            _append_step(
+                {"op": "spoof", "recipient": "MF", "message": {"kind": "pinChallengeResp", "body": {"challengeResult": [1, 0]}}}
+            ),
+            "script[3].message",
+        ),
+        (_append_step({"op": "spoof", "recipient": "MF", "knows_endpoint_key": "yes"}), "script[3].knows_endpoint_key"),
+        (_append_step({"op": "tamper", "byte_index": "7"}), "script[3].byte_index"),
+        (_append_step({"op": "tamper", "new_byte": None}), "script[3].new_byte"),
+        (_append_step({"op": "replay", "seq": "first-ssi"}), "script[3].seq"),
+        (_append_step({"op": "replay", "seq": True}), "script[3].seq"),
+        (lambda data: data["cast"].__setitem__("adversaries", 1), "cast.adversaries"),
+        (lambda data: data.__setitem__("products", [100]), "scenario.products"),
+        (_set_step_arg(0, "prodcut", "PC-100"), "script[0].prodcut"),
+        (_append_step({"op": "tamper", "byteindex": 3}), "script[3].byteindex"),
+    ],
+    ids=[
+        "record-sale-without-product",
+        "record-sale-product-list",
+        "record-sale-product-int",
+        "claim-new-pin-int",
+        "claim-new-pin-not-a-pin",
+        "spoof-body-string",
+        "spoof-kind-list",
+        "spoof-body-bad-hex",
+        "spoof-kind-with-credential",
+        "spoof-fraction-zero-denominator",
+        "spoof-key-flag-string",
+        "tamper-byte-index-string",
+        "tamper-new-byte-null",
+        "replay-unknown-selector",
+        "replay-seq-bool",
+        "adversaries-int",
+        "product-code-int",
+        "misspelt-product",
+        "misspelt-byte-index",
+    ],
+)
+def test_parse_scenario_bad_argument_exit_2(tmp_path, mutate, location):
+    data = json.loads(json.dumps(BUILTIN_SCENARIOS["new-purchase"]))
+    mutate(data)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert str(err.value).startswith(f"{location}: ")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, output = run_cli("run", str(path))
+    assert code == 2
+    assert output == f"scenario error: {err.value}\n"
+
+
 def test_load_scenario_file_roundtrip(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(BUILTIN_SCENARIOS["new-purchase"]))

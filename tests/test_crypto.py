@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover import crypto
+from handover import agents, crypto, messages, simnet
 from handover.scenarios import builtin_scenario, run_scenario
 from handover.crypto import (
     DecryptError,
@@ -42,7 +42,8 @@ def test_same_seed_identical_nonces_and_ciphertexts():
     a, b = Rng(9), Rng(9)
     key_a, key_b = generate_keypair(a), generate_keypair(b)
     assert fresh_nonce(a) == fresh_nonce(b)
-    assert asym_encrypt(a, key_a.public_key, b"x") == asym_encrypt(b, key_b.public_key, b"x")
+    ct_a = asym_encrypt(a, crypto.ephemeral_key(a), key_a.public_key, b"x")
+    assert ct_a == asym_encrypt(b, crypto.ephemeral_key(b), key_b.public_key, b"x")
     sym_a, sym_b = generate_symmetric_key(a), generate_symmetric_key(b)
     assert sym_encrypt(a, sym_a, b"x") == sym_encrypt(b, sym_b, b"x")
 
@@ -96,7 +97,7 @@ def test_sign_malformed_key(rng):
 
 def test_asym_roundtrip_empty_payload(rng):
     keys = generate_keypair(rng)
-    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, b"")) == b""
+    assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"")) == b""
 
 
 def test_asym_roundtrip_one_mebibyte(rng):
@@ -104,20 +105,20 @@ def test_asym_roundtrip_one_mebibyte(rng):
     keys = generate_keypair(rng)
     payload = bytes(range(256)) * 4096
     assert len(payload) == 1 << 20
-    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, payload)) == payload
+    assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, payload)) == payload
 
 
 def test_asym_wrong_private_key(rng):
     keys = generate_keypair(rng)
     other = generate_keypair(rng)
-    ct = asym_encrypt(rng, keys.public_key, b"secret")
+    ct = asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"secret")
     with pytest.raises(DecryptError):
         asym_decrypt(other, ct)
 
 
 def test_ciphertext_starts_with_recipient_key_id(rng):
     keys, other = generate_keypair(rng), generate_keypair(rng)
-    ct = asym_encrypt(rng, keys.public_key, b"secret")
+    ct = asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"secret")
     assert ct[: crypto.KEY_ID_LEN] == keys.kid != other.kid
     with pytest.raises(DecryptError, match="another key"):
         asym_decrypt(other, ct)
@@ -128,7 +129,7 @@ def test_ciphertext_starts_with_recipient_key_id(rng):
 
 def test_asym_truncated_ciphertext(rng):
     keys = generate_keypair(rng)
-    ct = asym_encrypt(rng, keys.public_key, b"secret")
+    ct = asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"secret")
     with pytest.raises(DecryptError):
         asym_decrypt(keys, ct[: len(ct) // 2])
     with pytest.raises(DecryptError):
@@ -211,7 +212,7 @@ def test_sign_verify_property(message, seed):
 def test_hybrid_roundtrip_property(message, seed):
     rng = Rng(seed)
     keys = generate_keypair(rng)
-    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, message)) == message
+    assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, message)) == message
 
 
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
@@ -224,23 +225,25 @@ def test_symmetric_roundtrip_property(message, seed):
 
 def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     # a pair's private halves are parsed when it is generated; after that only
-    # the fresh ephemeral key of each hybrid encryption is parsed
+    # the one ephemeral key of each sealed envelope is parsed, for both layers
     calls = collections.Counter()
 
-    def count(owner, name, label):
-        original = getattr(owner, name)
+    def count(owners, name, label):
+        original = getattr(owners[0], name)
 
         def counted(*args, **kwargs):
             calls[label] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counted)
 
-    count(crypto.Ed25519PrivateKey, "from_private_bytes", "ed25519")
-    count(crypto.X25519PrivateKey, "from_private_bytes", "x25519")
-    count(crypto, "generate_keypair", "generate_keypair")
-    count(crypto, "asym_encrypt", "asym_encrypt")
+    count([crypto.Ed25519PrivateKey], "from_private_bytes", "ed25519")
+    count([crypto.X25519PrivateKey], "from_private_bytes", "x25519")
+    count([crypto], "generate_keypair", "generate_keypair")
+    count([crypto], "asym_encrypt", "asym_encrypt")
+    count([messages, agents, simnet], "seal", "seal")
     assert run_scenario(builtin_scenario("full-lifecycle")).ok
-    assert calls["asym_encrypt"] > 0
+    assert calls["asym_encrypt"] == 2 * calls["seal"] > 0
     assert calls["ed25519"] == calls["generate_keypair"]
-    assert calls["x25519"] == calls["generate_keypair"] + calls["asym_encrypt"]
+    assert calls["x25519"] == calls["generate_keypair"] + calls["seal"] == 27

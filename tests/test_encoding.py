@@ -1,4 +1,7 @@
+import struct
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -165,3 +168,166 @@ def test_decoder_accepts_only_canonical_bytes(data):
     except EncodingError:
         return
     assert encode_value(value) == data
+
+
+# -- the recursive codec this module replaced, kept as an oracle --------------
+
+
+def _oracle_encode_value(value):
+    if value is None:
+        return b"N"
+    if isinstance(value, bool):
+        raise EncodingError("booleans are not part of the wire format")
+    if isinstance(value, int):
+        digits = str(value).encode("ascii")
+        return b"I" + struct.pack(">I", len(digits)) + digits
+    if isinstance(value, str):
+        raw = value.encode("utf-8")
+        return b"S" + struct.pack(">I", len(raw)) + raw
+    if isinstance(value, (bytes, bytearray)):
+        return b"B" + struct.pack(">I", len(value)) + bytes(value)
+    if isinstance(value, Fraction):
+        return b"Q" + _oracle_encode_value(value.numerator) + _oracle_encode_value(value.denominator)
+    if isinstance(value, (list, tuple)):
+        parts = [_oracle_encode_value(item) for item in value]
+        return b"L" + struct.pack(">I", len(parts)) + b"".join(parts)
+    raise EncodingError(f"cannot encode {type(value).__name__}")
+
+
+def _oracle_decode_at(data, pos):
+    if pos >= len(data):
+        raise EncodingError("unexpected end of input")
+    tag = data[pos : pos + 1]
+    pos += 1
+    if tag == b"N":
+        return None, pos
+    if tag in (b"I", b"S", b"B"):
+        if pos + 4 > len(data):
+            raise EncodingError("truncated length prefix")
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        pos += 4
+        raw = data[pos : pos + length]
+        if len(raw) != length:
+            raise EncodingError("truncated value")
+        pos += length
+        if tag == b"B":
+            return raw, pos
+        try:
+            text = raw.decode("utf-8" if tag == b"S" else "ascii")
+            value = int(text) if tag == b"I" else text
+        except ValueError as exc:
+            raise EncodingError(f"bad {tag.decode()} value") from exc
+        if tag == b"I" and str(value) != text:
+            raise EncodingError("integer digits are not canonical")
+        return value, pos
+    if tag == b"Q":
+        num, pos = _oracle_decode_at(data, pos)
+        den, pos = _oracle_decode_at(data, pos)
+        if type(num) is not int or type(den) is not int or den <= 0 or gcd(num, den) != 1:
+            raise EncodingError("fraction needs two integers in lowest terms and a positive denominator")
+        return Fraction(num, den), pos
+    if tag == b"L":
+        if pos + 4 > len(data):
+            raise EncodingError("truncated length prefix")
+        (count,) = struct.unpack(">I", data[pos : pos + 4])
+        pos += 4
+        items = []
+        for _ in range(count):
+            item, pos = _oracle_decode_at(data, pos)
+            items.append(item)
+        return items, pos
+    raise EncodingError(f"unknown tag {tag!r}")
+
+
+def _oracle_decode_value(data):
+    try:
+        value, pos = _oracle_decode_at(data, 0)
+    except RecursionError as exc:
+        raise EncodingError("lists nested too deeply") from exc
+    if pos != len(data):
+        raise EncodingError("trailing bytes after value")
+    return value
+
+
+def _outcome(function, argument):
+    """What a codec function does with ``argument``: its result with every type spelled out, or the rejection."""
+    try:
+        result = function(argument)
+    except EncodingError:
+        return "EncodingError"
+    return _typed(result)
+
+
+def _typed(value):
+    # pre-order tokens with list lengths; a loop, as the value may nest past the recursion limit
+    tokens, stack = [], [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            tokens.append(("list", len(item)))
+            stack.extend(reversed(item))
+        else:
+            tokens.append((type(item).__name__, item))
+    return tokens
+
+
+class _Int(int):
+    pass
+
+
+_any_scalars = st.one_of(
+    _scalars,
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30).map(_Int),
+    st.binary(max_size=40).map(bytearray),
+    st.fractions(max_denominator=10**12),
+)
+_any_values = st.recursive(
+    _any_scalars, lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(tuple)), max_leaves=25
+)
+
+
+@given(value=_any_values)
+@settings(max_examples=300, deadline=None)
+def test_encoder_writes_the_oracles_bytes(value):
+    assert _outcome(encode_value, value) == _outcome(_oracle_encode_value, value)
+    assert _outcome(encode, [value]) == _outcome(_oracle_encode_value, [value])
+
+
+def _nested(depth):
+    return b"L\x00\x00\x00\x01" * depth + b"N"
+
+
+# well inside and well past the recursion limit (Hypothesis raises it by a
+# couple of thousand frames while a test runs); at the limit, see the next test
+_depths = st.one_of(st.integers(0, 300), st.integers(8000, 10000))
+
+
+@st.composite
+def _mutated_nesting(draw):
+    data = bytearray(_nested(draw(_depths)))
+    if draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = draw(_mutant_bytes)
+    return bytes(data)
+
+
+@given(data=st.one_of(st.binary(max_size=64), _mutated_encodings(), _mutated_nesting()))
+@settings(max_examples=600, deadline=None)
+def test_decoder_accepts_and_rejects_as_the_oracle(data):
+    assert _outcome(decode_value, data) == _outcome(_oracle_decode_value, data)
+
+
+def _deepest_accepted(decode):
+    low, high = 0, 20 * sys.getrecursionlimit()  # low decodes, high does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if _outcome(decode, _nested(mid)) == "EncodingError" else (mid, high)
+    return low
+
+
+def test_nesting_limit_is_the_oracles_within_one_level():
+    # Both recurse once per list, so both stop at the interpreter's limit, which
+    # counts the caller's frames too.  The oracle's bytes comparisons of tags
+    # take one more level there than integer comparisons do.
+    oracle, new = _deepest_accepted(_oracle_decode_value), _deepest_accepted(decode_value)
+    assert 0 < oracle <= new <= oracle + 1

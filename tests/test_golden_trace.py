@@ -19,37 +19,37 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "9cdd8eb42ca2e1cf9f2c8342eea2d40fe5f8388db8eb55ffcff51f4d22412cc3",
+        "cd12c335f5677fa78cdd9da02fe4f19dd39c6a73ccaad4b055435d0b46413588",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "de797283c3ff03b0570414bf56a91b0a2706acac33ec4e4efecfa358613f58c1",
+        "592acd4e2c62fa9ef472a7f429c873a5c98b42fe80df31b45efa6fa02ceb0213",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "b42dd9b39ddc452964d0fe676006fd21656dc0947e832c709bb1f64c5b0853a4",
+        "928e2048c5ca3f9b1049bfd6fb4d3e1afa76269927435a696ad750a50b5ab765",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "79b0c6b7fcdad7f30bca104ff1c5bf7cf338ef1eb9c6df270b7d1642971592b5",
+        "3df45b5a6063b192ac458ff7b0011896f161370c84c8cfdeb366c6d3dc81e86f",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "b0dbf2715efefc5d5545a20890980314302edac9ddce16c73f958a2eec359c4e",
+        "cb10a8fad57937e119e7c572eccfb7bdb3d5b38d0de14c0d78ab6c577f752998",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "e4f09fbe0fbcfbd993c6a6e34b6828c12c11ed6803cf5900cece83d5894ea860",
+        "e095372b69038c8f11a358e05ad4775375b27ab8861c19614f97ee85561bbfc2",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "2b082be4c9f3e0dade988ac28d77e632bfc28affadcb5f23ed885f10ff075d7c",
+        "1678a8093766e063ef46ff9cb9cd7e2878e4e646febbea149427709932d83049",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -86,7 +86,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "bf0e2927480528a82dc8424b2045bc7688ac500b89920f257884297aff9d402f",
+    "a7afa7abee341e6e5ca4aed05984ee5fba284a193df78811b10b0bb5cfb15d72",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
     "fa10eecdc06c80881763fbb1503cfb09d05aa06077ce3dea2ebf27c57a07f319",
 )

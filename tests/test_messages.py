@@ -218,6 +218,37 @@ def test_flip_outer_byte_rejected(parties):
         unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(mutated)))
 
 
+def test_both_layers_share_one_ephemeral_key_and_open_only_under_their_own_key(parties):
+    seed = 77
+    parties["rng"] = Rng(seed)
+    env, _, _ = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN)
+    outer = env.outer_ciphertext
+    _, inner = unseal_at_mediator(parties["mediator"], env)
+    eph = slice(crypto.KEY_ID_LEN, crypto.KEY_ID_LEN + 32)
+    iv = slice(eph.stop, eph.stop + 12)
+    assert inner[eph] == outer[eph]
+    assert sealed(parties)[0].outer_ciphertext[eph] != outer[eph]  # fresh for every envelope
+    # one draw order per envelope: ephemeral key, inner IV, outer IV
+    replica = Rng(seed)
+    eph_pub = crypto.X25519PrivateKey.from_private_bytes(replica.token(32)).public_key().public_bytes_raw()
+    assert (outer[eph], inner[iv], outer[iv]) == (eph_pub, replica.token(12), replica.token(12))
+    # each layer opens only under its own recipient's key, even when it names the other key
+    for layer, keys in ((inner, parties["mediator"]), (outer, parties["endpoint"])):
+        with pytest.raises(DecryptError, match="another key"):
+            crypto.asym_decrypt(keys, layer)
+        with pytest.raises(DecryptError, match="authentication"):
+            crypto.asym_decrypt(keys, keys.kid + layer[crypto.KEY_ID_LEN :])
+    # a byte of the shared ephemeral key flipped in either layer is a reject
+    for index in range(eph.start, eph.stop):
+        flipped_outer, flipped_inner = bytearray(outer), bytearray(inner)
+        flipped_outer[index] ^= 0x01
+        flipped_inner[index] ^= 0x01
+        with pytest.raises(DecryptError):
+            unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(flipped_outer)))
+        with pytest.raises(DecryptError):
+            open_inner(parties["endpoint"], bytes(flipped_inner))
+
+
 def test_signature_stripped_or_replaced_rejected(parties):
     env, _, _ = sealed(parties)
     _, inner = unseal_at_mediator(parties["mediator"], env)

@@ -224,7 +224,7 @@ def test_replay_rejected_at_endpoint():
 def test_malformed_outer_layer_dead_lettered(outer_plain):
     # the mediator key is public: anyone can make the mediator open this
     world, a, b = two_wallets()
-    outer = crypto.asym_encrypt(world.rng, world.mediator_public_key(), outer_plain)
+    outer = crypto.asym_encrypt(world.rng, crypto.ephemeral_key(world.rng), world.mediator_public_key(), outer_plain)
     world.send_envelope("adversary", Envelope(outer), "PINReq")
     world.run_until_quiescent()
     assert world.trace[-1]["verdict"] == "dead-letter:unreadable"
