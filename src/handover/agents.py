@@ -25,6 +25,7 @@ from .credential import (
     verify_presentation,
 )
 from .crypto import SymmetricKey
+from .encoding import plain
 from .messages import (
     CHALLENGE_TYPES,
     EnvelopeReject,
@@ -97,17 +98,6 @@ class Connection:
     remote_agent_id: str
     replay: ReplayGuard = field(default_factory=ReplayGuard)
 
-    def dump(self) -> dict:
-        return {
-            "connId": self.conn_id,
-            "localPublicKey": self.local.public_key.hex(),
-            "localPrivateKey": self.local.private_key.hex(),
-            "remotePublicKey": self.remote_public_key.hex(),
-            "remoteDid": self.remote_did,
-            "remoteAgent": self.remote_agent_id,
-            "replayCache": self.replay.dump(),
-        }
-
 
 @dataclass
 class ProductRecord:
@@ -135,11 +125,6 @@ class ProductRecord:
             "email": self.email,
         }
 
-    def dump(self) -> dict:
-        d = {k: str(v) if not isinstance(v, int) else v for k, v in self.to_attributes().items()}
-        d["currentCredentialId"] = self.current_credential_id
-        return d
-
 
 @dataclass
 class ClaimantAttribute:
@@ -159,16 +144,6 @@ class ClaimantAttribute:
     encrypted_pin: Optional[bytes] = None
     credential: Optional[VerifiableCredential] = None
 
-    def dump(self) -> dict:
-        return {
-            "productCode": self.product_code,
-            "tid": self.tid,
-            "form": self.form,
-            "pin": self.pin,
-            "encryptedPin": self.encrypted_pin.hex() if self.encrypted_pin else None,
-            "credentialId": self.credential.credential_id if self.credential else None,
-        }
-
 
 @dataclass
 class OwnershipClaimingData:
@@ -184,16 +159,6 @@ class OwnershipClaimingData:
     pin: Optional[str] = None
     key: Optional[SymmetricKey] = None
     encrypted_pin: Optional[bytes] = None
-
-    def dump(self) -> dict:
-        return {
-            "role": self.role,
-            "tid": self.tid,
-            "productCode": self.product_code,
-            "pin": self.pin,
-            "key": self.key.key_bytes.hex() if self.key else None,
-            "encryptedPin": self.encrypted_pin.hex() if self.encrypted_pin else None,
-        }
 
 
 class Agent:
@@ -304,15 +269,10 @@ class Agent:
     # -- introspection -----------------------------------------------------
 
     def state_dump(self) -> dict:
+        """Every attribute under its own name, but the world, the RNG and ``_by_key_id`` (an index of ``connections``)."""
         return {
-            "agentId": self.agent_id,
             "role": self.ROLE,
-            "did": self.did.uri,
-            "online": self.online,
-            "email": self.email,
-            "connections": {did: conn.dump() for did, conn in sorted(self.connections.items())},
-            "expectations": sorted(f"{c}:{k}:{n.hex()}" for (c, k), (n, _) in self._expected.items()),
-            "inbox": [{"subject": m.subject, "fields": dict(sorted(m.fields.items()))} for m in self.inbox],
+            **plain({k: v for k, v in vars(self).items() if k not in ("world", "rng", "_by_key_id")}),
         }
 
 
@@ -617,12 +577,6 @@ class ManufacturerAgent(Agent):
             del self.claimants[claim.product_code]  # the claim is single-use
         return "accepted"
 
-    def state_dump(self) -> dict:
-        d = super().state_dump()
-        d["products"] = {code: rec.dump() for code, rec in sorted(self.products.items())}
-        d["claimants"] = {code: c.dump() for code, c in sorted(self.claimants.items())}
-        return d
-
 
 class DistributorAgent(Agent):
     """Sells catalog products on the manufacturer's behalf over the direct channel."""
@@ -667,11 +621,6 @@ class DistributorAgent(Agent):
             {"productCode": context["productCode"], "tid": tid, "nonce": dm.nonce.hex()},
         )
         return "accepted"
-
-    def state_dump(self) -> dict:
-        d = super().state_dump()
-        d["sales"] = list(self.sales)
-        return d
 
 
 class WalletAgent(Agent):
@@ -845,22 +794,6 @@ class WalletAgent(Agent):
         # a notice only: the registry is the one record of revocation
         self.send(conn, nonce, payload("revokeVCResp", status="accepted"))
         return "accepted"
-
-    def state_dump(self) -> dict:
-        d = super().state_dump()
-        d["credentials"] = [
-            {
-                "credentialId": vc.credential_id,
-                "credDefId": vc.cred_def_id,
-                "attributes": [[n, v] for n, v in vc.attributes],
-                "issuerSignature": vc.issuer_signature.hex(),
-                "revocationRegistryId": vc.revocation_registry_id,
-                "issuedAt": vc.issued_at,
-            }
-            for vc in self.credentials
-        ]
-        d["claiming"] = [entry.dump() for entry in self.claiming]
-        return d
 
 
 class AdversaryWallet(WalletAgent):

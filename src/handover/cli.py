@@ -24,10 +24,10 @@ from .scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioError,
     ScenarioSpec,
-    ScenarioStep,
     builtin_scenario,
     execute_step,
     load_scenario_file,
+    parse_step,
     run_scenario,
 )
 
@@ -50,12 +50,15 @@ def _cmd_run(args: argparse.Namespace, out: TextIO) -> int:
         out.write(f"INVARIANT VIOLATION seq={violation['seq']} {violation['invariant']}: {violation['detail']}\n")
     if not result.violations:
         out.write("invariants: single-live-credential, counter-monotonicity, pin-secrecy all hold\n")
-    if args.trace:
-        result.write_trace(args.trace)
-        out.write(f"trace written to {args.trace}\n")
-    if args.ledger_out:
-        result.world.registry.write_ledger(args.ledger_out)
-        out.write(f"ledger written to {args.ledger_out}\n")
+    registry = result.world.registry
+    for what, path, write in (("trace", args.trace, result.write_trace), ("ledger", args.ledger_out, registry.write_ledger)):
+        if path:
+            try:
+                write(path)
+            except OSError as exc:
+                out.write(f"cannot write {path}: {exc.strerror or exc}\n")
+                return 2
+            out.write(f"{what} written to {path}\n")
     if result.ok:
         out.write(f"scenario {spec.name}: PASS\n")
         return 0
@@ -142,7 +145,7 @@ class WalletRepl:
         return 0
 
     def _step(self, op: str, out: TextIO, **args) -> None:
-        step = ScenarioStep(op=op, args=args, expect="-")
+        step = parse_step({"op": op, "expect": "-", **args}, op, self.spec)
         verdict = execute_step(self.world, self.cast, self.spec, step)
         out.write(f"{op}: {verdict}\n")
 

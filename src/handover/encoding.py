@@ -3,13 +3,16 @@
 A tiny tagged length-prefixed format: two values encode to the same bytes only
 if they are equal, and decoding inverts encoding exactly.  Supported values:
 ``None``, ``int``, ``str``, ``bytes``, :class:`fractions.Fraction`, and
-(nested) lists of those.
+(nested) lists of those, at most ``MAX_NESTING`` deep when decoded.
+:func:`plain` and :func:`canonical_json` render engine state for the trace.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections import deque
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 from typing import Any, Sequence
@@ -21,6 +24,7 @@ class EncodingError(Exception):
 
 _HEAD = struct.Struct(">cI").pack  # tag, then a 4-byte big-endian length or item count
 _N, _I, _S, _B, _Q, _L = b"NISBQL"  # the decoder compares tags as integers
+MAX_NESTING = 32  # lists and fractions the decoder accepts inside one another; the engine's values nest 5 deep
 
 
 def _write(out: bytearray, value: Any) -> None:
@@ -51,10 +55,12 @@ def encode_value(value: Any) -> bytes:
     return bytes(out)
 
 
-def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
+def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
     if pos >= len(data):
         raise EncodingError("unexpected end of input")
     tag = data[pos]
+    if depth == MAX_NESTING and tag in b"LQ":
+        raise EncodingError("values nested too deeply")
     if tag in b"ISBL":
         start = pos + 5
         length = int.from_bytes(data[pos + 1 : start], "big")
@@ -64,7 +70,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
         if tag == _L:
             items = []
             for _ in range(length):
-                item, end = _decode_at(data, end)
+                item, end = _decode_at(data, end, depth + 1)
                 items.append(item)
             return items, end
         raw = data[start:end]
@@ -80,8 +86,8 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
     if tag == _N:
         return None, pos + 1
     if tag == _Q:
-        num, pos = _decode_at(data, pos + 1)
-        den, pos = _decode_at(data, pos)
+        num, pos = _decode_at(data, pos + 1, depth + 1)
+        den, pos = _decode_at(data, pos, depth + 1)
         if type(num) is not int or type(den) is not int or den <= 0 or gcd(num, den) != 1:
             raise EncodingError("fraction needs two integers in lowest terms and a positive denominator")
         return Fraction(num, den), pos
@@ -90,10 +96,7 @@ def _decode_at(data: bytes, pos: int) -> tuple[Any, int]:
 
 def decode_value(data: bytes) -> Any:
     """Invert :func:`encode_value`; any input it did not produce raises :class:`EncodingError`."""
-    try:
-        value, pos = _decode_at(data, 0)
-    except RecursionError as exc:
-        raise EncodingError("lists nested too deeply") from exc
+    value, pos = _decode_at(data, 0, 0)
     if pos != len(data):
         raise EncodingError("trailing bytes after value")
     return value
@@ -102,6 +105,23 @@ def decode_value(data: bytes) -> Any:
 def encode(values: Sequence[Any]) -> bytes:
     """Encode a sequence of values as one canonical byte string."""
     return encode_value(list(values))
+
+
+def plain(value: Any) -> Any:
+    """JSON-ready form of engine state: a dataclass becomes its fields by name,
+    without those declared ``repr=False``; bytes become hex, sets sorted lists,
+    tuples and deques lists, and a tuple dict key its parts joined with ``:``."""
+    if value is None or isinstance(value, (str, int)):  # the leaves, most of a dump
+        return value
+    if isinstance(value, (bytes, bytearray)):
+        return value.hex()
+    if isinstance(value, (list, tuple, deque)):
+        return [plain(item) for item in value]
+    if isinstance(value, dict):
+        return {":".join(k) if isinstance(k, tuple) else k: plain(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(plain, value))
+    return {f.name: plain(getattr(value, f.name)) for f in fields(value) if f.repr}  # raises unless a dataclass
 
 
 def canonical_json(obj: Any) -> str:

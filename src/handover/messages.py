@@ -24,7 +24,7 @@ ciphertexts that consumed them: an exact copy is a replay before any decryption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -290,24 +290,22 @@ def verify_inner(view: InnerView, sender_public_key: bytes) -> tuple[bytes, Mess
 # -- replay discipline -------------------------------------------------------
 
 
+@dataclass
 class ReplayGuard:
-    """Consumed (nonce, kind) pairs and the exact ciphertexts that consumed them; a copy is a replay before decryption."""
+    """Consumed (nonce, kind) pairs and the exact ciphertexts that consumed them; a copy is a replay before decryption.
+    A state dump lists the pairs only."""
 
-    def __init__(self) -> None:
-        self._consumed: set[tuple[bytes, str]] = set()
-        self._ciphertexts: set[bytes] = set()
+    consumed: set[tuple[bytes, str]] = field(default_factory=set)
+    ciphertexts: set[bytes] = field(default_factory=set, repr=False)
 
     def holds(self, inner_ciphertext: bytes) -> bool:
-        return inner_ciphertext in self._ciphertexts
+        return inner_ciphertext in self.ciphertexts
 
     def register(self, nonce: bytes, kind: str, inner_ciphertext: bytes) -> bool:
         """Consume the pair and record its ciphertext; False means the pair was already seen (replay)."""
         item = (bytes(nonce), kind)
-        if item in self._consumed:
+        if item in self.consumed:
             return False
-        self._consumed.add(item)
-        self._ciphertexts.add(inner_ciphertext)  # the delivered object itself, not a copy
+        self.consumed.add(item)
+        self.ciphertexts.add(inner_ciphertext)  # the delivered object itself, not a copy
         return True
-
-    def dump(self) -> list[str]:
-        return sorted(f"{nonce.hex()}:{kind}" for nonce, kind in self._consumed)

@@ -17,7 +17,7 @@ attacks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -166,45 +166,39 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     declared = {manufacturer, distributor, *wallets, *adversaries} - {None}
     if len(declared) != (2 if distributor else 1) + len(wallets) + len(adversaries):
         raise ScenarioError("cast", "agent names must be unique")
-    roles = {"agent": declared, "wallet": {*wallets, *adversaries}, "adversary": set(adversaries)}
-    roles["distributor"] = {distributor}
-    script = []
+    spec = ScenarioSpec(name, seed, manufacturer, distributor, wallets, adversaries, products, script=())
     raw_script = _require(data, "script", list, "scenario")
-    for index, raw in enumerate(raw_script):
-        location = f"script[{index}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(location, "step must be an object")
-        op = _require(raw, "op", str, location)
-        if op not in STEP_OPS:
-            raise ScenarioError(location, f"unknown op {op!r}")
-        expect = _require(raw, "expect", str, location)
-        args = {k: v for k, v in raw.items() if k not in ("op", "expect")}
-        unknown = sorted(set(args) - set(STEP_OPS[op]))
-        if unknown:
-            raise ScenarioError(f"{location}.{unknown[0]}", f"{op} takes no argument {unknown[0]!r}")
-        for key, kind in STEP_OPS[op].items():
-            if key not in args and kind.endswith("?"):
-                continue
-            kind = kind.rstrip("?")
-            value = args.get(key, distributor if kind == "distributor" else None)
-            if kind in roles:
-                if not isinstance(value, str) or value not in roles[kind]:
-                    raise ScenarioError(f"{location}.{key}", f"{value!r} is not in the cast as {kind}")
-            elif not _VALUE_CHECKS[kind](value):
-                raise ScenarioError(f"{location}.{key}", f"expected a {kind}, got {value!r}")
-        if op == "spoof":
-            _spoof_payload(args.get("message", {}), f"{location}.message")
-        script.append(ScenarioStep(op=op, args=args, expect=expect))
-    return ScenarioSpec(
-        name=name,
-        seed=seed,
-        manufacturer=manufacturer,
-        distributor=distributor,
-        wallets=wallets,
-        adversaries=adversaries,
-        products=products,
-        script=tuple(script),
-    )
+    return replace(spec, script=tuple(parse_step(raw, f"script[{i}]", spec) for i, raw in enumerate(raw_script)))
+
+
+def parse_step(raw: object, location: str, spec: ScenarioSpec) -> ScenarioStep:
+    """Check one script step: a known op, only its own arguments, each of its type or in ``spec``'s cast."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(location, "step must be an object")
+    op = _require(raw, "op", str, location)
+    if op not in STEP_OPS:
+        raise ScenarioError(location, f"unknown op {op!r}")
+    expect = _require(raw, "expect", str, location)
+    args = {k: v for k, v in raw.items() if k not in ("op", "expect")}
+    unknown = sorted(set(args) - set(STEP_OPS[op]))
+    if unknown:
+        raise ScenarioError(f"{location}.{unknown[0]}", f"{op} takes no argument {unknown[0]!r}")
+    wallets = {*spec.wallets, *spec.adversaries}
+    agents = {spec.manufacturer, spec.distributor, *wallets} - {None}
+    roles = {"agent": agents, "wallet": wallets, "adversary": set(spec.adversaries), "distributor": {spec.distributor}}
+    for key, kind in STEP_OPS[op].items():
+        if key not in args and kind.endswith("?"):
+            continue
+        kind = kind.rstrip("?")
+        value = args.get(key, spec.distributor if kind == "distributor" else None)
+        if kind in roles:
+            if not isinstance(value, str) or value not in roles[kind]:
+                raise ScenarioError(f"{location}.{key}", f"{value!r} is not in the cast as {kind}")
+        elif not _VALUE_CHECKS[kind](value):
+            raise ScenarioError(f"{location}.{key}", f"expected a {kind}, got {value!r}")
+    if op == "spoof":
+        _spoof_payload(args.get("message", {}), f"{location}.message")
+    return ScenarioStep(op=op, args=args, expect=expect)
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import crypto
+from .encoding import plain
 from .messages import Envelope, MessagePayload, seal, unseal_at_mediator
 from .registry import VerifiableDataRegistry
 
@@ -62,14 +63,14 @@ class SimError(Exception):
     pass
 
 
+@dataclass
 class Mediator:
     """Honest-but-curious relay: reads routing headers, stores sealed payloads."""
 
-    def __init__(self, keys: crypto.KeyPair) -> None:
-        self.keys = keys
-        self.routes: dict[str, str] = {}
-        self.queues: dict[str, deque] = {}
-        self.dead_letters: list[bytes] = []
+    keys: crypto.KeyPair = field(repr=False)
+    routes: dict[str, str] = field(default_factory=dict)
+    queues: dict[str, deque] = field(default_factory=dict)  # agent id -> (inner ciphertext, kind) held while offline
+    dead_letters: list[bytes] = field(default_factory=list)
 
     def register(self, did_uri: str, agent_id: str) -> None:
         self.routes[did_uri] = agent_id
@@ -101,11 +102,8 @@ class Mediator:
             world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind)
 
     def state_dump(self) -> dict:
-        return {
-            "routes": dict(sorted(self.routes.items())),
-            "queues": {aid: [inner.hex() for inner, _ in q] for aid, q in sorted(self.queues.items())},
-            "deadLetters": [b.hex() for b in self.dead_letters],
-        }
+        """Routes, queues and dead letters; the mediator's keys stay out."""
+        return plain(self)
 
 
 class World:

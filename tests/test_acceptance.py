@@ -48,7 +48,7 @@ def _protocol_snapshot(world):
     # protocol state: agent state plus mediator routing/queues; the mediator's
     # dead-letter log is diagnostic bookkeeping for unreadable garbage
     dumps = world.state_dumps()
-    dumps["MD"].pop("deadLetters", None)
+    dumps["MD"].pop("dead_letters")
     return canonical_json(dumps)
 
 

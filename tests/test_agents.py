@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 from functools import reduce
 
@@ -334,7 +335,7 @@ def test_claim_new_wrong_pin_rejected():
     cast["B1"].claim_new(cast["MF"].did.uri, emailed(cast["B1"], "tid")["tid"], emailed(cast["B1"], "pin")["pin"])
     world.run_until_quiescent()
     assert len(cast["B1"].credentials) == 1
-    assert not any(":ownershipClaimResp:" in e for e in cast["B1"].state_dump()["expectations"])
+    assert not any(key.endswith(":ownershipClaimResp") for key in cast["B1"].state_dump()["_expected"])
 
 
 def test_claim_new_flow_replay_rejected():
@@ -739,7 +740,7 @@ def test_unanswered_transfer_request_leaves_no_state():
         world.run_until_quiescent()
     assert mf.products["PC-100"].status == "sold"
     assert "PC-100" not in mf.claimants
-    assert sum(":ownershipProofResp:" in e for e in mf.state_dump()["expectations"]) == 1
+    assert sum(key.endswith(":ownershipProofResp") for key in mf.state_dump()["_expected"]) == 1
     # the owner's resale still completes
     start_resale(world, cast, buyer="B3")
     run_transfer(world, cast)
@@ -770,6 +771,45 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     assert mf.products["PC-100"].previously_sold_count == 1
 
 
+def test_state_dump_shows_an_open_exchange_with_its_context():
+    world, cast = make_world()
+    sell_to(world, cast)
+    claim_new(world, cast)
+    mf, b2 = cast["MF"], cast["B2"]
+    establish_connection(b2, mf)
+    tid, nonce = mint_tid(world.rng), crypto.fresh_nonce(world.rng)
+    request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
+    b2.send(b2.connections[mf.did.uri], nonce, request)
+    world.run_until_quiescent()
+    # B2 leaves the proof request unanswered: the request lives only in the open exchange, and the dump shows it
+    conn_id = mf.connections[b2.did.uri].conn_id
+    open_nonce, context = mf.state_dump()["_expected"][f"{conn_id}:ownershipProofResp"]
+    assert open_nonce == nonce.hex()
+    assert (context["productCode"], context["tid"], context["encryptedPin"]) == ("PC-100", tid, "01" * 38)
+
+
+def test_a_buyer_key_in_a_non_owner_expectation_breaks_pin_secrecy():
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    b1, b2 = cast["B1"], cast["B2"]
+    world.emit_state_dumps()
+    assert scan_trace(world.trace) == []
+    key = next(entry.key for entry in b2.claiming if entry.role == "buying")
+    b1.expect(b1.connections[b2.did.uri].conn_id, "PINResp", bytes(16), context={"key": key})
+    world.emit_state_dumps()  # the scan reads each agent's last dump
+    details = [v["detail"] for v in scan_trace(world.trace) if v["invariant"] == "pin-secrecy"]
+    assert details == ["symmetric key of B2 stored by B1"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_every_dump_is_json_ready_and_holds_no_parsed_key(name):
+    dumps = run_scenario(builtin_scenario(name)).world.state_dumps()
+    for dump in dumps.values():
+        text = canonical_json(dump)  # raises on bytes, a parsed key or any other non-JSON value
+        assert json.loads(text) == dump  # and a tuple would come back a list
+        assert not any(f'"{field}":' in text for field in ("signer", "agreer", "kid"))
+
+
 def test_unanswered_used_claims_leave_one_challenge_open():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
@@ -784,7 +824,7 @@ def test_unanswered_used_claims_leave_one_challenge_open():
         world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-3:] == ["accepted"] * 3
-    assert sum(":pinChallengeResp:" in e for e in mf.state_dump()["expectations"]) == 1
+    assert sum(key.endswith(":pinChallengeResp") for key in mf.state_dump()["_expected"]) == 1
     # the buyer's claim still completes
     establish_connection(b2, mf)
     b2.claim_used(mf.did.uri, tid)
@@ -808,9 +848,8 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
     b1.send(conn, first, payload("ownershipProofResp", presentation=presentation))
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:nonce-mismatch")
-    assert [e for e in mf.state_dump()["expectations"] if ":ownershipProofResp:" in e] == [
-        f"{conn.conn_id}:ownershipProofResp:{second.hex()}"
-    ]
+    open_proofs = {key: nonce for key, (nonce, _) in mf.state_dump()["_expected"].items() if key.endswith("ProofResp")}
+    assert open_proofs == {f"{conn.conn_id}:ownershipProofResp": second.hex()}
     assert mf.products["PC-100"].status == "sold"
 
 
@@ -881,9 +920,9 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B2", "rejected:unexpected-kind")
     after = b2.state_dump()
     # only the connection's replay cache records the consumed message
-    cache_before = before["connections"][b1.did.uri].pop("replayCache")
-    cache_after = after["connections"][b1.did.uri].pop("replayCache")
-    assert cache_after == sorted(cache_before + [f"{nonce.hex()}:ownershipClaimReq"])
+    cache_before = before["connections"][b1.did.uri].pop("replay")["consumed"]
+    cache_after = after["connections"][b1.did.uri].pop("replay")["consumed"]
+    assert cache_after == sorted(cache_before + [[nonce.hex(), "ownershipClaimReq"]])
     assert after == before
 
 

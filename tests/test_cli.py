@@ -43,6 +43,14 @@ def test_run_writes_trace_and_ledger(tmp_path):
     assert ledger.read_bytes() == ledger2.read_bytes()
 
 
+@pytest.mark.parametrize("option", ["--trace", "--ledger-out"])
+def test_run_unwritable_output_exit_2(tmp_path, option):
+    path = tmp_path / "missing-dir" / "out.ndjson"
+    code, output = run_cli("run", "new-purchase", option, str(path))
+    assert code == 2
+    assert f"cannot write {path}: No such file or directory" in output
+
+
 def test_run_seed_override_changes_trace(tmp_path):
     a = tmp_path / "a.ndjson"
     b = tmp_path / "b.ndjson"
@@ -202,6 +210,13 @@ def test_wallet_repl_claim_flow():
     assert "claim_new: rejected:unknown-claim" in output
     assert "claim_new: accepted" in output
     assert "[valid]" in output
+
+
+def test_wallet_repl_reports_a_bad_argument_and_keeps_reading():
+    code, output = run_cli("wallet", "B1", stdin="connect MF\nclaim abc bad!\ncredentials\nquit\n")
+    assert code == 0
+    assert "error: claim_new.pin: expected a pin, got 'bad!'" in output
+    assert "(none)" in output  # the command after the bad one still ran
 
 
 def test_wallet_repl_rejects_wrong_agent():

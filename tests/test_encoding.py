@@ -1,5 +1,7 @@
 import struct
 import sys
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover.encoding import EncodingError, decode_value, encode, encode_value
+from handover.encoding import MAX_NESTING, EncodingError, decode_value, encode, encode_value, plain
 
 
 @pytest.mark.parametrize(
@@ -82,7 +84,8 @@ def _text(tag, raw):
         _text(b"I", b"x"),
         _text(b"I", b"\xff"),
         _text(b"S", b"\xff"),
-        b"L\x00\x00\x00\x01" * 5000 + b"N",  # nested deeper than the interpreter recurses
+        b"L\x00\x00\x00\x01" * 5000 + b"N",  # nested far deeper than MAX_NESTING
+        b"Q" * 5000 + encode_value(1),  # fractions as numerators, as deep
         _text(b"I", b"1_000"),
         _text(b"I", b" 12"),
         _text(b"I", b"+5"),
@@ -100,6 +103,7 @@ def _text(tag, raw):
         "int-not-ascii",
         "str-not-utf8",
         "deep-nesting",
+        "deep-fractions",
         "int-underscore",
         "int-leading-space",
         "int-plus-sign",
@@ -298,9 +302,8 @@ def _nested(depth):
     return b"L\x00\x00\x00\x01" * depth + b"N"
 
 
-# well inside and well past the recursion limit (Hypothesis raises it by a
-# couple of thousand frames while a test runs); at the limit, see the next test
-_depths = st.one_of(st.integers(0, 300), st.integers(8000, 10000))
+# up to the decoder's limit, where the recursive oracle agrees with it; past the limit, see the next test
+_depths = st.integers(0, MAX_NESTING)
 
 
 @st.composite
@@ -325,9 +328,31 @@ def _deepest_accepted(decode):
     return low
 
 
-def test_nesting_limit_is_the_oracles_within_one_level():
-    # Both recurse once per list, so both stop at the interpreter's limit, which
-    # counts the caller's frames too.  The oracle's bytes comparisons of tags
-    # take one more level there than integer comparisons do.
-    oracle, new = _deepest_accepted(_oracle_decode_value), _deepest_accepted(decode_value)
-    assert 0 < oracle <= new <= oracle + 1
+def _at_stack_depth(frames, function):
+    return function() if frames == 0 else _at_stack_depth(frames - 1, function)
+
+
+def test_nesting_limit_is_the_constant_at_any_stack_depth():
+    # the limit counts the lists in the bytes, not the caller's frames
+    shallow = _deepest_accepted(decode_value)
+    deep = _at_stack_depth(sys.getrecursionlimit() // 2, lambda: _deepest_accepted(decode_value))
+    assert shallow == deep == MAX_NESTING
+
+
+@dataclass
+class _State:
+    key: bytes
+    seen: set
+    open: dict
+    queue: deque
+    parsed: object = field(default=None, repr=False)
+
+
+def test_plain_renders_state_as_json_ready_values():
+    state = _State(b"\x01\xff", {"b", "a"}, {("conn", "kind"): (b"\x02", {"n": 1})}, deque([(b"\x03", "k")]), object())
+    assert plain(state) == {
+        "key": "01ff",
+        "seen": ["a", "b"],
+        "open": {"conn:kind": ["02", {"n": 1}]},
+        "queue": [["03", "k"]],
+    }

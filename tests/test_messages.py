@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from handover import crypto
 from handover.credential import VerifiableCredential, present_proof
 from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair
-from handover.encoding import encode
+from handover.encoding import encode, plain
 from handover.messages import (
     KIND_FIELDS,
     EnvelopeReject,
@@ -330,7 +330,7 @@ def test_replay_guard_holds_only_ciphertexts_that_consumed_a_pair(rng):
     assert guard.register(nonce, "PINReq", b"ct-1")
     assert not guard.register(nonce, "PINReq", b"ct-2")  # a fresh ciphertext of a consumed pair
     assert guard.holds(b"ct-1") and not guard.holds(b"ct-2")
-    assert guard.dump() == [f"{nonce.hex()}:PINReq"]  # the dump lists pairs only
+    assert plain(guard) == {"consumed": [[nonce.hex(), "PINReq"]]}  # the dump lists pairs only
 
 
 @given(
