@@ -56,6 +56,9 @@ RESPONSE_KINDS = frozenset(
     }
 )
 
+# How an AdversaryWallet forges the credential of a transfer request (see the class).
+FORGERY_MODES = ("self-issued", "unknown-creddef", "garbage")
+
 
 class AgentActionError(Exception):
     """A locally-initiated action cannot start (missing state, no connection)."""
@@ -810,6 +813,8 @@ class AdversaryWallet(WalletAgent):
 
     def craft_transfer_request(self, manufacturer_did: str, product_code: str, mode: str) -> None:
         """Send a transfer request for a product this wallet never owned."""
+        if mode not in FORGERY_MODES:
+            raise AgentActionError(f"unknown forgery mode {mode!r}")
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         fake_pin_ct = self.rng.token(40)

@@ -107,10 +107,25 @@ def _cmd_list(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+# Each REPL command that runs a script step: (op, the argument the session's
+# wallet fills, the positional arguments in order).
+STEP_COMMANDS = {
+    "claim": ("claim_new", "wallet", ("tid", "pin")),
+    "claim-used": ("claim_used", "wallet", ("tid",)),
+    "sell": ("sell", "seller", ("buyer", "product")),
+    "transfer": ("transfer", "seller", ("product",)),
+    "connect": ("connect", "a", ("b",)),
+}
+
+
+def _usage(command: str) -> str:
+    return " ".join([command, *(f"<{name}>" for name in STEP_COMMANDS[command][2])])
+
+
 class WalletRepl:
     """Interactive wallet driving the scheduler one command at a time."""
 
-    COMMANDS = "inbox | credentials | claim <tid> <pin> | claim-used <tid> | sell <buyer> <product> | transfer <product> | connect <agent> | state | quit"
+    COMMANDS = " | ".join(["inbox", "credentials", *map(_usage, STEP_COMMANDS), "state", "quit"])
 
     def __init__(self, agent_id: str, spec: ScenarioSpec, seed: Optional[int]):
         self.result = run_scenario(spec, seed=seed)
@@ -140,17 +155,24 @@ class WalletRepl:
                 break
             try:
                 self._dispatch(command, rest, out)
-            except (ScenarioError, KeyError, IndexError) as exc:
+            except (ScenarioError, KeyError) as exc:
                 out.write(f"error: {exc}\n")
         return 0
 
-    def _step(self, op: str, out: TextIO, **args) -> None:
+    def _step(self, command: str, rest: list[str], out: TextIO) -> None:
+        op, own, names = STEP_COMMANDS[command]
+        if len(rest) != len(names):
+            out.write(f"error: usage: {_usage(command)}\n")
+            return
+        args = {own: self.agent.agent_id, **dict(zip(names, rest))}
         step = parse_step({"op": op, "expect": "-", **args}, op, self.spec)
         verdict = execute_step(self.world, self.cast, self.spec, step)
         out.write(f"{op}: {verdict}\n")
 
     def _dispatch(self, command: str, rest: list[str], out: TextIO) -> None:
-        if command == "inbox":
+        if command in STEP_COMMANDS:
+            self._step(command, rest, out)
+        elif command == "inbox":
             if not self.agent.inbox:
                 out.write("(empty)\n")
             for message in self.agent.inbox:
@@ -165,16 +187,6 @@ class WalletRepl:
                 out.write(f"{vc.credential_id} product={vc.attribute('productCode')} [{status}]\n")
         elif command == "state":
             out.write(json.dumps(self.agent.state_dump(), indent=2, sort_keys=True) + "\n")
-        elif command == "claim":
-            self._step("claim_new", out, wallet=self.agent.agent_id, tid=rest[0], pin=rest[1])
-        elif command == "claim-used":
-            self._step("claim_used", out, wallet=self.agent.agent_id, tid=rest[0])
-        elif command == "sell":
-            self._step("sell", out, seller=self.agent.agent_id, buyer=rest[0], product=rest[1])
-        elif command == "transfer":
-            self._step("transfer", out, seller=self.agent.agent_id, product=rest[0])
-        elif command == "connect":
-            self._step("connect", out, a=self.agent.agent_id, b=rest[0])
         elif command == "help":
             out.write(self.COMMANDS + "\n")
         else:

@@ -23,6 +23,7 @@ from typing import Optional
 
 from . import simnet
 from .agents import (
+    FORGERY_MODES,
     AdversaryWallet,
     Agent,
     AgentActionError,
@@ -49,7 +50,7 @@ STEP_OPS: dict[str, dict[str, str]] = {
     "offline": {"agent": "agent"},
     "online": {"agent": "agent"},
     "replay": {"seq": "seq?"},
-    "tamper": {"seq": "seq?", "byte_index": "int?", "new_byte": "int?"},
+    "tamper": {"seq": "seq?", "byte_index": "int?", "new_byte": "byte?"},
     "spoof": {
         "a": "agent?",
         "recipient": "agent",
@@ -57,12 +58,14 @@ STEP_OPS: dict[str, dict[str, str]] = {
         "knows_endpoint_key": "bool?",
         "message": "message?",
     },
-    "adversary_transfer": {"adversary": "adversary", "product": "str", "mode": "str?"},
+    "adversary_transfer": {"adversary": "adversary", "product": "str", "mode": "forgery mode?"},
 }
 _VALUE_CHECKS = {
     "str": lambda value: isinstance(value, str),
     "pin": lambda value: isinstance(value, str) and is_valid_pin(value),
     "int": lambda value: type(value) is int,
+    "byte": lambda value: type(value) is int and 0 <= value <= 255,
+    "forgery mode": lambda value: value in FORGERY_MODES,
     "bool": lambda value: isinstance(value, bool),
     "seq": lambda value: type(value) is int or value in ("all-ssi", "last-ssi"),
     "message": lambda value: isinstance(value, dict),
@@ -111,7 +114,6 @@ class StepResult:
 @dataclass
 class ScenarioResult:
     spec: ScenarioSpec
-    seed: int
     world: World
     cast: dict[str, Agent]
     steps: list[StepResult] = field(default_factory=list)
@@ -196,7 +198,11 @@ def parse_step(raw: object, location: str, spec: ScenarioSpec) -> ScenarioStep:
                 raise ScenarioError(f"{location}.{key}", f"{value!r} is not in the cast as {kind}")
         elif not _VALUE_CHECKS[kind](value):
             raise ScenarioError(f"{location}.{key}", f"expected a {kind}, got {value!r}")
+    if op == "connect" and args["a"] == args["b"]:
+        raise ScenarioError(f"{location}.b", f"{args['b']!r} cannot connect to itself")
     if op == "spoof":
+        if "a" in args and "forged_sender" in args:
+            raise ScenarioError(f"{location}.forged_sender", "spoof takes a or forged_sender, not both")
         _spoof_payload(args.get("message", {}), f"{location}.message")
     return ScenarioStep(op=op, args=args, expect=expect)
 
@@ -402,7 +408,7 @@ def run_scenario(
     world, cast = build_world(spec, seed)
     if max_ticks is not None:
         world.max_ticks = max_ticks
-    result = ScenarioResult(spec=spec, seed=seed if seed is not None else spec.seed, world=world, cast=cast)
+    result = ScenarioResult(spec=spec, world=world, cast=cast)
     for index, step in enumerate(spec.script):
         if world.timed_out:
             break  # nothing is delivered past the budget, so a later verdict would mean nothing

@@ -110,7 +110,6 @@ class World:
     """One simulation universe: registry, mediator, agents, scheduler, trace."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.seed = seed
         self.rng = crypto.Rng(seed)
         self.clock = 0
         self._seq = 0

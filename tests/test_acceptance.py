@@ -301,7 +301,7 @@ def test_criterion_10_determinism_trace_and_ledger(tmp_path):
         first = run_scenario(builtin_scenario(name))
         second = run_scenario(builtin_scenario(name))
         assert first.trace_lines() == second.trace_lines(), name
-        assert first.world.registry.ledger_lines() == second.world.registry.ledger_lines(), name
+        assert first.world.registry.entries == second.world.registry.entries, name
     path_a, path_b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
     ledger_a, ledger_b = tmp_path / "la.ndjson", tmp_path / "lb.ndjson"
     first = run_scenario(builtin_scenario("full-lifecycle"))

@@ -7,6 +7,8 @@ import pytest
 
 from handover import crypto
 from handover.agents import (
+    AdversaryWallet,
+    AgentActionError,
     DistributorAgent,
     ManufacturerAgent,
     PinFormatError,
@@ -1126,3 +1128,15 @@ def test_email_eavesdropper_boundary():
     eve.claim_new(cast["MF"].did.uri, stolen["tid"]["tid"], stolen["pin"]["pin"])
     world.run_until_quiescent()
     assert len(eve.credentials) == 1
+
+
+def test_adversary_transfer_refuses_an_unknown_forgery_mode():
+    world, cast = make_world(wallets=())
+    eve = AdversaryWallet("EVE", world)
+    establish_connection(eve, cast["MF"])
+    world.run_until_quiescent()
+    mark = len(world.trace)
+    with pytest.raises(AgentActionError):
+        eve.craft_transfer_request(cast["MF"].did.uri, "PC-100", "selfissued")
+    world.run_until_quiescent()
+    assert world.trace[mark:] == []

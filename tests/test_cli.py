@@ -213,10 +213,14 @@ def test_wallet_repl_claim_flow():
 
 
 def test_wallet_repl_reports_a_bad_argument_and_keeps_reading():
-    code, output = run_cli("wallet", "B1", stdin="connect MF\nclaim abc bad!\ncredentials\nquit\n")
+    stdin = "connect MF\nclaim abc bad!\nclaim\nsell B2\nconnect B1\ncredentials\nquit\n"
+    code, output = run_cli("wallet", "B1", stdin=stdin)
     assert code == 0
     assert "error: claim_new.pin: expected a pin, got 'bad!'" in output
-    assert "(none)" in output  # the command after the bad one still ran
+    assert "error: usage: claim <tid> <pin>\n" in output
+    assert "error: usage: sell <buyer> <product>\n" in output
+    assert "error: connect.b: 'B1' cannot connect to itself\n" in output
+    assert "(none)" in output  # the command after the bad ones still ran
 
 
 def test_wallet_repl_rejects_wrong_agent():
@@ -273,6 +277,14 @@ def test_parse_scenario_unknown_agent_reference(tmp_path, mutate, location):
     assert output == f"scenario error: {err.value}\n"
 
 
+def _with_adversary(step):
+    def mutate(data):
+        data["cast"]["adversaries"] = ["EVE"]
+        _append_step(step)(data)
+
+    return mutate
+
+
 def _set_step_arg(index, key, value):
     return lambda data: data["script"][index].__setitem__(key, value)
 
@@ -307,6 +319,17 @@ def _set_step_arg(index, key, value):
         (lambda data: data.__setitem__("products", [100]), "scenario.products"),
         (_set_step_arg(0, "prodcut", "PC-100"), "script[0].prodcut"),
         (_append_step({"op": "tamper", "byteindex": 3}), "script[3].byteindex"),
+        (_append_step({"op": "connect", "a": "B1", "b": "B1"}), "script[3].b"),
+        (_append_step({"op": "tamper", "new_byte": 421}), "script[3].new_byte"),
+        (_append_step({"op": "tamper", "new_byte": -1}), "script[3].new_byte"),
+        (
+            _append_step({"op": "spoof", "a": "B1", "forged_sender": "did:handover:ghost", "recipient": "MF"}),
+            "script[3].forged_sender",
+        ),
+        (
+            _with_adversary({"op": "adversary_transfer", "adversary": "EVE", "product": "PC-100", "mode": "selfissued"}),
+            "script[3].mode",
+        ),
     ],
     ids=[
         "record-sale-without-product",
@@ -328,6 +351,11 @@ def _set_step_arg(index, key, value):
         "product-code-int",
         "misspelt-product",
         "misspelt-byte-index",
+        "connect-to-itself",
+        "tamper-new-byte-above-255",
+        "tamper-new-byte-negative",
+        "spoof-a-and-forged-sender",
+        "adversary-transfer-unknown-mode",
     ],
 )
 def test_parse_scenario_bad_argument_exit_2(tmp_path, mutate, location):

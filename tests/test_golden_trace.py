@@ -80,7 +80,7 @@ def test_golden_trace_and_ledger(name):
     trace_sha, ledger_sha, behaviour_sha = GOLDEN[name]
     assert _behaviour_digest(result.world.trace) == behaviour_sha
     assert _digest(result.trace_lines()) == trace_sha
-    assert _digest(result.world.registry.ledger_lines()) == ledger_sha
+    assert _digest(result.world.registry.entries) == ledger_sha
 
 
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
@@ -116,4 +116,4 @@ def test_golden_attack_steps():
     trace_sha, ledger_sha, behaviour_sha = ATTACK_STEPS_GOLDEN
     assert _behaviour_digest(result.world.trace) == behaviour_sha
     assert _digest(result.trace_lines()) == trace_sha
-    assert _digest(result.world.registry.ledger_lines()) == ledger_sha
+    assert _digest(result.world.registry.entries) == ledger_sha
