@@ -27,6 +27,7 @@ from .credential import (
 from .crypto import SymmetricKey
 from .encoding import plain
 from .messages import (
+    CHALLENGE_OPERANDS,
     CHALLENGE_TYPES,
     EnvelopeReject,
     MessagePayload,
@@ -77,7 +78,7 @@ def pin_numeric(pin: str) -> int:
 
 def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -> Fraction:
     """Exact rational result of (PIN value <op> challengeBy); PIN is the left operand."""
-    if not 100 <= challenge_by <= 9999:
+    if challenge_by not in CHALLENGE_OPERANDS:
         raise ValueError("challengeBy must be a 3-4 digit positive integer")
     if challenge_type == "+":
         return Fraction(pin_value + challenge_by)
@@ -189,8 +190,9 @@ class Agent:
 
     def add_connection(self, conn: Connection) -> None:
         old = self.connections.get(conn.remote_did)
-        if old is not None:
+        if old is not None:  # no reply can reach the old connection, so its open exchanges close too
             del self._by_key_id[old.local.kid]
+            self._expected = {key: value for key, value in self._expected.items() if key[0] != old.conn_id}
         self.connections[conn.remote_did] = conn
         self._by_key_id[conn.local.kid] = conn
 
@@ -495,7 +497,7 @@ class ManufacturerAgent(Agent):
 
     def draw_challenge(self) -> tuple[int, str]:
         """Fresh 3-4 digit operand and an arithmetic operator, uniformly drawn."""
-        return self.rng.randint(100, 9999), self.rng.choice(CHALLENGE_TYPES)
+        return self.rng.randint(CHALLENGE_OPERANDS[0], CHALLENGE_OPERANDS[-1]), self.rng.choice(CHALLENGE_TYPES)
 
     def check_challenge_response(
         self, claim: ClaimantAttribute, key: SymmetricKey, challenge: tuple[int, str], result: Fraction

@@ -22,16 +22,18 @@ from . import crypto
 from .encoding import encode
 from .registry import VerifiableDataRegistry
 
-PRODUCT_ATTRIBUTE_NAMES = (
-    "productCode",
-    "distributorID",
-    "ConnID",
-    "status",
-    "previouslySoldCount",
-    "firstPurchaseDate",
-    "lastPurchaseDate",
-    "email",
-)
+# Each product attribute and the type of its value; a credential carries every value as a string.
+PRODUCT_ATTRIBUTES = {
+    "productCode": str,
+    "distributorID": str,
+    "ConnID": str,
+    "status": str,
+    "previouslySoldCount": int,
+    "firstPurchaseDate": int,
+    "lastPurchaseDate": int,
+    "email": str,
+}
+PRODUCT_ATTRIBUTE_NAMES = tuple(PRODUCT_ATTRIBUTES)
 
 PRODUCT_SCHEMA_ID = "product-ownership-v1"
 

@@ -26,45 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Optional
 
 from . import crypto
-from .credential import ProofPresentation, VerifiableCredential, vc_from_wire, vc_to_wire
+from .credential import PRODUCT_ATTRIBUTES, ProofPresentation, VerifiableCredential, vc_from_wire, vc_to_wire
 from .encoding import EncodingError, decode_value, encode
 
 PIN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 TID_LEN = 16
-
-# Field order is fixed per kind; it defines the canonical byte layout.
-KIND_FIELDS: dict[str, tuple[tuple[str, str], ...]] = {
-    "productSellingReq": (
-        ("productCode", "str"),
-        ("distributorID", "str"),
-        ("ConnID", "str"),
-        ("status", "str"),
-        ("previouslySoldCount", "int"),
-        ("firstPurchaseDate", "int"),
-        ("lastPurchaseDate", "int"),
-        ("email", "str"),
-    ),
-    "productSellingResp": (("tid", "str"),),
-    "ownershipClaimReq": (("tid", "str"), ("pin", "opt_str"), ("key", "opt_bytes")),
-    "ownershipClaimResp": (("credential", "vc"),),
-    "ownershipClaimAck": (("status", "str"),),
-    "PINReq": (("tid", "str"),),
-    "PINResp": (("encryptedPin", "bytes"), ("tid", "str")),
-    "ownershipTransferReq": (("productCode", "str"), ("encryptedPin", "bytes"), ("tid", "str")),
-    "ownershipTransferResp": (("status", "str"),),
-    "ownershipProofReq": (("attributes", "str_list"), ("challenge", "bytes")),
-    "ownershipProofResp": (("presentation", "presentation"),),
-    "pinChallengeReq": (("tid", "str"), ("challengeBy", "int"), ("challengeType", "str")),
-    "pinChallengeResp": (("tid", "str"), ("challengeResult", "fraction")),
-    "revokeVC": (("credentialId", "str"), ("productCode", "str")),
-    "revokeVCResp": (("status", "str"),),
-}
-
 ACK_STATUSES = ("accepted", "rejected")
 CHALLENGE_TYPES = ("+", "-", "*", "/")
+CHALLENGE_OPERANDS = range(100, 10_000)  # challengeBy is a 3-4 digit integer
 
 
 class PayloadError(Exception):
@@ -100,6 +72,84 @@ def is_valid_pin(value: str) -> bool:
     return 6 <= len(value) <= 8 and all(c in PIN_ALPHABET for c in value)
 
 
+# -- field types -------------------------------------------------------------
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+@dataclass(frozen=True)
+class FieldType:
+    """What a field admits, its wire form each way, and how scenario JSON writes it."""
+
+    name: str
+    admits: Callable[[Any], bool]
+    to_wire: Callable[[Any], Any] = _same
+    from_wire: Callable[[Any], Any] = _same  # a wrong shape raises ValueError; ``admits`` checks the result
+    from_json: Optional[Callable[[Any], Any]] = _same  # None: scenario JSON cannot write the field
+
+
+def _hex_from_json(raw: Any) -> Any:
+    return bytes.fromhex(raw) if isinstance(raw, str) else raw
+
+
+def _presentation_to_wire(value: ProofPresentation) -> list:
+    return [vc_to_wire(value.credential), value.challenge_nonce, value.presentation_signature]
+
+
+def _presentation_from_wire(value: Any) -> ProofPresentation:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError("presentation is not a 3-field list")
+    wire_vc, nonce, signature = value
+    if not (isinstance(nonce, bytes) and isinstance(signature, bytes)):
+        raise ValueError("presentation field has the wrong type")
+    return ProofPresentation(vc_from_wire(wire_vc), nonce, signature)
+
+
+STR = FieldType("a str", lambda v: isinstance(v, str))
+INT = FieldType("an int", lambda v: isinstance(v, int) and not isinstance(v, bool))
+BYTES = FieldType("bytes", lambda v: isinstance(v, (bytes, bytearray)), to_wire=bytes, from_json=_hex_from_json)
+OPT_BYTES = FieldType(
+    "bytes or None", lambda v: v is None or BYTES.admits(v), lambda v: None if v is None else bytes(v), _hex_from_json
+)
+FRACTION = FieldType(
+    "a fraction",
+    lambda v: isinstance(v, Fraction),
+    from_json=lambda raw: Fraction(raw[0], raw[1]) if isinstance(raw, list) else raw,
+)
+STR_LIST = FieldType(
+    "a list of str", lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v), to_wire=list
+)
+CREDENTIAL = FieldType("a credential", lambda v: isinstance(v, VerifiableCredential), vc_to_wire, vc_from_wire, None)
+PRESENTATION = FieldType(
+    "a presentation", lambda v: isinstance(v, ProofPresentation), _presentation_to_wire, _presentation_from_wire, None
+)
+ACK_STATUS = FieldType(f"one of {ACK_STATUSES}", lambda v: isinstance(v, str) and v in ACK_STATUSES)
+CHALLENGE_TYPE = FieldType(f"one of {CHALLENGE_TYPES}", lambda v: isinstance(v, str) and v in CHALLENGE_TYPES)
+CHALLENGE_BY = FieldType("a 3-4 digit int", lambda v: INT.admits(v) and v in CHALLENGE_OPERANDS)
+OPT_PIN = FieldType("a PIN or None", lambda v: v is None or (isinstance(v, str) and is_valid_pin(v)))
+
+# Field order is fixed per kind; it defines the canonical byte layout.
+KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
+    "productSellingReq": tuple((name, {str: STR, int: INT}[t]) for name, t in PRODUCT_ATTRIBUTES.items()),
+    "productSellingResp": (("tid", STR),),
+    "ownershipClaimReq": (("tid", STR), ("pin", OPT_PIN), ("key", OPT_BYTES)),
+    "ownershipClaimResp": (("credential", CREDENTIAL),),
+    "ownershipClaimAck": (("status", ACK_STATUS),),
+    "PINReq": (("tid", STR),),
+    "PINResp": (("encryptedPin", BYTES), ("tid", STR)),
+    "ownershipTransferReq": (("productCode", STR), ("encryptedPin", BYTES), ("tid", STR)),
+    "ownershipTransferResp": (("status", ACK_STATUS),),
+    "ownershipProofReq": (("attributes", STR_LIST), ("challenge", BYTES)),
+    "ownershipProofResp": (("presentation", PRESENTATION),),
+    "pinChallengeReq": (("tid", STR), ("challengeBy", CHALLENGE_BY), ("challengeType", CHALLENGE_TYPE)),
+    "pinChallengeResp": (("tid", STR), ("challengeResult", FRACTION)),
+    "revokeVC": (("credentialId", STR), ("productCode", STR)),
+    "revokeVCResp": (("status", ACK_STATUS),),
+}
+
+
 def payload(kind: str, **fields: Any) -> MessagePayload:
     """Build and validate a payload; raises :class:`PayloadError` on any mismatch."""
     p = MessagePayload(kind=kind, body=dict(fields))
@@ -115,80 +165,17 @@ def validate_payload(p: MessagePayload) -> None:
     if sorted(p.body) != sorted(names):
         raise PayloadError(f"{p.kind}: expected fields {names}, got {sorted(p.body)}")
     for name, ftype in spec:
-        value = p.body[name]
-        if not _type_ok(ftype, value):
-            raise PayloadError(f"{p.kind}.{name}: bad value {value!r} for {ftype}")
-    if p.kind == "ownershipClaimReq":
-        has_pin = p.body["pin"] is not None
-        has_key = p.body["key"] is not None
-        if has_pin == has_key:
-            raise PayloadError("ownershipClaimReq carries exactly one of (pin, key)")
-        if has_pin and not is_valid_pin(p.body["pin"]):
-            raise PayloadError("ownershipClaimReq.pin is not a valid PIN")
-    if p.kind in ("ownershipClaimAck", "ownershipTransferResp", "revokeVCResp"):
-        if p.body["status"] not in ACK_STATUSES:
-            raise PayloadError(f"{p.kind}.status must be one of {ACK_STATUSES}")
-    if p.kind == "pinChallengeReq":
-        if p.body["challengeType"] not in CHALLENGE_TYPES:
-            raise PayloadError("pinChallengeReq.challengeType must be one of + - * /")
-        if not 100 <= p.body["challengeBy"] <= 9999:
-            raise PayloadError("pinChallengeReq.challengeBy must be a 3-4 digit integer")
-
-
-def _type_ok(ftype: str, value: Any) -> bool:
-    if ftype == "str":
-        return isinstance(value, str)
-    if ftype == "int":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if ftype == "bytes":
-        return isinstance(value, (bytes, bytearray))
-    if ftype == "fraction":
-        return isinstance(value, Fraction)
-    if ftype == "str_list":
-        return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-    if ftype == "vc":
-        return isinstance(value, VerifiableCredential)
-    if ftype == "presentation":
-        return isinstance(value, ProofPresentation)
-    if ftype == "opt_str":
-        return value is None or isinstance(value, str)
-    if ftype == "opt_bytes":
-        return value is None or isinstance(value, (bytes, bytearray))
-    raise PayloadError(f"unknown field type {ftype}")
-
-
-def _field_to_wire(ftype: str, value: Any) -> Any:
-    if ftype == "vc":
-        return vc_to_wire(value)
-    if ftype == "presentation":
-        return [vc_to_wire(value.credential), value.challenge_nonce, value.presentation_signature]
-    if ftype == "str_list":
-        return list(value)
-    if ftype in ("bytes", "opt_bytes") and value is not None:
-        return bytes(value)
-    return value
-
-
-def _field_from_wire(ftype: str, value: Any) -> Any:
-    """Rebuild a credential or presentation field; a wrong shape raises ``ValueError``."""
-    if ftype == "vc":
-        return vc_from_wire(value)
-    if ftype == "presentation":
-        if not isinstance(value, list) or len(value) != 3:
-            raise ValueError("presentation is not a 3-field list")
-        wire_vc, nonce, signature = value
-        if not (isinstance(nonce, bytes) and isinstance(signature, bytes)):
-            raise ValueError("presentation field has the wrong type")
-        return ProofPresentation(vc_from_wire(wire_vc), nonce, signature)
-    return value  # plain and str_list fields are type-checked by validate_payload
+        if not ftype.admits(p.body[name]):
+            raise PayloadError(f"{p.kind}.{name}: {p.body[name]!r} is not {ftype.name}")
+    if p.kind == "ownershipClaimReq" and (p.body["pin"] is None) == (p.body["key"] is None):
+        raise PayloadError("ownershipClaimReq carries exactly one of (pin, key)")
 
 
 def canonical_encode_payload(p: MessagePayload) -> bytes:
     """Deterministic, injective byte encoding; field order is fixed per kind."""
     validate_payload(p)
     spec = KIND_FIELDS[p.kind]
-    values = [_field_to_wire(ftype, p.body[name]) for name, ftype in spec]
-    return encode([p.kind] + values)
+    return encode([p.kind] + [ftype.to_wire(p.body[name]) for name, ftype in spec])
 
 
 def decode_payload(data: bytes) -> MessagePayload:
@@ -205,7 +192,7 @@ def decode_payload(data: bytes) -> MessagePayload:
     if len(obj) != len(spec) + 1:
         raise PayloadError(f"{kind}: wrong field count")
     try:
-        body = {name: _field_from_wire(ftype, raw) for (name, ftype), raw in zip(spec, obj[1:])}
+        body = {name: ftype.from_wire(raw) for (name, ftype), raw in zip(spec, obj[1:])}
     except ValueError as exc:
         raise PayloadError(f"{kind}: {exc}") from exc
     p = MessagePayload(kind=kind, body=body)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional
 
 from . import simnet
@@ -219,22 +218,17 @@ def load_scenario_file(path: str) -> ScenarioSpec:
 
 
 def payload_from_json(kind: str, body: dict, location: str) -> MessagePayload:
-    """Build a payload from scenario JSON; bytes fields are hex strings."""
+    """Build a payload from scenario JSON, each field in its type's JSON form (bytes are hex strings)."""
     spec = KIND_FIELDS.get(kind)
     if spec is None:
         raise ScenarioError(location, f"unknown message kind {kind!r}")
-    if any(ftype in ("vc", "presentation") for _, ftype in spec):
+    if any(ftype.from_json is None for _, ftype in spec):
         raise ScenarioError(location, f"{kind} carries a credential or presentation, which cannot be scripted")
-    converted = {}
+    unknown = sorted(set(body) - {name for name, _ in spec})
+    if unknown:
+        raise ScenarioError(f"{location}.body.{unknown[0]}", f"{kind} has no field {unknown[0]!r}")
     try:
-        for name, ftype in spec:
-            raw = body.get(name)
-            if ftype in ("bytes", "opt_bytes") and isinstance(raw, str):
-                raw = bytes.fromhex(raw)
-            elif ftype == "fraction" and isinstance(raw, list):
-                raw = Fraction(raw[0], raw[1])
-            converted[name] = raw
-        return payload(kind, **converted)
+        return payload(kind, **{name: ftype.from_json(body.get(name)) for name, ftype in spec})
     except (PayloadError, ValueError, TypeError, IndexError, ZeroDivisionError) as exc:
         raise ScenarioError(location, f"invalid {kind} body: {exc}") from exc
 

@@ -69,7 +69,7 @@ class Mediator:
 
     keys: crypto.KeyPair = field(repr=False)
     routes: dict[str, str] = field(default_factory=dict)
-    queues: dict[str, deque] = field(default_factory=dict)  # agent id -> (inner ciphertext, kind) held while offline
+    queues: dict[str, deque] = field(default_factory=dict)  # agent id -> (inner layer, kind, meta) held while offline
     dead_letters: list[bytes] = field(default_factory=list)
 
     def register(self, did_uri: str, agent_id: str) -> None:
@@ -86,20 +86,21 @@ class Mediator:
         if agent_id is None or agent_id not in world.agents:
             self.dead_letters.append(inner)
             return "dead-letter"
-        if world.agents[agent_id].online:
-            world.schedule(
-                frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=event.kind, meta=event.extra
-            )
-            return "forwarded"
-        self.queues.setdefault(agent_id, deque()).append((inner, event.kind))
-        return "queued"
+        if not world.agents[agent_id].online:
+            self.queues.setdefault(agent_id, deque()).append((inner, event.kind, event.extra))
+            return "queued"
+        self._forward(world, agent_id, inner, event.kind, event.extra)
+        return "forwarded"
 
     def poll(self, world: "World", agent_id: str) -> None:
         """Drain the offline queue for an agent, preserving send order."""
         queue = self.queues.get(agent_id)
         while queue:
-            inner, kind = queue.popleft()
-            world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind)
+            self._forward(world, agent_id, *queue.popleft())
+
+    def _forward(self, world: "World", agent_id: str, inner: bytes, kind: str, meta: dict) -> None:
+        """Pass the inner layer on with the meta (``injected``, ``of``, ``tampered``) of the event that brought it."""
+        world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind, meta=meta)
 
     def state_dump(self) -> dict:
         """Routes, queues and dead letters; the mediator's keys stay out."""

@@ -21,7 +21,7 @@ from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.invariants import scan_trace
 from handover.credential import present_proof, vc_to_wire
-from handover.messages import Envelope, mint_tid, payload, signing_bytes
+from handover.messages import Envelope, mint_tid, payload
 from handover.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioStep,
@@ -33,7 +33,7 @@ from handover.scenarios import (
 )
 from handover.simnet import World
 
-from conftest import fresh_lifecycle
+from conftest import fresh_lifecycle, send_signed
 
 
 def make_world(seed=7, wallets=("B1", "B2"), products=("PC-100",)):
@@ -855,6 +855,24 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
     assert mf.products["PC-100"].status == "sold"
 
 
+def test_replacing_a_connection_closes_its_open_exchanges():
+    data = json.loads(json.dumps(BUILTIN_SCENARIOS["sale-only"]))
+    data["script"] += [
+        {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        {"op": "offline", "agent": "MF", "expect": "ok"},
+        {"op": "claim_new", "wallet": "B1", "tid": "00" * 16, "pin": "AAAAAA", "expect": "no-decision"},
+        {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        {"op": "online", "agent": "MF", "expect": "ok"},
+    ]
+    result = run_scenario(parse_scenario(data))
+    assert [step.verdict for step in result.steps] == [step.expect for step in result.spec.script]
+    b1 = result.cast["B1"]
+    held = {conn.conn_id for conn in b1.connections.values()}
+    assert len(held) == 1
+    # the claim sent on the replaced connection can never be answered, so no exchange of it stays open
+    assert {peer for peer, _ in b1._expected} <= held
+
+
 def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
@@ -1097,17 +1115,7 @@ def _vc_wire(cast, attributes=None):
 def test_malformed_signed_payload_rejected(sender, recipient, fields):
     # a connected peer signs, with its own connection key, a payload of the right kind and the wrong shape
     world, cast = run_sale_and_claim()
-    frm, to = cast[sender], cast[recipient]
-    conn = frm.connections[to.did.uri]
-    nonce = crypto.fresh_nonce(world.rng)
-    payload_bytes = encode(fields(cast))
-    signature = crypto.sign(conn.local, signing_bytes(nonce, payload_bytes))
-    inner_plain = encode(["inner", nonce, payload_bytes, signature])
-    ephemeral = crypto.ephemeral_key(world.rng)
-    inner = crypto.asym_encrypt(world.rng, ephemeral, conn.remote_public_key, inner_plain)
-    outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", to.did.uri, inner]))
-    world.send_envelope(sender, Envelope(outer), fields(cast)[0])
-    world.run_until_quiescent()
+    send_signed(world, cast[sender], cast[recipient], encode(fields(cast)), fields(cast)[0])
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (recipient, "rejected:malformed-payload")
 
 

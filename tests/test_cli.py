@@ -330,6 +330,12 @@ def _set_step_arg(index, key, value):
             _with_adversary({"op": "adversary_transfer", "adversary": "EVE", "product": "PC-100", "mode": "selfissued"}),
             "script[3].mode",
         ),
+        (
+            _append_step(
+                {"op": "spoof", "recipient": "MF", "message": {"kind": "PINReq", "body": {"tid": "00" * 16, "tdi": "x"}}}
+            ),
+            "script[3].message.body.tdi",
+        ),
     ],
     ids=[
         "record-sale-without-product",
@@ -356,6 +362,7 @@ def _set_step_arg(index, key, value):
         "tamper-new-byte-negative",
         "spoof-a-and-forged-sender",
         "adversary-transfer-unknown-mode",
+        "spoof-body-unknown-field",
     ],
 )
 def test_parse_scenario_bad_argument_exit_2(tmp_path, mutate, location):

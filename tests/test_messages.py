@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover import crypto
-from handover.credential import VerifiableCredential, present_proof
+from handover import crypto, messages
+from handover.credential import ProofPresentation, VerifiableCredential, present_proof
 from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair
-from handover.encoding import encode, plain
+from handover.encoding import EncodingError, encode, plain
 from handover.messages import (
+    ACK_STATUSES,
+    CHALLENGE_OPERANDS,
+    CHALLENGE_TYPES,
     KIND_FIELDS,
+    PIN_ALPHABET,
     EnvelopeReject,
     PayloadError,
     ReplayGuard,
@@ -24,6 +28,9 @@ from handover.messages import (
     unseal_at_mediator,
     verify_inner,
 )
+from handover.scenarios import builtin_scenario, run_scenario
+
+from conftest import send_signed
 
 TID = "00112233445566778899aabbccddeeff"
 
@@ -342,3 +349,84 @@ def test_replay_guard_holds_only_ciphertexts_that_consumed_a_pair(rng):
 def test_challenge_codec_property(tid, by, op):
     p = payload("pinChallengeReq", tid=tid, challengeBy=by, challengeType=op)
     assert decode_payload(canonical_encode_payload(p)) == p
+
+
+# -- value domains -------------------------------------------------------------
+
+TEXT = st.text(max_size=12)
+PINS = st.text(PIN_ALPHABET, min_size=6, max_size=8)
+CREDENTIALS = st.builds(
+    VerifiableCredential,
+    TEXT,
+    TEXT,
+    st.lists(st.tuples(TEXT, TEXT), max_size=3).map(tuple),
+    st.binary(max_size=64),
+    TEXT,
+    st.integers(),
+)
+# the values each field type admits
+ADMITTED = {
+    messages.STR: TEXT,
+    messages.INT: st.integers(),
+    messages.BYTES: st.binary(max_size=40),
+    messages.OPT_BYTES: st.none() | st.binary(max_size=40),
+    messages.FRACTION: st.fractions(),
+    messages.STR_LIST: st.lists(TEXT, max_size=4),
+    messages.CREDENTIAL: CREDENTIALS,
+    messages.PRESENTATION: st.builds(ProofPresentation, CREDENTIALS, st.binary(max_size=16), st.binary(max_size=64)),
+    messages.ACK_STATUS: st.sampled_from(ACK_STATUSES),
+    messages.CHALLENGE_TYPE: st.sampled_from(CHALLENGE_TYPES),
+    messages.CHALLENGE_BY: st.integers(CHALLENGE_OPERANDS[0], CHALLENGE_OPERANDS[-1]),
+    messages.OPT_PIN: st.none() | PINS,
+}
+
+
+@st.composite
+def admitted_payloads(draw):
+    kind = draw(st.sampled_from(tuple(KIND_FIELDS)))
+    body = {name: draw(ADMITTED[ftype]) for name, ftype in KIND_FIELDS[kind]}
+    if kind == "ownershipClaimReq":  # the one cross-field rule: a claim carries exactly one of pin and key
+        body["pin"], body["key"] = draw(st.tuples(PINS, st.none()) | st.tuples(st.none(), st.binary(max_size=40)))
+    return payload(kind, **body)
+
+
+@given(admitted_payloads())
+@settings(max_examples=200, deadline=None)
+def test_every_admitted_value_of_every_kind_roundtrips(p):
+    assert decode_payload(canonical_encode_payload(p)) == p
+
+
+@given(st.integers().filter(lambda n: n not in CHALLENGE_OPERANDS))
+@settings(max_examples=60, deadline=None)
+def test_challenge_operand_outside_three_or_four_digits_rejected(by):
+    with pytest.raises(PayloadError):
+        payload("pinChallengeReq", tid=TID, challengeBy=by, challengeType="+")
+
+
+OUT_OF_DOMAIN = [
+    ("pinChallengeReq", "challengeBy", 99),
+    ("pinChallengeReq", "challengeBy", 10000),
+    ("pinChallengeReq", "challengeType", "%"),
+    ("ownershipClaimAck", "status", "maybe"),
+    ("ownershipClaimReq", "pin", "abc"),
+    ("pinChallengeReq", "challengeBy", True),
+]
+
+
+@pytest.mark.parametrize("kind, name, value", OUT_OF_DOMAIN, ids=[f"{n}={v!r}" for _, n, v in OUT_OF_DOMAIN])
+def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, value):
+    body = dict(sample_payload(kind).body, **{name: value})
+    with pytest.raises(PayloadError):
+        payload(kind, **body)
+    fields = [kind] + [value if field == name else ftype.to_wire(body[field]) for field, ftype in KIND_FIELDS[kind]]
+    if isinstance(value, bool):
+        with pytest.raises(EncodingError):  # the codec has no boolean, so no peer can send one
+            encode(fields)
+        return
+    payload_bytes = encode(fields)
+    with pytest.raises(PayloadError):
+        decode_payload(payload_bytes)
+    # B1 signs it with its own key on its connection with MF, so only the payload check can refuse it
+    result = run_scenario(builtin_scenario("new-purchase"))
+    send_signed(result.world, result.cast["B1"], result.cast["MF"], payload_bytes, kind)
+    assert (result.world.trace[-1]["to"], result.world.trace[-1]["verdict"]) == ("MF", "rejected:malformed-payload")

@@ -218,6 +218,24 @@ def test_replay_rejected_at_endpoint():
     assert len(b.claiming) == 1
 
 
+def test_queued_message_keeps_the_meta_of_its_event():
+    spec = builtin_scenario("new-purchase")
+    world, cast = build_world(spec)
+    for step in spec.script:
+        execute_step(world, cast, spec, step)
+    claim_seq = next(r["seq"] for r in world.trace if r["from"] == "B1" and r["kind"] == "ownershipClaimReq")
+    world.set_online("MF", False)
+    world.replay(claim_seq)
+    world.run_until_quiescent()
+    assert world.trace[-1]["verdict"] == "queued"
+    world.set_online("MF", True)
+    world.run_until_quiescent()
+    forwarded = next(r for r in reversed(world.trace) if (r["from"], r["to"]) == ("MD", "MF"))
+    assert forwarded["meta"]["injected"] == "replay"
+    assert forwarded["meta"]["of"] == claim_seq
+    assert forwarded["verdict"] == "rejected:replay"
+
+
 @pytest.mark.parametrize(
     "outer_plain", [b"N", encode(["route", "did:handover:nobody", None])], ids=["not-a-list", "none-inner"]
 )
