@@ -138,12 +138,12 @@ class ClaimantAttribute:
     verified; until then a buyer's claim with the TID is ``unknown-tid``.
     The key and challenge of each claim attempt stay with that attempt.
     Once issued, the credential stays here until the holder acknowledges it
-    (Aries RFC 0015), so a retried claim gets the same credential again.
+    (Aries RFC 0015), so a retried claim gets the same credential again.  A
+    new-product claim holds the PIN, a used-product claim the encrypted PIN.
     """
 
     product_code: str
     tid: str
-    form: str  # "new" (tid+pin sale) | "used" (tid+encrypted pin transfer)
     pin: Optional[str] = None
     encrypted_pin: Optional[bytes] = None
     credential: Optional[VerifiableCredential] = None
@@ -151,18 +151,15 @@ class ClaimantAttribute:
 
 @dataclass
 class OwnershipClaimingData:
-    """Wallet-side record of one sale or purchase in progress.
+    """A buyer's secrets for one second-hand purchase, kept under its TID.
 
-    On a selling wallet only the PIN ciphertext is ever present; the plaintext
-    PIN and the symmetric key exist solely on the buying side.
+    The plaintext PIN and the symmetric key exist solely on the buyer's side; the
+    seller holds only the TID and the PIN ciphertext (``WalletAgent.sales``).
     """
 
-    role: str  # "buying" | "selling"
-    tid: str
-    product_code: Optional[str] = None
-    pin: Optional[str] = None
-    key: Optional[SymmetricKey] = None
-    encrypted_pin: Optional[bytes] = None
+    pin: str
+    key: SymmetricKey
+    encrypted_pin: bytes
 
 
 class Agent:
@@ -337,10 +334,10 @@ class ManufacturerAgent(Agent):
         self.products[product_code] = record
         return record
 
-    def _claimant_by_tid(self, tid: str, form: str, conn: Connection) -> Optional[ClaimantAttribute]:
-        """The open claim with ``tid``; once its credential is issued, only on the connection it went to."""
+    def _claimant_by_tid(self, tid: str, used: bool, conn: Connection) -> Optional[ClaimantAttribute]:
+        """The open new or ``used`` claim with ``tid``; once issued, only on the connection its credential went to."""
         for claim in self.claimants.values():
-            if claim.tid == tid and claim.form == form:
+            if claim.tid == tid and (claim.encrypted_pin is not None) == used:
                 issued = claim.credential is not None
                 return None if issued and self.products[claim.product_code].conn_id != conn.conn_id else claim
         return None
@@ -386,7 +383,7 @@ class ManufacturerAgent(Agent):
         product.last_purchase_date = now
         tid = mint_tid(self.rng)
         pin = mint_pin(self.rng)
-        self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, form="new", pin=pin)
+        self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, pin=pin)
         self.world.send_direct(self.agent_id, frm, dm.nonce, payload("productSellingResp", tid=tid))
         self.world.send_email(
             self.agent_id,
@@ -404,7 +401,7 @@ class ManufacturerAgent(Agent):
         return self._claim_used(conn, nonce, p)
 
     def _claim_new(self, conn: Connection, nonce: bytes, p: MessagePayload) -> str:
-        claim = self._claimant_by_tid(p.body["tid"], "new", conn)
+        claim = self._claimant_by_tid(p.body["tid"], False, conn)
         if claim is None or claim.pin != p.body["pin"]:
             return "rejected:unknown-claim"
         product = self.products.get(claim.product_code)
@@ -471,7 +468,7 @@ class ManufacturerAgent(Agent):
             return f"rejected:{reason}"
         # the proof shows the holder has the current credential: an unacknowledged offer of it is settled
         self.claimants[code] = ClaimantAttribute(
-            product_code=code, tid=context["tid"], form="used", encrypted_pin=bytes(context["encryptedPin"])
+            product_code=code, tid=context["tid"], encrypted_pin=bytes(context["encryptedPin"])
         )
         product.status = "transfer_pending"
         self.send(conn, nonce, payload("ownershipTransferResp", status="accepted"))
@@ -480,7 +477,7 @@ class ManufacturerAgent(Agent):
     # -- used-product claim (tid + symmetric key) -----------------------------
 
     def _claim_used(self, conn: Connection, nonce: bytes, p: MessagePayload) -> str:
-        claim = self._claimant_by_tid(p.body["tid"], "used", conn)
+        claim = self._claimant_by_tid(p.body["tid"], True, conn)
         if claim is None:
             return "rejected:unknown-tid"
         try:
@@ -513,7 +510,7 @@ class ManufacturerAgent(Agent):
         return True, ""
 
     def _on_pin_challenge_resp(self, conn, nonce, p, context) -> str:
-        claim = self._claimant_by_tid(context["tid"], "used", conn)
+        claim = self._claimant_by_tid(context["tid"], True, conn)
         if claim is None or p.body["tid"] != context["tid"]:
             return "rejected:unknown-tid"
         result = p.body["challengeResult"]
@@ -588,10 +585,6 @@ class DistributorAgent(Agent):
 
     ROLE = "distributor"
 
-    def __init__(self, agent_id: str, world: "simnet.World") -> None:
-        super().__init__(agent_id, world)
-        self.sales: list[dict] = []
-
     def record_sale(self, manufacturer_id: str, product_code: str, buyer_email: str) -> None:
         nonce = crypto.fresh_nonce(self.rng)
         now = self.world.tick()
@@ -617,13 +610,11 @@ class DistributorAgent(Agent):
             return f"rejected:{dm.error}"
         if dm.payload is None or dm.payload.kind != "productSellingResp":
             return "rejected:unexpected-kind"
-        tid = dm.payload.body["tid"]
-        self.sales.append({"productCode": context["productCode"], "tid": tid})
         self.world.send_email(
             self.agent_id,
             context["email"],
             "tid",
-            {"productCode": context["productCode"], "tid": tid, "nonce": dm.nonce.hex()},
+            {"productCode": context["productCode"], "tid": dm.payload.body["tid"], "nonce": dm.nonce.hex()},
         )
         return "accepted"
 
@@ -645,83 +636,62 @@ class WalletAgent(Agent):
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
         self.credentials: list[VerifiableCredential] = []
-        self.claiming: list[OwnershipClaimingData] = []
-
-    def _claim_entry(self, tid: str, role: str | None = None) -> Optional[OwnershipClaimingData]:
-        for entry in self.claiming:
-            if entry.tid == tid and (role is None or entry.role == role):
-                return entry
-        return None
+        self.claiming: dict[str, OwnershipClaimingData] = {}  # TID -> secrets of a purchase, in purchase order
+        self.sales: dict[str, tuple[str, bytes]] = {}  # product code -> (TID, encrypted PIN) of its latest sale
 
     # -- locally initiated actions ------------------------------------------
 
     def claim_new(self, manufacturer_did: str, tid: str, pin: str) -> None:
         """Send the new-product ownership claim with the emailed TID and PIN."""
         conn = self.connection_with(manufacturer_did)
-        if self._claim_entry(tid) is None:
-            self.claiming.append(OwnershipClaimingData(role="buying", tid=tid, pin=pin))
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin, key=None))
-        self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": tid})
+        self.expect(conn.conn_id, "ownershipClaimResp", nonce)
 
     def start_sell(self, buyer_did: str, product_code: str) -> str:
         """Open a sale: mint a TID and ask the buyer for an encrypted PIN."""
         conn = self.connection_with(buyer_did)
         tid = mint_tid(self.rng)
-        self.claiming.append(OwnershipClaimingData(role="selling", tid=tid, product_code=product_code))
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("PINReq", tid=tid))
-        self.expect(conn.conn_id, "PINResp", nonce, context={"tid": tid})
+        # the sale is stored only once the buyer's reply completes it
+        self.expect(conn.conn_id, "PINResp", nonce, context={"tid": tid, "productCode": product_code})
         return tid
 
     def start_transfer(self, manufacturer_did: str, product_code: str) -> None:
         """Ask the manufacturer to transfer ownership using the stored sale data."""
-        entry = next(
-            (
-                e
-                for e in self.claiming
-                if e.role == "selling" and e.product_code == product_code and e.encrypted_pin is not None
-            ),
-            None,
-        )
-        if entry is None:
+        sale = self.sales.get(product_code)
+        if sale is None:
             raise AgentActionError(f"{self.agent_id} has no completed sale data for {product_code}")
+        tid, encrypted_pin = sale
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(
-            conn,
-            nonce,
-            payload(
-                "ownershipTransferReq", productCode=product_code, encryptedPin=entry.encrypted_pin, tid=entry.tid
-            ),
+            conn, nonce, payload("ownershipTransferReq", productCode=product_code, encryptedPin=encrypted_pin, tid=tid)
         )
         self.expect(conn.conn_id, "ownershipProofReq", nonce, context={"productCode": product_code})
         self.expect(conn.conn_id, "ownershipTransferResp", nonce, context={"productCode": product_code})
 
     def claim_used(self, manufacturer_did: str, tid: str) -> None:
         """Claim a second-hand purchase: reveal the symmetric key to the manufacturer."""
-        entry = self._claim_entry(tid, role="buying")
-        if entry is None or entry.key is None:
+        entry = self.claiming.get(tid)
+        if entry is None:
             raise AgentActionError(f"{self.agent_id} holds no purchase data for tid {tid}")
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=None, key=entry.key.key_bytes))
-        self.expect(conn.conn_id, "pinChallengeReq", nonce, context={"tid": tid})
+        self.expect(conn.conn_id, "pinChallengeReq", nonce)
 
     # -- handlers -------------------------------------------------------------
 
     def _on_pin_req(self, conn, nonce, p, context) -> str:
         tid = p.body["tid"]
+        if tid in self.claiming:  # the first purchase keeps its secrets; a peer cannot overwrite them
+            return "rejected:duplicate-tid"
         pin = mint_pin(self.rng)
         key = crypto.generate_symmetric_key(self.rng)
-        entry = OwnershipClaimingData(
-            role="buying",
-            tid=tid,
-            pin=pin,
-            key=key,
-            encrypted_pin=crypto.sym_encrypt(self.rng, key, pin.encode("ascii")),
-        )
-        self.claiming.append(entry)
+        entry = OwnershipClaimingData(pin, key, crypto.sym_encrypt(self.rng, key, pin.encode("ascii")))
+        self.claiming[tid] = entry
         self.world.emit(
             channel=simnet.CHANNEL_AUDIT,
             kind="secret-minted",
@@ -742,10 +712,8 @@ class WalletAgent(Agent):
     def _on_pin_resp(self, conn, nonce, p, context) -> str:
         if p.body["tid"] != context["tid"]:
             return "rejected:tid-mismatch"
-        entry = self._claim_entry(context["tid"], role="selling")
-        if entry is None:
-            return "rejected:unknown-tid"
-        entry.encrypted_pin = bytes(p.body["encryptedPin"])  # opaque to this wallet
+        # opaque to this wallet; a later sale of the product replaces an earlier one
+        self.sales[context["productCode"]] = (context["tid"], bytes(p.body["encryptedPin"]))
         return "accepted"
 
     def _select_credential(self, product_code: str, requested: list[str]) -> Optional[VerifiableCredential]:
@@ -766,13 +734,14 @@ class WalletAgent(Agent):
         return "accepted"
 
     def _on_pin_challenge_req(self, conn, nonce, p, context) -> str:
-        entry = self._claim_entry(p.body["tid"], role="buying")
-        if entry is None or entry.pin is None:
+        tid = p.body["tid"]
+        entry = self.claiming.get(tid)
+        if entry is None:
             return "rejected:unknown-tid"
         result = evaluate_challenge(pin_numeric(entry.pin), p.body["challengeBy"], p.body["challengeType"])
-        self.send(conn, nonce, payload("pinChallengeResp", tid=entry.tid, challengeResult=result))
+        self.send(conn, nonce, payload("pinChallengeResp", tid=tid, challengeResult=result))
         # the credential offer that follows runs under the claim's nonce too
-        self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": entry.tid})
+        self.expect(conn.conn_id, "ownershipClaimResp", nonce)
         return "accepted"
 
     def _on_ownership_claim_resp(self, conn, nonce, p, context) -> str:
@@ -785,9 +754,6 @@ class WalletAgent(Agent):
             return f"rejected:{reason}"
         if all(held.credential_id != vc.credential_id for held in self.credentials):  # a retry re-offers
             self.credentials.append(vc)
-        entry = self._claim_entry(context.get("tid", ""))
-        if entry is not None:
-            entry.product_code = vc.attribute("productCode")
         self.send(conn, nonce, payload("ownershipClaimAck", status="accepted"))
         return "accepted"
 

@@ -77,12 +77,12 @@ class Rng:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Signing + key-agreement pair; both halves are raw 32-byte keys.  ``signer``
-    and ``agreer`` are the private halves, parsed once; ``kid`` is the key id.
-    None of the three takes part in ``==``, ``hash`` or ``repr``."""
+    """Signing + key-agreement pair; both public halves are raw 32-byte keys.
+    ``signer`` and ``agreer`` are the private halves, parsed once; ``kid`` is the
+    key id.  None of the three takes part in ``==``, ``hash`` or ``repr``, so
+    no state dump or trace holds a private key."""
 
     public_key: bytes
-    private_key: bytes
     signer: Ed25519PrivateKey = field(repr=False, compare=False)
     agreer: X25519PrivateKey = field(repr=False, compare=False)
     kid: bytes = field(repr=False, compare=False)
@@ -116,7 +116,7 @@ def generate_keypair(rng: Rng) -> KeyPair:
     signer = Ed25519PrivateKey.from_private_bytes(ed_seed)
     agreer = X25519PrivateKey.from_private_bytes(x_seed)
     ed_pub, x_pub = signer.public_key().public_bytes_raw(), agreer.public_key().public_bytes_raw()
-    return KeyPair(ed_pub + x_pub, ed_seed + x_seed, signer, agreer, _x25519_key_id(x_pub))
+    return KeyPair(ed_pub + x_pub, signer, agreer, _x25519_key_id(x_pub))
 
 
 def _check_key(key: bytes, what: str) -> None:

@@ -337,12 +337,9 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
             wallet = cast[step.args["wallet"]]
             tid = step.args.get("tid")
             if tid is None:
-                entry = next(
-                    (e for e in reversed(wallet.claiming) if e.role == "buying" and e.key is not None), None
-                )
-                if entry is None:
+                tid = next(reversed(wallet.claiming), None)  # the wallet's latest purchase
+                if tid is None:
                     return "rejected:no-purchase-data"
-                tid = entry.tid
             wallet.claim_used(manufacturer.did.uri, tid)
 
         elif step.op == "adversary_transfer":

@@ -28,6 +28,7 @@ CHANNEL_AUDIT = "audit"
 CHANNEL_CONTROL = "control"
 
 DEFAULT_MAX_TICKS = 100_000
+MAX_QUEUED = 64  # messages the mediator holds for one offline recipient; anyone can seal to the mediator
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,6 @@ class Mediator:
     keys: crypto.KeyPair = field(repr=False)
     routes: dict[str, str] = field(default_factory=dict)
     queues: dict[str, deque] = field(default_factory=dict)  # agent id -> (inner layer, kind, meta) held while offline
-    dead_letters: list[bytes] = field(default_factory=list)
 
     def register(self, did_uri: str, agent_id: str) -> None:
         self.routes[did_uri] = agent_id
@@ -80,14 +80,15 @@ class Mediator:
         try:
             recipient_did, inner = unseal_at_mediator(self.keys, envelope)
         except crypto.DecryptError:
-            self.dead_letters.append(envelope.outer_ciphertext)
             return "dead-letter:unreadable"
         agent_id = self.routes.get(recipient_did)
         if agent_id is None or agent_id not in world.agents:
-            self.dead_letters.append(inner)
             return "dead-letter"
         if not world.agents[agent_id].online:
-            self.queues.setdefault(agent_id, deque()).append((inner, event.kind, event.extra))
+            queue = self.queues.setdefault(agent_id, deque())
+            if len(queue) >= MAX_QUEUED:
+                return "dead-letter:queue-full"
+            queue.append((inner, event.kind, event.extra))
             return "queued"
         self._forward(world, agent_id, inner, event.kind, event.extra)
         return "forwarded"
@@ -103,7 +104,7 @@ class Mediator:
         world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind, meta=meta)
 
     def state_dump(self) -> dict:
-        """Routes, queues and dead letters; the mediator's keys stay out."""
+        """Routes and queues; the mediator's keys stay out."""
         return plain(self)
 
 

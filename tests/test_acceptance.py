@@ -45,11 +45,8 @@ def _ssi_submissions(world):
 
 
 def _protocol_snapshot(world):
-    # protocol state: agent state plus mediator routing/queues; the mediator's
-    # dead-letter log is diagnostic bookkeeping for unreadable garbage
-    dumps = world.state_dumps()
-    dumps["MD"].pop("dead_letters")
-    return canonical_json(dumps)
+    # protocol state: agent state plus mediator routing/queues
+    return canonical_json(world.state_dumps())
 
 
 def test_criterion_01_new_purchase_end_to_end():
@@ -101,7 +98,6 @@ def test_criterion_03_pin_challenge_soundness():
         claim = ClaimantAttribute(
             product_code="PC-100",
             tid="00" * 16,
-            form="used",
             encrypted_pin=sym_encrypt(rng, key, true_pin.encode("ascii")),
         )
         result = evaluate_challenge(pin_numeric(responder_pin), challenge_by, challenge_type)

@@ -5,7 +5,7 @@ from handover.agents import WalletAgent, establish_connection
 from handover.encoding import encode
 from handover.messages import Envelope, mint_tid, payload, seal
 from handover.scenarios import build_world, builtin_scenario, execute_step, run_scenario
-from handover.simnet import SimError, World
+from handover.simnet import MAX_QUEUED, SimError, World
 
 from conftest import fresh_lifecycle
 
@@ -44,8 +44,7 @@ def test_offline_queue_drains_fifo():
     assert not any(r["to"] == "B" for r in world.trace if r["channel"] == "ssi")
     world.set_online("B", True)
     world.run_until_quiescent()
-    received = [e.tid for e in b.claiming]
-    assert received == tids  # FIFO per recipient
+    assert list(b.claiming) == tids  # FIFO per recipient
 
 
 def test_unknown_recipient_dead_letter():
@@ -65,7 +64,6 @@ def test_unknown_recipient_dead_letter():
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MD"]
     assert verdicts == ["dead-letter"]
-    assert world.mediator.dead_letters
 
 
 def test_empty_world_runs_to_quiescence():
@@ -108,7 +106,7 @@ def test_drop_suppresses_delivery():
     world.run_until_quiescent()
     record = next(r for r in world.trace if r["seq"] == seq)
     assert record["verdict"] == "dropped"
-    assert b.claiming == []
+    assert b.claiming == {}
 
 
 def test_drop_preregistered_against_future_seq():
@@ -188,7 +186,7 @@ def test_tamper_in_flight_outer_layer():
     world.run_until_quiescent()
     record = next(r for r in world.trace if r["seq"] == seq)
     assert record["verdict"] == "dead-letter:unreadable"
-    assert b.claiming == []
+    assert b.claiming == {}
 
 
 def test_tamper_recorded_event_reinjects_rejected_copy():
@@ -236,6 +234,28 @@ def test_queued_message_keeps_the_meta_of_its_event():
     assert forwarded["verdict"] == "rejected:replay"
 
 
+def test_offline_queue_holds_at_most_max_queued_messages():
+    # anyone can seal to the mediator's public key, so the queue of an offline agent must not grow at their will
+    spec = builtin_scenario("new-purchase")
+    world, cast = build_world(spec)
+    for step in spec.script:
+        execute_step(world, cast, spec, step)
+    world.set_online("MF", False)
+    mark = len(world.trace)
+    for _ in range(MAX_QUEUED + 6):
+        world.spoof("MF", cast["B1"].did.uri, payload("revokeVCResp", status="accepted"), None)
+    world.run_until_quiescent()
+    verdicts = [r["verdict"] for r in world.trace[mark:] if r["to"] == "MD"]
+    assert MAX_QUEUED == 64
+    assert verdicts == ["queued"] * 64 + ["dead-letter:queue-full"] * 6
+    assert len(world.mediator.queues["MF"]) == 64
+    mark = len(world.trace)
+    world.set_online("MF", True)
+    world.run_until_quiescent()
+    assert [r["verdict"] for r in world.trace[mark:] if r["to"] == "MF"] == ["rejected:decrypt-error"] * 64
+    assert not world.mediator.queues["MF"]
+
+
 @pytest.mark.parametrize(
     "outer_plain", [b"N", encode(["route", "did:handover:nobody", None])], ids=["not-a-list", "none-inner"]
 )
@@ -279,8 +299,11 @@ def test_mediator_blindness_full_lifecycle():
     for wallet_name in ("B1", "B2"):
         for vc in result.cast[wallet_name].credentials:
             secrets.add(vc.credential_id.encode("ascii"))
-    for entry in result.cast["B1"].claiming:
-        secrets.add(entry.tid.encode("ascii"))
+    b1 = result.cast["B1"]
+    tids = [message.fields["tid"] for message in b1.inbox if message.subject == "tid"]
+    tids += [tid for tid, _ in b1.sales.values()]
+    assert len(tids) == 2  # the one it bought new, the one it sold under
+    secrets.update(tid.encode("ascii") for tid in tids)
     assert secrets
     mediator_bytes = b"\x00".join(
         bytes.fromhex(r["meta"]["bytes"]) for r in world.trace if r["channel"] == "ssi" and "MD" in (r["from"], r["to"])
