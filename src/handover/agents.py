@@ -151,7 +151,7 @@ class ClaimantAttribute:
 
 @dataclass
 class OwnershipClaimingData:
-    """A buyer's secrets for one second-hand purchase, kept under its TID.
+    """A buyer's secrets for one second-hand purchase, kept under its TID until its credential arrives.
 
     The plaintext PIN and the symmetric key exist solely on the buyer's side; the
     seller holds only the TID and the PIN ciphertext (``WalletAgent.sales``).
@@ -159,7 +159,6 @@ class OwnershipClaimingData:
 
     pin: str
     key: SymmetricKey
-    encrypted_pin: bytes
 
 
 class Agent:
@@ -635,8 +634,8 @@ class WalletAgent(Agent):
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
-        self.credentials: list[VerifiableCredential] = []
-        self.claiming: dict[str, OwnershipClaimingData] = {}  # TID -> secrets of a purchase, in purchase order
+        self.credentials: dict[str, VerifiableCredential] = {}  # product code -> the credential held for it
+        self.claiming: dict[str, OwnershipClaimingData] = {}  # TID -> secrets of an unclaimed purchase, in order
         self.sales: dict[str, tuple[str, bytes]] = {}  # product code -> (TID, encrypted PIN) of its latest sale
 
     # -- locally initiated actions ------------------------------------------
@@ -663,14 +662,18 @@ class WalletAgent(Agent):
         sale = self.sales.get(product_code)
         if sale is None:
             raise AgentActionError(f"{self.agent_id} has no completed sale data for {product_code}")
-        tid, encrypted_pin = sale
         conn = self.connection_with(manufacturer_did)
-        nonce = crypto.fresh_nonce(self.rng)
+        self._request_transfer(conn, crypto.fresh_nonce(self.rng), product_code, *sale, {"productCode": product_code})
+
+    def _request_transfer(
+        self, conn: Connection, nonce: bytes, product_code: str, tid: str, encrypted_pin: bytes, context: dict
+    ) -> None:
+        """Send the transfer request; the manufacturer answers with a proof request, or refuses outright."""
         self.send(
             conn, nonce, payload("ownershipTransferReq", productCode=product_code, encryptedPin=encrypted_pin, tid=tid)
         )
-        self.expect(conn.conn_id, "ownershipProofReq", nonce, context={"productCode": product_code})
-        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context={"productCode": product_code})
+        self.expect(conn.conn_id, "ownershipProofReq", nonce, context=context)
+        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context=context)
 
     def claim_used(self, manufacturer_did: str, tid: str) -> None:
         """Claim a second-hand purchase: reveal the symmetric key to the manufacturer."""
@@ -690,8 +693,8 @@ class WalletAgent(Agent):
             return "rejected:duplicate-tid"
         pin = mint_pin(self.rng)
         key = crypto.generate_symmetric_key(self.rng)
-        entry = OwnershipClaimingData(pin, key, crypto.sym_encrypt(self.rng, key, pin.encode("ascii")))
-        self.claiming[tid] = entry
+        encrypted_pin = crypto.sym_encrypt(self.rng, key, pin.encode("ascii"))
+        self.claiming[tid] = OwnershipClaimingData(pin, key)
         self.world.emit(
             channel=simnet.CHANNEL_AUDIT,
             kind="secret-minted",
@@ -706,7 +709,7 @@ class WalletAgent(Agent):
                 "keyHex": key.key_bytes.hex(),
             },
         )
-        self.send(conn, nonce, payload("PINResp", encryptedPin=entry.encrypted_pin, tid=tid))
+        self.send(conn, nonce, payload("PINResp", encryptedPin=encrypted_pin, tid=tid))
         return "accepted"
 
     def _on_pin_resp(self, conn, nonce, p, context) -> str:
@@ -717,13 +720,11 @@ class WalletAgent(Agent):
         return "accepted"
 
     def _select_credential(self, product_code: str, requested: list[str]) -> Optional[VerifiableCredential]:
-        for vc in self.credentials:
-            if self.world.registry.is_revoked(vc.credential_id):
-                continue
-            names = [name for name, _ in vc.attributes]
-            if vc.attribute("productCode") == product_code and all(r in names for r in requested):
-                return vc
-        return None
+        vc = self.credentials.get(product_code)
+        if vc is None or self.world.registry.is_revoked(vc.credential_id):
+            return None
+        names = [name for name, _ in vc.attributes]
+        return vc if all(r in names for r in requested) else None
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
         vc = self._select_credential(context["productCode"], p.body["attributes"])
@@ -740,8 +741,8 @@ class WalletAgent(Agent):
             return "rejected:unknown-tid"
         result = evaluate_challenge(pin_numeric(entry.pin), p.body["challengeBy"], p.body["challengeType"])
         self.send(conn, nonce, payload("pinChallengeResp", tid=tid, challengeResult=result))
-        # the credential offer that follows runs under the claim's nonce too
-        self.expect(conn.conn_id, "ownershipClaimResp", nonce)
+        # the credential offer that follows runs under the claim's nonce too, and spends the purchase
+        self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": tid})
         return "accepted"
 
     def _on_ownership_claim_resp(self, conn, nonce, p, context) -> str:
@@ -749,11 +750,14 @@ class WalletAgent(Agent):
         ok, reason = verify_credential_signature(vc, self.world.registry)
         if ok and self.world.registry.is_revoked(vc.credential_id):
             ok, reason = False, "revoked"
+        code = dict(vc.attributes).get("productCode")
+        if ok and code is None:
+            ok, reason = False, "no-product-code"
         if not ok:
             self.send(conn, nonce, payload("ownershipClaimAck", status="rejected"))
             return f"rejected:{reason}"
-        if all(held.credential_id != vc.credential_id for held in self.credentials):  # a retry re-offers
-            self.credentials.append(vc)
+        self.credentials[code] = vc  # a retry re-offers the same one; a bought-back product's replaces the revoked one
+        self.claiming.pop(context.get("tid"), None)
         self.send(conn, nonce, payload("ownershipClaimAck", status="accepted"))
         return "accepted"
 
@@ -762,7 +766,12 @@ class WalletAgent(Agent):
         return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
 
     def _on_revoke_vc(self, conn, nonce, p, context) -> str:
-        # a notice only: the registry is the one record of revocation
+        # a notice only: the registry, the one record of revocation, says whether the credential and sale are spent
+        code = p.body["productCode"]
+        held = self.credentials.get(code)
+        if held is not None and self.world.registry.is_revoked(held.credential_id):
+            del self.credentials[code]
+            self.sales.pop(code, None)
         self.send(conn, nonce, payload("revokeVCResp", status="accepted"))
         return "accepted"
 
@@ -785,20 +794,9 @@ class AdversaryWallet(WalletAgent):
             raise AgentActionError(f"unknown forgery mode {mode!r}")
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
-        fake_pin_ct = self.rng.token(40)
-        self.send(
-            conn,
-            nonce,
-            payload(
-                "ownershipTransferReq",
-                productCode=product_code,
-                encryptedPin=fake_pin_ct,
-                tid=mint_tid(self.rng),
-            ),
-        )
+        fake_pin_ct = self.rng.token(40)  # drawn before the TID
         context = {"productCode": product_code, "mode": mode, "victimCredDefId": cred_def_id_of(manufacturer_did)}
-        self.expect(conn.conn_id, "ownershipProofReq", nonce, context=context)
-        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context=context)
+        self._request_transfer(conn, nonce, product_code, mint_tid(self.rng), fake_pin_ct, context)
 
     def _forged_credential(self, context: dict) -> VerifiableCredential:
         mode = context["mode"]

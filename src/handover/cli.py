@@ -181,10 +181,9 @@ class WalletRepl:
         elif command == "credentials":
             if not self.agent.credentials:
                 out.write("(none)\n")
-            for vc in self.agent.credentials:
-                revoked = self.world.registry.is_revoked(vc.credential_id)
-                status = "REVOKED" if revoked else "valid"
-                out.write(f"{vc.credential_id} product={vc.attribute('productCode')} [{status}]\n")
+            for code, vc in self.agent.credentials.items():
+                status = "REVOKED" if self.world.registry.is_revoked(vc.credential_id) else "valid"
+                out.write(f"{vc.credential_id} product={code} [{status}]\n")
         elif command == "state":
             out.write(json.dumps(self.agent.state_dump(), indent=2, sort_keys=True) + "\n")
         elif command == "help":

@@ -94,10 +94,9 @@ class Mediator:
         return "forwarded"
 
     def poll(self, world: "World", agent_id: str) -> None:
-        """Drain the offline queue for an agent, preserving send order."""
-        queue = self.queues.get(agent_id)
-        while queue:
-            self._forward(world, agent_id, *queue.popleft())
+        """Drain the offline queue for an agent, preserving send order; a drained queue is gone."""
+        for queued in self.queues.pop(agent_id, ()):
+            self._forward(world, agent_id, *queued)
 
     def _forward(self, world: "World", agent_id: str, inner: bytes, kind: str, meta: dict) -> None:
         """Pass the inner layer on with the meta (``injected``, ``of``, ``tampered``) of the event that brought it."""

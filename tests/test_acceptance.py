@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  Every tolerance is pinned here; nothing is deferred.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -30,12 +31,12 @@ def _report(number, description):
     print(f"\nACCEPTANCE {number:>2}: PASS - {description}")
 
 
-def _presentation_valid(result, wallet_name, vc_index=0):
+def _presentation_valid(result, wallet_name, vc=None):
     wallet = result.cast[wallet_name]
     mf = result.cast["MF"]
     conn = wallet.connections[mf.did.uri]
     nonce = crypto.fresh_nonce(result.world.rng)
-    vc = wallet.credentials[vc_index]
+    vc = vc or wallet.credentials["PC-100"]
     presentation = present_proof(vc, nonce, conn.local)
     return verify_presentation(presentation, nonce, result.world.registry, conn.local.public_key)
 
@@ -70,7 +71,13 @@ def test_criterion_02_full_transfer_lifecycle():
     assert product.previously_sold_count == 1
     assert product.status == "sold"
     assert product.conn_id == b2.connections[mf.did.uri].conn_id
-    seller_report = _presentation_valid(result, "B1")
+    # the run up to the used claim holds the seller's credential as the whole run issued and then revoked it
+    before_claim = run_scenario(dataclasses.replace(result.spec, script=result.spec.script[:-1]))
+    sellers_vc = before_claim.cast["B1"].credentials["PC-100"]
+    revoked = [rec["meta"]["credentialId"] for rec in result.world.trace if rec["kind"] == "vc-revoked"]
+    assert revoked == [sellers_vc.credential_id]
+    assert b1.credentials == {} and b1.sales == {}  # the revocation notice cleared the spent credential and sale
+    seller_report = _presentation_valid(result, "B1", sellers_vc)
     assert not seller_report.valid and seller_report.reasons == ("revoked",)
     buyer_report = _presentation_valid(result, "B2")
     assert buyer_report.valid
@@ -208,7 +215,7 @@ def test_criterion_06_spoof_suite():
         execute_step(world, cast, spec, step)
     mf, b1, eve = cast["MF"], cast["B1"], cast["EVE"]
     assert isinstance(eve, AdversaryWallet)
-    owner_credential = b1.credentials[0].credential_id
+    owner_credential = b1.credentials["PC-100"].credential_id
     modes = ("self-issued", "unknown-creddef", "garbage")
     accepted = 0
     proof_failures = 0

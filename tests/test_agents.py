@@ -20,7 +20,7 @@ from handover.agents import (
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.invariants import scan_trace
-from handover.credential import present_proof, vc_to_wire
+from handover.credential import present_proof, sign_vc, vc_to_wire
 from handover.messages import Envelope, mint_tid, payload
 from handover.scenarios import (
     BUILTIN_SCENARIOS,
@@ -317,8 +317,8 @@ def test_record_sale_duplicate_rejected():
 def test_claim_new_issues_credential():
     world, cast = run_sale_and_claim()
     mf, b1 = cast["MF"], cast["B1"]
-    assert len(b1.credentials) == 1
-    vc = b1.credentials[0]
+    assert list(b1.credentials) == ["PC-100"]
+    vc = b1.credentials["PC-100"]
     product = mf.products["PC-100"]
     assert product.status == "sold"
     assert product.current_credential_id == vc.credential_id
@@ -334,7 +334,7 @@ def test_claim_new_wrong_pin_rejected():
     world, cast = make_world()
     sell_to(world, cast)
     claim_new(world, cast, pin="WRONG1")
-    assert cast["B1"].credentials == []
+    assert cast["B1"].credentials == {}
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert verdicts == ["rejected:unknown-claim"]
     assert "PC-100" in cast["MF"].claimants  # entry not consumed
@@ -381,15 +381,15 @@ def test_two_claims_on_one_connection_before_the_first_offer_strand_nothing():
     mf, b1 = cast["MF"], cast["B1"]
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers == ["rejected:nonce-mismatch", "accepted"]
-    assert [vc.attribute("productCode") for vc in b1.credentials] == ["PC-200"]
+    assert list(b1.credentials) == ["PC-200"]
     # the unacknowledged claim keeps its credential, and the retry over the same connection gets it
     issued = mf.claimants["PC-100"].credential
     assert issued.credential_id == mf.products["PC-100"].current_credential_id
     retry = ScenarioStep(op="claim_new", args={"wallet": "B1", "product": "PC-100"}, expect="accepted")
     assert execute_step(world, cast, spec, retry) == "accepted"
-    assert sorted(vc.credential_id for vc in b1.credentials) == sorted(
-        mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
-    )
+    assert {code: vc.credential_id for code, vc in b1.credentials.items()} == {
+        code: mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
+    }
     assert mf.claimants == {}
     assert sum(r["kind"] == "vc-issued" for r in world.trace) == 2
     world.emit_state_dumps()
@@ -410,17 +410,17 @@ def sale_and_claim_with_lost_ack():
 def test_lost_claim_ack_keeps_the_claim_until_a_retry_settles_it():
     world, cast = sale_and_claim_with_lost_ack()
     mf, b1 = cast["MF"], cast["B1"]
-    vc = b1.credentials[0]
+    vc = b1.credentials["PC-100"]
     assert mf.claimants["PC-100"].credential == vc
     # another connection with the emailed TID and PIN cannot take the unacknowledged claim
     claim_new(world, cast, buyer="B2", tid=emailed(b1, "tid")["tid"], pin=emailed(b1, "pin")["pin"])
-    assert cast["B2"].credentials == []
+    assert cast["B2"].credentials == {}
     # the retry gets the same credential, which B1 holds once
     b1.claim_new(mf.did.uri, emailed(b1, "tid")["tid"], emailed(b1, "pin")["pin"])
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims == ["accepted", "rejected:unknown-claim", "accepted"]
-    assert b1.credentials == [vc] and mf.claimants == {}
+    assert b1.credentials == {"PC-100": vc} and mf.claimants == {}
     assert sum(r["kind"] == "vc-issued" for r in world.trace) == 1
 
 
@@ -443,9 +443,11 @@ def test_sell_buyer_holds_secrets_seller_holds_ciphertext():
     start_resale(world, cast)
     tid, buyer_entry = purchase(cast["B2"])
     assert cast["B1"].claiming == {}  # the seller holds no PIN and no key
-    assert cast["B1"].sales == {"PC-100": (tid, buyer_entry.encrypted_pin)}
+    assert list(cast["B1"].sales) == ["PC-100"]
+    sale_tid, encrypted_pin = cast["B1"].sales["PC-100"]
+    assert sale_tid == tid
     # the ciphertext decrypts to the pin under the buyer's key only
-    assert sym_decrypt(buyer_entry.key, buyer_entry.encrypted_pin).decode() == buyer_entry.pin
+    assert sym_decrypt(buyer_entry.key, encrypted_pin).decode() == buyer_entry.pin
 
 
 def test_seller_state_cannot_decrypt_pin():
@@ -562,11 +564,16 @@ def test_transfer_unclaimed_product_rejected():
 
 
 def test_transfer_with_revoked_credential_rejected_and_rolled_back():
-    world, cast = full_used_transfer()
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    run_transfer(world, cast)
     mf, b1 = cast["MF"], cast["B1"]
+    vc, sale = b1.credentials["PC-100"], b1.sales["PC-100"]  # the commit's revocation notice clears both
+    claim_as_buyer(world, cast)
+    assert b1.credentials == {} and b1.sales == {}
     # B1's credential is now revoked on the registry; force the wallet to present it anyway
-    b1._select_credential = lambda code, req: b1.credentials[0]
-    assert "PC-100" in b1.sales
+    b1.sales["PC-100"] = sale
+    b1._select_credential = lambda code, req: vc
     b1.start_transfer(mf.did.uri, "PC-100")
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
@@ -590,13 +597,11 @@ def test_transfer_wrong_product_credential_rejected():
         )
         cast["B1"].claim_new(cast["MF"].did.uri, mail_tid, mail_pin)
         world.run_until_quiescent()
-    assert len(cast["B1"].credentials) == 2
+    assert sorted(cast["B1"].credentials) == ["PC-100", "PC-200"]
     start_resale(world, cast)
     # swap the credential selector so the wallet presents the PC-200 credential
     original = cast["B1"]._select_credential
-    cast["B1"]._select_credential = lambda code, req: next(
-        vc for vc in cast["B1"].credentials if vc.attribute("productCode") == "PC-200"
-    )
+    cast["B1"]._select_credential = lambda code, req: cast["B1"].credentials["PC-200"]
     cast["B1"].start_transfer(cast["MF"].did.uri, "PC-100")
     world.run_until_quiescent()
     cast["B1"]._select_credential = original
@@ -608,35 +613,46 @@ def test_transfer_wrong_product_credential_rejected():
 # -- used-product claim flow -------------------------------------------------------------
 
 
+def claim_as_buyer(world, cast, buyer="B2"):
+    establish_connection(cast[buyer], cast["MF"])
+    cast[buyer].claim_used(cast["MF"].did.uri, purchase(cast[buyer])[0])
+    world.run_until_quiescent()
+
+
 def full_used_transfer(seed=7):
+    """B1's resale to B2 through B2's used claim, and the credential B1 held until the claim revoked it."""
     world, cast = run_sale_and_claim(seed)
     start_resale(world, cast)
     run_transfer(world, cast)
-    establish_connection(cast["B2"], cast["MF"])
-    cast["B2"].claim_used(cast["MF"].did.uri, purchase(cast["B2"])[0])
-    world.run_until_quiescent()
-    return world, cast
+    sellers_vc = cast["B1"].credentials["PC-100"]
+    claim_as_buyer(world, cast)
+    return world, cast, sellers_vc
 
 
-def test_lost_used_claim_ack_retry_gets_the_same_credential():
-    world, cast = full_used_transfer()
-    seq = next(r["seq"] for r in world.trace if r["from"] == "B2" and r["kind"] == "ownershipClaimAck")
+def used_claim_with_lost(sender, kind):
+    """B1's resale to B2 and B2's used claim, with the last ``kind`` message from ``sender`` lost; and B2's TID."""
+    world, cast, _ = full_used_transfer()
+    seq = [r["seq"] for r in world.trace if r["from"] == sender and r["kind"] == kind][-1]
     world, cast = make_world()
     world.drop(seq)  # the same seed schedules the same seqs
     sell_to(world, cast)
     claim_new(world, cast)
     start_resale(world, cast)
     run_transfer(world, cast)
+    tid, _ = purchase(cast["B2"])
+    claim_as_buyer(world, cast)
+    return world, cast, tid
+
+
+def test_lost_used_claim_offer_retry_gets_the_same_credential():
+    world, cast, tid = used_claim_with_lost("MF", "ownershipClaimResp")
     mf, b2 = cast["MF"], cast["B2"]
-    establish_connection(b2, mf)
-    tid, _ = purchase(b2)
-    b2.claim_used(mf.did.uri, tid)
-    world.run_until_quiescent()
-    vc = b2.credentials[0]
-    assert mf.claimants["PC-100"].credential == vc
+    assert b2.credentials == {} and tid in b2.claiming
+    vc = mf.claimants["PC-100"].credential
+    assert vc.credential_id == mf.products["PC-100"].current_credential_id
     b2.claim_used(mf.did.uri, tid)  # answers a fresh challenge, then gets the same credential
     world.run_until_quiescent()
-    assert b2.credentials == [vc] and mf.claimants == {}
+    assert b2.credentials == {"PC-100": vc} and b2.claiming == {} and mf.claimants == {}
     assert [r["kind"] for r in world.trace if r["channel"] == "registry" and r["kind"] != "product-updated"] == [
         "vc-issued",
         "vc-revoked",
@@ -645,8 +661,27 @@ def test_lost_used_claim_ack_retry_gets_the_same_credential():
     assert mf.products["PC-100"].previously_sold_count == 1
 
 
+def test_lost_used_claim_ack_is_settled_by_the_holders_proof():
+    world, cast, tid = used_claim_with_lost("B2", "ownershipClaimAck")
+    mf, b2 = cast["MF"], cast["B2"]
+    # the holder has its credential and spent its purchase; the manufacturer still waits for the ack
+    vc = b2.credentials["PC-100"]
+    assert b2.claiming == {} and mf.claimants["PC-100"].credential == vc
+    # B2's resale proves it holds the credential, which settles the unacknowledged claim
+    cast["B3"] = WalletAgent("B3", world)
+    start_resale(world, cast, seller="B2", buyer="B3")
+    run_transfer(world, cast, seller="B2")
+    proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
+    assert proofs == ["accepted", "accepted"]
+    assert mf.claimants["PC-100"].tid != tid and mf.claimants["PC-100"].credential is None
+    claim_as_buyer(world, cast, buyer="B3")
+    assert cast["B3"].credentials["PC-100"].credential_id == mf.products["PC-100"].current_credential_id
+    assert b2.credentials == {} and b2.sales == {} and mf.claimants == {}
+    assert mf.products["PC-100"].previously_sold_count == 2
+
+
 def test_used_claim_commits_ownership():
-    world, cast = full_used_transfer()
+    world, cast, old_vc = full_used_transfer()
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     product = mf.products["PC-100"]
     assert product.status == "sold"
@@ -654,12 +689,13 @@ def test_used_claim_commits_ownership():
     assert product.conn_id == b2.connections[mf.did.uri].conn_id
     assert product.email == b2.email
     assert product.last_purchase_date > product.first_purchase_date
-    old_vc = b1.credentials[0]
-    new_vc = b2.credentials[0]
+    new_vc = b2.credentials["PC-100"]
     assert world.registry.is_revoked(old_vc.credential_id)
     assert not world.registry.is_revoked(new_vc.credential_id)
     notices = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "revokeVC"]
     assert notices == ["accepted"]  # revocation notice landed
+    assert b1.credentials == {} and b1.sales == {}  # and cleared what the sale spent
+    assert b2.claiming == {}  # the credential spent the purchase
     assert new_vc.attribute("previouslySoldCount") == "1"
     assert "PC-100" not in mf.claimants
 
@@ -690,7 +726,7 @@ def test_used_claim_wrong_key_rejected_state_unchanged():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
     assert verdicts[-1] == "rejected:pin-decrypt"
     mf = cast["MF"]
-    assert not world.registry.is_revoked(cast["B1"].credentials[0].credential_id)
+    assert not world.registry.is_revoked(cast["B1"].credentials["PC-100"].credential_id)
     assert mf.products["PC-100"].previously_sold_count == 0
     assert "PC-100" in mf.claimants  # entry stays; claim may be retried
 
@@ -706,8 +742,8 @@ def test_used_claim_wrong_result_rejected_old_vc_valid():
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
     assert verdicts[-1] == "rejected:challenge-mismatch"
-    assert not world.registry.is_revoked(cast["B1"].credentials[0].credential_id)
-    assert cast["B2"].credentials == []
+    assert not world.registry.is_revoked(cast["B1"].credentials["PC-100"].credential_id)
+    assert cast["B2"].credentials == {}
 
 
 def test_pin_challenge_handled_without_stored_data_rejected():
@@ -742,16 +778,24 @@ def test_resale_after_a_buy_back_transfers_the_latest_sale():
     world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
 
     def live_holders():
-        held = [(name, vc) for name in ("B1", "B2", "B3") for vc in result.cast[name].credentials]
+        held = [(name, vc) for name in ("B1", "B2", "B3") for vc in result.cast[name].credentials.values()]
         return [name for name, vc in held if not world.registry.is_revoked(vc.credential_id)]
 
     assert [step.verdict for step in result.steps] == [step.expect for step in result.spec.script]
     assert result.ok
     assert live_holders() == ["B3"]
-    # B2 still holds the secrets of its first purchase, whose claim was used up long ago
+    # each wallet holds live state only: B3's credential, and nothing left of a settled purchase or a committed sale
+    assert {name: list(result.cast[name].credentials) for name in ("B1", "B2", "B3")} == {
+        "B1": [],
+        "B2": [],
+        "B3": ["PC-100"],
+    }
+    assert all(not result.cast[name].claiming and not result.cast[name].sales for name in ("B1", "B2", "B3"))
+    # the secrets of B2's first purchase, whose claim was used up long ago, cannot claim it again
     minted = [r["meta"] for r in world.trace if r["kind"] == "secret-minted"]
-    first_tid = next(meta["tid"] for meta in minted if meta["owner"] == "B2")
-    b2.claim_used(mf.did.uri, first_tid)
+    first = next(meta for meta in minted if meta["owner"] == "B2")
+    claim = payload("ownershipClaimReq", tid=first["tid"], pin=None, key=bytes.fromhex(first["keyHex"]))
+    b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), claim)
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-1] == "rejected:unknown-tid"
@@ -761,22 +805,44 @@ def test_resale_after_a_buy_back_transfers_the_latest_sale():
 # -- agent state is written only by a step that authenticates its writer -----------------
 
 
+def lifecycle_with_lost_revoke_notice(*steps, wallets=("B1", "B2")):
+    """Full lifecycle and then ``steps``, step by step, with MF's revocation notice to B1 lost.
+
+    So B1 keeps its revoked credential and its spent sale.  Returns the world, the cast, the step verdicts
+    and the verdicts the steps expect.
+    """
+    data = dict(BUILTIN_SCENARIOS["full-lifecycle"], name="lost-revoke-notice")
+    data["cast"] = dict(data["cast"], wallets=list(wallets))
+    data["script"] = data["script"] + list(steps)
+    spec = parse_scenario(data)
+    world, cast = build_world(spec)
+    for step in spec.script:
+        execute_step(world, cast, spec, step)
+    seq = next(r["seq"] for r in world.trace if r["from"] == "MF" and r["kind"] == "revokeVC")
+    world, cast = build_world(spec)
+    world.drop(seq)  # the same seed schedules the same seqs
+    verdicts = [execute_step(world, cast, spec, step) for step in spec.script]
+    b1 = cast["B1"]
+    assert "PC-100" in b1.sales and world.registry.is_revoked(b1.credentials["PC-100"].credential_id)
+    return world, cast, verdicts, [step.expect for step in spec.script]
+
+
 def test_declined_proof_request_leaves_the_product_transferable():
     # after the resale B1 holds only a revoked credential, so it never answers MF's proof request
-    data = dict(BUILTIN_SCENARIOS["full-lifecycle"], name="declined-proof")
-    data["cast"] = dict(data["cast"], wallets=["B1", "B2", "B3"])
-    data["script"] = data["script"] + [
+    world, cast, verdicts, expected = lifecycle_with_lost_revoke_notice(
         {"op": "transfer", "seller": "B1", "product": "PC-100", "expect": "rejected:no-matching-credential"},
         {"op": "connect", "a": "B2", "b": "B3", "expect": "ok"},
         {"op": "sell", "seller": "B2", "buyer": "B3", "product": "PC-100", "expect": "accepted"},
         {"op": "transfer", "seller": "B2", "product": "PC-100", "expect": "accepted"},
         {"op": "connect", "a": "B3", "b": "MF", "expect": "ok"},
         {"op": "claim_used", "wallet": "B3", "expect": "accepted"},
-    ]
-    result = run_scenario(parse_scenario(data))
-    assert result.ok and result.violations == []
-    assert result.cast["MF"].products["PC-100"].previously_sold_count == 2
-    assert len(result.cast["B3"].credentials) == 1
+        wallets=("B1", "B2", "B3"),
+    )
+    assert verdicts == expected
+    world.emit_state_dumps()
+    assert scan_trace(world.trace) == []
+    assert cast["MF"].products["PC-100"].previously_sold_count == 2
+    assert len(cast["B3"].credentials) == 1
 
 
 def test_unanswered_transfer_request_leaves_no_state():
@@ -911,7 +977,7 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
         b1.send(conn, nonce, request)
     world.run_until_quiescent()
     # the second request replaced the first exchange, so a proof under the first nonce answers nothing
-    presentation = present_proof(b1.credentials[0], bytes(16), conn.local)
+    presentation = present_proof(b1.credentials["PC-100"], bytes(16), conn.local)
     b1.send(conn, first, payload("ownershipProofResp", presentation=presentation))
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:nonce-mismatch")
@@ -942,10 +1008,13 @@ def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
     b1, b2 = cast["B1"], cast["B2"]
-    notice = payload("revokeVC", credentialId=b1.credentials[0].credential_id, productCode="PC-100")
+    vc, sale = b1.credentials["PC-100"], b1.sales["PC-100"]
+    notice = payload("revokeVC", credentialId=vc.credential_id, productCode="PC-100")
     b2.send(b2.connections[b1.did.uri], crypto.fresh_nonce(world.rng), notice)
     world.run_until_quiescent()
-    assert not world.registry.is_revoked(b1.credentials[0].credential_id)
+    assert not world.registry.is_revoked(vc.credential_id)
+    # the registry says the credential is live, so B1 keeps it and its sale
+    assert b1.credentials == {"PC-100": vc} and b1.sales == {"PC-100": sale}
     run_transfer(world, cast)
     proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert proofs == ["accepted"]
@@ -953,6 +1022,7 @@ def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     b2.claim_used(cast["MF"].did.uri, purchase(b2)[0])
     world.run_until_quiescent()
     assert len(b2.credentials) == 1
+    assert b1.credentials == {} and b1.sales == {}  # the issuer's notice, which the registry confirms, clears both
 
 
 def test_two_transfers_started_together_leave_one_claimant():
@@ -986,7 +1056,7 @@ def test_second_credential_offer_rejected():
     # the used-claim offer closes the claim's exchange, so a second offer answers nothing
     result = fresh_lifecycle()
     world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
-    offer = payload("ownershipClaimResp", credential=b2.credentials[0])
+    offer = payload("ownershipClaimResp", credential=b2.credentials["PC-100"])
     mf.send(mf.connections[b2.did.uri], crypto.fresh_nonce(world.rng), offer)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "ownershipClaimResp"]
@@ -1013,9 +1083,9 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
 
 @pytest.mark.parametrize("reason", ["revoked", "bad-issuer-sig"])
 def test_offered_credential_that_fails_its_check_is_refused(reason):
-    world, cast = full_used_transfer()
+    world, cast, old_vc = full_used_transfer()
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
-    old_vc, new_vc = b1.credentials[0], b2.credentials[0]
+    new_vc = b2.credentials["PC-100"]
     if reason == "revoked":
         offered = old_vc
     else:
@@ -1030,9 +1100,72 @@ def test_offered_credential_that_fails_its_check_is_refused(reason):
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == f"rejected:{reason}"
-    assert b1.credentials == [old_vc]
+    assert b1.credentials == {}
     acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
     assert acks[-1] == "rejected:holder-declined"  # B1 acknowledged with status rejected
+
+
+def test_offered_credential_without_a_product_code_is_refused():
+    # B1 holds PC-100 and B2 PC-200; MF offers B1 a credential of its own definition that names no product
+    world, cast = make_world(products=("PC-100", "PC-200"))
+    mf, b1 = cast["MF"], cast["B1"]
+    for buyer, code in (("B1", "PC-100"), ("B2", "PC-200")):
+        sell_to(world, cast, buyer=buyer, product=code)
+        claim_new(world, cast, buyer=buyer, product=code)
+    held = dict(b1.credentials)
+    b1.claim_new(mf.did.uri, "ff" * 16, "AAAAAA")  # MF leaves the claim unanswered
+    world.run_until_quiescent()
+    conn = mf.connections[b1.did.uri]
+    nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
+    attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
+    nameless = sign_vc(attributes, mf.cred_def_id, mf.root_keys, mf.revocation_registry_id, world.tick())
+    mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
+    mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
+    world.run_until_quiescent()
+    offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
+    assert offers[-1] == "rejected:no-product-code"
+    acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
+    assert acks[-1] == "rejected:holder-declined"
+    assert b1.credentials == held
+    # a proof request for a product B1 does not hold finds no credential
+    start_resale(world, cast, product="PC-200")
+    run_transfer(world, cast, product="PC-200")
+    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B1", "rejected:no-matching-credential")
+
+
+def round_trip_scenario(hand_overs):
+    """PC-100 bought new by B1, then handed over ``hand_overs`` times between B1 and B2, each way in turn."""
+    script = [
+        {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
+        {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
+        {"op": "connect", "a": "B1", "b": "B2", "expect": "ok"},
+        {"op": "connect", "a": "B2", "b": "MF", "expect": "ok"},
+    ]
+    owner, other = "B1", "B2"
+    for _ in range(hand_overs):
+        script += [
+            {"op": "sell", "seller": owner, "buyer": other, "product": "PC-100", "expect": "accepted"},
+            {"op": "transfer", "seller": owner, "product": "PC-100", "expect": "accepted"},
+            {"op": "claim_used", "wallet": other, "expect": "accepted"},
+        ]
+        owner, other = other, owner
+    cast = {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1", "B2"]}
+    data = {"name": "round-trips", "seed": 3, "cast": cast, "products": ["PC-100"], "script": script}
+    return parse_scenario(data), owner, other
+
+
+@pytest.mark.parametrize("hand_overs", range(1, 9))
+def test_wallets_hold_only_live_state_over_round_trips(hand_overs):
+    spec, owner, other = round_trip_scenario(hand_overs)
+    result = run_scenario(spec)
+    assert result.ok
+    mf, cast = result.cast["MF"], result.cast
+    assert mf.products["PC-100"].previously_sold_count == hand_overs
+    assert cast[owner].credentials["PC-100"].credential_id == mf.products["PC-100"].current_credential_id
+    assert cast[other].credentials == {}
+    for wallet in (cast[owner], cast[other]):
+        assert wallet.claiming == {} and wallet.sales == {} and wallet._expected == {}
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():
@@ -1128,10 +1261,9 @@ def test_replayed_copy_with_a_flipped_byte_is_a_decrypt_error(position):
 
 def test_transfer_step_verdict_comes_from_deciding_wallet():
     # after the resale B1's credential is revoked: the wallet, not MF, rejects the proof request
-    result = fresh_lifecycle()
-    step = ScenarioStep(op="transfer", args={"seller": "B1", "product": "PC-100"}, expect="")
-    verdict = execute_step(result.world, result.cast, result.spec, step)
-    assert verdict == "rejected:no-matching-credential"
+    transfer = {"op": "transfer", "seller": "B1", "product": "PC-100", "expect": "-"}
+    _, _, verdicts, _ = lifecycle_with_lost_revoke_notice(transfer)
+    assert verdicts[-1] == "rejected:no-matching-credential"
 
 
 @pytest.mark.parametrize(
@@ -1158,7 +1290,7 @@ def test_malformed_inner_layer_rejected(inner_plain):
 
 
 def _vc_wire(cast, attributes=None):
-    wire = vc_to_wire(cast["B1"].credentials[0])
+    wire = vc_to_wire(cast["B1"].credentials["PC-100"])
     if attributes is not None:
         wire[2] = attributes
     return wire
@@ -1192,10 +1324,10 @@ def test_email_eavesdropper_boundary():
     establish_connection(eve, cast["MF"])
     eve.claim_new(cast["MF"].did.uri, stolen["tid"]["tid"], "AAAAAA")
     world.run_until_quiescent()
-    assert eve.credentials == []
+    assert eve.credentials == {}
     eve.claim_new(cast["MF"].did.uri, "00" * 16, stolen["pin"]["pin"])
     world.run_until_quiescent()
-    assert eve.credentials == []
+    assert eve.credentials == {}
     # both secrets and a live connection: the claim succeeds (possession is ownership)
     eve.claim_new(cast["MF"].did.uri, stolen["tid"]["tid"], stolen["pin"]["pin"])
     world.run_until_quiescent()

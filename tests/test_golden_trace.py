@@ -19,42 +19,42 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "c0425fc5e88ba4f8f87115e19f2c425fe65d8f58a3734fb39c04730ed1dc13ca",
+        "a94502609ced3157990d54845672ac2588487e48e267f513c916b3da5d649ba9",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "5cc2c8af329b00dcf39c63e79e72dfc14e073cec2d74b7f4fd645d83dda474c0",
+        "98d5e645d849f1b1bf252dbf4b29904d84cb1508f4bc15a8b625e20f7d27795a",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "d9b81489f4d838ea9526815fdda60dbcd6a7bef6b47d43084fa58bbe191dfa7c",
+        "c3315a98b3078bdeee4f8ac825beabb5f8e8de5e23aa0853f65e9894b7acaaeb",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "5fc4d7b481758f0d340e49c2fb03eccf8ebb0cbb1469b2c0e0c0a539485a4287",
+        "7e953d521274e6484e2af07521db06ea4c0248193ce3e864d93f11b3b9121719",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "e00239467fe939260b36e7ae588ef7fa2b2041e2b3faf913ccb1f834062b7389",
+        "8efac4fa76062f7a27c3b4162f4dc91b3fe97ea19d751529b2e6544c4788e111",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "004ec686b02cf08ad575e164dbbc8ba6d2d32853c93b6246b78b39e155a9d330",
+        "e0b59d9071f523a6c3aec5d5ffe2cd41d2fd293defd713eac6c5f7e9a02bfac6",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "1229be9cd689f633206b0976c09d2c66853566a667432ae72d7dbdbf84729621",
+        "31c9a7b0de53ceaa5d01ad328c9b8923afadda8a53c5c0e119ca2795a2bd7729",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "712b20f1d0fab4c8f2f3dc04e750ead059f0174493c567929c7ff3723a58f08e",
+        "7ab4c6402f2b08495d308d356f101fc377f1a9a7c08d527ced9c8a6d2031efdc",
         "bea0948189a15b3e1abe41a9287860725f89943dba1dfc01b682ddeba5b2b111",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
@@ -86,7 +86,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "5aed765813784fa66b269ffcb429d11ffad637fee2b46aed7b7014bec435166f",
+    "1cea2924d5f8fea98a64252cb508d72b415c37ac9ebf6625d4a4130a12b4b4bd",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
     "fa10eecdc06c80881763fbb1503cfb09d05aa06077ce3dea2ebf27c57a07f319",
 )
