@@ -93,7 +93,7 @@ def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -
 
 @dataclass
 class Connection:
-    """One side of a pairwise SSI connection; keys are unique per connection."""
+    """One side of a pairwise SSI connection. Keys are unique per connection; the direction keys derive from them once."""
 
     conn_id: str
     local: crypto.KeyPair
@@ -101,6 +101,11 @@ class Connection:
     remote_did: str
     remote_agent_id: str
     replay: ReplayGuard = field(default_factory=ReplayGuard)
+    send_key: bytes = field(init=False, repr=False)
+    receive_key: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.send_key, self.receive_key = crypto.channel_keys(self.local, self.remote_public_key)
 
 
 @dataclass
@@ -200,7 +205,7 @@ class Agent:
 
     def send(self, conn: Connection, nonce: bytes, p: MessagePayload) -> None:
         env = seal(
-            self.rng, conn.local, conn.remote_public_key, self.world.mediator_public_key(), conn.remote_did, nonce, p
+            self.rng, conn.send_key, conn.remote_public_key, self.world.mediator_public_key(), conn.remote_did, nonce, p
         )
         self.world.send_envelope(self.agent_id, env, p.kind)
 
@@ -244,7 +249,7 @@ class Agent:
         except crypto.DecryptError:
             return "rejected:decrypt-error"
         try:
-            nonce, p = messages.verify_inner(view, conn.remote_public_key)
+            nonce, p = messages.verify_inner(view, conn.receive_key)
         except EnvelopeReject as exc:
             return f"rejected:{exc.reason}"
         except PayloadError:

@@ -1,5 +1,5 @@
-"""Cryptographic toolkit: seeded randomness, key pairs, signatures, hybrid and
-symmetric authenticated encryption, nonces, and DID derivation.
+"""Cryptographic toolkit: seeded randomness, key pairs, signatures, channel
+tags, hybrid and symmetric authenticated encryption, nonces, DID derivation.
 
 Every random draw goes through an injected :class:`Rng` handle so that a whole
 simulation run is reproducible from a single seed.  Key pairs bundle an
@@ -12,6 +12,9 @@ ephemeral key (32 RNG bytes) may serve every recipient of a message, as one
 ``epk`` does in DIDComm v2 (ECDH-ES, RFC 7518 4.6): each ciphertext's AES key
 hashes in its recipient's key, and :func:`asym_encrypt` draws a fresh 12-byte
 IV.  A sealed envelope draws the ephemeral key, the inner IV, the outer IV.
+
+Connection messages carry a :func:`tag` under a :func:`channel_keys` key, as in
+Aries RFC 0019 authcrypt; credentials and presentations keep their signatures.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ NONCE_LEN = 16
 SYM_KEY_LEN = 32
 KEY_LEN = 64  # ed25519 half || x25519 half
 KEY_ID_LEN = 8
+TAG_LEN = 32
 _GCM_IV_LEN = 12
 _GCM_TAG_LEN = 16
 _HYBRID_OVERHEAD = KEY_ID_LEN + 32 + _GCM_IV_LEN + _GCM_TAG_LEN
@@ -139,6 +143,19 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+def tag(key: bytes, message: bytes) -> bytes:
+    """Keyed BLAKE2b of ``message``: only a holder of ``key`` can make or check it."""
+    return hashlib.blake2b(message, key=key, digest_size=TAG_LEN).digest()
+
+
+def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[bytes, bytes]:
+    """(send key, receive key) on ``local``'s side: one static-static X25519 agreement hashed with both keys, sender first."""
+    _check_key(peer_public_key, "public key")
+    shared = local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key[32:]))
+    ends = (local.public_key, peer_public_key)
+    return tuple(tag(shared, b"handover/channel-v1" + sender + recipient) for sender, recipient in (ends, ends[::-1]))
 
 
 def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub_half: bytes) -> bytes:

@@ -1,25 +1,26 @@
 """Protocol message payloads, their canonical codec, and the layered envelope.
 
-An envelope is built sign-then-encrypt-then-wrap: the sender signs the
-(nonce, payload) pair with its per-connection key, encrypts the signed bundle
-to the endpoint's connection key, and wraps that together with the routing
-header under the mediator's key.  The mediator learns the recipient and,
-from the key id in front of the inner ciphertext, which of the recipient's
-connections the message is for; it never reads the signed bundle.
+An envelope is built tag-then-encrypt-then-wrap: the sender tags the (nonce,
+payload) pair under its connection's send key, encrypts the tagged bundle to
+the endpoint's connection key, and wraps that with the routing header under
+the mediator's key.  The mediator learns the recipient and, from the key id in
+front of the inner ciphertext, which of the recipient's connections the
+message is for; it never reads the tagged bundle.
 
 Both layers are hybrid ciphertexts under one ephemeral X25519 key (layout in
 :mod:`handover.crypto`); each layer's AES key hashes in its own recipient's
 key, so each opens only under that key.  The outer layer is mediator key id ||
 ephemeral key || IV || AES-GCM(["route", recipient DID, inner layer]); the inner
 is endpoint key id || the same ephemeral key || its own IV || AES-GCM(["inner",
-nonce, payload, signature]).  ``seal`` draws 32 RNG bytes for the ephemeral
-key, then 12 for the inner IV, then 12 for the outer IV.
+nonce, payload, tag]).  ``seal`` draws 32 RNG bytes for the ephemeral key,
+then 12 for the inner IV, then 12 for the outer IV.
 
-The signed bundle names no sender: the recipient learns the sender from the
+The tagged bundle names no sender: the recipient learns the sender from the
 key the message is addressed to.  Keys are pairwise, so that key names one
-connection, and the signature must verify under that connection's peer key.
-Its :class:`ReplayGuard` holds the consumed (nonce, kind) pairs and the
-ciphertexts that consumed them: an exact copy is a replay before any decryption.
+connection, and the tag must match under that connection's receive key (or
+the verdict is ``bad-signature``).  Its :class:`ReplayGuard` holds the consumed
+(nonce, kind) pairs and the ciphertexts that consumed them: an exact copy is a
+replay before any decryption.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class InnerView:
 
     nonce: bytes
     payload_bytes: bytes
-    signature: bytes
+    tag: bytes
 
 
 def signing_bytes(nonce: bytes, payload_bytes: bytes) -> bytes:
@@ -225,17 +226,17 @@ def signing_bytes(nonce: bytes, payload_bytes: bytes) -> bytes:
 
 def seal(
     rng: crypto.Rng,
-    sender_keys: crypto.KeyPair,
+    send_key: bytes,
     endpoint_public_key: bytes,
     mediator_public_key: bytes,
     recipient_did: str,
     nonce: bytes,
     p: MessagePayload,
 ) -> Envelope:
-    """Sign, encrypt to the endpoint, then wrap for the mediator, both layers under one ephemeral key."""
+    """Tag under ``send_key``, encrypt to the endpoint, then wrap for the mediator, both layers under one ephemeral key."""
     payload_bytes = canonical_encode_payload(p)
-    signature = crypto.sign(sender_keys, signing_bytes(nonce, payload_bytes))
-    inner_plain = encode(["inner", nonce, payload_bytes, signature])
+    tag = crypto.tag(send_key, signing_bytes(nonce, payload_bytes))
+    inner_plain = encode(["inner", nonce, payload_bytes, tag])
     ephemeral = crypto.ephemeral_key(rng)
     inner_ct = crypto.asym_encrypt(rng, ephemeral, endpoint_public_key, inner_plain)
     outer_plain = encode(["route", recipient_did, inner_ct])
@@ -246,10 +247,10 @@ def unseal_at_mediator(mediator_keys: crypto.KeyPair, envelope: Envelope) -> tup
     """Unwrap the outer layer: (recipient DID, opaque inner ciphertext)."""
     plain = crypto.asym_decrypt(mediator_keys, envelope.outer_ciphertext)
     try:
-        tag, recipient_did, inner_ct = decode_value(plain)
+        label, recipient_did, inner_ct = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:
         raise crypto.DecryptError("malformed outer layer") from exc
-    if tag != "route" or not isinstance(recipient_did, str) or not isinstance(inner_ct, bytes):
+    if label != "route" or not isinstance(recipient_did, str) or not isinstance(inner_ct, bytes):
         raise crypto.DecryptError("malformed outer layer")
     return recipient_did, inner_ct
 
@@ -258,18 +259,18 @@ def open_inner(endpoint_keys: crypto.KeyPair, inner_ciphertext: bytes) -> InnerV
     """Decrypt the inner layer; the payload is not decoded until verified."""
     plain = crypto.asym_decrypt(endpoint_keys, inner_ciphertext)
     try:
-        tag, nonce, payload_bytes, signature = decode_value(plain)
+        label, nonce, payload_bytes, tag = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:
         raise crypto.DecryptError("malformed inner layer") from exc
-    if tag != "inner" or not all(isinstance(part, bytes) for part in (nonce, payload_bytes, signature)):
+    if label != "inner" or not all(isinstance(part, bytes) for part in (nonce, payload_bytes, tag)):
         raise crypto.DecryptError("malformed inner layer")
-    return InnerView(nonce=nonce, payload_bytes=payload_bytes, signature=signature)
+    return InnerView(nonce=nonce, payload_bytes=payload_bytes, tag=tag)
 
 
-def verify_inner(view: InnerView, sender_public_key: bytes) -> tuple[bytes, MessagePayload]:
-    """Check the signature under the peer key of the addressed connection, then
-    (and only then) decode the payload."""
-    if not crypto.verify(sender_public_key, signing_bytes(view.nonce, view.payload_bytes), view.signature):
+def verify_inner(view: InnerView, receive_key: bytes) -> tuple[bytes, MessagePayload]:
+    """Check the tag under the addressed connection's receive key, then (and only then) decode the payload.
+    A simulated peer sees no timing, so a plain compare serves."""
+    if crypto.tag(receive_key, signing_bytes(view.nonce, view.payload_bytes)) != view.tag:
         raise EnvelopeReject("bad-signature")
     return view.nonce, decode_payload(view.payload_bytes)
 

@@ -354,7 +354,7 @@ class World:
         )
 
     def spoof(self, recipient_id: str, forged_sender: str, payload: MessagePayload, key_of: Optional[str]) -> int:
-        """Send ``payload`` to ``recipient_id``, signed by a fresh attacker key.
+        """Send ``payload`` to ``recipient_id``, tagged under a channel key of a fresh attacker key pair.
 
         ``key_of`` is the DID whose connection with the recipient leaked its
         endpoint key; ``None``, or a DID with no such connection, means the
@@ -368,7 +368,7 @@ class World:
         attacker_keys = crypto.generate_keypair(self.rng)  # bound to no connection
         envelope = seal(
             self.rng,
-            attacker_keys,
+            crypto.channel_keys(attacker_keys, endpoint_key)[0],  # as any stranger could derive
             endpoint_key,
             self.mediator.keys.public_key,
             recipient.did.uri,

@@ -22,14 +22,14 @@ def fresh_lifecycle(seed=None):
     return run_scenario(builtin_scenario("full-lifecycle"), seed=seed)
 
 
-def send_signed(world, sender, recipient, payload_bytes, kind):
-    """Seal ``payload_bytes`` as ``sender`` would on its connection with ``recipient``, signed with its own key,
+def send_tagged(world, sender, recipient, payload_bytes, kind):
+    """Seal ``payload_bytes`` as ``sender`` would on its connection with ``recipient``, tagged under its send key,
     whatever the bytes hold, and deliver it."""
     conn = sender.connections[recipient.did.uri]
     nonce = crypto.fresh_nonce(world.rng)
-    signature = crypto.sign(conn.local, signing_bytes(nonce, payload_bytes))
+    tag = crypto.tag(conn.send_key, signing_bytes(nonce, payload_bytes))
     ephemeral = crypto.ephemeral_key(world.rng)
-    inner_plain = encode(["inner", nonce, payload_bytes, signature])
+    inner_plain = encode(["inner", nonce, payload_bytes, tag])
     inner = crypto.asym_encrypt(world.rng, ephemeral, conn.remote_public_key, inner_plain)
     route = encode(["route", recipient.did.uri, inner])
     outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), route)

@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from handover import crypto
+from handover import crypto, messages
 from handover.agents import (
     AdversaryWallet,
     AgentActionError,
@@ -33,7 +33,7 @@ from handover.scenarios import (
 )
 from handover.simnet import World
 
-from conftest import fresh_lifecycle, send_signed
+from conftest import fresh_lifecycle, send_tagged
 
 
 def make_world(seed=7, wallets=("B1", "B2"), products=("PC-100",)):
@@ -200,8 +200,8 @@ def test_rekeyed_connection_opens_only_under_the_new_key():
 
 
 def test_message_to_another_peers_connection_key_fails_signature():
-    # B2 signs with its own connection key but addresses MF's key of the B1
-    # connection: MF verifies under B1's key, because the key names the peer
+    # B2 tags under its own connection's send key but addresses MF's key of the B1
+    # connection: MF checks the tag under its B1 receive key, because the key names the peer
     spec = builtin_scenario("full-lifecycle")
     world, cast = build_world(spec)
     for step in spec.script[:6]:  # through connect B2-MF
@@ -220,7 +220,7 @@ def test_message_to_another_peers_connection_key_fails_signature():
 
 def test_every_delivery_redirected_to_another_connection_fails_signature():
     # an inner layer re-encrypted to another connection key of its recipient
-    # is checked against that connection's peer, who did not sign it
+    # is checked under that connection's receive key, which did not make its tag
     result = fresh_lifecycle()
     world = result.world
     deliveries = [event for _, event in sorted(world.wire_log.items()) if event.to != "MD"]
@@ -941,6 +941,10 @@ def test_no_trace_holds_private_key_material(name):
         assert keys.public_key.hex() in text
         for private in (keys.signer, keys.agreer):
             assert private.private_bytes_raw().hex() not in text
+    for conn in (conn for agent in agents for conn in agent.connections.values()):
+        shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(conn.remote_public_key[32:]))
+        for secret in (conn.send_key, conn.receive_key, shared):
+            assert secret.hex() not in text
 
 
 def test_unanswered_used_claims_leave_one_challenge_open():
@@ -1207,7 +1211,7 @@ def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
     for step in spec.script[:-1]:
         assert execute_step(world, cast, spec, step) == step.expect
     decrypts = count_calls(monkeypatch, crypto, "asym_decrypt")
-    verifies = count_calls(monkeypatch, crypto, "verify")
+    verifies = count_calls(monkeypatch, messages, "verify_inner")
     assert execute_step(world, cast, spec, spec.script[-1]) == "all-rejected"
     assert (len(decrypts), len(verifies)) == (16, 0)
     assert all(keys is world.mediator.keys for keys in decrypts)
@@ -1220,7 +1224,7 @@ def test_replayed_spoof_is_checked_again(monkeypatch):
     world.spoof("MF", b2.did.uri, payload("PINReq", tid=mint_tid(world.rng)), b2.did.uri)
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
-    verifies = count_calls(monkeypatch, crypto, "verify")
+    verifies = count_calls(monkeypatch, messages, "verify_inner")
     world.replay(world.trace[-1]["seq"])
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
@@ -1232,7 +1236,7 @@ def test_reencrypted_consumed_message_is_a_replay_by_its_pair(monkeypatch):
     result = fresh_lifecycle()
     world = result.world
     deliveries = consumed_deliveries(world)
-    verifies = count_calls(monkeypatch, crypto, "verify")
+    verifies = count_calls(monkeypatch, messages, "verify_inner")
     for checked, event in enumerate(deliveries, 1):
         recipient = world.agents[event.to]
         named = next(c for c in recipient.connections.values() if c.local.kid == event.body[: crypto.KEY_ID_LEN])
@@ -1243,7 +1247,26 @@ def test_reencrypted_consumed_message_is_a_replay_by_its_pair(monkeypatch):
         world.send_envelope("adversary", Envelope(outer), event.kind)
         world.run_until_quiescent()
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:replay")
-        assert len(verifies) == checked  # one full open and verify per fresh ciphertext
+        assert len(verifies) == checked  # one full open and tag check per fresh ciphertext
+    assert len(deliveries) == 16
+
+
+def test_every_delivery_reflected_to_its_sender_fails_the_tag():
+    # each direction of a connection has its own key: an inner layer sent back
+    # to its sender on the same connection fails the tag check there
+    result = fresh_lifecycle()
+    world = result.world
+    deliveries = consumed_deliveries(world)
+    for event in deliveries:
+        recipient = world.agents[event.to]
+        named = next(c for c in recipient.connections.values() if c.local.kid == event.body[: crypto.KEY_ID_LEN])
+        sender = world.agents[named.remote_agent_id]
+        ephemeral = crypto.ephemeral_key(world.rng)
+        inner = crypto.asym_encrypt(world.rng, ephemeral, named.remote_public_key, crypto.asym_decrypt(named.local, event.body))
+        outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", sender.did.uri, inner]))
+        world.send_envelope("adversary", Envelope(outer), event.kind)
+        world.run_until_quiescent()
+        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (sender.agent_id, "rejected:bad-signature")
     assert len(deliveries) == 16
 
 
@@ -1277,7 +1300,7 @@ def test_transfer_step_verdict_comes_from_deciding_wallet():
     ids=["zero-denominator", "not-a-list", "none-nonce", "old-five-field"],
 )
 def test_malformed_inner_layer_rejected(inner_plain):
-    # needs only the public half of a connection key, no signing key
+    # needs only the public half of a connection key, no channel key
     world, cast = run_sale_and_claim()
     mf, b1 = cast["MF"], cast["B1"]
     ephemeral = crypto.ephemeral_key(world.rng)
@@ -1309,9 +1332,9 @@ def _vc_wire(cast, attributes=None):
     ids=["presentation-short", "vc-int", "str-list-int", "str-list-of-int", "presentation-int-nonce", "vc-int-attribute"],
 )
 def test_malformed_signed_payload_rejected(sender, recipient, fields):
-    # a connected peer signs, with its own connection key, a payload of the right kind and the wrong shape
+    # a connected peer tags, under its own connection's send key, a payload of the right kind and the wrong shape
     world, cast = run_sale_and_claim()
-    send_signed(world, cast[sender], cast[recipient], encode(fields(cast)), fields(cast)[0])
+    send_tagged(world, cast[sender], cast[recipient], encode(fields(cast)), fields(cast)[0])
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (recipient, "rejected:malformed-payload")
 
 

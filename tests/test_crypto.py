@@ -95,6 +95,31 @@ def test_sign_malformed_key(rng):
     assert "signer" not in repr(first) and "agreer" not in repr(first) and "kid" not in repr(first)
 
 
+def test_channel_keys_agree_pairwise_and_differ_by_direction(rng):
+    a, b, stranger = generate_keypair(rng), generate_keypair(rng), generate_keypair(rng)
+    a_send, a_receive = crypto.channel_keys(a, b.public_key)
+    assert crypto.channel_keys(b, a.public_key) == (a_receive, a_send)
+    assert a_send != a_receive
+    assert not {a_send, a_receive} & set(crypto.channel_keys(stranger, b.public_key))
+    tag = crypto.tag(a_send, b"abc")
+    assert len(tag) == crypto.TAG_LEN
+    assert tag not in (crypto.tag(a_receive, b"abc"), crypto.tag(a_send, b"abd"))
+    with pytest.raises(KeyFormatError):
+        crypto.channel_keys(a, b"\x00" * 3)
+
+
+def test_full_lifecycle_signs_only_credentials_and_presentations(monkeypatch):
+    # messages inside a connection carry tags: only the 2 issued credentials and
+    # the 1 presentation are signed, and each credential is verified on receipt,
+    # the presentation under its holder's key and its credential's issuer key
+    calls = collections.Counter()
+    for name in ("sign", "verify"):
+        original = getattr(crypto, name)
+        monkeypatch.setattr(crypto, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
+    assert run_scenario(builtin_scenario("full-lifecycle")).ok
+    assert (calls["sign"], calls["verify"]) == (3, 4)
+
+
 def test_asym_roundtrip_empty_payload(rng):
     keys = generate_keypair(rng)
     assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"")) == b""

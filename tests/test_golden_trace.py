@@ -19,37 +19,37 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "a94502609ced3157990d54845672ac2588487e48e267f513c916b3da5d649ba9",
+        "babeebddb6cf8e3b94baedcd15c9d028465b05c499ab5a940e84d676f1bbec17",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "98d5e645d849f1b1bf252dbf4b29904d84cb1508f4bc15a8b625e20f7d27795a",
+        "07acce2924f1d536be47b03520c5a465d91a75319d49d305aa3285bca0ed2f75",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "c3315a98b3078bdeee4f8ac825beabb5f8e8de5e23aa0853f65e9894b7acaaeb",
+        "064e5329058749cfa8f8c5c8c093e655c4afcba053fb2d49a68904ff28e35389",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "7e953d521274e6484e2af07521db06ea4c0248193ce3e864d93f11b3b9121719",
+        "1deb96870dd964339da3f553f1e07eb57b6067152ec69d3180372a9d41ed7b9a",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "8efac4fa76062f7a27c3b4162f4dc91b3fe97ea19d751529b2e6544c4788e111",
+        "970f2311a3bc6c0aac6695d571fafb7f4d6ef5776be4883ca6106519199766fc",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "e0b59d9071f523a6c3aec5d5ffe2cd41d2fd293defd713eac6c5f7e9a02bfac6",
+        "94614a0d5d9f5394b3b92486e5b8f88a1d31fdacf1072507b3315122ba1ed040",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "31c9a7b0de53ceaa5d01ad328c9b8923afadda8a53c5c0e119ca2795a2bd7729",
+        "79064dd68caa8329c1ed95b3d70db91116d87237d3ed014d5ec1fb3244342ce9",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -86,7 +86,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "1cea2924d5f8fea98a64252cb508d72b415c37ac9ebf6625d4a4130a12b4b4bd",
+    "1a177bfcafb619a52f79f0f4029d72c1a77a53da6bbfac78bddbcc4aac1eb397",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
     "fa10eecdc06c80881763fbb1503cfb09d05aa06077ce3dea2ebf27c57a07f319",
 )

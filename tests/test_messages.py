@@ -30,7 +30,7 @@ from handover.messages import (
 )
 from handover.scenarios import builtin_scenario, run_scenario
 
-from conftest import send_signed
+from conftest import send_tagged
 
 TID = "00112233445566778899aabbccddeeff"
 
@@ -166,12 +166,20 @@ def parties(rng):
     }
 
 
+def send_key(parties):
+    return crypto.channel_keys(parties["sender"], parties["endpoint"].public_key)[0]
+
+
+def receive_key(parties):
+    return crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[1]
+
+
 def sealed(parties, p=None, nonce=None):
     p = p or sample_payload("PINReq")
     nonce = nonce or fresh_nonce(parties["rng"])
     env = seal(
         parties["rng"],
-        parties["sender"],
+        send_key(parties),
         parties["endpoint"].public_key,
         parties["mediator"].public_key,
         "did:handover:endpoint",
@@ -186,7 +194,7 @@ def test_seal_unseal_full_chain(parties):
     recipient_did, inner = unseal_at_mediator(parties["mediator"], env)
     assert recipient_did == "did:handover:endpoint"
     view = open_inner(parties["endpoint"], inner)
-    got_nonce, got_payload = verify_inner(view, parties["sender"].public_key)
+    got_nonce, got_payload = verify_inner(view, receive_key(parties))
     assert got_nonce == nonce
     assert got_payload == p
 
@@ -260,22 +268,20 @@ def test_signature_stripped_or_replaced_rejected(parties):
     env, _, _ = sealed(parties)
     _, inner = unseal_at_mediator(parties["mediator"], env)
     view = open_inner(parties["endpoint"], inner)
-    with pytest.raises(EnvelopeReject) as err:
-        verify_inner(
-            type(view)(nonce=view.nonce, payload_bytes=view.payload_bytes, signature=b"\x00" * 64),
-            parties["sender"].public_key,
-        )
-    assert err.value.reason == "bad-signature"
+    for tag in (b"", b"\x00" * crypto.TAG_LEN, view.tag[:-1]):
+        with pytest.raises(EnvelopeReject) as err:
+            verify_inner(type(view)(nonce=view.nonce, payload_bytes=view.payload_bytes, tag=tag), receive_key(parties))
+        assert err.value.reason == "bad-signature"
 
 
 def test_adversary_key_resign_rejected(parties):
-    # adversary-key oracle: valid signature under a key not bound to the connection
+    # adversary-key oracle: a valid tag under a channel key of a key pair not bound to the connection
     adversary = generate_keypair(parties["rng"])
     p = sample_payload("PINReq")
     nonce = fresh_nonce(parties["rng"])
     env = seal(
         parties["rng"],
-        adversary,  # signs with its own key
+        crypto.channel_keys(adversary, parties["endpoint"].public_key)[0],  # the key any stranger can derive
         parties["endpoint"].public_key,
         parties["mediator"].public_key,
         "did:handover:endpoint",
@@ -284,7 +290,7 @@ def test_adversary_key_resign_rejected(parties):
     )
     _, inner = unseal_at_mediator(parties["mediator"], env)
     with pytest.raises(EnvelopeReject) as err:
-        verify_inner(open_inner(parties["endpoint"], inner), parties["sender"].public_key)
+        verify_inner(open_inner(parties["endpoint"], inner), receive_key(parties))
     assert err.value.reason == "bad-signature"
 
 
@@ -292,16 +298,14 @@ def test_signature_binds_nonce_kind_and_body(parties):
     env, nonce, p = sealed(parties, p=payload("ownershipClaimAck", status="accepted"))
     _, inner = unseal_at_mediator(parties["mediator"], env)
     view = open_inner(parties["endpoint"], inner)
-    # altering the nonce or any payload byte must invalidate the signature
-    bad_nonce = type(view)(
-        nonce=fresh_nonce(parties["rng"]), payload_bytes=view.payload_bytes, signature=view.signature
-    )
+    # altering the nonce or any payload byte must invalidate the tag
+    bad_nonce = type(view)(nonce=fresh_nonce(parties["rng"]), payload_bytes=view.payload_bytes, tag=view.tag)
     with pytest.raises(EnvelopeReject):
-        verify_inner(bad_nonce, parties["sender"].public_key)
+        verify_inner(bad_nonce, receive_key(parties))
     other_payload = canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))
-    bad_body = type(view)(nonce=view.nonce, payload_bytes=other_payload, signature=view.signature)
+    bad_body = type(view)(nonce=view.nonce, payload_bytes=other_payload, tag=view.tag)
     with pytest.raises(EnvelopeReject):
-        verify_inner(bad_body, parties["sender"].public_key)
+        verify_inner(bad_body, receive_key(parties))
 
 
 def test_mediator_view_hides_payload(parties):
@@ -426,7 +430,7 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
     payload_bytes = encode(fields)
     with pytest.raises(PayloadError):
         decode_payload(payload_bytes)
-    # B1 signs it with its own key on its connection with MF, so only the payload check can refuse it
+    # B1 tags it under its send key on its connection with MF, so only the payload check can refuse it
     result = run_scenario(builtin_scenario("new-purchase"))
-    send_signed(result.world, result.cast["B1"], result.cast["MF"], payload_bytes, kind)
+    send_tagged(result.world, result.cast["B1"], result.cast["MF"], payload_bytes, kind)
     assert (result.world.trace[-1]["to"], result.world.trace[-1]["verdict"]) == ("MF", "rejected:malformed-payload")
