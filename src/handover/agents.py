@@ -245,11 +245,9 @@ class Agent:
         if conn.replay.holds(inner_ciphertext):
             return "rejected:replay"
         try:
-            view = messages.open_inner(conn.local, inner_ciphertext)
+            nonce, p = messages.verify_inner(messages.open_inner(conn.receive_key, inner_ciphertext))
         except crypto.DecryptError:
             return "rejected:decrypt-error"
-        try:
-            nonce, p = messages.verify_inner(view, conn.receive_key)
         except EnvelopeReject as exc:
             return f"rejected:{exc.reason}"
         except PayloadError:
@@ -505,7 +503,7 @@ class ManufacturerAgent(Agent):
     ) -> tuple[bool, str]:
         """Decrypt the stored PIN with the attempt's key and recompute; accept only on exact equality."""
         try:
-            pin_plain = crypto.sym_decrypt(key, claim.encrypted_pin).decode("ascii")
+            pin_plain = crypto.sym_decrypt(key, claim.encrypted_pin, b"").decode("ascii")
             mf_result = evaluate_challenge(pin_numeric(pin_plain), *challenge)
         except (crypto.DecryptError, UnicodeDecodeError, PinFormatError):
             return False, "pin-decrypt"
@@ -698,7 +696,7 @@ class WalletAgent(Agent):
             return "rejected:duplicate-tid"
         pin = mint_pin(self.rng)
         key = crypto.generate_symmetric_key(self.rng)
-        encrypted_pin = crypto.sym_encrypt(self.rng, key, pin.encode("ascii"))
+        encrypted_pin = crypto.sym_encrypt(self.rng, key, pin.encode("ascii"), b"")
         self.claiming[tid] = OwnershipClaimingData(pin, key)
         self.world.emit(
             channel=simnet.CHANNEL_AUDIT,

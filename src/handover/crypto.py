@@ -1,5 +1,5 @@
 """Cryptographic toolkit: seeded randomness, key pairs, signatures, channel
-tags, hybrid and symmetric authenticated encryption, nonces, DID derivation.
+keys, hybrid and symmetric authenticated encryption, nonces, DID derivation.
 
 Every random draw goes through an injected :class:`Rng` handle so that a whole
 simulation run is reproducible from a single seed.  Key pairs bundle an
@@ -7,14 +7,14 @@ Ed25519 signing key with an X25519 key-agreement key so one opaque public key
 supports both signing and encryption.  A pair's private halves are parsed once,
 and the pair carries its key id.  A hybrid ciphertext is recipient key id (8)
 || ephemeral X25519 public key (32) || AES-GCM IV (12) || ciphertext+tag; the
-key id lets a holder of many keys decrypt with the one it names.  One
-ephemeral key (32 RNG bytes) may serve every recipient of a message, as one
-``epk`` does in DIDComm v2 (ECDH-ES, RFC 7518 4.6): each ciphertext's AES key
-hashes in its recipient's key, and :func:`asym_encrypt` draws a fresh 12-byte
-IV.  A sealed envelope draws the ephemeral key, the inner IV, the outer IV.
+key id lets a holder of many keys decrypt with the one it names.  The AES key
+hashes in the ephemeral and the recipient's key (ECDH-ES, RFC 7518 4.6).
 
-Connection messages carry a :func:`tag` under a :func:`channel_keys` key, as in
-Aries RFC 0019 authcrypt; credentials and presentations keep their signatures.
+One AES-GCM path, :func:`sym_encrypt`, serves every symmetric ciphertext: a
+PIN under its purchase key, and each connection message under the sender's
+:func:`channel_keys` send key with the recipient's key id as associated data,
+as in Aries RFC 0019 authcrypt.  Credentials and presentations keep their
+signatures.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ NONCE_LEN = 16
 SYM_KEY_LEN = 32
 KEY_LEN = 64  # ed25519 half || x25519 half
 KEY_ID_LEN = 8
-TAG_LEN = 32
 _GCM_IV_LEN = 12
 _GCM_TAG_LEN = 16
 _HYBRID_OVERHEAD = KEY_ID_LEN + 32 + _GCM_IV_LEN + _GCM_TAG_LEN
@@ -120,7 +119,7 @@ def generate_keypair(rng: Rng) -> KeyPair:
     signer = Ed25519PrivateKey.from_private_bytes(ed_seed)
     agreer = X25519PrivateKey.from_private_bytes(x_seed)
     ed_pub, x_pub = signer.public_key().public_bytes_raw(), agreer.public_key().public_bytes_raw()
-    return KeyPair(ed_pub + x_pub, signer, agreer, _x25519_key_id(x_pub))
+    return KeyPair(ed_pub + x_pub, signer, agreer, key_id(ed_pub + x_pub))
 
 
 def _check_key(key: bytes, what: str) -> None:
@@ -145,29 +144,28 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def tag(key: bytes, message: bytes) -> bytes:
-    """Keyed BLAKE2b of ``message``: only a holder of ``key`` can make or check it."""
-    return hashlib.blake2b(message, key=key, digest_size=TAG_LEN).digest()
-
-
-def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[bytes, bytes]:
+def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     """(send key, receive key) on ``local``'s side: one static-static X25519 agreement hashed with both keys, sender first."""
     _check_key(peer_public_key, "public key")
     shared = local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key[32:]))
     ends = (local.public_key, peer_public_key)
-    return tuple(tag(shared, b"handover/channel-v1" + sender + recipient) for sender, recipient in (ends, ends[::-1]))
+    return tuple(
+        SymmetricKey(hashlib.blake2b(b"handover/channel-v1" + sender + recipient, key=shared, digest_size=SYM_KEY_LEN).digest())
+        for sender, recipient in (ends, ends[::-1])
+    )
 
 
 def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub_half: bytes) -> bytes:
     return hashlib.sha256(b"handover/hybrid-v1" + shared + eph_pub + recipient_pub_half).digest()
 
 
-def _x25519_key_id(x_pub_half: bytes) -> bytes:
-    return hashlib.sha256(b"handover/key-id-v1" + x_pub_half).digest()[:KEY_ID_LEN]
+def key_id(public_key: bytes) -> bytes:
+    """The id a ciphertext to ``public_key`` starts with: a hash of its agreement half."""
+    return hashlib.sha256(b"handover/key-id-v1" + public_key[32:]).digest()[:KEY_ID_LEN]
 
 
 def ephemeral_key(rng: Rng) -> X25519PrivateKey:
-    """Draw a fresh ephemeral X25519 key for the ciphertexts of one message."""
+    """Draw a fresh ephemeral X25519 key for one hybrid ciphertext."""
     return X25519PrivateKey.from_private_bytes(rng.token(32))
 
 
@@ -179,7 +177,7 @@ def asym_encrypt(rng: Rng, ephemeral: X25519PrivateKey, public_key: bytes, plain
     shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_half))
     key = _hybrid_key(shared, eph_pub, recipient_half)
     iv = rng.token(_GCM_IV_LEN)
-    return _x25519_key_id(recipient_half) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
+    return key_id(public_key) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
 
 
 def asym_decrypt(keys: KeyPair, ciphertext: bytes) -> bytes:
@@ -202,17 +200,18 @@ def generate_symmetric_key(rng: Rng) -> SymmetricKey:
     return SymmetricKey(rng.token(SYM_KEY_LEN))
 
 
-def sym_encrypt(rng: Rng, key: SymmetricKey, plaintext: bytes) -> bytes:
-    """AES-GCM with a fresh IV per call: IV (12) || ciphertext+tag."""
+def sym_encrypt(rng: Rng, key: SymmetricKey, plaintext: bytes, associated_data: bytes) -> bytes:
+    """AES-GCM with a fresh IV per call: IV (12) || ciphertext+tag; the tag also covers ``associated_data``."""
     iv = rng.token(_GCM_IV_LEN)
-    return iv + AESGCM(key.key_bytes).encrypt(iv, bytes(plaintext), None)
+    return iv + AESGCM(key.key_bytes).encrypt(iv, bytes(plaintext), associated_data)
 
 
-def sym_decrypt(key: SymmetricKey, ciphertext: bytes) -> bytes:
+def sym_decrypt(key: SymmetricKey, ciphertext: bytes, associated_data: bytes) -> bytes:
+    """Invert :func:`sym_encrypt`; raises :class:`DecryptError` on tampering, another key or other associated data."""
     if len(ciphertext) < _GCM_IV_LEN + _GCM_TAG_LEN:
         raise DecryptError("ciphertext truncated")
     try:
-        return AESGCM(key.key_bytes).decrypt(ciphertext[:_GCM_IV_LEN], bytes(ciphertext[_GCM_IV_LEN:]), None)
+        return AESGCM(key.key_bytes).decrypt(ciphertext[:_GCM_IV_LEN], bytes(ciphertext[_GCM_IV_LEN:]), associated_data)
     except InvalidTag as exc:
         raise DecryptError("authentication failed") from exc
 

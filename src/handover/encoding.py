@@ -1,4 +1,4 @@
-"""Deterministic, injective binary encoding for everything that gets signed or tagged.
+"""Deterministic, injective binary encoding for everything that gets signed or encrypted.
 
 A tiny tagged length-prefixed format: two values encode to the same bytes only
 if they are equal, and decoding inverts encoding exactly.  Supported values:

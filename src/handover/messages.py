@@ -1,26 +1,24 @@
 """Protocol message payloads, their canonical codec, and the layered envelope.
 
-An envelope is built tag-then-encrypt-then-wrap: the sender tags the (nonce,
-payload) pair under its connection's send key, encrypts the tagged bundle to
-the endpoint's connection key, and wraps that with the routing header under
-the mediator's key.  The mediator learns the recipient and, from the key id in
-front of the inner ciphertext, which of the recipient's connections the
-message is for; it never reads the tagged bundle.
+An envelope is built encrypt-then-wrap: the sender encrypts the (nonce,
+payload) pair under its connection's send key, then wraps that inner layer
+with the routing header under the mediator's key.  The mediator learns the
+recipient and, from the key id in front of the inner layer, which of the
+recipient's connections the message is for; it cannot read the inner layer.
 
-Both layers are hybrid ciphertexts under one ephemeral X25519 key (layout in
-:mod:`handover.crypto`); each layer's AES key hashes in its own recipient's
-key, so each opens only under that key.  The outer layer is mediator key id ||
-ephemeral key || IV || AES-GCM(["route", recipient DID, inner layer]); the inner
-is endpoint key id || the same ephemeral key || its own IV || AES-GCM(["inner",
-nonce, payload, tag]).  ``seal`` draws 32 RNG bytes for the ephemeral key,
-then 12 for the inner IV, then 12 for the outer IV.
+The inner layer is endpoint key id (8) || IV (12) || AES-GCM under the send
+key of ["inner", nonce, payload], with the key id as associated data (Aries
+RFC 0019 authcrypt).  The outer layer is a hybrid ciphertext to the mediator
+(layout in :mod:`handover.crypto`): mediator key id || ephemeral key || IV ||
+AES-GCM(["route", recipient DID, inner layer]).  ``seal`` draws 32 RNG bytes
+for the ephemeral key, then 12 for the inner IV, then 12 for the outer IV.
 
-The tagged bundle names no sender: the recipient learns the sender from the
-key the message is addressed to.  Keys are pairwise, so that key names one
-connection, and the tag must match under that connection's receive key (or
-the verdict is ``bad-signature``).  Its :class:`ReplayGuard` holds the consumed
-(nonce, kind) pairs and the ciphertexts that consumed them: an exact copy is a
-replay before any decryption.
+The inner layer names no sender: the recipient learns the sender from the key
+id, which names one of its pairwise connections, and the layer must
+authenticate under that connection's receive key (or the verdict is
+``bad-signature``).  Its :class:`ReplayGuard` holds the consumed (nonce, kind)
+pairs and the ciphertexts that consumed them: an exact copy is a replay before
+any decryption.
 """
 
 from __future__ import annotations
@@ -213,32 +211,26 @@ class Envelope:
 
 @dataclass(frozen=True)
 class InnerView:
-    """Decrypted but *unverified* inner layer; payload stays opaque bytes."""
+    """Authenticated inner layer; the payload stays opaque bytes until decoded."""
 
     nonce: bytes
     payload_bytes: bytes
-    tag: bytes
-
-
-def signing_bytes(nonce: bytes, payload_bytes: bytes) -> bytes:
-    return encode(["msg", nonce, payload_bytes])
 
 
 def seal(
     rng: crypto.Rng,
-    send_key: bytes,
+    send_key: crypto.SymmetricKey,
     endpoint_public_key: bytes,
     mediator_public_key: bytes,
     recipient_did: str,
     nonce: bytes,
     p: MessagePayload,
 ) -> Envelope:
-    """Tag under ``send_key``, encrypt to the endpoint, then wrap for the mediator, both layers under one ephemeral key."""
-    payload_bytes = canonical_encode_payload(p)
-    tag = crypto.tag(send_key, signing_bytes(nonce, payload_bytes))
-    inner_plain = encode(["inner", nonce, payload_bytes, tag])
+    """Encrypt under ``send_key`` for the endpoint's key id, then wrap for the mediator under a fresh ephemeral key."""
+    inner_plain = encode(["inner", nonce, canonical_encode_payload(p)])
     ephemeral = crypto.ephemeral_key(rng)
-    inner_ct = crypto.asym_encrypt(rng, ephemeral, endpoint_public_key, inner_plain)
+    key_id = crypto.key_id(endpoint_public_key)
+    inner_ct = key_id + crypto.sym_encrypt(rng, send_key, inner_plain, key_id)
     outer_plain = encode(["route", recipient_did, inner_ct])
     return Envelope(outer_ciphertext=crypto.asym_encrypt(rng, ephemeral, mediator_public_key, outer_plain))
 
@@ -255,23 +247,25 @@ def unseal_at_mediator(mediator_keys: crypto.KeyPair, envelope: Envelope) -> tup
     return recipient_did, inner_ct
 
 
-def open_inner(endpoint_keys: crypto.KeyPair, inner_ciphertext: bytes) -> InnerView:
-    """Decrypt the inner layer; the payload is not decoded until verified."""
-    plain = crypto.asym_decrypt(endpoint_keys, inner_ciphertext)
+def open_inner(receive_key: crypto.SymmetricKey, inner_ciphertext: bytes) -> InnerView:
+    """Decrypt the inner layer under the addressed connection's receive key; the payload is not decoded yet.
+    A layer that fails to authenticate is ``bad-signature``; one that authenticates but is malformed, a DecryptError."""
+    key_id = inner_ciphertext[: crypto.KEY_ID_LEN]
     try:
-        label, nonce, payload_bytes, tag = decode_value(plain)
+        plain = crypto.sym_decrypt(receive_key, inner_ciphertext[crypto.KEY_ID_LEN :], key_id)
+    except crypto.DecryptError as exc:
+        raise EnvelopeReject("bad-signature") from exc
+    try:
+        label, nonce, payload_bytes = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:
         raise crypto.DecryptError("malformed inner layer") from exc
-    if label != "inner" or not all(isinstance(part, bytes) for part in (nonce, payload_bytes, tag)):
+    if label != "inner" or not all(isinstance(part, bytes) for part in (nonce, payload_bytes)):
         raise crypto.DecryptError("malformed inner layer")
-    return InnerView(nonce=nonce, payload_bytes=payload_bytes, tag=tag)
+    return InnerView(nonce=nonce, payload_bytes=payload_bytes)
 
 
-def verify_inner(view: InnerView, receive_key: bytes) -> tuple[bytes, MessagePayload]:
-    """Check the tag under the addressed connection's receive key, then (and only then) decode the payload.
-    A simulated peer sees no timing, so a plain compare serves."""
-    if crypto.tag(receive_key, signing_bytes(view.nonce, view.payload_bytes)) != view.tag:
-        raise EnvelopeReject("bad-signature")
+def verify_inner(view: InnerView) -> tuple[bytes, MessagePayload]:
+    """Decode and check the payload of an authenticated inner layer."""
     return view.nonce, decode_payload(view.payload_bytes)
 
 

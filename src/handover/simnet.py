@@ -354,11 +354,12 @@ class World:
         )
 
     def spoof(self, recipient_id: str, forged_sender: str, payload: MessagePayload, key_of: Optional[str]) -> int:
-        """Send ``payload`` to ``recipient_id``, tagged under a channel key of a fresh attacker key pair.
+        """Send ``payload`` to ``recipient_id``, encrypted under a channel key of a fresh attacker key pair.
 
         ``key_of`` is the DID whose connection with the recipient leaked its
-        endpoint key; ``None``, or a DID with no such connection, means the
-        attacker encrypts to a random key.  The wire names no sender (the
+        endpoint key, so the inner layer carries that key's id and fails to
+        authenticate there; ``None``, or a DID with no such connection, means
+        the attacker addresses a random key.  The wire names no sender (the
         recipient takes the peer of the connection the key names), so
         ``forged_sender`` only labels the record as ``meta.forgedSender``.
         """

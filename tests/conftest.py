@@ -3,7 +3,7 @@ import pytest
 from handover import crypto
 from handover.crypto import Rng
 from handover.encoding import encode
-from handover.messages import Envelope, signing_bytes
+from handover.messages import Envelope
 from handover.scenarios import builtin_scenario, run_scenario
 
 
@@ -22,16 +22,23 @@ def fresh_lifecycle(seed=None):
     return run_scenario(builtin_scenario("full-lifecycle"), seed=seed)
 
 
-def send_tagged(world, sender, recipient, payload_bytes, kind):
-    """Seal ``payload_bytes`` as ``sender`` would on its connection with ``recipient``, tagged under its send key,
-    whatever the bytes hold, and deliver it."""
-    conn = sender.connections[recipient.did.uri]
-    nonce = crypto.fresh_nonce(world.rng)
-    tag = crypto.tag(conn.send_key, signing_bytes(nonce, payload_bytes))
-    ephemeral = crypto.ephemeral_key(world.rng)
-    inner_plain = encode(["inner", nonce, payload_bytes, tag])
-    inner = crypto.asym_encrypt(world.rng, ephemeral, conn.remote_public_key, inner_plain)
+def inner_layer(rng, key_id, key, inner_plain):
+    """The inner layer for ``key_id`` that encrypts ``inner_plain``, whatever it holds, under ``key``."""
+    return key_id + crypto.sym_encrypt(rng, key, inner_plain, key_id)
+
+
+def send_inner(world, recipient, inner, kind):
+    """Wrap ``inner``, whatever it holds, for the mediator to ``recipient``, and deliver it."""
     route = encode(["route", recipient.did.uri, inner])
-    outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), route)
-    world.send_envelope(sender.agent_id, Envelope(outer), kind)
+    outer = crypto.asym_encrypt(world.rng, crypto.ephemeral_key(world.rng), world.mediator_public_key(), route)
+    world.send_envelope("adversary", Envelope(outer), kind)
     world.run_until_quiescent()
+
+
+def send_as(world, sender, recipient, payload_bytes, kind):
+    """Seal ``payload_bytes``, whatever they hold, as ``sender`` would on its connection with ``recipient``, under
+    its send key, and deliver them."""
+    conn = sender.connections[recipient.did.uri]
+    plain = encode(["inner", crypto.fresh_nonce(world.rng), payload_bytes])
+    key_id = crypto.key_id(conn.remote_public_key)
+    send_inner(world, recipient, inner_layer(world.rng, key_id, conn.send_key, plain), kind)

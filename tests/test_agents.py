@@ -1,9 +1,12 @@
+import collections
 import dataclasses
 import json
 from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handover import crypto, messages
 from handover.agents import (
@@ -21,7 +24,7 @@ from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.invariants import scan_trace
 from handover.credential import present_proof, sign_vc, vc_to_wire
-from handover.messages import Envelope, mint_tid, payload
+from handover.messages import KIND_FIELDS, EnvelopeReject, mint_tid, payload
 from handover.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioStep,
@@ -31,9 +34,9 @@ from handover.scenarios import (
     parse_scenario,
     run_scenario,
 )
-from handover.simnet import World
+from handover.simnet import CHANNEL_SSI, DeliveryEvent, World
 
-from conftest import fresh_lifecycle, send_tagged
+from conftest import fresh_lifecycle, inner_layer, send_as, send_inner
 
 
 def make_world(seed=7, wallets=("B1", "B2"), products=("PC-100",)):
@@ -181,10 +184,9 @@ def test_invitation_replay_cannot_read_prior_traffic():
     eve = WalletAgent("EVE", world)
     eve_conn, _ = establish_connection(eve, cast["MF"])
     for inner in transcript:
-        with pytest.raises(DecryptError):
-            from handover.messages import open_inner
-
-            open_inner(eve_conn.local, inner)
+        for key in (eve_conn.send_key, eve_conn.receive_key):
+            with pytest.raises(EnvelopeReject, match="bad-signature"):
+                messages.open_inner(key, inner)
 
 
 def test_rekeyed_connection_opens_only_under_the_new_key():
@@ -200,8 +202,8 @@ def test_rekeyed_connection_opens_only_under_the_new_key():
 
 
 def test_message_to_another_peers_connection_key_fails_signature():
-    # B2 tags under its own connection's send key but addresses MF's key of the B1
-    # connection: MF checks the tag under its B1 receive key, because the key names the peer
+    # B2 encrypts under its own connection's send key but addresses MF's key of the B1
+    # connection: MF opens it under its B1 receive key, because the key names the peer
     spec = builtin_scenario("full-lifecycle")
     world, cast = build_world(spec)
     for step in spec.script[:6]:  # through connect B2-MF
@@ -219,38 +221,34 @@ def test_message_to_another_peers_connection_key_fails_signature():
 
 
 def test_every_delivery_redirected_to_another_connection_fails_signature():
-    # an inner layer re-encrypted to another connection key of its recipient
-    # is checked under that connection's receive key, which did not make its tag
+    # an inner layer addressed to another connection key of its recipient, relabelled
+    # or re-encrypted under the key that made it, fails under that connection's receive key
     result = fresh_lifecycle()
     world = result.world
-    deliveries = [event for _, event in sorted(world.wire_log.items()) if event.to != "MD"]
+    deliveries = consumed_deliveries(world)
     assert len(deliveries) == 16
     copies = 0
     for event in deliveries:
         recipient = world.agents[event.to]
-        conns = list(recipient.connections.values())
-        named = next(c for c in conns if c.local.kid == event.body[: crypto.KEY_ID_LEN])
-        plain = crypto.asym_decrypt(named.local, event.body)
-        for other in conns:
+        named = addressed_connection(recipient, event.body)
+        plain = authenticated_plain(recipient, event.body)
+        for other in recipient.connections.values():
             if other is named:
                 continue
             before = recipient.state_dump()
-            ephemeral = crypto.ephemeral_key(world.rng)
-            inner = crypto.asym_encrypt(world.rng, ephemeral, other.local.public_key, plain)
-            route = encode(["route", recipient.did.uri, inner])
-            outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), route)
-            world.send_envelope("adversary", Envelope(outer), event.kind)
-            world.run_until_quiescent()
+            send_inner(world, recipient, other.local.kid + event.body[crypto.KEY_ID_LEN :], event.kind)
+            assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
+            send_inner(world, recipient, inner_layer(world.rng, other.local.kid, named.receive_key, plain), event.kind)
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
             assert recipient.state_dump() == before
             copies += 1
     assert copies == len(deliveries)  # every recipient ends with two connections
 
 
-def test_one_decryption_per_ssi_delivery(monkeypatch):
-    # 4 products bought, claimed, resold and claimed again: MF ends with 8 connections
+def fleet_spec(size, seed):
+    """``size`` products bought, claimed, resold and claimed again: MF ends with 2 x ``size`` connections."""
     wallets, script = [], []
-    for i in range(4):
+    for i in range(size):
         first, second, product = f"A{i}", f"B{i}", f"PC-{i}"
         wallets += [first, second]
         script += [
@@ -264,21 +262,24 @@ def test_one_decryption_per_ssi_delivery(monkeypatch):
             {"op": "claim_used", "wallet": second, "expect": "accepted"},
         ]
     cast = {"manufacturer": "MF", "distributor": "DS", "wallets": wallets}
-    spec = parse_scenario(
-        {"name": "fleet-4", "seed": 11, "cast": cast, "products": [f"PC-{i}" for i in range(4)], "script": script}
-    )
-    calls = []
-    decrypt = crypto.asym_decrypt
+    products = [f"PC-{i}" for i in range(size)]
+    return parse_scenario({"name": f"fleet-{size}", "seed": seed, "cast": cast, "products": products, "script": script})
 
-    def counting_decrypt(keys, ciphertext):
-        calls.append(ciphertext)
-        return decrypt(keys, ciphertext)
 
-    monkeypatch.setattr(crypto, "asym_decrypt", counting_decrypt)
+def test_one_decryption_per_ssi_delivery(monkeypatch):
+    spec = fleet_spec(4, seed=11)
+    hybrid = count_calls(monkeypatch, crypto, "asym_decrypt")
+    symmetric = count_calls(monkeypatch, crypto, "sym_decrypt")
     result = run_scenario(spec)
     assert result.ok
-    # one at the mediator and one at the endpoint per message, each recorded as one ssi delivery
-    assert len(calls) == sum(r["channel"] == "ssi" for r in result.world.trace) > 0
+    # the mediator's hybrid decryption and the endpoint's AES-GCM open, each recorded as one ssi delivery
+    ssi = [r for r in result.world.trace if r["channel"] == "ssi"]
+    assert len(hybrid) == sum(r["to"] == "MD" for r in ssi) > 0
+    assert all(keys is result.world.mediator.keys for keys in hybrid)
+    receive_keys = [c.receive_key for agent in result.cast.values() for c in agent.connections.values()]
+    opens = [key for key in symmetric if any(key is receive_key for receive_key in receive_keys)]
+    assert len(opens) == sum(r["from"] == "MD" for r in ssi) == len(hybrid)
+    assert len(symmetric) - len(opens) == 4  # the PIN ciphertext of each used claim
 
 
 # -- sale and new-product claim flow -----------------------------------------------
@@ -447,7 +448,7 @@ def test_sell_buyer_holds_secrets_seller_holds_ciphertext():
     sale_tid, encrypted_pin = cast["B1"].sales["PC-100"]
     assert sale_tid == tid
     # the ciphertext decrypts to the pin under the buyer's key only
-    assert sym_decrypt(buyer_entry.key, encrypted_pin).decode() == buyer_entry.pin
+    assert sym_decrypt(buyer_entry.key, encrypted_pin, b"").decode() == buyer_entry.pin
 
 
 def test_seller_state_cannot_decrypt_pin():
@@ -469,7 +470,7 @@ def test_seller_state_cannot_decrypt_pin():
         if len(candidate) != 32:
             continue
         with pytest.raises(DecryptError):
-            sym_decrypt(SymmetricKey(candidate), encrypted_pin)
+            sym_decrypt(SymmetricKey(candidate), encrypted_pin, b"")
 
 
 def test_two_sales_distinct_tids_and_pins():
@@ -943,7 +944,7 @@ def test_no_trace_holds_private_key_material(name):
             assert private.private_bytes_raw().hex() not in text
     for conn in (conn for agent in agents for conn in agent.connections.values()):
         shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(conn.remote_public_key[32:]))
-        for secret in (conn.send_key, conn.receive_key, shared):
+        for secret in (conn.send_key.key_bytes, conn.receive_key.key_bytes, shared):
             assert secret.hex() not in text
 
 
@@ -1203,6 +1204,17 @@ def consumed_deliveries(world):
     return [event for _, event in sorted(world.wire_log.items()) if event.to != "MD"]
 
 
+def addressed_connection(recipient, inner):
+    """The connection of ``recipient`` whose key id ``inner`` starts with."""
+    return next(c for c in recipient.connections.values() if c.local.kid == inner[: crypto.KEY_ID_LEN])
+
+
+def authenticated_plain(recipient, inner):
+    """The plaintext of a delivered inner layer, as the connection it names opens it."""
+    named = addressed_connection(recipient, inner)
+    return crypto.sym_decrypt(named.receive_key, inner[crypto.KEY_ID_LEN :], named.local.kid)
+
+
 def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
     # a byte-exact copy is a replay before decryption: the replay step only
     # opens the outer layer of the 16 replayed sender-to-mediator envelopes
@@ -1211,9 +1223,9 @@ def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
     for step in spec.script[:-1]:
         assert execute_step(world, cast, spec, step) == step.expect
     decrypts = count_calls(monkeypatch, crypto, "asym_decrypt")
-    verifies = count_calls(monkeypatch, messages, "verify_inner")
+    opens = count_calls(monkeypatch, messages, "open_inner")
     assert execute_step(world, cast, spec, spec.script[-1]) == "all-rejected"
-    assert (len(decrypts), len(verifies)) == (16, 0)
+    assert (len(decrypts), len(opens)) == (16, 0)
     assert all(keys is world.mediator.keys for keys in decrypts)
 
 
@@ -1224,62 +1236,134 @@ def test_replayed_spoof_is_checked_again(monkeypatch):
     world.spoof("MF", b2.did.uri, payload("PINReq", tid=mint_tid(world.rng)), b2.did.uri)
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
-    verifies = count_calls(monkeypatch, messages, "verify_inner")
+    opens = count_calls(monkeypatch, messages, "open_inner")
     world.replay(world.trace[-1]["seq"])
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
-    assert len(verifies) == 1
+    assert len(opens) == 1
 
 
 def test_reencrypted_consumed_message_is_a_replay_by_its_pair(monkeypatch):
-    # fresh ciphertext bytes around a consumed inner layer: the pair check, not the ciphertext record, rejects it
+    # fresh ciphertext bytes around a consumed (nonce, payload): the pair check, not the ciphertext record, rejects it
     result = fresh_lifecycle()
     world = result.world
     deliveries = consumed_deliveries(world)
-    verifies = count_calls(monkeypatch, messages, "verify_inner")
+    opens = count_calls(monkeypatch, messages, "open_inner")
     for checked, event in enumerate(deliveries, 1):
         recipient = world.agents[event.to]
-        named = next(c for c in recipient.connections.values() if c.local.kid == event.body[: crypto.KEY_ID_LEN])
-        ephemeral = crypto.ephemeral_key(world.rng)
-        inner = crypto.asym_encrypt(world.rng, ephemeral, named.local.public_key, crypto.asym_decrypt(named.local, event.body))
+        named = addressed_connection(recipient, event.body)
+        inner = inner_layer(world.rng, named.local.kid, named.receive_key, authenticated_plain(recipient, event.body))
         assert inner != event.body
-        outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", recipient.did.uri, inner]))
-        world.send_envelope("adversary", Envelope(outer), event.kind)
-        world.run_until_quiescent()
+        send_inner(world, recipient, inner, event.kind)
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:replay")
-        assert len(verifies) == checked  # one full open and tag check per fresh ciphertext
+        assert len(opens) == checked  # one full open per fresh ciphertext
     assert len(deliveries) == 16
 
 
 def test_every_delivery_reflected_to_its_sender_fails_the_tag():
-    # each direction of a connection has its own key: an inner layer sent back
-    # to its sender on the same connection fails the tag check there
+    # each direction of a connection has its own key: an inner layer encrypted again under
+    # the key that made it and sent back to its sender on the same connection fails there
     result = fresh_lifecycle()
     world = result.world
     deliveries = consumed_deliveries(world)
     for event in deliveries:
         recipient = world.agents[event.to]
-        named = next(c for c in recipient.connections.values() if c.local.kid == event.body[: crypto.KEY_ID_LEN])
+        named = addressed_connection(recipient, event.body)
         sender = world.agents[named.remote_agent_id]
-        ephemeral = crypto.ephemeral_key(world.rng)
-        inner = crypto.asym_encrypt(world.rng, ephemeral, named.remote_public_key, crypto.asym_decrypt(named.local, event.body))
-        outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", sender.did.uri, inner]))
-        world.send_envelope("adversary", Envelope(outer), event.kind)
-        world.run_until_quiescent()
+        plain = authenticated_plain(recipient, event.body)
+        inner = inner_layer(world.rng, crypto.key_id(named.remote_public_key), named.receive_key, plain)
+        send_inner(world, sender, inner, event.kind)
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (sender.agent_id, "rejected:bad-signature")
     assert len(deliveries) == 16
+
+
+def test_no_direction_key_and_iv_pair_repeats_in_a_fleet_run(monkeypatch):
+    # AES-GCM loses both secrecy and integrity if one key sees one IV twice, and each
+    # direction key encrypts every message its side sends on the connection
+    used = collections.Counter()
+    encrypt = crypto.sym_encrypt
+
+    def recording(rng, key, plaintext, associated_data):
+        ciphertext = encrypt(rng, key, plaintext, associated_data)
+        used[key.key_bytes, ciphertext[:12]] += 1  # the IV leads the ciphertext
+        return ciphertext
+
+    monkeypatch.setattr(crypto, "sym_encrypt", recording)
+    result = run_scenario(fleet_spec(16, seed=1))
+    assert result.ok
+    assert set(used.values()) == {1}
+    assert len(used) == sum(r["channel"] == "ssi" and r["to"] == "MD" for r in result.world.trace) + 16  # and 16 PINs
+    assert max(collections.Counter(key for key, _ in used).values()) > 1
+
+
+@pytest.fixture(scope="module")
+def settled():
+    """A completed full lifecycle whose connected agents receive arbitrary inner layers."""
+    return fresh_lifecycle()
+
+
+NOT_A_FIELD = st.one_of(st.binary(max_size=40), st.integers(), st.none())  # no field type admits these alone
+
+
+@st.composite
+def arbitrary_inner(draw, recipient):
+    """Random bytes, random bytes behind one of ``recipient``'s key ids, or a plaintext authenticated under the
+    send key of one of its peers: arbitrary bytes, or an inner layer holding arbitrary or mistyped payload bytes."""
+    form = draw(st.sampled_from(("random", "key-id", "authenticated")))
+    if form == "random":
+        return draw(st.binary(max_size=300))
+    conn = draw(st.sampled_from(sorted(recipient.connections.values(), key=lambda c: c.conn_id)))
+    if form == "key-id":
+        return conn.local.kid + draw(st.binary(max_size=300))
+    kinds, fields = st.sampled_from(sorted(KIND_FIELDS)), st.lists(NOT_A_FIELD, max_size=8)
+    payload_bytes = st.one_of(st.binary(max_size=200), st.builds(lambda kind, rest: encode([kind, *rest]), kinds, fields))
+    nonces = st.binary(min_size=16, max_size=16)
+    layer = st.builds(lambda nonce, body: encode(["inner", nonce, body]), nonces, payload_bytes)
+    plain = draw(st.one_of(st.binary(max_size=300), layer))
+    return inner_layer(crypto.Rng(draw(st.integers(0, 2**16))), conn.local.kid, conn.receive_key, plain)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_ssi_bytes_are_rejected_without_raising(settled, data):
+    # no input on the SSI channel raises out of deliver or changes the recipient's state
+    recipient = data.draw(st.sampled_from([settled.cast[name] for name in ("MF", "B1", "B2")]))
+    body = data.draw(arbitrary_inner(recipient))
+    before = recipient.state_dump()
+    event = DeliveryEvent(0, 0, frm="MD", to=recipient.agent_id, channel=CHANNEL_SSI, body=body, kind="x")
+    assert recipient.deliver(event).startswith("rejected:")
+    assert recipient.state_dump() == before
 
 
 @pytest.mark.parametrize("position", [crypto.KEY_ID_LEN, -1], ids=["after-key-id", "last-byte"])
 def test_replayed_copy_with_a_flipped_byte_is_a_decrypt_error(position):
     # the ciphertext record is keyed by the exact bytes: a copy that keeps the key id
-    # (and, flipped after it, the GCM tag) is not a replay
+    # (and, flipped after it, the IV or GCM tag) is not a replay; it fails to authenticate
+    # under the named connection's receive key (the name predates the AEAD inner layer)
     result = fresh_lifecycle()
     world = result.world
     for event in consumed_deliveries(world):
         world.tamper(event.seq, position, event.body[position] ^ 0x01)
         world.run_until_quiescent()
-        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:decrypt-error")
+        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
+
+
+def test_every_inner_byte_flipped_is_refused_by_key_id_or_authentication():
+    # a copy with one byte flipped is not a replay, since the ciphertext record holds exact bytes:
+    # a flip in the key id names no connection, and a later one fails AES-GCM under the named connection's key
+    result = fresh_lifecycle()
+    world = result.world
+    deliveries = consumed_deliveries(world)
+    for event in deliveries:
+        recipient = world.agents[event.to]
+        before = recipient.state_dump()
+        for index, byte in enumerate(event.body):
+            world.tamper(event.seq, index, byte ^ 0x01)
+            world.run_until_quiescent()
+            expected = "rejected:decrypt-error" if index < crypto.KEY_ID_LEN else "rejected:bad-signature"
+            assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, expected)
+        assert recipient.state_dump() == before
+    assert len(deliveries) == 16
 
 
 def test_transfer_step_verdict_comes_from_deciding_wallet():
@@ -1294,20 +1378,19 @@ def test_transfer_step_verdict_comes_from_deciding_wallet():
     [
         b"Q" + encode_value(1) + encode_value(0),  # fraction with a zero denominator
         b"N",  # not a list
-        encode(["inner", None, b"", b""]),  # nonce is not bytes
+        encode(["inner", None, b""]),  # nonce is not bytes
         encode(["inner", "did:handover:x", b"\x00" * 16, b"", b""]),  # the layer that named its sender
+        encode(["inner", b"\x00" * 16, b"", b"\x00" * 32]),  # the layer that carried a tag
     ],
-    ids=["zero-denominator", "not-a-list", "none-nonce", "old-five-field"],
+    ids=["zero-denominator", "not-a-list", "none-nonce", "old-five-field", "old-four-field"],
 )
 def test_malformed_inner_layer_rejected(inner_plain):
-    # needs only the public half of a connection key, no channel key
+    # B1 encrypts it under its send key on its connection with MF, so only the layer's form can refuse it
     world, cast = run_sale_and_claim()
     mf, b1 = cast["MF"], cast["B1"]
-    ephemeral = crypto.ephemeral_key(world.rng)
-    inner = crypto.asym_encrypt(world.rng, ephemeral, mf.connections[b1.did.uri].local.public_key, inner_plain)
-    outer = crypto.asym_encrypt(world.rng, ephemeral, world.mediator_public_key(), encode(["route", mf.did.uri, inner]))
-    world.send_envelope("adversary", Envelope(outer), "PINReq")
-    world.run_until_quiescent()
+    conn = b1.connections[mf.did.uri]
+    key_id = crypto.key_id(conn.remote_public_key)
+    send_inner(world, mf, inner_layer(world.rng, key_id, conn.send_key, inner_plain), "PINReq")
     last_two = [(r["to"], r["verdict"]) for r in world.trace[-2:]]
     assert last_two == [("MD", "forwarded"), ("MF", "rejected:decrypt-error")]
 
@@ -1332,9 +1415,9 @@ def _vc_wire(cast, attributes=None):
     ids=["presentation-short", "vc-int", "str-list-int", "str-list-of-int", "presentation-int-nonce", "vc-int-attribute"],
 )
 def test_malformed_signed_payload_rejected(sender, recipient, fields):
-    # a connected peer tags, under its own connection's send key, a payload of the right kind and the wrong shape
+    # a connected peer encrypts, under its own connection's send key, a payload of the right kind and the wrong shape
     world, cast = run_sale_and_claim()
-    send_tagged(world, cast[sender], cast[recipient], encode(fields(cast)), fields(cast)[0])
+    send_as(world, cast[sender], cast[recipient], encode(fields(cast)), fields(cast)[0])
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (recipient, "rejected:malformed-payload")
 
 

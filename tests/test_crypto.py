@@ -1,4 +1,5 @@
 import collections
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ def test_same_seed_identical_nonces_and_ciphertexts():
     ct_a = asym_encrypt(a, crypto.ephemeral_key(a), key_a.public_key, b"x")
     assert ct_a == asym_encrypt(b, crypto.ephemeral_key(b), key_b.public_key, b"x")
     sym_a, sym_b = generate_symmetric_key(a), generate_symmetric_key(b)
-    assert sym_encrypt(a, sym_a, b"x") == sym_encrypt(b, sym_b, b"x")
+    assert sym_encrypt(a, sym_a, b"x", b"") == sym_encrypt(b, sym_b, b"x", b"")
 
 
 def test_two_draws_from_one_rng_distinct(rng):
@@ -101,15 +102,16 @@ def test_channel_keys_agree_pairwise_and_differ_by_direction(rng):
     assert crypto.channel_keys(b, a.public_key) == (a_receive, a_send)
     assert a_send != a_receive
     assert not {a_send, a_receive} & set(crypto.channel_keys(stranger, b.public_key))
-    tag = crypto.tag(a_send, b"abc")
-    assert len(tag) == crypto.TAG_LEN
-    assert tag not in (crypto.tag(a_receive, b"abc"), crypto.tag(a_send, b"abd"))
+    ciphertext = sym_encrypt(rng, a_send, b"abc", b"to b")
+    assert sym_decrypt(crypto.channel_keys(b, a.public_key)[1], ciphertext, b"to b") == b"abc"
+    with pytest.raises(DecryptError):
+        sym_decrypt(a_receive, ciphertext, b"to b")
     with pytest.raises(KeyFormatError):
         crypto.channel_keys(a, b"\x00" * 3)
 
 
 def test_full_lifecycle_signs_only_credentials_and_presentations(monkeypatch):
-    # messages inside a connection carry tags: only the 2 issued credentials and
+    # messages inside a connection are encrypted under channel keys: only the 2 issued credentials and
     # the 1 presentation are signed, and each credential is verified on receipt,
     # the presentation under its holder's key and its credential's issuer key
     calls = collections.Counter()
@@ -163,26 +165,39 @@ def test_asym_truncated_ciphertext(rng):
 
 def test_sym_roundtrip_pin(rng):
     key = generate_symmetric_key(rng)
-    assert sym_decrypt(key, sym_encrypt(rng, key, b"PIN:9X4K2M")) == b"PIN:9X4K2M"
+    assert sym_decrypt(key, sym_encrypt(rng, key, b"PIN:9X4K2M", b""), b"") == b"PIN:9X4K2M"
+
+
+def test_sym_associated_data_is_bound_and_empty_is_plain_gcm():
+    # a PIN passes no associated data, and its bytes are those of AES-GCM with none
+    key, replica = generate_symmetric_key(Rng(3)), Rng(4)
+    ciphertext = sym_encrypt(Rng(4), key, b"PIN:9X4K2M", b"")
+    iv = replica.token(12)
+    assert ciphertext == iv + crypto.AESGCM(key.key_bytes).encrypt(iv, b"PIN:9X4K2M", None)
+    bound = sym_encrypt(replica, key, b"payload", b"\x01" * crypto.KEY_ID_LEN)
+    assert sym_decrypt(key, bound, b"\x01" * crypto.KEY_ID_LEN) == b"payload"
+    for other in (b"", b"\x02" * crypto.KEY_ID_LEN):
+        with pytest.raises(DecryptError):
+            sym_decrypt(key, bound, other)
 
 
 def test_sym_flip_every_byte_rejected(rng):
     # flip-one-byte oracle, exhaustive over the whole ciphertext
     key = generate_symmetric_key(rng)
-    ct = sym_encrypt(rng, key, b"PIN:9X4K2M")
+    ct = sym_encrypt(rng, key, b"PIN:9X4K2M", b"")
     for index in range(len(ct)):
         mutated = bytearray(ct)
         mutated[index] ^= 0x01
         with pytest.raises(DecryptError):
-            sym_decrypt(key, bytes(mutated))
+            sym_decrypt(key, bytes(mutated), b"")
 
 
 def test_sym_wrong_key_never_silently_succeeds(rng):
     key = generate_symmetric_key(rng)
     other = generate_symmetric_key(rng)
-    ct = sym_encrypt(rng, key, b"payload")
+    ct = sym_encrypt(rng, key, b"payload", b"")
     with pytest.raises(DecryptError):
-        sym_decrypt(other, ct)
+        sym_decrypt(other, ct, b"")
 
 
 def test_sym_distinct_keys_distinct_ciphertexts():
@@ -190,12 +205,12 @@ def test_sym_distinct_keys_distinct_ciphertexts():
     rng = Rng(5)
     k1 = generate_symmetric_key(rng)
     k2 = generate_symmetric_key(rng)
-    assert sym_encrypt(rng, k1, b"same") != sym_encrypt(rng, k2, b"same")
+    assert sym_encrypt(rng, k1, b"same", b"") != sym_encrypt(rng, k2, b"same", b"")
 
 
 def test_sym_same_key_fresh_iv(rng):
     key = generate_symmetric_key(rng)
-    assert sym_encrypt(rng, key, b"same") != sym_encrypt(rng, key, b"same")
+    assert sym_encrypt(rng, key, b"same", b"") != sym_encrypt(rng, key, b"same", b"")
 
 
 def test_symmetric_key_length_enforced():
@@ -245,12 +260,12 @@ def test_hybrid_roundtrip_property(message, seed):
 def test_symmetric_roundtrip_property(message, seed):
     rng = Rng(seed)
     key = generate_symmetric_key(rng)
-    assert sym_decrypt(key, sym_encrypt(rng, key, message)) == message
+    assert sym_decrypt(key, sym_encrypt(rng, key, message, b""), b"") == message
 
 
 def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     # a pair's private halves are parsed when it is generated; after that only
-    # the one ephemeral key of each sealed envelope is parsed, for both layers
+    # the one ephemeral key of each sealed envelope is parsed, for its outer layer
     calls = collections.Counter()
 
     def count(owners, name, label):
@@ -269,6 +284,31 @@ def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     count([crypto], "asym_encrypt", "asym_encrypt")
     count([messages, agents, simnet], "seal", "seal")
     assert run_scenario(builtin_scenario("full-lifecycle")).ok
-    assert calls["asym_encrypt"] == 2 * calls["seal"] > 0
+    assert calls["asym_encrypt"] == calls["seal"] > 0
     assert calls["ed25519"] == calls["generate_keypair"]
     assert calls["x25519"] == calls["generate_keypair"] + calls["seal"] == 27
+
+
+def test_each_ssi_message_costs_two_agreements_and_none_on_delivery(monkeypatch):
+    # every X25519 agreement parses its peer's key: the sender's (outer layer to the mediator)
+    # and the mediator's once per message, and each connection side's once for its direction
+    # keys; an agent opening a delivery does none
+    callers, decrypting = collections.Counter(), []
+    parse = crypto.X25519PublicKey.from_public_bytes
+
+    def counted(data):
+        frame = sys._getframe(1)
+        callers[frame.f_code.co_name] += 1
+        if frame.f_code.co_name == "asym_decrypt":
+            decrypting.append(frame.f_locals["keys"])
+        return parse(data)
+
+    monkeypatch.setattr(crypto.X25519PublicKey, "from_public_bytes", counted)
+    result = run_scenario(builtin_scenario("full-lifecycle"))
+    assert result.ok
+    sent = sum(r["channel"] == "ssi" and r["to"] == "MD" for r in result.world.trace)
+    sides = sum(len(agent.connections) for agent in result.cast.values())
+    assert (sent, sides) == (16, 6)
+    assert callers == {"asym_encrypt": sent, "asym_decrypt": sent, "channel_keys": sides}
+    assert all(keys is result.world.mediator.keys for keys in decrypting)
+    assert sum(callers.values()) == 2 * sent + sides == 38

@@ -30,7 +30,7 @@ from handover.messages import (
 )
 from handover.scenarios import builtin_scenario, run_scenario
 
-from conftest import send_tagged
+from conftest import send_as
 
 TID = "00112233445566778899aabbccddeeff"
 
@@ -193,8 +193,7 @@ def test_seal_unseal_full_chain(parties):
     env, nonce, p = sealed(parties)
     recipient_did, inner = unseal_at_mediator(parties["mediator"], env)
     assert recipient_did == "did:handover:endpoint"
-    view = open_inner(parties["endpoint"], inner)
-    got_nonce, got_payload = verify_inner(view, receive_key(parties))
+    got_nonce, got_payload = verify_inner(open_inner(receive_key(parties), inner))
     assert got_nonce == nonce
     assert got_payload == p
 
@@ -203,8 +202,10 @@ def test_endpoint_wrong_key_fails(parties):
     env, _, _ = sealed(parties)
     _, inner = unseal_at_mediator(parties["mediator"], env)
     wrong = generate_keypair(parties["rng"])
-    with pytest.raises(DecryptError):
-        open_inner(wrong, inner)
+    endpoint_send_key = crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[0]
+    for key in (endpoint_send_key, *crypto.channel_keys(parties["endpoint"], wrong.public_key)):
+        with pytest.raises(EnvelopeReject, match="bad-signature"):
+            open_inner(key, inner)
 
 
 def test_mediator_wrong_key_fails(parties):
@@ -215,14 +216,14 @@ def test_mediator_wrong_key_fails(parties):
 
 
 def test_flip_any_inner_byte_rejected(parties):
-    # flip-one-byte oracle over the full inner ciphertext
+    # flip-one-byte oracle over the full inner ciphertext, the key id (associated data) included
     env, _, _ = sealed(parties)
     _, inner = unseal_at_mediator(parties["mediator"], env)
     for index in range(len(inner)):
         mutated = bytearray(inner)
         mutated[index] ^= 0x20
-        with pytest.raises(DecryptError):
-            open_inner(parties["endpoint"], bytes(mutated))
+        with pytest.raises(EnvelopeReject, match="bad-signature"):
+            open_inner(receive_key(parties), bytes(mutated))
 
 
 def test_flip_outer_byte_rejected(parties):
@@ -233,49 +234,53 @@ def test_flip_outer_byte_rejected(parties):
         unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(mutated)))
 
 
-def test_both_layers_share_one_ephemeral_key_and_open_only_under_their_own_key(parties):
+def test_seal_layout_draw_order_and_each_layer_opens_only_under_its_own_key(parties):
     seed = 77
     parties["rng"] = Rng(seed)
-    env, _, _ = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN)
+    env, nonce, p = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN)
     outer = env.outer_ciphertext
     _, inner = unseal_at_mediator(parties["mediator"], env)
     eph = slice(crypto.KEY_ID_LEN, crypto.KEY_ID_LEN + 32)
-    iv = slice(eph.stop, eph.stop + 12)
-    assert inner[eph] == outer[eph]
-    assert sealed(parties)[0].outer_ciphertext[eph] != outer[eph]  # fresh for every envelope
     # one draw order per envelope: ephemeral key, inner IV, outer IV
     replica = Rng(seed)
     eph_pub = crypto.X25519PrivateKey.from_private_bytes(replica.token(32)).public_key().public_bytes_raw()
-    assert (outer[eph], inner[iv], outer[iv]) == (eph_pub, replica.token(12), replica.token(12))
-    # each layer opens only under its own recipient's key, even when it names the other key
-    for layer, keys in ((inner, parties["mediator"]), (outer, parties["endpoint"])):
-        with pytest.raises(DecryptError, match="another key"):
-            crypto.asym_decrypt(keys, layer)
-        with pytest.raises(DecryptError, match="authentication"):
-            crypto.asym_decrypt(keys, keys.kid + layer[crypto.KEY_ID_LEN :])
-    # a byte of the shared ephemeral key flipped in either layer is a reject
+    inner_iv, outer_iv = replica.token(12), replica.token(12)
+    assert outer[: eph.stop + 12] == parties["mediator"].kid + eph_pub + outer_iv
+    assert sealed(parties)[0].outer_ciphertext[eph] != outer[eph]  # fresh for every envelope
+    # the inner layer: endpoint key id || IV || AES-GCM under the send key, the key id as associated data
+    key_id = parties["endpoint"].kid
+    plain = encode(["inner", nonce, canonical_encode_payload(p)])
+    assert inner == key_id + inner_iv + crypto.AESGCM(send_key(parties).key_bytes).encrypt(inner_iv, plain, key_id)
+    # the outer layer opens only under the mediator's key, even when it names the endpoint's
+    with pytest.raises(DecryptError, match="another key"):
+        crypto.asym_decrypt(parties["endpoint"], outer)
+    with pytest.raises(DecryptError, match="authentication"):
+        crypto.asym_decrypt(parties["endpoint"], key_id + outer[crypto.KEY_ID_LEN :])
+    # and the inner layer only under the endpoint's receive key, not its send key or the mediator's keys
+    endpoint_send_key = crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[0]
+    for key in (endpoint_send_key, *crypto.channel_keys(parties["mediator"], parties["sender"].public_key)):
+        with pytest.raises(EnvelopeReject):
+            open_inner(key, inner)
+    # a byte of the ephemeral key flipped is a reject
     for index in range(eph.start, eph.stop):
-        flipped_outer, flipped_inner = bytearray(outer), bytearray(inner)
-        flipped_outer[index] ^= 0x01
-        flipped_inner[index] ^= 0x01
+        flipped = bytearray(outer)
+        flipped[index] ^= 0x01
         with pytest.raises(DecryptError):
-            unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(flipped_outer)))
-        with pytest.raises(DecryptError):
-            open_inner(parties["endpoint"], bytes(flipped_inner))
+            unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(flipped)))
 
 
 def test_signature_stripped_or_replaced_rejected(parties):
+    # the GCM tag (the last 16 bytes of the inner layer) removed, zeroed or cut short
     env, _, _ = sealed(parties)
     _, inner = unseal_at_mediator(parties["mediator"], env)
-    view = open_inner(parties["endpoint"], inner)
-    for tag in (b"", b"\x00" * crypto.TAG_LEN, view.tag[:-1]):
+    for forged in (inner[:-16], inner[:-16] + b"\x00" * 16, inner[:-1]):
         with pytest.raises(EnvelopeReject) as err:
-            verify_inner(type(view)(nonce=view.nonce, payload_bytes=view.payload_bytes, tag=tag), receive_key(parties))
+            open_inner(receive_key(parties), forged)
         assert err.value.reason == "bad-signature"
 
 
 def test_adversary_key_resign_rejected(parties):
-    # adversary-key oracle: a valid tag under a channel key of a key pair not bound to the connection
+    # adversary-key oracle: a valid layer under a channel key of a key pair not bound to the connection
     adversary = generate_keypair(parties["rng"])
     p = sample_payload("PINReq")
     nonce = fresh_nonce(parties["rng"])
@@ -290,22 +295,29 @@ def test_adversary_key_resign_rejected(parties):
     )
     _, inner = unseal_at_mediator(parties["mediator"], env)
     with pytest.raises(EnvelopeReject) as err:
-        verify_inner(open_inner(parties["endpoint"], inner), receive_key(parties))
+        open_inner(receive_key(parties), inner)
     assert err.value.reason == "bad-signature"
 
 
 def test_signature_binds_nonce_kind_and_body(parties):
+    # AES-GCM ciphertext is malleable bit by bit: the XOR that would turn the nonce, the kind or the
+    # status into another valid value of the same length leaves bytes that fail to authenticate
     env, nonce, p = sealed(parties, p=payload("ownershipClaimAck", status="accepted"))
     _, inner = unseal_at_mediator(parties["mediator"], env)
-    view = open_inner(parties["endpoint"], inner)
-    # altering the nonce or any payload byte must invalidate the tag
-    bad_nonce = type(view)(nonce=fresh_nonce(parties["rng"]), payload_bytes=view.payload_bytes, tag=view.tag)
-    with pytest.raises(EnvelopeReject):
-        verify_inner(bad_nonce, receive_key(parties))
-    other_payload = canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))
-    bad_body = type(view)(nonce=view.nonce, payload_bytes=other_payload, tag=view.tag)
-    with pytest.raises(EnvelopeReject):
-        verify_inner(bad_body, receive_key(parties))
+    plain = encode(["inner", nonce, canonical_encode_payload(p)])
+    other_nonce = fresh_nonce(parties["rng"])
+    others = [
+        encode(["inner", other_nonce, canonical_encode_payload(p)]),
+        encode(["inner", nonce, canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))]),
+        encode(["inner", nonce, encode(["ownershipClaimReq", "accepted"])]),
+    ]
+    body = slice(crypto.KEY_ID_LEN + 12, len(inner) - 16)
+    for other in others:
+        assert len(other) == len(plain) != plain
+        mask = bytes(a ^ b for a, b in zip(plain, other))
+        forged = inner[: body.start] + bytes(c ^ m for c, m in zip(inner[body], mask)) + inner[body.stop :]
+        with pytest.raises(EnvelopeReject):
+            open_inner(receive_key(parties), forged)
 
 
 def test_mediator_view_hides_payload(parties):
@@ -430,7 +442,7 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
     payload_bytes = encode(fields)
     with pytest.raises(PayloadError):
         decode_payload(payload_bytes)
-    # B1 tags it under its send key on its connection with MF, so only the payload check can refuse it
+    # B1 encrypts it under its send key on its connection with MF, so only the payload check can refuse it
     result = run_scenario(builtin_scenario("new-purchase"))
-    send_tagged(result.world, result.cast["B1"], result.cast["MF"], payload_bytes, kind)
+    send_as(result.world, result.cast["B1"], result.cast["MF"], payload_bytes, kind)
     assert (result.world.trace[-1]["to"], result.world.trace[-1]["verdict"]) == ("MF", "rejected:malformed-payload")

@@ -274,7 +274,7 @@ def test_malformed_outer_layer_dead_lettered(outer_plain):
     "forged_sender", [lambda a: a.did.uri, lambda a: "did:handover:ghost"], ids=["connected-did", "ghost-did"]
 )
 def test_spoof_with_leaked_endpoint_key_fails_signature(forged_sender):
-    # leaked key of the A<->B connection: B checks the tag under its receive key from A whatever DID is forged
+    # leaked key of the A<->B connection: B opens it under its receive key from A whatever DID is forged
     world, a, b = two_wallets()
     world.spoof("B", forged_sender(a), payload("PINReq", tid=mint_tid(world.rng)), a.did.uri)
     world.run_until_quiescent()
