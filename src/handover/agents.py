@@ -101,8 +101,8 @@ class Connection:
     remote_did: str
     remote_agent_id: str
     replay: ReplayGuard = field(default_factory=ReplayGuard)
-    send_key: bytes = field(init=False, repr=False)
-    receive_key: bytes = field(init=False, repr=False)
+    send_key: SymmetricKey = field(init=False, repr=False)
+    receive_key: SymmetricKey = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.send_key, self.receive_key = crypto.channel_keys(self.local, self.remote_public_key)
@@ -204,9 +204,7 @@ class Agent:
         return conn
 
     def send(self, conn: Connection, nonce: bytes, p: MessagePayload) -> None:
-        env = seal(
-            self.rng, conn.send_key, conn.remote_public_key, self.world.mediator_public_key(), conn.remote_did, nonce, p
-        )
+        env = seal(self.rng, conn.send_key, conn.remote_public_key, self.world.route(self.agent_id), conn.remote_did, nonce, p)
         self.world.send_envelope(self.agent_id, env, p.kind)
 
     def expect(self, peer: str, kind: str, nonce: bytes, context: dict | None = None) -> None:
@@ -548,7 +546,7 @@ class ManufacturerAgent(Agent):
         product.conn_id = buyer_conn.conn_id
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
-        product.email = self.world.agent_email(buyer_conn.remote_agent_id)
+        product.email = self.world.agents[buyer_conn.remote_agent_id].email
         product.status = "sold"
         claim.credential = self._issue(product)
         # the issuance leg closes the claim's exchange, so it runs under the claim's nonce

@@ -10,11 +10,11 @@ and the pair carries its key id.  A hybrid ciphertext is recipient key id (8)
 key id lets a holder of many keys decrypt with the one it names.  The AES key
 hashes in the ephemeral and the recipient's key (ECDH-ES, RFC 7518 4.6).
 
-One AES-GCM path, :func:`sym_encrypt`, serves every symmetric ciphertext: a
-PIN under its purchase key, and each connection message under the sender's
-:func:`channel_keys` send key with the recipient's key id as associated data,
-as in Aries RFC 0019 authcrypt.  Credentials and presentations keep their
-signatures.
+The hybrid path wraps each sender's route key to the mediator once, drawing
+32 RNG bytes for the ephemeral key, then 12 for the IV.  :func:`sym_encrypt`
+(AES-GCM) serves every other ciphertext: a PIN, each connection message under
+the sender's :func:`channel_keys` send key (Aries RFC 0019 authcrypt), each
+outer layer under its sender's route key.  Credentials and proofs stay signed.
 """
 
 from __future__ import annotations
@@ -164,15 +164,11 @@ def key_id(public_key: bytes) -> bytes:
     return hashlib.sha256(b"handover/key-id-v1" + public_key[32:]).digest()[:KEY_ID_LEN]
 
 
-def ephemeral_key(rng: Rng) -> X25519PrivateKey:
-    """Draw a fresh ephemeral X25519 key for one hybrid ciphertext."""
-    return X25519PrivateKey.from_private_bytes(rng.token(32))
-
-
-def asym_encrypt(rng: Rng, ephemeral: X25519PrivateKey, public_key: bytes, plaintext: bytes) -> bytes:
-    """Hybrid encryption: X25519 agreement of ``ephemeral`` with the recipient wrapping an AES-GCM payload (layout above)."""
+def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
+    """Hybrid encryption to ``public_key`` under a fresh ephemeral X25519 key (layout above)."""
     _check_key(public_key, "public key")
     recipient_half = public_key[32:]
+    ephemeral = X25519PrivateKey.from_private_bytes(rng.token(32))
     eph_pub = ephemeral.public_key().public_bytes_raw()
     shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_half))
     key = _hybrid_key(shared, eph_pub, recipient_half)

@@ -2,16 +2,17 @@
 
 An envelope is built encrypt-then-wrap: the sender encrypts the (nonce,
 payload) pair under its connection's send key, then wraps that inner layer
-with the routing header under the mediator's key.  The mediator learns the
+with the routing header under its route key.  The mediator learns the
 recipient and, from the key id in front of the inner layer, which of the
 recipient's connections the message is for; it cannot read the inner layer.
 
 The inner layer is endpoint key id (8) || IV (12) || AES-GCM under the send
 key of ["inner", nonce, payload], with the key id as associated data (Aries
-RFC 0019 authcrypt).  The outer layer is a hybrid ciphertext to the mediator
-(layout in :mod:`handover.crypto`): mediator key id || ephemeral key || IV ||
-AES-GCM(["route", recipient DID, inner layer]).  ``seal`` draws 32 RNG bytes
-for the ephemeral key, then 12 for the inner IV, then 12 for the outer IV.
+RFC 0019 authcrypt).  The outer layer is route id (8) || IV (12) || AES-GCM
+of ["route", recipient DID, inner layer] under the route key that the sender
+wrapped to the mediator once (``simnet.World.route``), with the route id as
+associated data.  ``seal`` draws 12 RNG bytes for the inner IV, then 12 for
+the outer IV, and makes no X25519 agreement.
 
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must
@@ -221,23 +222,26 @@ def seal(
     rng: crypto.Rng,
     send_key: crypto.SymmetricKey,
     endpoint_public_key: bytes,
-    mediator_public_key: bytes,
+    route: tuple[bytes, crypto.SymmetricKey],
     recipient_did: str,
     nonce: bytes,
     p: MessagePayload,
 ) -> Envelope:
-    """Encrypt under ``send_key`` for the endpoint's key id, then wrap for the mediator under a fresh ephemeral key."""
+    """Encrypt under ``send_key`` for the endpoint's key id, then wrap for the mediator under ``route``'s key."""
     inner_plain = encode(["inner", nonce, canonical_encode_payload(p)])
-    ephemeral = crypto.ephemeral_key(rng)
     key_id = crypto.key_id(endpoint_public_key)
     inner_ct = key_id + crypto.sym_encrypt(rng, send_key, inner_plain, key_id)
+    route_id, route_key = route
     outer_plain = encode(["route", recipient_did, inner_ct])
-    return Envelope(outer_ciphertext=crypto.asym_encrypt(rng, ephemeral, mediator_public_key, outer_plain))
+    return Envelope(outer_ciphertext=route_id + crypto.sym_encrypt(rng, route_key, outer_plain, route_id))
 
 
-def unseal_at_mediator(mediator_keys: crypto.KeyPair, envelope: Envelope) -> tuple[str, bytes]:
-    """Unwrap the outer layer: (recipient DID, opaque inner ciphertext)."""
-    plain = crypto.asym_decrypt(mediator_keys, envelope.outer_ciphertext)
+def unseal_at_mediator(route_keys: dict[bytes, crypto.SymmetricKey], envelope: Envelope) -> tuple[str, bytes]:
+    """Unwrap the outer layer under the route key its id names: (recipient DID, opaque inner ciphertext)."""
+    route_id = envelope.outer_ciphertext[: crypto.KEY_ID_LEN]
+    if route_id not in route_keys:
+        raise crypto.DecryptError("unknown route id")
+    plain = crypto.sym_decrypt(route_keys[route_id], envelope.outer_ciphertext[crypto.KEY_ID_LEN :], route_id)
     try:
         label, recipient_did, inner_ct = decode_value(plain)
     except (EncodingError, TypeError, ValueError) as exc:

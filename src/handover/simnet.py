@@ -28,7 +28,7 @@ CHANNEL_AUDIT = "audit"
 CHANNEL_CONTROL = "control"
 
 DEFAULT_MAX_TICKS = 100_000
-MAX_QUEUED = 64  # messages the mediator holds for one offline recipient; anyone can seal to the mediator
+MAX_QUEUED = 64  # messages the mediator holds for one offline recipient; anyone can enroll with the mediator
 
 
 @dataclass(frozen=True)
@@ -71,39 +71,38 @@ class Mediator:
     keys: crypto.KeyPair = field(repr=False)
     routes: dict[str, str] = field(default_factory=dict)
     queues: dict[str, deque] = field(default_factory=dict)  # agent id -> (inner layer, kind, meta) held while offline
+    route_keys: dict[bytes, crypto.SymmetricKey] = field(default_factory=dict, repr=False)  # route id -> route key
 
-    def register(self, did_uri: str, agent_id: str) -> None:
-        self.routes[did_uri] = agent_id
+    def enroll(self, wrapped_route_key: bytes) -> bytes:
+        """Unwrap a sender's route key and keep it under the next route id, which that sender's envelopes lead with."""
+        route_id = len(self.route_keys).to_bytes(crypto.KEY_ID_LEN, "big")
+        self.route_keys[route_id] = crypto.SymmetricKey(crypto.asym_decrypt(self.keys, wrapped_route_key))
+        return route_id
 
     def handle(self, world: "World", event: DeliveryEvent) -> str:
-        envelope: Envelope = event.body
         try:
-            recipient_did, inner = unseal_at_mediator(self.keys, envelope)
+            recipient_did, inner = unseal_at_mediator(self.route_keys, event.body)
         except crypto.DecryptError:
             return "dead-letter:unreadable"
         agent_id = self.routes.get(recipient_did)
         if agent_id is None or agent_id not in world.agents:
             return "dead-letter"
+        queue = self.queues.setdefault(agent_id, deque())  # empty unless the recipient is offline
+        if len(queue) >= MAX_QUEUED:
+            return "dead-letter:queue-full"
+        queue.append((inner, event.kind, event.extra))
         if not world.agents[agent_id].online:
-            queue = self.queues.setdefault(agent_id, deque())
-            if len(queue) >= MAX_QUEUED:
-                return "dead-letter:queue-full"
-            queue.append((inner, event.kind, event.extra))
             return "queued"
-        self._forward(world, agent_id, inner, event.kind, event.extra)
+        self.poll(world, agent_id)
         return "forwarded"
 
     def poll(self, world: "World", agent_id: str) -> None:
-        """Drain the offline queue for an agent, preserving send order; a drained queue is gone."""
-        for queued in self.queues.pop(agent_id, ()):
-            self._forward(world, agent_id, *queued)
-
-    def _forward(self, world: "World", agent_id: str, inner: bytes, kind: str, meta: dict) -> None:
-        """Pass the inner layer on with the meta (``injected``, ``of``, ``tampered``) of the event that brought it."""
-        world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind, meta=meta)
+        """Pass an agent's queue on in send order, each layer with its event's meta; a drained queue is gone."""
+        for inner, kind, meta in self.queues.pop(agent_id, ()):
+            world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind, meta=meta)
 
     def state_dump(self) -> dict:
-        """Routes and queues; the mediator's keys stay out."""
+        """Routes and queues; its key pair and the route keys stay out."""
         return plain(self)
 
 
@@ -121,6 +120,7 @@ class World:
         self.wire_log: dict[int, DeliveryEvent] = {}
         self.registry = VerifiableDataRegistry(clock=self.tick)
         self.mediator = Mediator(crypto.generate_keypair(self.rng))
+        self._routes: dict[str, tuple[bytes, crypto.SymmetricKey]] = {}  # sender -> (route id, route key)
         self.agents: dict[str, Any] = {}
         self.email_directory: dict[str, str] = {}
         self.max_ticks = DEFAULT_MAX_TICKS  # no event is delivered after this tick
@@ -133,14 +133,16 @@ class World:
             raise SimError(f"duplicate agent id {agent.agent_id}")
         self.agents[agent.agent_id] = agent
         self.email_directory[agent.email] = agent.agent_id
-        self.mediator.register(agent.did.uri, agent.agent_id)
+        self.mediator.routes[agent.did.uri] = agent.agent_id
         self.registry.publish_did_doc(agent.did.uri, agent.did.verification_key, {"agent": agent.agent_id})
 
-    def agent_email(self, agent_id: str) -> str:
-        return self.agents[agent_id].email
-
-    def mediator_public_key(self) -> bytes:
-        return self.mediator.keys.public_key
+    def route(self, sender: str) -> tuple[bytes, crypto.SymmetricKey]:
+        """``sender``'s (route id, route key); the first call wraps a fresh key to the mediator (Aries RFC 0211)."""
+        if sender not in self._routes:
+            key = crypto.generate_symmetric_key(self.rng)
+            wrapped = crypto.asym_encrypt(self.rng, self.mediator.keys.public_key, key.key_bytes)
+            self._routes[sender] = (self.mediator.enroll(wrapped), key)
+        return self._routes[sender]
 
     def tick(self) -> int:
         return self.clock
@@ -371,7 +373,7 @@ class World:
             self.rng,
             crypto.channel_keys(attacker_keys, endpoint_key)[0],  # as any stranger could derive
             endpoint_key,
-            self.mediator.keys.public_key,
+            self.route("adversary"),  # the stranger enrolls once per world, like any sender
             recipient.did.uri,
             crypto.fresh_nonce(self.rng),
             payload,

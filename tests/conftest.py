@@ -27,11 +27,15 @@ def inner_layer(rng, key_id, key, inner_plain):
     return key_id + crypto.sym_encrypt(rng, key, inner_plain, key_id)
 
 
+def outer_layer(world, route_plain, sender="adversary"):
+    """The outer layer that wraps ``route_plain``, whatever it holds, under ``sender``'s route key."""
+    route_id, route_key = world.route(sender)
+    return Envelope(route_id + crypto.sym_encrypt(world.rng, route_key, route_plain, route_id))
+
+
 def send_inner(world, recipient, inner, kind):
-    """Wrap ``inner``, whatever it holds, for the mediator to ``recipient``, and deliver it."""
-    route = encode(["route", recipient.did.uri, inner])
-    outer = crypto.asym_encrypt(world.rng, crypto.ephemeral_key(world.rng), world.mediator_public_key(), route)
-    world.send_envelope("adversary", Envelope(outer), kind)
+    """Wrap ``inner``, whatever it holds, for the mediator to ``recipient`` as the stranger, and deliver it."""
+    world.send_envelope("adversary", outer_layer(world, encode(["route", recipient.did.uri, inner])), kind)
     world.run_until_quiescent()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover import crypto, messages
+from handover import crypto, messages, simnet
 from handover.agents import (
     AdversaryWallet,
     AgentActionError,
@@ -272,14 +272,17 @@ def test_one_decryption_per_ssi_delivery(monkeypatch):
     symmetric = count_calls(monkeypatch, crypto, "sym_decrypt")
     result = run_scenario(spec)
     assert result.ok
-    # the mediator's hybrid decryption and the endpoint's AES-GCM open, each recorded as one ssi delivery
+    # the mediator's open under a route key and the endpoint's under a receive key, each one ssi delivery;
+    # the mediator's hybrid decryption runs once per sender, to unwrap its route key
     ssi = [r for r in result.world.trace if r["channel"] == "ssi"]
-    assert len(hybrid) == sum(r["to"] == "MD" for r in ssi) > 0
+    route_keys = result.world.mediator.route_keys
+    assert len(hybrid) == len(route_keys) == 9  # MF and 8 wallets; DS talks to MF over https only
     assert all(keys is result.world.mediator.keys for keys in hybrid)
     receive_keys = [c.receive_key for agent in result.cast.values() for c in agent.connections.values()]
     opens = [key for key in symmetric if any(key is receive_key for receive_key in receive_keys)]
-    assert len(opens) == sum(r["from"] == "MD" for r in ssi) == len(hybrid)
-    assert len(symmetric) - len(opens) == 4  # the PIN ciphertext of each used claim
+    unwraps = [key for key in symmetric if any(key is route_key for route_key in route_keys.values())]
+    assert len(opens) == sum(r["from"] == "MD" for r in ssi) == len(unwraps) == sum(r["to"] == "MD" for r in ssi)
+    assert len(symmetric) - len(opens) - len(unwraps) == 4  # the PIN ciphertext of each used claim
 
 
 # -- sale and new-product claim flow -----------------------------------------------
@@ -946,6 +949,10 @@ def test_no_trace_holds_private_key_material(name):
         shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(conn.remote_public_key[32:]))
         for secret in (conn.send_key.key_bytes, conn.receive_key.key_bytes, shared):
             assert secret.hex() not in text
+    route_keys = result.world.mediator.route_keys
+    assert len(route_keys) == len({r["from"] for r in result.world.trace if r["to"] == "MD"})  # one per sender
+    for route_key in route_keys.values():
+        assert route_key.key_bytes.hex() not in text
 
 
 def test_unanswered_used_claims_leave_one_challenge_open():
@@ -1222,11 +1229,11 @@ def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
     world, cast = build_world(spec)
     for step in spec.script[:-1]:
         assert execute_step(world, cast, spec, step) == step.expect
-    decrypts = count_calls(monkeypatch, crypto, "asym_decrypt")
+    unseals = count_calls(monkeypatch, simnet, "unseal_at_mediator")
     opens = count_calls(monkeypatch, messages, "open_inner")
     assert execute_step(world, cast, spec, spec.script[-1]) == "all-rejected"
-    assert (len(decrypts), len(opens)) == (16, 0)
-    assert all(keys is world.mediator.keys for keys in decrypts)
+    assert (len(unseals), len(opens)) == (16, 0)
+    assert all(keys is world.mediator.route_keys for keys in unseals)
 
 
 def test_replayed_spoof_is_checked_again(monkeypatch):
@@ -1278,8 +1285,9 @@ def test_every_delivery_reflected_to_its_sender_fails_the_tag():
 
 
 def test_no_direction_key_and_iv_pair_repeats_in_a_fleet_run(monkeypatch):
-    # AES-GCM loses both secrecy and integrity if one key sees one IV twice, and each
-    # direction key encrypts every message its side sends on the connection
+    # AES-GCM loses both secrecy and integrity if one key sees one IV twice: each direction key
+    # encrypts every message its side sends on the connection, and each route key every message
+    # its sender seals
     used = collections.Counter()
     encrypt = crypto.sym_encrypt
 
@@ -1292,8 +1300,12 @@ def test_no_direction_key_and_iv_pair_repeats_in_a_fleet_run(monkeypatch):
     result = run_scenario(fleet_spec(16, seed=1))
     assert result.ok
     assert set(used.values()) == {1}
-    assert len(used) == sum(r["channel"] == "ssi" and r["to"] == "MD" for r in result.world.trace) + 16  # and 16 PINs
-    assert max(collections.Counter(key for key, _ in used).values()) > 1
+    sealed = sum(r["channel"] == "ssi" and r["to"] == "MD" for r in result.world.trace)
+    assert len(used) == 2 * sealed + 16  # an inner and an outer layer per envelope, and 16 PINs
+    per_key = collections.Counter(key for key, _ in used)
+    route_keys = [key.key_bytes for key in result.world.mediator.route_keys.values()]
+    assert sum(per_key[key] for key in route_keys) == sealed
+    assert max(per_key[key] for key in route_keys) > 16  # MF seals to every wallet under its one route key
 
 
 @pytest.fixture(scope="module")

@@ -43,8 +43,8 @@ def test_same_seed_identical_nonces_and_ciphertexts():
     a, b = Rng(9), Rng(9)
     key_a, key_b = generate_keypair(a), generate_keypair(b)
     assert fresh_nonce(a) == fresh_nonce(b)
-    ct_a = asym_encrypt(a, crypto.ephemeral_key(a), key_a.public_key, b"x")
-    assert ct_a == asym_encrypt(b, crypto.ephemeral_key(b), key_b.public_key, b"x")
+    ct_a = asym_encrypt(a, key_a.public_key, b"x")
+    assert ct_a == asym_encrypt(b, key_b.public_key, b"x")
     sym_a, sym_b = generate_symmetric_key(a), generate_symmetric_key(b)
     assert sym_encrypt(a, sym_a, b"x", b"") == sym_encrypt(b, sym_b, b"x", b"")
 
@@ -124,7 +124,7 @@ def test_full_lifecycle_signs_only_credentials_and_presentations(monkeypatch):
 
 def test_asym_roundtrip_empty_payload(rng):
     keys = generate_keypair(rng)
-    assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"")) == b""
+    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, b"")) == b""
 
 
 def test_asym_roundtrip_one_mebibyte(rng):
@@ -132,20 +132,29 @@ def test_asym_roundtrip_one_mebibyte(rng):
     keys = generate_keypair(rng)
     payload = bytes(range(256)) * 4096
     assert len(payload) == 1 << 20
-    assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, payload)) == payload
+    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, payload)) == payload
 
 
 def test_asym_wrong_private_key(rng):
     keys = generate_keypair(rng)
     other = generate_keypair(rng)
-    ct = asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"secret")
+    ct = asym_encrypt(rng, keys.public_key, b"secret")
     with pytest.raises(DecryptError):
         asym_decrypt(other, ct)
 
 
+def test_asym_encrypt_draws_a_fresh_ephemeral_key_then_its_iv():
+    keys = generate_keypair(Rng(5))
+    rng, replica = Rng(11), Rng(11)
+    ct = asym_encrypt(rng, keys.public_key, b"route key")
+    eph_pub = crypto.X25519PrivateKey.from_private_bytes(replica.token(32)).public_key().public_bytes_raw()
+    assert ct[crypto.KEY_ID_LEN : crypto.KEY_ID_LEN + 44] == eph_pub + replica.token(12)
+    assert asym_encrypt(rng, keys.public_key, b"route key")[crypto.KEY_ID_LEN :][:32] != eph_pub
+
+
 def test_ciphertext_starts_with_recipient_key_id(rng):
     keys, other = generate_keypair(rng), generate_keypair(rng)
-    ct = asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"secret")
+    ct = asym_encrypt(rng, keys.public_key, b"secret")
     assert ct[: crypto.KEY_ID_LEN] == keys.kid != other.kid
     with pytest.raises(DecryptError, match="another key"):
         asym_decrypt(other, ct)
@@ -156,7 +165,7 @@ def test_ciphertext_starts_with_recipient_key_id(rng):
 
 def test_asym_truncated_ciphertext(rng):
     keys = generate_keypair(rng)
-    ct = asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, b"secret")
+    ct = asym_encrypt(rng, keys.public_key, b"secret")
     with pytest.raises(DecryptError):
         asym_decrypt(keys, ct[: len(ct) // 2])
     with pytest.raises(DecryptError):
@@ -252,7 +261,7 @@ def test_sign_verify_property(message, seed):
 def test_hybrid_roundtrip_property(message, seed):
     rng = Rng(seed)
     keys = generate_keypair(rng)
-    assert asym_decrypt(keys, asym_encrypt(rng, crypto.ephemeral_key(rng), keys.public_key, message)) == message
+    assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, message)) == message
 
 
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
@@ -264,8 +273,8 @@ def test_symmetric_roundtrip_property(message, seed):
 
 
 def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
-    # a pair's private halves are parsed when it is generated; after that only
-    # the one ephemeral key of each sealed envelope is parsed, for its outer layer
+    # a pair's private halves are parsed when it is generated; after that only the
+    # ephemeral key of each sender's enrollment is parsed, to wrap its route key once
     calls = collections.Counter()
 
     def count(owners, name, label):
@@ -283,16 +292,17 @@ def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     count([crypto], "generate_keypair", "generate_keypair")
     count([crypto], "asym_encrypt", "asym_encrypt")
     count([messages, agents, simnet], "seal", "seal")
-    assert run_scenario(builtin_scenario("full-lifecycle")).ok
-    assert calls["asym_encrypt"] == calls["seal"] > 0
+    result = run_scenario(builtin_scenario("full-lifecycle"))
+    assert result.ok
+    assert calls["asym_encrypt"] == len(result.world.mediator.route_keys) == 3 < calls["seal"]
     assert calls["ed25519"] == calls["generate_keypair"]
-    assert calls["x25519"] == calls["generate_keypair"] + calls["seal"] == 27
+    assert calls["x25519"] == calls["generate_keypair"] + calls["asym_encrypt"] == 14
 
 
-def test_each_ssi_message_costs_two_agreements_and_none_on_delivery(monkeypatch):
-    # every X25519 agreement parses its peer's key: the sender's (outer layer to the mediator)
-    # and the mediator's once per message, and each connection side's once for its direction
-    # keys; an agent opening a delivery does none
+def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
+    # every X25519 agreement parses its peer's key: each connection side's once for its direction
+    # keys, and a sender's and the mediator's once when that sender enrolls its route key; sealing,
+    # relaying and opening a message does none, so more messages cost no more agreements
     callers, decrypting = collections.Counter(), []
     parse = crypto.X25519PublicKey.from_public_bytes
 
@@ -306,9 +316,17 @@ def test_each_ssi_message_costs_two_agreements_and_none_on_delivery(monkeypatch)
     monkeypatch.setattr(crypto.X25519PublicKey, "from_public_bytes", counted)
     result = run_scenario(builtin_scenario("full-lifecycle"))
     assert result.ok
-    sent = sum(r["channel"] == "ssi" and r["to"] == "MD" for r in result.world.trace)
+    world, b2, mf = result.world, result.cast["B2"], result.cast["MF"]
     sides = sum(len(agent.connections) for agent in result.cast.values())
-    assert (sent, sides) == (16, 6)
-    assert callers == {"asym_encrypt": sent, "asym_decrypt": sent, "channel_keys": sides}
-    assert all(keys is result.world.mediator.keys for keys in decrypting)
-    assert sum(callers.values()) == 2 * sent + sides == 38
+    enrolled = len(world.mediator.route_keys)
+    assert (sides, enrolled) == (6, 3)  # MF, B1 and B2 send; DS talks to MF over https only
+    expected = {"asym_encrypt": enrolled, "asym_decrypt": enrolled, "channel_keys": sides}
+    for extra in (0, 5):
+        for _ in range(extra):
+            request = messages.payload("PINReq", tid=messages.mint_tid(world.rng))
+            b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), request)
+        world.run_until_quiescent()
+        assert sum(r["channel"] == "ssi" and r["to"] == "MD" for r in world.trace) == 16 + extra
+        assert callers == expected
+    assert all(keys is world.mediator.keys for keys in decrypting)
+    assert sum(callers.values()) == 2 * enrolled + sides == 12

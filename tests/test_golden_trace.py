@@ -19,37 +19,37 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "9f19ea6ef445de1edf5e92b77459fb233cd966898581cd6f87280114d573b210",
+        "fd32e5d2ab4cc1dd53bde4a1de2bcfe188cb00ced2ff17d877dbf3aa71e50334",
         "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "36ff13ffdf66aad5bb3abbd2f97c5803ab3d391bd1ef0350003ed9151984ba09",
+        "9db8ee828486bcdf4c70d816c02360ce29099a88d52b29af64f5dedbfc3f1c6f",
         "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "c982d67622509e7d3db56a748197423ddd88e0f964620e49d52e06ae744b551d",
+        "4ec6c8ecee4387cc57a67c9907c47fa9d2a0434ca63dc41c2bc1144c7fa9a46c",
         "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "61b5eb6760b85cb266ff4aa2b1e83b1e9fb33a35a151ffa1cd20b702ba570c0a",
+        "2ec67102e5e2a6c08aededd9b2477827346389f9ec3bf71cdd412e16c01c844b",
         "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "0d2c1a9af1eb0dc6d4c6999d9bd451d74e271e7595a02ddb3a7e471580b77d5e",
+        "18f2ae6221b7157856a8a51354d2b486bb9f3cc348ae2cb8411e2d51d49e41db",
         "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "552abaca29da418b320efe96ec8ad12b053ad910b99ab0c917b9ebc8e1b42f22",
+        "4f5ebe89fa258f302320a7a6b43c9906c83e6217540d2d3035f72243eccda528",
         "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "9bf37f49f4db740fb798920dfa00ceb7ce3d884f136145371103bc0d5594510c",
+        "ad1b4b99072013f60057427edbbe3f9eee3244934df68daac4cf6d522b712949",
         "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -86,7 +86,7 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "a24b7ec02d78ac56d724476572d93c20e86b385e74d778332108ab0f70e07336",
+    "cd7e721162a7539989c93750a2cf5294f1588ea8a4857e85ac9ade149b7421e3",
     "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
     "fa10eecdc06c80881763fbb1503cfb09d05aa06077ce3dea2ebf27c57a07f319",
 )

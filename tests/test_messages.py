@@ -29,6 +29,7 @@ from handover.messages import (
     verify_inner,
 )
 from handover.scenarios import builtin_scenario, run_scenario
+from handover.simnet import World
 
 from conftest import send_as
 
@@ -158,11 +159,14 @@ def test_mint_tid_shape(rng):
 
 @pytest.fixture
 def parties(rng):
+    world = World(3)
     return {
         "rng": rng,
         "sender": generate_keypair(rng),
         "endpoint": generate_keypair(rng),
-        "mediator": generate_keypair(rng),
+        "world": world,
+        "route": world.route("sender"),  # (route id, route key), enrolled with the world's mediator
+        "routes": world.mediator.route_keys,
     }
 
 
@@ -181,7 +185,7 @@ def sealed(parties, p=None, nonce=None):
         parties["rng"],
         send_key(parties),
         parties["endpoint"].public_key,
-        parties["mediator"].public_key,
+        parties["route"],
         "did:handover:endpoint",
         nonce,
         p,
@@ -191,7 +195,7 @@ def sealed(parties, p=None, nonce=None):
 
 def test_seal_unseal_full_chain(parties):
     env, nonce, p = sealed(parties)
-    recipient_did, inner = unseal_at_mediator(parties["mediator"], env)
+    recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     assert recipient_did == "did:handover:endpoint"
     got_nonce, got_payload = verify_inner(open_inner(receive_key(parties), inner))
     assert got_nonce == nonce
@@ -200,7 +204,7 @@ def test_seal_unseal_full_chain(parties):
 
 def test_endpoint_wrong_key_fails(parties):
     env, _, _ = sealed(parties)
-    _, inner = unseal_at_mediator(parties["mediator"], env)
+    _, inner = unseal_at_mediator(parties["routes"], env)
     wrong = generate_keypair(parties["rng"])
     endpoint_send_key = crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[0]
     for key in (endpoint_send_key, *crypto.channel_keys(parties["endpoint"], wrong.public_key)):
@@ -210,15 +214,16 @@ def test_endpoint_wrong_key_fails(parties):
 
 def test_mediator_wrong_key_fails(parties):
     env, _, _ = sealed(parties)
-    wrong = generate_keypair(parties["rng"])
-    with pytest.raises(DecryptError):
-        unseal_at_mediator(wrong, env)
+    route_id = parties["route"][0]
+    for routes in ({route_id: crypto.generate_symmetric_key(parties["rng"])}, {}):  # another key, or none
+        with pytest.raises(DecryptError):
+            unseal_at_mediator(routes, env)
 
 
 def test_flip_any_inner_byte_rejected(parties):
     # flip-one-byte oracle over the full inner ciphertext, the key id (associated data) included
     env, _, _ = sealed(parties)
-    _, inner = unseal_at_mediator(parties["mediator"], env)
+    _, inner = unseal_at_mediator(parties["routes"], env)
     for index in range(len(inner)):
         mutated = bytearray(inner)
         mutated[index] ^= 0x20
@@ -231,7 +236,7 @@ def test_flip_outer_byte_rejected(parties):
     mutated = bytearray(env.outer_ciphertext)
     mutated[10] ^= 0x01
     with pytest.raises(DecryptError):
-        unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(mutated)))
+        unseal_at_mediator(parties["routes"], type(env)(outer_ciphertext=bytes(mutated)))
 
 
 def test_seal_layout_draw_order_and_each_layer_opens_only_under_its_own_key(parties):
@@ -239,40 +244,43 @@ def test_seal_layout_draw_order_and_each_layer_opens_only_under_its_own_key(part
     parties["rng"] = Rng(seed)
     env, nonce, p = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN)
     outer = env.outer_ciphertext
-    _, inner = unseal_at_mediator(parties["mediator"], env)
-    eph = slice(crypto.KEY_ID_LEN, crypto.KEY_ID_LEN + 32)
-    # one draw order per envelope: ephemeral key, inner IV, outer IV
+    recipient_did, inner = unseal_at_mediator(parties["routes"], env)
+    # one draw order per envelope: inner IV, outer IV, and no ephemeral key
     replica = Rng(seed)
-    eph_pub = crypto.X25519PrivateKey.from_private_bytes(replica.token(32)).public_key().public_bytes_raw()
     inner_iv, outer_iv = replica.token(12), replica.token(12)
-    assert outer[: eph.stop + 12] == parties["mediator"].kid + eph_pub + outer_iv
-    assert sealed(parties)[0].outer_ciphertext[eph] != outer[eph]  # fresh for every envelope
+    assert parties["rng"].token(4) == replica.token(4)
     # the inner layer: endpoint key id || IV || AES-GCM under the send key, the key id as associated data
     key_id = parties["endpoint"].kid
     plain = encode(["inner", nonce, canonical_encode_payload(p)])
     assert inner == key_id + inner_iv + crypto.AESGCM(send_key(parties).key_bytes).encrypt(inner_iv, plain, key_id)
-    # the outer layer opens only under the mediator's key, even when it names the endpoint's
-    with pytest.raises(DecryptError, match="another key"):
-        crypto.asym_decrypt(parties["endpoint"], outer)
-    with pytest.raises(DecryptError, match="authentication"):
-        crypto.asym_decrypt(parties["endpoint"], key_id + outer[crypto.KEY_ID_LEN :])
-    # and the inner layer only under the endpoint's receive key, not its send key or the mediator's keys
+    # the outer layer: route id || IV || AES-GCM under the route key, the route id as associated data
+    route_id, route_key = parties["route"]
+    route_plain = encode(["route", recipient_did, inner])
+    assert outer == route_id + outer_iv + crypto.AESGCM(route_key.key_bytes).encrypt(outer_iv, route_plain, route_id)
+    # the outer layer opens only under the route key its id names, not under another sender's
+    other_id, other_key = parties["world"].route("other sender")
+    rewrapped = route_id + crypto.sym_encrypt(Rng(1), other_key, route_plain, route_id)
+    for forged in (other_id + outer[crypto.KEY_ID_LEN :], rewrapped):
+        with pytest.raises(DecryptError):
+            unseal_at_mediator(parties["routes"], type(env)(outer_ciphertext=forged))
+    # and the inner layer only under the endpoint's receive key, not its send key, a route key or the mediator's keys
     endpoint_send_key = crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[0]
-    for key in (endpoint_send_key, *crypto.channel_keys(parties["mediator"], parties["sender"].public_key)):
+    mediator_keys = crypto.channel_keys(parties["world"].mediator.keys, parties["sender"].public_key)
+    for key in (endpoint_send_key, route_key, other_key, *mediator_keys):
         with pytest.raises(EnvelopeReject):
             open_inner(key, inner)
-    # a byte of the ephemeral key flipped is a reject
-    for index in range(eph.start, eph.stop):
+    # a byte of the route id flipped is a reject
+    for index in range(crypto.KEY_ID_LEN):
         flipped = bytearray(outer)
         flipped[index] ^= 0x01
         with pytest.raises(DecryptError):
-            unseal_at_mediator(parties["mediator"], type(env)(outer_ciphertext=bytes(flipped)))
+            unseal_at_mediator(parties["routes"], type(env)(outer_ciphertext=bytes(flipped)))
 
 
 def test_signature_stripped_or_replaced_rejected(parties):
     # the GCM tag (the last 16 bytes of the inner layer) removed, zeroed or cut short
     env, _, _ = sealed(parties)
-    _, inner = unseal_at_mediator(parties["mediator"], env)
+    _, inner = unseal_at_mediator(parties["routes"], env)
     for forged in (inner[:-16], inner[:-16] + b"\x00" * 16, inner[:-1]):
         with pytest.raises(EnvelopeReject) as err:
             open_inner(receive_key(parties), forged)
@@ -288,12 +296,12 @@ def test_adversary_key_resign_rejected(parties):
         parties["rng"],
         crypto.channel_keys(adversary, parties["endpoint"].public_key)[0],  # the key any stranger can derive
         parties["endpoint"].public_key,
-        parties["mediator"].public_key,
+        parties["route"],
         "did:handover:endpoint",
         nonce,
         p,
     )
-    _, inner = unseal_at_mediator(parties["mediator"], env)
+    _, inner = unseal_at_mediator(parties["routes"], env)
     with pytest.raises(EnvelopeReject) as err:
         open_inner(receive_key(parties), inner)
     assert err.value.reason == "bad-signature"
@@ -303,7 +311,7 @@ def test_signature_binds_nonce_kind_and_body(parties):
     # AES-GCM ciphertext is malleable bit by bit: the XOR that would turn the nonce, the kind or the
     # status into another valid value of the same length leaves bytes that fail to authenticate
     env, nonce, p = sealed(parties, p=payload("ownershipClaimAck", status="accepted"))
-    _, inner = unseal_at_mediator(parties["mediator"], env)
+    _, inner = unseal_at_mediator(parties["routes"], env)
     plain = encode(["inner", nonce, canonical_encode_payload(p)])
     other_nonce = fresh_nonce(parties["rng"])
     others = [
@@ -328,7 +336,7 @@ def test_mediator_view_hides_payload(parties):
     env_b, _, _ = sealed(parties, p=payload("PINReq", tid=tid_b))
     assert len(env_a.outer_ciphertext) == len(env_b.outer_ciphertext)
     for env, tid in ((env_a, tid_a), (env_b, tid_b)):
-        recipient_did, inner = unseal_at_mediator(parties["mediator"], env)
+        recipient_did, inner = unseal_at_mediator(parties["routes"], env)
         mediator_view = recipient_did.encode() + inner + env.outer_ciphertext
         assert tid.encode() not in mediator_view
         assert bytes.fromhex(tid) not in mediator_view

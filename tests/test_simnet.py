@@ -3,11 +3,11 @@ import pytest
 from handover import crypto
 from handover.agents import WalletAgent, establish_connection
 from handover.encoding import encode
-from handover.messages import Envelope, mint_tid, payload, seal
+from handover.messages import Envelope, mint_tid, payload, seal, unseal_at_mediator
 from handover.scenarios import build_world, builtin_scenario, execute_step, run_scenario
 from handover.simnet import MAX_QUEUED, SimError, World
 
-from conftest import fresh_lifecycle
+from conftest import fresh_lifecycle, outer_layer
 
 
 def two_wallets(seed=7):
@@ -57,7 +57,7 @@ def test_unknown_recipient_dead_letter():
         world.rng,
         conn.send_key,
         stranger.public_key,
-        world.mediator_public_key(),
+        world.route("A"),
         "did:handover:nobody",
         crypto.fresh_nonce(world.rng),
         payload("PINReq", tid=mint_tid(world.rng)),
@@ -262,12 +262,57 @@ def test_offline_queue_holds_at_most_max_queued_messages():
     "outer_plain", [b"N", encode(["route", "did:handover:nobody", None])], ids=["not-a-list", "none-inner"]
 )
 def test_malformed_outer_layer_dead_lettered(outer_plain):
-    # the mediator key is public: anyone can make the mediator open this
+    # anyone can enroll with the mediator, so anyone can make the mediator open this
     world, a, b = two_wallets()
-    outer = crypto.asym_encrypt(world.rng, crypto.ephemeral_key(world.rng), world.mediator_public_key(), outer_plain)
-    world.send_envelope("adversary", Envelope(outer), "PINReq")
+    world.send_envelope("adversary", outer_layer(world, outer_plain), "PINReq")
     world.run_until_quiescent()
     assert world.trace[-1]["verdict"] == "dead-letter:unreadable"
+
+
+def test_each_sender_enrolls_once_on_its_first_send_and_no_record_says_so():
+    # building a world and connecting enroll no one
+    assert build_world(builtin_scenario("full-lifecycle"))[0].mediator.route_keys == {}
+    world, a, b = two_wallets()
+    assert world.mediator.route_keys == {}
+    mark = len(world.trace)
+    ping(world, a, b)
+    assert len(world.trace) == mark  # enrolling wrote no record
+    route = world.route("A")
+    for _ in range(2):
+        ping(world, a, b)
+    ping(world, b, a)
+    world.run_until_quiescent()
+    assert world.route("A") is route
+    assert [key for _, key in sorted(world.mediator.route_keys.items())] == [route[1], world.route("B")[1]]
+
+
+def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
+    world, a, b = two_wallets()
+    ping(world, a, b)
+    ping(world, b, a)
+    world.run_until_quiescent()
+    original = world.wire_log[min(world.wire_log)].body.outer_ciphertext  # A's PINReq to the mediator
+    (a_id, a_key), (b_id, b_key) = world.route("A"), world.route("B")
+    assert original[: crypto.KEY_ID_LEN] == a_id != b_id
+    recipient_did, inner = unseal_at_mediator(world.mediator.route_keys, Envelope(original))
+    route_plain = encode(["route", recipient_did, inner])
+    unenrolled = bytes(crypto.KEY_ID_LEN - 1) + b"\x09"
+    forged = [
+        unenrolled + original[crypto.KEY_ID_LEN :],  # an id no sender holds
+        b_id + original[crypto.KEY_ID_LEN :],  # relabelled as B's
+        b_id + crypto.sym_encrypt(world.rng, b_key, route_plain, a_id),  # B's key, A's id as associated data
+        a_id + crypto.sym_encrypt(world.rng, b_key, route_plain, a_id),  # re-encrypted under B's key
+        unenrolled + crypto.sym_encrypt(world.rng, a_key, route_plain, unenrolled),  # A's key under a new id
+    ]
+    mark = len(world.trace)
+    for outer in forged:
+        world.send_envelope("adversary", Envelope(outer), "PINReq")
+    world.run_until_quiescent()
+    assert [r["verdict"] for r in world.trace[mark:]] == ["dead-letter:unreadable"] * len(forged)
+    # the same layer under A's own route is forwarded (and B rejects the copy of a consumed message)
+    world.send_envelope("adversary", Envelope(a_id + crypto.sym_encrypt(world.rng, a_key, route_plain, a_id)), "PINReq")
+    world.run_until_quiescent()
+    assert [r["verdict"] for r in world.trace[-2:]] == ["forwarded", "rejected:replay"]
 
 
 @pytest.mark.parametrize(
