@@ -93,7 +93,7 @@ def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -
 
 @dataclass
 class Connection:
-    """One side of a pairwise SSI connection. Keys are unique per connection; the direction keys derive from them once."""
+    """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys derive from them once."""
 
     conn_id: str
     local: crypto.KeyPair
@@ -177,8 +177,8 @@ class Agent:
         self.world = world
         self.rng = world.rng
         self.online = True
-        self.root_keys = crypto.generate_keypair(self.rng)
-        self.did = crypto.derive_did(self.root_keys.public_key)
+        self.did_key = crypto.generate_signing_key(self.rng)  # signs; each connection's own key agrees
+        self.did = crypto.derive_did(self.did_key.public_key)
         self.email = f"{agent_id.lower()}@mail.local"
         self.connections: dict[str, Connection] = {}
         self._by_key_id: dict[bytes, Connection] = {}  # key id of conn.local -> conn
@@ -286,14 +286,9 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     """
     world = inviter.world
     conn_id = world.rng.token(8).hex()
-    inviter_keys = crypto.generate_keypair(world.rng)
-    invitee_keys = crypto.generate_keypair(world.rng)
-    inviter.add_connection(
-        Connection(conn_id, inviter_keys, invitee_keys.public_key, invitee.did.uri, invitee.agent_id)
-    )
-    invitee.add_connection(
-        Connection(conn_id, invitee_keys, inviter_keys.public_key, inviter.did.uri, inviter.agent_id)
-    )
+    keys = {side: crypto.generate_keypair(world.rng) for side in (inviter, invitee)}  # X25519 only: they only agree
+    for side, peer in ((inviter, invitee), (invitee, inviter)):
+        side.add_connection(Connection(conn_id, keys[side], keys[peer].public_key, peer.did.uri, peer.agent_id))
     world.emit(
         channel=simnet.CHANNEL_CONTROL,
         kind="connection-established",
@@ -324,7 +319,7 @@ class ManufacturerAgent(Agent):
         self.revocation_registry_id = f"revreg:{self.did.uri}:{PRODUCT_SCHEMA_ID}"
         vdr = world.registry
         vdr.publish_schema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES, self.did.uri)
-        vdr.publish_cred_def(self.cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.root_keys.public_key)
+        vdr.publish_cred_def(self.cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.did_key.public_key)
         vdr.create_revocation_registry(self.revocation_registry_id, self.did.uri)
         self.products: dict[str, ProductRecord] = {}
         self.claimants: dict[str, ClaimantAttribute] = {}
@@ -346,7 +341,7 @@ class ManufacturerAgent(Agent):
         vc = generate_vc(
             product.to_attributes(),
             self.cred_def_id,
-            self.root_keys,
+            self.did_key,
             self.revocation_registry_id,
             issued_at=self.world.tick(),
             vdr=self.world.registry,
@@ -453,7 +448,7 @@ class ManufacturerAgent(Agent):
         code = context["productCode"]
         product = self.products[code]
         presentation = p.body["presentation"]
-        report = verify_presentation(presentation, context["challenge"], self.world.registry, conn.remote_public_key)
+        report = verify_presentation(presentation, context["challenge"], self.world.registry, conn.remote_did)
         reasons = list(report.reasons)
         if not reasons and presentation.credential.cred_def_id != self.cred_def_id:
             reasons.append("wrong-issuer")
@@ -731,7 +726,7 @@ class WalletAgent(Agent):
         vc = self._select_credential(context["productCode"], p.body["attributes"])
         if vc is None:
             return "rejected:no-matching-credential"
-        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local)
+        presentation = present_proof(vc, bytes(p.body["challenge"]), self.did_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"
 
@@ -803,11 +798,9 @@ class AdversaryWallet(WalletAgent):
         mode = context["mode"]
         if mode == "self-issued":
             # a definition the registry will happily resolve, but not the victim's
-            cred_def_id = cred_def_id_of(self.did.uri)
-            if self.world.registry.find_cred_def(cred_def_id) is None:
-                self.world.registry.publish_cred_def(
-                    cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.root_keys.public_key
-                )
+            cred_def_id, vdr = cred_def_id_of(self.did.uri), self.world.registry
+            if vdr.find_cred_def(cred_def_id) is None:
+                vdr.publish_cred_def(cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.did_key.public_key)
         elif mode == "unknown-creddef":
             cred_def_id = "creddef:did:handover:nobody:ghost"
         else:  # "garbage": victim's definition, signature that cannot verify
@@ -816,12 +809,10 @@ class AdversaryWallet(WalletAgent):
         attributes.update(
             productCode=context["productCode"], previouslySoldCount="0", firstPurchaseDate="0", lastPurchaseDate="0"
         )
-        return sign_vc(
-            tuple(attributes.items()), cred_def_id, self.root_keys, "revreg:forged", self.world.tick()
-        )
+        return sign_vc(tuple(attributes.items()), cred_def_id, self.did_key, "revreg:forged", self.world.tick())
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
         vc = self._forged_credential(context)
-        presentation = present_proof(vc, bytes(p.body["challenge"]), conn.local)
+        presentation = present_proof(vc, bytes(p.body["challenge"]), self.did_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
         return "accepted"

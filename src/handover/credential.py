@@ -7,9 +7,9 @@ issuer DID.
 
 Credentials are plain signed attribute bundles over a canonical byte encoding;
 presentations bind a credential to a verifier-chosen challenge nonce so they
-cannot be replayed.  A presentation names no holder: the verifier learns the
-holder from the key the message is addressed to, and checks the holder
-signature under that connection's peer key.
+cannot be replayed.  Issuer and holder sign with their DID keys.  A
+presentation names no holder: the verifier checks the holder signature under
+the key the registry resolves for its connection's DID, as anyone could.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def credential_signing_bytes(credential_id: str, cred_def_id: str, attributes: S
 def generate_vc(
     attributes: Mapping[str, object],
     cred_def_id: str,
-    issuer_keys: crypto.KeyPair,
+    issuer_keys: crypto.SigningKey,
     revocation_registry_id: str,
     issued_at: int,
     vdr: VerifiableDataRegistry,
@@ -144,7 +144,7 @@ def generate_vc(
 def sign_vc(
     ordered: tuple[tuple[str, str], ...],
     cred_def_id: str,
-    issuer_keys: crypto.KeyPair,
+    issuer_keys: crypto.SigningKey,
     revocation_registry_id: str,
     issued_at: int,
 ) -> VerifiableCredential:
@@ -166,9 +166,9 @@ def presentation_signing_bytes(vc: VerifiableCredential, challenge_nonce: bytes)
     return encode(["vp", vc_to_wire(vc), challenge_nonce])
 
 
-def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_keys: crypto.KeyPair) -> ProofPresentation:
-    """Wrap a credential in a presentation bound to ``challenge_nonce``."""
-    signature = crypto.sign(holder_keys, presentation_signing_bytes(vc, challenge_nonce))
+def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_key: crypto.SigningKey) -> ProofPresentation:
+    """Wrap a credential in a presentation bound to ``challenge_nonce``, signed with the holder's DID key."""
+    signature = crypto.sign(holder_key, presentation_signing_bytes(vc, challenge_nonce))
     return ProofPresentation(credential=vc, challenge_nonce=bytes(challenge_nonce), presentation_signature=signature)
 
 
@@ -192,18 +192,19 @@ def verify_presentation(
     presentation: ProofPresentation,
     expected_nonce: bytes,
     vdr: VerifiableDataRegistry,
-    holder_public_key: bytes,
+    holder_did: str,
 ) -> VerificationReport:
-    """Full verification: issuer signature, holder binding, nonce echo, revocation.
+    """Full verification: issuer signature, holder binding to ``holder_did``, nonce echo, revocation.
 
-    Never raises; failures accumulate in ``reasons``.
+    Never raises; failures accumulate in ``reasons``.  A holder DID that does not resolve is ``bad-holder-sig``.
     """
     reasons: list[str] = []
     ok, reason = verify_credential_signature(presentation.credential, vdr)
     if not ok:
         reasons.append(reason)
-    holder_ok = crypto.verify(
-        holder_public_key,
+    holder_key = vdr.resolve_did(holder_did)
+    holder_ok = holder_key is not None and crypto.verify(
+        holder_key,
         presentation_signing_bytes(presentation.credential, presentation.challenge_nonce),
         presentation.presentation_signature,
     )

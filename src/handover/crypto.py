@@ -1,20 +1,20 @@
-"""Cryptographic toolkit: seeded randomness, key pairs, signatures, channel
-keys, hybrid and symmetric authenticated encryption, nonces, DID derivation.
+"""Cryptographic toolkit: seeded randomness, signing and agreement keys,
+channel keys, hybrid and symmetric authenticated encryption, nonces, DID
+derivation.
 
 Every random draw goes through an injected :class:`Rng` handle so that a whole
-simulation run is reproducible from a single seed.  Key pairs bundle an
-Ed25519 signing key with an X25519 key-agreement key so one opaque public key
-supports both signing and encryption.  A pair's private halves are parsed once,
-and the pair carries its key id.  A hybrid ciphertext is recipient key id (8)
-|| ephemeral X25519 public key (32) || AES-GCM IV (12) || ciphertext+tag; the
-key id lets a holder of many keys decrypt with the one it names.  The AES key
-hashes in the ephemeral and the recipient's key (ECDH-ES, RFC 7518 4.6).
-
-The hybrid path wraps each sender's route key to the mediator once, drawing
-32 RNG bytes for the ephemeral key, then 12 for the IV.  :func:`sym_encrypt`
-(AES-GCM) serves every other ciphertext: a PIN, each connection message under
-the sender's :func:`channel_keys` send key (Aries RFC 0019 authcrypt), each
-outer layer under its sender's route key.  Credentials and proofs stay signed.
+simulation run is reproducible from a single seed.  A key has one job, as DID
+Core keeps ``assertionMethod`` apart from ``keyAgreement``: an Ed25519
+:class:`SigningKey` derives a DID and signs credentials and presentations; an
+X25519 :class:`KeyPair` only agrees.  Each is a raw 32-byte public key and a
+private key parsed once; a pair also carries its key id.  A hybrid ciphertext
+is recipient key id (8) || ephemeral X25519 public key (32) || AES-GCM IV (12)
+|| ciphertext+tag; the AES key hashes in the ephemeral and the recipient's key
+(ECDH-ES, RFC 7518 4.6).  It wraps each sender's route key to the mediator
+once, drawing 32 RNG bytes for the ephemeral key, then 12 for the IV.
+:func:`sym_encrypt` (AES-GCM) serves every other ciphertext: a PIN, each
+connection message under the sender's :func:`channel_keys` send key (Aries
+RFC 0019 authcrypt), each outer layer under its sender's route key.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 NONCE_LEN = 16
 SYM_KEY_LEN = 32
-KEY_LEN = 64  # ed25519 half || x25519 half
+_PUBLIC_KEY_LEN = 32  # an Ed25519 or X25519 public key, raw
 KEY_ID_LEN = 8
 _GCM_IV_LEN = 12
 _GCM_TAG_LEN = 16
-_HYBRID_OVERHEAD = KEY_ID_LEN + 32 + _GCM_IV_LEN + _GCM_TAG_LEN
+_HYBRID_OVERHEAD = KEY_ID_LEN + _PUBLIC_KEY_LEN + _GCM_IV_LEN + _GCM_TAG_LEN
 
 DID_METHOD = "handover"
 
@@ -79,14 +79,18 @@ class Rng:
 
 
 @dataclass(frozen=True)
-class KeyPair:
-    """Signing + key-agreement pair; both public halves are raw 32-byte keys.
-    ``signer`` and ``agreer`` are the private halves, parsed once; ``kid`` is the
-    key id.  None of the three takes part in ``==``, ``hash`` or ``repr``, so
-    no state dump or trace holds a private key."""
+class SigningKey:
+    """An Ed25519 DID key; ``signer``, its private key, is outside ``==``, ``hash`` and ``repr``, and so every dump."""
 
     public_key: bytes
     signer: Ed25519PrivateKey = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class KeyPair:
+    """An X25519 agreement pair; ``agreer`` (its private key) and ``kid`` (its key id) stay out of dumps too."""
+
+    public_key: bytes
     agreer: X25519PrivateKey = field(repr=False, compare=False)
     kid: bytes = field(repr=False, compare=False)
 
@@ -104,30 +108,33 @@ class SymmetricKey:
 class Did:
     """Decentralised identifier derived from a verification key."""
 
-    method: str
     identifier: str
     verification_key: bytes
 
     @property
     def uri(self) -> str:
-        return f"did:{self.method}:{self.identifier}"
+        return f"did:{DID_METHOD}:{self.identifier}"
 
 
 def generate_keypair(rng: Rng) -> KeyPair:
-    """Generate a fresh dual-purpose key pair from the injected RNG."""
-    ed_seed, x_seed = rng.token(32), rng.token(32)
-    signer = Ed25519PrivateKey.from_private_bytes(ed_seed)
-    agreer = X25519PrivateKey.from_private_bytes(x_seed)
-    ed_pub, x_pub = signer.public_key().public_bytes_raw(), agreer.public_key().public_bytes_raw()
-    return KeyPair(ed_pub + x_pub, signer, agreer, key_id(ed_pub + x_pub))
+    """Generate a fresh X25519 agreement pair from the injected RNG (32 bytes)."""
+    agreer = X25519PrivateKey.from_private_bytes(rng.token(32))
+    public_key = agreer.public_key().public_bytes_raw()
+    return KeyPair(public_key, agreer, key_id(public_key))
+
+
+def generate_signing_key(rng: Rng) -> SigningKey:
+    """Generate a fresh Ed25519 DID key from the injected RNG (32 bytes)."""
+    signer = Ed25519PrivateKey.from_private_bytes(rng.token(32))
+    return SigningKey(signer.public_key().public_bytes_raw(), signer)
 
 
 def _check_key(key: bytes, what: str) -> None:
-    if not isinstance(key, (bytes, bytearray)) or len(key) != KEY_LEN:
-        raise KeyFormatError(f"{what} must be {KEY_LEN} bytes, got {len(key) if isinstance(key, (bytes, bytearray)) else type(key)}")
+    if not isinstance(key, (bytes, bytearray)) or len(key) != _PUBLIC_KEY_LEN:
+        raise KeyFormatError(f"{what} must be {_PUBLIC_KEY_LEN} bytes, got {len(key) if isinstance(key, (bytes, bytearray)) else type(key)}")
 
 
-def sign(keys: KeyPair, message: bytes) -> bytes:
+def sign(keys: SigningKey, message: bytes) -> bytes:
     """Sign ``message``; the signature verifies only under ``keys.public_key``."""
     if not message:
         raise ValueError("refusing to sign an empty message")
@@ -138,7 +145,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """Return True iff ``signature`` is valid for ``message`` under ``public_key``."""
     _check_key(public_key, "public key")
     try:
-        Ed25519PublicKey.from_public_bytes(public_key[:32]).verify(bytes(signature), bytes(message))
+        Ed25519PublicKey.from_public_bytes(public_key).verify(bytes(signature), bytes(message))
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -147,7 +154,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     """(send key, receive key) on ``local``'s side: one static-static X25519 agreement hashed with both keys, sender first."""
     _check_key(peer_public_key, "public key")
-    shared = local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key[32:]))
+    shared = local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key))
     ends = (local.public_key, peer_public_key)
     return tuple(
         SymmetricKey(hashlib.blake2b(b"handover/channel-v1" + sender + recipient, key=shared, digest_size=SYM_KEY_LEN).digest())
@@ -155,23 +162,22 @@ def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[SymmetricKey, 
     )
 
 
-def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_pub_half: bytes) -> bytes:
-    return hashlib.sha256(b"handover/hybrid-v1" + shared + eph_pub + recipient_pub_half).digest()
+def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_public_key: bytes) -> bytes:
+    return hashlib.sha256(b"handover/hybrid-v1" + shared + eph_pub + recipient_public_key).digest()
 
 
 def key_id(public_key: bytes) -> bytes:
-    """The id a ciphertext to ``public_key`` starts with: a hash of its agreement half."""
-    return hashlib.sha256(b"handover/key-id-v1" + public_key[32:]).digest()[:KEY_ID_LEN]
+    """The id a ciphertext to the agreement key ``public_key`` starts with: a hash of the key."""
+    return hashlib.sha256(b"handover/key-id-v1" + public_key).digest()[:KEY_ID_LEN]
 
 
 def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
     """Hybrid encryption to ``public_key`` under a fresh ephemeral X25519 key (layout above)."""
     _check_key(public_key, "public key")
-    recipient_half = public_key[32:]
     ephemeral = X25519PrivateKey.from_private_bytes(rng.token(32))
     eph_pub = ephemeral.public_key().public_bytes_raw()
-    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(recipient_half))
-    key = _hybrid_key(shared, eph_pub, recipient_half)
+    shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(public_key))
+    key = _hybrid_key(shared, eph_pub, public_key)
     iv = rng.token(_GCM_IV_LEN)
     return key_id(public_key) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
 
@@ -186,7 +192,7 @@ def asym_decrypt(keys: KeyPair, ciphertext: bytes) -> bytes:
     eph_pub, iv, body = rest[:32], rest[32:44], rest[44:]
     try:
         shared = keys.agreer.exchange(X25519PublicKey.from_public_bytes(eph_pub))
-        key = _hybrid_key(shared, eph_pub, keys.public_key[32:])
+        key = _hybrid_key(shared, eph_pub, keys.public_key)
         return AESGCM(key).decrypt(iv, bytes(body), None)
     except (InvalidTag, ValueError) as exc:
         raise DecryptError("authentication failed") from exc
@@ -218,8 +224,8 @@ def fresh_nonce(rng: Rng) -> bytes:
 
 
 def derive_did(verification_key: bytes) -> Did:
-    """Derive the DID for a verification key; re-derivation always matches."""
+    """Derive the DID for an Ed25519 verification key; re-derivation always matches."""
     _check_key(verification_key, "verification key")
     digest = hashlib.sha256(verification_key).digest()[:20]
     identifier = base64.b32encode(digest).decode("ascii").lower().rstrip("=")
-    return Did(method=DID_METHOD, identifier=identifier, verification_key=bytes(verification_key))
+    return Did(identifier=identifier, verification_key=bytes(verification_key))

@@ -12,7 +12,7 @@ RFC 0019 authcrypt).  The outer layer is route id (8) || IV (12) || AES-GCM
 of ["route", recipient DID, inner layer] under the route key that the sender
 wrapped to the mediator once (``simnet.World.route``), with the route id as
 associated data.  ``seal`` draws 12 RNG bytes for the inner IV, then 12 for
-the outer IV, and makes no X25519 agreement.
+the outer IV, and makes no X25519 agreement; DID keys only sign.
 
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must

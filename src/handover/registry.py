@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
+from . import crypto
 from .encoding import canonical_json
 
 
@@ -40,7 +41,7 @@ class VerifiableDataRegistry:
     def __init__(self, clock: Callable[[], int]) -> None:
         self._clock = clock
         self._entries: list[str] = []
-        self._keys: dict[str, bytes] = {}  # DID -> latest verification key
+        self._keys: dict[str, bytes] = {}  # DID -> the verification key it derives from
         self._cred_defs: dict[str, dict] = {}
         self._registry_issuers: dict[str, str] = {}  # revocation registry id -> issuer DID
         self._revoked: set[str] = set()
@@ -54,8 +55,7 @@ class VerifiableDataRegistry:
 
     def publish(self, kind: str, doc: dict, author_did: str) -> int:
         """Append one entry; returns its id. Ids start at 1 and only grow."""
-        self_publish = kind == "did-doc" and doc.get("did") == author_did
-        if not self_publish and author_did not in self._keys:
+        if author_did not in self._keys and not (kind == "did-doc" and doc.get("did") == author_did):
             raise AuthorizationError(f"author {author_did} is not resolvable")
         entry_id = len(self._entries) + 1
         entry = dict(entry_id=entry_id, kind=kind, payload=doc, author_did=author_did, timestamp=self._clock())
@@ -65,6 +65,12 @@ class VerifiableDataRegistry:
     # -- typed writers ---------------------------------------------------
 
     def publish_did_doc(self, did_uri: str, verification_key: bytes, metadata: dict | None = None) -> int:
+        try:  # a DID document carries the key its DID derives from, and no other
+            derived = crypto.derive_did(verification_key).uri
+        except crypto.KeyFormatError:
+            derived = None
+        if derived != did_uri:
+            raise AuthorizationError(f"{did_uri} does not derive from the key offered")
         doc = {"did": did_uri, "verification_key": verification_key.hex(), "metadata": metadata or {}}
         entry_id = self.publish("did-doc", doc, did_uri)
         self._keys[did_uri] = verification_key
@@ -108,7 +114,7 @@ class VerifiableDataRegistry:
     # -- readers -----------------------------------------------------------
 
     def resolve_did(self, did_uri: str) -> Optional[bytes]:
-        """Verification key of the latest DID document for ``did_uri``, or None if never published."""
+        """Verification key of ``did_uri``'s DID document, the one its DID derives from, or None if never published."""
         return self._keys.get(did_uri)
 
     def find_cred_def(self, cred_def_id: str) -> Optional[dict]:

@@ -33,12 +33,10 @@ def _report(number, description):
 
 def _presentation_valid(result, wallet_name, vc=None):
     wallet = result.cast[wallet_name]
-    mf = result.cast["MF"]
-    conn = wallet.connections[mf.did.uri]
     nonce = crypto.fresh_nonce(result.world.rng)
     vc = vc or wallet.credentials["PC-100"]
-    presentation = present_proof(vc, nonce, conn.local)
-    return verify_presentation(presentation, nonce, result.world.registry, conn.local.public_key)
+    presentation = present_proof(vc, nonce, wallet.did_key)
+    return verify_presentation(presentation, nonce, result.world.registry, wallet.did.uri)
 
 
 def _ssi_submissions(world):

@@ -1,4 +1,5 @@
 import collections
+import copy
 import dataclasses
 import json
 from fractions import Fraction
@@ -23,8 +24,9 @@ from handover.agents import (
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.invariants import scan_trace
-from handover.credential import present_proof, sign_vc, vc_to_wire
+from handover.credential import present_proof, sign_vc, vc_to_wire, verify_credential_signature
 from handover.messages import KIND_FIELDS, EnvelopeReject, mint_tid, payload
+from handover.registry import AuthorizationError
 from handover.scenarios import (
     BUILTIN_SCENARIOS,
     ScenarioStep,
@@ -831,6 +833,51 @@ def lifecycle_with_lost_revoke_notice(*steps, wallets=("B1", "B2")):
     return world, cast, verdicts, [step.expect for step in spec.script]
 
 
+@pytest.mark.parametrize("forgery", ["signed-by-another-key", "connection-did-unresolvable"])
+def test_a_proof_not_bound_to_the_connections_did_is_a_bad_holder_sig(forgery):
+    # MF checks the holder signature under the key the registry resolves for the connection's DID
+    world, cast = run_sale_and_claim()
+    start_resale(world, cast)
+    mf, b1 = cast["MF"], cast["B1"]
+    stray = crypto.generate_signing_key(world.rng)
+    if forgery == "signed-by-another-key":
+        b1.did_key = stray  # a key B1's DID does not derive from
+    else:
+        unpublished = crypto.derive_did(stray.public_key).uri
+        world.mediator.routes[unpublished] = "B1"  # the mediator routes it to B1, but no DID document names it
+        mf.connections[b1.did.uri].remote_did = unpublished
+    run_transfer(world, cast)
+    proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
+    assert proofs == ["rejected:bad-holder-sig"]
+    assert mf.products["PC-100"].status == "sold" and "PC-100" not in mf.claimants
+
+
+def test_no_one_publishes_a_did_document_under_a_key_its_did_does_not_derive_from():
+    # the full lifecycle, then EVE connects to MF, as the attack workload has it before its forged transfers
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["cast"]["adversaries"] = ["EVE"]
+    data["script"].append({"op": "connect", "a": "EVE", "b": "MF", "expect": "ok"})
+    result = run_scenario(parse_scenario(data))
+    assert result.ok
+    world, mf, eve = result.world, result.cast["MF"], result.cast["EVE"]
+    entries = len(world.registry.entries)
+    # EVE's key for MF's DID, or a 5-byte key for its own, is refused and changes nothing
+    for did_uri, key in ((mf.did.uri, eve.did_key.public_key), (eve.did.uri, b"\x05" * 5)):
+        with pytest.raises(AuthorizationError):
+            world.registry.publish_did_doc(did_uri, key)
+    assert len(world.registry.entries) == entries
+    assert world.registry.resolve_did(mf.did.uri) == mf.did_key.public_key
+    # so a credential EVE signs under MF's definition still fails under MF's key
+    attributes = tuple((name, "x") for name in mf.products["PC-100"].to_attributes())
+    forged = sign_vc(attributes, mf.cred_def_id, eve.did_key, mf.revocation_registry_id, world.tick())
+    assert verify_credential_signature(forged, world.registry) == (False, "bad-issuer-sig")
+    # and the forged transfers that follow get their verdicts, with no exception
+    for mode, expect in (("self-issued", "wrong-issuer"), ("garbage", "bad-issuer-sig")):
+        args = {"adversary": "EVE", "product": "PC-100", "mode": mode}
+        step = ScenarioStep(op="adversary_transfer", args=args, expect=f"rejected:{expect}")
+        assert execute_step(world, result.cast, result.spec, step) == f"rejected:{expect}"
+
+
 def test_declined_proof_request_leaves_the_product_transferable():
     # after the resale B1 holds only a revoked credential, so it never answers MF's proof request
     world, cast, verdicts, expected = lifecycle_with_lost_revoke_notice(
@@ -938,15 +985,19 @@ def test_no_trace_holds_private_key_material(name):
     result = run_scenario(builtin_scenario(name))
     text = "\n".join(result.trace_lines())
     agents = result.world.agents.values()
-    pairs = [agent.root_keys for agent in agents]
-    pairs += [conn.local for agent in agents for conn in agent.connections.values()]
-    for keys in pairs:
-        # each dumped pair shows its public half, so a private half dumped beside it would show in the same form
-        assert keys.public_key.hex() in text
-        for private in (keys.signer, keys.agreer):
-            assert private.private_bytes_raw().hex() not in text
-    for conn in (conn for agent in agents for conn in agent.connections.values()):
-        shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(conn.remote_public_key[32:]))
+    connections = [conn for agent in agents for conn in agent.connections.values()]
+    # one key, one job: a DID key only signs, a connection key only agrees
+    keys = [(agent.did_key, agent.did_key.signer) for agent in agents]
+    keys += [(conn.local, conn.local.agreer) for conn in connections]
+    assert not any(hasattr(agent.did_key, "agreer") for agent in agents)
+    assert not any(hasattr(conn.local, "signer") for conn in connections)
+    for key, private in keys:
+        # each dumped key shows its public key, so a private key dumped beside it would show in the same form
+        assert key.public_key.hex() in text
+        assert private.private_bytes_raw().hex() not in text
+    assert result.world.mediator.keys.agreer.private_bytes_raw().hex() not in text
+    for conn in connections:
+        shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(conn.remote_public_key))
         for secret in (conn.send_key.key_bytes, conn.receive_key.key_bytes, shared):
             assert secret.hex() not in text
     route_keys = result.world.mediator.route_keys
@@ -989,7 +1040,7 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
         b1.send(conn, nonce, request)
     world.run_until_quiescent()
     # the second request replaced the first exchange, so a proof under the first nonce answers nothing
-    presentation = present_proof(b1.credentials["PC-100"], bytes(16), conn.local)
+    presentation = present_proof(b1.credentials["PC-100"], bytes(16), b1.did_key)
     b1.send(conn, first, payload("ownershipProofResp", presentation=presentation))
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:nonce-mismatch")
@@ -1130,7 +1181,7 @@ def test_offered_credential_without_a_product_code_is_refused():
     conn = mf.connections[b1.did.uri]
     nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
     attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
-    nameless = sign_vc(attributes, mf.cred_def_id, mf.root_keys, mf.revocation_registry_id, world.tick())
+    nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, mf.revocation_registry_id, world.tick())
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
     mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
     world.run_until_quiescent()

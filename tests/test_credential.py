@@ -12,7 +12,7 @@ from handover.credential import (
     vc_to_wire,
     verify_presentation,
 )
-from handover.crypto import derive_did, fresh_nonce, generate_keypair
+from handover.crypto import derive_did, fresh_nonce, generate_signing_key
 from handover.registry import VerifiableDataRegistry
 
 SAMPLE_ATTRS = {
@@ -29,20 +29,23 @@ SAMPLE_ATTRS = {
 
 @pytest.fixture
 def issuer_env(rng):
-    issuer_keys = generate_keypair(rng)
+    issuer_keys = generate_signing_key(rng)
     issuer_did = derive_did(issuer_keys.public_key)
     vdr = VerifiableDataRegistry(clock=lambda: 0)
     vdr.publish_did_doc(issuer_did.uri, issuer_did.verification_key)
     vdr.publish_schema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES, issuer_did.uri)
     vdr.publish_cred_def("creddef-1", PRODUCT_SCHEMA_ID, issuer_did.uri, issuer_keys.public_key)
     vdr.create_revocation_registry("revreg-1", issuer_did.uri)
-    holder_keys = generate_keypair(rng)
+    holder_keys = generate_signing_key(rng)
+    holder_did = derive_did(holder_keys.public_key)
+    vdr.publish_did_doc(holder_did.uri, holder_did.verification_key)
     return {
         "rng": rng,
         "vdr": vdr,
         "issuer_keys": issuer_keys,
         "issuer_did": issuer_did,
         "holder_keys": holder_keys,
+        "holder_did": holder_did,
     }
 
 
@@ -62,7 +65,7 @@ def present(env, vc, nonce):
 
 
 def verify(env, presentation, nonce):
-    return verify_presentation(presentation, nonce, env["vdr"], env["holder_keys"].public_key)
+    return verify_presentation(presentation, nonce, env["vdr"], env["holder_did"].uri)
 
 
 def test_issuance_roundtrip_attributes_exact(issuer_env):
@@ -163,13 +166,23 @@ def test_stale_nonce_rejected(issuer_env):
 
 
 def test_wrong_holder_key_rejected(issuer_env):
+    # the holder binding is the key the registry resolves for the holder's DID, whoever else signed or is named
     vc = issue(issuer_env)
     nonce = fresh_nonce(issuer_env["rng"])
     presentation = present(issuer_env, vc, nonce)
-    stranger = generate_keypair(issuer_env["rng"])
-    report = verify_presentation(presentation, nonce, issuer_env["vdr"], stranger.public_key)
-    assert not report.valid
-    assert "bad-holder-sig" in report.reasons
+    stranger = generate_signing_key(issuer_env["rng"])
+    stranger_did = derive_did(stranger.public_key)
+    issuer_env["vdr"].publish_did_doc(stranger_did.uri, stranger.public_key)
+    signed_by_stranger = present_proof(vc, nonce, stranger)
+    unpublished = derive_did(generate_signing_key(issuer_env["rng"]).public_key).uri
+    for forged, holder_did in (
+        (presentation, stranger_did.uri),
+        (signed_by_stranger, issuer_env["holder_did"].uri),
+        (presentation, unpublished),
+        (presentation, "did:handover:ghost"),
+    ):
+        report = verify_presentation(forged, nonce, issuer_env["vdr"], holder_did)
+        assert report.reasons == ("bad-holder-sig",)
 
 
 def test_unknown_issuer_rejected(issuer_env):

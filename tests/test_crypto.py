@@ -17,6 +17,7 @@ from handover.crypto import (
     derive_did,
     fresh_nonce,
     generate_keypair,
+    generate_signing_key,
     generate_symmetric_key,
     sign,
     sym_decrypt,
@@ -27,16 +28,16 @@ from handover.crypto import (
 
 def test_same_seed_same_draws_byte_identical_keypair():
     # re-run oracle: an independent Rng with the same seed replays the draws
-    first = generate_keypair(Rng(42))
-    second = generate_keypair(Rng(42))
+    first = generate_signing_key(Rng(42))
+    second = generate_signing_key(Rng(42))
     assert first.public_key == second.public_key
     assert sign(first, b"same draws") == sign(second, b"same draws")  # Ed25519 signing is deterministic
+    assert generate_keypair(Rng(42)).public_key == generate_keypair(Rng(42)).public_key
 
 
 def test_independent_states_distinct_keys():
-    a = generate_keypair(Rng(42))
-    b = generate_keypair(Rng(43))
-    assert a.public_key != b.public_key
+    for generate in (generate_keypair, generate_signing_key):
+        assert generate(Rng(42)).public_key != generate(Rng(43)).public_key
 
 
 def test_same_seed_identical_nonces_and_ciphertexts():
@@ -55,22 +56,33 @@ def test_two_draws_from_one_rng_distinct(rng):
     assert a.public_key != b.public_key
 
 
+def test_each_key_draws_32_bytes_and_parses_one_private_key():
+    rng, replica = Rng(3), Rng(3)
+    did_key, agreement = generate_signing_key(rng), generate_keypair(rng)
+    signer = crypto.Ed25519PrivateKey.from_private_bytes(replica.token(32))
+    agreer = crypto.X25519PrivateKey.from_private_bytes(replica.token(32))
+    assert did_key.public_key == signer.public_key().public_bytes_raw()
+    assert agreement.public_key == agreer.public_key().public_bytes_raw()
+    assert agreement.kid == crypto.key_id(agreement.public_key)
+    assert rng.token(8) == replica.token(8)
+
+
 def test_sign_verify_roundtrip(rng):
-    keys = generate_keypair(rng)
+    keys = generate_signing_key(rng)
     sig = sign(keys, b"abc")
     assert verify(keys.public_key, b"abc", sig)
 
 
 def test_verify_wrong_key_fails(rng):
-    keys = generate_keypair(rng)
-    other = generate_keypair(rng)
+    keys = generate_signing_key(rng)
+    other = generate_signing_key(rng)
     sig = sign(keys, b"abc")
     assert not verify(other.public_key, b"abc", sig)
 
 
 def test_single_bit_flip_oracle(rng):
     # exhaustive: flipping any single bit of a 32-byte message breaks the signature
-    keys = generate_keypair(rng)
+    keys = generate_signing_key(rng)
     message = rng.token(32)
     sig = sign(keys, message)
     for byte_index in range(32):
@@ -81,7 +93,7 @@ def test_single_bit_flip_oracle(rng):
 
 
 def test_sign_empty_message_rejected(rng):
-    keys = generate_keypair(rng)
+    keys = generate_signing_key(rng)
     with pytest.raises(ValueError):
         sign(keys, b"")
 
@@ -89,11 +101,26 @@ def test_sign_empty_message_rejected(rng):
 def test_sign_malformed_key(rng):
     with pytest.raises(KeyFormatError):
         verify(b"\x00" * 3, b"abc", b"\x00" * 64)
-    # a pair's parsed halves and key id take no part in ==, hash or repr
-    first, second = generate_keypair(Rng(42)), generate_keypair(Rng(42))
-    assert first.signer is not second.signer and first.agreer is not second.agreer
-    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
-    assert "signer" not in repr(first) and "agreer" not in repr(first) and "kid" not in repr(first)
+    # a key's parsed private key and key id take no part in ==, hash or repr
+    for generate, private in ((generate_keypair, "agreer"), (generate_signing_key, "signer")):
+        first, second = generate(Rng(42)), generate(Rng(42))
+        assert getattr(first, private) is not getattr(second, private)
+        assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+        assert "signer" not in repr(first) and "agreer" not in repr(first) and "kid" not in repr(first)
+
+
+def test_a_two_half_key_is_refused(rng):
+    # keys are 32-byte public keys of one kind; the old Ed25519 || X25519 form is no key
+    did_key, agreement = generate_signing_key(rng), generate_keypair(rng)
+    two_halves = did_key.public_key + agreement.public_key
+    with pytest.raises(KeyFormatError):
+        verify(two_halves, b"abc", sign(did_key, b"abc"))
+    with pytest.raises(KeyFormatError):
+        crypto.channel_keys(agreement, two_halves)
+    with pytest.raises(KeyFormatError):
+        asym_encrypt(rng, two_halves, b"route key")
+    with pytest.raises(KeyFormatError):
+        derive_did(two_halves)
 
 
 def test_channel_keys_agree_pairwise_and_differ_by_direction(rng):
@@ -234,7 +261,7 @@ def test_nonce_uniqueness_100k(rng):
 
 
 def test_did_rederivation_matches(rng):
-    keys = generate_keypair(rng)
+    keys = generate_signing_key(rng)
     a = derive_did(keys.public_key)
     b = derive_did(keys.public_key)
     assert a == b
@@ -243,8 +270,8 @@ def test_did_rederivation_matches(rng):
 
 
 def test_did_distinct_keys_distinct_ids(rng):
-    a = derive_did(generate_keypair(rng).public_key)
-    b = derive_did(generate_keypair(rng).public_key)
+    a = derive_did(generate_signing_key(rng).public_key)
+    b = derive_did(generate_signing_key(rng).public_key)
     assert a.identifier != b.identifier
 
 
@@ -252,8 +279,25 @@ def test_did_distinct_keys_distinct_ids(rng):
 @settings(max_examples=40, deadline=None)
 def test_sign_verify_property(message, seed):
     rng = Rng(seed)
-    keys = generate_keypair(rng)
+    keys = generate_signing_key(rng)
     assert verify(keys.public_key, message, sign(keys, message))
+
+
+@given(message=st.binary(min_size=1, max_size=600), seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_each_key_does_its_one_job_property(message, seed):
+    # a DID key, which signs (test_sign_verify_property), cannot agree; an agreement key agrees the same way
+    # from both sides but cannot sign
+    rng = Rng(seed)
+    did_key, a, b = generate_signing_key(rng), generate_keypair(rng), generate_keypair(rng)
+    with pytest.raises(AttributeError):
+        crypto.channel_keys(did_key, a.public_key)
+    with pytest.raises(AttributeError):
+        sign(a, message)
+    a_send, a_receive = crypto.channel_keys(a, b.public_key)
+    b_send, b_receive = crypto.channel_keys(b, a.public_key)
+    assert (b_send, b_receive) == (a_receive, a_send) and a_send != a_receive
+    assert sym_decrypt(b_receive, sym_encrypt(rng, a_send, message, b""), b"") == message
 
 
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
@@ -273,8 +317,9 @@ def test_symmetric_roundtrip_property(message, seed):
 
 
 def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
-    # a pair's private halves are parsed when it is generated; after that only the
-    # ephemeral key of each sender's enrollment is parsed, to wrap its route key once
+    # one private key per key, parsed when it is generated: 4 DID keys (Ed25519), and X25519 for the mediator,
+    # 2 sides x 3 connections and the ephemeral that wraps each of 3 senders' route key once; a second key per
+    # pair, or a key parsed per message, breaks the total of 14
     calls = collections.Counter()
 
     def count(owners, name, label):
@@ -290,13 +335,17 @@ def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     count([crypto.Ed25519PrivateKey], "from_private_bytes", "ed25519")
     count([crypto.X25519PrivateKey], "from_private_bytes", "x25519")
     count([crypto], "generate_keypair", "generate_keypair")
+    count([crypto], "generate_signing_key", "generate_signing_key")
     count([crypto], "asym_encrypt", "asym_encrypt")
     count([messages, agents, simnet], "seal", "seal")
     result = run_scenario(builtin_scenario("full-lifecycle"))
     assert result.ok
+    connections = sum(len(agent.connections) for agent in result.cast.values()) // 2
+    assert (len(result.cast), connections) == (4, 3)
     assert calls["asym_encrypt"] == len(result.world.mediator.route_keys) == 3 < calls["seal"]
-    assert calls["ed25519"] == calls["generate_keypair"]
-    assert calls["x25519"] == calls["generate_keypair"] + calls["asym_encrypt"] == 14
+    assert calls["ed25519"] == calls["generate_signing_key"] == len(result.cast) == 4
+    assert calls["x25519"] == calls["generate_keypair"] + calls["asym_encrypt"] == 1 + 2 * connections + 3 == 10
+    assert calls["ed25519"] + calls["x25519"] == 14
 
 
 def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):

@@ -19,43 +19,43 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "fd32e5d2ab4cc1dd53bde4a1de2bcfe188cb00ced2ff17d877dbf3aa71e50334",
-        "3723ca64364289c5dfad4c1147f364b5ace93d577390d26516c78ecea4c9e2a3",
+        "eb78ff52c525e8d7ecc34d09ab8af55c62e4bd6b1d6fabdbbd13f1c3668ab1dc",
+        "6098fc23d2b2158f9a2eeb5218867f56e8fd1569c1122ac45d12daf71c39e474",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "9db8ee828486bcdf4c70d816c02360ce29099a88d52b29af64f5dedbfc3f1c6f",
-        "7baa4014897c0fb74a43aa7413d6ec1f993b1b89b9dc406fdd121139bf9258fd",
+        "c78a401e0821192b9b65c1a79cd3bb6c786e34506247592dcff568618cb5185e",
+        "e9d7b93ba937897b57bea62ec36bd5d261df316f043b4166401f389d6733271f",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "4ec6c8ecee4387cc57a67c9907c47fa9d2a0434ca63dc41c2bc1144c7fa9a46c",
-        "17eac83a2799650981e1d1ed86ae39b5b1a9317cd705be7b5946258b8960cd8b",
+        "2a4f7e8062ddde975e970158c2f5e9a815cdec15efd955b38144272645186c65",
+        "608d39d6d99af16ac45fb7ad61e5bb9c008e490d6a9e1ede5656310e38fd1683",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "2ec67102e5e2a6c08aededd9b2477827346389f9ec3bf71cdd412e16c01c844b",
-        "44fc56af41a652fc12c761669f41600e1513b55a697261387b5c5884e52bfa69",
+        "a43538aeee9a6da7bd332312457f663ba132e5d3fc8f6c5a8ddda2bbcecfb763",
+        "0915f095cbe37a3316a3b2b857fa2f9c3b7aec832caf958035a3d3169fd97437",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "18f2ae6221b7157856a8a51354d2b486bb9f3cc348ae2cb8411e2d51d49e41db",
-        "2caf3fcf6555704e6e9646f60188724bc84a1eda95cea44557c21e78c5af307d",
+        "f69f4dcdf36a84b90d1d82cbaf1ebe809a56603cb782f29011b084aa22e7aee3",
+        "12552a6d6b842edfdebf167bcfcabaae854c7c84f9e09109e9ae128b9749643c",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "4f5ebe89fa258f302320a7a6b43c9906c83e6217540d2d3035f72243eccda528",
-        "298243e7849ec88200687e00507fd5e54e8c069352d67486d6ee89265d372081",
+        "7d31df43c478480a9ff606074d1339a9f82217a19d7385d202a6bbb8f5697f6b",
+        "c354f37ea583ca505a119af12f1a25ba5b9e1bfffed3029592d3adab955f3883",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "ad1b4b99072013f60057427edbbe3f9eee3244934df68daac4cf6d522b712949",
-        "cf5588933ac4ad10240c441e8292a0f5cd212285e472364ea99fdc726f5450ad",
+        "ca84d6616318d08ede7a5498957310afdd6f43d32302a6fceca90f9a162f7ef2",
+        "5bda10c9c1cccfdd6b283dbf37b1df33c3842ffde3f68a7529c7e07bca5acd8d",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "7ab4c6402f2b08495d308d356f101fc377f1a9a7c08d527ced9c8a6d2031efdc",
-        "bea0948189a15b3e1abe41a9287860725f89943dba1dfc01b682ddeba5b2b111",
+        "d195c3bc8c76021ef0f57c931dd52cc27d18e9076bfd16a936c9e97ada1baffc",
+        "54a92f93f95d01ac4701b92c655773f35c07688d429934d9b6c5f79cbba27a5f",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
 }
@@ -86,8 +86,8 @@ def test_golden_trace_and_ledger(name):
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID
 ATTACK_STEPS_GOLDEN = (
-    "cd7e721162a7539989c93750a2cf5294f1588ea8a4857e85ac9ade149b7421e3",
-    "6081dba22468c14148f642b495e99269b15563eeea04093c9f5dd622051acceb",
+    "e58d26ac947be89c54947f74f6e0f74c70eacb5cadb57088d854e2557725bfd0",
+    "eae7094d0bb0921994fe64b809d60c2a0579c082f3a352072902cf9a22829921",
     "fa10eecdc06c80881763fbb1503cfb09d05aa06077ce3dea2ebf27c57a07f319",
 )
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from handover import crypto, messages
 from handover.credential import ProofPresentation, VerifiableCredential, present_proof
-from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair
+from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair, generate_signing_key
 from handover.encoding import EncodingError, encode, plain
 from handover.messages import (
     ACK_STATUSES,
@@ -70,7 +70,7 @@ def sample_payload(kind):
         "ownershipTransferResp": dict(status="rejected"),
         "ownershipProofReq": dict(attributes=["productCode", "status"], challenge=b"\x04" * 16),
         "ownershipProofResp": dict(
-            presentation=present_proof(vc, b"\x04" * 16, generate_keypair(Rng(1)))
+            presentation=present_proof(vc, b"\x04" * 16, generate_signing_key(Rng(1)))
         ),
         "pinChallengeReq": dict(tid=TID, challengeBy=1234, challengeType="/"),
         "pinChallengeResp": dict(tid=TID, challengeResult=Fraction(15432, 125)),

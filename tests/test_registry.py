@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from handover.crypto import Rng, derive_did, generate_keypair
+from handover.crypto import Rng, derive_did, generate_signing_key
 from handover.encoding import canonical_json
 from handover.registry import (
     AlreadyRevokedError,
@@ -14,7 +14,7 @@ from handover.registry import (
 
 @pytest.fixture
 def issuer(rng):
-    return derive_did(generate_keypair(rng).public_key)
+    return derive_did(generate_signing_key(rng).public_key)
 
 
 @pytest.fixture
@@ -26,7 +26,7 @@ def vdr(issuer):
 
 def test_first_entry_id_is_one():
     registry = VerifiableDataRegistry(clock=lambda: 0)
-    keys = generate_keypair(Rng(1))
+    keys = generate_signing_key(Rng(1))
     did = derive_did(keys.public_key)
     assert registry.publish_did_doc(did.uri, did.verification_key) == 1
 
@@ -51,15 +51,21 @@ def test_resolve_unknown_did_not_found(vdr):
 
 
 def test_latest_did_doc_wins(vdr, issuer, rng):
+    # a DID document carries the key its DID derives from: a second key for the DID is refused,
+    # and a re-published document with the same key is the latest one
+    for other_key in (generate_signing_key(rng).public_key, b"\x00" * 5, issuer.verification_key * 2):
+        with pytest.raises(AuthorizationError):
+            vdr.publish_did_doc(issuer.uri, other_key)
+    vdr.publish_did_doc(issuer.uri, issuer.verification_key, {"agent": "re-published"})
     # replay-log oracle: scan the raw entries and keep the last matching doc
-    new_key = generate_keypair(rng).public_key
-    vdr.publish_did_doc(issuer.uri, new_key)
     latest_payload = None
     for entry in map(json.loads, vdr.entries):
         if entry["kind"] == "did-doc" and entry["payload"]["did"] == issuer.uri:
             latest_payload = entry["payload"]
+    assert latest_payload["metadata"] == {"agent": "re-published"}
     assert vdr.resolve_did(issuer.uri) == bytes.fromhex(latest_payload["verification_key"])
-    assert vdr.resolve_did(issuer.uri) == new_key
+    assert vdr.resolve_did(issuer.uri) == issuer.verification_key
+    assert len(vdr.entries) == 2
 
 
 def test_unresolvable_author_rejected(vdr):
@@ -76,7 +82,7 @@ def test_revocation_lifecycle(vdr, issuer):
 
 
 def test_revocation_requires_issuer(vdr, issuer, rng):
-    other = derive_did(generate_keypair(rng).public_key)
+    other = derive_did(generate_signing_key(rng).public_key)
     vdr.publish_did_doc(other.uri, other.verification_key)
     vdr.create_revocation_registry("revreg-1", issuer.uri)
     with pytest.raises(AuthorizationError):
