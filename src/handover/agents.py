@@ -243,7 +243,7 @@ class Agent:
         if conn.replay.holds(inner_ciphertext):
             return "rejected:replay"
         try:
-            nonce, p = messages.verify_inner(messages.open_inner(conn.receive_key, inner_ciphertext))
+            nonce, p = messages.verify_inner(*messages.open_inner(conn.receive_key, inner_ciphertext))
         except crypto.DecryptError:
             return "rejected:decrypt-error"
         except EnvelopeReject as exc:
@@ -288,7 +288,7 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     conn_id = world.rng.token(8).hex()
     keys = {side: crypto.generate_keypair(world.rng) for side in (inviter, invitee)}  # X25519 only: they only agree
     for side, peer in ((inviter, invitee), (invitee, inviter)):
-        side.add_connection(Connection(conn_id, keys[side], keys[peer].public_key, peer.did.uri, peer.agent_id))
+        side.add_connection(Connection(conn_id, keys[side], keys[peer].public_key, peer.did, peer.agent_id))
     world.emit(
         channel=simnet.CHANNEL_CONTROL,
         kind="connection-established",
@@ -297,7 +297,7 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
         verdict="ok",
         meta={"connId": conn_id},
     )
-    return inviter.connections[invitee.did.uri], invitee.connections[inviter.did.uri]
+    return inviter.connections[invitee.did], invitee.connections[inviter.did]
 
 
 class ManufacturerAgent(Agent):
@@ -315,12 +315,12 @@ class ManufacturerAgent(Agent):
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
-        self.cred_def_id = cred_def_id_of(self.did.uri)
-        self.revocation_registry_id = f"revreg:{self.did.uri}:{PRODUCT_SCHEMA_ID}"
+        self.cred_def_id = cred_def_id_of(self.did)
+        self.revocation_registry_id = f"revreg:{self.did}:{PRODUCT_SCHEMA_ID}"
         vdr = world.registry
-        vdr.publish_schema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES, self.did.uri)
-        vdr.publish_cred_def(self.cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.did_key.public_key)
-        vdr.create_revocation_registry(self.revocation_registry_id, self.did.uri)
+        vdr.publish_schema(PRODUCT_SCHEMA_ID, PRODUCT_ATTRIBUTE_NAMES, self.did)
+        vdr.publish_cred_def(self.cred_def_id, PRODUCT_SCHEMA_ID, self.did, self.did_key.public_key)
+        vdr.create_revocation_registry(self.revocation_registry_id, self.did)
         self.products: dict[str, ProductRecord] = {}
         self.claimants: dict[str, ClaimantAttribute] = {}
 
@@ -342,7 +342,6 @@ class ManufacturerAgent(Agent):
             product.to_attributes(),
             self.cred_def_id,
             self.did_key,
-            self.revocation_registry_id,
             issued_at=self.world.tick(),
             vdr=self.world.registry,
         )
@@ -452,7 +451,7 @@ class ManufacturerAgent(Agent):
         reasons = list(report.reasons)
         if not reasons and presentation.credential.cred_def_id != self.cred_def_id:
             reasons.append("wrong-issuer")
-        if not reasons and presentation.credential.attribute("productCode") != code:
+        if not reasons and dict(presentation.credential.attributes).get("productCode") != code:
             reasons.append("wrong-product")
         if not reasons and presentation.credential.credential_id != product.current_credential_id:
             reasons.append("stale-credential")
@@ -520,7 +519,7 @@ class ManufacturerAgent(Agent):
     def _commit_transfer(self, buyer_conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
         product = self.products[claim.product_code]
         old_credential_id = product.current_credential_id
-        self.world.registry.revoke_credential(self.did.uri, self.revocation_registry_id, old_credential_id)
+        self.world.registry.revoke_credential(self.did, self.revocation_registry_id, old_credential_id)
         self.world.emit(
             channel=simnet.CHANNEL_REGISTRY,
             kind="vc-revoked",
@@ -798,9 +797,9 @@ class AdversaryWallet(WalletAgent):
         mode = context["mode"]
         if mode == "self-issued":
             # a definition the registry will happily resolve, but not the victim's
-            cred_def_id, vdr = cred_def_id_of(self.did.uri), self.world.registry
+            cred_def_id, vdr = cred_def_id_of(self.did), self.world.registry
             if vdr.find_cred_def(cred_def_id) is None:
-                vdr.publish_cred_def(cred_def_id, PRODUCT_SCHEMA_ID, self.did.uri, self.did_key.public_key)
+                vdr.publish_cred_def(cred_def_id, PRODUCT_SCHEMA_ID, self.did, self.did_key.public_key)
         elif mode == "unknown-creddef":
             cred_def_id = "creddef:did:handover:nobody:ghost"
         else:  # "garbage": victim's definition, signature that cannot verify
@@ -809,7 +808,7 @@ class AdversaryWallet(WalletAgent):
         attributes.update(
             productCode=context["productCode"], previouslySoldCount="0", firstPurchaseDate="0", lastPurchaseDate="0"
         )
-        return sign_vc(tuple(attributes.items()), cred_def_id, self.did_key, "revreg:forged", self.world.tick())
+        return sign_vc(tuple(attributes.items()), cred_def_id, self.did_key, self.world.tick())
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
         vc = self._forged_credential(context)

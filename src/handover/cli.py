@@ -139,7 +139,7 @@ class WalletRepl:
             raise ScenarioError("wallet", f"agent {agent_id!r} is not a wallet")
 
     def run(self, stdin: TextIO, out: TextIO) -> int:
-        out.write(f"wallet session for {self.agent.agent_id} ({self.agent.did.uri})\n")
+        out.write(f"wallet session for {self.agent.agent_id} ({self.agent.did})\n")
         out.write(f"commands: {self.COMMANDS}\n")
         while True:
             out.write(f"{self.agent.agent_id}> ")

@@ -5,9 +5,14 @@ The schema and each issuer's credential definition live on the registry only;
 code holds the definition id, which :func:`cred_def_id_of` derives from the
 issuer DID.
 
-Credentials are plain signed attribute bundles over a canonical byte encoding;
-presentations bind a credential to a verifier-chosen challenge nonce so they
-cannot be replayed.  Issuer and holder sign with their DID keys.  A
+A credential is an attribute bundle held in one encoded form, ``signed``: the
+bytes of ``["vc", id, definition id, attributes]`` that its issuer signed.  It
+travels as those bytes and the signature (W3C VC-JOSE-COSE secures a
+credential the same way), so a receiver decodes it once and checks the
+signature over the bytes that arrived.  Presentations bind a credential to a
+verifier-chosen challenge nonce so they cannot be replayed.  Issuer and holder
+sign with their DID keys; the ``"vc"`` and ``"vp"`` labels keep a credential's
+signed bytes apart from a presentation's, since one DID key may sign both.  A
 presentation names no holder: the verifier checks the holder signature under
 the key the registry resolves for its connection's DID, as anyone could.
 """
@@ -15,11 +20,11 @@ the key the registry resolves for its connection's DID, as anyone could.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from . import crypto
-from .encoding import encode
+from .encoding import EncodingError, decode_value, encode
 from .registry import VerifiableDataRegistry
 
 # Each product attribute and the type of its value; a credential carries every value as a string.
@@ -52,18 +57,13 @@ class UnpublishedDefinitionError(CredentialError):
 
 @dataclass(frozen=True)
 class VerifiableCredential:
+    """Its fields decode ``signed``, the bytes its issuer signed; :func:`sign_vc` and :func:`vc_from_wire` make one."""
+
     credential_id: str
     cred_def_id: str
     attributes: tuple[tuple[str, str], ...]
     issuer_signature: bytes
-    revocation_registry_id: str
-    issued_at: int
-
-    def attribute(self, name: str) -> str:
-        for key, value in self.attributes:
-            if key == name:
-                return value
-        raise KeyError(name)
+    signed: bytes = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -85,48 +85,32 @@ def cred_def_id_of(issuer_did: str) -> str:
 
 
 def vc_to_wire(vc: VerifiableCredential) -> list:
-    return [
-        vc.credential_id,
-        vc.cred_def_id,
-        [[name, value] for name, value in vc.attributes],
-        vc.issuer_signature,
-        vc.revocation_registry_id,
-        vc.issued_at,
-    ]
+    return [vc.signed, vc.issuer_signature]
 
 
 def vc_from_wire(obj: Any) -> VerifiableCredential:
-    """Invert :func:`vc_to_wire`; any other shape raises ``ValueError``."""
-    if not isinstance(obj, list) or len(obj) != 6:
-        raise ValueError("credential is not a 6-field list")
-    credential_id, cred_def_id, attrs, signature, registry_id, issued_at = obj
+    """Invert :func:`vc_to_wire`, decoding the signed bytes once; any other shape raises ``ValueError``."""
+    if not (isinstance(obj, list) and len(obj) == 2 and all(isinstance(part, bytes) for part in obj)):
+        raise ValueError("credential is not [signed bytes, signature]")
+    try:
+        label, credential_id, cred_def_id, attrs = decode_value(obj[0])
+    except (EncodingError, TypeError, ValueError) as exc:
+        raise ValueError("credential's signed bytes are not a credential") from exc
     if not (
-        all(isinstance(v, str) for v in (credential_id, cred_def_id, registry_id))
+        label == "vc"
+        and isinstance(credential_id, str)
+        and isinstance(cred_def_id, str)
         and isinstance(attrs, list)
         and all(isinstance(a, list) and len(a) == 2 and all(isinstance(v, str) for v in a) for a in attrs)
-        and isinstance(signature, bytes)
-        and type(issued_at) is int
     ):
-        raise ValueError("credential field has the wrong type")
-    return VerifiableCredential(
-        credential_id=credential_id,
-        cred_def_id=cred_def_id,
-        attributes=tuple((n, v) for n, v in attrs),
-        issuer_signature=signature,
-        revocation_registry_id=registry_id,
-        issued_at=issued_at,
-    )
-
-
-def credential_signing_bytes(credential_id: str, cred_def_id: str, attributes: Sequence[tuple[str, str]]) -> bytes:
-    return encode(["vc", credential_id, cred_def_id, [[n, v] for n, v in attributes]])
+        raise ValueError("credential's signed bytes are not a credential")
+    return VerifiableCredential(credential_id, cred_def_id, tuple((n, v) for n, v in attrs), obj[1], obj[0])
 
 
 def generate_vc(
     attributes: Mapping[str, object],
     cred_def_id: str,
     issuer_keys: crypto.SigningKey,
-    revocation_registry_id: str,
     issued_at: int,
     vdr: VerifiableDataRegistry,
 ) -> VerifiableCredential:
@@ -138,32 +122,22 @@ def generate_vc(
     if missing or extra:
         raise SchemaMismatchError(f"missing={missing} extra={extra}")
     ordered = tuple((name, str(attributes[name])) for name in PRODUCT_ATTRIBUTE_NAMES)
-    return sign_vc(ordered, cred_def_id, issuer_keys, revocation_registry_id, issued_at)
+    return sign_vc(ordered, cred_def_id, issuer_keys, issued_at)
 
 
 def sign_vc(
-    ordered: tuple[tuple[str, str], ...],
-    cred_def_id: str,
-    issuer_keys: crypto.SigningKey,
-    revocation_registry_id: str,
-    issued_at: int,
+    ordered: tuple[tuple[str, str], ...], cred_def_id: str, issuer_keys: crypto.SigningKey, issued_at: int
 ) -> VerifiableCredential:
-    """Sign ``ordered`` attributes under ``cred_def_id``, checking neither against the registry."""
-    material = encode([cred_def_id, [[n, v] for n, v in ordered], issued_at])
-    credential_id = "vc-" + hashlib.sha256(material).hexdigest()[:24]
-    signature = crypto.sign(issuer_keys, credential_signing_bytes(credential_id, cred_def_id, ordered))
-    return VerifiableCredential(
-        credential_id=credential_id,
-        cred_def_id=cred_def_id,
-        attributes=ordered,
-        issuer_signature=signature,
-        revocation_registry_id=revocation_registry_id,
-        issued_at=issued_at,
-    )
+    """Sign ``ordered`` attributes under ``cred_def_id``, checking neither against the registry.
+    ``issued_at`` only feeds the credential id."""
+    attrs = [[n, v] for n, v in ordered]
+    credential_id = "vc-" + hashlib.sha256(encode([cred_def_id, attrs, issued_at])).hexdigest()[:24]
+    signed = encode(["vc", credential_id, cred_def_id, attrs])
+    return VerifiableCredential(credential_id, cred_def_id, ordered, crypto.sign(issuer_keys, signed), signed)
 
 
 def presentation_signing_bytes(vc: VerifiableCredential, challenge_nonce: bytes) -> bytes:
-    return encode(["vp", vc_to_wire(vc), challenge_nonce])
+    return encode(["vp", vc.signed, vc.issuer_signature, challenge_nonce])
 
 
 def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_key: crypto.SigningKey) -> ProofPresentation:
@@ -173,18 +147,14 @@ def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_key: 
 
 
 def verify_credential_signature(vc: VerifiableCredential, vdr: VerifiableDataRegistry) -> tuple[bool, str]:
-    """Check the issuer signature against the registry-resolved issuer key."""
+    """Check the issuer signature over the bytes that arrived against the registry-resolved issuer key."""
     cred_def = vdr.find_cred_def(vc.cred_def_id)
     if cred_def is None:
         return False, "unknown-issuer"
     issuer_key = vdr.resolve_did(cred_def["issuer_did"])
     if issuer_key is None:
         return False, "unknown-issuer"
-    ok = crypto.verify(
-        issuer_key,
-        credential_signing_bytes(vc.credential_id, vc.cred_def_id, vc.attributes),
-        vc.issuer_signature,
-    )
+    ok = crypto.verify(issuer_key, vc.signed, vc.issuer_signature)
     return (True, "") if ok else (False, "bad-issuer-sig")
 
 

@@ -104,18 +104,6 @@ class SymmetricKey:
             raise KeyFormatError(f"symmetric key must be {SYM_KEY_LEN} bytes")
 
 
-@dataclass(frozen=True)
-class Did:
-    """Decentralised identifier derived from a verification key."""
-
-    identifier: str
-    verification_key: bytes
-
-    @property
-    def uri(self) -> str:
-        return f"did:{DID_METHOD}:{self.identifier}"
-
-
 def generate_keypair(rng: Rng) -> KeyPair:
     """Generate a fresh X25519 agreement pair from the injected RNG (32 bytes)."""
     agreer = X25519PrivateKey.from_private_bytes(rng.token(32))
@@ -223,9 +211,8 @@ def fresh_nonce(rng: Rng) -> bytes:
     return rng.token(NONCE_LEN)
 
 
-def derive_did(verification_key: bytes) -> Did:
-    """Derive the DID for an Ed25519 verification key; re-derivation always matches."""
+def derive_did(verification_key: bytes) -> str:
+    """The DID of an Ed25519 verification key, ``did:handover:<id>``; re-derivation always matches."""
     _check_key(verification_key, "verification key")
     digest = hashlib.sha256(verification_key).digest()[:20]
-    identifier = base64.b32encode(digest).decode("ascii").lower().rstrip("=")
-    return Did(identifier=identifier, verification_key=bytes(verification_key))
+    return f"did:{DID_METHOD}:" + base64.b32encode(digest).decode("ascii").lower().rstrip("=")

@@ -1,18 +1,20 @@
 """Protocol message payloads, their canonical codec, and the layered envelope.
 
-An envelope is built encrypt-then-wrap: the sender encrypts the (nonce,
-payload) pair under its connection's send key, then wraps that inner layer
-with the routing header under its route key.  The mediator learns the
-recipient and, from the key id in front of the inner layer, which of the
-recipient's connections the message is for; it cannot read the inner layer.
+An envelope is built encrypt-then-wrap: the sender encrypts the nonce and the
+payload under its connection's send key, then wraps that inner layer with the
+recipient's DID under its route key.  The mediator learns the recipient and,
+from the key id in front of the inner layer, which of the recipient's
+connections the message is for; it cannot read the inner layer.
 
 The inner layer is endpoint key id (8) || IV (12) || AES-GCM under the send
-key of ["inner", nonce, payload], with the key id as associated data (Aries
-RFC 0019 authcrypt).  The outer layer is route id (8) || IV (12) || AES-GCM
-of ["route", recipient DID, inner layer] under the route key that the sender
-wrapped to the mediator once (``simnet.World.route``), with the route id as
-associated data.  ``seal`` draws 12 RNG bytes for the inner IV, then 12 for
-the outer IV, and makes no X25519 agreement; DID keys only sign.
+key of nonce (16) || payload, with the key id as associated data (Aries RFC
+0019 authcrypt).  The outer layer is route id (8) || IV (12) || AES-GCM of
+DID length (2, big-endian) || recipient DID (UTF-8) || inner layer under the
+route key that the sender wrapped to the mediator once
+(``simnet.World.route``), with the route id as associated data.  Each AEAD
+key serves one layer only, so the framing carries no layer label and makes no
+codec call; only the payload is encoded.  ``seal`` draws 12 RNG bytes for the
+inner IV, then 12 for the outer IV, and makes no X25519 agreement.
 
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must
@@ -210,14 +212,6 @@ class Envelope:
     outer_ciphertext: bytes
 
 
-@dataclass(frozen=True)
-class InnerView:
-    """Authenticated inner layer; the payload stays opaque bytes until decoded."""
-
-    nonce: bytes
-    payload_bytes: bytes
-
-
 def seal(
     rng: crypto.Rng,
     send_key: crypto.SymmetricKey,
@@ -228,11 +222,13 @@ def seal(
     p: MessagePayload,
 ) -> Envelope:
     """Encrypt under ``send_key`` for the endpoint's key id, then wrap for the mediator under ``route``'s key."""
-    inner_plain = encode(["inner", nonce, canonical_encode_payload(p)])
+    if len(nonce) != crypto.NONCE_LEN:
+        raise ValueError(f"a nonce is {crypto.NONCE_LEN} bytes")
     key_id = crypto.key_id(endpoint_public_key)
-    inner_ct = key_id + crypto.sym_encrypt(rng, send_key, inner_plain, key_id)
+    inner_ct = key_id + crypto.sym_encrypt(rng, send_key, nonce + canonical_encode_payload(p), key_id)
     route_id, route_key = route
-    outer_plain = encode(["route", recipient_did, inner_ct])
+    did = recipient_did.encode()
+    outer_plain = len(did).to_bytes(2, "big") + did + inner_ct
     return Envelope(outer_ciphertext=route_id + crypto.sym_encrypt(rng, route_key, outer_plain, route_id))
 
 
@@ -242,35 +238,31 @@ def unseal_at_mediator(route_keys: dict[bytes, crypto.SymmetricKey], envelope: E
     if route_id not in route_keys:
         raise crypto.DecryptError("unknown route id")
     plain = crypto.sym_decrypt(route_keys[route_id], envelope.outer_ciphertext[crypto.KEY_ID_LEN :], route_id)
+    end = 2 + int.from_bytes(plain[:2], "big")  # the DID's length takes 2 bytes
+    if len(plain) < end:
+        raise crypto.DecryptError("outer layer's DID overruns it")
     try:
-        label, recipient_did, inner_ct = decode_value(plain)
-    except (EncodingError, TypeError, ValueError) as exc:
-        raise crypto.DecryptError("malformed outer layer") from exc
-    if label != "route" or not isinstance(recipient_did, str) or not isinstance(inner_ct, bytes):
-        raise crypto.DecryptError("malformed outer layer")
-    return recipient_did, inner_ct
+        return plain[2:end].decode(), plain[end:]
+    except UnicodeDecodeError as exc:
+        raise crypto.DecryptError("outer layer's DID is not UTF-8") from exc
 
 
-def open_inner(receive_key: crypto.SymmetricKey, inner_ciphertext: bytes) -> InnerView:
-    """Decrypt the inner layer under the addressed connection's receive key; the payload is not decoded yet.
-    A layer that fails to authenticate is ``bad-signature``; one that authenticates but is malformed, a DecryptError."""
+def open_inner(receive_key: crypto.SymmetricKey, inner_ciphertext: bytes) -> tuple[bytes, bytes]:
+    """Decrypt the inner layer under the addressed connection's receive key: (nonce, payload bytes, not decoded yet).
+    A layer that fails to authenticate is ``bad-signature``; one shorter than a nonce, a DecryptError."""
     key_id = inner_ciphertext[: crypto.KEY_ID_LEN]
     try:
         plain = crypto.sym_decrypt(receive_key, inner_ciphertext[crypto.KEY_ID_LEN :], key_id)
     except crypto.DecryptError as exc:
         raise EnvelopeReject("bad-signature") from exc
-    try:
-        label, nonce, payload_bytes = decode_value(plain)
-    except (EncodingError, TypeError, ValueError) as exc:
-        raise crypto.DecryptError("malformed inner layer") from exc
-    if label != "inner" or not all(isinstance(part, bytes) for part in (nonce, payload_bytes)):
-        raise crypto.DecryptError("malformed inner layer")
-    return InnerView(nonce=nonce, payload_bytes=payload_bytes)
+    if len(plain) < crypto.NONCE_LEN:
+        raise crypto.DecryptError("inner layer is shorter than a nonce")
+    return plain[: crypto.NONCE_LEN], plain[crypto.NONCE_LEN :]
 
 
-def verify_inner(view: InnerView) -> tuple[bytes, MessagePayload]:
+def verify_inner(nonce: bytes, payload_bytes: bytes) -> tuple[bytes, MessagePayload]:
     """Decode and check the payload of an authenticated inner layer."""
-    return view.nonce, decode_payload(view.payload_bytes)
+    return nonce, decode_payload(payload_bytes)
 
 
 # -- replay discipline -------------------------------------------------------

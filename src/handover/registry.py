@@ -33,9 +33,10 @@ class UnknownRegistryError(RegistryError):
 class VerifiableDataRegistry:
     """Append-only ledger readable by every entity in a simulation.
 
-    Each typed writer appends through :meth:`publish`, then updates the one
-    index its readers use.  An entry is kept once, as the canonical JSON line
-    :meth:`write_ledger` writes; those lines are the only full copy.
+    Each typed writer appends through :meth:`publish`, which keeps the DID
+    keys; the others then update the one index their readers use.  An entry
+    is kept once, as the canonical JSON line :meth:`write_ledger` writes;
+    those lines are the only full copy.
     """
 
     def __init__(self, clock: Callable[[], int]) -> None:
@@ -54,27 +55,34 @@ class VerifiableDataRegistry:
         return tuple(self._entries)
 
     def publish(self, kind: str, doc: dict, author_did: str) -> int:
-        """Append one entry; returns its id. Ids start at 1 and only grow."""
-        if author_did not in self._keys and not (kind == "did-doc" and doc.get("did") == author_did):
+        """Append one entry; returns its id. Ids start at 1 and only grow.
+
+        A DID document is its author's and carries the key its DID derives
+        from, and no other; :meth:`resolve_did` then answers that key.  Any
+        other entry needs a resolvable author.
+        """
+        if kind == "did-doc":
+            try:
+                key = bytes.fromhex(doc["verification_key"])
+                ok = doc["did"] == author_did == crypto.derive_did(key)
+            except (KeyError, TypeError, ValueError, crypto.KeyFormatError):
+                ok = False
+            if not ok:
+                raise AuthorizationError(f"{author_did} does not derive from the key offered")
+        elif author_did not in self._keys:
             raise AuthorizationError(f"author {author_did} is not resolvable")
         entry_id = len(self._entries) + 1
         entry = dict(entry_id=entry_id, kind=kind, payload=doc, author_did=author_did, timestamp=self._clock())
         self._entries.append(canonical_json(entry))
+        if kind == "did-doc":
+            self._keys[author_did] = key
         return entry_id
 
     # -- typed writers ---------------------------------------------------
 
     def publish_did_doc(self, did_uri: str, verification_key: bytes, metadata: dict | None = None) -> int:
-        try:  # a DID document carries the key its DID derives from, and no other
-            derived = crypto.derive_did(verification_key).uri
-        except crypto.KeyFormatError:
-            derived = None
-        if derived != did_uri:
-            raise AuthorizationError(f"{did_uri} does not derive from the key offered")
         doc = {"did": did_uri, "verification_key": verification_key.hex(), "metadata": metadata or {}}
-        entry_id = self.publish("did-doc", doc, did_uri)
-        self._keys[did_uri] = verification_key
-        return entry_id
+        return self.publish("did-doc", doc, did_uri)
 
     def publish_schema(self, schema_id: str, attribute_names: Iterable[str], author_did: str) -> int:
         doc = {"schema_id": schema_id, "attribute_names": list(attribute_names)}

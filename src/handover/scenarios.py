@@ -49,7 +49,7 @@ STEP_OPS: dict[str, dict[str, str]] = {
     "offline": {"agent": "agent"},
     "online": {"agent": "agent"},
     "replay": {"seq": "seq?"},
-    "tamper": {"seq": "seq?", "byte_index": "int?", "new_byte": "byte?"},
+    "tamper": {"seq": "seq?", "byte_index": "int?", "mask": "mask?"},
     "spoof": {
         "a": "agent?",
         "recipient": "agent",
@@ -63,7 +63,7 @@ _VALUE_CHECKS = {
     "str": lambda value: isinstance(value, str),
     "pin": lambda value: isinstance(value, str) and is_valid_pin(value),
     "int": lambda value: type(value) is int,
-    "byte": lambda value: type(value) is int and 0 <= value <= 255,
+    "mask": lambda value: type(value) is int and 1 <= value <= 255,  # XORed into the byte, so never a no-op
     "forgery mode": lambda value: value in FORGERY_MODES,
     "bool": lambda value: isinstance(value, bool),
     "seq": lambda value: type(value) is int or value in ("all-ssi", "last-ssi"),
@@ -322,16 +322,16 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
                 if fields is None:
                     return "rejected:no-pin-email"
                 pin = fields["pin"]
-            wallet.claim_new(manufacturer.did.uri, tid, pin)
+            wallet.claim_new(manufacturer.did, tid, pin)
 
         elif step.op == "sell":
             seller = cast[step.args["seller"]]
             buyer = cast[step.args["buyer"]]
-            seller.start_sell(buyer.did.uri, step.args["product"])
+            seller.start_sell(buyer.did, step.args["product"])
 
         elif step.op == "transfer":
             seller = cast[step.args["seller"]]
-            seller.start_transfer(manufacturer.did.uri, step.args["product"])
+            seller.start_transfer(manufacturer.did, step.args["product"])
 
         elif step.op == "claim_used":
             wallet = cast[step.args["wallet"]]
@@ -340,12 +340,12 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
                 tid = next(reversed(wallet.claiming), None)  # the wallet's latest purchase
                 if tid is None:
                     return "rejected:no-purchase-data"
-            wallet.claim_used(manufacturer.did.uri, tid)
+            wallet.claim_used(manufacturer.did, tid)
 
         elif step.op == "adversary_transfer":
             adversary = cast[step.args["adversary"]]
             adversary.craft_transfer_request(
-                manufacturer.did.uri, step.args["product"], step.args.get("mode", "self-issued")
+                manufacturer.did, step.args["product"], step.args.get("mode", "self-issued")
             )
 
         elif step.op == "replay":
@@ -358,13 +358,13 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
         elif step.op == "tamper":
             seqs = _resolve_seqs(world, step.args.get("seq", "last-ssi"))
             for seq in seqs:
-                world.tamper(seq, step.args.get("byte_index", 7), step.args.get("new_byte", 0xA5))
+                world.tamper(seq, step.args.get("byte_index", 7), step.args.get("mask", 0xA5))
                 world.run_until_quiescent()
             injections = len(seqs)
 
         elif step.op == "spoof":
             forged = cast[step.args["a"]] if "a" in step.args else None
-            forged_did = forged.did.uri if forged else step.args.get("forged_sender", "did:handover:ghost")
+            forged_did = forged.did if forged else step.args.get("forged_sender", "did:handover:ghost")
             p = _spoof_payload(step.args.get("message", {}), "message")
             key_of = forged_did if step.args.get("knows_endpoint_key", True) else None
             world.spoof(step.args["recipient"], forged_did, p, key_of)

@@ -115,7 +115,7 @@ class World:
         self._seq = 0
         self._queue: deque[DeliveryEvent] = deque()
         self._drops: set[int] = set()
-        self._tampers: dict[int, list[tuple[int, int]]] = {}
+        self._tampers: dict[int, list[tuple[int, int]]] = {}  # seq -> (byte index, mask) of each tamper
         self.trace: list[dict] = []
         self.wire_log: dict[int, DeliveryEvent] = {}
         self.registry = VerifiableDataRegistry(clock=self.tick)
@@ -133,8 +133,8 @@ class World:
             raise SimError(f"duplicate agent id {agent.agent_id}")
         self.agents[agent.agent_id] = agent
         self.email_directory[agent.email] = agent.agent_id
-        self.mediator.routes[agent.did.uri] = agent.agent_id
-        self.registry.publish_did_doc(agent.did.uri, agent.did.verification_key, {"agent": agent.agent_id})
+        self.mediator.routes[agent.did] = agent.agent_id
+        self.registry.publish_did_doc(agent.did, agent.did_key.public_key, {"agent": agent.agent_id})
 
     def route(self, sender: str) -> tuple[bytes, crypto.SymmetricKey]:
         """``sender``'s (route id, route key); the first call wraps a fresh key to the mediator (Aries RFC 0211)."""
@@ -279,8 +279,8 @@ class World:
                     seq=event.seq,
                 )
                 continue
-            for byte_index, new_byte in tampers:
-                event.body = _flip_body_byte(event.body, byte_index, new_byte)
+            for byte_index, mask in tampers:
+                event.body = _flip_body_byte(event.body, byte_index, mask)
                 event.extra["tampered"] = True
             verdict = self._dispatch(event)
             if event.channel == CHANNEL_SSI:
@@ -322,16 +322,19 @@ class World:
         self._require_pending("drop", seq)
         self._drops.add(seq)
 
-    def tamper(self, seq: int, byte_index: int, new_byte: int) -> Optional[int]:
-        """Flip one byte of event ``seq``; returns the seq of a re-injected copy if it was delivered."""
+    def tamper(self, seq: int, byte_index: int, mask: int) -> Optional[int]:
+        """XOR the non-zero ``mask`` into one byte of event ``seq``; returns the seq of a re-injected copy if it
+        was delivered.  The byte always changes, so a tampered copy is never a replay."""
+        if not 1 <= mask <= 0xFF:
+            raise SimError(f"tamper: mask {mask} is not in 1-255")
         original = self.wire_log.get(seq)
         if original is None:
             # queued, or a pre-registration against a deterministic future seq
             self._require_pending("tamper", seq)
-            self._tampers.setdefault(seq, []).append((byte_index, new_byte))
+            self._tampers.setdefault(seq, []).append((byte_index, mask))
             return None
         # already delivered: re-inject a tampered copy of the observed bytes
-        body = _flip_body_byte(original.body, byte_index, new_byte)
+        body = _flip_body_byte(original.body, byte_index, mask)
         return self.schedule(
             frm=original.frm,
             to=original.to,
@@ -374,7 +377,7 @@ class World:
             crypto.channel_keys(attacker_keys, endpoint_key)[0],  # as any stranger could derive
             endpoint_key,
             self.route("adversary"),  # the stranger enrolls once per world, like any sender
-            recipient.did.uri,
+            recipient.did,
             crypto.fresh_nonce(self.rng),
             payload,
         )
@@ -406,7 +409,7 @@ class World:
             )
 
 
-def _flip_body_byte(body: Any, byte_index: int, new_byte: int) -> Any:
+def _flip_body_byte(body: Any, byte_index: int, mask: int) -> Any:
     raw = bytearray(body.outer_ciphertext if isinstance(body, Envelope) else body)
-    raw[byte_index % len(raw)] = new_byte & 0xFF
+    raw[byte_index % len(raw)] ^= mask
     return Envelope(outer_ciphertext=bytes(raw)) if isinstance(body, Envelope) else bytes(raw)

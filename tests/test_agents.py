@@ -38,7 +38,7 @@ from handover.scenarios import (
 )
 from handover.simnet import CHANNEL_SSI, DeliveryEvent, World
 
-from conftest import fresh_lifecycle, inner_layer, send_as, send_inner
+from conftest import fresh_lifecycle, inner_layer, inner_plain, send_as, send_inner, send_plain, vc_signed
 
 
 def make_world(seed=7, wallets=("B1", "B2"), products=("PC-100",)):
@@ -66,7 +66,7 @@ def claim_new(world, cast, buyer="B1", product="PC-100", pin=None, tid=None):
     wallet = cast[buyer]
     establish_connection(wallet, cast["MF"])
     wallet.claim_new(
-        cast["MF"].did.uri,
+        cast["MF"].did,
         tid if tid is not None else emailed(wallet, "tid")["tid"],
         pin if pin is not None else emailed(wallet, "pin")["pin"],
     )
@@ -82,7 +82,7 @@ def run_sale_and_claim(seed=7):
 
 def start_resale(world, cast, seller="B1", buyer="B2", product="PC-100"):
     establish_connection(cast[seller], cast[buyer])
-    cast[seller].start_sell(cast[buyer].did.uri, product)
+    cast[seller].start_sell(cast[buyer].did, product)
     world.run_until_quiescent()
 
 
@@ -158,7 +158,7 @@ def test_establish_connection_roundtrip():
     assert a.conn_id == b.conn_id
     assert a.remote_public_key == b.local.public_key
     # ping: a PINReq flows B1 -> MD -> B2 and the wallet answers
-    cast["B1"].start_sell(cast["B2"].did.uri, "PC-100")
+    cast["B1"].start_sell(cast["B2"].did, "PC-100")
     world.run_until_quiescent()
     assert "PC-100" in cast["B1"].sales  # PINResp delivered and verified
 
@@ -213,7 +213,7 @@ def test_message_to_another_peers_connection_key_fails_signature():
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     before = mf.state_dump()
     redirected = dataclasses.replace(
-        b2.connections[mf.did.uri], remote_public_key=b1.connections[mf.did.uri].remote_public_key
+        b2.connections[mf.did], remote_public_key=b1.connections[mf.did].remote_public_key
     )
     claim = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin="AAAAAA", key=None)
     b2.send(redirected, crypto.fresh_nonce(world.rng), claim)
@@ -328,9 +328,9 @@ def test_claim_new_issues_credential():
     product = mf.products["PC-100"]
     assert product.status == "sold"
     assert product.current_credential_id == vc.credential_id
-    assert product.conn_id == b1.connections[mf.did.uri].conn_id
-    assert vc.attribute("productCode") == "PC-100"
-    assert vc.attribute("ConnID") == product.conn_id
+    assert product.conn_id == b1.connections[mf.did].conn_id
+    assert dict(vc.attributes)["productCode"] == "PC-100"
+    assert dict(vc.attributes)["ConnID"] == product.conn_id
     assert "PC-100" not in mf.claimants  # entry consumed
     acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
     assert acks == ["accepted"]
@@ -345,7 +345,7 @@ def test_claim_new_wrong_pin_rejected():
     assert verdicts == ["rejected:unknown-claim"]
     assert "PC-100" in cast["MF"].claimants  # entry not consumed
     # the retried claim replaces the unanswered one and closes with its credential
-    cast["B1"].claim_new(cast["MF"].did.uri, emailed(cast["B1"], "tid")["tid"], emailed(cast["B1"], "pin")["pin"])
+    cast["B1"].claim_new(cast["MF"].did, emailed(cast["B1"], "tid")["tid"], emailed(cast["B1"], "pin")["pin"])
     world.run_until_quiescent()
     assert len(cast["B1"].credentials) == 1
     assert not any(key.endswith(":ownershipClaimResp") for key in cast["B1"].state_dump()["_expected"])
@@ -356,7 +356,7 @@ def test_claim_new_flow_replay_rejected():
     world, cast = run_sale_and_claim()
     tid = emailed(cast["B1"], "tid")["tid"]
     pin = emailed(cast["B1"], "pin")["pin"]
-    cast["B1"].claim_new(cast["MF"].did.uri, tid, pin)
+    cast["B1"].claim_new(cast["MF"].did, tid, pin)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert verdicts == ["accepted", "rejected:unknown-claim"]
@@ -422,7 +422,7 @@ def test_lost_claim_ack_keeps_the_claim_until_a_retry_settles_it():
     claim_new(world, cast, buyer="B2", tid=emailed(b1, "tid")["tid"], pin=emailed(b1, "pin")["pin"])
     assert cast["B2"].credentials == {}
     # the retry gets the same credential, which B1 holds once
-    b1.claim_new(mf.did.uri, emailed(b1, "tid")["tid"], emailed(b1, "pin")["pin"])
+    b1.claim_new(mf.did, emailed(b1, "tid")["tid"], emailed(b1, "pin")["pin"])
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims == ["accepted", "rejected:unknown-claim", "accepted"]
@@ -484,8 +484,8 @@ def test_two_sales_distinct_tids_and_pins():
     claim_new(world, cast)
     establish_connection(cast["B1"], cast["B2"])
     establish_connection(cast["B1"], cast["B3"])
-    tid_a = cast["B1"].start_sell(cast["B2"].did.uri, "PC-100")
-    tid_b = cast["B1"].start_sell(cast["B3"].did.uri, "PC-100")
+    tid_a = cast["B1"].start_sell(cast["B2"].did, "PC-100")
+    tid_b = cast["B1"].start_sell(cast["B3"].did, "PC-100")
     world.run_until_quiescent()
     assert tid_a != tid_b
     assert purchase(cast["B2"])[1].pin != purchase(cast["B3"])[1].pin
@@ -502,7 +502,7 @@ def test_pin_request_for_a_held_tid_rejected_state_unchanged():
     before = dataclasses.replace(entry)
     establish_connection(b3, b2)
     mark = len(world.trace)
-    b3.send(b3.connections[b2.did.uri], crypto.fresh_nonce(world.rng), payload("PINReq", tid=tid))
+    b3.send(b3.connections[b2.did], crypto.fresh_nonce(world.rng), payload("PINReq", tid=tid))
     world.run_until_quiescent()
     delta = world.trace[mark:]
     assert [r["verdict"] for r in delta if r["to"] == "B2"] == ["rejected:duplicate-tid"]
@@ -515,9 +515,9 @@ def test_pin_request_for_a_held_tid_rejected_state_unchanged():
 
 
 def run_transfer(world, cast, seller="B1", product="PC-100"):
-    if cast["MF"].did.uri not in cast[seller].connections:
+    if cast["MF"].did not in cast[seller].connections:
         establish_connection(cast[seller], cast["MF"])
-    cast[seller].start_transfer(cast["MF"].did.uri, product)
+    cast[seller].start_transfer(cast["MF"].did, product)
     world.run_until_quiescent()
 
 
@@ -537,7 +537,7 @@ def test_transfer_duplicate_rejected():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
     run_transfer(world, cast)
-    cast["B1"].start_transfer(cast["MF"].did.uri, "PC-100")
+    cast["B1"].start_transfer(cast["MF"].did, "PC-100")
     world.run_until_quiescent()
     proof_reqs = [
         r for r in world.trace if r["kind"] == "ownershipProofReq" and r["from"] == "MF" and r["to"] == "MD"
@@ -551,7 +551,7 @@ def test_transfer_unknown_product_rejected():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
     cast["B1"].sales["PC-404"] = cast["B1"].sales.pop("PC-100")
-    cast["B1"].start_transfer(cast["MF"].did.uri, "PC-404")
+    cast["B1"].start_transfer(cast["MF"].did, "PC-404")
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipTransferReq"]
     assert verdicts[-1] == "rejected:unknown-product"
@@ -563,7 +563,7 @@ def test_transfer_unclaimed_product_rejected():
     claim_new(world, cast)
     start_resale(world, cast)
     cast["B1"].sales["PC-200"] = cast["B1"].sales.pop("PC-100")  # never sold, still status=registered
-    cast["B1"].start_transfer(cast["MF"].did.uri, "PC-200")
+    cast["B1"].start_transfer(cast["MF"].did, "PC-200")
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipTransferReq"]
     assert verdicts[-1] == "rejected:not-transferable"
@@ -580,7 +580,7 @@ def test_transfer_with_revoked_credential_rejected_and_rolled_back():
     # B1's credential is now revoked on the registry; force the wallet to present it anyway
     b1.sales["PC-100"] = sale
     b1._select_credential = lambda code, req: vc
-    b1.start_transfer(mf.did.uri, "PC-100")
+    b1.start_transfer(mf.did, "PC-100")
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert verdicts[-1] == "rejected:revoked"
@@ -601,14 +601,14 @@ def test_transfer_wrong_product_credential_rejected():
         mail_pin = next(
             m.fields["pin"] for m in cast["B1"].inbox if m.subject == "pin" and m.fields["productCode"] == code
         )
-        cast["B1"].claim_new(cast["MF"].did.uri, mail_tid, mail_pin)
+        cast["B1"].claim_new(cast["MF"].did, mail_tid, mail_pin)
         world.run_until_quiescent()
     assert sorted(cast["B1"].credentials) == ["PC-100", "PC-200"]
     start_resale(world, cast)
     # swap the credential selector so the wallet presents the PC-200 credential
     original = cast["B1"]._select_credential
     cast["B1"]._select_credential = lambda code, req: cast["B1"].credentials["PC-200"]
-    cast["B1"].start_transfer(cast["MF"].did.uri, "PC-100")
+    cast["B1"].start_transfer(cast["MF"].did, "PC-100")
     world.run_until_quiescent()
     cast["B1"]._select_credential = original
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
@@ -621,7 +621,7 @@ def test_transfer_wrong_product_credential_rejected():
 
 def claim_as_buyer(world, cast, buyer="B2"):
     establish_connection(cast[buyer], cast["MF"])
-    cast[buyer].claim_used(cast["MF"].did.uri, purchase(cast[buyer])[0])
+    cast[buyer].claim_used(cast["MF"].did, purchase(cast[buyer])[0])
     world.run_until_quiescent()
 
 
@@ -656,7 +656,7 @@ def test_lost_used_claim_offer_retry_gets_the_same_credential():
     assert b2.credentials == {} and tid in b2.claiming
     vc = mf.claimants["PC-100"].credential
     assert vc.credential_id == mf.products["PC-100"].current_credential_id
-    b2.claim_used(mf.did.uri, tid)  # answers a fresh challenge, then gets the same credential
+    b2.claim_used(mf.did, tid)  # answers a fresh challenge, then gets the same credential
     world.run_until_quiescent()
     assert b2.credentials == {"PC-100": vc} and b2.claiming == {} and mf.claimants == {}
     assert [r["kind"] for r in world.trace if r["channel"] == "registry" and r["kind"] != "product-updated"] == [
@@ -692,7 +692,7 @@ def test_used_claim_commits_ownership():
     product = mf.products["PC-100"]
     assert product.status == "sold"
     assert product.previously_sold_count == 1
-    assert product.conn_id == b2.connections[mf.did.uri].conn_id
+    assert product.conn_id == b2.connections[mf.did].conn_id
     assert product.email == b2.email
     assert product.last_purchase_date > product.first_purchase_date
     new_vc = b2.credentials["PC-100"]
@@ -702,7 +702,7 @@ def test_used_claim_commits_ownership():
     assert notices == ["accepted"]  # revocation notice landed
     assert b1.credentials == {} and b1.sales == {}  # and cleared what the sale spent
     assert b2.claiming == {}  # the credential spent the purchase
-    assert new_vc.attribute("previouslySoldCount") == "1"
+    assert dict(new_vc.attributes)["previouslySoldCount"] == "1"
     assert "PC-100" not in mf.claimants
 
 
@@ -713,7 +713,7 @@ def test_used_claim_unknown_tid_rejected():
     establish_connection(cast["B2"], cast["MF"])
     tid, _ = purchase(cast["B2"])
     cast["B2"].claiming["ff" * 16] = cast["B2"].claiming.pop(tid)  # not what the seller registered
-    cast["B2"].claim_used(cast["MF"].did.uri, "ff" * 16)
+    cast["B2"].claim_used(cast["MF"].did, "ff" * 16)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert verdicts[-1] == "rejected:unknown-tid"
@@ -727,7 +727,7 @@ def test_used_claim_wrong_key_rejected_state_unchanged():
     establish_connection(cast["B2"], cast["MF"])
     tid, entry = purchase(cast["B2"])
     entry.key = crypto.generate_symmetric_key(world.rng)  # adversary swaps the key
-    cast["B2"].claim_used(cast["MF"].did.uri, tid)
+    cast["B2"].claim_used(cast["MF"].did, tid)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
     assert verdicts[-1] == "rejected:pin-decrypt"
@@ -744,7 +744,7 @@ def test_used_claim_wrong_result_rejected_old_vc_valid():
     establish_connection(cast["B2"], cast["MF"])
     tid, entry = purchase(cast["B2"])
     entry.pin = "ZZZZZZ" if entry.pin != "ZZZZZZ" else "AAAAAA"  # wrong pin, right key
-    cast["B2"].claim_used(cast["MF"].did.uri, tid)
+    cast["B2"].claim_used(cast["MF"].did, tid)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
     assert verdicts[-1] == "rejected:challenge-mismatch"
@@ -758,7 +758,7 @@ def test_pin_challenge_handled_without_stored_data_rejected():
     run_transfer(world, cast)
     establish_connection(cast["B2"], cast["MF"])
     tid, _ = purchase(cast["B2"])
-    cast["B2"].claim_used(cast["MF"].did.uri, tid)
+    cast["B2"].claim_used(cast["MF"].did, tid)
     del cast["B2"].claiming[tid]  # wallet loses its data mid-flow
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "pinChallengeReq"]
@@ -801,7 +801,7 @@ def test_resale_after_a_buy_back_transfers_the_latest_sale():
     minted = [r["meta"] for r in world.trace if r["kind"] == "secret-minted"]
     first = next(meta for meta in minted if meta["owner"] == "B2")
     claim = payload("ownershipClaimReq", tid=first["tid"], pin=None, key=bytes.fromhex(first["keyHex"]))
-    b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), claim)
+    b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), claim)
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-1] == "rejected:unknown-tid"
@@ -843,9 +843,9 @@ def test_a_proof_not_bound_to_the_connections_did_is_a_bad_holder_sig(forgery):
     if forgery == "signed-by-another-key":
         b1.did_key = stray  # a key B1's DID does not derive from
     else:
-        unpublished = crypto.derive_did(stray.public_key).uri
+        unpublished = crypto.derive_did(stray.public_key)
         world.mediator.routes[unpublished] = "B1"  # the mediator routes it to B1, but no DID document names it
-        mf.connections[b1.did.uri].remote_did = unpublished
+        mf.connections[b1.did].remote_did = unpublished
     run_transfer(world, cast)
     proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert proofs == ["rejected:bad-holder-sig"]
@@ -862,14 +862,14 @@ def test_no_one_publishes_a_did_document_under_a_key_its_did_does_not_derive_fro
     world, mf, eve = result.world, result.cast["MF"], result.cast["EVE"]
     entries = len(world.registry.entries)
     # EVE's key for MF's DID, or a 5-byte key for its own, is refused and changes nothing
-    for did_uri, key in ((mf.did.uri, eve.did_key.public_key), (eve.did.uri, b"\x05" * 5)):
+    for did_uri, key in ((mf.did, eve.did_key.public_key), (eve.did, b"\x05" * 5)):
         with pytest.raises(AuthorizationError):
             world.registry.publish_did_doc(did_uri, key)
     assert len(world.registry.entries) == entries
-    assert world.registry.resolve_did(mf.did.uri) == mf.did_key.public_key
+    assert world.registry.resolve_did(mf.did) == mf.did_key.public_key
     # so a credential EVE signs under MF's definition still fails under MF's key
     attributes = tuple((name, "x") for name in mf.products["PC-100"].to_attributes())
-    forged = sign_vc(attributes, mf.cred_def_id, eve.did_key, mf.revocation_registry_id, world.tick())
+    forged = sign_vc(attributes, mf.cred_def_id, eve.did_key, world.tick())
     assert verify_credential_signature(forged, world.registry) == (False, "bad-issuer-sig")
     # and the forged transfers that follow get their verdicts, with no exception
     for mode, expect in (("self-issued", "wrong-issuer"), ("garbage", "bad-issuer-sig")):
@@ -906,7 +906,7 @@ def test_unanswered_transfer_request_leaves_no_state():
     for _ in range(3):
         tid = mint_tid(world.rng)
         request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
-        b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), request)
+        b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
         world.run_until_quiescent()
     assert mf.products["PC-100"].status == "sold"
     assert "PC-100" not in mf.claimants
@@ -915,10 +915,10 @@ def test_unanswered_transfer_request_leaves_no_state():
     start_resale(world, cast, buyer="B3")
     run_transfer(world, cast)
     establish_connection(b3, mf)
-    b3.claim_used(mf.did.uri, purchase(b3)[0])
+    b3.claim_used(mf.did, purchase(b3)[0])
     world.run_until_quiescent()
     assert len(b3.credentials) == 1
-    assert mf.products["PC-100"].conn_id == b3.connections[mf.did.uri].conn_id
+    assert mf.products["PC-100"].conn_id == b3.connections[mf.did].conn_id
 
 
 def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
@@ -928,10 +928,10 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     establish_connection(b2, mf)
     tid, _ = b1.sales["PC-100"]
-    b2.claim_used(mf.did.uri, tid)
+    b2.claim_used(mf.did, tid)
     # the seller minted the TID: it claims with a key of its own before B2 answers its challenge
     rival = payload("ownershipClaimReq", tid=tid, pin=None, key=crypto.generate_symmetric_key(world.rng).key_bytes)
-    b1.send(b1.connections[mf.did.uri], crypto.fresh_nonce(world.rng), rival)
+    b1.send(b1.connections[mf.did], crypto.fresh_nonce(world.rng), rival)
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-2:] == ["accepted", "accepted"]  # both attempts got a challenge
@@ -949,10 +949,10 @@ def test_state_dump_shows_an_open_exchange_with_its_context():
     establish_connection(b2, mf)
     tid, nonce = mint_tid(world.rng), crypto.fresh_nonce(world.rng)
     request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
-    b2.send(b2.connections[mf.did.uri], nonce, request)
+    b2.send(b2.connections[mf.did], nonce, request)
     world.run_until_quiescent()
     # B2 leaves the proof request unanswered: the request lives only in the open exchange, and the dump shows it
-    conn_id = mf.connections[b2.did.uri].conn_id
+    conn_id = mf.connections[b2.did].conn_id
     open_nonce, context = mf.state_dump()["_expected"][f"{conn_id}:ownershipProofResp"]
     assert open_nonce == nonce.hex()
     assert (context["productCode"], context["tid"], context["encryptedPin"]) == ("PC-100", tid, "01" * 38)
@@ -965,7 +965,7 @@ def test_a_buyer_key_in_a_non_owner_expectation_breaks_pin_secrecy():
     world.emit_state_dumps()
     assert scan_trace(world.trace) == []
     key = purchase(b2)[1].key
-    b1.expect(b1.connections[b2.did.uri].conn_id, "PINResp", bytes(16), context={"key": key})
+    b1.expect(b1.connections[b2.did].conn_id, "PINResp", bytes(16), context={"key": key})
     world.emit_state_dumps()  # the scan reads each agent's last dump
     details = [v["detail"] for v in scan_trace(world.trace) if v["invariant"] == "pin-secrecy"]
     assert details == ["symmetric key of B2 stored by B1"]
@@ -1016,14 +1016,14 @@ def test_unanswered_used_claims_leave_one_challenge_open():
     for _ in range(3):
         key = crypto.generate_symmetric_key(world.rng).key_bytes
         attempt = payload("ownershipClaimReq", tid=tid, pin=None, key=key)
-        b1.send(b1.connections[mf.did.uri], crypto.fresh_nonce(world.rng), attempt)
+        b1.send(b1.connections[mf.did], crypto.fresh_nonce(world.rng), attempt)
         world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-3:] == ["accepted"] * 3
     assert sum(key.endswith(":pinChallengeResp") for key in mf.state_dump()["_expected"]) == 1
     # the buyer's claim still completes
     establish_connection(b2, mf)
-    b2.claim_used(mf.did.uri, tid)
+    b2.claim_used(mf.did, tid)
     world.run_until_quiescent()
     assert len(b2.credentials) == 1
 
@@ -1032,7 +1032,7 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
     mf, b1 = cast["MF"], cast["B1"]
-    conn = b1.connections[mf.did.uri]
+    conn = b1.connections[mf.did]
     tid, encrypted_pin = b1.sales["PC-100"]
     first, second = crypto.fresh_nonce(world.rng), crypto.fresh_nonce(world.rng)
     for nonce in (first, second):
@@ -1073,7 +1073,7 @@ def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     b1, b2 = cast["B1"], cast["B2"]
     vc, sale = b1.credentials["PC-100"], b1.sales["PC-100"]
     notice = payload("revokeVC", credentialId=vc.credential_id, productCode="PC-100")
-    b2.send(b2.connections[b1.did.uri], crypto.fresh_nonce(world.rng), notice)
+    b2.send(b2.connections[b1.did], crypto.fresh_nonce(world.rng), notice)
     world.run_until_quiescent()
     assert not world.registry.is_revoked(vc.credential_id)
     # the registry says the credential is live, so B1 keeps it and its sale
@@ -1082,7 +1082,7 @@ def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert proofs == ["accepted"]
     establish_connection(b2, cast["MF"])
-    b2.claim_used(cast["MF"].did.uri, purchase(b2)[0])
+    b2.claim_used(cast["MF"].did, purchase(b2)[0])
     world.run_until_quiescent()
     assert len(b2.credentials) == 1
     assert b1.credentials == {} and b1.sales == {}  # the issuer's notice, which the registry confirms, clears both
@@ -1092,8 +1092,8 @@ def test_two_transfers_started_together_leave_one_claimant():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
     mf, b1 = cast["MF"], cast["B1"]
-    b1.start_transfer(mf.did.uri, "PC-100")
-    b1.start_transfer(mf.did.uri, "PC-100")
+    b1.start_transfer(mf.did, "PC-100")
+    b1.start_transfer(mf.did, "PC-100")
     world.run_until_quiescent()
     responses = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipTransferResp"]
     assert responses.count("accepted") == 1
@@ -1108,7 +1108,7 @@ def test_unsolicited_response_rejected():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
     seller = cast["B1"]
-    buyer_conn = cast["B2"].connections[seller.did.uri]
+    buyer_conn = cast["B2"].connections[seller.did]
     cast["B2"].send(buyer_conn, crypto.fresh_nonce(world.rng), payload("PINResp", encryptedPin=b"\x01" * 38, tid="00" * 16))
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "PINResp"]
@@ -1120,7 +1120,7 @@ def test_second_credential_offer_rejected():
     result = fresh_lifecycle()
     world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
     offer = payload("ownershipClaimResp", credential=b2.credentials["PC-100"])
-    mf.send(mf.connections[b2.did.uri], crypto.fresh_nonce(world.rng), offer)
+    mf.send(mf.connections[b2.did], crypto.fresh_nonce(world.rng), offer)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "ownershipClaimResp"]
     assert verdicts == ["accepted", "rejected:nonce-mismatch"]
@@ -1133,13 +1133,13 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     b1, b2 = cast["B1"], cast["B2"]
     before = b2.state_dump()
     nonce = crypto.fresh_nonce(world.rng)
-    b1.send(b1.connections[b2.did.uri], nonce, payload("ownershipClaimReq", tid="00" * 16, pin="AAAAAA", key=None))
+    b1.send(b1.connections[b2.did], nonce, payload("ownershipClaimReq", tid="00" * 16, pin="AAAAAA", key=None))
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B2", "rejected:unexpected-kind")
     after = b2.state_dump()
     # only the connection's replay cache records the consumed message
-    cache_before = before["connections"][b1.did.uri].pop("replay")["consumed"]
-    cache_after = after["connections"][b1.did.uri].pop("replay")["consumed"]
+    cache_before = before["connections"][b1.did].pop("replay")["consumed"]
+    cache_after = after["connections"][b1.did].pop("replay")["consumed"]
     assert cache_after == sorted(cache_before + [[nonce.hex(), "ownershipClaimReq"]])
     assert after == before
 
@@ -1154,9 +1154,9 @@ def test_offered_credential_that_fails_its_check_is_refused(reason):
     else:
         offered = dataclasses.replace(new_vc, issuer_signature=bytes(len(new_vc.issuer_signature)))
     # a claim MF does not answer leaves B1's expectation of a credential offer open
-    b1.claim_new(mf.did.uri, "ff" * 16, "AAAAAA")
+    b1.claim_new(mf.did, "ff" * 16, "AAAAAA")
     world.run_until_quiescent()
-    conn = mf.connections[b1.did.uri]
+    conn = mf.connections[b1.did]
     nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))
     mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
@@ -1176,12 +1176,12 @@ def test_offered_credential_without_a_product_code_is_refused():
         sell_to(world, cast, buyer=buyer, product=code)
         claim_new(world, cast, buyer=buyer, product=code)
     held = dict(b1.credentials)
-    b1.claim_new(mf.did.uri, "ff" * 16, "AAAAAA")  # MF leaves the claim unanswered
+    b1.claim_new(mf.did, "ff" * 16, "AAAAAA")  # MF leaves the claim unanswered
     world.run_until_quiescent()
-    conn = mf.connections[b1.did.uri]
+    conn = mf.connections[b1.did]
     nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
     attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
-    nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, mf.revocation_registry_id, world.tick())
+    nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, world.tick())
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
     mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
     world.run_until_quiescent()
@@ -1291,7 +1291,7 @@ def test_replayed_spoof_is_checked_again(monkeypatch):
     # a rejected message consumed no pair, so its copy runs the full path and keeps its verdict
     result = fresh_lifecycle()
     world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
-    world.spoof("MF", b2.did.uri, payload("PINReq", tid=mint_tid(world.rng)), b2.did.uri)
+    world.spoof("MF", b2.did, payload("PINReq", tid=mint_tid(world.rng)), b2.did)
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
     opens = count_calls(monkeypatch, messages, "open_inner")
@@ -1381,7 +1381,7 @@ def arbitrary_inner(draw, recipient):
     kinds, fields = st.sampled_from(sorted(KIND_FIELDS)), st.lists(NOT_A_FIELD, max_size=8)
     payload_bytes = st.one_of(st.binary(max_size=200), st.builds(lambda kind, rest: encode([kind, *rest]), kinds, fields))
     nonces = st.binary(min_size=16, max_size=16)
-    layer = st.builds(lambda nonce, body: encode(["inner", nonce, body]), nonces, payload_bytes)
+    layer = st.builds(inner_plain, nonces, payload_bytes)
     plain = draw(st.one_of(st.binary(max_size=300), layer))
     return inner_layer(crypto.Rng(draw(st.integers(0, 2**16))), conn.local.kid, conn.receive_key, plain)
 
@@ -1406,7 +1406,7 @@ def test_replayed_copy_with_a_flipped_byte_is_a_decrypt_error(position):
     result = fresh_lifecycle()
     world = result.world
     for event in consumed_deliveries(world):
-        world.tamper(event.seq, position, event.body[position] ^ 0x01)
+        world.tamper(event.seq, position, 0x01)
         world.run_until_quiescent()
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
 
@@ -1420,8 +1420,8 @@ def test_every_inner_byte_flipped_is_refused_by_key_id_or_authentication():
     for event in deliveries:
         recipient = world.agents[event.to]
         before = recipient.state_dump()
-        for index, byte in enumerate(event.body):
-            world.tamper(event.seq, index, byte ^ 0x01)
+        for index in range(len(event.body)):
+            world.tamper(event.seq, index, 0x01)
             world.run_until_quiescent()
             expected = "rejected:decrypt-error" if index < crypto.KEY_ID_LEN else "rejected:bad-signature"
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, expected)
@@ -1436,33 +1436,62 @@ def test_transfer_step_verdict_comes_from_deciding_wallet():
     assert verdicts[-1] == "rejected:no-matching-credential"
 
 
-@pytest.mark.parametrize(
-    "inner_plain",
-    [
-        b"Q" + encode_value(1) + encode_value(0),  # fraction with a zero denominator
-        b"N",  # not a list
-        encode(["inner", None, b""]),  # nonce is not bytes
-        encode(["inner", "did:handover:x", b"\x00" * 16, b"", b""]),  # the layer that named its sender
-        encode(["inner", b"\x00" * 16, b"", b"\x00" * 32]),  # the layer that carried a tag
-    ],
-    ids=["zero-denominator", "not-a-list", "none-nonce", "old-five-field", "old-four-field"],
-)
-def test_malformed_inner_layer_rejected(inner_plain):
+MALFORMED_INNER = {
+    # shorter than a nonce: a malformed layer
+    "zero-denominator": (b"Q" + encode_value(1) + encode_value(0), "decrypt-error"),
+    "not-a-list": (b"N", "decrypt-error"),
+    "empty": (b"", "decrypt-error"),
+    "one-short-of-a-nonce": (b"\x00" * 15, "decrypt-error"),
+    # a nonce, then bytes that are no payload: the labelled layouts framed nonce and payload by the codec
+    "none-nonce": (encode(["inner", None, b""]), "malformed-payload"),
+    "old-five-field": (encode(["inner", "did:handover:x", b"\x00" * 16, b"", b""]), "malformed-payload"),
+    "old-four-field": (encode(["inner", b"\x00" * 16, b"", b"\x00" * 32]), "malformed-payload"),
+    "nonce-only": (b"\x00" * 16, "malformed-payload"),
+}
+
+
+@pytest.mark.parametrize("plain, reason", MALFORMED_INNER.values(), ids=MALFORMED_INNER.keys())
+def test_malformed_inner_layer_rejected(plain, reason):
     # B1 encrypts it under its send key on its connection with MF, so only the layer's form can refuse it
     world, cast = run_sale_and_claim()
-    mf, b1 = cast["MF"], cast["B1"]
-    conn = b1.connections[mf.did.uri]
-    key_id = crypto.key_id(conn.remote_public_key)
-    send_inner(world, mf, inner_layer(world.rng, key_id, conn.send_key, inner_plain), "PINReq")
+    send_plain(world, cast["B1"], cast["MF"], plain, "PINReq")
     last_two = [(r["to"], r["verdict"]) for r in world.trace[-2:]]
-    assert last_two == [("MD", "forwarded"), ("MF", "rejected:decrypt-error")]
+    assert last_two == [("MD", "forwarded"), ("MF", f"rejected:{reason}")]
+
+
+def _deliver_from_b1(settled, plain):
+    """MF's verdict on ``plain`` authenticated under B1's send key, delivered straight from the mediator."""
+    mf, b1 = settled.cast["MF"], settled.cast["B1"]
+    conn = b1.connections[mf.did]
+    body = inner_layer(crypto.Rng(0), crypto.key_id(conn.remote_public_key), conn.send_key, plain)
+    return mf.deliver(DeliveryEvent(0, 0, frm="MD", to="MF", channel=CHANNEL_SSI, body=body, kind="x"))
+
+
+@given(plain=st.binary(max_size=crypto.NONCE_LEN - 1))
+@settings(max_examples=40, deadline=None)
+def test_authenticated_inner_plaintext_shorter_than_a_nonce_is_a_decrypt_error(settled, plain):
+    assert _deliver_from_b1(settled, plain) == "rejected:decrypt-error"
+
+
+def _is_payload(data):
+    try:
+        messages.decode_payload(data)
+    except messages.PayloadError:
+        return False
+    return True
+
+
+@given(nonce=st.binary(min_size=16, max_size=16), tail=st.binary(max_size=200).filter(lambda t: not _is_payload(t)))
+@settings(max_examples=60, deadline=None)
+def test_authenticated_inner_plaintext_whose_tail_is_no_payload_is_malformed(settled, nonce, tail):
+    assert _deliver_from_b1(settled, inner_plain(nonce, tail)) == "rejected:malformed-payload"
 
 
 def _vc_wire(cast, attributes=None):
-    wire = vc_to_wire(cast["B1"].credentials["PC-100"])
-    if attributes is not None:
-        wire[2] = attributes
-    return wire
+    vc = cast["B1"].credentials["PC-100"]
+    if attributes is None:
+        return vc_to_wire(vc)
+    return [vc_signed(vc.credential_id, vc.cred_def_id, attributes), vc.issuer_signature]
 
 
 @pytest.mark.parametrize(
@@ -1491,14 +1520,14 @@ def test_email_eavesdropper_boundary():
     stolen = {r["kind"]: r["meta"]["fields"] for r in world.trace if r["channel"] == "oob-email"}
     eve = cast["EVE"]
     establish_connection(eve, cast["MF"])
-    eve.claim_new(cast["MF"].did.uri, stolen["tid"]["tid"], "AAAAAA")
+    eve.claim_new(cast["MF"].did, stolen["tid"]["tid"], "AAAAAA")
     world.run_until_quiescent()
     assert eve.credentials == {}
-    eve.claim_new(cast["MF"].did.uri, "00" * 16, stolen["pin"]["pin"])
+    eve.claim_new(cast["MF"].did, "00" * 16, stolen["pin"]["pin"])
     world.run_until_quiescent()
     assert eve.credentials == {}
     # both secrets and a live connection: the claim succeeds (possession is ownership)
-    eve.claim_new(cast["MF"].did.uri, stolen["tid"]["tid"], stolen["pin"]["pin"])
+    eve.claim_new(cast["MF"].did, stolen["tid"]["tid"], stolen["pin"]["pin"])
     world.run_until_quiescent()
     assert len(eve.credentials) == 1
 
@@ -1510,6 +1539,6 @@ def test_adversary_transfer_refuses_an_unknown_forgery_mode():
     world.run_until_quiescent()
     mark = len(world.trace)
     with pytest.raises(AgentActionError):
-        eve.craft_transfer_request(cast["MF"].did.uri, "PC-100", "selfissued")
+        eve.craft_transfer_request(cast["MF"].did, "PC-100", "selfissued")
     world.run_until_quiescent()
     assert world.trace[mark:] == []

@@ -312,7 +312,7 @@ def _set_step_arg(index, key, value):
         ),
         (_append_step({"op": "spoof", "recipient": "MF", "knows_endpoint_key": "yes"}), "script[3].knows_endpoint_key"),
         (_append_step({"op": "tamper", "byte_index": "7"}), "script[3].byte_index"),
-        (_append_step({"op": "tamper", "new_byte": None}), "script[3].new_byte"),
+        (_append_step({"op": "tamper", "new_byte": None}), "script[3].new_byte"),  # the retired argument is refused
         (_append_step({"op": "replay", "seq": "first-ssi"}), "script[3].seq"),
         (_append_step({"op": "replay", "seq": True}), "script[3].seq"),
         (lambda data: data["cast"].__setitem__("adversaries", 1), "cast.adversaries"),
@@ -320,8 +320,10 @@ def _set_step_arg(index, key, value):
         (_set_step_arg(0, "prodcut", "PC-100"), "script[0].prodcut"),
         (_append_step({"op": "tamper", "byteindex": 3}), "script[3].byteindex"),
         (_append_step({"op": "connect", "a": "B1", "b": "B1"}), "script[3].b"),
-        (_append_step({"op": "tamper", "new_byte": 421}), "script[3].new_byte"),
-        (_append_step({"op": "tamper", "new_byte": -1}), "script[3].new_byte"),
+        (_append_step({"op": "tamper", "mask": 421}), "script[3].mask"),
+        (_append_step({"op": "tamper", "mask": -1}), "script[3].mask"),
+        (_append_step({"op": "tamper", "mask": 0}), "script[3].mask"),  # a zero mask would change nothing
+        (_append_step({"op": "tamper", "mask": None}), "script[3].mask"),
         (
             _append_step({"op": "spoof", "a": "B1", "forged_sender": "did:handover:ghost", "recipient": "MF"}),
             "script[3].forged_sender",
@@ -358,8 +360,10 @@ def _set_step_arg(index, key, value):
         "misspelt-product",
         "misspelt-byte-index",
         "connect-to-itself",
-        "tamper-new-byte-above-255",
-        "tamper-new-byte-negative",
+        "tamper-mask-above-255",
+        "tamper-mask-negative",
+        "tamper-mask-zero",
+        "tamper-mask-null",
         "spoof-a-and-forged-sender",
         "adversary-transfer-unknown-mode",
         "spoof-body-unknown-field",

@@ -265,14 +265,13 @@ def test_did_rederivation_matches(rng):
     a = derive_did(keys.public_key)
     b = derive_did(keys.public_key)
     assert a == b
-    assert a.uri.startswith("did:handover:")
-    assert a.verification_key == keys.public_key
+    assert a.startswith("did:handover:")
 
 
 def test_did_distinct_keys_distinct_ids(rng):
     a = derive_did(generate_signing_key(rng).public_key)
     b = derive_did(generate_signing_key(rng).public_key)
-    assert a.identifier != b.identifier
+    assert a != b
 
 
 @given(message=st.binary(min_size=1, max_size=600), seed=st.integers(0, 2**32))
@@ -373,7 +372,7 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
     for extra in (0, 5):
         for _ in range(extra):
             request = messages.payload("PINReq", tid=messages.mint_tid(world.rng))
-            b2.send(b2.connections[mf.did.uri], crypto.fresh_nonce(world.rng), request)
+            b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
         world.run_until_quiescent()
         assert sum(r["channel"] == "ssi" and r["to"] == "MD" for r in world.trace) == 16 + extra
         assert callers == expected

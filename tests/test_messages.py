@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover import crypto, messages
-from handover.credential import ProofPresentation, VerifiableCredential, present_proof
+from handover.credential import ProofPresentation, present_proof, vc_from_wire
 from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair, generate_signing_key
 from handover.encoding import EncodingError, encode, plain
 from handover.messages import (
@@ -31,20 +31,18 @@ from handover.messages import (
 from handover.scenarios import builtin_scenario, run_scenario
 from handover.simnet import World
 
-from conftest import send_as
+from conftest import inner_plain, outer_plain, send_as, vc_signed
 
 TID = "00112233445566778899aabbccddeeff"
 
 
+def credential(credential_id, cred_def_id, attributes, signature):
+    """A credential as it arrives: signed bytes over the content, and a signature that need not verify."""
+    return vc_from_wire([vc_signed(credential_id, cred_def_id, attributes), signature])
+
+
 def sample_vc():
-    return VerifiableCredential(
-        credential_id="vc-" + "a" * 24,
-        cred_def_id="creddef-1",
-        attributes=(("productCode", "PC-100"), ("status", "sold")),
-        issuer_signature=b"\x01" * 64,
-        revocation_registry_id="revreg-1",
-        issued_at=5,
-    )
+    return credential("vc-" + "a" * 24, "creddef-1", (("productCode", "PC-100"), ("status", "sold")), b"\x01" * 64)
 
 
 def sample_payload(kind):
@@ -159,6 +157,10 @@ def test_mint_tid_shape(rng):
 
 @pytest.fixture
 def parties(rng):
+    return make_parties(rng)
+
+
+def make_parties(rng):
     world = World(3)
     return {
         "rng": rng,
@@ -197,7 +199,7 @@ def test_seal_unseal_full_chain(parties):
     env, nonce, p = sealed(parties)
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     assert recipient_did == "did:handover:endpoint"
-    got_nonce, got_payload = verify_inner(open_inner(receive_key(parties), inner))
+    got_nonce, got_payload = verify_inner(*open_inner(receive_key(parties), inner))
     assert got_nonce == nonce
     assert got_payload == p
 
@@ -251,11 +253,11 @@ def test_seal_layout_draw_order_and_each_layer_opens_only_under_its_own_key(part
     assert parties["rng"].token(4) == replica.token(4)
     # the inner layer: endpoint key id || IV || AES-GCM under the send key, the key id as associated data
     key_id = parties["endpoint"].kid
-    plain = encode(["inner", nonce, canonical_encode_payload(p)])
+    plain = inner_plain(nonce, canonical_encode_payload(p))
     assert inner == key_id + inner_iv + crypto.AESGCM(send_key(parties).key_bytes).encrypt(inner_iv, plain, key_id)
     # the outer layer: route id || IV || AES-GCM under the route key, the route id as associated data
     route_id, route_key = parties["route"]
-    route_plain = encode(["route", recipient_did, inner])
+    route_plain = outer_plain(recipient_did, inner)
     assert outer == route_id + outer_iv + crypto.AESGCM(route_key.key_bytes).encrypt(outer_iv, route_plain, route_id)
     # the outer layer opens only under the route key its id names, not under another sender's
     other_id, other_key = parties["world"].route("other sender")
@@ -312,12 +314,12 @@ def test_signature_binds_nonce_kind_and_body(parties):
     # status into another valid value of the same length leaves bytes that fail to authenticate
     env, nonce, p = sealed(parties, p=payload("ownershipClaimAck", status="accepted"))
     _, inner = unseal_at_mediator(parties["routes"], env)
-    plain = encode(["inner", nonce, canonical_encode_payload(p)])
+    plain = inner_plain(nonce, canonical_encode_payload(p))
     other_nonce = fresh_nonce(parties["rng"])
     others = [
-        encode(["inner", other_nonce, canonical_encode_payload(p)]),
-        encode(["inner", nonce, canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))]),
-        encode(["inner", nonce, encode(["ownershipClaimReq", "accepted"])]),
+        inner_plain(other_nonce, canonical_encode_payload(p)),
+        inner_plain(nonce, canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))),
+        inner_plain(nonce, encode(["ownershipClaimReq", "accepted"])),
     ]
     body = slice(crypto.KEY_ID_LEN + 12, len(inner) - 16)
     for other in others:
@@ -379,15 +381,7 @@ def test_challenge_codec_property(tid, by, op):
 
 TEXT = st.text(max_size=12)
 PINS = st.text(PIN_ALPHABET, min_size=6, max_size=8)
-CREDENTIALS = st.builds(
-    VerifiableCredential,
-    TEXT,
-    TEXT,
-    st.lists(st.tuples(TEXT, TEXT), max_size=3).map(tuple),
-    st.binary(max_size=64),
-    TEXT,
-    st.integers(),
-)
+CREDENTIALS = st.builds(credential, TEXT, TEXT, st.lists(st.tuples(TEXT, TEXT), max_size=3), st.binary(max_size=64))
 # the values each field type admits
 ADMITTED = {
     messages.STR: TEXT,
@@ -454,3 +448,22 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
     result = run_scenario(builtin_scenario("new-purchase"))
     send_as(result.world, result.cast["B1"], result.cast["MF"], payload_bytes, kind)
     assert (result.world.trace[-1]["to"], result.world.trace[-1]["verdict"]) == ("MF", "rejected:malformed-payload")
+
+
+@given(nonce=st.binary(min_size=16, max_size=16), p=admitted_payloads(), did=st.text(max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_any_nonce_and_payload_survive_the_envelope_property(nonce, p, did):
+    parties = make_parties(Rng(5))
+    env = seal(parties["rng"], send_key(parties), parties["endpoint"].public_key, parties["route"], did, nonce, p)
+    recipient_did, inner = unseal_at_mediator(parties["routes"], env)
+    assert recipient_did == did
+    opened = open_inner(receive_key(parties), inner)
+    assert opened == (nonce, canonical_encode_payload(p))
+    assert verify_inner(*opened) == (nonce, p)
+
+
+def test_seal_refuses_a_nonce_of_another_length(parties):
+    # the inner layer's framing takes the nonce's length as fixed
+    for nonce in (b"\x00" * 15, b"\x00" * 17):
+        with pytest.raises(ValueError):
+            sealed(parties, nonce=nonce)

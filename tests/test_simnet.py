@@ -1,13 +1,17 @@
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handover import crypto
 from handover.agents import WalletAgent, establish_connection
 from handover.encoding import encode
 from handover.messages import Envelope, mint_tid, payload, seal, unseal_at_mediator
-from handover.scenarios import build_world, builtin_scenario, execute_step, run_scenario
+from handover.scenarios import BUILTIN_SCENARIOS, build_world, builtin_scenario, execute_step, parse_scenario, run_scenario
 from handover.simnet import MAX_QUEUED, SimError, World
 
-from conftest import fresh_lifecycle, outer_layer
+from conftest import fresh_lifecycle, outer_layer, outer_plain
 
 
 def two_wallets(seed=7):
@@ -19,7 +23,7 @@ def two_wallets(seed=7):
 
 
 def ping(world, a, b, tid=None):
-    conn = a.connections[b.did.uri]
+    conn = a.connections[b.did]
     a.send(conn, crypto.fresh_nonce(world.rng), payload("PINReq", tid=tid or mint_tid(world.rng)))
 
 
@@ -52,7 +56,7 @@ def test_offline_queue_drains_fifo():
 def test_unknown_recipient_dead_letter():
     world, a, b = two_wallets()
     stranger = crypto.generate_keypair(world.rng)
-    conn = a.connections[b.did.uri]
+    conn = a.connections[b.did]
     env = seal(
         world.rng,
         conn.send_key,
@@ -149,7 +153,7 @@ def test_drop_or_tamper_of_used_unqueued_seq_raises(attack):
     execute_step(world, cast, spec, spec.script[0])
     assert world.trace[0]["seq"] == 1 and world.trace[0]["channel"] == "https"
     with pytest.raises(SimError):
-        world.drop(1) if attack == "drop" else world.tamper(1, 3, 0)
+        world.drop(1) if attack == "drop" else world.tamper(1, 3, 0xFF)
 
 
 @pytest.mark.parametrize("attack", ["drop", "tamper"])
@@ -157,7 +161,7 @@ def test_drop_or_tamper_of_seq_taken_by_trace_record_raises_and_is_cleared(attac
     # seq 1 becomes the connection-established record of the connect step, not an event
     spec = builtin_scenario("full-lifecycle")
     world, cast = build_world(spec)
-    world.drop(1) if attack == "drop" else world.tamper(1, 3, 0)
+    world.drop(1) if attack == "drop" else world.tamper(1, 3, 0xFF)
     connect = next(step for step in spec.script if step.op == "connect")
     with pytest.raises(SimError, match=r"seq \[1\]"):
         execute_step(world, cast, spec, connect)
@@ -168,7 +172,7 @@ def test_drop_or_tamper_of_seq_taken_by_trace_record_raises_and_is_cleared(attac
 def test_tamper_of_unsealed_event_raises_and_keeps_it_queued():
     spec = builtin_scenario("full-lifecycle")
     world, cast = build_world(spec)
-    world.tamper(1, 3, 0)  # pre-registered against the productSellingReq the sale will send over https
+    world.tamper(1, 3, 0xFF)  # pre-registered against the productSellingReq the sale will send over https
     cast["DS"].record_sale("MF", "PC-100", cast["B1"].email)
     with pytest.raises(SimError):
         world.run_until_quiescent()
@@ -184,7 +188,7 @@ def test_tamper_in_flight_outer_layer():
     world, a, b = two_wallets()
     ping(world, a, b)
     seq = world._seq
-    world.tamper(seq, 11, 0x00)
+    world.tamper(seq, 11, 0xFF)
     world.run_until_quiescent()
     record = next(r for r in world.trace if r["seq"] == seq)
     assert record["verdict"] == "dead-letter:unreadable"
@@ -204,6 +208,32 @@ def test_tamper_recorded_event_reinjects_rejected_copy():
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "tamper"]
     assert injected and injected[-1]["verdict"] == "rejected:decrypt-error"
     assert len(b.claiming) == 1  # no state change
+
+
+def test_tamper_refuses_a_mask_that_changes_nothing():
+    world, a, b = two_wallets()
+    ping(world, a, b)
+    for mask in (0, 256, -1):
+        with pytest.raises(SimError, match="mask"):
+            world.tamper(world._seq, 7, mask)
+    assert not world._tampers
+
+
+@pytest.mark.parametrize("seed", [21, 26])
+def test_default_tamper_copy_is_never_a_replay(seed):
+    # the default tamper XORs 0xA5 into byte 7, so a copy always differs from what was delivered, even where
+    # that byte already holds 0xA5: at these seeds, setting the byte instead made some copies exact replays
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["script"].append({"op": "tamper", "seq": "all-ssi", "expect": "all-rejected"})
+    result = run_scenario(parse_scenario(data), seed=seed)
+    assert result.ok
+    copies = [r for r in result.world.trace if r["meta"].get("injected") == "tamper"]
+    assert len(copies) == 32
+    originals = {seq: event.body for seq, event in result.world.wire_log.items()}
+    for record in copies:
+        tampered = result.world.wire_log[record["seq"]].body
+        assert tampered != originals[record["meta"]["of"]]
+        assert record["verdict"] != "rejected:replay"
 
 
 def test_replay_rejected_at_endpoint():
@@ -245,7 +275,7 @@ def test_offline_queue_holds_at_most_max_queued_messages():
     world.set_online("MF", False)
     mark = len(world.trace)
     for _ in range(MAX_QUEUED + 6):
-        world.spoof("MF", cast["B1"].did.uri, payload("revokeVCResp", status="accepted"), None)
+        world.spoof("MF", cast["B1"].did, payload("revokeVCResp", status="accepted"), None)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace[mark:] if r["to"] == "MD"]
     assert MAX_QUEUED == 64
@@ -258,15 +288,40 @@ def test_offline_queue_holds_at_most_max_queued_messages():
     assert "MF" not in world.mediator.queues  # a drained queue is gone
 
 
-@pytest.mark.parametrize(
-    "outer_plain", [b"N", encode(["route", "did:handover:nobody", None])], ids=["not-a-list", "none-inner"]
-)
-def test_malformed_outer_layer_dead_lettered(outer_plain):
+MALFORMED_OUTER = {
+    "not-a-list": b"N",  # one byte: shorter than the length prefix
+    "none-inner": encode(["route", "did:handover:nobody", None]),  # the labelled layout: its first bytes overrun it
+    "empty": b"",
+    "length-overruns": outer_plain(b"did:handover:nobody", b"")[:-1],
+    "did-not-utf8": outer_plain(b"did:handover:\xff", b"inner"),
+}
+
+
+@pytest.mark.parametrize("plain", MALFORMED_OUTER.values(), ids=MALFORMED_OUTER.keys())
+def test_malformed_outer_layer_dead_lettered(plain):
     # anyone can enroll with the mediator, so anyone can make the mediator open this
     world, a, b = two_wallets()
-    world.send_envelope("adversary", outer_layer(world, outer_plain), "PINReq")
+    world.send_envelope("adversary", outer_layer(world, plain), "PINReq")
     world.run_until_quiescent()
     assert world.trace[-1]["verdict"] == "dead-letter:unreadable"
+
+
+@given(
+    did=st.binary(max_size=40),
+    overrun=st.integers(1, 300),
+    invalid=st.sampled_from([b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80"]),  # invalid wherever they start
+    tail=st.binary(max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_outer_plaintext_with_an_overrunning_length_or_a_non_utf8_did_is_unreadable_property(did, overrun, invalid, tail):
+    world, a, b = two_wallets()
+    plain = outer_plain(did, tail)
+    too_long = (len(did) + len(tail) + overrun).to_bytes(2, "big") + plain[2:]
+    not_utf8 = outer_plain(invalid + did, tail)
+    for forged in (too_long, not_utf8):
+        world.send_envelope("adversary", outer_layer(world, forged), "PINReq")
+        world.run_until_quiescent()
+        assert world.trace[-1]["verdict"] == "dead-letter:unreadable"
 
 
 def test_each_sender_enrolls_once_on_its_first_send_and_no_record_says_so():
@@ -295,7 +350,7 @@ def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
     (a_id, a_key), (b_id, b_key) = world.route("A"), world.route("B")
     assert original[: crypto.KEY_ID_LEN] == a_id != b_id
     recipient_did, inner = unseal_at_mediator(world.mediator.route_keys, Envelope(original))
-    route_plain = encode(["route", recipient_did, inner])
+    route_plain = outer_plain(recipient_did, inner)
     unenrolled = bytes(crypto.KEY_ID_LEN - 1) + b"\x09"
     forged = [
         unenrolled + original[crypto.KEY_ID_LEN :],  # an id no sender holds
@@ -316,12 +371,12 @@ def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
 
 
 @pytest.mark.parametrize(
-    "forged_sender", [lambda a: a.did.uri, lambda a: "did:handover:ghost"], ids=["connected-did", "ghost-did"]
+    "forged_sender", [lambda a: a.did, lambda a: "did:handover:ghost"], ids=["connected-did", "ghost-did"]
 )
 def test_spoof_with_leaked_endpoint_key_fails_signature(forged_sender):
     # leaked key of the A<->B connection: B opens it under its receive key from A whatever DID is forged
     world, a, b = two_wallets()
-    world.spoof("B", forged_sender(a), payload("PINReq", tid=mint_tid(world.rng)), a.did.uri)
+    world.spoof("B", forged_sender(a), payload("PINReq", tid=mint_tid(world.rng)), a.did)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "spoof" and r["to"] == "B"]
     assert injected[-1]["verdict"] == "rejected:bad-signature"
@@ -329,7 +384,7 @@ def test_spoof_with_leaked_endpoint_key_fails_signature(forged_sender):
 
 def test_spoof_without_endpoint_key_cannot_decrypt():
     world, a, b = two_wallets()
-    world.spoof("B", a.did.uri, payload("PINReq", tid=mint_tid(world.rng)), None)
+    world.spoof("B", a.did, payload("PINReq", tid=mint_tid(world.rng)), None)
     world.run_until_quiescent()
     injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "spoof" and r["to"] == "B"]
     assert injected[-1]["verdict"] == "rejected:decrypt-error"
