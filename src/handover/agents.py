@@ -121,6 +121,7 @@ class ProductRecord:
     last_purchase_date: int = 0
     email: str = ""
     current_credential_id: Optional[str] = None
+    current_credential: Optional[VerifiableCredential] = field(default=None, repr=False)  # that id's, not dumped
 
     def to_attributes(self) -> dict:
         return {
@@ -345,7 +346,7 @@ class ManufacturerAgent(Agent):
             issued_at=self.world.tick(),
             vdr=self.world.registry,
         )
-        product.current_credential_id = vc.credential_id
+        product.current_credential_id, product.current_credential = vc.credential_id, vc
         self.world.emit(
             channel=simnet.CHANNEL_REGISTRY,
             kind="vc-issued",
@@ -447,16 +448,19 @@ class ManufacturerAgent(Agent):
         code = context["productCode"]
         product = self.products[code]
         presentation = p.body["presentation"]
-        report = verify_presentation(presentation, context["challenge"], self.world.registry, conn.remote_did)
-        reasons = list(report.reasons)
-        if not reasons and presentation.credential.cred_def_id != self.cred_def_id:
-            reasons.append("wrong-issuer")
-        if not reasons and dict(presentation.credential.attributes).get("productCode") != code:
-            reasons.append("wrong-product")
-        if not reasons and presentation.credential.credential_id != product.current_credential_id:
-            reasons.append("stale-credential")
-        # checked again: another proof for the product may have verified since the request
-        reason = reasons[0] if reasons else self._transfer_refusal(code)
+        credential, issued = presentation.credential, product.current_credential
+        report = verify_presentation(
+            presentation, context["challenge"], self.world.registry, conn.remote_did, self.cred_def_id, issued
+        )
+        if not report.valid:
+            reason = report.reason
+        elif dict(credential.attributes).get("productCode") != code:
+            reason = "wrong-product"
+        elif credential != issued:
+            reason = "stale-credential"
+        else:
+            # checked again: another proof for the product may have verified since the request
+            reason = self._transfer_refusal(code)
         if reason is not None:
             self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
             return f"rejected:{reason}"

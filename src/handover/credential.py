@@ -75,8 +75,11 @@ class ProofPresentation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    valid: bool
-    reasons: tuple[str, ...]
+    reason: str  # the first check that failed, or "" if every check passed
+
+    @property
+    def valid(self) -> bool:
+        return not self.reason
 
 
 def cred_def_id_of(issuer_did: str) -> str:
@@ -163,25 +166,30 @@ def verify_presentation(
     expected_nonce: bytes,
     vdr: VerifiableDataRegistry,
     holder_did: str,
+    cred_def_id: str,
+    issued: VerifiableCredential | None,
 ) -> VerificationReport:
-    """Full verification: issuer signature, holder binding to ``holder_did``, nonce echo, revocation.
+    """Report the first check ``presentation`` fails, for a verifier that accepts only ``cred_def_id``; never raises.
 
-    Never raises; failures accumulate in ``reasons``.  A holder DID that does not resolve is ``bad-holder-sig``.
+    Free checks first: the definition is on the registry (``unknown-issuer``) and is ``cred_def_id`` (``wrong-issuer``).
+    Then the issuer signature (``bad-issuer-sig``), unless the credential equals ``issued``, the one the verifier
+    issued; the holder's under the key ``holder_did`` resolves to (``bad-holder-sig``); ``nonce-mismatch``; ``revoked``.
     """
-    reasons: list[str] = []
-    ok, reason = verify_credential_signature(presentation.credential, vdr)
-    if not ok:
-        reasons.append(reason)
+    vc = presentation.credential
+    if vdr.find_cred_def(vc.cred_def_id) is None:
+        return VerificationReport("unknown-issuer")
+    if vc.cred_def_id != cred_def_id:
+        return VerificationReport("wrong-issuer")
+    if vc != issued:
+        ok, reason = verify_credential_signature(vc, vdr)
+        if not ok:
+            return VerificationReport(reason)
     holder_key = vdr.resolve_did(holder_did)
-    holder_ok = holder_key is not None and crypto.verify(
-        holder_key,
-        presentation_signing_bytes(presentation.credential, presentation.challenge_nonce),
-        presentation.presentation_signature,
-    )
-    if not holder_ok:
-        reasons.append("bad-holder-sig")
+    signed = presentation_signing_bytes(vc, presentation.challenge_nonce)
+    if holder_key is None or not crypto.verify(holder_key, signed, presentation.presentation_signature):
+        return VerificationReport("bad-holder-sig")
     if presentation.challenge_nonce != expected_nonce:
-        reasons.append("nonce-mismatch")
-    if vdr.is_revoked(presentation.credential.credential_id):
-        reasons.append("revoked")
-    return VerificationReport(valid=not reasons, reasons=tuple(reasons))
+        return VerificationReport("nonce-mismatch")
+    if vdr.is_revoked(vc.credential_id):
+        return VerificationReport("revoked")
+    return VerificationReport("")

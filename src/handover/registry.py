@@ -89,6 +89,9 @@ class VerifiableDataRegistry:
         return self.publish("schema", doc, author_did)
 
     def publish_cred_def(self, cred_def_id: str, schema_id: str, issuer_did: str, issuer_public_key: bytes) -> int:
+        """Publish a credential definition; the first write of an id wins, so no one can rebind a published one."""
+        if cred_def_id in self._cred_defs:
+            raise AuthorizationError(f"credential definition {cred_def_id} is already published")
         doc = {
             "cred_def_id": cred_def_id,
             "schema_id": schema_id,

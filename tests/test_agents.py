@@ -1,6 +1,7 @@
 import collections
 import copy
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 from functools import reduce
@@ -24,7 +25,15 @@ from handover.agents import (
 from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.invariants import scan_trace
-from handover.credential import present_proof, sign_vc, vc_to_wire, verify_credential_signature
+from handover.credential import (
+    PRODUCT_SCHEMA_ID,
+    cred_def_id_of,
+    present_proof,
+    sign_vc,
+    vc_from_wire,
+    vc_to_wire,
+    verify_credential_signature,
+)
 from handover.messages import KIND_FIELDS, EnvelopeReject, mint_tid, payload
 from handover.registry import AuthorizationError
 from handover.scenarios import (
@@ -614,6 +623,115 @@ def test_transfer_wrong_product_credential_rejected():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert verdicts[-1] == "rejected:wrong-product"
     assert cast["MF"].products["PC-100"].status == "sold"  # rolled back
+
+
+# -- the order of MF's proof checks --------------------------------------------------------
+
+# MF's checks of a seller's proof, in the order they run: the two free checks that decide whether any signature is
+# worth checking, the two signatures, then the rest; the first check that fails is the verdict
+PROOF_CHECKS = (
+    "unknown-issuer",
+    "wrong-issuer",
+    "bad-issuer-sig",
+    "bad-holder-sig",
+    "nonce-mismatch",
+    "revoked",
+    "wrong-product",
+    "stale-credential",
+)
+
+
+def flipped(raw, index):
+    return raw[:index] + bytes([raw[index] ^ 0x01]) + raw[index + 1 :]
+
+
+def world_at_transfer():
+    """B1 holds PC-100 and has sold it to B2; EVE has published a product credential definition of its own."""
+    world, cast = make_world(wallets=("B1", "B2", "EVE"))
+    sell_to(world, cast)
+    claim_new(world, cast)
+    start_resale(world, cast)
+    eve = cast["EVE"]
+    world.registry.publish_cred_def(cred_def_id_of(eve.did), PRODUCT_SCHEMA_ID, eve.did, eve.did_key.public_key)
+    return world, cast
+
+
+def transfer_proved_by(world, cast, present):
+    """MF's verdict on B1's proof for a transfer of PC-100, where B1 answers the proof request's challenge with
+    ``present(challenge)``.  A refused transfer leaves every party able to try again."""
+    b1 = cast["B1"]
+
+    def answer(conn, nonce, p, context):
+        b1.send(conn, nonce, payload("ownershipProofResp", presentation=present(bytes(p.body["challenge"]))))
+        return "accepted"
+
+    b1._on_ownership_proof_req = answer
+    run_transfer(world, cast)
+    del b1._on_ownership_proof_req
+    return [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"][-1]
+
+
+def faulted_proof(world, cast, faults):
+    """``present(challenge)`` for B1's proof of the current PC-100 credential, changed to fail each check in
+    ``faults`` and no check before the first of them."""
+    mf, b1, eve = cast["MF"], cast["B1"], cast["EVE"]
+    vc = mf.products["PC-100"].current_credential
+    attributes = dict(vc.attributes)
+    cred_def_id, issuer_key = vc.cred_def_id, mf.did_key
+    if "wrong-issuer" in faults:  # validly signed under a definition the registry resolves, but not MF's
+        cred_def_id, issuer_key = cred_def_id_of(eve.did), eve.did_key
+    if "unknown-issuer" in faults:
+        cred_def_id = "creddef:did:handover:nobody:ghost"
+    if "wrong-product" in faults:
+        attributes["productCode"] = "PC-999"
+    if cred_def_id != vc.cred_def_id or {"wrong-product", "stale-credential"} & set(faults):
+        # signed now, so under a fresh id: never the current credential
+        vc = sign_vc(tuple(attributes.items()), cred_def_id, issuer_key, world.tick())
+    if "bad-issuer-sig" in faults:
+        vc = dataclasses.replace(vc, issuer_signature=flipped(vc.issuer_signature, 0))
+    if "revoked" in faults:
+        world.registry.revoke_credential(mf.did, mf.revocation_registry_id, vc.credential_id)
+    holder_key = eve.did_key if "bad-holder-sig" in faults else b1.did_key
+    if "nonce-mismatch" in faults:
+        return lambda challenge: present_proof(vc, crypto.fresh_nonce(world.rng), holder_key)
+    return lambda challenge: present_proof(vc, challenge, holder_key)
+
+
+def test_a_proof_gets_the_verdict_of_its_first_failing_check():
+    # each check fails alone, then with each later one; no fault at all is the accepted baseline
+    cases = [()] + [(check,) for check in PROOF_CHECKS] + list(itertools.combinations(PROOF_CHECKS, 2))
+    verdicts, expected = {}, {}
+    for faults in cases:
+        world, cast = world_at_transfer()
+        verdicts[faults] = transfer_proved_by(world, cast, faulted_proof(world, cast, faults))
+        expected[faults] = f"rejected:{faults[0]}" if faults else "accepted"
+    assert verdicts == expected
+
+
+def test_every_byte_flip_of_the_current_credential_is_checked_and_refused():
+    # MF recognizes the credential it issued by equality alone; a copy that differs in one byte of its signed bytes
+    # or its signature is no longer that credential, so its issuer signature is checked and fails
+    world, cast = world_at_transfer()
+    mf, b1 = cast["MF"], cast["B1"]
+    vc = mf.products["PC-100"].current_credential
+    for name in ("signed", "issuer_signature"):
+        raw = getattr(vc, name)
+        for index in range(len(raw)):
+            changed = dataclasses.replace(vc, **{name: flipped(raw, index)})
+            expect = "rejected:bad-issuer-sig"
+            if name == "signed":
+                # the bytes MF decodes: a flip that breaks the encoding or the definition id is refused earlier
+                try:
+                    arrived = vc_from_wire(vc_to_wire(changed))
+                except ValueError:
+                    expect = "rejected:malformed-payload"
+                else:
+                    if arrived.cred_def_id != mf.cred_def_id:
+                        expect = "rejected:unknown-issuer"
+            verdict = transfer_proved_by(world, cast, lambda challenge: present_proof(changed, challenge, b1.did_key))
+            assert verdict == expect, (name, index)
+    assert mf.products["PC-100"].status == "sold" and "PC-100" not in mf.claimants
+    assert transfer_proved_by(world, cast, lambda challenge: present_proof(vc, challenge, b1.did_key)) == "accepted"
 
 
 # -- used-product claim flow -------------------------------------------------------------

@@ -74,7 +74,7 @@ def present(env, vc, nonce):
 
 
 def verify(env, presentation, nonce):
-    return verify_presentation(presentation, nonce, env["vdr"], env["holder_did"])
+    return verify_presentation(presentation, nonce, env["vdr"], env["holder_did"], "creddef-1", None)
 
 
 def test_issuance_roundtrip_attributes_exact(issuer_env):
@@ -83,7 +83,7 @@ def test_issuance_roundtrip_attributes_exact(issuer_env):
     assert vc_from_wire(vc_to_wire(vc)) == vc
     nonce = fresh_nonce(issuer_env["rng"])
     report = verify(issuer_env, present(issuer_env, vc, nonce), nonce)
-    assert report.valid and report.reasons == ()
+    assert report.valid and report.reason == ""
 
 
 def test_presentation_roundtrip_law(issuer_env):
@@ -105,7 +105,7 @@ def test_tampered_attribute_value_fails(issuer_env):
         mutated = edited(vc, attributes=mutated_attrs)
         report = verify(issuer_env, present(issuer_env, mutated, nonce), nonce)
         assert not report.valid
-        assert "bad-issuer-sig" in report.reasons
+        assert report.reason == "bad-issuer-sig"
 
 
 def test_any_single_byte_mutation_invalidates(issuer_env):
@@ -150,7 +150,7 @@ def test_revoked_credential_rejected(issuer_env):
     issuer_env["vdr"].revoke_credential(issuer_env["issuer_did"], "revreg-1", vc.credential_id)
     report = verify(issuer_env, present(issuer_env, vc, nonce), nonce)
     assert not report.valid
-    assert report.reasons == ("revoked",)
+    assert report.reason == "revoked"
 
 
 def test_stale_nonce_rejected(issuer_env):
@@ -160,7 +160,7 @@ def test_stale_nonce_rejected(issuer_env):
     presentation = present(issuer_env, vc, old_nonce)
     report = verify(issuer_env, presentation, new_nonce)
     assert not report.valid
-    assert "nonce-mismatch" in report.reasons
+    assert report.reason == "nonce-mismatch"
 
 
 def test_wrong_holder_key_rejected(issuer_env):
@@ -179,8 +179,8 @@ def test_wrong_holder_key_rejected(issuer_env):
         (presentation, unpublished),
         (presentation, "did:handover:ghost"),
     ):
-        report = verify_presentation(forged, nonce, issuer_env["vdr"], holder_did)
-        assert report.reasons == ("bad-holder-sig",)
+        report = verify_presentation(forged, nonce, issuer_env["vdr"], holder_did, "creddef-1", None)
+        assert report.reason == "bad-holder-sig"
 
 
 def test_unknown_issuer_rejected(issuer_env):
@@ -189,7 +189,7 @@ def test_unknown_issuer_rejected(issuer_env):
     ghost = edited(vc, cred_def_id="creddef-nobody")
     report = verify(issuer_env, present(issuer_env, ghost, nonce), nonce)
     assert not report.valid
-    assert "unknown-issuer" in report.reasons
+    assert report.reason == "unknown-issuer"
 
 
 ATTRIBUTE_VALUES = st.fixed_dictionaries({name: st.text(max_size=12) for name in PRODUCT_ATTRIBUTE_NAMES})

@@ -1,4 +1,5 @@
 import collections
+import copy
 import sys
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover import agents, crypto, messages, simnet
-from handover.scenarios import builtin_scenario, run_scenario
+from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenario, run_scenario
 from handover.crypto import (
     DecryptError,
     KeyFormatError,
@@ -137,16 +138,46 @@ def test_channel_keys_agree_pairwise_and_differ_by_direction(rng):
         crypto.channel_keys(a, b"\x00" * 3)
 
 
-def test_full_lifecycle_signs_only_credentials_and_presentations(monkeypatch):
-    # messages inside a connection are encrypted under channel keys: only the 2 issued credentials and
-    # the 1 presentation are signed, and each credential is verified on receipt,
-    # the presentation under its holder's key and its credential's issuer key
+def signs_and_verifies(monkeypatch, spec):
+    """(signs, verifies) one run of ``spec`` makes; the run must give every verdict its script expects."""
     calls = collections.Counter()
     for name in ("sign", "verify"):
         original = getattr(crypto, name)
         monkeypatch.setattr(crypto, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
-    assert run_scenario(builtin_scenario("full-lifecycle")).ok
-    assert (calls["sign"], calls["verify"]) == (3, 4)
+    assert run_scenario(spec).ok
+    return calls["sign"], calls["verify"]
+
+
+def test_full_lifecycle_signs_only_credentials_and_presentations(monkeypatch):
+    # messages inside a connection are encrypted under channel keys: only the 2 issued credentials and
+    # the 1 presentation are signed, and each credential is verified on receipt; MF checks the presentation
+    # under its holder's key only, since it holds the exact credential it issued
+    assert signs_and_verifies(monkeypatch, builtin_scenario("full-lifecycle")) == (3, 3)
+
+
+def test_forged_transfers_are_refused_with_one_signature_check_in_three(monkeypatch):
+    # the full lifecycle, then every stock attack, as the attack benchmark runs it: EVE signs a credential
+    # and a presentation for each of 3 forged transfers, but only the one under MF's own definition gets a
+    # signature check; a foreign or unknown definition is refused before any
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["cast"]["adversaries"] = ["EVE"]
+    forged = (
+        ("self-issued", "rejected:wrong-issuer"),
+        ("unknown-creddef", "rejected:unknown-issuer"),
+        ("garbage", "rejected:bad-issuer-sig"),
+    )
+    data["script"] += [
+        {"op": "replay", "seq": "all-ssi", "expect": "all-rejected"},
+        {"op": "tamper", "seq": "all-ssi", "expect": "all-rejected"},
+        {"op": "connect", "a": "EVE", "b": "MF", "expect": "ok"},
+        *(
+            {"op": "adversary_transfer", "adversary": "EVE", "product": "PC-100", "mode": mode, "expect": expect}
+            for mode, expect in forged
+        ),
+        {"op": "spoof", "a": "B2", "recipient": "MF", "knows_endpoint_key": True, "expect": "rejected:bad-signature"},
+        {"op": "spoof", "a": "B2", "recipient": "MF", "knows_endpoint_key": False, "expect": "rejected:decrypt-error"},
+    ]
+    assert signs_and_verifies(monkeypatch, parse_scenario(data)) == (9, 4)
 
 
 def test_asym_roundtrip_empty_payload(rng):

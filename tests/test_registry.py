@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from handover.credential import PRODUCT_SCHEMA_ID, cred_def_id_of, sign_vc, verify_credential_signature
 from handover.crypto import Rng, derive_did, generate_signing_key
 from handover.encoding import canonical_json
 from handover.registry import (
@@ -10,6 +11,8 @@ from handover.registry import (
     UnknownRegistryError,
     VerifiableDataRegistry,
 )
+
+from conftest import fresh_lifecycle
 
 
 @pytest.fixture
@@ -151,3 +154,18 @@ def test_publish_refuses_a_did_doc_that_resolve_would_not_answer(vdr, issuer, rn
             vdr.publish("did-doc", doc, author)
     assert vdr.entries == before
     assert vdr.resolve_did(issuer) != eve_key
+
+
+def test_the_first_write_of_a_credential_definition_id_wins():
+    # after the full lifecycle B2 tries to rebind MF's definition to its own DID and key: the write is refused,
+    # so MF's credential still verifies and one B2 signs under MF's definition id still does not
+    result = fresh_lifecycle()
+    registry, mf, b2 = result.world.registry, result.cast["MF"], result.cast["B2"]
+    before = registry.entries
+    with pytest.raises(AuthorizationError):
+        registry.publish_cred_def(cred_def_id_of(mf.did), PRODUCT_SCHEMA_ID, b2.did, b2.did_key.public_key)
+    assert registry.entries == before
+    held = b2.credentials["PC-100"]
+    assert verify_credential_signature(held, registry) == (True, "")
+    forged = sign_vc(held.attributes, cred_def_id_of(mf.did), b2.did_key, result.world.tick())
+    assert verify_credential_signature(forged, registry) == (False, "bad-issuer-sig")
