@@ -32,7 +32,6 @@ from .messages import (
     EnvelopeReject,
     MessagePayload,
     PayloadError,
-    ReplayGuard,
     is_valid_pin,
     mint_pin,
     mint_tid,
@@ -40,9 +39,9 @@ from .messages import (
     seal,
 )
 
-# Kinds that answer an exchange this agent opened; each must match the open
-# exchange's nonce (see ``Agent.expect``).  Everything else is a fresh request
-# guarded by TID/state.
+# Kinds that answer an exchange this agent opened; each must close an open
+# thread of its connection (see ``Agent.expect``).  Everything else is a fresh
+# request guarded by TID/state.
 RESPONSE_KINDS = frozenset(
     {
         "ownershipClaimResp",
@@ -93,14 +92,17 @@ def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -
 
 @dataclass
 class Connection:
-    """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys derive from them once."""
+    """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys derive from them once.
+    ``threads`` maps a (nonce, kind) pair to the context of the open exchange a reply of that kind closes, or to None
+    once a message consumed it; ``ciphertexts`` are the exact inner layers that consumed a pair, left out of dumps."""
 
     conn_id: str
     local: crypto.KeyPair
     remote_public_key: bytes
     remote_did: str
     remote_agent_id: str
-    replay: ReplayGuard = field(default_factory=ReplayGuard)
+    threads: dict[tuple[bytes, str], Optional[dict]] = field(default_factory=dict)
+    ciphertexts: set[bytes] = field(default_factory=set, repr=False)
     send_key: SymmetricKey = field(init=False, repr=False)
     receive_key: SymmetricKey = field(init=False, repr=False)
 
@@ -184,17 +186,14 @@ class Agent:
         self.connections: dict[str, Connection] = {}
         self._by_key_id: dict[bytes, Connection] = {}  # key id of conn.local -> conn
         self.inbox: list[simnet.OobMessage] = []
-        # (peer, kind) -> (nonce, context): one open exchange per kind, so connections x kinds bound it
-        self._expected: dict[tuple[str, str], tuple[bytes, dict]] = {}
         world.register_agent(self)
 
     # -- wiring ----------------------------------------------------------
 
     def add_connection(self, conn: Connection) -> None:
         old = self.connections.get(conn.remote_did)
-        if old is not None:  # no reply can reach the old connection, so its open exchanges close too
+        if old is not None:  # no reply can reach the old connection: its threads go with it
             del self._by_key_id[old.local.kid]
-            self._expected = {key: value for key, value in self._expected.items() if key[0] != old.conn_id}
         self.connections[conn.remote_did] = conn
         self._by_key_id[conn.local.kid] = conn
 
@@ -208,21 +207,10 @@ class Agent:
         env = seal(self.rng, conn.send_key, conn.remote_public_key, self.world.route(self.agent_id), conn.remote_did, nonce, p)
         self.world.send_envelope(self.agent_id, env, p.kind)
 
-    def expect(self, peer: str, kind: str, nonce: bytes, context: dict | None = None) -> None:
-        """Open the exchange that one ``kind`` reply from ``peer`` under ``nonce`` closes.
-
-        Every leg of an exchange runs under its request's nonce (Aries RFC 0008
-        threading).  A newer exchange of the same (peer, kind) replaces an
-        unanswered one, whose late reply then fails the nonce check.
-        """
-        self._expected[(peer, kind)] = (nonce, dict(context or {}))
-
-    def _take_expectation(self, peer: str, kind: str, nonce: bytes) -> Optional[dict]:
-        """Close the open exchange a reply answers; None if none is open under ``nonce``."""
-        open_exchange = self._expected.get((peer, kind))
-        if open_exchange is None or open_exchange[0] != nonce:
-            return None
-        return self._expected.pop((peer, kind))[1]
+    def expect(self, conn: Connection, kind: str, nonce: bytes, context: dict | None = None) -> None:
+        """Open the thread that one ``kind`` reply on ``conn`` under ``nonce`` closes. Every leg of an exchange runs
+        under its request's nonce (Aries RFC 0008), so two exchanges of one kind on one connection are two threads."""
+        conn.threads[(nonce, kind)] = dict(context or {})
 
     # -- inbound dispatch --------------------------------------------------
 
@@ -241,23 +229,22 @@ class Agent:
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
-        if conn.replay.holds(inner_ciphertext):
+        if inner_ciphertext in conn.ciphertexts:
             return "rejected:replay"
         try:
             nonce, p = messages.verify_inner(*messages.open_inner(conn.receive_key, inner_ciphertext))
-        except crypto.DecryptError:
-            return "rejected:decrypt-error"
         except EnvelopeReject as exc:
             return f"rejected:{exc.reason}"
         except PayloadError:
             return "rejected:malformed-payload"
-        if not conn.replay.register(nonce, p.kind, inner_ciphertext):
+        pair = (nonce, p.kind)
+        if pair in conn.threads and conn.threads[pair] is None:
             return "rejected:replay"
-        context = None
-        if p.kind in RESPONSE_KINDS:
-            context = self._take_expectation(conn.conn_id, p.kind, nonce)
-            if context is None:
-                return "rejected:nonce-mismatch"
+        context = conn.threads.get(pair)  # the open exchange this message closes, if any
+        conn.threads[pair] = None
+        conn.ciphertexts.add(inner_ciphertext)  # the delivered object itself, not a copy
+        if context is None and p.kind in RESPONSE_KINDS:
+            return "rejected:nonce-mismatch"
         return self.handle_payload(conn, nonce, p, context)
 
     def handle_payload(self, conn: Connection, nonce: bytes, p: MessagePayload, context: Optional[dict]) -> str:
@@ -414,7 +401,7 @@ class ManufacturerAgent(Agent):
     def _offer(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
         """Offer the claim's credential; its ack, or the holder's proof with it, settles the claim."""
         self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential))
-        self.expect(conn.conn_id, "ownershipClaimAck", nonce, context={"claim": claim})
+        self.expect(conn, "ownershipClaimAck", nonce, context={"claim": claim})
         return "accepted"
 
     # -- transfer authorisation ----------------------------------------------
@@ -441,7 +428,7 @@ class ManufacturerAgent(Agent):
         proof_req = payload("ownershipProofReq", attributes=list(PRODUCT_ATTRIBUTE_NAMES), challenge=challenge)
         self.send(conn, nonce, proof_req)
         # the request (product, TID, encrypted PIN) is stored nowhere else until the seller's proof verifies
-        self.expect(conn.conn_id, "ownershipProofResp", nonce, context={**p.body, "challenge": challenge})
+        self.expect(conn, "ownershipProofResp", nonce, context={**p.body, "challenge": challenge})
         return "accepted"
 
     def _on_ownership_proof_resp(self, conn, nonce, p, context) -> str:
@@ -487,7 +474,7 @@ class ManufacturerAgent(Agent):
         self.send(conn, nonce, challenge_req)
         # the key and challenge belong to this attempt alone; another claim with the TID cannot overwrite them
         context = {"tid": claim.tid, "key": key, "challenge": challenge}
-        self.expect(conn.conn_id, "pinChallengeResp", nonce, context=context)
+        self.expect(conn, "pinChallengeResp", nonce, context=context)
         return "accepted"
 
     def draw_challenge(self) -> tuple[int, str]:
@@ -540,7 +527,7 @@ class ManufacturerAgent(Agent):
                 revoke_nonce,
                 payload("revokeVC", credentialId=old_credential_id, productCode=product.product_code),
             )
-            self.expect(old_conn.conn_id, "revokeVCResp", revoke_nonce)
+            self.expect(old_conn, "revokeVCResp", revoke_nonce)
         product.conn_id = buyer_conn.conn_id
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
@@ -583,6 +570,10 @@ class DistributorAgent(Agent):
 
     ROLE = "distributor"
 
+    def __init__(self, agent_id: str, world: "simnet.World") -> None:
+        super().__init__(agent_id, world)
+        self.open_sales: dict[bytes, dict] = {}  # request nonce -> product and buyer email, until the answer
+
     def record_sale(self, manufacturer_id: str, product_code: str, buyer_email: str) -> None:
         nonce = crypto.fresh_nonce(self.rng)
         now = self.world.tick()
@@ -598,10 +589,10 @@ class DistributorAgent(Agent):
             email=buyer_email,
         )
         self.world.send_direct(self.agent_id, manufacturer_id, nonce, req)
-        self.expect(manufacturer_id, "productSellingResp", nonce, {"productCode": product_code, "email": buyer_email})
+        self.open_sales[nonce] = {"productCode": product_code, "email": buyer_email}
 
     def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        context = self._take_expectation(frm, "productSellingResp", dm.nonce)
+        context = self.open_sales.pop(dm.nonce, None)  # the https leg has no connection, so no threads
         if context is None:
             return "rejected:nonce-mismatch"
         if dm.error is not None:
@@ -644,7 +635,7 @@ class WalletAgent(Agent):
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin, key=None))
-        self.expect(conn.conn_id, "ownershipClaimResp", nonce)
+        self.expect(conn, "ownershipClaimResp", nonce)
 
     def start_sell(self, buyer_did: str, product_code: str) -> str:
         """Open a sale: mint a TID and ask the buyer for an encrypted PIN."""
@@ -653,7 +644,7 @@ class WalletAgent(Agent):
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("PINReq", tid=tid))
         # the sale is stored only once the buyer's reply completes it
-        self.expect(conn.conn_id, "PINResp", nonce, context={"tid": tid, "productCode": product_code})
+        self.expect(conn, "PINResp", nonce, context={"tid": tid, "productCode": product_code})
         return tid
 
     def start_transfer(self, manufacturer_did: str, product_code: str) -> None:
@@ -671,8 +662,8 @@ class WalletAgent(Agent):
         self.send(
             conn, nonce, payload("ownershipTransferReq", productCode=product_code, encryptedPin=encrypted_pin, tid=tid)
         )
-        self.expect(conn.conn_id, "ownershipProofReq", nonce, context=context)
-        self.expect(conn.conn_id, "ownershipTransferResp", nonce, context=context)
+        self.expect(conn, "ownershipProofReq", nonce, context=context)
+        self.expect(conn, "ownershipTransferResp", nonce, context=context)
 
     def claim_used(self, manufacturer_did: str, tid: str) -> None:
         """Claim a second-hand purchase: reveal the symmetric key to the manufacturer."""
@@ -682,7 +673,7 @@ class WalletAgent(Agent):
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=None, key=entry.key.key_bytes))
-        self.expect(conn.conn_id, "pinChallengeReq", nonce)
+        self.expect(conn, "pinChallengeReq", nonce)
 
     # -- handlers -------------------------------------------------------------
 
@@ -741,7 +732,7 @@ class WalletAgent(Agent):
         result = evaluate_challenge(pin_numeric(entry.pin), p.body["challengeBy"], p.body["challengeType"])
         self.send(conn, nonce, payload("pinChallengeResp", tid=tid, challengeResult=result))
         # the credential offer that follows runs under the claim's nonce too, and spends the purchase
-        self.expect(conn.conn_id, "ownershipClaimResp", nonce, context={"tid": tid})
+        self.expect(conn, "ownershipClaimResp", nonce, context={"tid": tid})
         return "accepted"
 
     def _on_ownership_claim_resp(self, conn, nonce, p, context) -> str:
@@ -761,7 +752,7 @@ class WalletAgent(Agent):
         return "accepted"
 
     def _on_ownership_transfer_resp(self, conn, nonce, p, context) -> str:
-        self._take_expectation(conn.conn_id, "ownershipProofReq", nonce)  # still open if refused outright
+        conn.threads[(nonce, "ownershipProofReq")] = None  # close the sibling; a pop would forget a consumed pair
         return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
 
     def _on_revoke_vc(self, conn, nonce, p, context) -> str:

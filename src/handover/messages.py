@@ -19,14 +19,14 @@ inner IV, then 12 for the outer IV, and makes no X25519 agreement.
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must
 authenticate under that connection's receive key (or the verdict is
-``bad-signature``).  Its :class:`ReplayGuard` holds the consumed (nonce, kind)
-pairs and the ciphertexts that consumed them: an exact copy is a replay before
-any decryption.
+``bad-signature``).  That connection (``agents.Connection``) keeps the
+consumed (nonce, kind) pairs among its threads, and the ciphertexts that
+consumed them: an exact copy is a replay before any decryption.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -249,14 +249,14 @@ def unseal_at_mediator(route_keys: dict[bytes, crypto.SymmetricKey], envelope: E
 
 def open_inner(receive_key: crypto.SymmetricKey, inner_ciphertext: bytes) -> tuple[bytes, bytes]:
     """Decrypt the inner layer under the addressed connection's receive key: (nonce, payload bytes, not decoded yet).
-    A layer that fails to authenticate is ``bad-signature``; one shorter than a nonce, a DecryptError."""
+    A layer that fails to authenticate is ``bad-signature``; an authenticated one shorter than a nonce, a PayloadError."""
     key_id = inner_ciphertext[: crypto.KEY_ID_LEN]
     try:
         plain = crypto.sym_decrypt(receive_key, inner_ciphertext[crypto.KEY_ID_LEN :], key_id)
     except crypto.DecryptError as exc:
         raise EnvelopeReject("bad-signature") from exc
     if len(plain) < crypto.NONCE_LEN:
-        raise crypto.DecryptError("inner layer is shorter than a nonce")
+        raise PayloadError("inner layer is shorter than a nonce")
     return plain[: crypto.NONCE_LEN], plain[crypto.NONCE_LEN :]
 
 
@@ -264,26 +264,3 @@ def verify_inner(nonce: bytes, payload_bytes: bytes) -> tuple[bytes, MessagePayl
     """Decode and check the payload of an authenticated inner layer."""
     return nonce, decode_payload(payload_bytes)
 
-
-# -- replay discipline -------------------------------------------------------
-
-
-@dataclass
-class ReplayGuard:
-    """Consumed (nonce, kind) pairs and the exact ciphertexts that consumed them; a copy is a replay before decryption.
-    A state dump lists the pairs only."""
-
-    consumed: set[tuple[bytes, str]] = field(default_factory=set)
-    ciphertexts: set[bytes] = field(default_factory=set, repr=False)
-
-    def holds(self, inner_ciphertext: bytes) -> bool:
-        return inner_ciphertext in self.ciphertexts
-
-    def register(self, nonce: bytes, kind: str, inner_ciphertext: bytes) -> bool:
-        """Consume the pair and record its ciphertext; False means the pair was already seen (replay)."""
-        item = (bytes(nonce), kind)
-        if item in self.consumed:
-            return False
-        self.consumed.add(item)
-        self.ciphertexts.add(inner_ciphertext)  # the delivered object itself, not a copy
-        return True

@@ -33,10 +33,10 @@ class UnknownRegistryError(RegistryError):
 class VerifiableDataRegistry:
     """Append-only ledger readable by every entity in a simulation.
 
-    Each typed writer appends through :meth:`publish`, which keeps the DID
-    keys; the others then update the one index their readers use.  An entry
-    is kept once, as the canonical JSON line :meth:`write_ledger` writes;
-    those lines are the only full copy.
+    Every write goes through :meth:`publish`, which checks its kind's rule and
+    then updates the one index its readers use; the typed writers only build
+    the document.  An entry is kept once, as the canonical JSON line
+    :meth:`write_ledger` writes; those lines are the only full copy.
     """
 
     def __init__(self, clock: Callable[[], int]) -> None:
@@ -44,7 +44,7 @@ class VerifiableDataRegistry:
         self._entries: list[str] = []
         self._keys: dict[str, bytes] = {}  # DID -> the verification key it derives from
         self._cred_defs: dict[str, dict] = {}
-        self._registry_issuers: dict[str, str] = {}  # revocation registry id -> issuer DID
+        self._revocation_registries: dict[str, dict] = {}
         self._revoked: set[str] = set()
 
     # -- low-level log ---------------------------------------------------
@@ -59,7 +59,10 @@ class VerifiableDataRegistry:
 
         A DID document is its author's and carries the key its DID derives
         from, and no other; :meth:`resolve_did` then answers that key.  Any
-        other entry needs a resolvable author.
+        other entry needs a resolvable author.  A credential definition or a
+        revocation registry names its author as issuer, and the first write of
+        its id wins; a revocation event, a registry of its author's and a
+        credential not yet revoked.
         """
         if kind == "did-doc":
             try:
@@ -71,11 +74,30 @@ class VerifiableDataRegistry:
                 raise AuthorizationError(f"{author_did} does not derive from the key offered")
         elif author_did not in self._keys:
             raise AuthorizationError(f"author {author_did} is not resolvable")
+        elif kind in ("cred-def", "revocation-registry"):
+            index = self._cred_defs if kind == "cred-def" else self._revocation_registries
+            entry_key = doc["cred_def_id" if kind == "cred-def" else "registry_id"]
+            if entry_key in index:
+                raise AuthorizationError(f"{kind} {entry_key} is already published")
+            if doc["issuer_did"] != author_did:
+                raise AuthorizationError(f"{author_did} cannot publish a {kind} for another issuer")
+        elif kind == "revocation-event":
+            registry = self._revocation_registries.get(doc["registry_id"])
+            if registry is None:
+                raise UnknownRegistryError(f"no revocation registry {doc['registry_id']}")
+            if registry["issuer_did"] != author_did:
+                raise AuthorizationError(f"{author_did} is not the issuer of {doc['registry_id']}")
+            if doc["credential_id"] in self._revoked:
+                raise AlreadyRevokedError(doc["credential_id"])
         entry_id = len(self._entries) + 1
         entry = dict(entry_id=entry_id, kind=kind, payload=doc, author_did=author_did, timestamp=self._clock())
         self._entries.append(canonical_json(entry))
         if kind == "did-doc":
             self._keys[author_did] = key
+        elif kind in ("cred-def", "revocation-registry"):
+            index[entry_key] = doc
+        elif kind == "revocation-event":
+            self._revoked.add(doc["credential_id"])
         return entry_id
 
     # -- typed writers ---------------------------------------------------
@@ -89,38 +111,21 @@ class VerifiableDataRegistry:
         return self.publish("schema", doc, author_did)
 
     def publish_cred_def(self, cred_def_id: str, schema_id: str, issuer_did: str, issuer_public_key: bytes) -> int:
-        """Publish a credential definition; the first write of an id wins, so no one can rebind a published one."""
-        if cred_def_id in self._cred_defs:
-            raise AuthorizationError(f"credential definition {cred_def_id} is already published")
         doc = {
             "cred_def_id": cred_def_id,
             "schema_id": schema_id,
             "issuer_did": issuer_did,
             "issuer_public_key": issuer_public_key.hex(),
         }
-        entry_id = self.publish("cred-def", doc, issuer_did)
-        self._cred_defs[cred_def_id] = doc
-        return entry_id
+        return self.publish("cred-def", doc, issuer_did)
 
     def create_revocation_registry(self, registry_id: str, issuer_did: str) -> int:
-        doc = {"registry_id": registry_id, "issuer_did": issuer_did}
-        entry_id = self.publish("revocation-registry", doc, issuer_did)
-        self._registry_issuers[registry_id] = issuer_did
-        return entry_id
+        return self.publish("revocation-registry", {"registry_id": registry_id, "issuer_did": issuer_did}, issuer_did)
 
     def revoke_credential(self, issuer_did: str, registry_id: str, credential_id: str) -> int:
         """Record a revocation event; only the registry's issuer may do this, once per credential id."""
-        owner = self._registry_issuers.get(registry_id)
-        if owner is None:
-            raise UnknownRegistryError(f"no revocation registry {registry_id}")
-        if owner != issuer_did:
-            raise AuthorizationError(f"{issuer_did} is not the issuer of {registry_id}")
-        if credential_id in self._revoked:
-            raise AlreadyRevokedError(credential_id)
         doc = {"registry_id": registry_id, "credential_id": credential_id}
-        entry_id = self.publish("revocation-event", doc, issuer_did)
-        self._revoked.add(credential_id)
-        return entry_id
+        return self.publish("revocation-event", doc, issuer_did)
 
     # -- readers -----------------------------------------------------------
 

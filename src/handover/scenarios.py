@@ -2,16 +2,17 @@
 expected verdicts, and runs the global invariant scan over the trace.
 
 Every step yields exactly one verdict string, so scripts can assert rejects as
-easily as successes.  ``connect``, ``offline`` and ``online`` yield ``ok``.
-Every other step runs to quiescence and is judged on one list: the verdicts
-of the step's ssi/https deliveries to agents (not to the mediator), in trace
-order.  An empty list yields ``no-decision``.  A protocol step yields the
-first entry that is not ``accepted``, or ``accepted`` if there is none.  An
-attack step (``replay``, ``tamper``, ``spoof``) yields ``all-rejected`` when
-every entry is a rejection or dead letter and it injected more than one
-message, the last entry when it injected one, and ``accepted-<op>``
-otherwise.  The built-in scenarios cover the honest lifecycles and the stock
-attacks.
+easily as successes.  ``connect`` and ``offline`` yield ``ok``.  Every other
+step runs to quiescence and is judged on one list: the verdicts of the step's
+ssi/https deliveries to agents (not to the mediator), in trace order.
+``online`` yields the first ``rejected:`` entry, so that a queued message
+refused on delivery shows, or ``ok``.  Any other step yields ``no-decision``
+for an empty list.  A protocol step yields the first entry that is not
+``accepted``, or ``accepted``.  An attack step (``replay``, ``tamper``,
+``spoof``) yields ``all-rejected`` when every entry is a rejection or dead
+letter and it injected more than one message, the last entry when it injected
+one, and ``accepted-<op>`` otherwise.  The built-ins cover the honest
+lifecycles and the stock attacks.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def execute_step(world: World, cast: dict[str, Agent], spec: ScenarioSpec, step:
         if step.op == "online":
             world.set_online(step.args["agent"], True)
             world.run_until_quiescent()
-            return "ok"
+            return next((v for v in _delivery_verdicts(world, mark) if v.startswith("rejected:")), "ok")
 
         if step.op == "record_sale":
             distributor = cast[step.args.get("distributor", spec.distributor)]

@@ -64,10 +64,11 @@ def send_inner(world, recipient, inner, kind):
 
 def send_plain(world, sender, recipient, plain, kind):
     """Encrypt ``plain``, whatever it holds, as the inner layer ``sender`` would send on its connection with
-    ``recipient``, under its send key, and deliver it."""
+    ``recipient``, under its send key, and deliver it; returns that inner layer."""
     conn = sender.connections[recipient.did]
-    key_id = crypto.key_id(conn.remote_public_key)
-    send_inner(world, recipient, inner_layer(world.rng, key_id, conn.send_key, plain), kind)
+    inner = inner_layer(world.rng, crypto.key_id(conn.remote_public_key), conn.send_key, plain)
+    send_inner(world, recipient, inner, kind)
+    return inner
 
 
 def send_as(world, sender, recipient, payload_bytes, kind):

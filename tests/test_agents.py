@@ -101,6 +101,11 @@ def purchase(wallet):
     return tid, entry
 
 
+def open_threads(conn, kind):
+    """{nonce: context} of ``conn``'s open threads that a ``kind`` reply closes."""
+    return {nonce: context for (nonce, k), context in conn.threads.items() if k == kind and context is not None}
+
+
 # -- pin arithmetic -----------------------------------------------------------
 
 
@@ -353,11 +358,14 @@ def test_claim_new_wrong_pin_rejected():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert verdicts == ["rejected:unknown-claim"]
     assert "PC-100" in cast["MF"].claimants  # entry not consumed
-    # the retried claim replaces the unanswered one and closes with its credential
+    # the retried claim opens a thread of its own and closes it with its credential; MF never answers the
+    # refused claim, so its thread stays open
     cast["B1"].claim_new(cast["MF"].did, emailed(cast["B1"], "tid")["tid"], emailed(cast["B1"], "pin")["pin"])
     world.run_until_quiescent()
     assert len(cast["B1"].credentials) == 1
-    assert not any(key.endswith(":ownershipClaimResp") for key in cast["B1"].state_dump()["_expected"])
+    threads = cast["B1"].state_dump()["connections"][cast["MF"].did]["threads"]
+    offers = [context for key, context in threads.items() if key.endswith(":ownershipClaimResp")]
+    assert offers == [{}, None]
 
 
 def test_claim_new_flow_replay_rejected():
@@ -373,7 +381,7 @@ def test_claim_new_flow_replay_rejected():
 
 
 def test_two_claims_on_one_connection_before_the_first_offer_strand_nothing():
-    # B1 is offline, so its second claim replaces the first exchange before the first offer arrives
+    # B1 is offline, so both claims are open on one connection when the first offer arrives: two threads
     data = {
         "name": "two-offline-claims",
         "seed": 3,
@@ -395,13 +403,7 @@ def test_two_claims_on_one_connection_before_the_first_offer_strand_nothing():
         assert execute_step(world, cast, spec, step) == step.expect
     mf, b1 = cast["MF"], cast["B1"]
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
-    assert offers == ["rejected:nonce-mismatch", "accepted"]
-    assert list(b1.credentials) == ["PC-200"]
-    # the unacknowledged claim keeps its credential, and the retry over the same connection gets it
-    issued = mf.claimants["PC-100"].credential
-    assert issued.credential_id == mf.products["PC-100"].current_credential_id
-    retry = ScenarioStep(op="claim_new", args={"wallet": "B1", "product": "PC-100"}, expect="accepted")
-    assert execute_step(world, cast, spec, retry) == "accepted"
+    assert offers == ["accepted", "accepted"]
     assert {code: vc.credential_id for code, vc in b1.credentials.items()} == {
         code: mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
     }
@@ -409,6 +411,69 @@ def test_two_claims_on_one_connection_before_the_first_offer_strand_nothing():
     assert sum(r["kind"] == "vc-issued" for r in world.trace) == 2
     world.emit_state_dumps()
     assert scan_trace(world.trace) == []
+
+
+def two_products_of_b1(name, seed, *steps):
+    """B1 buys PC-100 and PC-200 new and connects to B2, then ``steps`` run, and B2 claims both second-hand."""
+    claims = [{"op": "claim_new", "wallet": "B1", "product": code, "expect": "accepted"} for code in ("PC-100", "PC-200")]
+    script = [
+        *({"op": "record_sale", "product": code, "buyer": "B1", "expect": "accepted"} for code in ("PC-100", "PC-200")),
+        {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        *claims,
+        {"op": "connect", "a": "B1", "b": "B2", "expect": "ok"},
+        *steps,
+        {"op": "claim_used", "wallet": "B2", "expect": "accepted"},
+        {"op": "claim_used", "wallet": "B2", "expect": "accepted"},
+    ]
+    cast = {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1", "B2"]}
+    return {"name": name, "seed": seed, "cast": cast, "products": ["PC-100", "PC-200"], "script": script}
+
+
+def b1_sells_to_b2(code, expect):
+    return {"op": "sell", "seller": "B1", "buyer": "B2", "product": code, "expect": expect}
+
+
+def b1_transfers(code, expect):
+    return {"op": "transfer", "seller": "B1", "product": code, "expect": expect}
+
+
+TWO_SALES_TO_AN_OFFLINE_BUYER = (
+    {"op": "offline", "agent": "B2", "expect": "ok"},
+    b1_sells_to_b2("PC-100", "no-decision"),
+    b1_sells_to_b2("PC-200", "no-decision"),
+    {"op": "online", "agent": "B2", "expect": "ok"},
+    {"op": "connect", "a": "B2", "b": "MF", "expect": "ok"},
+    b1_transfers("PC-100", "accepted"),
+    b1_transfers("PC-200", "accepted"),
+)
+TWO_TRANSFERS_TO_AN_OFFLINE_MANUFACTURER = (
+    b1_sells_to_b2("PC-100", "accepted"),
+    b1_sells_to_b2("PC-200", "accepted"),
+    {"op": "connect", "a": "B2", "b": "MF", "expect": "ok"},
+    {"op": "offline", "agent": "MF", "expect": "ok"},
+    b1_transfers("PC-100", "no-decision"),
+    b1_transfers("PC-200", "no-decision"),
+    {"op": "online", "agent": "MF", "expect": "ok"},
+)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.parametrize(
+    "steps", [TWO_SALES_TO_AN_OFFLINE_BUYER, TWO_TRANSFERS_TO_AN_OFFLINE_MANUFACTURER], ids=["sales", "transfers"]
+)
+def test_two_exchanges_of_one_kind_on_one_connection_both_complete(steps, seed):
+    # the second sale (or transfer) opens a thread beside the first one's instead of replacing it
+    result = run_scenario(parse_scenario(two_products_of_b1("two-exchanges", seed, *steps)))
+    assert [step.verdict for step in result.steps] == [step.expect for step in result.spec.script]
+    assert result.violations == []
+    world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
+    assert {code: vc.credential_id for code, vc in b2.credentials.items()} == {
+        code: mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
+    }
+    issued = [r["meta"]["credentialId"] for r in world.trace if r["kind"] == "vc-issued"]
+    assert len(issued) == 4
+    assert {vc for vc in issued if not world.registry.is_revoked(vc)} == {vc.credential_id for vc in b2.credentials.values()}
+    assert result.cast["B1"].credentials == {} and result.cast["B1"].sales == {}
 
 
 def sale_and_claim_with_lost_ack():
@@ -1028,7 +1093,10 @@ def test_unanswered_transfer_request_leaves_no_state():
         world.run_until_quiescent()
     assert mf.products["PC-100"].status == "sold"
     assert "PC-100" not in mf.claimants
-    assert sum(key.endswith(":ownershipProofResp") for key in mf.state_dump()["_expected"]) == 1
+    # each unanswered request leaves one open thread beside its consumed pair
+    threads = mf.state_dump()["connections"][b2.did]["threads"]
+    kinds = collections.Counter((key.split(":")[1], context is None) for key, context in threads.items())
+    assert kinds == {("ownershipProofResp", False): 3, ("ownershipTransferReq", True): 3}
     # the owner's resale still completes
     start_resale(world, cast, buyer="B3")
     run_transfer(world, cast)
@@ -1070,9 +1138,7 @@ def test_state_dump_shows_an_open_exchange_with_its_context():
     b2.send(b2.connections[mf.did], nonce, request)
     world.run_until_quiescent()
     # B2 leaves the proof request unanswered: the request lives only in the open exchange, and the dump shows it
-    conn_id = mf.connections[b2.did].conn_id
-    open_nonce, context = mf.state_dump()["_expected"][f"{conn_id}:ownershipProofResp"]
-    assert open_nonce == nonce.hex()
+    context = mf.state_dump()["connections"][b2.did]["threads"][f"{nonce.hex()}:ownershipProofResp"]
     assert (context["productCode"], context["tid"], context["encryptedPin"]) == ("PC-100", tid, "01" * 38)
 
 
@@ -1083,7 +1149,7 @@ def test_a_buyer_key_in_a_non_owner_expectation_breaks_pin_secrecy():
     world.emit_state_dumps()
     assert scan_trace(world.trace) == []
     key = purchase(b2)[1].key
-    b1.expect(b1.connections[b2.did].conn_id, "PINResp", bytes(16), context={"key": key})
+    b1.expect(b1.connections[b2.did], "PINResp", bytes(16), context={"key": key})
     world.emit_state_dumps()  # the scan reads each agent's last dump
     details = [v["detail"] for v in scan_trace(world.trace) if v["invariant"] == "pin-secrecy"]
     assert details == ["symmetric key of B2 stored by B1"]
@@ -1131,14 +1197,21 @@ def test_unanswered_used_claims_leave_one_challenge_open():
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     tid, _ = b1.sales["PC-100"]
     # the seller claims with the TID it minted and made-up keys, and never answers a challenge
+    keys = {}
     for _ in range(3):
-        key = crypto.generate_symmetric_key(world.rng).key_bytes
+        nonce, key = crypto.fresh_nonce(world.rng), crypto.generate_symmetric_key(world.rng).key_bytes
         attempt = payload("ownershipClaimReq", tid=tid, pin=None, key=key)
-        b1.send(b1.connections[mf.did], crypto.fresh_nonce(world.rng), attempt)
+        b1.send(b1.connections[mf.did], nonce, attempt)
         world.run_until_quiescent()
+        keys[nonce] = key
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-3:] == ["accepted"] * 3
-    assert sum(key.endswith(":pinChallengeResp") for key in mf.state_dump()["_expected"]) == 1
+    # each attempt leaves one open thread beside its consumed pair, and keeps its own key and challenge there
+    conn = mf.connections[b1.did]
+    attempts = open_threads(conn, "pinChallengeResp")
+    assert {nonce: context["key"].key_bytes for nonce, context in attempts.items()} == keys
+    assert all(context["tid"] == tid and "challenge" in context for context in attempts.values())
+    assert all(conn.threads[(nonce, "ownershipClaimReq")] is None for nonce in keys)
     # the buyer's claim still completes
     establish_connection(b2, mf)
     b2.claim_used(mf.did, tid)
@@ -1157,14 +1230,22 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
         request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=encrypted_pin, tid=tid)
         b1.send(conn, nonce, request)
     world.run_until_quiescent()
-    # the second request replaced the first exchange, so a proof under the first nonce answers nothing
-    presentation = present_proof(b1.credentials["PC-100"], bytes(16), b1.did_key)
-    b1.send(conn, first, payload("ownershipProofResp", presentation=presentation))
-    world.run_until_quiescent()
-    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:nonce-mismatch")
-    open_proofs = {key: nonce for key, (nonce, _) in mf.state_dump()["_expected"].items() if key.endswith("ProofResp")}
-    assert open_proofs == {f"{conn.conn_id}:ownershipProofResp": second.hex()}
+    # both exchanges stay open, each with its own challenge
+    proofs = open_threads(mf.connections[b1.did], "ownershipProofResp")
+    challenges = {nonce: context["challenge"] for nonce, context in proofs.items()}
+    assert sorted(challenges) == sorted((first, second)) and challenges[first] != challenges[second]
+
+    def prove(nonce, challenge):
+        presentation = present_proof(b1.credentials["PC-100"], challenge, b1.did_key)
+        b1.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
+        world.run_until_quiescent()
+        return [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"][-1]
+
+    # a late proof is judged against its own exchange's challenge
+    assert prove(second, challenges[first]) == "rejected:nonce-mismatch"
     assert mf.products["PC-100"].status == "sold"
+    assert prove(first, challenges[first]) == "accepted"
+    assert mf.products["PC-100"].status == "transfer_pending"
 
 
 def test_replacing_a_connection_closes_its_open_exchanges():
@@ -1174,15 +1255,15 @@ def test_replacing_a_connection_closes_its_open_exchanges():
         {"op": "offline", "agent": "MF", "expect": "ok"},
         {"op": "claim_new", "wallet": "B1", "tid": "00" * 16, "pin": "AAAAAA", "expect": "no-decision"},
         {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
-        {"op": "online", "agent": "MF", "expect": "ok"},
+        # the claim was sealed to the replaced connection's key, which MF no longer holds
+        {"op": "online", "agent": "MF", "expect": "rejected:decrypt-error"},
     ]
     result = run_scenario(parse_scenario(data))
     assert [step.verdict for step in result.steps] == [step.expect for step in result.spec.script]
-    b1 = result.cast["B1"]
-    held = {conn.conn_id for conn in b1.connections.values()}
-    assert len(held) == 1
-    # the claim sent on the replaced connection can never be answered, so no exchange of it stays open
-    assert {peer for peer, _ in b1._expected} <= held
+    b1, mf = result.cast["B1"], result.cast["MF"]
+    assert len(b1.connections) == 1
+    # the claim sent on the replaced connection can never be answered: its thread went with that connection
+    assert b1.state_dump()["connections"][mf.did]["threads"] == {}
 
 
 def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
@@ -1255,10 +1336,10 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B2", "rejected:unexpected-kind")
     after = b2.state_dump()
-    # only the connection's replay cache records the consumed message
-    cache_before = before["connections"][b1.did].pop("replay")["consumed"]
-    cache_after = after["connections"][b1.did].pop("replay")["consumed"]
-    assert cache_after == sorted(cache_before + [[nonce.hex(), "ownershipClaimReq"]])
+    # only the connection's threads record the consumed message
+    threads_before = before["connections"][b1.did].pop("threads")
+    threads_after = after["connections"][b1.did].pop("threads")
+    assert threads_after == {**threads_before, f"{nonce.hex()}:ownershipClaimReq": None}
     assert after == before
 
 
@@ -1271,13 +1352,13 @@ def test_offered_credential_that_fails_its_check_is_refused(reason):
         offered = old_vc
     else:
         offered = dataclasses.replace(new_vc, issuer_signature=bytes(len(new_vc.issuer_signature)))
-    # a claim MF does not answer leaves B1's expectation of a credential offer open
+    # a claim MF does not answer leaves B1's thread of a credential offer open
     b1.claim_new(mf.did, "ff" * 16, "AAAAAA")
     world.run_until_quiescent()
     conn = mf.connections[b1.did]
-    nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
+    [nonce] = open_threads(b1.connections[mf.did], "ownershipClaimResp")
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))
-    mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
+    mf.expect(conn, "ownershipClaimAck", nonce)  # so MF reads the ack's status
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == f"rejected:{reason}"
@@ -1297,11 +1378,11 @@ def test_offered_credential_without_a_product_code_is_refused():
     b1.claim_new(mf.did, "ff" * 16, "AAAAAA")  # MF leaves the claim unanswered
     world.run_until_quiescent()
     conn = mf.connections[b1.did]
-    nonce, _ = b1._expected[(conn.conn_id, "ownershipClaimResp")]
+    [nonce] = open_threads(b1.connections[mf.did], "ownershipClaimResp")
     attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
     nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, world.tick())
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
-    mf.expect(conn.conn_id, "ownershipClaimAck", nonce)  # so MF reads the ack's status
+    mf.expect(conn, "ownershipClaimAck", nonce)  # so MF reads the ack's status
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == "rejected:no-product-code"
@@ -1346,7 +1427,8 @@ def test_wallets_hold_only_live_state_over_round_trips(hand_overs):
     assert cast[owner].credentials["PC-100"].credential_id == mf.products["PC-100"].current_credential_id
     assert cast[other].credentials == {}
     for wallet in (cast[owner], cast[other]):
-        assert wallet.claiming == {} and wallet.sales == {} and wallet._expected == {}
+        assert wallet.claiming == {} and wallet.sales == {}
+        assert all(context is None for conn in wallet.connections.values() for context in conn.threads.values())
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():
@@ -1555,11 +1637,11 @@ def test_transfer_step_verdict_comes_from_deciding_wallet():
 
 
 MALFORMED_INNER = {
-    # shorter than a nonce: a malformed layer
-    "zero-denominator": (b"Q" + encode_value(1) + encode_value(0), "decrypt-error"),
-    "not-a-list": (b"N", "decrypt-error"),
-    "empty": (b"", "decrypt-error"),
-    "one-short-of-a-nonce": (b"\x00" * 15, "decrypt-error"),
+    # shorter than a nonce: the layer authenticated, only its framing is bad
+    "zero-denominator": (b"Q" + encode_value(1) + encode_value(0), "malformed-payload"),
+    "not-a-list": (b"N", "malformed-payload"),
+    "empty": (b"", "malformed-payload"),
+    "one-short-of-a-nonce": (b"\x00" * 15, "malformed-payload"),
     # a nonce, then bytes that are no payload: the labelled layouts framed nonce and payload by the codec
     "none-nonce": (encode(["inner", None, b""]), "malformed-payload"),
     "old-five-field": (encode(["inner", "did:handover:x", b"\x00" * 16, b"", b""]), "malformed-payload"),
@@ -1587,8 +1669,9 @@ def _deliver_from_b1(settled, plain):
 
 @given(plain=st.binary(max_size=crypto.NONCE_LEN - 1))
 @settings(max_examples=40, deadline=None)
-def test_authenticated_inner_plaintext_shorter_than_a_nonce_is_a_decrypt_error(settled, plain):
-    assert _deliver_from_b1(settled, plain) == "rejected:decrypt-error"
+def test_authenticated_inner_plaintext_shorter_than_a_nonce_is_malformed(settled, plain):
+    # decrypt-error means only that no connection has the key id
+    assert _deliver_from_b1(settled, plain) == "rejected:malformed-payload"
 
 
 def _is_payload(data):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from handover import crypto, messages
 from handover.credential import ProofPresentation, present_proof, vc_from_wire
 from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair, generate_signing_key
-from handover.encoding import EncodingError, encode, plain
+from handover.encoding import EncodingError, canonical_json, encode
 from handover.messages import (
     ACK_STATUSES,
     CHALLENGE_OPERANDS,
@@ -16,7 +16,6 @@ from handover.messages import (
     PIN_ALPHABET,
     EnvelopeReject,
     PayloadError,
-    ReplayGuard,
     canonical_encode_payload,
     decode_payload,
     is_valid_pin,
@@ -31,7 +30,7 @@ from handover.messages import (
 from handover.scenarios import builtin_scenario, run_scenario
 from handover.simnet import World
 
-from conftest import inner_plain, outer_plain, send_as, vc_signed
+from conftest import fresh_lifecycle, inner_plain, outer_plain, send_as, send_plain, vc_signed
 
 TID = "00112233445566778899aabbccddeeff"
 
@@ -345,25 +344,68 @@ def test_mediator_view_hides_payload(parties):
         assert b"PINReq" not in mediator_view
 
 
-# -- replay guard ------------------------------------------------------------
+# -- threads: consumed (nonce, kind) pairs --------------------------------------
+
+# payloads B2 has no handler for: each is refused as unexpected, but it consumes its pair
+UNHANDLED = {
+    "ownershipClaimReq": payload("ownershipClaimReq", tid=TID, pin="AAAAAA", key=None),
+    "ownershipTransferReq": payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01", tid=TID),
+}
 
 
-def test_replay_guard_consumes_pairs(rng):
-    guard = ReplayGuard()
-    nonce = fresh_nonce(rng)
-    assert guard.register(nonce, "PINReq", b"ct-1")
-    assert not guard.register(nonce, "PINReq", b"ct-2")  # replay of the same pair
-    assert guard.register(nonce, "PINResp", b"ct-3")  # same nonce, different kind is a new pair
-    assert not guard.register(nonce, "PINReq", b"ct-4")  # still consumed after other pairs
+@pytest.fixture
+def one_connection():
+    """B2's connection with B1 after a full lifecycle, and a sender of fresh B1 -> B2 inner layers on it."""
+    result = fresh_lifecycle()
+    world, b1, b2 = result.world, result.cast["B1"], result.cast["B2"]
+
+    def send(nonce, kind):
+        inner = send_plain(world, b1, b2, inner_plain(nonce, canonical_encode_payload(UNHANDLED[kind])), kind)
+        assert world.trace[-1]["to"] == "B2"
+        return inner, world.trace[-1]["verdict"]
+
+    return world, b2, b2.connections[b1.did], send
 
 
-def test_replay_guard_holds_only_ciphertexts_that_consumed_a_pair(rng):
-    guard = ReplayGuard()
-    nonce = fresh_nonce(rng)
-    assert guard.register(nonce, "PINReq", b"ct-1")
-    assert not guard.register(nonce, "PINReq", b"ct-2")  # a fresh ciphertext of a consumed pair
-    assert guard.holds(b"ct-1") and not guard.holds(b"ct-2")
-    assert plain(guard) == {"consumed": [[nonce.hex(), "PINReq"]]}  # the dump lists pairs only
+def test_a_pair_is_consumed_once(one_connection):
+    world, _, conn, send = one_connection
+    nonce = fresh_nonce(world.rng)
+    assert send(nonce, "ownershipClaimReq")[1] == "rejected:unexpected-kind"
+    assert conn.threads[(nonce, "ownershipClaimReq")] is None
+    assert send(nonce, "ownershipClaimReq")[1] == "rejected:replay"
+    assert send(fresh_nonce(world.rng), "ownershipClaimReq")[1] == "rejected:unexpected-kind"
+    assert send(nonce, "ownershipClaimReq")[1] == "rejected:replay"  # still consumed after other pairs
+
+
+def test_the_same_nonce_with_another_kind_is_a_new_pair(one_connection):
+    world, _, conn, send = one_connection
+    nonce = fresh_nonce(world.rng)
+    assert send(nonce, "ownershipClaimReq")[1] == "rejected:unexpected-kind"
+    assert send(nonce, "ownershipTransferReq")[1] == "rejected:unexpected-kind"
+    assert {kind for pair_nonce, kind in conn.threads if pair_nonce == nonce} == set(UNHANDLED)
+
+
+def test_a_fresh_ciphertext_of_a_consumed_pair_is_a_replay_and_is_not_recorded(one_connection):
+    world, _, conn, send = one_connection
+    nonce = fresh_nonce(world.rng)
+    first, _ = send(nonce, "ownershipClaimReq")
+    recorded = set(conn.ciphertexts)
+    assert first in recorded
+    second, verdict = send(nonce, "ownershipClaimReq")
+    assert second != first and verdict == "rejected:replay"
+    assert conn.ciphertexts == recorded
+
+
+def test_a_dump_lists_threads_and_never_ciphertexts(one_connection):
+    world, b2, conn, send = one_connection
+    nonce = fresh_nonce(world.rng)
+    send(nonce, "ownershipClaimReq")
+    dumped = b2.state_dump()["connections"][conn.remote_did]
+    assert dumped["threads"][f"{nonce.hex()}:ownershipClaimReq"] is None
+    assert len(dumped["threads"]) == len(conn.threads)
+    assert "ciphertexts" not in dumped
+    text = canonical_json(b2.state_dump())
+    assert conn.ciphertexts and not any(inner.hex() in text for inner in conn.ciphertexts)
 
 
 @given(

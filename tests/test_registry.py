@@ -12,6 +12,8 @@ from handover.registry import (
     VerifiableDataRegistry,
 )
 
+from handover.scenarios import build_world, builtin_scenario, execute_step
+
 from conftest import fresh_lifecycle
 
 
@@ -169,3 +171,69 @@ def test_the_first_write_of_a_credential_definition_id_wins():
     assert verify_credential_signature(held, registry) == (True, "")
     forged = sign_vc(held.attributes, cred_def_id_of(mf.did), b2.did_key, result.world.tick())
     assert verify_credential_signature(forged, registry) == (False, "bad-issuer-sig")
+
+
+def _cred_def(cred_def_id, issuer, key):
+    return {"cred_def_id": cred_def_id, "schema_id": PRODUCT_SCHEMA_ID, "issuer_did": issuer, "issuer_public_key": key}
+
+
+# writes B2 tries against MF's issuer data before the lifecycle starts, through a typed writer and through publish
+FOREIGN_WRITES = {
+    "cred-def-id-typed": lambda vdr, mf, b2: vdr.publish_cred_def(
+        mf.cred_def_id, PRODUCT_SCHEMA_ID, b2.did, b2.did_key.public_key
+    ),
+    "cred-def-id-publish": lambda vdr, mf, b2: vdr.publish(
+        "cred-def", _cred_def(mf.cred_def_id, b2.did, b2.did_key.public_key.hex()), b2.did
+    ),
+    "cred-def-of-another-issuer": lambda vdr, mf, b2: vdr.publish(
+        "cred-def", _cred_def(cred_def_id_of(b2.did), mf.did, mf.did_key.public_key.hex()), b2.did
+    ),
+    "revocation-registry-id-typed": lambda vdr, mf, b2: vdr.create_revocation_registry(
+        mf.revocation_registry_id, b2.did
+    ),
+    "revocation-registry-id-publish": lambda vdr, mf, b2: vdr.publish(
+        "revocation-registry", {"registry_id": mf.revocation_registry_id, "issuer_did": b2.did}, b2.did
+    ),
+    "revocation-registry-of-another-issuer": lambda vdr, mf, b2: vdr.publish(
+        "revocation-registry", {"registry_id": "revreg:new", "issuer_did": mf.did}, b2.did
+    ),
+    "revocation-event-typed": lambda vdr, mf, b2: vdr.revoke_credential(b2.did, mf.revocation_registry_id, "vc-x"),
+    "revocation-event-publish": lambda vdr, mf, b2: vdr.publish(
+        "revocation-event", {"registry_id": mf.revocation_registry_id, "credential_id": "vc-x"}, b2.did
+    ),
+}
+
+
+@pytest.mark.parametrize("write", FOREIGN_WRITES.values(), ids=FOREIGN_WRITES.keys())
+def test_no_one_writes_issuer_data_of_another_issuer(write):
+    # before publish applied these rules, B2 could rebind MF's revocation registry, and MF's revocation of the
+    # sold credential then raised AuthorizationError out of the used claim
+    spec = builtin_scenario("full-lifecycle")
+    world, cast = build_world(spec)
+    vdr, mf, b2 = world.registry, cast["MF"], cast["B2"]
+    before = vdr.entries
+    with pytest.raises(AuthorizationError):
+        write(vdr, mf, b2)
+    assert vdr.entries == before
+    for step in spec.script:
+        assert execute_step(world, cast, spec, step) == step.expect
+    assert vdr.find_cred_def(mf.cred_def_id)["issuer_did"] == mf.did
+
+
+@pytest.mark.parametrize("writer", ["typed", "publish"])
+def test_a_revocation_event_needs_a_known_registry_and_a_live_credential(writer):
+    result = fresh_lifecycle()
+    vdr, mf = result.world.registry, result.cast["MF"]
+    [revoked] = [r["meta"]["credentialId"] for r in result.world.trace if r["kind"] == "vc-revoked"]
+
+    def revoke(registry_id, credential_id):
+        if writer == "typed":
+            return vdr.revoke_credential(mf.did, registry_id, credential_id)
+        return vdr.publish("revocation-event", {"registry_id": registry_id, "credential_id": credential_id}, mf.did)
+
+    before = vdr.entries
+    with pytest.raises(UnknownRegistryError):
+        revoke("revreg:missing", "vc-x")
+    with pytest.raises(AlreadyRevokedError):
+        revoke(mf.revocation_registry_id, revoked)
+    assert vdr.entries == before
