@@ -93,16 +93,17 @@ def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -
 @dataclass
 class Connection:
     """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys derive from them once.
-    ``threads`` maps a (nonce, kind) pair to the context of the open exchange a reply of that kind closes, or to None
-    once a message consumed it; ``ciphertexts`` are the exact inner layers that consumed a pair, left out of dumps."""
+    ``threads`` maps a (nonce, kind) pair to the context of the open exchange a reply of that kind closes; ``sent``
+    counts the messages sent on it and ``received`` is the highest counter accepted from the peer."""
 
     conn_id: str
     local: crypto.KeyPair
     remote_public_key: bytes
     remote_did: str
     remote_agent_id: str
-    threads: dict[tuple[bytes, str], Optional[dict]] = field(default_factory=dict)
-    ciphertexts: set[bytes] = field(default_factory=set, repr=False)
+    threads: dict[tuple[bytes, str], dict] = field(default_factory=dict)
+    sent: int = 0
+    received: int = 0
     send_key: SymmetricKey = field(init=False, repr=False)
     receive_key: SymmetricKey = field(init=False, repr=False)
 
@@ -117,7 +118,6 @@ class ProductRecord:
     product_code: str
     distributor_id: str = ""
     conn_id: str = ""
-    status: str = "registered"
     previously_sold_count: int = 0
     first_purchase_date: int = 0
     last_purchase_date: int = 0
@@ -130,7 +130,7 @@ class ProductRecord:
             "productCode": self.product_code,
             "distributorID": self.distributor_id,
             "ConnID": self.conn_id,
-            "status": self.status,
+            "status": "sold",  # a credential is only issued to a holder who bought the product
             "previouslySoldCount": self.previously_sold_count,
             "firstPurchaseDate": self.first_purchase_date,
             "lastPurchaseDate": self.last_purchase_date,
@@ -204,7 +204,9 @@ class Agent:
         return conn
 
     def send(self, conn: Connection, nonce: bytes, p: MessagePayload) -> None:
-        env = seal(self.rng, conn.send_key, conn.remote_public_key, self.world.route(self.agent_id), conn.remote_did, nonce, p)
+        conn.sent += 1
+        route = self.world.route(self.agent_id)
+        env = seal(self.rng, conn.send_key, conn.sent, conn.remote_public_key, route, conn.remote_did, nonce, p)
         self.world.send_envelope(self.agent_id, env, p.kind)
 
     def expect(self, conn: Connection, kind: str, nonce: bytes, context: dict | None = None) -> None:
@@ -229,7 +231,8 @@ class Agent:
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
-        if inner_ciphertext in conn.ciphertexts:
+        counter = int.from_bytes(inner_ciphertext[crypto.KEY_ID_LEN : messages.INNER_HEAD_LEN], "big")
+        if counter <= conn.received:  # each direction arrives in order, so a counter not above the last is spent
             return "rejected:replay"
         try:
             nonce, p = messages.verify_inner(*messages.open_inner(conn.receive_key, inner_ciphertext))
@@ -237,12 +240,8 @@ class Agent:
             return f"rejected:{exc.reason}"
         except PayloadError:
             return "rejected:malformed-payload"
-        pair = (nonce, p.kind)
-        if pair in conn.threads and conn.threads[pair] is None:
-            return "rejected:replay"
-        context = conn.threads.get(pair)  # the open exchange this message closes, if any
-        conn.threads[pair] = None
-        conn.ciphertexts.add(inner_ciphertext)  # the delivered object itself, not a copy
+        conn.received = counter
+        context = conn.threads.pop((nonce, p.kind), None)  # the open exchange this message closes, if any
         if context is None and p.kind in RESPONSE_KINDS:
             return "rejected:nonce-mismatch"
         return self.handle_payload(conn, nonce, p, context)
@@ -355,7 +354,7 @@ class ManufacturerAgent(Agent):
         if product is None:
             self.world.send_direct(self.agent_id, frm, dm.nonce, None, error="unknown-product")
             return "rejected:unknown-product"
-        if product.status != "registered" or code in self.claimants:
+        if product.current_credential_id is not None or code in self.claimants:
             self.world.send_direct(self.agent_id, frm, dm.nonce, None, error="already-sold")
             return "rejected:already-sold"
         now = self.world.tick()
@@ -392,7 +391,6 @@ class ManufacturerAgent(Agent):
         if claim.credential is not None:  # issued, not yet acknowledged
             return self._offer(conn, nonce, claim)
         product.conn_id = conn.conn_id
-        product.status = "sold"
         claim.credential = self._issue(product)
         self._offer(conn, nonce, claim)
         self._emit_product_updated(product, "new-purchase")
@@ -414,7 +412,7 @@ class ManufacturerAgent(Agent):
         product = self.products.get(code)
         if product is None:
             return "unknown-product"
-        if product.status != "sold":
+        if product.current_credential_id is None:
             return "not-transferable"
         return None
 
@@ -455,7 +453,6 @@ class ManufacturerAgent(Agent):
         self.claimants[code] = ClaimantAttribute(
             product_code=code, tid=context["tid"], encrypted_pin=bytes(context["encryptedPin"])
         )
-        product.status = "transfer_pending"
         self.send(conn, nonce, payload("ownershipTransferResp", status="accepted"))
         return "accepted"
 
@@ -532,7 +529,6 @@ class ManufacturerAgent(Agent):
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
         product.email = self.world.agents[buyer_conn.remote_agent_id].email
-        product.status = "sold"
         claim.credential = self._issue(product)
         # the issuance leg closes the claim's exchange, so it runs under the claim's nonce
         self._offer(buyer_conn, nonce, claim)
@@ -549,7 +545,6 @@ class ManufacturerAgent(Agent):
             meta={
                 "productCode": product.product_code,
                 "previouslySoldCount": product.previously_sold_count,
-                "status": product.status,
                 "connId": product.conn_id,
                 "reason": reason,
             },
@@ -752,7 +747,7 @@ class WalletAgent(Agent):
         return "accepted"
 
     def _on_ownership_transfer_resp(self, conn, nonce, p, context) -> str:
-        conn.threads[(nonce, "ownershipProofReq")] = None  # close the sibling; a pop would forget a consumed pair
+        conn.threads.pop((nonce, "ownershipProofReq"), None)  # the refusal or acceptance ends the exchange
         return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
 
     def _on_revoke_vc(self, conn, nonce, p, context) -> str:

@@ -6,22 +6,24 @@ recipient's DID under its route key.  The mediator learns the recipient and,
 from the key id in front of the inner layer, which of the recipient's
 connections the message is for; it cannot read the inner layer.
 
-The inner layer is endpoint key id (8) || IV (12) || AES-GCM under the send
-key of nonce (16) || payload, with the key id as associated data (Aries RFC
-0019 authcrypt).  The outer layer is route id (8) || IV (12) || AES-GCM of
-DID length (2, big-endian) || recipient DID (UTF-8) || inner layer under the
-route key that the sender wrapped to the mediator once
-(``simnet.World.route``), with the route id as associated data.  Each AEAD
-key serves one layer only, so the framing carries no layer label and makes no
-codec call; only the payload is encoded.  ``seal`` draws 12 RNG bytes for the
-inner IV, then 12 for the outer IV, and makes no X25519 agreement.
+The inner layer is endpoint key id (8) || counter (8, big-endian) || IV (12)
+|| AES-GCM under the send key of nonce (16) || payload, with key id || counter
+as associated data (Aries RFC 0019 authcrypt); the counter numbers the
+sender's messages on the connection (RFC 4303's sequence number).  The outer
+layer is route id (8) || IV (12) || AES-GCM of DID length (2, big-endian) ||
+recipient DID (UTF-8) || inner layer under the route key that the sender
+wrapped to the mediator once (``simnet.World.route``), with the route id as
+associated data.  Each AEAD key serves one layer only, so the framing carries
+no layer label and makes no codec call; only the payload is encoded.  ``seal``
+draws 12 RNG bytes for the inner IV, then 12 for the outer IV, and makes no
+X25519 agreement.
 
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must
 authenticate under that connection's receive key (or the verdict is
-``bad-signature``).  That connection (``agents.Connection``) keeps the
-consumed (nonce, kind) pairs among its threads, and the ciphertexts that
-consumed them: an exact copy is a replay before any decryption.
+``bad-signature``).  Each connection direction is delivered in order, so that
+connection (``agents.Connection``) keeps only the highest counter it accepted:
+a lower or equal one is a replay before any decryption.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ TID_LEN = 16
 ACK_STATUSES = ("accepted", "rejected")
 CHALLENGE_TYPES = ("+", "-", "*", "/")
 CHALLENGE_OPERANDS = range(100, 10_000)  # challengeBy is a 3-4 digit integer
+INNER_HEAD_LEN = crypto.KEY_ID_LEN + 8  # key id || 8-byte counter: the inner layer's clear head and associated data
 
 
 class PayloadError(Exception):
@@ -57,6 +60,9 @@ class EnvelopeReject(Exception):
 class MessagePayload:
     kind: str
     body: dict
+
+    def __post_init__(self) -> None:
+        validate_payload(self)  # so every payload is valid by construction
 
 
 def mint_tid(rng: crypto.Rng) -> str:
@@ -153,10 +159,8 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
 
 
 def payload(kind: str, **fields: Any) -> MessagePayload:
-    """Build and validate a payload; raises :class:`PayloadError` on any mismatch."""
-    p = MessagePayload(kind=kind, body=dict(fields))
-    validate_payload(p)
-    return p
+    """Build a payload; raises :class:`PayloadError` on any mismatch."""
+    return MessagePayload(kind=kind, body=dict(fields))
 
 
 def validate_payload(p: MessagePayload) -> None:
@@ -175,7 +179,6 @@ def validate_payload(p: MessagePayload) -> None:
 
 def canonical_encode_payload(p: MessagePayload) -> bytes:
     """Deterministic, injective byte encoding; field order is fixed per kind."""
-    validate_payload(p)
     spec = KIND_FIELDS[p.kind]
     return encode([p.kind] + [ftype.to_wire(p.body[name]) for name, ftype in spec])
 
@@ -197,9 +200,7 @@ def decode_payload(data: bytes) -> MessagePayload:
         body = {name: ftype.from_wire(raw) for (name, ftype), raw in zip(spec, obj[1:])}
     except ValueError as exc:
         raise PayloadError(f"{kind}: {exc}") from exc
-    p = MessagePayload(kind=kind, body=body)
-    validate_payload(p)
-    return p
+    return MessagePayload(kind=kind, body=body)
 
 
 # -- envelopes -------------------------------------------------------------
@@ -215,17 +216,18 @@ class Envelope:
 def seal(
     rng: crypto.Rng,
     send_key: crypto.SymmetricKey,
+    counter: int,
     endpoint_public_key: bytes,
     route: tuple[bytes, crypto.SymmetricKey],
     recipient_did: str,
     nonce: bytes,
     p: MessagePayload,
 ) -> Envelope:
-    """Encrypt under ``send_key`` for the endpoint's key id, then wrap for the mediator under ``route``'s key."""
+    """Encrypt message ``counter`` under ``send_key`` for the endpoint's key id, then wrap it under ``route``'s key."""
     if len(nonce) != crypto.NONCE_LEN:
         raise ValueError(f"a nonce is {crypto.NONCE_LEN} bytes")
-    key_id = crypto.key_id(endpoint_public_key)
-    inner_ct = key_id + crypto.sym_encrypt(rng, send_key, nonce + canonical_encode_payload(p), key_id)
+    head = crypto.key_id(endpoint_public_key) + counter.to_bytes(8, "big")
+    inner_ct = head + crypto.sym_encrypt(rng, send_key, nonce + canonical_encode_payload(p), head)
     route_id, route_key = route
     did = recipient_did.encode()
     outer_plain = len(did).to_bytes(2, "big") + did + inner_ct
@@ -250,9 +252,9 @@ def unseal_at_mediator(route_keys: dict[bytes, crypto.SymmetricKey], envelope: E
 def open_inner(receive_key: crypto.SymmetricKey, inner_ciphertext: bytes) -> tuple[bytes, bytes]:
     """Decrypt the inner layer under the addressed connection's receive key: (nonce, payload bytes, not decoded yet).
     A layer that fails to authenticate is ``bad-signature``; an authenticated one shorter than a nonce, a PayloadError."""
-    key_id = inner_ciphertext[: crypto.KEY_ID_LEN]
+    head = inner_ciphertext[:INNER_HEAD_LEN]
     try:
-        plain = crypto.sym_decrypt(receive_key, inner_ciphertext[crypto.KEY_ID_LEN :], key_id)
+        plain = crypto.sym_decrypt(receive_key, inner_ciphertext[INNER_HEAD_LEN:], head)
     except crypto.DecryptError as exc:
         raise EnvelopeReject("bad-signature") from exc
     if len(plain) < crypto.NONCE_LEN:

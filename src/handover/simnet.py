@@ -375,6 +375,7 @@ class World:
         envelope = seal(
             self.rng,
             crypto.channel_keys(attacker_keys, endpoint_key)[0],  # as any stranger could derive
+            2**64 - 1,  # the one counter sure to pass the replay check, so the tag check decides
             endpoint_key,
             self.route("adversary"),  # the stranger enrolls once per world, like any sender
             recipient.did,

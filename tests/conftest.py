@@ -45,9 +45,24 @@ def vc_signed(credential_id, cred_def_id, attributes):
     return encode(["vc", credential_id, cred_def_id, [list(pair) for pair in attributes]])
 
 
-def inner_layer(rng, key_id, key, plain):
-    """The inner layer for ``key_id`` that encrypts ``plain``, whatever it holds, under ``key``."""
-    return key_id + crypto.sym_encrypt(rng, key, plain, key_id)
+INNER_HEAD_LEN = crypto.KEY_ID_LEN + 8  # the key id, then the counter
+
+
+def inner_head(key_id, counter):
+    """The inner layer's clear head, which is also its associated data: the key id, then the sender's message
+    counter (8, big-endian)."""
+    return bytes(key_id) + struct.pack(">Q", counter)
+
+
+def inner_counter(inner):
+    """The sender's message counter in the clear head of an inner layer."""
+    return struct.unpack(">Q", inner[crypto.KEY_ID_LEN : INNER_HEAD_LEN])[0]
+
+
+def inner_layer(rng, key_id, key, plain, counter):
+    """The inner layer for ``key_id`` and ``counter`` that encrypts ``plain``, whatever it holds, under ``key``."""
+    head = inner_head(key_id, counter)
+    return head + crypto.sym_encrypt(rng, key, plain, head)
 
 
 def outer_layer(world, plain, sender="adversary"):
@@ -63,10 +78,11 @@ def send_inner(world, recipient, inner, kind):
 
 
 def send_plain(world, sender, recipient, plain, kind):
-    """Encrypt ``plain``, whatever it holds, as the inner layer ``sender`` would send on its connection with
-    ``recipient``, under its send key, and deliver it; returns that inner layer."""
+    """Encrypt ``plain``, whatever it holds, as the inner layer ``sender`` would send next on its connection with
+    ``recipient``, under its send key and its next counter, and deliver it; returns that inner layer."""
     conn = sender.connections[recipient.did]
-    inner = inner_layer(world.rng, crypto.key_id(conn.remote_public_key), conn.send_key, plain)
+    conn.sent += 1
+    inner = inner_layer(world.rng, crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent)
     send_inner(world, recipient, inner, kind)
     return inner
 
@@ -75,3 +91,15 @@ def send_as(world, sender, recipient, payload_bytes, kind):
     """Seal ``payload_bytes``, whatever they hold, as ``sender`` would on its connection with ``recipient``, and
     deliver them."""
     send_plain(world, sender, recipient, inner_plain(crypto.fresh_nonce(world.rng), payload_bytes), kind)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call appends its first argument to the returned list."""
+    calls, original = [], getattr(module, name)
+
+    def counting(first, *args):
+        calls.append(first)
+        return original(first, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls

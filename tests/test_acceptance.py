@@ -69,7 +69,7 @@ def test_criterion_02_full_transfer_lifecycle():
     mf, b1, b2 = result.cast["MF"], result.cast["B1"], result.cast["B2"]
     product = mf.products["PC-100"]
     assert product.previously_sold_count == 1
-    assert product.status == "sold"
+    assert product.current_credential_id == b2.credentials["PC-100"].credential_id and "PC-100" not in mf.claimants
     assert product.conn_id == b2.connections[mf.did].conn_id
     # the run up to the used claim holds the seller's credential as the whole run issued and then revoked it
     before_claim = run_scenario(dataclasses.replace(result.spec, script=result.spec.script[:-1]))
@@ -232,7 +232,7 @@ def test_criterion_06_spoof_suite():
                 assert rec["verdict"].startswith("rejected:")
                 proof_failures += 1
         assert "PC-100" not in mf.claimants  # rolled back every time
-        assert mf.products["PC-100"].status == "sold"
+        assert mf.products["PC-100"].current_credential_id == owner_credential
         assert mf.products["PC-100"].previously_sold_count == 0
     assert accepted == 0
     assert proof_failures >= 80  # every real-product attempt dies at the proof step

@@ -1,8 +1,10 @@
 import collections
 import copy
 import dataclasses
+import importlib.util
 import itertools
 import json
+import os
 from fractions import Fraction
 from functools import reduce
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from handover import crypto, messages, simnet
 from handover.agents import (
+    RESPONSE_KINDS,
     AdversaryWallet,
     AgentActionError,
     DistributorAgent,
@@ -47,7 +50,18 @@ from handover.scenarios import (
 )
 from handover.simnet import CHANNEL_SSI, DeliveryEvent, World
 
-from conftest import fresh_lifecycle, inner_layer, inner_plain, send_as, send_inner, send_plain, vc_signed
+from conftest import (
+    INNER_HEAD_LEN,
+    count_calls,
+    fresh_lifecycle,
+    inner_counter,
+    inner_layer,
+    inner_plain,
+    send_as,
+    send_inner,
+    send_plain,
+    vc_signed,
+)
 
 
 def make_world(seed=7, wallets=("B1", "B2"), products=("PC-100",)):
@@ -103,7 +117,14 @@ def purchase(wallet):
 
 def open_threads(conn, kind):
     """{nonce: context} of ``conn``'s open threads that a ``kind`` reply closes."""
-    return {nonce: context for (nonce, k), context in conn.threads.items() if k == kind and context is not None}
+    return {nonce: context for (nonce, k), context in conn.threads.items() if k == kind}
+
+
+def transfer_pending(mf, code):
+    """The seller's proof for ``code`` verified and the buyer's credential is not issued yet: a used claim holds the
+    encrypted PIN and no credential."""
+    claim = mf.claimants.get(code)
+    return claim is not None and claim.encrypted_pin is not None and claim.credential is None
 
 
 # -- pin arithmetic -----------------------------------------------------------
@@ -226,8 +247,11 @@ def test_message_to_another_peers_connection_key_fails_signature():
         assert execute_step(world, cast, spec, step) == step.expect
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     before = mf.state_dump()
+    # at a counter above the last MF accepted from B1, so the tag decides
     redirected = dataclasses.replace(
-        b2.connections[mf.did], remote_public_key=b1.connections[mf.did].remote_public_key
+        b2.connections[mf.did],
+        remote_public_key=b1.connections[mf.did].remote_public_key,
+        sent=mf.connections[b1.did].received,
     )
     claim = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin="AAAAAA", key=None)
     b2.send(redirected, crypto.fresh_nonce(world.rng), claim)
@@ -238,7 +262,8 @@ def test_message_to_another_peers_connection_key_fails_signature():
 
 def test_every_delivery_redirected_to_another_connection_fails_signature():
     # an inner layer addressed to another connection key of its recipient, relabelled
-    # or re-encrypted under the key that made it, fails under that connection's receive key
+    # or re-encrypted under the key that made it, fails under that connection's receive key;
+    # a relabelled copy keeps its counter, which that connection may already have passed
     result = fresh_lifecycle()
     world = result.world
     deliveries = consumed_deliveries(world)
@@ -252,9 +277,12 @@ def test_every_delivery_redirected_to_another_connection_fails_signature():
             if other is named:
                 continue
             before = recipient.state_dump()
+            stale = inner_counter(event.body) <= other.received
             send_inner(world, recipient, other.local.kid + event.body[crypto.KEY_ID_LEN :], event.kind)
-            assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
-            send_inner(world, recipient, inner_layer(world.rng, other.local.kid, named.receive_key, plain), event.kind)
+            expected = "rejected:replay" if stale else "rejected:bad-signature"
+            assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, expected)
+            inner = inner_layer(world.rng, other.local.kid, named.receive_key, plain, other.received + 1)
+            send_inner(world, recipient, inner, event.kind)
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
             assert recipient.state_dump() == before
             copies += 1
@@ -340,7 +368,7 @@ def test_claim_new_issues_credential():
     assert list(b1.credentials) == ["PC-100"]
     vc = b1.credentials["PC-100"]
     product = mf.products["PC-100"]
-    assert product.status == "sold"
+    assert "PC-100" not in mf.claimants  # the holder's ack settled the claim
     assert product.current_credential_id == vc.credential_id
     assert product.conn_id == b1.connections[mf.did].conn_id
     assert dict(vc.attributes)["productCode"] == "PC-100"
@@ -364,8 +392,7 @@ def test_claim_new_wrong_pin_rejected():
     world.run_until_quiescent()
     assert len(cast["B1"].credentials) == 1
     threads = cast["B1"].state_dump()["connections"][cast["MF"].did]["threads"]
-    offers = [context for key, context in threads.items() if key.endswith(":ownershipClaimResp")]
-    assert offers == [{}, None]
+    assert list(threads.values()) == [{}] and all(key.endswith(":ownershipClaimResp") for key in threads)
 
 
 def test_claim_new_flow_replay_rejected():
@@ -511,8 +538,7 @@ def test_proof_with_the_credential_settles_an_unacknowledged_claim():
     run_transfer(world, cast)
     proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert proofs == ["accepted"]
-    assert mf.claimants["PC-100"].encrypted_pin is not None and mf.claimants["PC-100"].credential is None
-    assert mf.products["PC-100"].status == "transfer_pending"
+    assert transfer_pending(mf, "PC-100")
 
 
 # -- buyer/seller pin exchange flow ----------------------------------------------------
@@ -600,9 +626,7 @@ def test_transfer_happy_path():
     start_resale(world, cast)
     run_transfer(world, cast)
     mf = cast["MF"]
-    assert mf.products["PC-100"].status == "transfer_pending"
-    claim = mf.claimants["PC-100"]
-    assert claim.encrypted_pin is not None
+    assert transfer_pending(mf, "PC-100")
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipTransferResp"]
     assert verdicts == ["accepted"]
 
@@ -636,7 +660,7 @@ def test_transfer_unclaimed_product_rejected():
     sell_to(world, cast)
     claim_new(world, cast)
     start_resale(world, cast)
-    cast["B1"].sales["PC-200"] = cast["B1"].sales.pop("PC-100")  # never sold, still status=registered
+    cast["B1"].sales["PC-200"] = cast["B1"].sales.pop("PC-100")  # never sold: no current credential
     cast["B1"].start_transfer(cast["MF"].did, "PC-200")
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipTransferReq"]
@@ -659,7 +683,7 @@ def test_transfer_with_revoked_credential_rejected_and_rolled_back():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert verdicts[-1] == "rejected:revoked"
     assert "PC-100" not in mf.claimants  # rolled back
-    assert mf.products["PC-100"].status == "sold"
+    assert mf.products["PC-100"].current_credential_id == cast["B2"].credentials["PC-100"].credential_id
 
 
 def test_transfer_wrong_product_credential_rejected():
@@ -687,7 +711,8 @@ def test_transfer_wrong_product_credential_rejected():
     cast["B1"]._select_credential = original
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert verdicts[-1] == "rejected:wrong-product"
-    assert cast["MF"].products["PC-100"].status == "sold"  # rolled back
+    assert "PC-100" not in cast["MF"].claimants  # rolled back
+    assert cast["MF"].products["PC-100"].current_credential_id == cast["B1"].credentials["PC-100"].credential_id
 
 
 # -- the order of MF's proof checks --------------------------------------------------------
@@ -795,7 +820,7 @@ def test_every_byte_flip_of_the_current_credential_is_checked_and_refused():
                         expect = "rejected:unknown-issuer"
             verdict = transfer_proved_by(world, cast, lambda challenge: present_proof(changed, challenge, b1.did_key))
             assert verdict == expect, (name, index)
-    assert mf.products["PC-100"].status == "sold" and "PC-100" not in mf.claimants
+    assert mf.products["PC-100"].current_credential is vc and "PC-100" not in mf.claimants
     assert transfer_proved_by(world, cast, lambda challenge: present_proof(vc, challenge, b1.did_key)) == "accepted"
 
 
@@ -873,7 +898,7 @@ def test_used_claim_commits_ownership():
     world, cast, old_vc = full_used_transfer()
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     product = mf.products["PC-100"]
-    assert product.status == "sold"
+    assert product.current_credential_id == b2.credentials["PC-100"].credential_id and "PC-100" not in mf.claimants
     assert product.previously_sold_count == 1
     assert product.conn_id == b2.connections[mf.did].conn_id
     assert product.email == b2.email
@@ -1032,7 +1057,8 @@ def test_a_proof_not_bound_to_the_connections_did_is_a_bad_holder_sig(forgery):
     run_transfer(world, cast)
     proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert proofs == ["rejected:bad-holder-sig"]
-    assert mf.products["PC-100"].status == "sold" and "PC-100" not in mf.claimants
+    assert mf.products["PC-100"].current_credential_id == b1.credentials["PC-100"].credential_id
+    assert "PC-100" not in mf.claimants
 
 
 def test_no_one_publishes_a_did_document_under_a_key_its_did_does_not_derive_from():
@@ -1091,12 +1117,11 @@ def test_unanswered_transfer_request_leaves_no_state():
         request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
         b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
         world.run_until_quiescent()
-    assert mf.products["PC-100"].status == "sold"
+    assert mf.products["PC-100"].current_credential_id == cast["B1"].credentials["PC-100"].credential_id
     assert "PC-100" not in mf.claimants
-    # each unanswered request leaves one open thread beside its consumed pair
+    # each unanswered request leaves one open thread, and nothing of the requests it answered
     threads = mf.state_dump()["connections"][b2.did]["threads"]
-    kinds = collections.Counter((key.split(":")[1], context is None) for key, context in threads.items())
-    assert kinds == {("ownershipProofResp", False): 3, ("ownershipTransferReq", True): 3}
+    assert [key.split(":")[1] for key in threads] == ["ownershipProofResp"] * 3
     # the owner's resale still completes
     start_resale(world, cast, buyer="B3")
     run_transfer(world, cast)
@@ -1206,12 +1231,12 @@ def test_unanswered_used_claims_leave_one_challenge_open():
         keys[nonce] = key
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert claims[-3:] == ["accepted"] * 3
-    # each attempt leaves one open thread beside its consumed pair, and keeps its own key and challenge there
+    # each attempt leaves one open thread, and keeps its own key and challenge there
     conn = mf.connections[b1.did]
     attempts = open_threads(conn, "pinChallengeResp")
     assert {nonce: context["key"].key_bytes for nonce, context in attempts.items()} == keys
     assert all(context["tid"] == tid and "challenge" in context for context in attempts.values())
-    assert all(conn.threads[(nonce, "ownershipClaimReq")] is None for nonce in keys)
+    assert open_threads(conn, "ownershipClaimReq") == {}
     # the buyer's claim still completes
     establish_connection(b2, mf)
     b2.claim_used(mf.did, tid)
@@ -1243,9 +1268,9 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
 
     # a late proof is judged against its own exchange's challenge
     assert prove(second, challenges[first]) == "rejected:nonce-mismatch"
-    assert mf.products["PC-100"].status == "sold"
+    assert not transfer_pending(mf, "PC-100")
     assert prove(first, challenges[first]) == "accepted"
-    assert mf.products["PC-100"].status == "transfer_pending"
+    assert transfer_pending(mf, "PC-100")
 
 
 def test_replacing_a_connection_closes_its_open_exchanges():
@@ -1296,8 +1321,7 @@ def test_two_transfers_started_together_leave_one_claimant():
     world.run_until_quiescent()
     responses = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipTransferResp"]
     assert responses.count("accepted") == 1
-    assert list(mf.claimants) == ["PC-100"]
-    assert mf.products["PC-100"].status == "transfer_pending"
+    assert list(mf.claimants) == ["PC-100"] and transfer_pending(mf, "PC-100")
 
 
 # -- nonce/replay discipline at the agent level ----------------------------------------
@@ -1336,10 +1360,9 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B2", "rejected:unexpected-kind")
     after = b2.state_dump()
-    # only the connection's threads record the consumed message
-    threads_before = before["connections"][b1.did].pop("threads")
-    threads_after = after["connections"][b1.did].pop("threads")
-    assert threads_after == {**threads_before, f"{nonce.hex()}:ownershipClaimReq": None}
+    # only the connection's counter records the delivered message
+    received_before = before["connections"][b1.did].pop("received")
+    assert after["connections"][b1.did].pop("received") == received_before + 1
     assert after == before
 
 
@@ -1428,7 +1451,56 @@ def test_wallets_hold_only_live_state_over_round_trips(hand_overs):
     assert cast[other].credentials == {}
     for wallet in (cast[owner], cast[other]):
         assert wallet.claiming == {} and wallet.sales == {}
-        assert all(context is None for conn in wallet.connections.values() for context in conn.threads.values())
+        assert all(conn.threads == {} for conn in wallet.connections.values())
+
+
+def connections_but_counters(agent):
+    """``agent``'s dumped connections without their message counters."""
+    dumped = agent.state_dump()["connections"]
+    return {did: {k: v for k, v in conn.items() if k not in ("sent", "received")} for did, conn in dumped.items()}
+
+
+def test_settled_hand_overs_leave_no_replay_state_but_the_counters():
+    # replay protection is one counter per connection direction, so K settled hand-overs leave every connection
+    # as it was after one, but for its counters, and each side has accepted every message its peer sent
+    dumps = []
+    for hand_overs in range(1, 9):
+        result = run_scenario(round_trip_scenario(hand_overs)[0])
+        assert result.ok
+        agents = result.world.agents.values()
+        for agent in agents:
+            for conn in agent.connections.values():
+                assert conn.threads == {}
+                assert conn.received == result.world.agents[conn.remote_agent_id].connections[agent.did].sent
+        dumps.append({agent.agent_id: connections_but_counters(agent) for agent in agents})
+    assert all(dump == dumps[0] for dump in dumps)
+
+
+def load_bench_workloads():
+    """The benchmark's scenario generators, ``bench/workloads.py`` of this checkout."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py")
+    module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+RUNS = sorted(BUILTIN_SCENARIOS) + ["workload:lifecycle", "workload:fleet", "workload:attack"]
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_every_run_ends_with_no_open_thread_but_an_unanswered_claim(name):
+    # every exchange of a built-in or a benchmark workload is answered, so none leaves a thread behind; wrong-pin's
+    # refused claim is never answered (the manufacturer sends nothing back), so its thread stays open
+    if name.startswith("workload:"):
+        spec = load_bench_workloads().scenario(name.split(":")[1], 1)
+    else:
+        spec = builtin_scenario(name)
+    result = run_scenario(spec)
+    assert result.ok
+    connections = [conn for agent in result.world.agents.values() for conn in agent.connections.values()]
+    kinds = [kind for conn in connections for _, kind in conn.threads]
+    assert kinds == (["ownershipClaimResp"] if name == "wrong-pin" else [])
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():
@@ -1445,20 +1517,8 @@ def test_duplicate_selling_response_rejected_on_direct_channel():
     assert cast["B1"].inbox == inbox  # no second TID email
 
 
-def count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so each call appends its first argument to the returned list."""
-    calls, original = [], getattr(module, name)
-
-    def counting(first, *args):
-        calls.append(first)
-        return original(first, *args)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def consumed_deliveries(world):
-    """The mediator-to-endpoint events of a run, each of which consumed a (nonce, kind) pair."""
+    """The mediator-to-endpoint events of a run, each of which spent its counter."""
     return [event for _, event in sorted(world.wire_log.items()) if event.to != "MD"]
 
 
@@ -1470,7 +1530,7 @@ def addressed_connection(recipient, inner):
 def authenticated_plain(recipient, inner):
     """The plaintext of a delivered inner layer, as the connection it names opens it."""
     named = addressed_connection(recipient, inner)
-    return crypto.sym_decrypt(named.receive_key, inner[crypto.KEY_ID_LEN :], named.local.kid)
+    return crypto.sym_decrypt(named.receive_key, inner[INNER_HEAD_LEN:], inner[:INNER_HEAD_LEN])
 
 
 def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
@@ -1501,21 +1561,43 @@ def test_replayed_spoof_is_checked_again(monkeypatch):
     assert len(opens) == 1
 
 
-def test_reencrypted_consumed_message_is_a_replay_by_its_pair(monkeypatch):
-    # fresh ciphertext bytes around a consumed (nonce, payload): the pair check, not the ciphertext record, rejects it
+def test_reencrypted_message_of_a_closed_exchange_is_judged_as_new(monkeypatch):
+    # the connection's peer encrypts a delivered (nonce, payload) again under its next counter: only it holds that
+    # send key, and it could send the same request under a fresh nonce anyway, so the message is new. A response
+    # still needs an open thread, and the exchange it answered is closed; a request runs its handler again
     result = fresh_lifecycle()
     world = result.world
     deliveries = consumed_deliveries(world)
+    start = len(world.trace)
     opens = count_calls(monkeypatch, messages, "open_inner")
-    for checked, event in enumerate(deliveries, 1):
+    again, requests = [], []
+    for event in deliveries:
         recipient = world.agents[event.to]
-        named = addressed_connection(recipient, event.body)
-        inner = inner_layer(world.rng, named.local.kid, named.receive_key, authenticated_plain(recipient, event.body))
-        assert inner != event.body
-        send_inner(world, recipient, inner, event.kind)
-        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:replay")
-        assert len(opens) == checked  # one full open per fresh ciphertext
+        sender = world.agents[addressed_connection(recipient, event.body).remote_agent_id]
+        mark = len(world.trace)
+        send_plain(world, sender, recipient, authenticated_plain(recipient, event.body), event.kind)
+        record = next(r for r in world.trace[mark:] if r["to"] == event.to)
+        again.append(record)
+        if event.kind in RESPONSE_KINDS:
+            # the proof's exchange is open again, since its transfer request was handled again under the same
+            # nonce, but the proof answers the old challenge: the presentation's check reads nonce-mismatch
+            assert record["verdict"] == "rejected:nonce-mismatch", event.kind
+        else:
+            requests.append((event.kind, record["verdict"]))
     assert len(deliveries) == 16
+    assert requests == [
+        ("ownershipClaimReq", "rejected:unknown-claim"),  # the new claim was settled
+        ("PINReq", "accepted"),
+        ("ownershipTransferReq", "accepted"),
+        ("ownershipClaimReq", "rejected:unknown-tid"),  # the used claim was settled
+        ("revokeVC", "accepted"),
+    ]
+    # each message opened once and none was a replay; no answer to a message handled again closes an exchange
+    arrived = [r for r in world.trace[start:] if r["channel"] == "ssi" and r["to"] != "MD"]
+    assert len(opens) == len(arrived) and all(r["verdict"] != "rejected:replay" for r in arrived)
+    answers = [r["kind"] for r in arrived if r not in again]
+    assert answers == ["PINResp", "ownershipProofReq", "ownershipTransferResp", "revokeVCResp"]
+    assert all(r["verdict"] == "rejected:nonce-mismatch" for r in arrived if r not in again)
 
 
 def test_every_delivery_reflected_to_its_sender_fails_the_tag():
@@ -1529,7 +1611,8 @@ def test_every_delivery_reflected_to_its_sender_fails_the_tag():
         named = addressed_connection(recipient, event.body)
         sender = world.agents[named.remote_agent_id]
         plain = authenticated_plain(recipient, event.body)
-        inner = inner_layer(world.rng, crypto.key_id(named.remote_public_key), named.receive_key, plain)
+        counter = sender.connections[recipient.did].received + 1  # past the sender's replay check
+        inner = inner_layer(world.rng, crypto.key_id(named.remote_public_key), named.receive_key, plain, counter)
         send_inner(world, sender, inner, event.kind)
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (sender.agent_id, "rejected:bad-signature")
     assert len(deliveries) == 16
@@ -1583,7 +1666,8 @@ def arbitrary_inner(draw, recipient):
     nonces = st.binary(min_size=16, max_size=16)
     layer = st.builds(inner_plain, nonces, payload_bytes)
     plain = draw(st.one_of(st.binary(max_size=300), layer))
-    return inner_layer(crypto.Rng(draw(st.integers(0, 2**16))), conn.local.kid, conn.receive_key, plain)
+    counter = draw(st.integers(0, 2**64 - 1))
+    return inner_layer(crypto.Rng(draw(st.integers(0, 2**16))), conn.local.kid, conn.receive_key, plain, counter)
 
 
 @given(data=st.data())
@@ -1600,30 +1684,38 @@ def test_arbitrary_ssi_bytes_are_rejected_without_raising(settled, data):
 
 @pytest.mark.parametrize("position", [crypto.KEY_ID_LEN, -1], ids=["after-key-id", "last-byte"])
 def test_replayed_copy_with_a_flipped_byte_is_a_decrypt_error(position):
-    # the ciphertext record is keyed by the exact bytes: a copy that keeps the key id
-    # (and, flipped after it, the IV or GCM tag) is not a replay; it fails to authenticate
-    # under the named connection's receive key (the name predates the AEAD inner layer)
+    # a copy that keeps the key id is checked by its counter: the byte after the key id raises
+    # the counter past the replay check, and the copy fails to authenticate under the named
+    # connection's receive key (the test's name predates the AEAD inner layer); a flip after the
+    # counter (here the GCM tag's last byte) leaves a counter already spent, so it is a replay
+    expected = "rejected:bad-signature" if position == crypto.KEY_ID_LEN else "rejected:replay"
     result = fresh_lifecycle()
     world = result.world
     for event in consumed_deliveries(world):
         world.tamper(event.seq, position, 0x01)
         world.run_until_quiescent()
-        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
+        assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, expected)
 
 
 def test_every_inner_byte_flipped_is_refused_by_key_id_or_authentication():
-    # a copy with one byte flipped is not a replay, since the ciphertext record holds exact bytes:
-    # a flip in the key id names no connection, and a later one fails AES-GCM under the named connection's key
+    # a flip in the key id names no connection; a flip that raises the counter above the last one accepted fails
+    # AES-GCM under the named connection's key, and any other flip leaves a spent counter: a replay
     result = fresh_lifecycle()
     world = result.world
     deliveries = consumed_deliveries(world)
     for event in deliveries:
         recipient = world.agents[event.to]
+        received = addressed_connection(recipient, event.body).received
         before = recipient.state_dump()
         for index in range(len(event.body)):
             world.tamper(event.seq, index, 0x01)
             world.run_until_quiescent()
-            expected = "rejected:decrypt-error" if index < crypto.KEY_ID_LEN else "rejected:bad-signature"
+            if index < crypto.KEY_ID_LEN:
+                expected = "rejected:decrypt-error"
+            elif inner_counter(flipped(event.body, index)) > received:
+                expected = "rejected:bad-signature"
+            else:
+                expected = "rejected:replay"
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, expected)
         assert recipient.state_dump() == before
     assert len(deliveries) == 16
@@ -1663,7 +1755,7 @@ def _deliver_from_b1(settled, plain):
     """MF's verdict on ``plain`` authenticated under B1's send key, delivered straight from the mediator."""
     mf, b1 = settled.cast["MF"], settled.cast["B1"]
     conn = b1.connections[mf.did]
-    body = inner_layer(crypto.Rng(0), crypto.key_id(conn.remote_public_key), conn.send_key, plain)
+    body = inner_layer(crypto.Rng(0), crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent + 1)
     return mf.deliver(DeliveryEvent(0, 0, frm="MD", to="MF", channel=CHANNEL_SSI, body=body, kind="x"))
 
 

@@ -19,42 +19,42 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "746770819fa234114ac53db7805c31e5702498b01a29bd95db5653e20c36296c",
+        "f606fcc26ed60da1d0cd7fcad80bbcddda679f0676e2ef3db1689ee9c6dd6c91",
         "6098fc23d2b2158f9a2eeb5218867f56e8fd1569c1122ac45d12daf71c39e474",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "c00610a95de2970f71e496844d6bef5739271cb7d13d2ab49112b568751da23d",
+        "52584816930d674c2f8f11425a65b8e08e13741acc07712986b8c098139cc431",
         "e9d7b93ba937897b57bea62ec36bd5d261df316f043b4166401f389d6733271f",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "6184068b0e4b7775de16f7cfffe83f426455434846249ebbd64dcf64c4d4990b",
+        "4deaab45ab21fbcc5f2589496a0b521268609f4ced44f7bc79cd1c5883f8c4ea",
         "608d39d6d99af16ac45fb7ad61e5bb9c008e490d6a9e1ede5656310e38fd1683",
         "5abdb00a7a9bd162d815d94ca5b92125973570cf04a64c55ccc2c317950138bd",
     ),
     "replay-attack": (
-        "41232502f7df8b5d0754d806036edf7790568cbaf4802a9abb71d33da5d9105e",
+        "90f72da9731ed45011db8b187b5f75cafd288cdaebdeac0b434d5117130b0419",
         "0915f095cbe37a3316a3b2b857fa2f9c3b7aec832caf958035a3d3169fd97437",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "927a0cc32dcd43a652362b32aed49824be30063f7ecf651c6fcfe8fd12aed5b4",
+        "743b285d962383f350139b9277394a84974126916d3964aa7afd045c99ba47a1",
         "12552a6d6b842edfdebf167bcfcabaae854c7c84f9e09109e9ae128b9749643c",
         "b0bc12636286d3aad2f5b2690c0e169f9882605cea0fa628150b58dc0f7d427e",
     ),
     "spoof-attack": (
-        "892d8c545143f7f15115f73abaf4f7c180b490925de270e130676b7a71fc4d33",
+        "85860dce89a092be5bb24c79ff84a61efeccd185c85c8a0fd5635329178abd55",
         "c354f37ea583ca505a119af12f1a25ba5b9e1bfffed3029592d3adab955f3883",
         "5f4b7d3c52e5ddd01a5593c8d592367728f4f0bc6b6a02347cc2fab9abfac097",
     ),
     "offline-claim": (
-        "8712365544f921120be37caf398aa846d5c9e0dd5a743ec99d356b75eed8cb7d",
+        "1b7b5456d0f8cdf9496569960603ef468a46234667dcd9ada385a794d8b5cead",
         "5bda10c9c1cccfdd6b283dbf37b1df33c3842ffde3f68a7529c7e07bca5acd8d",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "41d555d926d2960328d2b78b45f40e708d1003e9b2cf7136be4604ce090d3fb9",
+        "cafe51b7004b7ce30aca5c39a544fd372420746fc92ce2c6ccfe8b05cf2a14ef",
         "54a92f93f95d01ac4701b92c655773f35c07688d429934d9b6c5f79cbba27a5f",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
@@ -88,7 +88,7 @@ def test_golden_trace_and_ledger(name):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "38c0a5a81bbed1d854bd5714571f532c1bc46ddd6b606e3daedcf5c0c7ca5a7f",
+    "a13ca56a092f0868356ef4825b6cd8d2d4fdf17ad79dbb5d357ac48216320bd5",
     "eae7094d0bb0921994fe64b809d60c2a0579c082f3a352072902cf9a22829921",
     "1ffd21b450712b2c0aec514cbf5b9f6358d230a26452c8b79ed3e4a72ebb1581",
 )

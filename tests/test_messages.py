@@ -15,6 +15,7 @@ from handover.messages import (
     KIND_FIELDS,
     PIN_ALPHABET,
     EnvelopeReject,
+    MessagePayload,
     PayloadError,
     canonical_encode_payload,
     decode_payload,
@@ -30,7 +31,20 @@ from handover.messages import (
 from handover.scenarios import builtin_scenario, run_scenario
 from handover.simnet import World
 
-from conftest import fresh_lifecycle, inner_plain, outer_plain, send_as, send_plain, vc_signed
+from conftest import (
+    INNER_HEAD_LEN,
+    count_calls,
+    fresh_lifecycle,
+    inner_counter,
+    inner_head,
+    inner_layer,
+    inner_plain,
+    outer_plain,
+    send_as,
+    send_inner,
+    send_plain,
+    vc_signed,
+)
 
 TID = "00112233445566778899aabbccddeeff"
 
@@ -129,6 +143,19 @@ def test_payload_validation_errors():
         payload("ownershipClaimReq", tid=TID, pin="bad pin", key=None)
 
 
+def test_a_payload_is_checked_once_when_it_is_built(monkeypatch):
+    # a MessagePayload cannot hold a body its kind does not admit, so encoding one checks nothing again
+    for kind, body in (("PINReq", {"tid": 5}), ("PINReq", {}), ("noSuchKind", {})):
+        with pytest.raises(PayloadError):
+            MessagePayload(kind, body)
+    checks = count_calls(monkeypatch, messages, "validate_payload")
+    p = payload("PINReq", tid=TID)
+    assert len(checks) == 1
+    wire = canonical_encode_payload(p)
+    assert len(checks) == 1
+    assert decode_payload(wire) == p and checks == [p, p]
+
+
 def test_decode_garbage_rejected():
     with pytest.raises(PayloadError):
         decode_payload(b"junk")
@@ -179,12 +206,13 @@ def receive_key(parties):
     return crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[1]
 
 
-def sealed(parties, p=None, nonce=None):
+def sealed(parties, p=None, nonce=None, counter=1):
     p = p or sample_payload("PINReq")
     nonce = nonce or fresh_nonce(parties["rng"])
     env = seal(
         parties["rng"],
         send_key(parties),
+        counter,
         parties["endpoint"].public_key,
         parties["route"],
         "did:handover:endpoint",
@@ -222,7 +250,7 @@ def test_mediator_wrong_key_fails(parties):
 
 
 def test_flip_any_inner_byte_rejected(parties):
-    # flip-one-byte oracle over the full inner ciphertext, the key id (associated data) included
+    # flip-one-byte oracle over the full inner ciphertext, the key id and the counter (associated data) included
     env, _, _ = sealed(parties)
     _, inner = unseal_at_mediator(parties["routes"], env)
     for index in range(len(inner)):
@@ -243,17 +271,19 @@ def test_flip_outer_byte_rejected(parties):
 def test_seal_layout_draw_order_and_each_layer_opens_only_under_its_own_key(parties):
     seed = 77
     parties["rng"] = Rng(seed)
-    env, nonce, p = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN)
+    env, nonce, p = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN, counter=0x0102030405060708)
     outer = env.outer_ciphertext
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     # one draw order per envelope: inner IV, outer IV, and no ephemeral key
     replica = Rng(seed)
     inner_iv, outer_iv = replica.token(12), replica.token(12)
     assert parties["rng"].token(4) == replica.token(4)
-    # the inner layer: endpoint key id || IV || AES-GCM under the send key, the key id as associated data
-    key_id = parties["endpoint"].kid
+    # the inner layer: endpoint key id || counter || IV || AES-GCM under the send key, the key id and the
+    # counter as associated data
+    head = inner_head(parties["endpoint"].kid, 0x0102030405060708)
+    assert head == parties["endpoint"].kid + bytes(range(1, 9))
     plain = inner_plain(nonce, canonical_encode_payload(p))
-    assert inner == key_id + inner_iv + crypto.AESGCM(send_key(parties).key_bytes).encrypt(inner_iv, plain, key_id)
+    assert inner == head + inner_iv + crypto.AESGCM(send_key(parties).key_bytes).encrypt(inner_iv, plain, head)
     # the outer layer: route id || IV || AES-GCM under the route key, the route id as associated data
     route_id, route_key = parties["route"]
     route_plain = outer_plain(recipient_did, inner)
@@ -296,6 +326,7 @@ def test_adversary_key_resign_rejected(parties):
     env = seal(
         parties["rng"],
         crypto.channel_keys(adversary, parties["endpoint"].public_key)[0],  # the key any stranger can derive
+        1,
         parties["endpoint"].public_key,
         parties["route"],
         "did:handover:endpoint",
@@ -320,7 +351,7 @@ def test_signature_binds_nonce_kind_and_body(parties):
         inner_plain(nonce, canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))),
         inner_plain(nonce, encode(["ownershipClaimReq", "accepted"])),
     ]
-    body = slice(crypto.KEY_ID_LEN + 12, len(inner) - 16)
+    body = slice(INNER_HEAD_LEN + 12, len(inner) - 16)
     for other in others:
         assert len(other) == len(plain) != plain
         mask = bytes(a ^ b for a, b in zip(plain, other))
@@ -344,9 +375,9 @@ def test_mediator_view_hides_payload(parties):
         assert b"PINReq" not in mediator_view
 
 
-# -- threads: consumed (nonce, kind) pairs --------------------------------------
+# -- replay: one message counter per connection direction ------------------------
 
-# payloads B2 has no handler for: each is refused as unexpected, but it consumes its pair
+# payloads B2 has no handler for: each is refused as unexpected once its layer opens
 UNHANDLED = {
     "ownershipClaimReq": payload("ownershipClaimReq", tid=TID, pin="AAAAAA", key=None),
     "ownershipTransferReq": payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01", tid=TID),
@@ -367,14 +398,73 @@ def one_connection():
     return world, b2, b2.connections[b1.did], send
 
 
-def test_a_pair_is_consumed_once(one_connection):
-    world, _, conn, send = one_connection
-    nonce = fresh_nonce(world.rng)
-    assert send(nonce, "ownershipClaimReq")[1] == "rejected:unexpected-kind"
-    assert conn.threads[(nonce, "ownershipClaimReq")] is None
-    assert send(nonce, "ownershipClaimReq")[1] == "rejected:replay"
+def deliver_again(world, recipient, inner):
+    """Deliver ``inner`` to ``recipient`` once more, from the stranger, and return the verdict."""
+    send_inner(world, recipient, inner, "copy")
+    assert world.trace[-1]["to"] == recipient.agent_id
+    return world.trace[-1]["verdict"]
+
+
+def test_a_copy_is_a_replay_before_any_decryption(one_connection, monkeypatch):
+    world, b2, conn, send = one_connection
+    inner, verdict = send(fresh_nonce(world.rng), "ownershipClaimReq")
+    assert verdict == "rejected:unexpected-kind"
+    opens = count_calls(monkeypatch, messages, "open_inner")
+    assert deliver_again(world, b2, inner) == "rejected:replay"
+    assert opens == []
+
+
+def test_a_lower_or_equal_counter_is_a_replay(one_connection, monkeypatch):
+    # a fresh layer that authenticates under the connection's key is still refused by its counter alone
+    world, b2, conn, send = one_connection
+    send(fresh_nonce(world.rng), "ownershipClaimReq")
+    plain = inner_plain(fresh_nonce(world.rng), canonical_encode_payload(UNHANDLED["ownershipTransferReq"]))
+    opens = count_calls(monkeypatch, messages, "open_inner")
+    for counter in (0, 1, conn.received - 1, conn.received):
+        inner = inner_layer(world.rng, conn.local.kid, conn.receive_key, plain, counter)
+        assert deliver_again(world, b2, inner) == "rejected:replay"
+    assert opens == []
+    received = conn.received
+    inner = inner_layer(world.rng, conn.local.kid, conn.receive_key, plain, received + 1)
+    assert deliver_again(world, b2, inner) == "rejected:unexpected-kind"
+    assert conn.received == received + 1
+
+
+def test_a_copy_with_a_raised_counter_fails_the_tag(one_connection):
+    # the counter is associated data: raised past the replay check, it no longer authenticates
+    world, b2, conn, send = one_connection
+    inner, _ = send(fresh_nonce(world.rng), "ownershipClaimReq")
+    received = conn.received
+    assert inner_counter(inner) == received
+    for raised in (received + 1, 2**64 - 1):
+        raised_copy = inner[: crypto.KEY_ID_LEN] + raised.to_bytes(8, "big") + inner[INNER_HEAD_LEN:]
+        assert deliver_again(world, b2, raised_copy) == "rejected:bad-signature"
+    assert conn.received == received
+
+
+def test_a_failed_tag_or_decode_advances_nothing(one_connection):
+    world, b2, conn, send = one_connection
+    send(fresh_nonce(world.rng), "ownershipClaimReq")
+    received = conn.received
+    forged = inner_layer(world.rng, conn.local.kid, crypto.generate_symmetric_key(world.rng), b"", received + 5)
+    not_a_payload = inner_plain(b"\x00" * 16, b"N")
+    undecodable = inner_layer(world.rng, conn.local.kid, conn.receive_key, not_a_payload, received + 5)
+    assert deliver_again(world, b2, forged) == "rejected:bad-signature"
+    assert deliver_again(world, b2, undecodable) == "rejected:malformed-payload"
+    assert conn.received == received
+    # so the next message in order still arrives
     assert send(fresh_nonce(world.rng), "ownershipClaimReq")[1] == "rejected:unexpected-kind"
-    assert send(nonce, "ownershipClaimReq")[1] == "rejected:replay"  # still consumed after other pairs
+    assert conn.received == received + 1
+
+
+def test_a_refused_delivery_still_advances_the_counter(one_connection):
+    # the layer opened and decoded: its counter is spent whatever its handler decides
+    world, _, conn, send = one_connection
+    received = conn.received
+    for expected in range(received + 1, received + 4):
+        assert send(fresh_nonce(world.rng), "ownershipClaimReq")[1] == "rejected:unexpected-kind"
+        assert conn.received == expected
+    assert conn.threads == {}
 
 
 def test_the_same_nonce_with_another_kind_is_a_new_pair(one_connection):
@@ -382,30 +472,20 @@ def test_the_same_nonce_with_another_kind_is_a_new_pair(one_connection):
     nonce = fresh_nonce(world.rng)
     assert send(nonce, "ownershipClaimReq")[1] == "rejected:unexpected-kind"
     assert send(nonce, "ownershipTransferReq")[1] == "rejected:unexpected-kind"
-    assert {kind for pair_nonce, kind in conn.threads if pair_nonce == nonce} == set(UNHANDLED)
-
-
-def test_a_fresh_ciphertext_of_a_consumed_pair_is_a_replay_and_is_not_recorded(one_connection):
-    world, _, conn, send = one_connection
-    nonce = fresh_nonce(world.rng)
-    first, _ = send(nonce, "ownershipClaimReq")
-    recorded = set(conn.ciphertexts)
-    assert first in recorded
-    second, verdict = send(nonce, "ownershipClaimReq")
-    assert second != first and verdict == "rejected:replay"
-    assert conn.ciphertexts == recorded
+    assert conn.threads == {}  # neither answers an exchange, and nothing is kept of either
 
 
 def test_a_dump_lists_threads_and_never_ciphertexts(one_connection):
     world, b2, conn, send = one_connection
-    nonce = fresh_nonce(world.rng)
-    send(nonce, "ownershipClaimReq")
+    inner, _ = send(fresh_nonce(world.rng), "ownershipClaimReq")
     dumped = b2.state_dump()["connections"][conn.remote_did]
-    assert dumped["threads"][f"{nonce.hex()}:ownershipClaimReq"] is None
-    assert len(dumped["threads"]) == len(conn.threads)
-    assert "ciphertexts" not in dumped
-    text = canonical_json(b2.state_dump())
-    assert conn.ciphertexts and not any(inner.hex() in text for inner in conn.ciphertexts)
+    assert {key: dumped[key] for key in ("threads", "sent", "received")} == {
+        "threads": {},
+        "sent": conn.sent,
+        "received": conn.received,
+    }
+    assert conn.sent > 0 and conn.received == inner_counter(inner)
+    assert "ciphertexts" not in dumped and inner.hex() not in canonical_json(b2.state_dump())
 
 
 @given(
@@ -492,13 +572,20 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
     assert (result.world.trace[-1]["to"], result.world.trace[-1]["verdict"]) == ("MF", "rejected:malformed-payload")
 
 
-@given(nonce=st.binary(min_size=16, max_size=16), p=admitted_payloads(), did=st.text(max_size=40))
+@given(
+    nonce=st.binary(min_size=16, max_size=16),
+    p=admitted_payloads(),
+    did=st.text(max_size=40),
+    counter=st.integers(0, 2**64 - 1),
+)
 @settings(max_examples=100, deadline=None)
-def test_any_nonce_and_payload_survive_the_envelope_property(nonce, p, did):
+def test_any_nonce_and_payload_survive_the_envelope_property(nonce, p, did, counter):
     parties = make_parties(Rng(5))
-    env = seal(parties["rng"], send_key(parties), parties["endpoint"].public_key, parties["route"], did, nonce, p)
+    endpoint = parties["endpoint"].public_key
+    env = seal(parties["rng"], send_key(parties), counter, endpoint, parties["route"], did, nonce, p)
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     assert recipient_did == did
+    assert inner_counter(inner) == counter
     opened = open_inner(receive_key(parties), inner)
     assert opened == (nonce, canonical_encode_payload(p))
     assert verify_inner(*opened) == (nonce, p)

@@ -60,6 +60,7 @@ def test_unknown_recipient_dead_letter():
     env = seal(
         world.rng,
         conn.send_key,
+        1,
         stranger.public_key,
         world.route("A"),
         "did:handover:nobody",
