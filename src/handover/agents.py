@@ -92,23 +92,20 @@ def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -
 
 @dataclass
 class Connection:
-    """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys derive from them once.
-    ``threads`` maps a (nonce, kind) pair to the context of the open exchange a reply of that kind closes; ``sent``
-    counts the messages sent on it and ``received`` is the highest counter accepted from the peer."""
+    """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys, from the one agreement
+    that keyed both sides, are its peer's swapped.  ``threads`` maps a (nonce, kind) pair to the context of the open
+    exchange a reply of that kind closes; ``sent`` counts the messages sent and ``received`` is the highest one accepted."""
 
     conn_id: str
     local: crypto.KeyPair
     remote_public_key: bytes
     remote_did: str
     remote_agent_id: str
+    send_key: SymmetricKey = field(repr=False)
+    receive_key: SymmetricKey = field(repr=False)
     threads: dict[tuple[bytes, str], dict] = field(default_factory=dict)
     sent: int = 0
     received: int = 0
-    send_key: SymmetricKey = field(init=False, repr=False)
-    receive_key: SymmetricKey = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.send_key, self.receive_key = crypto.channel_keys(self.local, self.remote_public_key)
 
 
 @dataclass
@@ -124,6 +121,7 @@ class ProductRecord:
     email: str = ""
     current_credential_id: Optional[str] = None
     current_credential: Optional[VerifiableCredential] = field(default=None, repr=False)  # that id's, not dumped
+    holder_did: str = field(default="", repr=False)  # the peer DID of ``conn_id``'s connection, not dumped
 
     def to_attributes(self) -> dict:
         return {
@@ -274,8 +272,9 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     world = inviter.world
     conn_id = world.rng.token(8).hex()
     keys = {side: crypto.generate_keypair(world.rng) for side in (inviter, invitee)}  # X25519 only: they only agree
-    for side, peer in ((inviter, invitee), (invitee, inviter)):
-        side.add_connection(Connection(conn_id, keys[side], keys[peer].public_key, peer.did, peer.agent_id))
+    pair = crypto.channel_keys(keys[inviter], keys[invitee].public_key)  # the invitee's pair is the inviter's swapped
+    for side, peer, (send, receive) in ((inviter, invitee, pair), (invitee, inviter, pair[::-1])):
+        side.add_connection(Connection(conn_id, keys[side], keys[peer].public_key, peer.did, peer.agent_id, send, receive))
     world.emit(
         channel=simnet.CHANNEL_CONTROL,
         kind="connection-established",
@@ -390,7 +389,7 @@ class ManufacturerAgent(Agent):
             return "rejected:unknown-product"
         if claim.credential is not None:  # issued, not yet acknowledged
             return self._offer(conn, nonce, claim)
-        product.conn_id = conn.conn_id
+        product.conn_id, product.holder_did = conn.conn_id, conn.remote_did
         claim.credential = self._issue(product)
         self._offer(conn, nonce, claim)
         self._emit_product_updated(product, "new-purchase")
@@ -516,8 +515,8 @@ class ManufacturerAgent(Agent):
             verdict="ok",
             meta={"productCode": product.product_code, "credentialId": old_credential_id},
         )
-        old_conn = next((c for c in self.connections.values() if c.conn_id == product.conn_id), None)
-        if old_conn is not None:
+        old_conn = self.connections.get(product.holder_did)
+        if old_conn is not None and old_conn.conn_id == product.conn_id:  # not if the holder has reconnected since
             revoke_nonce = crypto.fresh_nonce(self.rng)
             self.send(
                 old_conn,
@@ -525,7 +524,7 @@ class ManufacturerAgent(Agent):
                 payload("revokeVC", credentialId=old_credential_id, productCode=product.product_code),
             )
             self.expect(old_conn, "revokeVCResp", revoke_nonce)
-        product.conn_id = buyer_conn.conn_id
+        product.conn_id, product.holder_did = buyer_conn.conn_id, buyer_conn.remote_did
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
         product.email = self.world.agents[buyer_conn.remote_agent_id].email

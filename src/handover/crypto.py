@@ -14,7 +14,9 @@ is recipient key id (8) || ephemeral X25519 public key (32) || AES-GCM IV (12)
 once, drawing 32 RNG bytes for the ephemeral key, then 12 for the IV.
 :func:`sym_encrypt` (AES-GCM) serves every other ciphertext: a PIN, each
 connection message under the sender's :func:`channel_keys` send key (Aries
-RFC 0019 authcrypt), each outer layer under its sender's route key.
+RFC 0019 authcrypt), each outer layer under its sender's route key.  X25519
+gives both ends the same secret (RFC 7748 6.1), so a connection runs one
+agreement: one side's (send, receive) pair is the other's swapped.
 """
 
 from __future__ import annotations
@@ -97,11 +99,18 @@ class KeyPair:
 
 @dataclass(frozen=True)
 class SymmetricKey:
+    """An AES-256-GCM key; ``aead``, its cipher built once, stays out of ``==`` and dumps, and a copy rebuilds it."""
+
     key_bytes: bytes
+    aead: AESGCM = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.key_bytes) != SYM_KEY_LEN:
             raise KeyFormatError(f"symmetric key must be {SYM_KEY_LEN} bytes")
+        object.__setattr__(self, "aead", AESGCM(self.key_bytes))
+
+    def __reduce__(self):
+        return SymmetricKey, (self.key_bytes,)
 
 
 def generate_keypair(rng: Rng) -> KeyPair:
@@ -140,7 +149,7 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
 
 
 def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[SymmetricKey, SymmetricKey]:
-    """(send key, receive key) on ``local``'s side: one static-static X25519 agreement hashed with both keys, sender first."""
+    """``local``'s (send, receive) keys: one X25519 agreement hashed with both keys, sender first; the peer's are swapped."""
     _check_key(peer_public_key, "public key")
     shared = local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key))
     ends = (local.public_key, peer_public_key)
@@ -193,7 +202,7 @@ def generate_symmetric_key(rng: Rng) -> SymmetricKey:
 def sym_encrypt(rng: Rng, key: SymmetricKey, plaintext: bytes, associated_data: bytes) -> bytes:
     """AES-GCM with a fresh IV per call: IV (12) || ciphertext+tag; the tag also covers ``associated_data``."""
     iv = rng.token(_GCM_IV_LEN)
-    return iv + AESGCM(key.key_bytes).encrypt(iv, bytes(plaintext), associated_data)
+    return iv + key.aead.encrypt(iv, bytes(plaintext), associated_data)
 
 
 def sym_decrypt(key: SymmetricKey, ciphertext: bytes, associated_data: bytes) -> bytes:
@@ -201,7 +210,7 @@ def sym_decrypt(key: SymmetricKey, ciphertext: bytes, associated_data: bytes) ->
     if len(ciphertext) < _GCM_IV_LEN + _GCM_TAG_LEN:
         raise DecryptError("ciphertext truncated")
     try:
-        return AESGCM(key.key_bytes).decrypt(ciphertext[:_GCM_IV_LEN], bytes(ciphertext[_GCM_IV_LEN:]), associated_data)
+        return key.aead.decrypt(ciphertext[:_GCM_IV_LEN], bytes(ciphertext[_GCM_IV_LEN:]), associated_data)
     except InvalidTag as exc:
         raise DecryptError("authentication failed") from exc
 

@@ -22,27 +22,28 @@ class EncodingError(Exception):
     """Value cannot be encoded, or bytes are not a valid encoding."""
 
 
-_HEAD = struct.Struct(">cI").pack  # tag, then a 4-byte big-endian length or item count
+_HEAD = struct.Struct(">BI")  # tag, then a 4-byte big-endian length or item count
 _N, _I, _S, _B, _Q, _L = b"NISBQL"  # the decoder compares tags as integers
 MAX_NESTING = 32  # lists and fractions the decoder accepts inside one another; the engine's values nest 5 deep
+_DUMPED: dict[type, tuple[str, ...]] = {}  # a dataclass -> the names of the fields :func:`plain` dumps
 
 
 def _write(out: bytearray, value: Any) -> None:
     if isinstance(value, str):
         raw = value.encode()
-        out += _HEAD(b"S", len(raw)) + raw
+        out += _HEAD.pack(_S, len(raw)) + raw
     elif isinstance(value, (bytes, bytearray)):
-        out += _HEAD(b"B", len(value))
+        out += _HEAD.pack(_B, len(value))
         out += value
     elif isinstance(value, (list, tuple)):
-        out += _HEAD(b"L", len(value))
+        out += _HEAD.pack(_L, len(value))
         for item in value:
             _write(out, item)
     elif value is None:
         out += b"N"
     elif isinstance(value, int) and not isinstance(value, bool):  # booleans are not part of the wire format
         raw = str(value).encode()
-        out += _HEAD(b"I", len(raw)) + raw
+        out += _HEAD.pack(_I, len(raw)) + raw
     elif isinstance(value, Fraction):
         out += b"Q" + encode_value(value.numerator) + encode_value(value.denominator)
     else:
@@ -56,14 +57,16 @@ def encode_value(value: Any) -> bytes:
 
 
 def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
-    if pos >= len(data):
+    start = pos + 5
+    if start <= len(data):
+        tag, length = _HEAD.unpack_from(data, pos)
+    elif pos < len(data):  # too short for a head: an N or a Q, or any length overruns the input
+        tag, length = data[pos], len(data)
+    else:
         raise EncodingError("unexpected end of input")
-    tag = data[pos]
     if depth == MAX_NESTING and tag in b"LQ":
         raise EncodingError("values nested too deeply")
     if tag in b"ISBL":
-        start = pos + 5
-        length = int.from_bytes(data[pos + 1 : start], "big")
         end = start if tag == _L else start + length
         if end > len(data):
             raise EncodingError("truncated input")
@@ -121,7 +124,8 @@ def plain(value: Any) -> Any:
         return {":".join(map(plain, k)) if isinstance(k, tuple) else plain(k): plain(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted(map(plain, value))
-    return {f.name: plain(getattr(value, f.name)) for f in fields(value) if f.repr}  # raises unless a dataclass
+    names = _DUMPED.get(type(value)) or _DUMPED.setdefault(type(value), tuple(f.name for f in fields(value) if f.repr))
+    return {name: plain(getattr(value, name)) for name in names}  # fields() raises unless a dataclass
 
 
 def canonical_json(obj: Any) -> str:

@@ -158,6 +158,9 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
 }
 
 
+_KIND_NAMES = {kind: {name for name, _ in spec} for kind, spec in KIND_FIELDS.items()}  # each kind's field names
+
+
 def payload(kind: str, **fields: Any) -> MessagePayload:
     """Build a payload; raises :class:`PayloadError` on any mismatch."""
     return MessagePayload(kind=kind, body=dict(fields))
@@ -167,9 +170,8 @@ def validate_payload(p: MessagePayload) -> None:
     spec = KIND_FIELDS.get(p.kind)
     if spec is None:
         raise PayloadError(f"unknown kind {p.kind!r}")
-    names = [name for name, _ in spec]
-    if sorted(p.body) != sorted(names):
-        raise PayloadError(f"{p.kind}: expected fields {names}, got {sorted(p.body)}")
+    if p.body.keys() != _KIND_NAMES[p.kind]:
+        raise PayloadError(f"{p.kind}: expected fields {[name for name, _ in spec]}, got {sorted(p.body)}")
     for name, ftype in spec:
         if not ftype.admits(p.body[name]):
             raise PayloadError(f"{p.kind}.{name}: {p.body[name]!r} is not {ftype.name}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 from . import simnet
@@ -97,6 +98,13 @@ class ScenarioSpec:
     adversaries: tuple[str, ...]
     products: tuple[str, ...]
     script: tuple[ScenarioStep, ...]
+
+    @cached_property
+    def roles(self) -> dict[str, set[str]]:
+        """The cast's names each agent role of ``STEP_OPS`` admits; built on first use, not per step."""
+        wallets = {*self.wallets, *self.adversaries}
+        agents = {self.manufacturer, self.distributor, *wallets} - {None}
+        return {"agent": agents, "wallet": wallets, "adversary": set(self.adversaries), "distributor": {self.distributor}}
 
 
 @dataclass
@@ -185,16 +193,13 @@ def parse_step(raw: object, location: str, spec: ScenarioSpec) -> ScenarioStep:
     unknown = sorted(set(args) - set(STEP_OPS[op]))
     if unknown:
         raise ScenarioError(f"{location}.{unknown[0]}", f"{op} takes no argument {unknown[0]!r}")
-    wallets = {*spec.wallets, *spec.adversaries}
-    agents = {spec.manufacturer, spec.distributor, *wallets} - {None}
-    roles = {"agent": agents, "wallet": wallets, "adversary": set(spec.adversaries), "distributor": {spec.distributor}}
     for key, kind in STEP_OPS[op].items():
         if key not in args and kind.endswith("?"):
             continue
         kind = kind.rstrip("?")
         value = args.get(key, spec.distributor if kind == "distributor" else None)
-        if kind in roles:
-            if not isinstance(value, str) or value not in roles[kind]:
+        if kind in spec.roles:
+            if not isinstance(value, str) or value not in spec.roles[kind]:
                 raise ScenarioError(f"{location}.{key}", f"{value!r} is not in the cast as {kind}")
         elif not _VALUE_CHECKS[kind](value):
             raise ScenarioError(f"{location}.{key}", f"expected a {kind}, got {value!r}")

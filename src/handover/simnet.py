@@ -48,7 +48,7 @@ class DirectMessage:
     error: Optional[str] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryEvent:
     seq: int
     deliver_at: int
@@ -263,12 +263,12 @@ class World:
                         meta={"limit": self.max_ticks, "next": event.deliver_at},
                     )
                 return False
-            tampers = self._tampers.pop(event.seq, [])
+            tampers = self._tampers.pop(event.seq, ()) if self._tampers else ()  # both tables are empty but in attacks
             if tampers and event.channel != CHANNEL_SSI:
                 raise SimError(f"tamper: event {event.seq} is not sealed wire bytes; the tamper is discarded")
             self._queue.popleft()
             self.clock = event.deliver_at
-            if event.seq in self._drops:
+            if self._drops and event.seq in self._drops:
                 self._drops.discard(event.seq)
                 self.emit(
                     channel=event.channel,
@@ -294,7 +294,8 @@ class World:
                 meta=self._event_meta(event),
                 seq=event.seq,
             )
-        stale = sorted(seq for seq in self._drops | self._tampers.keys() if seq <= self._seq)
+        pending = self._drops | self._tampers.keys() if self._drops or self._tampers else ()
+        stale = sorted(seq for seq in pending if seq <= self._seq)
         if stale:
             self._drops.difference_update(stale)
             for seq in stale:

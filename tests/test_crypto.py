@@ -3,6 +3,7 @@ import copy
 import sys
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -330,6 +331,23 @@ def test_each_key_does_its_one_job_property(message, seed):
     assert sym_decrypt(b_receive, sym_encrypt(rng, a_send, message, b""), b"") == message
 
 
+def _agreement_pair(secret: bytes) -> crypto.KeyPair:
+    agreer = X25519PrivateKey.from_private_bytes(secret)
+    public_key = agreer.public_key().public_bytes_raw()
+    return crypto.KeyPair(public_key, agreer, crypto.key_id(public_key))
+
+
+@given(secrets=st.lists(st.binary(min_size=32, max_size=32), min_size=2, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_the_peer_of_a_channel_gets_its_keys_swapped_property(secrets):
+    # X25519 gives both ends one secret (RFC 7748 6.1), so establish_connection agrees once and hands
+    # the invitee the inviter's (send, receive) pair swapped; any two private keys must allow that
+    a, b = map(_agreement_pair, secrets)
+    a_send, a_receive = crypto.channel_keys(a, b.public_key)
+    assert crypto.channel_keys(b, a.public_key) == (a_receive, a_send)
+    assert (a_send == a_receive) == (a.public_key == b.public_key)
+
+
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_hybrid_roundtrip_property(message, seed):
@@ -379,9 +397,10 @@ def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
 
 
 def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
-    # every X25519 agreement parses its peer's key: each connection side's once for its direction
-    # keys, and a sender's and the mediator's once when that sender enrolls its route key; sealing,
-    # relaying and opening a message does none, so more messages cost no more agreements
+    # every X25519 agreement parses its peer's key: once per connection for both sides' direction keys
+    # (the invitee takes the inviter's pair swapped), and a sender's and the mediator's once when that
+    # sender enrolls its route key; sealing, relaying and opening a message does none, so more messages
+    # cost no more agreements
     callers, decrypting = collections.Counter(), []
     parse = crypto.X25519PublicKey.from_public_bytes
 
@@ -396,10 +415,10 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
     result = run_scenario(builtin_scenario("full-lifecycle"))
     assert result.ok
     world, b2, mf = result.world, result.cast["B2"], result.cast["MF"]
-    sides = sum(len(agent.connections) for agent in result.cast.values())
+    connections = sum(len(agent.connections) for agent in result.cast.values()) // 2
     enrolled = len(world.mediator.route_keys)
-    assert (sides, enrolled) == (6, 3)  # MF, B1 and B2 send; DS talks to MF over https only
-    expected = {"asym_encrypt": enrolled, "asym_decrypt": enrolled, "channel_keys": sides}
+    assert (connections, enrolled) == (3, 3)  # MF, B1 and B2 send; DS talks to MF over https only
+    expected = {"asym_encrypt": enrolled, "asym_decrypt": enrolled, "channel_keys": connections}
     for extra in (0, 5):
         for _ in range(extra):
             request = messages.payload("PINReq", tid=messages.mint_tid(world.rng))
@@ -408,4 +427,4 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
         assert sum(r["channel"] == "ssi" and r["to"] == "MD" for r in world.trace) == 16 + extra
         assert callers == expected
     assert all(keys is world.mediator.keys for keys in decrypting)
-    assert sum(callers.values()) == 2 * enrolled + sides == 12
+    assert sum(callers.values()) == 2 * enrolled + connections == 9

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from handover import crypto
 from handover.agents import WalletAgent, establish_connection
 from handover.encoding import encode
+from handover.invariants import scan_trace
 from handover.messages import Envelope, mint_tid, payload, seal, unseal_at_mediator
 from handover.scenarios import BUILTIN_SCENARIOS, build_world, builtin_scenario, execute_step, parse_scenario, run_scenario
 from handover.simnet import MAX_QUEUED, SimError, World
@@ -437,6 +438,44 @@ def test_seed_identical_runs_identical_traces():
     assert first.trace_lines() == second.trace_lines()
     third = fresh_lifecycle(seed=124)
     assert first.trace_lines() != third.trace_lines()
+
+
+def _run_steps(world, cast, spec, indices) -> list[str]:
+    """Run the steps ``indices`` of ``spec`` as ``run_scenario`` does, step records included; their verdicts."""
+    verdicts = []
+    for index in indices:
+        step = spec.script[index]
+        verdicts.append(execute_step(world, cast, spec, step))
+        meta = {"index": index, "op": step.op, "expect": step.expect}
+        world.emit(channel="control", kind="step", frm="-", to="-", verdict=verdicts[-1], meta=meta)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_a_world_forked_at_any_step_boundary_runs_to_the_same_end(name):
+    # a search over attacks may branch from deep copies of (world, cast) instead of replaying each prefix: a copy
+    # taken at any step boundary and run to the end must give the original's verdicts, trace and findings, and
+    # hold keys of its own, so that no cipher context built for one world serves another
+    spec = builtin_scenario(name)
+    expected = run_scenario(spec)
+    world, cast = build_world(spec)
+    for start in range(len(spec.script) + 1):
+        fork_world, fork_cast = copy.deepcopy((world, cast))
+        assert all(agent.world is fork_world for agent in fork_cast.values())
+        for agent_id, agent in cast.items():
+            for did, conn in agent.connections.items():
+                twin = fork_cast[agent_id].connections[did]
+                assert (twin.send_key, twin.receive_key) == (conn.send_key, conn.receive_key)
+                assert twin.send_key.aead is not conn.send_key.aead
+                assert twin.receive_key.aead is not conn.receive_key.aead
+        for route_id, key in world.mediator.route_keys.items():
+            assert key.aead is not fork_world.mediator.route_keys[route_id].aead
+        verdicts = _run_steps(fork_world, fork_cast, spec, range(start, len(spec.script)))
+        fork_world.emit_state_dumps()
+        assert verdicts == [step.verdict for step in expected.steps[start:]]
+        assert fork_world.trace == expected.world.trace
+        assert scan_trace(fork_world.trace) == expected.violations
+        _run_steps(world, cast, spec, range(start, min(start + 1, len(spec.script))))
 
 
 def test_new_purchase_eleven_row_exchange():
