@@ -44,6 +44,7 @@ from .messages import (
 # request guarded by TID/state.
 RESPONSE_KINDS = frozenset(
     {
+        "problemReport",
         "ownershipClaimResp",
         "ownershipClaimAck",
         "PINResp",
@@ -93,8 +94,9 @@ def evaluate_challenge(pin_value: int, challenge_by: int, challenge_type: str) -
 @dataclass
 class Connection:
     """One side of a pairwise SSI connection. Its X25519 keys are unique to it; its direction keys, from the one agreement
-    that keyed both sides, are its peer's swapped.  ``threads`` maps a (nonce, kind) pair to the context of the open
-    exchange a reply of that kind closes; ``sent`` counts the messages sent and ``received`` is the highest one accepted."""
+    that keyed both sides, are its peer's swapped.  ``threads`` maps the nonce of each open exchange to the one reply
+    kind that continues it and that reply's context; ``sent`` counts the messages sent and ``received`` is the highest
+    one accepted."""
 
     conn_id: str
     local: crypto.KeyPair
@@ -103,7 +105,8 @@ class Connection:
     remote_agent_id: str
     send_key: SymmetricKey = field(repr=False)
     receive_key: SymmetricKey = field(repr=False)
-    threads: dict[tuple[bytes, str], dict] = field(default_factory=dict)
+    remote_kid: bytes = field(repr=False)  # the id of ``remote_public_key``, which every sealed message leads with
+    threads: dict[bytes, tuple[str, dict]] = field(default_factory=dict)
     sent: int = 0
     received: int = 0
 
@@ -204,13 +207,13 @@ class Agent:
     def send(self, conn: Connection, nonce: bytes, p: MessagePayload) -> None:
         conn.sent += 1
         route = self.world.route(self.agent_id)
-        env = seal(self.rng, conn.send_key, conn.sent, conn.remote_public_key, route, conn.remote_did, nonce, p)
+        env = seal(self.rng, conn.send_key, conn.sent, conn.remote_kid, route, conn.remote_did, nonce, p)
         self.world.send_envelope(self.agent_id, env, p.kind)
 
     def expect(self, conn: Connection, kind: str, nonce: bytes, context: dict | None = None) -> None:
-        """Open the thread that one ``kind`` reply on ``conn`` under ``nonce`` closes. Every leg of an exchange runs
-        under its request's nonce (Aries RFC 0008), so two exchanges of one kind on one connection are two threads."""
-        conn.threads[(nonce, kind)] = dict(context or {})
+        """Open the thread of ``nonce``: a ``kind`` reply continues it with ``context``, a ``problemReport`` closes it.
+        Every leg of an exchange runs under its request's nonce (Aries RFC 0008), so an exchange is one thread."""
+        conn.threads[nonce] = (kind, dict(context or {}))
 
     # -- inbound dispatch --------------------------------------------------
 
@@ -225,7 +228,8 @@ class Agent:
         return "rejected:unknown-channel"
 
     def _handle_ssi(self, inner_ciphertext: bytes) -> str:
-        """Open, verify and dispatch on the one connection the key id names: that is the peer."""
+        """Open, verify and dispatch on the one connection the key id names: that is the peer.  A handler's refusal
+        gets one ``problemReport`` with its reason under the message's nonce, unless the message is one itself."""
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
@@ -239,12 +243,18 @@ class Agent:
         except PayloadError:
             return "rejected:malformed-payload"
         conn.received = counter
-        context = conn.threads.pop((nonce, p.kind), None)  # the open exchange this message closes, if any
+        thread = conn.threads.get(nonce)  # (reply kind, context) of the open exchange under this nonce
+        context = conn.threads.pop(nonce)[1] if thread and p.kind in (thread[0], "problemReport") else None
         if context is None and p.kind in RESPONSE_KINDS:
             return "rejected:nonce-mismatch"
-        return self.handle_payload(conn, nonce, p, context)
+        verdict = self.handle_payload(conn, nonce, p, context)
+        if verdict.startswith("rejected:") and p.kind != "problemReport":
+            self.send(conn, nonce, payload("problemReport", reason=verdict.removeprefix("rejected:")))
+        return verdict
 
     def handle_payload(self, conn: Connection, nonce: bytes, p: MessagePayload, context: Optional[dict]) -> str:
+        if p.kind == "problemReport":  # the peer refused the exchange this closed
+            return f"rejected:{p.body['reason']}"
         name = self.HANDLERS.get(p.kind)
         if name is None:
             return "rejected:unexpected-kind"
@@ -274,7 +284,9 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     keys = {side: crypto.generate_keypair(world.rng) for side in (inviter, invitee)}  # X25519 only: they only agree
     pair = crypto.channel_keys(keys[inviter], keys[invitee].public_key)  # the invitee's pair is the inviter's swapped
     for side, peer, (send, receive) in ((inviter, invitee, pair), (invitee, inviter, pair[::-1])):
-        side.add_connection(Connection(conn_id, keys[side], keys[peer].public_key, peer.did, peer.agent_id, send, receive))
+        remote = keys[peer]
+        conn = Connection(conn_id, keys[side], remote.public_key, peer.did, peer.agent_id, send, receive, remote.kid)
+        side.add_connection(conn)
     world.emit(
         channel=simnet.CHANNEL_CONTROL,
         kind="connection-established",
@@ -295,8 +307,8 @@ class ManufacturerAgent(Agent):
         "ownershipTransferReq": "_on_ownership_transfer_req",
         "ownershipProofResp": "_on_ownership_proof_resp",
         "pinChallengeResp": "_on_pin_challenge_resp",
-        "revokeVCResp": "_on_status_reply",
-        "ownershipClaimAck": "_on_status_reply",
+        "revokeVCResp": "_on_ack",
+        "ownershipClaimAck": "_on_ack",
     }
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
@@ -345,17 +357,16 @@ class ManufacturerAgent(Agent):
     # -- distributor channel ------------------------------------------------
 
     def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        if dm.payload is None or dm.payload.kind != "productSellingReq":
+        if dm.payload.kind != "productSellingReq":
             return "rejected:unexpected-kind"
         body = dm.payload.body
         code = body["productCode"]
         product = self.products.get(code)
-        if product is None:
-            self.world.send_direct(self.agent_id, frm, dm.nonce, None, error="unknown-product")
-            return "rejected:unknown-product"
-        if product.current_credential_id is not None or code in self.claimants:
-            self.world.send_direct(self.agent_id, frm, dm.nonce, None, error="already-sold")
-            return "rejected:already-sold"
+        if product is None or product.current_credential_id is not None or code in self.claimants:
+            refusal = "unknown-product" if product is None else "already-sold"
+            # the https leg's one refusal: the payload a connection's refusal carries
+            self.world.send_direct(self.agent_id, frm, dm.nonce, payload("problemReport", reason=refusal))
+            return f"rejected:{refusal}"
         now = self.world.tick()
         product.distributor_id = body["distributorID"]
         product.email = body["email"]
@@ -419,7 +430,6 @@ class ManufacturerAgent(Agent):
         code = p.body["productCode"]
         refusal = self._transfer_refusal(code)
         if refusal is not None:
-            self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
             return f"rejected:{refusal}"
         challenge = crypto.fresh_nonce(self.rng)
         proof_req = payload("ownershipProofReq", attributes=list(PRODUCT_ATTRIBUTE_NAMES), challenge=challenge)
@@ -446,13 +456,12 @@ class ManufacturerAgent(Agent):
             # checked again: another proof for the product may have verified since the request
             reason = self._transfer_refusal(code)
         if reason is not None:
-            self.send(conn, nonce, payload("ownershipTransferResp", status="rejected"))
             return f"rejected:{reason}"
         # the proof shows the holder has the current credential: an unacknowledged offer of it is settled
         self.claimants[code] = ClaimantAttribute(
             product_code=code, tid=context["tid"], encrypted_pin=bytes(context["encryptedPin"])
         )
-        self.send(conn, nonce, payload("ownershipTransferResp", status="accepted"))
+        self.send(conn, nonce, payload("ownershipTransferResp"))
         return "accepted"
 
     # -- used-product claim (tid + symmetric key) -----------------------------
@@ -549,10 +558,8 @@ class ManufacturerAgent(Agent):
             },
         )
 
-    def _on_status_reply(self, conn, nonce, p, context) -> str:
+    def _on_ack(self, conn, nonce, p, context) -> str:
         # revocation and issuance took effect when their registry entries landed; an ack settles its claim
-        if p.body["status"] != "accepted":
-            return "rejected:holder-declined"
         claim = context.get("claim")
         if claim is not None and self.claimants.get(claim.product_code) is claim:
             del self.claimants[claim.product_code]  # the claim is single-use
@@ -589,9 +596,9 @@ class DistributorAgent(Agent):
         context = self.open_sales.pop(dm.nonce, None)  # the https leg has no connection, so no threads
         if context is None:
             return "rejected:nonce-mismatch"
-        if dm.error is not None:
-            return f"rejected:{dm.error}"
-        if dm.payload is None or dm.payload.kind != "productSellingResp":
+        if dm.payload.kind == "problemReport":
+            return f"rejected:{dm.payload.body['reason']}"
+        if dm.payload.kind != "productSellingResp":
             return "rejected:unexpected-kind"
         self.world.send_email(
             self.agent_id,
@@ -657,7 +664,6 @@ class WalletAgent(Agent):
             conn, nonce, payload("ownershipTransferReq", productCode=product_code, encryptedPin=encrypted_pin, tid=tid)
         )
         self.expect(conn, "ownershipProofReq", nonce, context=context)
-        self.expect(conn, "ownershipTransferResp", nonce, context=context)
 
     def claim_used(self, manufacturer_did: str, tid: str) -> None:
         """Claim a second-hand purchase: reveal the symmetric key to the manufacturer."""
@@ -703,19 +709,20 @@ class WalletAgent(Agent):
         self.sales[context["productCode"]] = (context["tid"], bytes(p.body["encryptedPin"]))
         return "accepted"
 
-    def _select_credential(self, product_code: str, requested: list[str]) -> Optional[VerifiableCredential]:
-        vc = self.credentials.get(product_code)
+    def _select_credential(self, context: dict, requested: list[str]) -> Optional[VerifiableCredential]:
+        vc = self.credentials.get(context["productCode"])
         if vc is None or self.world.registry.is_revoked(vc.credential_id):
             return None
         names = [name for name, _ in vc.attributes]
         return vc if all(r in names for r in requested) else None
 
     def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
-        vc = self._select_credential(context["productCode"], p.body["attributes"])
+        vc = self._select_credential(context, p.body["attributes"])
         if vc is None:
             return "rejected:no-matching-credential"
         presentation = present_proof(vc, bytes(p.body["challenge"]), self.did_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
+        self.expect(conn, "ownershipTransferResp", nonce, context=context)
         return "accepted"
 
     def _on_pin_challenge_req(self, conn, nonce, p, context) -> str:
@@ -738,16 +745,14 @@ class WalletAgent(Agent):
         if ok and code is None:
             ok, reason = False, "no-product-code"
         if not ok:
-            self.send(conn, nonce, payload("ownershipClaimAck", status="rejected"))
             return f"rejected:{reason}"
         self.credentials[code] = vc  # a retry re-offers the same one; a bought-back product's replaces the revoked one
         self.claiming.pop(context.get("tid"), None)
-        self.send(conn, nonce, payload("ownershipClaimAck", status="accepted"))
+        self.send(conn, nonce, payload("ownershipClaimAck"))
         return "accepted"
 
     def _on_ownership_transfer_resp(self, conn, nonce, p, context) -> str:
-        conn.threads.pop((nonce, "ownershipProofReq"), None)  # the refusal or acceptance ends the exchange
-        return "accepted" if p.body["status"] == "accepted" else "rejected:transfer-rejected"
+        return "accepted"  # the manufacturer took the proof; a refusal arrives as a problemReport
 
     def _on_revoke_vc(self, conn, nonce, p, context) -> str:
         # a notice only: the registry, the one record of revocation, says whether the credential and sale are spent
@@ -756,18 +761,18 @@ class WalletAgent(Agent):
         if held is not None and self.world.registry.is_revoked(held.credential_id):
             del self.credentials[code]
             self.sales.pop(code, None)
-        self.send(conn, nonce, payload("revokeVCResp", status="accepted"))
+        self.send(conn, nonce, payload("revokeVCResp"))
         return "accepted"
 
 
 class AdversaryWallet(WalletAgent):
     """Wallet that plays the protocol dishonestly to probe the manufacturer.
 
-    The ``mode`` of each transfer request controls how the proof request is
-    answered: ``self-issued`` presents a credential signed by the adversary
-    under its own published definition, ``unknown-creddef`` references a
-    definition that is not on the registry, and ``garbage`` presents a
-    victim-definition credential with an invalid signature.
+    The ``mode`` of each transfer request controls which credential answers
+    the proof request: ``self-issued`` presents a credential signed by the
+    adversary under its own published definition, ``unknown-creddef``
+    references a definition that is not on the registry, and ``garbage``
+    presents a victim-definition credential with an invalid signature.
     """
 
     ROLE = "adversary-wallet"
@@ -782,7 +787,7 @@ class AdversaryWallet(WalletAgent):
         context = {"productCode": product_code, "mode": mode, "victimCredDefId": cred_def_id_of(manufacturer_did)}
         self._request_transfer(conn, nonce, product_code, mint_tid(self.rng), fake_pin_ct, context)
 
-    def _forged_credential(self, context: dict) -> VerifiableCredential:
+    def _select_credential(self, context: dict, requested: list[str]) -> VerifiableCredential:
         mode = context["mode"]
         if mode == "self-issued":
             # a definition the registry will happily resolve, but not the victim's
@@ -798,9 +803,3 @@ class AdversaryWallet(WalletAgent):
             productCode=context["productCode"], previouslySoldCount="0", firstPurchaseDate="0", lastPurchaseDate="0"
         )
         return sign_vc(tuple(attributes.items()), cred_def_id, self.did_key, self.world.tick())
-
-    def _on_ownership_proof_req(self, conn, nonce, p, context) -> str:
-        vc = self._forged_credential(context)
-        presentation = present_proof(vc, bytes(p.body["challenge"]), self.did_key)
-        self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
-        return "accepted"

@@ -113,7 +113,7 @@ def encode(values: Sequence[Any]) -> bytes:
 def plain(value: Any) -> Any:
     """JSON-ready form of engine state: a dataclass becomes its fields by name, without those declared
     ``repr=False``; bytes become hex, sets sorted lists, tuples and deques lists, and a dict key its plain
-    form (a tuple's parts joined with ``:``)."""
+    form."""
     if value is None or isinstance(value, (str, int)):  # the leaves, most of a dump
         return value
     if isinstance(value, (bytes, bytearray)):
@@ -121,7 +121,7 @@ def plain(value: Any) -> Any:
     if isinstance(value, (list, tuple, deque)):
         return [plain(item) for item in value]
     if isinstance(value, dict):
-        return {":".join(map(plain, k)) if isinstance(k, tuple) else plain(k): plain(v) for k, v in value.items()}
+        return {plain(k): plain(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return sorted(map(plain, value))
     names = _DUMPED.get(type(value)) or _DUMPED.setdefault(type(value), tuple(f.name for f in fields(value) if f.repr))

@@ -16,7 +16,7 @@ wrapped to the mediator once (``simnet.World.route``), with the route id as
 associated data.  Each AEAD key serves one layer only, so the framing carries
 no layer label and makes no codec call; only the payload is encoded.  ``seal``
 draws 12 RNG bytes for the inner IV, then 12 for the outer IV, and makes no
-X25519 agreement.
+X25519 agreement and no hash: the sender's connection holds its peer's key id.
 
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must
@@ -24,10 +24,14 @@ authenticate under that connection's receive key (or the verdict is
 ``bad-signature``).  Each connection direction is delivered in order, so that
 connection (``agents.Connection``) keeps only the highest counter it accepted:
 a lower or equal one is a replay before any decryption.
+
+``problemReport``, one of the sixteen payload kinds, is every refusal: its one
+field is a reason code (Aries RFC 0035), so acknowledgements carry no field.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -38,7 +42,6 @@ from .encoding import EncodingError, decode_value, encode
 
 PIN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 TID_LEN = 16
-ACK_STATUSES = ("accepted", "rejected")
 CHALLENGE_TYPES = ("+", "-", "*", "/")
 CHALLENGE_OPERANDS = range(100, 10_000)  # challengeBy is a 3-4 digit integer
 INNER_HEAD_LEN = crypto.KEY_ID_LEN + 8  # key id || 8-byte counter: the inner layer's clear head and associated data
@@ -133,7 +136,7 @@ CREDENTIAL = FieldType("a credential", lambda v: isinstance(v, VerifiableCredent
 PRESENTATION = FieldType(
     "a presentation", lambda v: isinstance(v, ProofPresentation), _presentation_to_wire, _presentation_from_wire, None
 )
-ACK_STATUS = FieldType(f"one of {ACK_STATUSES}", lambda v: isinstance(v, str) and v in ACK_STATUSES)
+REASON = FieldType("a reason code", lambda v: isinstance(v, str) and bool(re.fullmatch("[a-z-]{1,32}", v)))
 CHALLENGE_TYPE = FieldType(f"one of {CHALLENGE_TYPES}", lambda v: isinstance(v, str) and v in CHALLENGE_TYPES)
 CHALLENGE_BY = FieldType("a 3-4 digit int", lambda v: INT.admits(v) and v in CHALLENGE_OPERANDS)
 OPT_PIN = FieldType("a PIN or None", lambda v: v is None or (isinstance(v, str) and is_valid_pin(v)))
@@ -144,17 +147,18 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
     "productSellingResp": (("tid", STR),),
     "ownershipClaimReq": (("tid", STR), ("pin", OPT_PIN), ("key", OPT_BYTES)),
     "ownershipClaimResp": (("credential", CREDENTIAL),),
-    "ownershipClaimAck": (("status", ACK_STATUS),),
+    "ownershipClaimAck": (),
     "PINReq": (("tid", STR),),
     "PINResp": (("encryptedPin", BYTES), ("tid", STR)),
     "ownershipTransferReq": (("productCode", STR), ("encryptedPin", BYTES), ("tid", STR)),
-    "ownershipTransferResp": (("status", ACK_STATUS),),
+    "ownershipTransferResp": (),
     "ownershipProofReq": (("attributes", STR_LIST), ("challenge", BYTES)),
     "ownershipProofResp": (("presentation", PRESENTATION),),
     "pinChallengeReq": (("tid", STR), ("challengeBy", CHALLENGE_BY), ("challengeType", CHALLENGE_TYPE)),
     "pinChallengeResp": (("tid", STR), ("challengeResult", FRACTION)),
     "revokeVC": (("credentialId", STR), ("productCode", STR)),
-    "revokeVCResp": (("status", ACK_STATUS),),
+    "revokeVCResp": (),
+    "problemReport": (("reason", REASON),),
 }
 
 
@@ -219,7 +223,7 @@ def seal(
     rng: crypto.Rng,
     send_key: crypto.SymmetricKey,
     counter: int,
-    endpoint_public_key: bytes,
+    endpoint_kid: bytes,
     route: tuple[bytes, crypto.SymmetricKey],
     recipient_did: str,
     nonce: bytes,
@@ -228,7 +232,7 @@ def seal(
     """Encrypt message ``counter`` under ``send_key`` for the endpoint's key id, then wrap it under ``route``'s key."""
     if len(nonce) != crypto.NONCE_LEN:
         raise ValueError(f"a nonce is {crypto.NONCE_LEN} bytes")
-    head = crypto.key_id(endpoint_public_key) + counter.to_bytes(8, "big")
+    head = endpoint_kid + counter.to_bytes(8, "big")
     inner_ct = head + crypto.sym_encrypt(rng, send_key, nonce + canonical_encode_payload(p), head)
     route_id, route_key = route
     did = recipient_did.encode()

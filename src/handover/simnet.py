@@ -44,8 +44,7 @@ class DirectMessage:
     """Pre-secured request/response unit for the distributor<->manufacturer leg."""
 
     nonce: bytes
-    payload: Optional[MessagePayload]
-    error: Optional[str] = None
+    payload: MessagePayload  # a refusal is a ``problemReport``, as on a connection
 
 
 @dataclass(slots=True)
@@ -184,12 +183,9 @@ class World:
     def send_envelope(self, sender_id: str, envelope: Envelope, kind: str) -> int:
         return self.schedule(frm=sender_id, to=MEDIATOR_ID, channel=CHANNEL_SSI, body=envelope, kind=kind)
 
-    def send_direct(
-        self, sender_id: str, recipient_id: str, nonce: bytes, payload: Optional[MessagePayload], error: str | None = None
-    ) -> int:
-        dm = DirectMessage(nonce=bytes(nonce), payload=payload, error=error)
-        kind = payload.kind if payload is not None else f"error:{error}"
-        return self.schedule(frm=sender_id, to=recipient_id, channel=CHANNEL_HTTPS, body=dm, kind=kind)
+    def send_direct(self, sender_id: str, recipient_id: str, nonce: bytes, payload: MessagePayload) -> int:
+        dm = DirectMessage(nonce=bytes(nonce), payload=payload)
+        return self.schedule(frm=sender_id, to=recipient_id, channel=CHANNEL_HTTPS, body=dm, kind=payload.kind)
 
     def send_email(self, sender_id: str, to_email: str, subject: str, fields: dict) -> int:
         agent_id = self.email_directory.get(to_email)
@@ -377,7 +373,7 @@ class World:
             self.rng,
             crypto.channel_keys(attacker_keys, endpoint_key)[0],  # as any stranger could derive
             2**64 - 1,  # the one counter sure to pass the replay check, so the tag check decides
-            endpoint_key,
+            crypto.key_id(endpoint_key),
             self.route("adversary"),  # the stranger enrolls once per world, like any sender
             recipient.did,
             crypto.fresh_nonce(self.rng),

@@ -117,7 +117,7 @@ def purchase(wallet):
 
 def open_threads(conn, kind):
     """{nonce: context} of ``conn``'s open threads that a ``kind`` reply closes."""
-    return {nonce: context for (nonce, k), context in conn.threads.items() if k == kind}
+    return {nonce: context for nonce, (k, context) in conn.threads.items() if k == kind}
 
 
 def transfer_pending(mf, code):
@@ -250,7 +250,7 @@ def test_message_to_another_peers_connection_key_fails_signature():
     # at a counter above the last MF accepted from B1, so the tag decides
     redirected = dataclasses.replace(
         b2.connections[mf.did],
-        remote_public_key=b1.connections[mf.did].remote_public_key,
+        remote_kid=b1.connections[mf.did].remote_kid,
         sent=mf.connections[b1.did].received,
     )
     claim = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin="AAAAAA", key=None)
@@ -386,13 +386,15 @@ def test_claim_new_wrong_pin_rejected():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
     assert verdicts == ["rejected:unknown-claim"]
     assert "PC-100" in cast["MF"].claimants  # entry not consumed
-    # the retried claim opens a thread of its own and closes it with its credential; MF never answers the
-    # refused claim, so its thread stays open
+    # MF answers the refusal: its problemReport closes B1's thread and tells B1 why
+    reports = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "problemReport"]
+    assert reports == ["rejected:unknown-claim"]
+    assert cast["B1"].connections[cast["MF"].did].threads == {}
+    # the retried claim opens a thread of its own and closes it with its credential
     cast["B1"].claim_new(cast["MF"].did, emailed(cast["B1"], "tid")["tid"], emailed(cast["B1"], "pin")["pin"])
     world.run_until_quiescent()
     assert len(cast["B1"].credentials) == 1
-    threads = cast["B1"].state_dump()["connections"][cast["MF"].did]["threads"]
-    assert list(threads.values()) == [{}] and all(key.endswith(":ownershipClaimResp") for key in threads)
+    assert cast["B1"].state_dump()["connections"][cast["MF"].did]["threads"] == {}
 
 
 def test_claim_new_flow_replay_rejected():
@@ -1121,7 +1123,7 @@ def test_unanswered_transfer_request_leaves_no_state():
     assert "PC-100" not in mf.claimants
     # each unanswered request leaves one open thread, and nothing of the requests it answered
     threads = mf.state_dump()["connections"][b2.did]["threads"]
-    assert [key.split(":")[1] for key in threads] == ["ownershipProofResp"] * 3
+    assert [kind for kind, _ in threads.values()] == ["ownershipProofResp"] * 3
     # the owner's resale still completes
     start_resale(world, cast, buyer="B3")
     run_transfer(world, cast)
@@ -1163,7 +1165,8 @@ def test_state_dump_shows_an_open_exchange_with_its_context():
     b2.send(b2.connections[mf.did], nonce, request)
     world.run_until_quiescent()
     # B2 leaves the proof request unanswered: the request lives only in the open exchange, and the dump shows it
-    context = mf.state_dump()["connections"][b2.did]["threads"][f"{nonce.hex()}:ownershipProofResp"]
+    kind, context = mf.state_dump()["connections"][b2.did]["threads"][nonce.hex()]
+    assert kind == "ownershipProofResp"
     assert (context["productCode"], context["tid"], context["encryptedPin"]) == ("PC-100", tid, "01" * 38)
 
 
@@ -1358,11 +1361,17 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     nonce = crypto.fresh_nonce(world.rng)
     b1.send(b1.connections[b2.did], nonce, payload("ownershipClaimReq", tid="00" * 16, pin="AAAAAA", key=None))
     world.run_until_quiescent()
-    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B2", "rejected:unexpected-kind")
+    delivered = next(r for r in reversed(world.trace) if r["to"] == "B2")
+    assert delivered["verdict"] == "rejected:unexpected-kind"
+    # B2's problemReport answers it, and B1, which opened no thread for it, answers nothing back
+    assert [(r["to"], r["kind"], r["verdict"]) for r in world.trace if r["seq"] > delivered["seq"]] == [
+        ("MD", "problemReport", "forwarded"),
+        ("B1", "problemReport", "rejected:nonce-mismatch"),
+    ]
     after = b2.state_dump()
-    # only the connection's counter records the delivered message
-    received_before = before["connections"][b1.did].pop("received")
-    assert after["connections"][b1.did].pop("received") == received_before + 1
+    # only the connection's counters record the delivered message and its answer
+    for counter in ("received", "sent"):
+        assert after["connections"][b1.did].pop(counter) == before["connections"][b1.did].pop(counter) + 1
     assert after == before
 
 
@@ -1375,19 +1384,20 @@ def test_offered_credential_that_fails_its_check_is_refused(reason):
         offered = old_vc
     else:
         offered = dataclasses.replace(new_vc, issuer_signature=bytes(len(new_vc.issuer_signature)))
-    # a claim MF does not answer leaves B1's thread of a credential offer open
-    b1.claim_new(mf.did, "ff" * 16, "AAAAAA")
-    world.run_until_quiescent()
+    # B1 has a claim in flight, so its thread of a credential offer is open
+    nonce = crypto.fresh_nonce(world.rng)
+    b1.expect(b1.connections[mf.did], "ownershipClaimResp", nonce)
     conn = mf.connections[b1.did]
-    [nonce] = open_threads(b1.connections[mf.did], "ownershipClaimResp")
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))
-    mf.expect(conn, "ownershipClaimAck", nonce)  # so MF reads the ack's status
+    mf.expect(conn, "ownershipClaimAck", nonce)
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == f"rejected:{reason}"
     assert b1.credentials == {}
-    acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
-    assert acks[-1] == "rejected:holder-declined"  # B1 acknowledged with status rejected
+    # B1 answers with its reason, which closes MF's thread of the ack
+    reports = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "problemReport"]
+    assert reports == [f"rejected:{reason}"]
+    assert conn.threads == {}
 
 
 def test_offered_credential_without_a_product_code_is_refused():
@@ -1398,24 +1408,27 @@ def test_offered_credential_without_a_product_code_is_refused():
         sell_to(world, cast, buyer=buyer, product=code)
         claim_new(world, cast, buyer=buyer, product=code)
     held = dict(b1.credentials)
-    b1.claim_new(mf.did, "ff" * 16, "AAAAAA")  # MF leaves the claim unanswered
-    world.run_until_quiescent()
+    nonce = crypto.fresh_nonce(world.rng)
+    b1.expect(b1.connections[mf.did], "ownershipClaimResp", nonce)  # a claim in flight
     conn = mf.connections[b1.did]
-    [nonce] = open_threads(b1.connections[mf.did], "ownershipClaimResp")
     attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
     nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, world.tick())
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
-    mf.expect(conn, "ownershipClaimAck", nonce)  # so MF reads the ack's status
+    mf.expect(conn, "ownershipClaimAck", nonce)
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == "rejected:no-product-code"
-    acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
-    assert acks[-1] == "rejected:holder-declined"
+    reports = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "problemReport"]
+    assert reports[-1] == "rejected:no-product-code"
     assert b1.credentials == held
     # a proof request for a product B1 does not hold finds no credential
     start_resale(world, cast, product="PC-200")
     run_transfer(world, cast, product="PC-200")
-    assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("B1", "rejected:no-matching-credential")
+    refused = [(r["to"], r["kind"], r["verdict"]) for r in world.trace if r["to"] in ("B1", "MF")][-2:]
+    assert refused == [
+        ("B1", "ownershipProofReq", "rejected:no-matching-credential"),
+        ("MF", "problemReport", "rejected:no-matching-credential"),  # and MF's proof exchange is closed
+    ]
 
 
 def round_trip_scenario(hand_overs):
@@ -1490,8 +1503,8 @@ RUNS = sorted(BUILTIN_SCENARIOS) + ["workload:lifecycle", "workload:fleet", "wor
 
 @pytest.mark.parametrize("name", RUNS)
 def test_every_run_ends_with_no_open_thread_but_an_unanswered_claim(name):
-    # every exchange of a built-in or a benchmark workload is answered, so none leaves a thread behind; wrong-pin's
-    # refused claim is never answered (the manufacturer sends nothing back), so its thread stays open
+    # every exchange of a built-in or a benchmark workload is answered, a refused one by a problemReport (wrong-pin's
+    # claim included), so none leaves a thread behind and no claim goes unanswered
     if name.startswith("workload:"):
         spec = load_bench_workloads().scenario(name.split(":")[1], 1)
     else:
@@ -1499,8 +1512,7 @@ def test_every_run_ends_with_no_open_thread_but_an_unanswered_claim(name):
     result = run_scenario(spec)
     assert result.ok
     connections = [conn for agent in result.world.agents.values() for conn in agent.connections.values()]
-    kinds = [kind for conn in connections for _, kind in conn.threads]
-    assert kinds == (["ownershipClaimResp"] if name == "wrong-pin" else [])
+    assert [conn.threads for conn in connections if conn.threads] == []
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():
@@ -1592,11 +1604,19 @@ def test_reencrypted_message_of_a_closed_exchange_is_judged_as_new(monkeypatch):
         ("ownershipClaimReq", "rejected:unknown-tid"),  # the used claim was settled
         ("revokeVC", "accepted"),
     ]
-    # each message opened once and none was a replay; no answer to a message handled again closes an exchange
+    # each message opened once and none was a replay; no answer to a message handled again closes an exchange, and
+    # each refused one (the two settled claims, and the proof) is answered by a problemReport
     arrived = [r for r in world.trace[start:] if r["channel"] == "ssi" and r["to"] != "MD"]
     assert len(opens) == len(arrived) and all(r["verdict"] != "rejected:replay" for r in arrived)
     answers = [r["kind"] for r in arrived if r not in again]
-    assert answers == ["PINResp", "ownershipProofReq", "ownershipTransferResp", "revokeVCResp"]
+    assert answers == [
+        "problemReport",
+        "PINResp",
+        "ownershipProofReq",
+        "problemReport",
+        "problemReport",
+        "revokeVCResp",
+    ]
     assert all(r["verdict"] == "rejected:nonce-mismatch" for r in arrived if r not in again)
 
 
@@ -1673,13 +1693,20 @@ def arbitrary_inner(draw, recipient):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_arbitrary_ssi_bytes_are_rejected_without_raising(settled, data):
-    # no input on the SSI channel raises out of deliver or changes the recipient's state
+    # no input on the SSI channel raises out of deliver or changes the recipient's state; an acknowledgement has no
+    # field, so one can decode, and as a reply to no open exchange it spends only its counter
     recipient = data.draw(st.sampled_from([settled.cast[name] for name in ("MF", "B1", "B2")]))
     body = data.draw(arbitrary_inner(recipient))
     before = recipient.state_dump()
     event = DeliveryEvent(0, 0, frm="MD", to=recipient.agent_id, channel=CHANNEL_SSI, body=body, kind="x")
-    assert recipient.deliver(event).startswith("rejected:")
-    assert recipient.state_dump() == before
+    verdict = recipient.deliver(event)
+    assert verdict.startswith("rejected:")
+    after = recipient.state_dump()
+    if verdict == "rejected:nonce-mismatch":
+        conn = addressed_connection(recipient, body)
+        assert after["connections"][conn.remote_did].pop("received") == inner_counter(body)
+        conn.received = before["connections"][conn.remote_did].pop("received")  # the shared run stays as it was
+    assert after == before
 
 
 @pytest.mark.parametrize("position", [crypto.KEY_ID_LEN, -1], ids=["after-key-id", "last-byte"])

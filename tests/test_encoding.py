@@ -349,10 +349,10 @@ class _State:
 
 
 def test_plain_renders_state_as_json_ready_values():
-    state = _State(b"\x01\xff", {"b", "a"}, {("conn", "kind"): (b"\x02", {"n": 1})}, deque([(b"\x03", "k")]), object())
+    state = _State(b"\x01\xff", {"b", "a"}, {b"\x04": ("kind", {"n": b"\x02"})}, deque([(b"\x03", "k")]), object())
     assert plain(state) == {
         "key": "01ff",
         "seen": ["a", "b"],
-        "open": {"conn:kind": ["02", {"n": 1}]},
+        "open": {"04": ["kind", {"n": "02"}]},
         "queue": [["03", "k"]],
     }

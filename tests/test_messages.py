@@ -9,7 +9,6 @@ from handover.credential import ProofPresentation, present_proof, vc_from_wire
 from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair, generate_signing_key
 from handover.encoding import EncodingError, canonical_json, encode
 from handover.messages import (
-    ACK_STATUSES,
     CHALLENGE_OPERANDS,
     CHALLENGE_TYPES,
     KIND_FIELDS,
@@ -74,11 +73,11 @@ def sample_payload(kind):
         "productSellingResp": dict(tid=TID),
         "ownershipClaimReq": dict(tid=TID, pin="9X4K2M", key=None),
         "ownershipClaimResp": dict(credential=vc),
-        "ownershipClaimAck": dict(status="accepted"),
+        "ownershipClaimAck": dict(),
         "PINReq": dict(tid=TID),
         "PINResp": dict(encryptedPin=b"\x02" * 38, tid=TID),
         "ownershipTransferReq": dict(productCode="PC-100", encryptedPin=b"\x03" * 38, tid=TID),
-        "ownershipTransferResp": dict(status="rejected"),
+        "ownershipTransferResp": dict(),
         "ownershipProofReq": dict(attributes=["productCode", "status"], challenge=b"\x04" * 16),
         "ownershipProofResp": dict(
             presentation=present_proof(vc, b"\x04" * 16, generate_signing_key(Rng(1)))
@@ -86,7 +85,8 @@ def sample_payload(kind):
         "pinChallengeReq": dict(tid=TID, challengeBy=1234, challengeType="/"),
         "pinChallengeResp": dict(tid=TID, challengeResult=Fraction(15432, 125)),
         "revokeVC": dict(credentialId="vc-" + "a" * 24, productCode="PC-100"),
-        "revokeVCResp": dict(status="accepted"),
+        "revokeVCResp": dict(),
+        "problemReport": dict(reason="unknown-claim"),
     }
     return payload(kind, **bodies[kind])
 
@@ -97,8 +97,8 @@ def test_codec_roundtrip_each_kind(kind):
     assert decode_payload(canonical_encode_payload(p)) == p
 
 
-def test_fifteen_kinds_total():
-    assert len(KIND_FIELDS) == 15
+def test_sixteen_kinds_total():
+    assert len(KIND_FIELDS) == 16
 
 
 def test_one_field_difference_changes_bytes():
@@ -134,7 +134,10 @@ def test_payload_validation_errors():
     with pytest.raises(PayloadError):
         payload("PINReq", tid=TID, bonus=1)
     with pytest.raises(PayloadError):
-        payload("ownershipClaimAck", status="maybe")
+        payload("ownershipClaimAck", status="accepted")  # an acknowledgement carries no field
+    for reason in ("", "x" * 33, "Unknown-claim", "unknown_claim", "unknown claim"):
+        with pytest.raises(PayloadError):
+            payload("problemReport", reason=reason)
     with pytest.raises(PayloadError):
         payload("pinChallengeReq", tid=TID, challengeBy=12, challengeType="/")
     with pytest.raises(PayloadError):
@@ -213,7 +216,7 @@ def sealed(parties, p=None, nonce=None, counter=1):
         parties["rng"],
         send_key(parties),
         counter,
-        parties["endpoint"].public_key,
+        parties["endpoint"].kid,
         parties["route"],
         "did:handover:endpoint",
         nonce,
@@ -327,7 +330,7 @@ def test_adversary_key_resign_rejected(parties):
         parties["rng"],
         crypto.channel_keys(adversary, parties["endpoint"].public_key)[0],  # the key any stranger can derive
         1,
-        parties["endpoint"].public_key,
+        parties["endpoint"].kid,
         parties["route"],
         "did:handover:endpoint",
         nonce,
@@ -341,15 +344,15 @@ def test_adversary_key_resign_rejected(parties):
 
 def test_signature_binds_nonce_kind_and_body(parties):
     # AES-GCM ciphertext is malleable bit by bit: the XOR that would turn the nonce, the kind or the
-    # status into another valid value of the same length leaves bytes that fail to authenticate
-    env, nonce, p = sealed(parties, p=payload("ownershipClaimAck", status="accepted"))
+    # reason into another valid value of the same length leaves bytes that fail to authenticate
+    env, nonce, p = sealed(parties, p=payload("problemReport", reason="unknown-tid"))
     _, inner = unseal_at_mediator(parties["routes"], env)
     plain = inner_plain(nonce, canonical_encode_payload(p))
     other_nonce = fresh_nonce(parties["rng"])
     others = [
         inner_plain(other_nonce, canonical_encode_payload(p)),
-        inner_plain(nonce, canonical_encode_payload(payload("ownershipClaimAck", status="rejected"))),
-        inner_plain(nonce, encode(["ownershipClaimReq", "accepted"])),
+        inner_plain(nonce, canonical_encode_payload(payload("problemReport", reason="unknown-key"))),
+        inner_plain(nonce, encode(["ownershipClaimReq", "refused"])),
     ]
     body = slice(INNER_HEAD_LEN + 12, len(inner) - 16)
     for other in others:
@@ -391,18 +394,25 @@ def one_connection():
     world, b1, b2 = result.world, result.cast["B1"], result.cast["B2"]
 
     def send(nonce, kind):
+        mark = len(world.trace)
         inner = send_plain(world, b1, b2, inner_plain(nonce, canonical_encode_payload(UNHANDLED[kind])), kind)
-        assert world.trace[-1]["to"] == "B2"
-        return inner, world.trace[-1]["verdict"]
+        return inner, delivered_verdict(world, mark, b2)
 
     return world, b2, b2.connections[b1.did], send
 
 
+def delivered_verdict(world, mark, recipient):
+    """The verdict of the one delivery to ``recipient`` since trace index ``mark``; a refused message that opened is
+    answered by a problemReport, which goes to its sender."""
+    [verdict] = [r["verdict"] for r in world.trace[mark:] if r["to"] == recipient.agent_id]
+    return verdict
+
+
 def deliver_again(world, recipient, inner):
     """Deliver ``inner`` to ``recipient`` once more, from the stranger, and return the verdict."""
+    mark = len(world.trace)
     send_inner(world, recipient, inner, "copy")
-    assert world.trace[-1]["to"] == recipient.agent_id
-    return world.trace[-1]["verdict"]
+    return delivered_verdict(world, mark, recipient)
 
 
 def test_a_copy_is_a_replay_before_any_decryption(one_connection, monkeypatch):
@@ -514,7 +524,7 @@ ADMITTED = {
     messages.STR_LIST: st.lists(TEXT, max_size=4),
     messages.CREDENTIAL: CREDENTIALS,
     messages.PRESENTATION: st.builds(ProofPresentation, CREDENTIALS, st.binary(max_size=16), st.binary(max_size=64)),
-    messages.ACK_STATUS: st.sampled_from(ACK_STATUSES),
+    messages.REASON: st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=32),
     messages.CHALLENGE_TYPE: st.sampled_from(CHALLENGE_TYPES),
     messages.CHALLENGE_BY: st.integers(CHALLENGE_OPERANDS[0], CHALLENGE_OPERANDS[-1]),
     messages.OPT_PIN: st.none() | PINS,
@@ -547,7 +557,7 @@ OUT_OF_DOMAIN = [
     ("pinChallengeReq", "challengeBy", 99),
     ("pinChallengeReq", "challengeBy", 10000),
     ("pinChallengeReq", "challengeType", "%"),
-    ("ownershipClaimAck", "status", "maybe"),
+    ("problemReport", "reason", "Maybe"),
     ("ownershipClaimReq", "pin", "abc"),
     ("pinChallengeReq", "challengeBy", True),
 ]
@@ -581,7 +591,7 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
 @settings(max_examples=100, deadline=None)
 def test_any_nonce_and_payload_survive_the_envelope_property(nonce, p, did, counter):
     parties = make_parties(Rng(5))
-    endpoint = parties["endpoint"].public_key
+    endpoint = parties["endpoint"].kid
     env = seal(parties["rng"], send_key(parties), counter, endpoint, parties["route"], did, nonce, p)
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     assert recipient_did == did

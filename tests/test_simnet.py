@@ -62,7 +62,7 @@ def test_unknown_recipient_dead_letter():
         world.rng,
         conn.send_key,
         1,
-        stranger.public_key,
+        stranger.kid,
         world.route("A"),
         "did:handover:nobody",
         crypto.fresh_nonce(world.rng),
@@ -277,7 +277,7 @@ def test_offline_queue_holds_at_most_max_queued_messages():
     world.set_online("MF", False)
     mark = len(world.trace)
     for _ in range(MAX_QUEUED + 6):
-        world.spoof("MF", cast["B1"].did, payload("revokeVCResp", status="accepted"), None)
+        world.spoof("MF", cast["B1"].did, payload("revokeVCResp"), None)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace[mark:] if r["to"] == "MD"]
     assert MAX_QUEUED == 64
