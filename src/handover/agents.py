@@ -357,16 +357,23 @@ class ManufacturerAgent(Agent):
     # -- distributor channel ------------------------------------------------
 
     def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        if dm.payload.kind != "productSellingReq":
-            return "rejected:unexpected-kind"
+        """The connection's rule: a refused request gets one ``problemReport`` under its nonce, a reply kind nothing."""
+        if dm.payload.kind in RESPONSE_KINDS:
+            return "rejected:nonce-mismatch"
+        verdict = self._on_selling_req(frm, dm) if dm.payload.kind == "productSellingReq" else "rejected:unexpected-kind"
+        if verdict.startswith("rejected:"):
+            refusal = payload("problemReport", reason=verdict.removeprefix("rejected:"))
+            self.world.send_direct(self.agent_id, frm, dm.nonce, refusal)
+        return verdict
+
+    def _on_selling_req(self, frm: str, dm: "simnet.DirectMessage") -> str:
         body = dm.payload.body
         code = body["productCode"]
         product = self.products.get(code)
-        if product is None or product.current_credential_id is not None or code in self.claimants:
-            refusal = "unknown-product" if product is None else "already-sold"
-            # the https leg's one refusal: the payload a connection's refusal carries
-            self.world.send_direct(self.agent_id, frm, dm.nonce, payload("problemReport", reason=refusal))
-            return f"rejected:{refusal}"
+        if product is None:
+            return "rejected:unknown-product"
+        if product.current_credential_id is not None or code in self.claimants:
+            return "rejected:already-sold"
         now = self.world.tick()
         product.distributor_id = body["distributorID"]
         product.email = body["email"]

@@ -7,16 +7,14 @@ simulation run is reproducible from a single seed.  A key has one job, as DID
 Core keeps ``assertionMethod`` apart from ``keyAgreement``: an Ed25519
 :class:`SigningKey` derives a DID and signs credentials and presentations; an
 X25519 :class:`KeyPair` only agrees.  Each is a raw 32-byte public key and a
-private key parsed once; a pair also carries its key id.  A hybrid ciphertext
-is recipient key id (8) || ephemeral X25519 public key (32) || AES-GCM IV (12)
-|| ciphertext+tag; the AES key hashes in the ephemeral and the recipient's key
-(ECDH-ES, RFC 7518 4.6).  It wraps each sender's route key to the mediator
-once, drawing 32 RNG bytes for the ephemeral key, then 12 for the IV.
-:func:`sym_encrypt` (AES-GCM) serves every other ciphertext: a PIN, each
-connection message under the sender's :func:`channel_keys` send key (Aries
-RFC 0019 authcrypt), each outer layer under its sender's route key.  X25519
-gives both ends the same secret (RFC 7748 6.1), so a connection runs one
-agreement: one side's (send, receive) pair is the other's swapped.
+private key parsed once; a pair also carries its key id.  :func:`sym_encrypt`
+(AES-GCM) serves every ciphertext: a PIN, each connection message under the
+sender's :func:`channel_keys` send key (Aries RFC 0019 authcrypt), each outer
+layer under its sender's route key.  X25519 gives both ends the same secret
+(RFC 7748 6.1), so a connection, and a sender's enrollment with the mediator,
+runs one agreement: one side's (send, receive) pair is the other's swapped.
+No engine path calls the hybrid :func:`asym_encrypt`; ``bench/tracer.py``
+still wraps it and :func:`asym_decrypt` by name.
 """
 
 from __future__ import annotations
@@ -169,7 +167,8 @@ def key_id(public_key: bytes) -> bytes:
 
 
 def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
-    """Hybrid encryption to ``public_key`` under a fresh ephemeral X25519 key (layout above)."""
+    """Hybrid encryption to ``public_key`` (ECDH-ES, RFC 7518 4.6): recipient key id (8) || ephemeral X25519 key (32)
+    || AES-GCM IV (12) || ciphertext+tag, under a key that hashes in the ephemeral and the recipient's key."""
     _check_key(public_key, "public key")
     ephemeral = X25519PrivateKey.from_private_bytes(rng.token(32))
     eph_pub = ephemeral.public_key().public_bytes_raw()

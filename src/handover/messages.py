@@ -12,7 +12,7 @@ as associated data (Aries RFC 0019 authcrypt); the counter numbers the
 sender's messages on the connection (RFC 4303's sequence number).  The outer
 layer is route id (8) || IV (12) || AES-GCM of DID length (2, big-endian) ||
 recipient DID (UTF-8) || inner layer under the route key that the sender
-wrapped to the mediator once (``simnet.World.route``), with the route id as
+agreed with the mediator once (``simnet.World.route``), with the route id as
 associated data.  Each AEAD key serves one layer only, so the framing carries
 no layer label and makes no codec call; only the payload is encoded.  ``seal``
 draws 12 RNG bytes for the inner IV, then 12 for the outer IV, and makes no

@@ -398,6 +398,22 @@ def _resolve_seqs(world: World, selector) -> list[int]:
     return [selector]  # a seq, checked at parse time
 
 
+def run_steps(
+    world: World, cast: dict[str, Agent], spec: ScenarioSpec, start: int = 0, stop: Optional[int] = None
+) -> list[StepResult]:
+    """Execute ``spec.script[start:stop]``, each step followed by its ``step`` record, on a world built for ``spec``
+    (or a copy of one taken at step ``start``); stops once the world has timed out."""
+    steps = []
+    for index, step in enumerate(spec.script[start:stop], start):
+        if world.timed_out:
+            break  # nothing is delivered past the budget, so a later verdict would mean nothing
+        verdict = execute_step(world, cast, spec, step)
+        steps.append(StepResult(index=index, op=step.op, verdict=verdict, expect=step.expect))
+        meta = {"index": index, "op": step.op, "expect": step.expect}
+        world.emit(channel=simnet.CHANNEL_CONTROL, kind="step", frm="-", to="-", verdict=verdict, meta=meta)
+    return steps
+
+
 def run_scenario(
     spec: ScenarioSpec, seed: Optional[int] = None, max_ticks: Optional[int] = None
 ) -> ScenarioResult:
@@ -405,20 +421,7 @@ def run_scenario(
     world, cast = build_world(spec, seed)
     if max_ticks is not None:
         world.max_ticks = max_ticks
-    result = ScenarioResult(spec=spec, world=world, cast=cast)
-    for index, step in enumerate(spec.script):
-        if world.timed_out:
-            break  # nothing is delivered past the budget, so a later verdict would mean nothing
-        verdict = execute_step(world, cast, spec, step)
-        result.steps.append(StepResult(index=index, op=step.op, verdict=verdict, expect=step.expect))
-        world.emit(
-            channel=simnet.CHANNEL_CONTROL,
-            kind="step",
-            frm="-",
-            to="-",
-            verdict=verdict,
-            meta={"index": index, "op": step.op, "expect": step.expect},
-        )
+    result = ScenarioResult(spec=spec, world=world, cast=cast, steps=run_steps(world, cast, spec))
     world.emit_state_dumps()
     result.violations = scan_trace(world.trace)
     return result

@@ -65,17 +65,18 @@ class SimError(Exception):
 
 @dataclass
 class Mediator:
-    """Honest-but-curious relay: reads routing headers, stores sealed payloads."""
+    """Honest-but-curious relay: reads routing headers, forwards sealed payloads, holds them only while offline.
+    A sender's enrollment agrees with ``keys`` (``World.route``), so the mediator runs no agreement of its own."""
 
     keys: crypto.KeyPair = field(repr=False)
     routes: dict[str, str] = field(default_factory=dict)
-    queues: dict[str, deque] = field(default_factory=dict)  # agent id -> (inner layer, kind, meta) held while offline
+    queues: dict[str, deque] = field(default_factory=dict)  # offline agent id -> (inner layer, kind, meta) held for it
     route_keys: dict[bytes, crypto.SymmetricKey] = field(default_factory=dict, repr=False)  # route id -> route key
 
-    def enroll(self, wrapped_route_key: bytes) -> bytes:
-        """Unwrap a sender's route key and keep it under the next route id, which that sender's envelopes lead with."""
+    def enroll(self, route_key: crypto.SymmetricKey) -> bytes:
+        """Keep a sender's route key under the next route id, which that sender's envelopes lead with."""
         route_id = len(self.route_keys).to_bytes(crypto.KEY_ID_LEN, "big")
-        self.route_keys[route_id] = crypto.SymmetricKey(crypto.asym_decrypt(self.keys, wrapped_route_key))
+        self.route_keys[route_id] = route_key
         return route_id
 
     def handle(self, world: "World", event: DeliveryEvent) -> str:
@@ -83,22 +84,19 @@ class Mediator:
             recipient_did, inner = unseal_at_mediator(self.route_keys, event.body)
         except crypto.DecryptError:
             return "dead-letter:unreadable"
-        agent_id = self.routes.get(recipient_did)
-        if agent_id is None or agent_id not in world.agents:
+        agent = world.agents.get(self.routes.get(recipient_did))
+        if agent is None:
             return "dead-letter"
-        queue = self.queues.setdefault(agent_id, deque())  # empty unless the recipient is offline
+        if agent.online:  # an online agent has no queue: ``World.set_online`` drains it
+            world.schedule(
+                frm=MEDIATOR_ID, to=agent.agent_id, channel=CHANNEL_SSI, body=inner, kind=event.kind, meta=event.extra
+            )
+            return "forwarded"
+        queue = self.queues.setdefault(agent.agent_id, deque())
         if len(queue) >= MAX_QUEUED:
             return "dead-letter:queue-full"
         queue.append((inner, event.kind, event.extra))
-        if not world.agents[agent_id].online:
-            return "queued"
-        self.poll(world, agent_id)
-        return "forwarded"
-
-    def poll(self, world: "World", agent_id: str) -> None:
-        """Pass an agent's queue on in send order, each layer with its event's meta; a drained queue is gone."""
-        for inner, kind, meta in self.queues.pop(agent_id, ()):
-            world.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind, meta=meta)
+        return "queued"
 
     def state_dump(self) -> dict:
         """Routes and queues; its key pair and the route keys stay out."""
@@ -136,20 +134,21 @@ class World:
         self.registry.publish_did_doc(agent.did, agent.did_key.public_key, {"agent": agent.agent_id})
 
     def route(self, sender: str) -> tuple[bytes, crypto.SymmetricKey]:
-        """``sender``'s (route id, route key); the first call wraps a fresh key to the mediator (Aries RFC 0211)."""
+        """``sender``'s (route id, route key); the first call enrolls it (Aries RFC 0211) by ECDH-ES direct key
+        agreement (RFC 7518 4.6): a fresh pair agrees with the mediator's key, and both ends hold the send key."""
         if sender not in self._routes:
-            key = crypto.generate_symmetric_key(self.rng)
-            wrapped = crypto.asym_encrypt(self.rng, self.mediator.keys.public_key, key.key_bytes)
-            self._routes[sender] = (self.mediator.enroll(wrapped), key)
+            key = crypto.channel_keys(crypto.generate_keypair(self.rng), self.mediator.keys.public_key)[0]
+            self._routes[sender] = (self.mediator.enroll(key), key)
         return self._routes[sender]
 
     def tick(self) -> int:
         return self.clock
 
     def set_online(self, agent_id: str, online: bool) -> None:
+        """Going online passes the agent's queue on in send order, each layer with its event's meta; it is then gone."""
         self.agents[agent_id].online = online
-        if online:
-            self.mediator.poll(self, agent_id)
+        for inner, kind, meta in self.mediator.queues.pop(agent_id, ()) if online else ():
+            self.schedule(frm=MEDIATOR_ID, to=agent_id, channel=CHANNEL_SSI, body=inner, kind=kind, meta=meta)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -290,8 +289,9 @@ class World:
                 meta=self._event_meta(event),
                 seq=event.seq,
             )
-        pending = self._drops | self._tampers.keys() if self._drops or self._tampers else ()
-        stale = sorted(seq for seq in pending if seq <= self._seq)
+        if not (self._drops or self._tampers):
+            return True
+        stale = sorted(seq for seq in self._drops | self._tampers.keys() if seq <= self._seq)
         if stale:
             self._drops.difference_update(stale)
             for seq in stale:

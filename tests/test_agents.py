@@ -316,12 +316,12 @@ def test_one_decryption_per_ssi_delivery(monkeypatch):
     symmetric = count_calls(monkeypatch, crypto, "sym_decrypt")
     result = run_scenario(spec)
     assert result.ok
-    # the mediator's open under a route key and the endpoint's under a receive key, each one ssi delivery;
-    # the mediator's hybrid decryption runs once per sender, to unwrap its route key
+    # the mediator's open under a route key and the endpoint's under a receive key, each one ssi delivery; no
+    # hybrid decryption at all, since each sender's route key comes from its enrollment's one agreement
     ssi = [r for r in result.world.trace if r["channel"] == "ssi"]
     route_keys = result.world.mediator.route_keys
-    assert len(hybrid) == len(route_keys) == 9  # MF and 8 wallets; DS talks to MF over https only
-    assert all(keys is result.world.mediator.keys for keys in hybrid)
+    assert len(route_keys) == 9  # MF and 8 wallets; DS talks to MF over https only
+    assert hybrid == []
     receive_keys = [c.receive_key for agent in result.cast.values() for c in agent.connections.values()]
     opens = [key for key in symmetric if any(key is receive_key for receive_key in receive_keys)]
     unwraps = [key for key in symmetric if any(key is route_key for route_key in route_keys.values())]
@@ -1501,18 +1501,31 @@ def load_bench_workloads():
 RUNS = sorted(BUILTIN_SCENARIOS) + ["workload:lifecycle", "workload:fleet", "workload:attack"]
 
 
+def spec_of(name):
+    """The scenario a ``RUNS`` entry names: a built-in at its own seed, or a benchmark workload at seed 1."""
+    if name.startswith("workload:"):
+        return load_bench_workloads().scenario(name.split(":")[1], 1)
+    return builtin_scenario(name)
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_every_run_ends_with_no_open_thread_but_an_unanswered_claim(name):
     # every exchange of a built-in or a benchmark workload is answered, a refused one by a problemReport (wrong-pin's
     # claim included), so none leaves a thread behind and no claim goes unanswered
-    if name.startswith("workload:"):
-        spec = load_bench_workloads().scenario(name.split(":")[1], 1)
-    else:
-        spec = builtin_scenario(name)
-    result = run_scenario(spec)
+    result = run_scenario(spec_of(name))
     assert result.ok
     connections = [conn for agent in result.world.agents.values() for conn in agent.connections.values()]
     assert [conn.threads for conn in connections if conn.threads] == []
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_no_run_makes_a_hybrid_encryption(name, monkeypatch):
+    # a sender enrolls by one agreement whose send key the mediator keeps as it is, so nothing wraps a route key
+    # and the mediator unwraps none, the spoofing stranger's enrollment included
+    wrapped, unwrapped = count_calls(monkeypatch, crypto, "asym_encrypt"), count_calls(monkeypatch, crypto, "asym_decrypt")
+    result = run_scenario(spec_of(name))
+    assert result.ok
+    assert wrapped == unwrapped == []
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():

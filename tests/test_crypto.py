@@ -366,8 +366,8 @@ def test_symmetric_roundtrip_property(message, seed):
 
 def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     # one private key per key, parsed when it is generated: 4 DID keys (Ed25519), and X25519 for the mediator,
-    # 2 sides x 3 connections and the ephemeral that wraps each of 3 senders' route key once; a second key per
-    # pair, or a key parsed per message, breaks the total of 14
+    # 2 sides x 3 connections and each of 3 senders' enrollment pair; a second key per pair, a key parsed per
+    # message or a hybrid wrap breaks the total of 14
     calls = collections.Counter()
 
     def count(owners, name, label):
@@ -385,30 +385,30 @@ def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
     count([crypto], "generate_keypair", "generate_keypair")
     count([crypto], "generate_signing_key", "generate_signing_key")
     count([crypto], "asym_encrypt", "asym_encrypt")
+    count([crypto], "asym_decrypt", "asym_decrypt")
     count([messages, agents, simnet], "seal", "seal")
     result = run_scenario(builtin_scenario("full-lifecycle"))
     assert result.ok
     connections = sum(len(agent.connections) for agent in result.cast.values()) // 2
-    assert (len(result.cast), connections) == (4, 3)
-    assert calls["asym_encrypt"] == len(result.world.mediator.route_keys) == 3 < calls["seal"]
+    assert (len(result.cast), connections, len(result.world.mediator.route_keys)) == (4, 3, 3)
+    assert calls["asym_encrypt"] == calls["asym_decrypt"] == 0 < calls["seal"]
     assert calls["ed25519"] == calls["generate_signing_key"] == len(result.cast) == 4
-    assert calls["x25519"] == calls["generate_keypair"] + calls["asym_encrypt"] == 1 + 2 * connections + 3 == 10
+    assert calls["x25519"] == calls["generate_keypair"] == 1 + 2 * connections + 3 == 10
     assert calls["ed25519"] + calls["x25519"] == 14
 
 
 def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
-    # every X25519 agreement parses its peer's key: once per connection for both sides' direction keys
-    # (the invitee takes the inviter's pair swapped), and a sender's and the mediator's once when that
-    # sender enrolls its route key; sealing, relaying and opening a message does none, so more messages
-    # cost no more agreements
-    callers, decrypting = collections.Counter(), []
+    # every X25519 agreement parses its peer's key in ``channel_keys``: once per connection for both sides'
+    # direction keys (the invitee takes the inviter's pair swapped), and once per sender when it enrolls, with
+    # the mediator's key as the peer (the mediator keeps the sender's send key, so its own key never agrees);
+    # sealing, relaying and opening a message does none, so more messages cost no more agreements
+    callers, agreeing = collections.Counter(), []
     parse = crypto.X25519PublicKey.from_public_bytes
 
     def counted(data):
         frame = sys._getframe(1)
         callers[frame.f_code.co_name] += 1
-        if frame.f_code.co_name == "asym_decrypt":
-            decrypting.append(frame.f_locals["keys"])
+        agreeing.append(frame.f_locals.get("local"))
         return parse(data)
 
     monkeypatch.setattr(crypto.X25519PublicKey, "from_public_bytes", counted)
@@ -418,7 +418,6 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
     connections = sum(len(agent.connections) for agent in result.cast.values()) // 2
     enrolled = len(world.mediator.route_keys)
     assert (connections, enrolled) == (3, 3)  # MF, B1 and B2 send; DS talks to MF over https only
-    expected = {"asym_encrypt": enrolled, "asym_decrypt": enrolled, "channel_keys": connections}
     for extra in (0, 5):
         for _ in range(extra):
             request = messages.payload("PINReq", tid=messages.mint_tid(world.rng))
@@ -426,6 +425,7 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
         world.run_until_quiescent()
         # MF has no handler for a PINReq, so it answers each with a problemReport
         assert sum(r["channel"] == "ssi" and r["to"] == "MD" for r in world.trace) == 16 + 2 * extra
-        assert callers == expected
-    assert all(keys is world.mediator.keys for keys in decrypting)
-    assert sum(callers.values()) == 2 * enrolled + connections == 9
+        assert callers == {"channel_keys": connections + enrolled} == {"channel_keys": 6}
+    assert all(local is not world.mediator.keys for local in agreeing)
+    own = {conn.local for agent in result.cast.values() for conn in agent.connections.values()}
+    assert sum(local in own for local in agreeing) == connections  # the rest are the 3 enrollment pairs

@@ -19,37 +19,37 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "306d039e9ebd9cb205d8c24e2c5a6dbb6e10cc53e0eb8f1e937884557e7ea805",
+        "5575f4ee5d2bccf2853bd53d7a69440b6a63e062f53d19fe95770dcf2e33e2e8",
         "6098fc23d2b2158f9a2eeb5218867f56e8fd1569c1122ac45d12daf71c39e474",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "1d344a9c8d47fc578602cc03939c468bc03b67e29895872b10f4e64f52ad7b44",
+        "9df13841312a124cf684e1c8daf2264057cca4fb361f088a5a8f6f27b5b2f7d7",
         "e9d7b93ba937897b57bea62ec36bd5d261df316f043b4166401f389d6733271f",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "2861b6de1dc5dc9ee8048c8e887077f613c3dfb915ee534e5dccd4e3a91f054c",
+        "edb40b12bb662c77b6b543f9de8f51477a321de996c625858fb31eea12d43e70",
         "608d39d6d99af16ac45fb7ad61e5bb9c008e490d6a9e1ede5656310e38fd1683",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "6cbcc93787534d14e195c924aa02b7441afbf6ab8e913a6cb9279af9c6b0b591",
+        "7152b061e2d1dddde017a97327fa414cf635a70d1955bec696041c0ec1e149e2",
         "0915f095cbe37a3316a3b2b857fa2f9c3b7aec832caf958035a3d3169fd97437",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "7b5cea2f73dc5331b8022512aeeced0830e35e7a80b3f2c0593131bfb51e461c",
+        "90a6d42768dc293c762c5cfdee9232d6436bfeb245ddcd7c60bbef2f8e71d8c0",
         "12552a6d6b842edfdebf167bcfcabaae854c7c84f9e09109e9ae128b9749643c",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "dd848aa0d7ebc9a94867c3e834b69bc6745882d8941a4f64926e76e9442472f0",
+        "8d3f6e89b3b9c08fd0569db91630973c99ba4cb0a75bf1d86992a9a50df419dd",
         "c354f37ea583ca505a119af12f1a25ba5b9e1bfffed3029592d3adab955f3883",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "5715455070679f8b4e44e32f6b153c3f38cac84ccabca04706dba110166503f4",
+        "9f005640c6ac682d6be45f00539b25d0becca5c000a332db3454b3285d946bc4",
         "5bda10c9c1cccfdd6b283dbf37b1df33c3842ffde3f68a7529c7e07bca5acd8d",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -88,7 +88,7 @@ def test_golden_trace_and_ledger(name):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "9c28f7355d96ba21a6e5b2e9180bc0bd6d359ff1cb05638daf6e029f3320c9f6",
+    "44cad834e0e5380661e0106a6df20d1febc30accfc0abdcd79ae562140b0c647",
     "eae7094d0bb0921994fe64b809d60c2a0579c082f3a352072902cf9a22829921",
     "1ffd21b450712b2c0aec514cbf5b9f6358d230a26452c8b79ed3e4a72ebb1581",
 )

@@ -199,6 +199,32 @@ def test_the_https_refusal_is_the_same_payload():
         assert ds.open_sales == {}
 
 
+def test_the_https_leg_answers_a_refused_request_and_never_a_reply(monkeypatch):
+    # the connection's rule on the manufacturer's https leg: a kind it does not handle, a selling response
+    # included, gets one problemReport under its nonce (which the distributor, holding no open sale under it,
+    # takes as nonce-mismatch); a reply kind answers no exchange the manufacturer opened, so it gets nothing back
+    world = fresh_lifecycle().world
+    sent, send = [], world.send_direct
+    monkeypatch.setattr(world, "send_direct", lambda *args: (sent.append(args), send(*args))[1])
+    cases = (
+        (payload("PINReq", tid=mint_tid(world.rng)), "rejected:unexpected-kind", "unexpected-kind"),
+        (payload("productSellingResp", tid=mint_tid(world.rng)), "rejected:unexpected-kind", "unexpected-kind"),
+        (payload("problemReport", reason="unknown-tid"), "rejected:nonce-mismatch", None),
+        (payload("ownershipClaimAck"), "rejected:nonce-mismatch", None),
+    )
+    for message, verdict, reason in cases:
+        mark, nonce = len(world.trace), crypto.fresh_nonce(world.rng)
+        sent.clear()
+        world.send_direct("DS", "MF", nonce, message)
+        world.run_until_quiescent()
+        https = [(r["to"], r["kind"], r["verdict"]) for r in world.trace[mark:] if r["channel"] == "https"]
+        if reason is None:
+            assert https == [("MF", message.kind, verdict)] and len(sent) == 1
+        else:
+            assert https == [("MF", message.kind, verdict), ("DS", "problemReport", "rejected:nonce-mismatch")]
+            assert sent[1] == ("MF", "DS", nonce, payload("problemReport", reason=reason))
+
+
 @pytest.fixture
 def settled():
     result = fresh_lifecycle()

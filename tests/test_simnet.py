@@ -4,12 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handover import crypto
+from handover import agents, crypto, simnet
 from handover.agents import WalletAgent, establish_connection
 from handover.encoding import encode
 from handover.invariants import scan_trace
 from handover.messages import Envelope, mint_tid, payload, seal, unseal_at_mediator
-from handover.scenarios import BUILTIN_SCENARIOS, build_world, builtin_scenario, execute_step, parse_scenario, run_scenario
+from handover.scenarios import (
+    BUILTIN_SCENARIOS,
+    build_world,
+    builtin_scenario,
+    execute_step,
+    parse_scenario,
+    run_scenario,
+    run_steps,
+)
 from handover.simnet import MAX_QUEUED, SimError, World
 
 from conftest import fresh_lifecycle, outer_layer, outer_plain
@@ -36,6 +44,35 @@ def test_online_delivery_takes_two_hops():
     deliveries = [r for r in world.trace if r["to"] == "B" and r["kind"] == "PINReq"]
     assert len(deliveries) == 1
     assert deliveries[0]["tick"] == start + 2  # sender->mediator, mediator->endpoint
+
+
+def test_a_message_to_an_online_recipient_is_never_queued(monkeypatch):
+    # the mediator schedules an online recipient's message at once; only an offline recipient gets a queue
+    after, handle = [], simnet.Mediator.handle
+
+    def handled(self, world, event):
+        verdict = handle(self, world, event)
+        after.append((verdict, dict(self.queues)))
+        return verdict
+
+    monkeypatch.setattr(simnet.Mediator, "handle", handled)
+    assert run_scenario(builtin_scenario("full-lifecycle")).ok
+    assert len(after) == 16 and after == [("forwarded", {})] * 16
+
+
+def test_the_mediator_holds_the_route_key_each_sender_seals_with(monkeypatch):
+    # a sender enrolls by one agreement with the mediator's key, and the mediator keeps that agreement's send key
+    # as it is: each outer layer is sealed under the very object the mediator holds under the sender's route id
+    routes = []
+    for module in (agents, simnet):  # each imports seal by name
+        seal_ = module.seal
+        monkeypatch.setattr(module, "seal", lambda *args, seal_=seal_: (routes.append(args[4]), seal_(*args))[1])
+    result = run_scenario(builtin_scenario("spoof-attack"))
+    assert result.ok
+    held = result.world.mediator.route_keys
+    assert len(held) == len({id(key) for key in held.values()}) == 4  # MF, B1, B2 and the spoofing stranger
+    assert {route_id for route_id, _ in routes} == set(held)
+    assert all(key is held[route_id] for route_id, key in routes)
 
 
 def test_offline_queue_drains_fifo():
@@ -440,17 +477,6 @@ def test_seed_identical_runs_identical_traces():
     assert first.trace_lines() != third.trace_lines()
 
 
-def _run_steps(world, cast, spec, indices) -> list[str]:
-    """Run the steps ``indices`` of ``spec`` as ``run_scenario`` does, step records included; their verdicts."""
-    verdicts = []
-    for index in indices:
-        step = spec.script[index]
-        verdicts.append(execute_step(world, cast, spec, step))
-        meta = {"index": index, "op": step.op, "expect": step.expect}
-        world.emit(channel="control", kind="step", frm="-", to="-", verdict=verdicts[-1], meta=meta)
-    return verdicts
-
-
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_a_world_forked_at_any_step_boundary_runs_to_the_same_end(name):
     # a search over attacks may branch from deep copies of (world, cast) instead of replaying each prefix: a copy
@@ -470,12 +496,12 @@ def test_a_world_forked_at_any_step_boundary_runs_to_the_same_end(name):
                 assert twin.receive_key.aead is not conn.receive_key.aead
         for route_id, key in world.mediator.route_keys.items():
             assert key.aead is not fork_world.mediator.route_keys[route_id].aead
-        verdicts = _run_steps(fork_world, fork_cast, spec, range(start, len(spec.script)))
+        steps = run_steps(fork_world, fork_cast, spec, start)
         fork_world.emit_state_dumps()
-        assert verdicts == [step.verdict for step in expected.steps[start:]]
+        assert steps == expected.steps[start:]
         assert fork_world.trace == expected.world.trace
         assert scan_trace(fork_world.trace) == expected.violations
-        _run_steps(world, cast, spec, range(start, min(start + 1, len(spec.script))))
+        run_steps(world, cast, spec, start, start + 1)
 
 
 def test_new_purchase_eleven_row_exchange():
