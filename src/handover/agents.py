@@ -4,6 +4,13 @@ Each agent consumes one delivery event at a time from the scheduler and holds
 isolated state; everything an agent ever learns arrives through a channel.
 Handlers return a machine-readable verdict string that the simulator writes
 into the trace (``accepted`` or ``rejected:<reason>``).
+
+Every leg runs one exchange rule, ``Agent._receive``: on a pairwise
+``Connection`` and on the pre-secured https sale leg (a ``DirectLink``) alike,
+``Agent.send`` opens the thread of a kind that awaits a reply
+(``messages.REPLIES``), a reply must close an open thread, and a refusal gets
+one ``problemReport``.  Each transport has its own handler table, so a sale
+over a connection, or a connection kind over https, is ``unexpected-kind``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .encoding import plain
 from .messages import (
     CHALLENGE_OPERANDS,
     CHALLENGE_TYPES,
+    REPLY_KINDS,
     EnvelopeReject,
     MessagePayload,
     PayloadError,
@@ -36,25 +44,8 @@ from .messages import (
     mint_pin,
     mint_tid,
     payload,
+    reply_to,
     seal,
-)
-
-# Kinds that answer an exchange this agent opened; each must close an open
-# thread of its connection (see ``Agent.expect``).  Everything else is a fresh
-# request guarded by TID/state.
-RESPONSE_KINDS = frozenset(
-    {
-        "problemReport",
-        "ownershipClaimResp",
-        "ownershipClaimAck",
-        "PINResp",
-        "ownershipTransferResp",
-        "ownershipProofReq",
-        "ownershipProofResp",
-        "pinChallengeReq",
-        "pinChallengeResp",
-        "revokeVCResp",
-    }
 )
 
 # How an AdversaryWallet forges the credential of a transfer request (see the class).
@@ -109,6 +100,15 @@ class Connection:
     threads: dict[bytes, tuple[str, dict]] = field(default_factory=dict)
     sent: int = 0
     received: int = 0
+
+
+@dataclass
+class DirectLink:
+    """An agent's side of the pre-secured https leg with one peer: no keys or counters, only ``threads``, as on a
+    ``Connection``."""
+
+    remote_agent_id: str
+    threads: dict[bytes, tuple[str, dict]] = field(default_factory=dict)
 
 
 @dataclass
@@ -173,7 +173,8 @@ class OwnershipClaimingData:
 class Agent:
     """Base agent: connection management, envelope plumbing, replay discipline."""
 
-    HANDLERS: dict[str, str] = {}
+    HANDLERS: dict[str, str] = {}  # kind -> handler, for a connection
+    DIRECT_HANDLERS: dict[str, str] = {}  # kind -> handler, for the https leg
     ROLE = "agent"
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
@@ -185,6 +186,7 @@ class Agent:
         self.did = crypto.derive_did(self.did_key.public_key)
         self.email = f"{agent_id.lower()}@mail.local"
         self.connections: dict[str, Connection] = {}
+        self.links: dict[str, DirectLink] = {}  # https peer id -> its link, made on first use
         self._by_key_id: dict[bytes, Connection] = {}  # key id of conn.local -> conn
         self.inbox: list[simnet.OobMessage] = []
         world.register_agent(self)
@@ -204,16 +206,22 @@ class Agent:
             raise AgentActionError(f"{self.agent_id} has no connection with {remote_did}")
         return conn
 
-    def send(self, conn: Connection, nonce: bytes, p: MessagePayload) -> None:
+    def link(self, agent_id: str) -> DirectLink:
+        return self.links.setdefault(agent_id, DirectLink(agent_id))
+
+    def send(self, conn: Connection | DirectLink, nonce: bytes, p: MessagePayload, context: dict | None = None) -> None:
+        """Send ``p`` under ``nonce``; if it awaits a reply, open the thread that reply continues with ``context``.
+        Every leg of an exchange runs under its request's nonce (Aries RFC 0008), so an exchange is one thread."""
+        reply = reply_to(p)
+        if reply is not None:
+            conn.threads[nonce] = (reply, dict(context or {}))
+        if isinstance(conn, DirectLink):
+            self.world.send_direct(self.agent_id, conn.remote_agent_id, nonce, p)
+            return
         conn.sent += 1
         route = self.world.route(self.agent_id)
         env = seal(self.rng, conn.send_key, conn.sent, conn.remote_kid, route, conn.remote_did, nonce, p)
         self.world.send_envelope(self.agent_id, env, p.kind)
-
-    def expect(self, conn: Connection, kind: str, nonce: bytes, context: dict | None = None) -> None:
-        """Open the thread of ``nonce``: a ``kind`` reply continues it with ``context``, a ``problemReport`` closes it.
-        Every leg of an exchange runs under its request's nonce (Aries RFC 0008), so an exchange is one thread."""
-        conn.threads[nonce] = (kind, dict(context or {}))
 
     # -- inbound dispatch --------------------------------------------------
 
@@ -222,14 +230,12 @@ class Agent:
             self.inbox.append(event.body)
             return "delivered"
         if event.channel == simnet.CHANNEL_HTTPS:
-            return self._handle_direct(event.frm, event.body)
-        if event.channel == simnet.CHANNEL_SSI:
-            return self._handle_ssi(event.body)
-        return "rejected:unknown-channel"
+            dm = event.body
+            return self._receive(self.link(event.frm), dm.nonce, dm.payload, self.DIRECT_HANDLERS)
+        return self._handle_ssi(event.body)
 
     def _handle_ssi(self, inner_ciphertext: bytes) -> str:
-        """Open, verify and dispatch on the one connection the key id names: that is the peer.  A handler's refusal
-        gets one ``problemReport`` with its reason under the message's nonce, unless the message is one itself."""
+        """Open and verify on the one connection the key id names (that is the peer), then receive there."""
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
@@ -243,25 +249,28 @@ class Agent:
         except PayloadError:
             return "rejected:malformed-payload"
         conn.received = counter
+        return self._receive(conn, nonce, p, self.HANDLERS)
+
+    def _receive(self, conn: Connection | DirectLink, nonce: bytes, p: MessagePayload, handlers: dict) -> str:
+        """The one exchange rule of every leg: a reply kind must close the open thread of its nonce, a
+        ``problemReport`` closes any; then dispatch by the transport's ``handlers``.  A refusal gets one
+        ``problemReport`` with its reason under the message's nonce, unless the message is one itself."""
         thread = conn.threads.get(nonce)  # (reply kind, context) of the open exchange under this nonce
         context = conn.threads.pop(nonce)[1] if thread and p.kind in (thread[0], "problemReport") else None
-        if context is None and p.kind in RESPONSE_KINDS:
+        if context is None and p.kind in REPLY_KINDS:
             return "rejected:nonce-mismatch"
-        verdict = self.handle_payload(conn, nonce, p, context)
+        verdict = self.handle_payload(conn, nonce, p, context, handlers)
         if verdict.startswith("rejected:") and p.kind != "problemReport":
             self.send(conn, nonce, payload("problemReport", reason=verdict.removeprefix("rejected:")))
         return verdict
 
-    def handle_payload(self, conn: Connection, nonce: bytes, p: MessagePayload, context: Optional[dict]) -> str:
-        if p.kind == "problemReport":  # the peer refused the exchange this closed
+    def handle_payload(self, conn, nonce: bytes, p: MessagePayload, context: Optional[dict], handlers: dict) -> str:
+        if p.kind == "problemReport":  # the peer refused the exchange this closed, or a message that awaited nothing
             return f"rejected:{p.body['reason']}"
-        name = self.HANDLERS.get(p.kind)
+        name = handlers.get(p.kind)
         if name is None:
             return "rejected:unexpected-kind"
         return getattr(self, name)(conn, nonce, p, context)
-
-    def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        return "rejected:unexpected-kind"
 
     # -- introspection -----------------------------------------------------
 
@@ -310,6 +319,7 @@ class ManufacturerAgent(Agent):
         "revokeVCResp": "_on_ack",
         "ownershipClaimAck": "_on_ack",
     }
+    DIRECT_HANDLERS = {"productSellingReq": "_on_selling_req"}
 
     def __init__(self, agent_id: str, world: "simnet.World") -> None:
         super().__init__(agent_id, world)
@@ -356,18 +366,8 @@ class ManufacturerAgent(Agent):
 
     # -- distributor channel ------------------------------------------------
 
-    def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        """The connection's rule: a refused request gets one ``problemReport`` under its nonce, a reply kind nothing."""
-        if dm.payload.kind in RESPONSE_KINDS:
-            return "rejected:nonce-mismatch"
-        verdict = self._on_selling_req(frm, dm) if dm.payload.kind == "productSellingReq" else "rejected:unexpected-kind"
-        if verdict.startswith("rejected:"):
-            refusal = payload("problemReport", reason=verdict.removeprefix("rejected:"))
-            self.world.send_direct(self.agent_id, frm, dm.nonce, refusal)
-        return verdict
-
-    def _on_selling_req(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        body = dm.payload.body
+    def _on_selling_req(self, link, nonce, p, context) -> str:
+        body = p.body
         code = body["productCode"]
         product = self.products.get(code)
         if product is None:
@@ -382,13 +382,9 @@ class ManufacturerAgent(Agent):
         tid = mint_tid(self.rng)
         pin = mint_pin(self.rng)
         self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, pin=pin)
-        self.world.send_direct(self.agent_id, frm, dm.nonce, payload("productSellingResp", tid=tid))
-        self.world.send_email(
-            self.agent_id,
-            product.email,
-            "pin",
-            {"productCode": code, "pin": pin, "nonce": dm.nonce.hex()},
-        )
+        self.send(link, nonce, payload("productSellingResp", tid=tid))
+        fields = {"productCode": code, "pin": pin, "nonce": nonce.hex()}
+        self.world.send_email(self.agent_id, product.email, "pin", fields)
         return "accepted"
 
     # -- new-product claim (tid + pin) ---------------------------------------
@@ -415,8 +411,7 @@ class ManufacturerAgent(Agent):
 
     def _offer(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
         """Offer the claim's credential; its ack, or the holder's proof with it, settles the claim."""
-        self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential))
-        self.expect(conn, "ownershipClaimAck", nonce, context={"claim": claim})
+        self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential), {"claim": claim})
         return "accepted"
 
     # -- transfer authorisation ----------------------------------------------
@@ -440,9 +435,8 @@ class ManufacturerAgent(Agent):
             return f"rejected:{refusal}"
         challenge = crypto.fresh_nonce(self.rng)
         proof_req = payload("ownershipProofReq", attributes=list(PRODUCT_ATTRIBUTE_NAMES), challenge=challenge)
-        self.send(conn, nonce, proof_req)
         # the request (product, TID, encrypted PIN) is stored nowhere else until the seller's proof verifies
-        self.expect(conn, "ownershipProofResp", nonce, context={**p.body, "challenge": challenge})
+        self.send(conn, nonce, proof_req, {**p.body, "challenge": challenge})
         return "accepted"
 
     def _on_ownership_proof_resp(self, conn, nonce, p, context) -> str:
@@ -483,10 +477,8 @@ class ManufacturerAgent(Agent):
             return "rejected:bad-key"
         challenge = self.draw_challenge()
         challenge_req = payload("pinChallengeReq", tid=claim.tid, challengeBy=challenge[0], challengeType=challenge[1])
-        self.send(conn, nonce, challenge_req)
         # the key and challenge belong to this attempt alone; another claim with the TID cannot overwrite them
-        context = {"tid": claim.tid, "key": key, "challenge": challenge}
-        self.expect(conn, "pinChallengeResp", nonce, context=context)
+        self.send(conn, nonce, challenge_req, {"tid": claim.tid, "key": key, "challenge": challenge})
         return "accepted"
 
     def draw_challenge(self) -> tuple[int, str]:
@@ -533,13 +525,8 @@ class ManufacturerAgent(Agent):
         )
         old_conn = self.connections.get(product.holder_did)
         if old_conn is not None and old_conn.conn_id == product.conn_id:  # not if the holder has reconnected since
-            revoke_nonce = crypto.fresh_nonce(self.rng)
-            self.send(
-                old_conn,
-                revoke_nonce,
-                payload("revokeVC", credentialId=old_credential_id, productCode=product.product_code),
-            )
-            self.expect(old_conn, "revokeVCResp", revoke_nonce)
+            revoke = payload("revokeVC", credentialId=old_credential_id, productCode=product.product_code)
+            self.send(old_conn, crypto.fresh_nonce(self.rng), revoke)
         product.conn_id, product.holder_did = buyer_conn.conn_id, buyer_conn.remote_did
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
@@ -577,10 +564,7 @@ class DistributorAgent(Agent):
     """Sells catalog products on the manufacturer's behalf over the direct channel."""
 
     ROLE = "distributor"
-
-    def __init__(self, agent_id: str, world: "simnet.World") -> None:
-        super().__init__(agent_id, world)
-        self.open_sales: dict[bytes, dict] = {}  # request nonce -> product and buyer email, until the answer
+    DIRECT_HANDLERS = {"productSellingResp": "_on_selling_resp"}
 
     def record_sale(self, manufacturer_id: str, product_code: str, buyer_email: str) -> None:
         nonce = crypto.fresh_nonce(self.rng)
@@ -596,23 +580,11 @@ class DistributorAgent(Agent):
             lastPurchaseDate=now,
             email=buyer_email,
         )
-        self.world.send_direct(self.agent_id, manufacturer_id, nonce, req)
-        self.open_sales[nonce] = {"productCode": product_code, "email": buyer_email}
+        self.send(self.link(manufacturer_id), nonce, req, {"productCode": product_code, "email": buyer_email})
 
-    def _handle_direct(self, frm: str, dm: "simnet.DirectMessage") -> str:
-        context = self.open_sales.pop(dm.nonce, None)  # the https leg has no connection, so no threads
-        if context is None:
-            return "rejected:nonce-mismatch"
-        if dm.payload.kind == "problemReport":
-            return f"rejected:{dm.payload.body['reason']}"
-        if dm.payload.kind != "productSellingResp":
-            return "rejected:unexpected-kind"
-        self.world.send_email(
-            self.agent_id,
-            context["email"],
-            "tid",
-            {"productCode": context["productCode"], "tid": dm.payload.body["tid"], "nonce": dm.nonce.hex()},
-        )
+    def _on_selling_resp(self, link, nonce, p, context) -> str:
+        fields = {"productCode": context["productCode"], "tid": p.body["tid"], "nonce": nonce.hex()}
+        self.world.send_email(self.agent_id, context["email"], "tid", fields)
         return "accepted"
 
 
@@ -643,16 +615,14 @@ class WalletAgent(Agent):
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin, key=None))
-        self.expect(conn, "ownershipClaimResp", nonce)
 
     def start_sell(self, buyer_did: str, product_code: str) -> str:
         """Open a sale: mint a TID and ask the buyer for an encrypted PIN."""
         conn = self.connection_with(buyer_did)
         tid = mint_tid(self.rng)
         nonce = crypto.fresh_nonce(self.rng)
-        self.send(conn, nonce, payload("PINReq", tid=tid))
         # the sale is stored only once the buyer's reply completes it
-        self.expect(conn, "PINResp", nonce, context={"tid": tid, "productCode": product_code})
+        self.send(conn, nonce, payload("PINReq", tid=tid), {"tid": tid, "productCode": product_code})
         return tid
 
     def start_transfer(self, manufacturer_did: str, product_code: str) -> None:
@@ -667,10 +637,8 @@ class WalletAgent(Agent):
         self, conn: Connection, nonce: bytes, product_code: str, tid: str, encrypted_pin: bytes, context: dict
     ) -> None:
         """Send the transfer request; the manufacturer answers with a proof request, or refuses outright."""
-        self.send(
-            conn, nonce, payload("ownershipTransferReq", productCode=product_code, encryptedPin=encrypted_pin, tid=tid)
-        )
-        self.expect(conn, "ownershipProofReq", nonce, context=context)
+        request = payload("ownershipTransferReq", productCode=product_code, encryptedPin=encrypted_pin, tid=tid)
+        self.send(conn, nonce, request, context)
 
     def claim_used(self, manufacturer_did: str, tid: str) -> None:
         """Claim a second-hand purchase: reveal the symmetric key to the manufacturer."""
@@ -680,7 +648,6 @@ class WalletAgent(Agent):
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
         self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=None, key=entry.key.key_bytes))
-        self.expect(conn, "pinChallengeReq", nonce)
 
     # -- handlers -------------------------------------------------------------
 
@@ -728,8 +695,7 @@ class WalletAgent(Agent):
         if vc is None:
             return "rejected:no-matching-credential"
         presentation = present_proof(vc, bytes(p.body["challenge"]), self.did_key)
-        self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation))
-        self.expect(conn, "ownershipTransferResp", nonce, context=context)
+        self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation), context)
         return "accepted"
 
     def _on_pin_challenge_req(self, conn, nonce, p, context) -> str:
@@ -738,9 +704,8 @@ class WalletAgent(Agent):
         if entry is None:
             return "rejected:unknown-tid"
         result = evaluate_challenge(pin_numeric(entry.pin), p.body["challengeBy"], p.body["challengeType"])
-        self.send(conn, nonce, payload("pinChallengeResp", tid=tid, challengeResult=result))
         # the credential offer that follows runs under the claim's nonce too, and spends the purchase
-        self.expect(conn, "ownershipClaimResp", nonce, context={"tid": tid})
+        self.send(conn, nonce, payload("pinChallengeResp", tid=tid, challengeResult=result), {"tid": tid})
         return "accepted"
 
     def _on_ownership_claim_resp(self, conn, nonce, p, context) -> str:

@@ -27,6 +27,10 @@ a lower or equal one is a replay before any decryption.
 
 ``problemReport``, one of the sixteen payload kinds, is every refusal: its one
 field is a reason code (Aries RFC 0035), so acknowledgements carry no field.
+``REPLIES`` is the protocol's request/reply structure: the one kind that
+continues each kind's exchange under its nonce, on a connection and on the
+https sale leg alike.  A ``problemReport`` closes whichever exchange it names
+and is no reply kind, so one under no open thread still says why.
 """
 
 from __future__ import annotations
@@ -164,10 +168,34 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
 
 _KIND_NAMES = {kind: {name for name, _ in spec} for kind, spec in KIND_FIELDS.items()}  # each kind's field names
 
+# The kind that continues each kind's exchange under its nonce (Aries RFC 0008); a used-product claim, the one that
+# carries a key, is continued by ``USED_CLAIM_REPLY`` instead.  A kind with no entry answers and awaits nothing.
+REPLIES: dict[str, str] = {
+    "productSellingReq": "productSellingResp",
+    "ownershipClaimReq": "ownershipClaimResp",
+    "ownershipClaimResp": "ownershipClaimAck",
+    "PINReq": "PINResp",
+    "ownershipTransferReq": "ownershipProofReq",
+    "ownershipProofReq": "ownershipProofResp",
+    "ownershipProofResp": "ownershipTransferResp",
+    "pinChallengeReq": "pinChallengeResp",
+    "pinChallengeResp": "ownershipClaimResp",
+    "revokeVC": "revokeVCResp",
+}
+USED_CLAIM_REPLY = "pinChallengeReq"
+REPLY_KINDS = frozenset(REPLIES.values()) | {USED_CLAIM_REPLY}  # each must continue an open thread of its receiver
+
 
 def payload(kind: str, **fields: Any) -> MessagePayload:
     """Build a payload; raises :class:`PayloadError` on any mismatch."""
     return MessagePayload(kind=kind, body=dict(fields))
+
+
+def reply_to(p: MessagePayload) -> Optional[str]:
+    """The kind that continues ``p``'s exchange, or None if ``p`` awaits no reply."""
+    if p.kind == "ownershipClaimReq" and p.body["key"] is not None:
+        return USED_CLAIM_REPLY
+    return REPLIES.get(p.kind)
 
 
 def validate_payload(p: MessagePayload) -> None:

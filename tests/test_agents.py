@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from handover import crypto, messages, simnet
 from handover.agents import (
-    RESPONSE_KINDS,
     AdversaryWallet,
     AgentActionError,
     DistributorAgent,
@@ -37,7 +36,7 @@ from handover.credential import (
     vc_to_wire,
     verify_credential_signature,
 )
-from handover.messages import KIND_FIELDS, EnvelopeReject, mint_tid, payload
+from handover.messages import KIND_FIELDS, REPLIES, REPLY_KINDS, EnvelopeReject, mint_tid, payload
 from handover.registry import AuthorizationError
 from handover.scenarios import (
     BUILTIN_SCENARIOS,
@@ -118,6 +117,13 @@ def purchase(wallet):
 def open_threads(conn, kind):
     """{nonce: context} of ``conn``'s open threads that a ``kind`` reply closes."""
     return {nonce: context for nonce, (k, context) in conn.threads.items() if k == kind}
+
+
+def send_keeping_no_thread(agent, conn, nonce, p):
+    """``agent`` sends ``p`` but keeps no thread of it, as a peer that never answers: the reply it gets is a
+    nonce-mismatch, and nothing answers that."""
+    agent.send(conn, nonce, p)
+    del conn.threads[nonce]
 
 
 def transfer_pending(mf, code):
@@ -232,7 +238,8 @@ def test_rekeyed_connection_opens_only_under_the_new_key():
     old, _ = establish_connection(b1, b2)
     new, _ = establish_connection(b1, b2)  # both sides replace the connection
     for conn in (old, new):
-        b1.send(conn, crypto.fresh_nonce(world.rng), payload("PINReq", tid=mint_tid(world.rng)))
+        nonce, tid = crypto.fresh_nonce(world.rng), mint_tid(world.rng)
+        b1.send(conn, nonce, payload("PINReq", tid=tid), {"tid": tid, "productCode": "PC-100"})
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "B2" and r["kind"] == "PINReq"]
     assert verdicts == ["rejected:decrypt-error", "accepted"]
@@ -1113,11 +1120,11 @@ def test_unanswered_transfer_request_leaves_no_state():
     claim_new(world, cast)
     mf, b2, b3 = cast["MF"], cast["B2"], cast["B3"]
     establish_connection(b2, mf)
-    # B2 holds no credential and opens no expectation: it leaves each proof request unanswered
+    # B2 holds no credential and keeps no thread: it leaves each proof request unanswered
     for _ in range(3):
         tid = mint_tid(world.rng)
         request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
-        b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
+        send_keeping_no_thread(b2, b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
         world.run_until_quiescent()
     assert mf.products["PC-100"].current_credential_id == cast["B1"].credentials["PC-100"].credential_id
     assert "PC-100" not in mf.claimants
@@ -1162,7 +1169,7 @@ def test_state_dump_shows_an_open_exchange_with_its_context():
     establish_connection(b2, mf)
     tid, nonce = mint_tid(world.rng), crypto.fresh_nonce(world.rng)
     request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
-    b2.send(b2.connections[mf.did], nonce, request)
+    send_keeping_no_thread(b2, b2.connections[mf.did], nonce, request)
     world.run_until_quiescent()
     # B2 leaves the proof request unanswered: the request lives only in the open exchange, and the dump shows it
     kind, context = mf.state_dump()["connections"][b2.did]["threads"][nonce.hex()]
@@ -1177,7 +1184,7 @@ def test_a_buyer_key_in_a_non_owner_expectation_breaks_pin_secrecy():
     world.emit_state_dumps()
     assert scan_trace(world.trace) == []
     key = purchase(b2)[1].key
-    b1.expect(b1.connections[b2.did], "PINResp", bytes(16), context={"key": key})
+    b1.connections[b2.did].threads[bytes(16)] = ("PINResp", {"key": key})
     world.emit_state_dumps()  # the scan reads each agent's last dump
     details = [v["detail"] for v in scan_trace(world.trace) if v["invariant"] == "pin-secrecy"]
     assert details == ["symmetric key of B2 stored by B1"]
@@ -1229,7 +1236,7 @@ def test_unanswered_used_claims_leave_one_challenge_open():
     for _ in range(3):
         nonce, key = crypto.fresh_nonce(world.rng), crypto.generate_symmetric_key(world.rng).key_bytes
         attempt = payload("ownershipClaimReq", tid=tid, pin=None, key=key)
-        b1.send(b1.connections[mf.did], nonce, attempt)
+        send_keeping_no_thread(b1, b1.connections[mf.did], nonce, attempt)
         world.run_until_quiescent()
         keys[nonce] = key
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
@@ -1254,9 +1261,9 @@ def test_late_reply_to_a_replaced_exchange_is_a_nonce_mismatch():
     conn = b1.connections[mf.did]
     tid, encrypted_pin = b1.sales["PC-100"]
     first, second = crypto.fresh_nonce(world.rng), crypto.fresh_nonce(world.rng)
-    for nonce in (first, second):
+    for nonce in (first, second):  # B1 answers neither proof request itself
         request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=encrypted_pin, tid=tid)
-        b1.send(conn, nonce, request)
+        send_keeping_no_thread(b1, conn, nonce, request)
     world.run_until_quiescent()
     # both exchanges stay open, each with its own challenge
     proofs = open_threads(mf.connections[b1.did], "ownershipProofResp")
@@ -1363,11 +1370,12 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     world.run_until_quiescent()
     delivered = next(r for r in reversed(world.trace) if r["to"] == "B2")
     assert delivered["verdict"] == "rejected:unexpected-kind"
-    # B2's problemReport answers it, and B1, which opened no thread for it, answers nothing back
+    # B2's problemReport answers it and closes B1's thread of the claim, and B1 answers nothing back
     assert [(r["to"], r["kind"], r["verdict"]) for r in world.trace if r["seq"] > delivered["seq"]] == [
         ("MD", "problemReport", "forwarded"),
-        ("B1", "problemReport", "rejected:nonce-mismatch"),
+        ("B1", "problemReport", "rejected:unexpected-kind"),
     ]
+    assert b1.connections[b2.did].threads == {}
     after = b2.state_dump()
     # only the connection's counters record the delivered message and its answer
     for counter in ("received", "sent"):
@@ -1386,10 +1394,9 @@ def test_offered_credential_that_fails_its_check_is_refused(reason):
         offered = dataclasses.replace(new_vc, issuer_signature=bytes(len(new_vc.issuer_signature)))
     # B1 has a claim in flight, so its thread of a credential offer is open
     nonce = crypto.fresh_nonce(world.rng)
-    b1.expect(b1.connections[mf.did], "ownershipClaimResp", nonce)
+    b1.connections[mf.did].threads[nonce] = ("ownershipClaimResp", {})
     conn = mf.connections[b1.did]
-    mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))
-    mf.expect(conn, "ownershipClaimAck", nonce)
+    mf.send(conn, nonce, payload("ownershipClaimResp", credential=offered))  # opens MF's thread of the ack
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == f"rejected:{reason}"
@@ -1409,12 +1416,11 @@ def test_offered_credential_without_a_product_code_is_refused():
         claim_new(world, cast, buyer=buyer, product=code)
     held = dict(b1.credentials)
     nonce = crypto.fresh_nonce(world.rng)
-    b1.expect(b1.connections[mf.did], "ownershipClaimResp", nonce)  # a claim in flight
+    b1.connections[mf.did].threads[nonce] = ("ownershipClaimResp", {})  # a claim in flight
     conn = mf.connections[b1.did]
     attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
     nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, world.tick())
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
-    mf.expect(conn, "ownershipClaimAck", nonce)
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers[-1] == "rejected:no-product-code"
@@ -1514,8 +1520,10 @@ def test_every_run_ends_with_no_open_thread_but_an_unanswered_claim(name):
     # claim included), so none leaves a thread behind and no claim goes unanswered
     result = run_scenario(spec_of(name))
     assert result.ok
-    connections = [conn for agent in result.world.agents.values() for conn in agent.connections.values()]
-    assert [conn.threads for conn in connections if conn.threads] == []
+    agents = result.world.agents.values()
+    assert any(agent.links for agent in agents)  # every run sells over https, whose links hold threads too
+    legs = [leg for agent in agents for leg in (*agent.connections.values(), *agent.links.values())]
+    assert [leg.threads for leg in legs if leg.threads] == []
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -1529,7 +1537,7 @@ def test_no_run_makes_a_hybrid_encryption(name, monkeypatch):
 
 
 def test_duplicate_selling_response_rejected_on_direct_channel():
-    # the direct channel has no replay guard; the single-use expectation stops the duplicate
+    # the direct channel has no replay guard; the sale's single-use thread stops the duplicate
     world, cast = make_world()
     sell_to(world, cast)
     inbox = list(cast["B1"].inbox)
@@ -1540,6 +1548,60 @@ def test_duplicate_selling_response_rejected_on_direct_channel():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "DS" and r["kind"] == "productSellingResp"]
     assert verdicts == ["accepted", "rejected:nonce-mismatch"]
     assert cast["B1"].inbox == inbox  # no second TID email
+
+
+def test_a_wrong_kind_under_an_open_sales_nonce_leaves_the_sale_open():
+    # only the selling response continues a sale: a request kind under its nonce is refused with a problemReport
+    # and a reply kind is a nonce-mismatch, and neither spends the sale, so the response still sends the TID
+    world, cast = make_world()
+    ds = cast["DS"]
+    ds.record_sale("MF", "PC-100", cast["B1"].email)
+    [nonce] = ds.links["MF"].threads
+    mark = len(world.trace)
+    world.send_direct("MF", "DS", nonce, payload("PINReq", tid=mint_tid(world.rng)))
+    world.send_direct("MF", "DS", nonce, payload("ownershipClaimAck"))
+    world.run_until_quiescent()
+    assert [(r["to"], r["kind"], r["verdict"]) for r in world.trace[mark:] if r["channel"] == "https"] == [
+        ("MF", "productSellingReq", "accepted"),
+        ("DS", "PINReq", "rejected:unexpected-kind"),
+        ("DS", "ownershipClaimAck", "rejected:nonce-mismatch"),
+        ("DS", "productSellingResp", "accepted"),
+        ("MF", "problemReport", "rejected:unexpected-kind"),  # MF opened no thread under the nonce: no answer
+    ]
+    assert ds.links["MF"].threads == {}
+    tid = cast["MF"].claimants["PC-100"].tid
+    assert emailed(cast["B1"], "tid") == {"productCode": "PC-100", "tid": tid, "nonce": nonce.hex()}
+
+
+@pytest.mark.parametrize("leg", ["https-to-MF", "https-to-B1", "connection-to-B1"])
+def test_a_selling_response_with_no_open_sale_is_a_nonce_mismatch_on_either_leg(leg):
+    world, cast = run_sale_and_claim()
+    mf, b1 = cast["MF"], cast["B1"]
+    nonce, response = crypto.fresh_nonce(world.rng), payload("productSellingResp", tid=mint_tid(world.rng))
+    recipient = mf if leg == "https-to-MF" else b1
+    before = recipient.state_dump()
+    mark = len(world.trace)
+    if leg == "connection-to-B1":
+        mf.send(mf.connections[b1.did], nonce, response)
+    else:
+        world.send_direct("DS", recipient.agent_id, nonce, response)
+    world.run_until_quiescent()
+    delivered = [(r["to"], r["kind"], r["verdict"]) for r in world.trace[mark:] if r["to"] not in ("MD", "-")]
+    assert delivered == [(recipient.agent_id, "productSellingResp", "rejected:nonce-mismatch")]  # and no answer
+    after = recipient.state_dump()
+    if leg == "connection-to-B1":
+        after["connections"][mf.did]["received"] -= 1  # the connection's counter records the message
+    links, _ = after.pop("links"), before.pop("links")
+    assert after == before and all(link["threads"] == {} for link in links.values())
+
+
+def test_every_reply_kind_is_a_payload_kind_that_some_agent_handles():
+    assert set(REPLIES) | set(REPLIES.values()) <= set(KIND_FIELDS)
+    assert "problemReport" not in REPLY_KINDS  # a refusal closes any thread, and one under none still reads why
+    handled = set()
+    for agent_class in (ManufacturerAgent, DistributorAgent, WalletAgent):
+        handled |= agent_class.HANDLERS.keys() | agent_class.DIRECT_HANDLERS.keys()
+    assert REPLY_KINDS <= handled
 
 
 def consumed_deliveries(world):
@@ -1603,7 +1665,7 @@ def test_reencrypted_message_of_a_closed_exchange_is_judged_as_new(monkeypatch):
         send_plain(world, sender, recipient, authenticated_plain(recipient, event.body), event.kind)
         record = next(r for r in world.trace[mark:] if r["to"] == event.to)
         again.append(record)
-        if event.kind in RESPONSE_KINDS:
+        if event.kind in REPLY_KINDS:
             # the proof's exchange is open again, since its transfer request was handled again under the same
             # nonce, but the proof answers the old challenge: the presentation's check reads nonce-mismatch
             assert record["verdict"] == "rejected:nonce-mismatch", event.kind
@@ -1618,19 +1680,18 @@ def test_reencrypted_message_of_a_closed_exchange_is_judged_as_new(monkeypatch):
         ("revokeVC", "accepted"),
     ]
     # each message opened once and none was a replay; no answer to a message handled again closes an exchange, and
-    # each refused one (the two settled claims, and the proof) is answered by a problemReport
+    # each refused one (the two settled claims, and the proof) is answered by a problemReport, which reads its reason
     arrived = [r for r in world.trace[start:] if r["channel"] == "ssi" and r["to"] != "MD"]
     assert len(opens) == len(arrived) and all(r["verdict"] != "rejected:replay" for r in arrived)
-    answers = [r["kind"] for r in arrived if r not in again]
+    answers = [(r["kind"], r["verdict"]) for r in arrived if r not in again]
     assert answers == [
-        "problemReport",
-        "PINResp",
-        "ownershipProofReq",
-        "problemReport",
-        "problemReport",
-        "revokeVCResp",
+        ("problemReport", "rejected:unknown-claim"),
+        ("PINResp", "rejected:nonce-mismatch"),
+        ("ownershipProofReq", "rejected:nonce-mismatch"),
+        ("problemReport", "rejected:nonce-mismatch"),  # the proof's: its presentation answers the old challenge
+        ("problemReport", "rejected:unknown-tid"),
+        ("revokeVCResp", "rejected:nonce-mismatch"),
     ]
-    assert all(r["verdict"] == "rejected:nonce-mismatch" for r in arrived if r not in again)
 
 
 def test_every_delivery_reflected_to_its_sender_fails_the_tag():

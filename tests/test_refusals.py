@@ -1,6 +1,7 @@
 """The one refusal rule: an authenticated, decoded message that an agent refuses gets exactly one ``problemReport``
 back, under its own nonce and carrying the refusal's reason; transport rejects, unsolicited replies and
-problemReports get nothing.  Each case below drives one refusal path of one handler."""
+problemReports get nothing, and a problemReport reads its reason whether or not it closes a thread.  Each case
+below drives one refusal path of one handler."""
 
 import dataclasses
 from fractions import Fraction
@@ -13,7 +14,7 @@ from handover import crypto
 from handover.agents import ClaimantAttribute, ManufacturerAgent, OwnershipClaimingData, WalletAgent
 from handover.credential import PRODUCT_ATTRIBUTE_NAMES, present_proof
 from handover.encoding import encode
-from handover.messages import mint_tid, payload
+from handover.messages import mint_tid, payload, reply_to
 
 from conftest import fresh_lifecycle, inner_plain, send_as, send_plain
 
@@ -167,21 +168,19 @@ def test_each_refusal_is_answered_once_with_its_reason(case, monkeypatch):
     message, reply_kind, context = case.setup(cast)
     conn, nonce = requester.connections[responder.did], crypto.fresh_nonce(world.rng)
     if context is not None:  # the message continues an exchange the responder opened
-        responder.expect(responder.connections[requester.did], case.kind, nonce, context)
+        responder.connections[requester.did].threads[nonce] = (case.kind, context)
     sent, send = [], responder.send
-    monkeypatch.setattr(responder, "send", lambda c, n, p: (sent.append((n, p)), send(c, n, p)))
+    monkeypatch.setattr(responder, "send", lambda c, n, p, ctx=None: (sent.append((n, p)), send(c, n, p, ctx))[1])
     mark = len(world.trace)
-    requester.send(conn, nonce, message)
-    if reply_kind is not None:
-        requester.expect(conn, reply_kind, nonce)
+    assert reply_to(message) == reply_kind
+    requester.send(conn, nonce, message)  # opens the requester's thread of the reply, if the message awaits one
     world.run_until_quiescent()
     assert sent == [(nonce, payload("problemReport", reason=case.reason))]  # exactly one answer, under the nonce
-    # the report closes the requester's thread and its verdict repeats the reason; a message that ended its
-    # exchange left its sender no thread, so there the report answers nothing
-    reported = f"rejected:{case.reason}" if reply_kind is not None else "rejected:nonce-mismatch"
+    # the report closes the requester's thread, if any, and its verdict repeats the reason either way: a message
+    # that ended its exchange left its sender no thread, and its sender still learns why it was refused
     assert deliveries_since(world, mark) == [
         (responder.agent_id, case.kind, f"rejected:{case.reason}"),
-        (requester.agent_id, "problemReport", reported),
+        (requester.agent_id, "problemReport", f"rejected:{case.reason}"),
     ]
     assert conn.threads == {} and responder.connections[requester.did].threads == {}
 
@@ -196,20 +195,21 @@ def test_the_https_refusal_is_the_same_payload():
         https = [(r["to"], r["kind"], r["verdict"]) for r in world.trace[mark:] if r["channel"] == "https"]
         refused = f"rejected:{reason}"
         assert https == [("MF", "productSellingReq", refused), ("DS", "problemReport", refused)]
-        assert ds.open_sales == {}
+        assert ds.links["MF"].threads == {}
 
 
 def test_the_https_leg_answers_a_refused_request_and_never_a_reply(monkeypatch):
-    # the connection's rule on the manufacturer's https leg: a kind it does not handle, a selling response
-    # included, gets one problemReport under its nonce (which the distributor, holding no open sale under it,
-    # takes as nonce-mismatch); a reply kind answers no exchange the manufacturer opened, so it gets nothing back
+    # the connection's rule on the manufacturer's https leg: a kind it does not handle over https gets one
+    # problemReport under its nonce, which the distributor reads as its reason and does not answer; a reply kind,
+    # a selling response included, answers no exchange the manufacturer opened, so it gets nothing back, and
+    # neither does a problemReport
     world = fresh_lifecycle().world
     sent, send = [], world.send_direct
     monkeypatch.setattr(world, "send_direct", lambda *args: (sent.append(args), send(*args))[1])
     cases = (
         (payload("PINReq", tid=mint_tid(world.rng)), "rejected:unexpected-kind", "unexpected-kind"),
-        (payload("productSellingResp", tid=mint_tid(world.rng)), "rejected:unexpected-kind", "unexpected-kind"),
-        (payload("problemReport", reason="unknown-tid"), "rejected:nonce-mismatch", None),
+        (payload("productSellingResp", tid=mint_tid(world.rng)), "rejected:nonce-mismatch", None),
+        (payload("problemReport", reason="unknown-tid"), "rejected:unknown-tid", None),
         (payload("ownershipClaimAck"), "rejected:nonce-mismatch", None),
     )
     for message, verdict, reason in cases:
@@ -221,8 +221,35 @@ def test_the_https_leg_answers_a_refused_request_and_never_a_reply(monkeypatch):
         if reason is None:
             assert https == [("MF", message.kind, verdict)] and len(sent) == 1
         else:
-            assert https == [("MF", message.kind, verdict), ("DS", "problemReport", "rejected:nonce-mismatch")]
+            assert https == [("MF", message.kind, verdict), ("DS", "problemReport", verdict)]
             assert sent[1] == ("MF", "DS", nonce, payload("problemReport", reason=reason))
+
+
+@pytest.mark.parametrize("leg", ["connection", "https"])
+def test_a_kind_of_the_other_transport_is_refused_as_unexpected(leg):
+    # a sale over a connection would let a wallet record one and be emailed the PIN, and a connection kind's
+    # handler cannot take an https link: each transport dispatches only to its own handler table
+    result = fresh_lifecycle()
+    world, mf, b2, ds = result.world, result.cast["MF"], result.cast["B2"], result.cast["DS"]
+    mf.add_product("PC-200")
+    before, nonce = mf.state_dump(), crypto.fresh_nonce(world.rng)
+    if leg == "connection":  # a sale of an unsold product, which the https leg would accept
+        requester, conn = b2, b2.connections[mf.did]
+        message = payload("productSellingReq", **{**mf.products["PC-200"].to_attributes(), "email": b2.email})
+    else:
+        requester, conn = ds, ds.link("MF")
+        message = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin=PIN, key=None)
+    mark = len(world.trace)
+    requester.send(conn, nonce, message)  # opens the requester's thread of the reply
+    world.run_until_quiescent()
+    delivered = [(r["to"], r["kind"], r["verdict"]) for r in world.trace[mark:] if r["to"] not in ("MD", "-")]
+    assert delivered == [
+        ("MF", message.kind, "rejected:unexpected-kind"),
+        (requester.agent_id, "problemReport", "rejected:unexpected-kind"),
+    ]
+    assert conn.threads == {}
+    after = mf.state_dump()
+    assert after["products"] == before["products"] and after["claimants"] == before["claimants"]
 
 
 @pytest.fixture
@@ -248,14 +275,16 @@ def test_nothing_answers_a_transport_reject_an_unsolicited_reply_or_a_problem_re
         world.run_until_quiescent()
         assert [(to, verdict) for to, _, verdict in deliveries_since(world, mark)] == [("MF", f"rejected:{reason}")]
         assert mf.connections[b2.did].sent == sent
-    # a problemReport closes the thread of its nonce, whatever its kind, and is not answered either
-    nonce = crypto.fresh_nonce(world.rng)
-    mf.expect(mf.connections[b2.did], "pinChallengeResp", nonce)
-    mark = len(world.trace)
-    b2.send(conn, nonce, payload("problemReport", reason="unknown-tid"))
-    world.run_until_quiescent()
-    assert deliveries_since(world, mark) == [("MF", "problemReport", "rejected:unknown-tid")]
-    assert mf.connections[b2.did].threads == {}
+    # a problemReport closes the thread of its nonce, whatever its kind, and is not answered either; one under no
+    # open thread still reads its reason
+    nonce, sent = crypto.fresh_nonce(world.rng), mf.connections[b2.did].sent
+    mf.connections[b2.did].threads[nonce] = ("pinChallengeResp", {})
+    for reason in ("unknown-tid", "bad-key"):
+        mark = len(world.trace)
+        b2.send(conn, nonce, payload("problemReport", reason=reason))
+        world.run_until_quiescent()
+        assert deliveries_since(world, mark) == [("MF", "problemReport", f"rejected:{reason}")]
+        assert mf.connections[b2.did].threads == {} and mf.connections[b2.did].sent == sent
 
 
 @pytest.fixture(scope="module")
@@ -275,14 +304,13 @@ def test_a_problem_report_closes_at_most_the_thread_of_its_nonce(peer, data, rea
     conn = mf.connections[b2.did]
     opened = [crypto.fresh_nonce(world.rng) for _ in range(3)]
     for nonce, kind in zip(opened, ("pinChallengeResp", "ownershipProofResp", "ownershipClaimAck")):
-        mf.expect(conn, kind, nonce)
+        conn.threads[nonce] = (kind, {})
     nonce = data.draw(st.sampled_from(opened) | st.binary(min_size=16, max_size=16))
     before, sent, mark = dict(conn.threads), conn.sent, len(world.trace)
     b2.send(b2.connections[mf.did], nonce, payload("problemReport", reason=reason))
     world.run_until_quiescent()
-    closed = nonce in before
-    expected = f"rejected:{reason}" if closed else "rejected:nonce-mismatch"
-    assert deliveries_since(world, mark) == [("MF", "problemReport", expected)]
+    # closing a thread or not, the report reads its reason
+    assert deliveries_since(world, mark) == [("MF", "problemReport", f"rejected:{reason}")]
     assert conn.threads == {n: thread for n, thread in before.items() if n != nonce}
     assert conn.sent == sent  # unanswered
 
@@ -296,7 +324,7 @@ def outside_the_alphabet(reason):
 def test_a_reason_outside_the_alphabet_is_a_malformed_payload(peer, reason):
     world, mf, b2 = peer
     nonce = crypto.fresh_nonce(world.rng)
-    mf.expect(mf.connections[b2.did], "pinChallengeResp", nonce)
+    mf.connections[b2.did].threads[nonce] = ("pinChallengeResp", {})
     mark = len(world.trace)
     send_plain(world, b2, mf, inner_plain(nonce, encode(["problemReport", reason])), "problemReport")
     assert deliveries_since(world, mark) == [("MF", "problemReport", "rejected:malformed-payload")]

@@ -32,8 +32,9 @@ def two_wallets(seed=7):
 
 
 def ping(world, a, b, tid=None):
-    conn = a.connections[b.did]
-    a.send(conn, crypto.fresh_nonce(world.rng), payload("PINReq", tid=tid or mint_tid(world.rng)))
+    # the thread ``start_sell`` would open, so B's PINResp completes A's sale of PC-PING
+    conn, nonce, tid = a.connections[b.did], crypto.fresh_nonce(world.rng), tid or mint_tid(world.rng)
+    a.send(conn, nonce, payload("PINReq", tid=tid), {"tid": tid, "productCode": "PC-PING"})
 
 
 def test_online_delivery_takes_two_hops():
