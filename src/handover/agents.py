@@ -219,8 +219,7 @@ class Agent:
             self.world.send_direct(self.agent_id, conn.remote_agent_id, nonce, p)
             return
         conn.sent += 1
-        route = self.world.route(self.agent_id)
-        env = seal(self.rng, conn.send_key, conn.sent, conn.remote_kid, route, conn.remote_did, nonce, p)
+        env = seal(conn.send_key, conn.sent, conn.remote_kid, self.world.route(self.agent_id), conn.remote_did, nonce, p)
         self.world.send_envelope(self.agent_id, env, p.kind)
 
     # -- inbound dispatch --------------------------------------------------
@@ -239,7 +238,7 @@ class Agent:
         conn = self._by_key_id.get(inner_ciphertext[: crypto.KEY_ID_LEN])
         if conn is None:
             return "rejected:decrypt-error"
-        counter = int.from_bytes(inner_ciphertext[crypto.KEY_ID_LEN : messages.INNER_HEAD_LEN], "big")
+        counter = messages.layer_counter(inner_ciphertext)
         if counter <= conn.received:  # each direction arrives in order, so a counter not above the last is spent
             return "rejected:replay"
         try:
@@ -290,7 +289,7 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     """
     world = inviter.world
     conn_id = world.rng.token(8).hex()
-    keys = {side: crypto.generate_keypair(world.rng) for side in (inviter, invitee)}  # X25519 only: they only agree
+    keys = {side: crypto.generate_keypair(world.transport_rng) for side in (inviter, invitee)}  # X25519: they only agree
     pair = crypto.channel_keys(keys[inviter], keys[invitee].public_key)  # the invitee's pair is the inviter's swapped
     for side, peer, (send, receive) in ((inviter, invitee, pair), (invitee, inviter, pair[::-1])):
         remote = keys[peer]
@@ -490,7 +489,7 @@ class ManufacturerAgent(Agent):
     ) -> tuple[bool, str]:
         """Decrypt the stored PIN with the attempt's key and recompute; accept only on exact equality."""
         try:
-            pin_plain = crypto.sym_decrypt(key, claim.encrypted_pin, b"").decode("ascii")
+            pin_plain = crypto.sym_decrypt(key, 0, claim.encrypted_pin, b"").decode("ascii")
             mf_result = evaluate_challenge(pin_numeric(pin_plain), *challenge)
         except (crypto.DecryptError, UnicodeDecodeError, PinFormatError):
             return False, "pin-decrypt"
@@ -657,7 +656,7 @@ class WalletAgent(Agent):
             return "rejected:duplicate-tid"
         pin = mint_pin(self.rng)
         key = crypto.generate_symmetric_key(self.rng)
-        encrypted_pin = crypto.sym_encrypt(self.rng, key, pin.encode("ascii"), b"")
+        encrypted_pin = crypto.sym_encrypt(key, 0, pin.encode("ascii"), b"")  # the key is fresh, so counter 0 is too
         self.claiming[tid] = OwnershipClaimingData(pin, key)
         self.world.emit(
             channel=simnet.CHANNEL_AUDIT,

@@ -10,11 +10,12 @@ X25519 :class:`KeyPair` only agrees.  Each is a raw 32-byte public key and a
 private key parsed once; a pair also carries its key id.  :func:`sym_encrypt`
 (AES-GCM) serves every ciphertext: a PIN, each connection message under the
 sender's :func:`channel_keys` send key (Aries RFC 0019 authcrypt), each outer
-layer under its sender's route key.  X25519 gives both ends the same secret
-(RFC 7748 6.1), so a connection, and a sender's enrollment with the mediator,
-runs one agreement: one side's (send, receive) pair is the other's swapped.
-No engine path calls the hybrid :func:`asym_encrypt`; ``bench/tracer.py``
-still wraps it and :func:`asym_decrypt` by name.
+layer under its sender's :func:`send_key`; it draws nothing, as the caller's
+counter is the IV (RFC 5116 3.2).  X25519 gives both ends the same secret (RFC
+7748 6.1), so a connection, and a sender's enrollment with the mediator, runs
+one agreement: one side's (send, receive) pair is the other's swapped.  No
+engine path calls the hybrid :func:`asym_encrypt`; ``bench/tracer.py`` still
+wraps it and :func:`asym_decrypt` by name.
 """
 
 from __future__ import annotations
@@ -59,13 +60,13 @@ class DecryptError(CryptoError):
 
 
 class Rng:
-    """Deterministic byte/number source; one per simulation world.
+    """Deterministic byte/number source; a world has two, one per concern (``simnet.World``).
 
     Not a CSPRNG: determinism under a fixed seed is the point, so adversarial
     scenarios replay bit-exactly.
     """
 
-    def __init__(self, seed: int | None = None) -> None:
+    def __init__(self, seed: int | str | None = None) -> None:
         self._inner = random.Random(seed)
 
     def token(self, n: int) -> bytes:
@@ -146,15 +147,24 @@ def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
+def _agree(local: KeyPair, peer_public_key: bytes) -> bytes:
+    _check_key(peer_public_key, "public key")
+    return local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key))
+
+
+def _direction_key(shared: bytes, sender: bytes, recipient: bytes) -> SymmetricKey:
+    return SymmetricKey(hashlib.blake2b(b"handover/channel-v1" + sender + recipient, key=shared, digest_size=SYM_KEY_LEN).digest())
+
+
 def channel_keys(local: KeyPair, peer_public_key: bytes) -> tuple[SymmetricKey, SymmetricKey]:
     """``local``'s (send, receive) keys: one X25519 agreement hashed with both keys, sender first; the peer's are swapped."""
-    _check_key(peer_public_key, "public key")
-    shared = local.agreer.exchange(X25519PublicKey.from_public_bytes(peer_public_key))
-    ends = (local.public_key, peer_public_key)
-    return tuple(
-        SymmetricKey(hashlib.blake2b(b"handover/channel-v1" + sender + recipient, key=shared, digest_size=SYM_KEY_LEN).digest())
-        for sender, recipient in (ends, ends[::-1])
-    )
+    shared, ends = _agree(local, peer_public_key), (local.public_key, peer_public_key)
+    return _direction_key(shared, *ends), _direction_key(shared, *ends[::-1])
+
+
+def send_key(local: KeyPair, peer_public_key: bytes) -> SymmetricKey:
+    """``channel_keys(local, peer_public_key)[0]`` alone, for an end that only sends (a sender to the mediator)."""
+    return _direction_key(_agree(local, peer_public_key), local.public_key, peer_public_key)
 
 
 def _hybrid_key(shared: bytes, eph_pub: bytes, recipient_public_key: bytes) -> bytes:
@@ -198,19 +208,16 @@ def generate_symmetric_key(rng: Rng) -> SymmetricKey:
     return SymmetricKey(rng.token(SYM_KEY_LEN))
 
 
-def sym_encrypt(rng: Rng, key: SymmetricKey, plaintext: bytes, associated_data: bytes) -> bytes:
-    """AES-GCM with a fresh IV per call: IV (12) || ciphertext+tag; the tag also covers ``associated_data``."""
-    iv = rng.token(_GCM_IV_LEN)
-    return iv + key.aead.encrypt(iv, bytes(plaintext), associated_data)
+def sym_encrypt(key: SymmetricKey, counter: int, plaintext: bytes, associated_data: bytes) -> bytes:
+    """AES-GCM with ``counter`` as the 12-byte big-endian IV: ciphertext+tag, the tag also over ``associated_data``."""
+    return key.aead.encrypt(counter.to_bytes(_GCM_IV_LEN, "big"), bytes(plaintext), associated_data)
 
 
-def sym_decrypt(key: SymmetricKey, ciphertext: bytes, associated_data: bytes) -> bytes:
-    """Invert :func:`sym_encrypt`; raises :class:`DecryptError` on tampering, another key or other associated data."""
-    if len(ciphertext) < _GCM_IV_LEN + _GCM_TAG_LEN:
-        raise DecryptError("ciphertext truncated")
+def sym_decrypt(key: SymmetricKey, counter: int, ciphertext: bytes, associated_data: bytes) -> bytes:
+    """Invert :func:`sym_encrypt`; raises :class:`DecryptError` on tampering or another key, counter or data."""
     try:
-        return key.aead.decrypt(ciphertext[:_GCM_IV_LEN], bytes(ciphertext[_GCM_IV_LEN:]), associated_data)
-    except InvalidTag as exc:
+        return key.aead.decrypt(counter.to_bytes(_GCM_IV_LEN, "big"), bytes(ciphertext), associated_data)
+    except InvalidTag as exc:  # also a ciphertext shorter than the tag
         raise DecryptError("authentication failed") from exc
 
 

@@ -6,17 +6,16 @@ recipient's DID under its route key.  The mediator learns the recipient and,
 from the key id in front of the inner layer, which of the recipient's
 connections the message is for; it cannot read the inner layer.
 
-The inner layer is endpoint key id (8) || counter (8, big-endian) || IV (12)
-|| AES-GCM under the send key of nonce (16) || payload, with key id || counter
-as associated data (Aries RFC 0019 authcrypt); the counter numbers the
-sender's messages on the connection (RFC 4303's sequence number).  The outer
-layer is route id (8) || IV (12) || AES-GCM of DID length (2, big-endian) ||
-recipient DID (UTF-8) || inner layer under the route key that the sender
-agreed with the mediator once (``simnet.World.route``), with the route id as
-associated data.  Each AEAD key serves one layer only, so the framing carries
-no layer label and makes no codec call; only the payload is encoded.  ``seal``
-draws 12 RNG bytes for the inner IV, then 12 for the outer IV, and makes no
-X25519 agreement and no hash: the sender's connection holds its peer's key id.
+Both layers have one format: key id (8) || counter (8, big-endian) || AES-GCM
+with the counter as the IV and key id || counter as associated data.  The
+inner layer names the recipient's endpoint key and numbers the sender's
+messages on the connection (RFC 4303's sequence number) under its send key,
+over nonce (16) || payload (Aries RFC 0019 authcrypt).  The outer layer names
+the route and numbers the sender's envelopes under the route key it agreed
+with the mediator once (``simnet.World.route``), over DID length (2,
+big-endian) || recipient DID (UTF-8) || inner layer.  Each key serves one
+counter sequence, so no key sees a counter twice; ``seal`` draws no random
+bytes, makes no X25519 agreement and no hash, and encodes only the payload.
 
 The inner layer names no sender: the recipient learns the sender from the key
 id, which names one of its pairwise connections, and the layer must
@@ -48,7 +47,7 @@ PIN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 TID_LEN = 16
 CHALLENGE_TYPES = ("+", "-", "*", "/")
 CHALLENGE_OPERANDS = range(100, 10_000)  # challengeBy is a 3-4 digit integer
-INNER_HEAD_LEN = crypto.KEY_ID_LEN + 8  # key id || 8-byte counter: the inner layer's clear head and associated data
+HEAD_LEN = crypto.KEY_ID_LEN + 8  # key id || 8-byte counter: a layer's clear head and associated data
 
 
 class PayloadError(Exception):
@@ -247,33 +246,43 @@ class Envelope:
     outer_ciphertext: bytes
 
 
+def _layer(key_id: bytes, key: crypto.SymmetricKey, counter: int, plaintext: bytes) -> bytes:
+    """Either layer: ``key_id`` || ``counter`` || AES-GCM of ``plaintext`` under ``key``, IV the counter, AD the head."""
+    head = key_id + counter.to_bytes(8, "big")
+    return head + crypto.sym_encrypt(key, counter, plaintext, head)
+
+
+def layer_counter(data: bytes) -> int:
+    return int.from_bytes(data[crypto.KEY_ID_LEN : HEAD_LEN], "big")
+
+
+def _open_layer(key: crypto.SymmetricKey, data: bytes) -> bytes:
+    return crypto.sym_decrypt(key, layer_counter(data), data[HEAD_LEN:], data[:HEAD_LEN])
+
+
 def seal(
-    rng: crypto.Rng,
     send_key: crypto.SymmetricKey,
     counter: int,
     endpoint_kid: bytes,
-    route: tuple[bytes, crypto.SymmetricKey],
+    route: tuple[bytes, crypto.SymmetricKey, int],
     recipient_did: str,
     nonce: bytes,
     p: MessagePayload,
 ) -> Envelope:
-    """Encrypt message ``counter`` under ``send_key`` for the endpoint's key id, then wrap it under ``route``'s key."""
+    """Encrypt message ``counter`` under ``send_key`` for the endpoint's key id, then wrap it as ``route`` says."""
     if len(nonce) != crypto.NONCE_LEN:
         raise ValueError(f"a nonce is {crypto.NONCE_LEN} bytes")
-    head = endpoint_kid + counter.to_bytes(8, "big")
-    inner_ct = head + crypto.sym_encrypt(rng, send_key, nonce + canonical_encode_payload(p), head)
-    route_id, route_key = route
+    inner = _layer(endpoint_kid, send_key, counter, nonce + canonical_encode_payload(p))
     did = recipient_did.encode()
-    outer_plain = len(did).to_bytes(2, "big") + did + inner_ct
-    return Envelope(outer_ciphertext=route_id + crypto.sym_encrypt(rng, route_key, outer_plain, route_id))
+    return Envelope(_layer(*route, len(did).to_bytes(2, "big") + did + inner))  # route: (route id, route key, counter)
 
 
 def unseal_at_mediator(route_keys: dict[bytes, crypto.SymmetricKey], envelope: Envelope) -> tuple[str, bytes]:
     """Unwrap the outer layer under the route key its id names: (recipient DID, opaque inner ciphertext)."""
-    route_id = envelope.outer_ciphertext[: crypto.KEY_ID_LEN]
-    if route_id not in route_keys:
+    route_key = route_keys.get(envelope.outer_ciphertext[: crypto.KEY_ID_LEN])
+    if route_key is None:
         raise crypto.DecryptError("unknown route id")
-    plain = crypto.sym_decrypt(route_keys[route_id], envelope.outer_ciphertext[crypto.KEY_ID_LEN :], route_id)
+    plain = _open_layer(route_key, envelope.outer_ciphertext)
     end = 2 + int.from_bytes(plain[:2], "big")  # the DID's length takes 2 bytes
     if len(plain) < end:
         raise crypto.DecryptError("outer layer's DID overruns it")
@@ -286,9 +295,8 @@ def unseal_at_mediator(route_keys: dict[bytes, crypto.SymmetricKey], envelope: E
 def open_inner(receive_key: crypto.SymmetricKey, inner_ciphertext: bytes) -> tuple[bytes, bytes]:
     """Decrypt the inner layer under the addressed connection's receive key: (nonce, payload bytes, not decoded yet).
     A layer that fails to authenticate is ``bad-signature``; an authenticated one shorter than a nonce, a PayloadError."""
-    head = inner_ciphertext[:INNER_HEAD_LEN]
     try:
-        plain = crypto.sym_decrypt(receive_key, inner_ciphertext[INNER_HEAD_LEN:], head)
+        plain = _open_layer(receive_key, inner_ciphertext)
     except crypto.DecryptError as exc:
         raise EnvelopeReject("bad-signature") from exc
     if len(plain) < crypto.NONCE_LEN:

@@ -107,7 +107,8 @@ class World:
     """One simulation universe: registry, mediator, agents, scheduler, trace."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.rng = crypto.Rng(seed)
+        self.rng = crypto.Rng(f"protocol:{seed}")  # what payloads, emails and the ledger carry
+        self.transport_rng = crypto.Rng(f"transport:{seed}")  # every X25519 pair, and the spoofs' keys and nonces
         self.clock = 0
         self._seq = 0
         self._queue: deque[DeliveryEvent] = deque()
@@ -116,8 +117,8 @@ class World:
         self.trace: list[dict] = []
         self.wire_log: dict[int, DeliveryEvent] = {}
         self.registry = VerifiableDataRegistry(clock=self.tick)
-        self.mediator = Mediator(crypto.generate_keypair(self.rng))
-        self._routes: dict[str, tuple[bytes, crypto.SymmetricKey]] = {}  # sender -> (route id, route key)
+        self.mediator = Mediator(crypto.generate_keypair(self.transport_rng))
+        self._routes: dict[str, tuple[bytes, crypto.SymmetricKey, int]] = {}  # sender -> (route id, key, envelopes)
         self.agents: dict[str, Any] = {}
         self.email_directory: dict[str, str] = {}
         self.max_ticks = DEFAULT_MAX_TICKS  # no event is delivered after this tick
@@ -133,13 +134,15 @@ class World:
         self.mediator.routes[agent.did] = agent.agent_id
         self.registry.publish_did_doc(agent.did, agent.did_key.public_key, {"agent": agent.agent_id})
 
-    def route(self, sender: str) -> tuple[bytes, crypto.SymmetricKey]:
-        """``sender``'s (route id, route key); the first call enrolls it (Aries RFC 0211) by ECDH-ES direct key
-        agreement (RFC 7518 4.6): a fresh pair agrees with the mediator's key, and both ends hold the send key."""
+    def route(self, sender: str) -> tuple[bytes, crypto.SymmetricKey, int]:
+        """``sender``'s (route id, route key, counter) for one more envelope; the first call enrolls it (Aries RFC 0211)
+        by ECDH-ES direct key agreement (RFC 7518 4.6): a fresh pair agrees with the mediator's key, which keeps it."""
         if sender not in self._routes:
-            key = crypto.channel_keys(crypto.generate_keypair(self.rng), self.mediator.keys.public_key)[0]
-            self._routes[sender] = (self.mediator.enroll(key), key)
-        return self._routes[sender]
+            key = crypto.send_key(crypto.generate_keypair(self.transport_rng), self.mediator.keys.public_key)
+            self._routes[sender] = (self.mediator.enroll(key), key, 0)
+        route_id, key, sealed = self._routes[sender]
+        self._routes[sender] = route = (route_id, key, sealed + 1)
+        return route
 
     def tick(self) -> int:
         return self.clock
@@ -331,29 +334,18 @@ class World:
             self._tampers.setdefault(seq, []).append((byte_index, mask))
             return None
         # already delivered: re-inject a tampered copy of the observed bytes
-        body = _flip_body_byte(original.body, byte_index, mask)
-        return self.schedule(
-            frm=original.frm,
-            to=original.to,
-            channel=original.channel,
-            body=body,
-            kind=original.kind,
-            meta={"injected": "tamper", "of": seq},
-        )
+        return self._reinject(original, _flip_body_byte(original.body, byte_index, mask), "tamper")
 
     def replay(self, seq: int) -> int:
         """Re-inject the observed bytes of delivered event ``seq``."""
         original = self.wire_log.get(seq)
         if original is None:
             raise SimError(f"replay: event {seq} was never on the wire")
-        return self.schedule(
-            frm=original.frm,
-            to=original.to,
-            channel=original.channel,
-            body=original.body,
-            kind=original.kind,
-            meta={"injected": "replay", "of": seq},
-        )
+        return self._reinject(original, original.body, "replay")
+
+    def _reinject(self, event: DeliveryEvent, body: Any, injected: str) -> int:
+        meta = {"injected": injected, "of": event.seq}
+        return self.schedule(frm=event.frm, to=event.to, channel=event.channel, body=body, kind=event.kind, meta=meta)
 
     def spoof(self, recipient_id: str, forged_sender: str, payload: MessagePayload, key_of: Optional[str]) -> int:
         """Send ``payload`` to ``recipient_id``, encrypted under a channel key of a fresh attacker key pair.
@@ -367,18 +359,12 @@ class World:
         """
         recipient = self.agents[recipient_id]
         conn = recipient.connections.get(key_of)
-        endpoint_key = conn.local.public_key if conn is not None else crypto.generate_keypair(self.rng).public_key
-        attacker_keys = crypto.generate_keypair(self.rng)  # bound to no connection
-        envelope = seal(
-            self.rng,
-            crypto.channel_keys(attacker_keys, endpoint_key)[0],  # as any stranger could derive
-            2**64 - 1,  # the one counter sure to pass the replay check, so the tag check decides
-            crypto.key_id(endpoint_key),
-            self.route("adversary"),  # the stranger enrolls once per world, like any sender
-            recipient.did,
-            crypto.fresh_nonce(self.rng),
-            payload,
-        )
+        endpoint_key = conn.local.public_key if conn is not None else crypto.generate_keypair(self.transport_rng).public_key
+        key = crypto.send_key(crypto.generate_keypair(self.transport_rng), endpoint_key)  # fresh, as any stranger's
+        route = self.route("adversary")  # the stranger enrolls once per world, like any sender
+        nonce = crypto.fresh_nonce(self.transport_rng)
+        # 2**64 - 1 is the one counter sure to pass the replay check, so the tag check decides
+        envelope = seal(key, 2**64 - 1, crypto.key_id(endpoint_key), route, recipient.did, nonce, payload)
         return self.schedule(
             frm="adversary",
             to=MEDIATOR_ID,

@@ -1,6 +1,7 @@
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from handover import crypto
 from handover.crypto import Rng
@@ -45,30 +46,36 @@ def vc_signed(credential_id, cred_def_id, attributes):
     return encode(["vc", credential_id, cred_def_id, [list(pair) for pair in attributes]])
 
 
-INNER_HEAD_LEN = crypto.KEY_ID_LEN + 8  # the key id, then the counter
+HEAD_LEN = crypto.KEY_ID_LEN + 8  # the key id, then the counter
 
 
-def inner_head(key_id, counter):
-    """The inner layer's clear head, which is also its associated data: the key id, then the sender's message
-    counter (8, big-endian)."""
+def layer_head(key_id, counter):
+    """A layer's clear head, which is also its associated data: the key id, then the counter (8, big-endian)."""
     return bytes(key_id) + struct.pack(">Q", counter)
 
 
-def inner_counter(inner):
-    """The sender's message counter in the clear head of an inner layer."""
-    return struct.unpack(">Q", inner[crypto.KEY_ID_LEN : INNER_HEAD_LEN])[0]
+def layer_counter(data):
+    """The counter in the clear head of a layer."""
+    return struct.unpack(">Q", data[crypto.KEY_ID_LEN : HEAD_LEN])[0]
 
 
-def inner_layer(rng, key_id, key, plain, counter):
-    """The inner layer for ``key_id`` and ``counter`` that encrypts ``plain``, whatever it holds, under ``key``."""
-    head = inner_head(key_id, counter)
-    return head + crypto.sym_encrypt(rng, key, plain, head)
+def layer(key_id, key, plain, counter):
+    """The layer, inner or outer, for ``key_id`` and ``counter`` that encrypts ``plain``, whatever it holds, under
+    ``key``: its head, then AES-GCM with the counter as the 12-byte big-endian IV and the head as associated data."""
+    head = layer_head(key_id, counter)
+    return head + AESGCM(key.key_bytes).encrypt(counter.to_bytes(12, "big"), bytes(plain), head)
+
+
+def open_layer(key, data):
+    """The plaintext of a layer under ``key``; raises InvalidTag unless it authenticates."""
+    iv = layer_counter(data).to_bytes(12, "big")
+    return AESGCM(key.key_bytes).decrypt(iv, data[HEAD_LEN:], data[:HEAD_LEN])
 
 
 def outer_layer(world, plain, sender="adversary"):
-    """The outer layer that wraps ``plain``, whatever it holds, under ``sender``'s route key."""
-    route_id, route_key = world.route(sender)
-    return Envelope(route_id + crypto.sym_encrypt(world.rng, route_key, plain, route_id))
+    """The outer layer that wraps ``plain``, whatever it holds, under ``sender``'s route key and next counter."""
+    route_id, route_key, counter = world.route(sender)
+    return Envelope(layer(route_id, route_key, plain, counter))
 
 
 def send_inner(world, recipient, inner, kind):
@@ -82,7 +89,7 @@ def send_plain(world, sender, recipient, plain, kind):
     ``recipient``, under its send key and its next counter, and deliver it; returns that inner layer."""
     conn = sender.connections[recipient.did]
     conn.sent += 1
-    inner = inner_layer(world.rng, crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent)
+    inner = layer(crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent)
     send_inner(world, recipient, inner, kind)
     return inner
 

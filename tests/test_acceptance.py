@@ -105,7 +105,7 @@ def test_criterion_03_pin_challenge_soundness():
         claim = ClaimantAttribute(
             product_code="PC-100",
             tid="00" * 16,
-            encrypted_pin=sym_encrypt(rng, key, true_pin.encode("ascii"), b""),
+            encrypted_pin=sym_encrypt(key, 0, true_pin.encode("ascii"), b""),
         )
         result = evaluate_challenge(pin_numeric(responder_pin), challenge_by, challenge_type)
         assert isinstance(result, Fraction)

@@ -50,12 +50,12 @@ from handover.scenarios import (
 from handover.simnet import CHANNEL_SSI, DeliveryEvent, World
 
 from conftest import (
-    INNER_HEAD_LEN,
     count_calls,
     fresh_lifecycle,
-    inner_counter,
-    inner_layer,
     inner_plain,
+    layer,
+    layer_counter,
+    open_layer,
     send_as,
     send_inner,
     send_plain,
@@ -284,11 +284,11 @@ def test_every_delivery_redirected_to_another_connection_fails_signature():
             if other is named:
                 continue
             before = recipient.state_dump()
-            stale = inner_counter(event.body) <= other.received
+            stale = layer_counter(event.body) <= other.received
             send_inner(world, recipient, other.local.kid + event.body[crypto.KEY_ID_LEN :], event.kind)
             expected = "rejected:replay" if stale else "rejected:bad-signature"
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, expected)
-            inner = inner_layer(world.rng, other.local.kid, named.receive_key, plain, other.received + 1)
+            inner = layer(other.local.kid, named.receive_key, plain, other.received + 1)
             send_inner(world, recipient, inner, event.kind)
             assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (event.to, "rejected:bad-signature")
             assert recipient.state_dump() == before
@@ -561,8 +561,8 @@ def test_sell_buyer_holds_secrets_seller_holds_ciphertext():
     assert list(cast["B1"].sales) == ["PC-100"]
     sale_tid, encrypted_pin = cast["B1"].sales["PC-100"]
     assert sale_tid == tid
-    # the ciphertext decrypts to the pin under the buyer's key only
-    assert sym_decrypt(buyer_entry.key, encrypted_pin, b"").decode() == buyer_entry.pin
+    # the ciphertext decrypts to the pin under the buyer's key only, at counter 0: the key is fresh for this PIN
+    assert sym_decrypt(buyer_entry.key, 0, encrypted_pin, b"").decode() == buyer_entry.pin
 
 
 def test_seller_state_cannot_decrypt_pin():
@@ -584,7 +584,7 @@ def test_seller_state_cannot_decrypt_pin():
         if len(candidate) != 32:
             continue
         with pytest.raises(DecryptError):
-            sym_decrypt(SymmetricKey(candidate), encrypted_pin, b"")
+            sym_decrypt(SymmetricKey(candidate), 0, encrypted_pin, b"")
 
 
 def test_two_sales_distinct_tids_and_pins():
@@ -1617,7 +1617,7 @@ def addressed_connection(recipient, inner):
 def authenticated_plain(recipient, inner):
     """The plaintext of a delivered inner layer, as the connection it names opens it."""
     named = addressed_connection(recipient, inner)
-    return crypto.sym_decrypt(named.receive_key, inner[INNER_HEAD_LEN:], inner[:INNER_HEAD_LEN])
+    return open_layer(named.receive_key, inner)
 
 
 def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
@@ -1706,34 +1706,78 @@ def test_every_delivery_reflected_to_its_sender_fails_the_tag():
         sender = world.agents[named.remote_agent_id]
         plain = authenticated_plain(recipient, event.body)
         counter = sender.connections[recipient.did].received + 1  # past the sender's replay check
-        inner = inner_layer(world.rng, crypto.key_id(named.remote_public_key), named.receive_key, plain, counter)
+        inner = layer(crypto.key_id(named.remote_public_key), named.receive_key, plain, counter)
         send_inner(world, sender, inner, event.kind)
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (sender.agent_id, "rejected:bad-signature")
     assert len(deliveries) == 16
 
 
-def test_no_direction_key_and_iv_pair_repeats_in_a_fleet_run(monkeypatch):
-    # AES-GCM loses both secrecy and integrity if one key sees one IV twice: each direction key
-    # encrypts every message its side sends on the connection, and each route key every message
-    # its sender seals
-    used = collections.Counter()
-    encrypt = crypto.sym_encrypt
+@pytest.mark.parametrize("name", ["fleet", "workload:attack"])
+def test_no_key_and_counter_pair_repeats(name, monkeypatch):
+    # AES-GCM loses both secrecy and integrity if one key sees one IV twice, and the IV is the counter: each
+    # direction key encrypts its side's messages on a connection under counters 1, 2, ..., each route key its
+    # sender's envelopes under 1, 2, ..., a spoof's key, fresh per spoof, one message under 2**64 - 1, and a
+    # PIN's key, fresh per PIN, that PIN under 0
+    used, directions, sealed = collections.Counter(), set(), []
+    encrypt, agree, seal = crypto.sym_encrypt, crypto.channel_keys, messages.seal
 
-    def recording(rng, key, plaintext, associated_data):
-        ciphertext = encrypt(rng, key, plaintext, associated_data)
-        used[key.key_bytes, ciphertext[:12]] += 1  # the IV leads the ciphertext
-        return ciphertext
+    def recording(key, counter, plaintext, associated_data):
+        used[key.key_bytes, counter] += 1
+        return encrypt(key, counter, plaintext, associated_data)
+
+    def agreeing(local, peer_public_key):
+        pair = agree(local, peer_public_key)
+        directions.update(key.key_bytes for key in pair)
+        return pair
+
+    def sealing(*args):
+        sealed.append(args[3][0])  # the route id
+        return seal(*args)
 
     monkeypatch.setattr(crypto, "sym_encrypt", recording)
-    result = run_scenario(fleet_spec(16, seed=1))
-    assert result.ok
+    monkeypatch.setattr(crypto, "channel_keys", agreeing)
+    for holder in ("handover.agents.seal", "handover.simnet.seal"):
+        monkeypatch.setattr(holder, sealing)
+    hybrid = count_calls(monkeypatch, crypto, "asym_encrypt")  # the one other AES-GCM encryption, called by nothing
+    result = run_scenario(fleet_spec(16, seed=1) if name == "fleet" else spec_of(name))
+    assert result.ok and hybrid == []
     assert set(used.values()) == {1}
-    sealed = sum(r["channel"] == "ssi" and r["to"] == "MD" for r in result.world.trace)
-    assert len(used) == 2 * sealed + 16  # an inner and an outer layer per envelope, and 16 PINs
-    per_key = collections.Counter(key for key, _ in used)
-    route_keys = [key.key_bytes for key in result.world.mediator.route_keys.values()]
-    assert sum(per_key[key] for key in route_keys) == sealed
-    assert max(per_key[key] for key in route_keys) > 16  # MF seals to every wallet under its one route key
+    counters = collections.defaultdict(list)
+    for key, counter in used:
+        counters[key].append(counter)
+    routes = {key.key_bytes for key in result.world.mediator.route_keys.values()}
+    spoofs = {key for key, seen in counters.items() if seen == [2**64 - 1]}
+    pins = {key for key, seen in counters.items() if seen == [0]}
+    assert len(spoofs) == sum(r["to"] == "MD" and r["meta"].get("injected") == "spoof" for r in result.world.trace)
+    assert len(pins) == sum(r["kind"] == "secret-minted" for r in result.world.trace) > 0
+    assert set(counters) <= routes | directions | spoofs | pins  # every key used is of one kind
+    for key in (routes | directions) & set(counters):
+        assert sorted(counters[key]) == list(range(1, len(counters[key]) + 1))
+    assert len(used) == 2 * len(sealed) + len(pins)  # an inner and an outer layer per envelope, and one per PIN
+    assert sum(len(counters[key]) for key in routes) == len(sealed)
+    if name == "fleet":
+        assert max(collections.Counter(sealed).values()) > 16  # MF seals to every wallet under its one route key
+
+
+def test_a_transport_draw_moves_no_ledger_line(monkeypatch):
+    # protocol values (DID keys, connection ids, PINs, TIDs, nonces, challenges, PIN keys) come from the world's
+    # protocol stream and every X25519 pair from its transport stream, so a change to how a sender enrolls, here
+    # one more key pair drawn per enrollment, moves wire bytes but no ledger line and no step verdict
+    spec = load_bench_workloads().scenario("fleet", 1)
+    before = run_scenario(spec)
+    route = simnet.World.route
+
+    def drawing_more(world, sender):
+        if sender not in world._routes:
+            crypto.generate_keypair(world.transport_rng)
+        return route(world, sender)
+
+    monkeypatch.setattr(simnet.World, "route", drawing_more)
+    after = run_scenario(spec)
+    assert before.ok and after.ok
+    assert after.world.registry.entries == before.world.registry.entries
+    assert [step.verdict for step in after.steps] == [step.verdict for step in before.steps]
+    assert after.trace_lines() != before.trace_lines()
 
 
 @pytest.fixture(scope="module")
@@ -1758,10 +1802,10 @@ def arbitrary_inner(draw, recipient):
     kinds, fields = st.sampled_from(sorted(KIND_FIELDS)), st.lists(NOT_A_FIELD, max_size=8)
     payload_bytes = st.one_of(st.binary(max_size=200), st.builds(lambda kind, rest: encode([kind, *rest]), kinds, fields))
     nonces = st.binary(min_size=16, max_size=16)
-    layer = st.builds(inner_plain, nonces, payload_bytes)
-    plain = draw(st.one_of(st.binary(max_size=300), layer))
+    layers = st.builds(inner_plain, nonces, payload_bytes)
+    plain = draw(st.one_of(st.binary(max_size=300), layers))
     counter = draw(st.integers(0, 2**64 - 1))
-    return inner_layer(crypto.Rng(draw(st.integers(0, 2**16))), conn.local.kid, conn.receive_key, plain, counter)
+    return layer(conn.local.kid, conn.receive_key, plain, counter)
 
 
 @given(data=st.data())
@@ -1778,7 +1822,7 @@ def test_arbitrary_ssi_bytes_are_rejected_without_raising(settled, data):
     after = recipient.state_dump()
     if verdict == "rejected:nonce-mismatch":
         conn = addressed_connection(recipient, body)
-        assert after["connections"][conn.remote_did].pop("received") == inner_counter(body)
+        assert after["connections"][conn.remote_did].pop("received") == layer_counter(body)
         conn.received = before["connections"][conn.remote_did].pop("received")  # the shared run stays as it was
     assert after == before
 
@@ -1813,7 +1857,7 @@ def test_every_inner_byte_flipped_is_refused_by_key_id_or_authentication():
             world.run_until_quiescent()
             if index < crypto.KEY_ID_LEN:
                 expected = "rejected:decrypt-error"
-            elif inner_counter(flipped(event.body, index)) > received:
+            elif layer_counter(flipped(event.body, index)) > received:
                 expected = "rejected:bad-signature"
             else:
                 expected = "rejected:replay"
@@ -1856,7 +1900,7 @@ def _deliver_from_b1(settled, plain):
     """MF's verdict on ``plain`` authenticated under B1's send key, delivered straight from the mediator."""
     mf, b1 = settled.cast["MF"], settled.cast["B1"]
     conn = b1.connections[mf.did]
-    body = inner_layer(crypto.Rng(0), crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent + 1)
+    body = layer(crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent + 1)
     return mf.deliver(DeliveryEvent(0, 0, frm="MD", to="MF", channel=CHANNEL_SSI, body=body, kind="x"))
 
 

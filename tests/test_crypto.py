@@ -4,6 +4,7 @@ import sys
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +50,7 @@ def test_same_seed_identical_nonces_and_ciphertexts():
     ct_a = asym_encrypt(a, key_a.public_key, b"x")
     assert ct_a == asym_encrypt(b, key_b.public_key, b"x")
     sym_a, sym_b = generate_symmetric_key(a), generate_symmetric_key(b)
-    assert sym_encrypt(a, sym_a, b"x", b"") == sym_encrypt(b, sym_b, b"x", b"")
+    assert sym_encrypt(sym_a, 1, b"x", b"") == sym_encrypt(sym_b, 1, b"x", b"")
 
 
 def test_two_draws_from_one_rng_distinct(rng):
@@ -131,12 +132,15 @@ def test_channel_keys_agree_pairwise_and_differ_by_direction(rng):
     assert crypto.channel_keys(b, a.public_key) == (a_receive, a_send)
     assert a_send != a_receive
     assert not {a_send, a_receive} & set(crypto.channel_keys(stranger, b.public_key))
-    ciphertext = sym_encrypt(rng, a_send, b"abc", b"to b")
-    assert sym_decrypt(crypto.channel_keys(b, a.public_key)[1], ciphertext, b"to b") == b"abc"
+    assert crypto.send_key(a, b.public_key) == a_send and crypto.send_key(b, a.public_key) == a_receive
+    ciphertext = sym_encrypt(a_send, 1, b"abc", b"to b")
+    assert sym_decrypt(crypto.channel_keys(b, a.public_key)[1], 1, ciphertext, b"to b") == b"abc"
     with pytest.raises(DecryptError):
-        sym_decrypt(a_receive, ciphertext, b"to b")
+        sym_decrypt(a_receive, 1, ciphertext, b"to b")
     with pytest.raises(KeyFormatError):
         crypto.channel_keys(a, b"\x00" * 3)
+    with pytest.raises(KeyFormatError):
+        crypto.send_key(a, b"\x00" * 3)
 
 
 def signs_and_verifies(monkeypatch, spec):
@@ -147,6 +151,24 @@ def signs_and_verifies(monkeypatch, spec):
         monkeypatch.setattr(crypto, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
     assert run_scenario(spec).ok
     return calls["sign"], calls["verify"]
+
+
+def test_an_enrollment_derives_only_the_send_key_it_uses(monkeypatch):
+    # a connection uses both direction keys of its one agreement; an enrolling sender only sends to the mediator,
+    # which keeps that same key, so an enrollment derives one key: one BLAKE2b and one AES-GCM context
+    derived = collections.Counter()
+    direction_key = crypto._direction_key
+
+    def counted(shared, sender, recipient):
+        derived[sys._getframe(1).f_code.co_name] += 1
+        return direction_key(shared, sender, recipient)
+
+    monkeypatch.setattr(crypto, "_direction_key", counted)
+    result = run_scenario(builtin_scenario("full-lifecycle"))
+    assert result.ok
+    connections = sum(len(agent.connections) for agent in result.cast.values()) // 2
+    enrolled = len(result.world.mediator.route_keys)
+    assert derived == {"channel_keys": 2 * connections, "send_key": enrolled} == {"channel_keys": 6, "send_key": 3}
 
 
 def test_full_lifecycle_signs_only_credentials_and_presentations(monkeypatch):
@@ -233,52 +255,68 @@ def test_asym_truncated_ciphertext(rng):
 
 def test_sym_roundtrip_pin(rng):
     key = generate_symmetric_key(rng)
-    assert sym_decrypt(key, sym_encrypt(rng, key, b"PIN:9X4K2M", b""), b"") == b"PIN:9X4K2M"
+    assert sym_decrypt(key, 0, sym_encrypt(key, 0, b"PIN:9X4K2M", b""), b"") == b"PIN:9X4K2M"
 
 
 def test_sym_associated_data_is_bound_and_empty_is_plain_gcm():
-    # a PIN passes no associated data, and its bytes are those of AES-GCM with none
-    key, replica = generate_symmetric_key(Rng(3)), Rng(4)
-    ciphertext = sym_encrypt(Rng(4), key, b"PIN:9X4K2M", b"")
-    iv = replica.token(12)
-    assert ciphertext == iv + crypto.AESGCM(key.key_bytes).encrypt(iv, b"PIN:9X4K2M", None)
-    bound = sym_encrypt(replica, key, b"payload", b"\x01" * crypto.KEY_ID_LEN)
-    assert sym_decrypt(key, bound, b"\x01" * crypto.KEY_ID_LEN) == b"payload"
+    # a PIN passes no associated data, and its bytes are those of AES-GCM with none, under the 12-byte
+    # big-endian form of the counter as the IV and with no IV in front
+    key = generate_symmetric_key(Rng(3))
+    for counter in (0, 1, 2**64 - 1):
+        iv = counter.to_bytes(12, "big")
+        assert sym_encrypt(key, counter, b"PIN:9X4K2M", b"") == AESGCM(key.key_bytes).encrypt(iv, b"PIN:9X4K2M", None)
+    bound = sym_encrypt(key, 7, b"payload", b"\x01" * crypto.KEY_ID_LEN)
+    assert sym_decrypt(key, 7, bound, b"\x01" * crypto.KEY_ID_LEN) == b"payload"
     for other in (b"", b"\x02" * crypto.KEY_ID_LEN):
         with pytest.raises(DecryptError):
-            sym_decrypt(key, bound, other)
+            sym_decrypt(key, 7, bound, other)
 
 
 def test_sym_flip_every_byte_rejected(rng):
     # flip-one-byte oracle, exhaustive over the whole ciphertext
     key = generate_symmetric_key(rng)
-    ct = sym_encrypt(rng, key, b"PIN:9X4K2M", b"")
+    ct = sym_encrypt(key, 0, b"PIN:9X4K2M", b"")
     for index in range(len(ct)):
         mutated = bytearray(ct)
         mutated[index] ^= 0x01
         with pytest.raises(DecryptError):
-            sym_decrypt(key, bytes(mutated), b"")
+            sym_decrypt(key, 0, bytes(mutated), b"")
 
 
 def test_sym_wrong_key_never_silently_succeeds(rng):
     key = generate_symmetric_key(rng)
     other = generate_symmetric_key(rng)
-    ct = sym_encrypt(rng, key, b"payload", b"")
+    ct = sym_encrypt(key, 0, b"payload", b"")
     with pytest.raises(DecryptError):
-        sym_decrypt(other, ct, b"")
+        sym_decrypt(other, 0, ct, b"")
 
 
 def test_sym_distinct_keys_distinct_ciphertexts():
-    # fixed draws per call keep IVs fresh even under identical plaintexts
+    # two keys under one counter and one plaintext give two ciphertexts
     rng = Rng(5)
     k1 = generate_symmetric_key(rng)
     k2 = generate_symmetric_key(rng)
-    assert sym_encrypt(rng, k1, b"same", b"") != sym_encrypt(rng, k2, b"same", b"")
+    assert sym_encrypt(k1, 1, b"same", b"") != sym_encrypt(k2, 1, b"same", b"")
 
 
-def test_sym_same_key_fresh_iv(rng):
+def test_sym_counter_is_the_only_iv(rng):
+    # the counter is the IV, so one key and one counter always give one ciphertext (which is why no key may see
+    # a counter twice); another counter gives another, and only the counter that made a ciphertext opens it
     key = generate_symmetric_key(rng)
-    assert sym_encrypt(rng, key, b"same", b"") != sym_encrypt(rng, key, b"same", b"")
+    assert sym_encrypt(key, 1, b"same", b"") == sym_encrypt(key, 1, b"same", b"")
+    assert sym_encrypt(key, 1, b"same", b"") != sym_encrypt(key, 2, b"same", b"")
+    with pytest.raises(DecryptError):
+        sym_decrypt(key, 2, sym_encrypt(key, 1, b"same", b""), b"")
+
+
+def test_sym_decrypt_of_a_ciphertext_shorter_than_the_tag_raises_decrypt_error(rng):
+    # a ciphertext of 0-15 bytes cannot hold the 16-byte tag; AES-GCM refuses it like any forgery
+    key = generate_symmetric_key(rng)
+    for length in range(16):
+        with pytest.raises(DecryptError):
+            sym_decrypt(key, 0, b"\x00" * length, b"")
+        with pytest.raises(DecryptError):
+            sym_decrypt(key, 0, sym_encrypt(key, 0, b"", b"")[:length], b"")
 
 
 def test_symmetric_key_length_enforced():
@@ -328,7 +366,7 @@ def test_each_key_does_its_one_job_property(message, seed):
     a_send, a_receive = crypto.channel_keys(a, b.public_key)
     b_send, b_receive = crypto.channel_keys(b, a.public_key)
     assert (b_send, b_receive) == (a_receive, a_send) and a_send != a_receive
-    assert sym_decrypt(b_receive, sym_encrypt(rng, a_send, message, b""), b"") == message
+    assert sym_decrypt(b_receive, 1, sym_encrypt(a_send, 1, message, b""), b"") == message
 
 
 def _agreement_pair(secret: bytes) -> crypto.KeyPair:
@@ -356,12 +394,11 @@ def test_hybrid_roundtrip_property(message, seed):
     assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, message)) == message
 
 
-@given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
+@given(message=st.binary(max_size=600), seed=st.integers(0, 2**32), counter=st.integers(0, 2**64 - 1))
 @settings(max_examples=40, deadline=None)
-def test_symmetric_roundtrip_property(message, seed):
-    rng = Rng(seed)
-    key = generate_symmetric_key(rng)
-    assert sym_decrypt(key, sym_encrypt(rng, key, message, b""), b"") == message
+def test_symmetric_roundtrip_property(message, seed, counter):
+    key = generate_symmetric_key(Rng(seed))
+    assert sym_decrypt(key, counter, sym_encrypt(key, counter, message, b""), b"") == message
 
 
 def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
@@ -398,7 +435,7 @@ def test_full_lifecycle_parses_each_long_lived_key_once(monkeypatch):
 
 
 def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
-    # every X25519 agreement parses its peer's key in ``channel_keys``: once per connection for both sides'
+    # every X25519 agreement parses its peer's key in ``_agree``: once per connection for both sides'
     # direction keys (the invitee takes the inviter's pair swapped), and once per sender when it enrolls, with
     # the mediator's key as the peer (the mediator keeps the sender's send key, so its own key never agrees);
     # sealing, relaying and opening a message does none, so more messages cost no more agreements
@@ -425,7 +462,7 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
         world.run_until_quiescent()
         # MF has no handler for a PINReq, so it answers each with a problemReport
         assert sum(r["channel"] == "ssi" and r["to"] == "MD" for r in world.trace) == 16 + 2 * extra
-        assert callers == {"channel_keys": connections + enrolled} == {"channel_keys": 6}
+        assert callers == {"_agree": connections + enrolled} == {"_agree": 6}
     assert all(local is not world.mediator.keys for local in agreeing)
     own = {conn.local for agent in result.cast.values() for conn in agent.connections.values()}
     assert sum(local in own for local in agreeing) == connections  # the rest are the 3 enrollment pairs

@@ -19,43 +19,43 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 
 GOLDEN = {
     "new-purchase": (
-        "7a289560f93b1e6769453ff4d1fa00c45c1e198bf4437115a617e759f3fc9acc",
-        "6098fc23d2b2158f9a2eeb5218867f56e8fd1569c1122ac45d12daf71c39e474",
+        "ca9389d07565ce1dba0b915d057ab602e86c6f2dbe02d8457e71023ece573aed",
+        "b50bd021aadd2d5a1df4cbee19e620722a32fd325a8d46a3b4f63f95eb2b0d98",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "77d28fd5db0d4643e0ce8aba0895107f43e84a73a4e557d3ba0cca84e833e2e4",
-        "e9d7b93ba937897b57bea62ec36bd5d261df316f043b4166401f389d6733271f",
+        "d189c97f913e75cf4068b520ce8cb8542be8d58874ee2562e38c12d3b39aee49",
+        "23f27ce5dbf3a524e181954fe6203d9bcf940a9c006dc7dfcd2083f0e15a2d6b",
         "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
     ),
     "wrong-pin": (
-        "7b7ec1c47dd1fde9836f534bd53370f1f145dcfdc11a96e84aca732391a366f6",
-        "608d39d6d99af16ac45fb7ad61e5bb9c008e490d6a9e1ede5656310e38fd1683",
+        "171d3181b88210b14361e7b051e9df369e7622ffa89e108d31a4656bf2426a4d",
+        "7c6fea3a06ead4a326690e16297b4aadfb03ee06b9f15851118a51248d51b237",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "f70fdb036403252f36e94a1edcf1deb1ed8a06dfb7c404946f67e7d12839b3f5",
-        "0915f095cbe37a3316a3b2b857fa2f9c3b7aec832caf958035a3d3169fd97437",
+        "4df38ae2d6a9fc131b4bd96a173d4862457b91ef305560f3e4600a7ce5c78451",
+        "2fef9be42627c8c788791d45d8b42d5453d5ad132fc7c667d52650b5979e773a",
         "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
     ),
     "duplicate-transfer": (
-        "b5c6caac87d857a2e1006a785d51d14ebc9e97f7c0812a41545598da11406cf3",
-        "12552a6d6b842edfdebf167bcfcabaae854c7c84f9e09109e9ae128b9749643c",
+        "83dbab71ea81586d2db52e00f228fb3bcfd906a769996e0e09fbf04c9c3bb588",
+        "1bcc4455e954b8d9746e3e98b9b9d42d6b08825639d95c4ad8e45361e4d6bfc7",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "661c57a52d88cadf40e5af30406555ff1a61afdc35c830986c4baabc2ee292db",
-        "c354f37ea583ca505a119af12f1a25ba5b9e1bfffed3029592d3adab955f3883",
+        "8862568d670acbf60241cc8106a45380d6512315c64d822d2798d06ec36a51ca",
+        "1723fa2eba7fcaeb21d060eed8ff0bbf87a6f252c3d7c85067b9e500240d9f55",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "fab41c45f367869172d3e3719fee05931e3f24031bc3c3393a431792f486f861",
-        "5bda10c9c1cccfdd6b283dbf37b1df33c3842ffde3f68a7529c7e07bca5acd8d",
+        "3dee7357112a06f2c257813079ca72d7b0f7c5bc391155d6694df869d638d4bb",
+        "df1d585873647c8f71f429c150d96017a82a51d5ee065540d47bee871d1d12a2",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "51475360671aba125f56372872a0f4b6556e1443c4734504f900965e8c7e292a",
-        "54a92f93f95d01ac4701b92c655773f35c07688d429934d9b6c5f79cbba27a5f",
+        "c72cd22f30ab5ed47ddf78e1659550fbee6b8cff6b13da4a657cef006425863d",
+        "8d16f9c3a0bc7d28c3e193d4707e0e42471005b93d52fce3b46d19fca1b2382f",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
 }
@@ -88,8 +88,8 @@ def test_golden_trace_and_ledger(name):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "aca512bf8c03bd75f6f1da9cdad618c3fab4cd67c5c7c7bbdd242301142a8ba5",
-    "eae7094d0bb0921994fe64b809d60c2a0579c082f3a352072902cf9a22829921",
+    "ab3879d8693141b19a307f7bca40b3f424cf53ae12ca8b271ccb2bb434cd80b1",
+    "4ec361516d47e6cef55842b6dded7b3fd375fb5a9627d998ff83c8acec1cf909",
     "1ffd21b450712b2c0aec514cbf5b9f6358d230a26452c8b79ed3e4a72ebb1581",
 )
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,12 +32,12 @@ from handover.scenarios import builtin_scenario, run_scenario
 from handover.simnet import World
 
 from conftest import (
-    INNER_HEAD_LEN,
+    HEAD_LEN,
     count_calls,
     fresh_lifecycle,
-    inner_counter,
-    inner_head,
-    inner_layer,
+    layer,
+    layer_counter,
+    layer_head,
     inner_plain,
     outer_plain,
     send_as,
@@ -196,7 +197,7 @@ def make_parties(rng):
         "sender": generate_keypair(rng),
         "endpoint": generate_keypair(rng),
         "world": world,
-        "route": world.route("sender"),  # (route id, route key), enrolled with the world's mediator
+        "route": world.route("sender"),  # (route id, route key, counter 1), enrolled with the world's mediator
         "routes": world.mediator.route_keys,
     }
 
@@ -212,16 +213,8 @@ def receive_key(parties):
 def sealed(parties, p=None, nonce=None, counter=1):
     p = p or sample_payload("PINReq")
     nonce = nonce or fresh_nonce(parties["rng"])
-    env = seal(
-        parties["rng"],
-        send_key(parties),
-        counter,
-        parties["endpoint"].kid,
-        parties["route"],
-        "did:handover:endpoint",
-        nonce,
-        p,
-    )
+    route = parties["world"].route("sender")  # the sender's next envelope under its route key
+    env = seal(send_key(parties), counter, parties["endpoint"].kid, route, "did:handover:endpoint", nonce, p)
     return env, nonce, p
 
 
@@ -271,35 +264,39 @@ def test_flip_outer_byte_rejected(parties):
         unseal_at_mediator(parties["routes"], type(env)(outer_ciphertext=bytes(mutated)))
 
 
-def test_seal_layout_draw_order_and_each_layer_opens_only_under_its_own_key(parties):
-    seed = 77
-    parties["rng"] = Rng(seed)
+def test_seal_layout_draws_nothing_and_each_layer_opens_only_under_its_own_key(parties):
+    world = parties["world"]
+    streams = (parties["rng"], world.rng, world.transport_rng)
+    before = [rng._inner.getstate() for rng in streams]
     env, nonce, p = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN, counter=0x0102030405060708)
+    # neither seal nor the route of an enrolled sender draws a random byte
+    assert [rng._inner.getstate() for rng in streams] == before
     outer = env.outer_ciphertext
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
-    # one draw order per envelope: inner IV, outer IV, and no ephemeral key
-    replica = Rng(seed)
-    inner_iv, outer_iv = replica.token(12), replica.token(12)
-    assert parties["rng"].token(4) == replica.token(4)
-    # the inner layer: endpoint key id || counter || IV || AES-GCM under the send key, the key id and the
-    # counter as associated data
-    head = inner_head(parties["endpoint"].kid, 0x0102030405060708)
+    # the inner layer: endpoint key id || counter || AES-GCM under the send key, with the counter as the IV and
+    # the key id and the counter as associated data; no IV goes on the wire
+    head = layer_head(parties["endpoint"].kid, 0x0102030405060708)
     assert head == parties["endpoint"].kid + bytes(range(1, 9))
     plain = inner_plain(nonce, canonical_encode_payload(p))
-    assert inner == head + inner_iv + crypto.AESGCM(send_key(parties).key_bytes).encrypt(inner_iv, plain, head)
-    # the outer layer: route id || IV || AES-GCM under the route key, the route id as associated data
-    route_id, route_key = parties["route"]
+    iv = bytes(4) + bytes(range(1, 9))
+    assert inner == head + AESGCM(send_key(parties).key_bytes).encrypt(iv, plain, head)
+    assert inner == layer(parties["endpoint"].kid, send_key(parties), plain, 0x0102030405060708)
+    # the outer layer: the same format under the route id, the route key and the sender's envelope counter,
+    # which is 2, since the enrolling call in make_parties took 1
+    route_id, route_key, _ = parties["route"]
     route_plain = outer_plain(recipient_did, inner)
-    assert outer == route_id + outer_iv + crypto.AESGCM(route_key.key_bytes).encrypt(outer_iv, route_plain, route_id)
-    # the outer layer opens only under the route key its id names, not under another sender's
-    other_id, other_key = parties["world"].route("other sender")
-    rewrapped = route_id + crypto.sym_encrypt(Rng(1), other_key, route_plain, route_id)
-    for forged in (other_id + outer[crypto.KEY_ID_LEN :], rewrapped):
+    assert outer[:HEAD_LEN] == layer_head(route_id, 2)
+    assert outer == layer(route_id, route_key, route_plain, 2)
+    # the outer layer opens only under the route key its id names, not under another sender's, and only under
+    # the counter in its head
+    other_id, other_key, _ = world.route("other sender")
+    rewrapped = layer(route_id, other_key, route_plain, 2)
+    for forged in (other_id + outer[crypto.KEY_ID_LEN :], rewrapped, layer_head(route_id, 3) + outer[HEAD_LEN:]):
         with pytest.raises(DecryptError):
             unseal_at_mediator(parties["routes"], type(env)(outer_ciphertext=forged))
     # and the inner layer only under the endpoint's receive key, not its send key, a route key or the mediator's keys
     endpoint_send_key = crypto.channel_keys(parties["endpoint"], parties["sender"].public_key)[0]
-    mediator_keys = crypto.channel_keys(parties["world"].mediator.keys, parties["sender"].public_key)
+    mediator_keys = crypto.channel_keys(world.mediator.keys, parties["sender"].public_key)
     for key in (endpoint_send_key, route_key, other_key, *mediator_keys):
         with pytest.raises(EnvelopeReject):
             open_inner(key, inner)
@@ -327,11 +324,10 @@ def test_adversary_key_resign_rejected(parties):
     p = sample_payload("PINReq")
     nonce = fresh_nonce(parties["rng"])
     env = seal(
-        parties["rng"],
-        crypto.channel_keys(adversary, parties["endpoint"].public_key)[0],  # the key any stranger can derive
+        crypto.send_key(adversary, parties["endpoint"].public_key),  # the key any stranger can derive
         1,
         parties["endpoint"].kid,
-        parties["route"],
+        parties["world"].route("sender"),
         "did:handover:endpoint",
         nonce,
         p,
@@ -354,7 +350,7 @@ def test_signature_binds_nonce_kind_and_body(parties):
         inner_plain(nonce, canonical_encode_payload(payload("problemReport", reason="unknown-key"))),
         inner_plain(nonce, encode(["ownershipClaimReq", "refused"])),
     ]
-    body = slice(INNER_HEAD_LEN + 12, len(inner) - 16)
+    body = slice(HEAD_LEN, len(inner) - 16)
     for other in others:
         assert len(other) == len(plain) != plain
         mask = bytes(a ^ b for a, b in zip(plain, other))
@@ -431,11 +427,11 @@ def test_a_lower_or_equal_counter_is_a_replay(one_connection, monkeypatch):
     plain = inner_plain(fresh_nonce(world.rng), canonical_encode_payload(UNHANDLED["ownershipTransferReq"]))
     opens = count_calls(monkeypatch, messages, "open_inner")
     for counter in (0, 1, conn.received - 1, conn.received):
-        inner = inner_layer(world.rng, conn.local.kid, conn.receive_key, plain, counter)
+        inner = layer(conn.local.kid, conn.receive_key, plain, counter)
         assert deliver_again(world, b2, inner) == "rejected:replay"
     assert opens == []
     received = conn.received
-    inner = inner_layer(world.rng, conn.local.kid, conn.receive_key, plain, received + 1)
+    inner = layer(conn.local.kid, conn.receive_key, plain, received + 1)
     assert deliver_again(world, b2, inner) == "rejected:unexpected-kind"
     assert conn.received == received + 1
 
@@ -445,9 +441,9 @@ def test_a_copy_with_a_raised_counter_fails_the_tag(one_connection):
     world, b2, conn, send = one_connection
     inner, _ = send(fresh_nonce(world.rng), "ownershipClaimReq")
     received = conn.received
-    assert inner_counter(inner) == received
+    assert layer_counter(inner) == received
     for raised in (received + 1, 2**64 - 1):
-        raised_copy = inner[: crypto.KEY_ID_LEN] + raised.to_bytes(8, "big") + inner[INNER_HEAD_LEN:]
+        raised_copy = inner[: crypto.KEY_ID_LEN] + raised.to_bytes(8, "big") + inner[HEAD_LEN:]
         assert deliver_again(world, b2, raised_copy) == "rejected:bad-signature"
     assert conn.received == received
 
@@ -456,9 +452,9 @@ def test_a_failed_tag_or_decode_advances_nothing(one_connection):
     world, b2, conn, send = one_connection
     send(fresh_nonce(world.rng), "ownershipClaimReq")
     received = conn.received
-    forged = inner_layer(world.rng, conn.local.kid, crypto.generate_symmetric_key(world.rng), b"", received + 5)
+    forged = layer(conn.local.kid, crypto.generate_symmetric_key(world.rng), b"", received + 5)
     not_a_payload = inner_plain(b"\x00" * 16, b"N")
-    undecodable = inner_layer(world.rng, conn.local.kid, conn.receive_key, not_a_payload, received + 5)
+    undecodable = layer(conn.local.kid, conn.receive_key, not_a_payload, received + 5)
     assert deliver_again(world, b2, forged) == "rejected:bad-signature"
     assert deliver_again(world, b2, undecodable) == "rejected:malformed-payload"
     assert conn.received == received
@@ -494,7 +490,7 @@ def test_a_dump_lists_threads_and_never_ciphertexts(one_connection):
         "sent": conn.sent,
         "received": conn.received,
     }
-    assert conn.sent > 0 and conn.received == inner_counter(inner)
+    assert conn.sent > 0 and conn.received == layer_counter(inner)
     assert "ciphertexts" not in dumped and inner.hex() not in canonical_json(b2.state_dump())
 
 
@@ -592,10 +588,10 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
 def test_any_nonce_and_payload_survive_the_envelope_property(nonce, p, did, counter):
     parties = make_parties(Rng(5))
     endpoint = parties["endpoint"].kid
-    env = seal(parties["rng"], send_key(parties), counter, endpoint, parties["route"], did, nonce, p)
+    env = seal(send_key(parties), counter, endpoint, parties["world"].route("sender"), did, nonce, p)
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     assert recipient_did == did
-    assert inner_counter(inner) == counter
+    assert layer_counter(inner) == counter
     opened = open_inner(receive_key(parties), inner)
     assert opened == (nonce, canonical_encode_payload(p))
     assert verify_inner(*opened) == (nonce, p)

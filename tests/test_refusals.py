@@ -40,7 +40,7 @@ class Case:
 def _pending_used_claim(cast, key=KEY):
     """A used claim of product PC-999 (not in the catalog) whose encrypted PIN ``key`` opens; returns its TID."""
     tid = mint_tid(cast["MF"].rng)
-    encrypted_pin = crypto.sym_encrypt(cast["MF"].rng, crypto.SymmetricKey(key), PIN.encode(), b"")
+    encrypted_pin = crypto.sym_encrypt(crypto.SymmetricKey(key), 0, PIN.encode(), b"")
     cast["MF"].claimants["PC-999"] = ClaimantAttribute("PC-999", tid, encrypted_pin=encrypted_pin)
     return tid
 

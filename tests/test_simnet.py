@@ -20,7 +20,7 @@ from handover.scenarios import (
 )
 from handover.simnet import MAX_QUEUED, SimError, World
 
-from conftest import fresh_lifecycle, outer_layer, outer_plain
+from conftest import HEAD_LEN, fresh_lifecycle, layer, layer_head, outer_layer, outer_plain
 
 
 def two_wallets(seed=7):
@@ -67,13 +67,17 @@ def test_the_mediator_holds_the_route_key_each_sender_seals_with(monkeypatch):
     routes = []
     for module in (agents, simnet):  # each imports seal by name
         seal_ = module.seal
-        monkeypatch.setattr(module, "seal", lambda *args, seal_=seal_: (routes.append(args[4]), seal_(*args))[1])
+        monkeypatch.setattr(module, "seal", lambda *args, seal_=seal_: (routes.append(args[3]), seal_(*args))[1])
     result = run_scenario(builtin_scenario("spoof-attack"))
     assert result.ok
     held = result.world.mediator.route_keys
     assert len(held) == len({id(key) for key in held.values()}) == 4  # MF, B1, B2 and the spoofing stranger
-    assert {route_id for route_id, _ in routes} == set(held)
-    assert all(key is held[route_id] for route_id, key in routes)
+    assert {route_id for route_id, _, _ in routes} == set(held)
+    assert all(key is held[route_id] for route_id, key, _ in routes)
+    # and each sender's envelopes count 1, 2, ... under its route key
+    for route_id in held:
+        counters = [counter for held_id, _, counter in routes if held_id == route_id]
+        assert counters == list(range(1, len(counters) + 1))
 
 
 def test_offline_queue_drains_fifo():
@@ -97,7 +101,6 @@ def test_unknown_recipient_dead_letter():
     stranger = crypto.generate_keypair(world.rng)
     conn = a.connections[b.did]
     env = seal(
-        world.rng,
         conn.send_key,
         1,
         stranger.kid,
@@ -372,13 +375,15 @@ def test_each_sender_enrolls_once_on_its_first_send_and_no_record_says_so():
     mark = len(world.trace)
     ping(world, a, b)
     assert len(world.trace) == mark  # enrolling wrote no record
-    route = world.route("A")
+    route_id, route_key, counter = world.route("A")
+    assert counter == 2  # the ping's envelope took 1; each call is one more envelope
     for _ in range(2):
         ping(world, a, b)
     ping(world, b, a)
     world.run_until_quiescent()
-    assert world.route("A") is route
-    assert [key for _, key in sorted(world.mediator.route_keys.items())] == [route[1], world.route("B")[1]]
+    again = world.route("A")
+    assert again[0] == route_id and again[1] is route_key and again[2] == 6  # 2 pings, and 1 reply to B's
+    assert [key for _, key in sorted(world.mediator.route_keys.items())] == [route_key, world.route("B")[1]]
 
 
 def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
@@ -387,7 +392,7 @@ def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
     ping(world, b, a)
     world.run_until_quiescent()
     original = world.wire_log[min(world.wire_log)].body.outer_ciphertext  # A's PINReq to the mediator
-    (a_id, a_key), (b_id, b_key) = world.route("A"), world.route("B")
+    (a_id, a_key, _), (b_id, b_key, _) = world.route("A"), world.route("B")
     assert original[: crypto.KEY_ID_LEN] == a_id != b_id
     recipient_did, inner = unseal_at_mediator(world.mediator.route_keys, Envelope(original))
     route_plain = outer_plain(recipient_did, inner)
@@ -395,9 +400,10 @@ def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
     forged = [
         unenrolled + original[crypto.KEY_ID_LEN :],  # an id no sender holds
         b_id + original[crypto.KEY_ID_LEN :],  # relabelled as B's
-        b_id + crypto.sym_encrypt(world.rng, b_key, route_plain, a_id),  # B's key, A's id as associated data
-        a_id + crypto.sym_encrypt(world.rng, b_key, route_plain, a_id),  # re-encrypted under B's key
-        unenrolled + crypto.sym_encrypt(world.rng, a_key, route_plain, unenrolled),  # A's key under a new id
+        b_id + layer(a_id, b_key, route_plain, 1)[crypto.KEY_ID_LEN :],  # B's key, A's id as associated data
+        layer(a_id, b_key, route_plain, 1),  # re-encrypted under B's key
+        layer(unenrolled, a_key, route_plain, 1),  # A's key under a new id
+        layer_head(a_id, 2) + original[HEAD_LEN:],  # another counter in the head than the one it was sealed under
     ]
     mark = len(world.trace)
     for outer in forged:
@@ -405,7 +411,7 @@ def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
     world.run_until_quiescent()
     assert [r["verdict"] for r in world.trace[mark:]] == ["dead-letter:unreadable"] * len(forged)
     # the same layer under A's own route is forwarded (and B rejects the copy of a consumed message)
-    world.send_envelope("adversary", Envelope(a_id + crypto.sym_encrypt(world.rng, a_key, route_plain, a_id)), "PINReq")
+    world.send_envelope("adversary", Envelope(layer(a_id, a_key, route_plain, 9)), "PINReq")
     world.run_until_quiescent()
     assert [r["verdict"] for r in world.trace[-2:]] == ["forwarded", "rejected:replay"]
 
