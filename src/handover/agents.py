@@ -36,6 +36,7 @@ from .encoding import plain
 from .messages import (
     CHALLENGE_OPERANDS,
     CHALLENGE_TYPES,
+    REPLIES,
     REPLY_KINDS,
     EnvelopeReject,
     MessagePayload,
@@ -44,7 +45,6 @@ from .messages import (
     mint_pin,
     mint_tid,
     payload,
-    reply_to,
     seal,
 )
 
@@ -212,7 +212,7 @@ class Agent:
     def send(self, conn: Connection | DirectLink, nonce: bytes, p: MessagePayload, context: dict | None = None) -> None:
         """Send ``p`` under ``nonce``; if it awaits a reply, open the thread that reply continues with ``context``.
         Every leg of an exchange runs under its request's nonce (Aries RFC 0008), so an exchange is one thread."""
-        reply = reply_to(p)
+        reply = REPLIES.get(p.kind)
         if reply is not None:
             conn.threads[nonce] = (reply, dict(context or {}))
         if isinstance(conn, DirectLink):
@@ -311,7 +311,8 @@ class ManufacturerAgent(Agent):
 
     ROLE = "manufacturer"
     HANDLERS = {
-        "ownershipClaimReq": "_on_ownership_claim_req",
+        "ownershipClaimReq": "_claim_new",
+        "usedClaimReq": "_claim_used",
         "ownershipTransferReq": "_on_ownership_transfer_req",
         "ownershipProofResp": "_on_ownership_proof_resp",
         "pinChallengeResp": "_on_pin_challenge_resp",
@@ -373,11 +374,9 @@ class ManufacturerAgent(Agent):
             return "rejected:unknown-product"
         if product.current_credential_id is not None or code in self.claimants:
             return "rejected:already-sold"
-        now = self.world.tick()
         product.distributor_id = body["distributorID"]
         product.email = body["email"]
-        product.first_purchase_date = now
-        product.last_purchase_date = now
+        product.first_purchase_date = product.last_purchase_date = self.world.tick()
         tid = mint_tid(self.rng)
         pin = mint_pin(self.rng)
         self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, pin=pin)
@@ -388,12 +387,7 @@ class ManufacturerAgent(Agent):
 
     # -- new-product claim (tid + pin) ---------------------------------------
 
-    def _on_ownership_claim_req(self, conn, nonce, p, context) -> str:
-        if p.body["pin"] is not None:
-            return self._claim_new(conn, nonce, p)
-        return self._claim_used(conn, nonce, p)
-
-    def _claim_new(self, conn: Connection, nonce: bytes, p: MessagePayload) -> str:
+    def _claim_new(self, conn, nonce, p, context) -> str:
         claim = self._claimant_by_tid(p.body["tid"], False, conn)
         if claim is None or claim.pin != p.body["pin"]:
             return "rejected:unknown-claim"
@@ -466,7 +460,7 @@ class ManufacturerAgent(Agent):
 
     # -- used-product claim (tid + symmetric key) -----------------------------
 
-    def _claim_used(self, conn: Connection, nonce: bytes, p: MessagePayload) -> str:
+    def _claim_used(self, conn, nonce, p, context) -> str:
         claim = self._claimant_by_tid(p.body["tid"], True, conn)
         if claim is None:
             return "rejected:unknown-tid"
@@ -524,8 +518,7 @@ class ManufacturerAgent(Agent):
         )
         old_conn = self.connections.get(product.holder_did)
         if old_conn is not None and old_conn.conn_id == product.conn_id:  # not if the holder has reconnected since
-            revoke = payload("revokeVC", credentialId=old_credential_id, productCode=product.product_code)
-            self.send(old_conn, crypto.fresh_nonce(self.rng), revoke)
+            self.send(old_conn, crypto.fresh_nonce(self.rng), payload("revokeVC", productCode=product.product_code))
         product.conn_id, product.holder_did = buyer_conn.conn_id, buyer_conn.remote_did
         product.previously_sold_count += 1
         product.last_purchase_date = self.world.tick()
@@ -567,18 +560,7 @@ class DistributorAgent(Agent):
 
     def record_sale(self, manufacturer_id: str, product_code: str, buyer_email: str) -> None:
         nonce = crypto.fresh_nonce(self.rng)
-        now = self.world.tick()
-        req = payload(
-            "productSellingReq",
-            productCode=product_code,
-            distributorID=self.agent_id,
-            ConnID="",
-            status="sold",
-            previouslySoldCount=0,
-            firstPurchaseDate=now,
-            lastPurchaseDate=now,
-            email=buyer_email,
-        )
+        req = payload("productSellingReq", productCode=product_code, distributorID=self.agent_id, email=buyer_email)
         self.send(self.link(manufacturer_id), nonce, req, {"productCode": product_code, "email": buyer_email})
 
     def _on_selling_resp(self, link, nonce, p, context) -> str:
@@ -613,7 +595,7 @@ class WalletAgent(Agent):
         """Send the new-product ownership claim with the emailed TID and PIN."""
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
-        self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin, key=None))
+        self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=pin))
 
     def start_sell(self, buyer_did: str, product_code: str) -> str:
         """Open a sale: mint a TID and ask the buyer for an encrypted PIN."""
@@ -646,7 +628,7 @@ class WalletAgent(Agent):
             raise AgentActionError(f"{self.agent_id} holds no purchase data for tid {tid}")
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
-        self.send(conn, nonce, payload("ownershipClaimReq", tid=tid, pin=None, key=entry.key.key_bytes))
+        self.send(conn, nonce, payload("usedClaimReq", tid=tid, key=entry.key.key_bytes))
 
     # -- handlers -------------------------------------------------------------
 

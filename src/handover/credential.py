@@ -27,18 +27,17 @@ from . import crypto
 from .encoding import EncodingError, decode_value, encode
 from .registry import VerifiableDataRegistry
 
-# Each product attribute and the type of its value; a credential carries every value as a string.
-PRODUCT_ATTRIBUTES = {
-    "productCode": str,
-    "distributorID": str,
-    "ConnID": str,
-    "status": str,
-    "previouslySoldCount": int,
-    "firstPurchaseDate": int,
-    "lastPurchaseDate": int,
-    "email": str,
-}
-PRODUCT_ATTRIBUTE_NAMES = tuple(PRODUCT_ATTRIBUTES)
+# Each product attribute in schema order; a credential carries every value as a string.
+PRODUCT_ATTRIBUTE_NAMES = (
+    "productCode",
+    "distributorID",
+    "ConnID",
+    "status",
+    "previouslySoldCount",
+    "firstPurchaseDate",
+    "lastPurchaseDate",
+    "email",
+)
 
 PRODUCT_SCHEMA_ID = "product-ownership-v1"
 

@@ -24,12 +24,14 @@ authenticate under that connection's receive key (or the verdict is
 connection (``agents.Connection``) keeps only the highest counter it accepted:
 a lower or equal one is a replay before any decryption.
 
-``problemReport``, one of the sixteen payload kinds, is every refusal: its one
-field is a reason code (Aries RFC 0035), so acknowledgements carry no field.
-``REPLIES`` is the protocol's request/reply structure: the one kind that
-continues each kind's exchange under its nonce, on a connection and on the
-https sale leg alike.  A ``problemReport`` closes whichever exchange it names
-and is no reply kind, so one under no open thread still says why.
+Each of the seventeen payload kinds has one fixed shape (Aries RFC 0020) and
+carries only what its receiver reads: a new-product claim (TID and PIN) and a
+used-product claim (TID and key) are two kinds.  ``problemReport`` is every
+refusal: its one field is a reason code (Aries RFC 0035), so acknowledgements
+carry no field.  ``REPLIES`` is the protocol's request/reply structure: the one
+kind that continues each kind's exchange under its nonce, on a connection and
+on the https sale leg alike.  A ``problemReport`` closes whichever exchange it
+names and is no reply kind, so one under no open thread still says why.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional
 
 from . import crypto
-from .credential import PRODUCT_ATTRIBUTES, ProofPresentation, VerifiableCredential, vc_from_wire, vc_to_wire
+from .credential import ProofPresentation, VerifiableCredential, vc_from_wire, vc_to_wire
 from .encoding import EncodingError, decode_value, encode
 
 PIN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
@@ -122,11 +124,7 @@ def _presentation_from_wire(value: Any) -> ProofPresentation:
 
 
 STR = FieldType("a str", lambda v: isinstance(v, str))
-INT = FieldType("an int", lambda v: isinstance(v, int) and not isinstance(v, bool))
 BYTES = FieldType("bytes", lambda v: isinstance(v, (bytes, bytearray)), to_wire=bytes, from_json=_hex_from_json)
-OPT_BYTES = FieldType(
-    "bytes or None", lambda v: v is None or BYTES.admits(v), lambda v: None if v is None else bytes(v), _hex_from_json
-)
 FRACTION = FieldType(
     "a fraction",
     lambda v: isinstance(v, Fraction),
@@ -141,14 +139,15 @@ PRESENTATION = FieldType(
 )
 REASON = FieldType("a reason code", lambda v: isinstance(v, str) and bool(re.fullmatch("[a-z-]{1,32}", v)))
 CHALLENGE_TYPE = FieldType(f"one of {CHALLENGE_TYPES}", lambda v: isinstance(v, str) and v in CHALLENGE_TYPES)
-CHALLENGE_BY = FieldType("a 3-4 digit int", lambda v: INT.admits(v) and v in CHALLENGE_OPERANDS)
-OPT_PIN = FieldType("a PIN or None", lambda v: v is None or (isinstance(v, str) and is_valid_pin(v)))
+CHALLENGE_BY = FieldType("a 3-4 digit int", lambda v: type(v) is int and v in CHALLENGE_OPERANDS)
+PIN = FieldType("a PIN", lambda v: isinstance(v, str) and is_valid_pin(v))
 
 # Field order is fixed per kind; it defines the canonical byte layout.
 KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
-    "productSellingReq": tuple((name, {str: STR, int: INT}[t]) for name, t in PRODUCT_ATTRIBUTES.items()),
+    "productSellingReq": (("productCode", STR), ("distributorID", STR), ("email", STR)),
     "productSellingResp": (("tid", STR),),
-    "ownershipClaimReq": (("tid", STR), ("pin", OPT_PIN), ("key", OPT_BYTES)),
+    "ownershipClaimReq": (("tid", STR), ("pin", PIN)),
+    "usedClaimReq": (("tid", STR), ("key", BYTES)),
     "ownershipClaimResp": (("credential", CREDENTIAL),),
     "ownershipClaimAck": (),
     "PINReq": (("tid", STR),),
@@ -159,7 +158,7 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
     "ownershipProofResp": (("presentation", PRESENTATION),),
     "pinChallengeReq": (("tid", STR), ("challengeBy", CHALLENGE_BY), ("challengeType", CHALLENGE_TYPE)),
     "pinChallengeResp": (("tid", STR), ("challengeResult", FRACTION)),
-    "revokeVC": (("credentialId", STR), ("productCode", STR)),
+    "revokeVC": (("productCode", STR),),
     "revokeVCResp": (),
     "problemReport": (("reason", REASON),),
 }
@@ -167,11 +166,11 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
 
 _KIND_NAMES = {kind: {name for name, _ in spec} for kind, spec in KIND_FIELDS.items()}  # each kind's field names
 
-# The kind that continues each kind's exchange under its nonce (Aries RFC 0008); a used-product claim, the one that
-# carries a key, is continued by ``USED_CLAIM_REPLY`` instead.  A kind with no entry answers and awaits nothing.
+# The kind that continues each kind's exchange under its nonce (Aries RFC 0008); a kind with no entry awaits none.
 REPLIES: dict[str, str] = {
     "productSellingReq": "productSellingResp",
     "ownershipClaimReq": "ownershipClaimResp",
+    "usedClaimReq": "pinChallengeReq",
     "ownershipClaimResp": "ownershipClaimAck",
     "PINReq": "PINResp",
     "ownershipTransferReq": "ownershipProofReq",
@@ -181,20 +180,12 @@ REPLIES: dict[str, str] = {
     "pinChallengeResp": "ownershipClaimResp",
     "revokeVC": "revokeVCResp",
 }
-USED_CLAIM_REPLY = "pinChallengeReq"
-REPLY_KINDS = frozenset(REPLIES.values()) | {USED_CLAIM_REPLY}  # each must continue an open thread of its receiver
+REPLY_KINDS = frozenset(REPLIES.values())  # each must continue an open thread of its receiver
 
 
 def payload(kind: str, **fields: Any) -> MessagePayload:
     """Build a payload; raises :class:`PayloadError` on any mismatch."""
     return MessagePayload(kind=kind, body=dict(fields))
-
-
-def reply_to(p: MessagePayload) -> Optional[str]:
-    """The kind that continues ``p``'s exchange, or None if ``p`` awaits no reply."""
-    if p.kind == "ownershipClaimReq" and p.body["key"] is not None:
-        return USED_CLAIM_REPLY
-    return REPLIES.get(p.kind)
 
 
 def validate_payload(p: MessagePayload) -> None:
@@ -206,8 +197,6 @@ def validate_payload(p: MessagePayload) -> None:
     for name, ftype in spec:
         if not ftype.admits(p.body[name]):
             raise PayloadError(f"{p.kind}.{name}: {p.body[name]!r} is not {ftype.name}")
-    if p.kind == "ownershipClaimReq" and (p.body["pin"] is None) == (p.body["key"] is None):
-        raise PayloadError("ownershipClaimReq carries exactly one of (pin, key)")
 
 
 def canonical_encode_payload(p: MessagePayload) -> bytes:

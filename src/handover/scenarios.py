@@ -35,7 +35,7 @@ from .agents import (
 )
 from .encoding import canonical_json
 from .invariants import scan_trace
-from .messages import KIND_FIELDS, MessagePayload, PayloadError, is_valid_pin, payload
+from .messages import KIND_FIELDS, PIN, MessagePayload, PayloadError, payload
 from .simnet import World
 
 # Each op's arguments: an agent of a cast role (any agent, a wallet incl.
@@ -63,7 +63,7 @@ STEP_OPS: dict[str, dict[str, str]] = {
 }
 _VALUE_CHECKS = {
     "str": lambda value: isinstance(value, str),
-    "pin": lambda value: isinstance(value, str) and is_valid_pin(value),
+    "pin": PIN.admits,
     "int": lambda value: type(value) is int,
     "mask": lambda value: type(value) is int and 1 <= value <= 255,  # XORed into the byte, so never a no-op
     "forgery mode": lambda value: value in FORGERY_MODES,

@@ -131,8 +131,7 @@ def test_criterion_04_replay_suite():
     submissions = _ssi_submissions(world)
     kinds = [event.kind for event in submissions]
     distinct_forms = set(kinds)
-    claim_req_count = kinds.count("ownershipClaimReq")
-    assert len(distinct_forms) == 13 and claim_req_count >= 2  # 14 wire forms incl. both claim forms
+    assert len(distinct_forms) == 14 and {"ownershipClaimReq", "usedClaimReq"} <= distinct_forms  # both claim forms
     before = canonical_json(world.state_dumps())
     replayed = 0
     for seq in sorted(world.wire_log):

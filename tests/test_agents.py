@@ -260,7 +260,7 @@ def test_message_to_another_peers_connection_key_fails_signature():
         remote_kid=b1.connections[mf.did].remote_kid,
         sent=mf.connections[b1.did].received,
     )
-    claim = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin="AAAAAA", key=None)
+    claim = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin="AAAAAA")
     b2.send(redirected, crypto.fresh_nonce(world.rng), claim)
     world.run_until_quiescent()
     assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == ("MF", "rejected:bad-signature")
@@ -932,7 +932,7 @@ def test_used_claim_unknown_tid_rejected():
     cast["B2"].claiming["ff" * 16] = cast["B2"].claiming.pop(tid)  # not what the seller registered
     cast["B2"].claim_used(cast["MF"].did, "ff" * 16)
     world.run_until_quiescent()
-    verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
     assert verdicts[-1] == "rejected:unknown-tid"
 
 
@@ -1017,10 +1017,10 @@ def test_resale_after_a_buy_back_transfers_the_latest_sale():
     # the secrets of B2's first purchase, whose claim was used up long ago, cannot claim it again
     minted = [r["meta"] for r in world.trace if r["kind"] == "secret-minted"]
     first = next(meta for meta in minted if meta["owner"] == "B2")
-    claim = payload("ownershipClaimReq", tid=first["tid"], pin=None, key=bytes.fromhex(first["keyHex"]))
+    claim = payload("usedClaimReq", tid=first["tid"], key=bytes.fromhex(first["keyHex"]))
     b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), claim)
     world.run_until_quiescent()
-    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
     assert claims[-1] == "rejected:unknown-tid"
     assert live_holders() == ["B3"]
 
@@ -1150,10 +1150,10 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     tid, _ = b1.sales["PC-100"]
     b2.claim_used(mf.did, tid)
     # the seller minted the TID: it claims with a key of its own before B2 answers its challenge
-    rival = payload("ownershipClaimReq", tid=tid, pin=None, key=crypto.generate_symmetric_key(world.rng).key_bytes)
+    rival = payload("usedClaimReq", tid=tid, key=crypto.generate_symmetric_key(world.rng).key_bytes)
     b1.send(b1.connections[mf.did], crypto.fresh_nonce(world.rng), rival)
     world.run_until_quiescent()
-    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
     assert claims[-2:] == ["accepted", "accepted"]  # both attempts got a challenge
     answers = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
     assert answers == ["accepted"]
@@ -1235,18 +1235,18 @@ def test_unanswered_used_claims_leave_one_challenge_open():
     keys = {}
     for _ in range(3):
         nonce, key = crypto.fresh_nonce(world.rng), crypto.generate_symmetric_key(world.rng).key_bytes
-        attempt = payload("ownershipClaimReq", tid=tid, pin=None, key=key)
+        attempt = payload("usedClaimReq", tid=tid, key=key)
         send_keeping_no_thread(b1, b1.connections[mf.did], nonce, attempt)
         world.run_until_quiescent()
         keys[nonce] = key
-    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimReq"]
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
     assert claims[-3:] == ["accepted"] * 3
     # each attempt leaves one open thread, and keeps its own key and challenge there
     conn = mf.connections[b1.did]
     attempts = open_threads(conn, "pinChallengeResp")
     assert {nonce: context["key"].key_bytes for nonce, context in attempts.items()} == keys
     assert all(context["tid"] == tid and "challenge" in context for context in attempts.values())
-    assert open_threads(conn, "ownershipClaimReq") == {}
+    assert conn.threads.keys() == keys.keys()  # and no other
     # the buyer's claim still completes
     establish_connection(b2, mf)
     b2.claim_used(mf.did, tid)
@@ -1306,7 +1306,7 @@ def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     start_resale(world, cast)
     b1, b2 = cast["B1"], cast["B2"]
     vc, sale = b1.credentials["PC-100"], b1.sales["PC-100"]
-    notice = payload("revokeVC", credentialId=vc.credential_id, productCode="PC-100")
+    notice = payload("revokeVC", productCode="PC-100")
     b2.send(b2.connections[b1.did], crypto.fresh_nonce(world.rng), notice)
     world.run_until_quiescent()
     assert not world.registry.is_revoked(vc.credential_id)
@@ -1366,7 +1366,7 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     b1, b2 = cast["B1"], cast["B2"]
     before = b2.state_dump()
     nonce = crypto.fresh_nonce(world.rng)
-    b1.send(b1.connections[b2.did], nonce, payload("ownershipClaimReq", tid="00" * 16, pin="AAAAAA", key=None))
+    b1.send(b1.connections[b2.did], nonce, payload("ownershipClaimReq", tid="00" * 16, pin="AAAAAA"))
     world.run_until_quiescent()
     delivered = next(r for r in reversed(world.trace) if r["to"] == "B2")
     assert delivered["verdict"] == "rejected:unexpected-kind"
@@ -1676,7 +1676,7 @@ def test_reencrypted_message_of_a_closed_exchange_is_judged_as_new(monkeypatch):
         ("ownershipClaimReq", "rejected:unknown-claim"),  # the new claim was settled
         ("PINReq", "accepted"),
         ("ownershipTransferReq", "accepted"),
-        ("ownershipClaimReq", "rejected:unknown-tid"),  # the used claim was settled
+        ("usedClaimReq", "rejected:unknown-tid"),  # the used claim was settled
         ("revokeVC", "accepted"),
     ]
     # each message opened once and none was a replay; no answer to a message handled again closes an exchange, and

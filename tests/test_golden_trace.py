@@ -7,6 +7,9 @@ first two digests cover the bytes ``write_trace`` / ``write_ledger`` would
 write.  The third covers each trace record without its ``meta`` (seq, tick,
 from, to, channel, kind, verdict): it pins what happened, not the bytes, so a
 change that only moves wire bytes or state dumps keeps it unchanged.
+
+The same runs show that every field of every payload kind is read by some
+receiver: a field that no receiver reads is wire bytes for nothing.
 """
 
 import copy
@@ -14,42 +17,44 @@ import hashlib
 
 import pytest
 
+from handover.agents import Agent
 from handover.encoding import canonical_json
+from handover.messages import KIND_FIELDS, MessagePayload
 from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenario, run_scenario
 
 GOLDEN = {
     "new-purchase": (
-        "ca9389d07565ce1dba0b915d057ab602e86c6f2dbe02d8457e71023ece573aed",
+        "45f80543bb82f0a1d22e3307397b0010c3ad77c04d3cc0bd081ca5eb934438ee",
         "b50bd021aadd2d5a1df4cbee19e620722a32fd325a8d46a3b4f63f95eb2b0d98",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "d189c97f913e75cf4068b520ce8cb8542be8d58874ee2562e38c12d3b39aee49",
+        "1a4d714097ffc822b224c1e1f855586be5a0e2d941595d2c3384c18ce73f0e3f",
         "23f27ce5dbf3a524e181954fe6203d9bcf940a9c006dc7dfcd2083f0e15a2d6b",
-        "93ed0d7581113372330d845c7fca7d749c1a21848c510fe27d36dac78aa3df35",
+        "ddff79d9b07e0b3f90e6af42f114b60e9e84d36cc3e11b5093ed30633c828ffc",
     ),
     "wrong-pin": (
-        "171d3181b88210b14361e7b051e9df369e7622ffa89e108d31a4656bf2426a4d",
+        "2644768e22fe2a7ea5102e057fa5d2f351579e05486459da63aa68448048274c",
         "7c6fea3a06ead4a326690e16297b4aadfb03ee06b9f15851118a51248d51b237",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "4df38ae2d6a9fc131b4bd96a173d4862457b91ef305560f3e4600a7ce5c78451",
+        "e88fe5afd4289e3ddda2263ceb9214d2d186e6268ea17705816eed46f59e35b9",
         "2fef9be42627c8c788791d45d8b42d5453d5ad132fc7c667d52650b5979e773a",
-        "83a9301a255f0c64d242a7485b7ddc1bca08b10f443636c143143710a433bd3d",
+        "a17350a18818393d49f8a5807415e1ff259d4b6f78a845098677335e8198cbb1",
     ),
     "duplicate-transfer": (
-        "83dbab71ea81586d2db52e00f228fb3bcfd906a769996e0e09fbf04c9c3bb588",
+        "8b2ac5e4b4790504bfbf7e938d84f5ba7b5f80cd916aeb7484c6b51fdaade47c",
         "1bcc4455e954b8d9746e3e98b9b9d42d6b08825639d95c4ad8e45361e4d6bfc7",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "8862568d670acbf60241cc8106a45380d6512315c64d822d2798d06ec36a51ca",
+        "ceb3d8e3bf2b4d23122f6f04d6bc1c9a608d354c7249340c0022da489ac88f93",
         "1723fa2eba7fcaeb21d060eed8ff0bbf87a6f252c3d7c85067b9e500240d9f55",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "3dee7357112a06f2c257813079ca72d7b0f7c5bc391155d6694df869d638d4bb",
+        "62dd14a1c7af3c3510b034748a81f42fb089052ac23e707238636bf4d2ed167d",
         "df1d585873647c8f71f429c150d96017a82a51d5ee065540d47bee871d1d12a2",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -88,9 +93,9 @@ def test_golden_trace_and_ledger(name):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "ab3879d8693141b19a307f7bca40b3f424cf53ae12ca8b271ccb2bb434cd80b1",
+    "fb316b29ecc6fd5bd19fe5c7efd8cc855577669fc8a3397c52e7a9fd3f6ea85f",
     "4ec361516d47e6cef55842b6dded7b3fd375fb5a9627d998ff83c8acec1cf909",
-    "1ffd21b450712b2c0aec514cbf5b9f6358d230a26452c8b79ed3e4a72ebb1581",
+    "416423e96112ff36bbd3d808ba7b0cfb71f1149cc5ff37de88c61cf1279fd9dc",
 )
 
 
@@ -99,7 +104,7 @@ def attack_steps_scenario():
     data["name"] = "attack-steps"
     data["seed"] = 53
     data["cast"]["adversaries"] = ["EVE"]
-    revoke = {"kind": "revokeVC", "body": {"credentialId": "vc-x", "productCode": "PC-100"}}
+    revoke = {"kind": "revokeVC", "body": {"productCode": "PC-100"}}
     data["script"] += [
         {"op": "tamper", "seq": "last-ssi", "expect": "rejected:decrypt-error"},
         {"op": "tamper", "seq": 20, "byte_index": 3, "mask": 0xFF, "expect": "rejected:decrypt-error"},
@@ -128,3 +133,44 @@ def test_every_step_verdict_holds_at_seeds_1_to_40(name):
     for seed in range(1, 41):
         result = run_scenario(spec, seed=seed)
         assert result.ok, (seed, result.divergence, result.violations)
+
+
+class ReadRecorder(dict):
+    """A received body that notes the name of each field its receiver reads, by key, by ``get`` or by iteration (so
+    spreading it into a thread context reads every field).  It notes nothing until ``reads`` is set, so the check a
+    payload gets when it is built is not a read."""
+
+    reads = None
+
+    def _note(self, names):
+        if self.reads is not None:
+            self.reads.update(names)
+
+    def __getitem__(self, name):
+        self._note([name])
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self._note([name])
+        return super().get(name, default)
+
+    def __iter__(self):
+        self._note(self.keys())
+        return super().__iter__()
+
+
+def test_every_field_of_every_kind_is_read_by_some_receiver(monkeypatch):
+    read = {}  # kind -> names of its fields that some receiver read
+    receive = Agent._receive
+
+    def recording_receive(self, conn, nonce, p, handlers):
+        body = ReadRecorder(p.body)
+        watched = MessagePayload(p.kind, body)
+        body.reads = read.setdefault(p.kind, set())
+        return receive(self, conn, nonce, watched, handlers)
+
+    monkeypatch.setattr(Agent, "_receive", recording_receive)
+    for spec in [builtin_scenario(name) for name in sorted(BUILTIN_SCENARIOS)] + [attack_steps_scenario()]:
+        assert run_scenario(spec).ok
+    fields = [(kind, name) for kind, spec in KIND_FIELDS.items() for name, _ in spec]
+    assert [f"{kind}.{name}" for kind, name in fields if name not in read.get(kind, ())] == []

@@ -61,18 +61,10 @@ def sample_vc():
 def sample_payload(kind):
     vc = sample_vc()
     bodies = {
-        "productSellingReq": dict(
-            productCode="PC-100",
-            distributorID="DS",
-            ConnID="",
-            status="sold",
-            previouslySoldCount=0,
-            firstPurchaseDate=1,
-            lastPurchaseDate=1,
-            email="b1@mail.local",
-        ),
+        "productSellingReq": dict(productCode="PC-100", distributorID="DS", email="b1@mail.local"),
         "productSellingResp": dict(tid=TID),
-        "ownershipClaimReq": dict(tid=TID, pin="9X4K2M", key=None),
+        "ownershipClaimReq": dict(tid=TID, pin="9X4K2M"),
+        "usedClaimReq": dict(tid=TID, key=b"\x00" * 32),
         "ownershipClaimResp": dict(credential=vc),
         "ownershipClaimAck": dict(),
         "PINReq": dict(tid=TID),
@@ -85,7 +77,7 @@ def sample_payload(kind):
         ),
         "pinChallengeReq": dict(tid=TID, challengeBy=1234, challengeType="/"),
         "pinChallengeResp": dict(tid=TID, challengeResult=Fraction(15432, 125)),
-        "revokeVC": dict(credentialId="vc-" + "a" * 24, productCode="PC-100"),
+        "revokeVC": dict(productCode="PC-100"),
         "revokeVCResp": dict(),
         "problemReport": dict(reason="unknown-claim"),
     }
@@ -98,8 +90,8 @@ def test_codec_roundtrip_each_kind(kind):
     assert decode_payload(canonical_encode_payload(p)) == p
 
 
-def test_sixteen_kinds_total():
-    assert len(KIND_FIELDS) == 16
+def test_seventeen_kinds_total():
+    assert len(KIND_FIELDS) == 17
 
 
 def test_one_field_difference_changes_bytes():
@@ -120,11 +112,13 @@ def test_construction_order_irrelevant():
 
 
 def test_claim_req_exactly_one_secret():
+    # a new-product claim carries a PIN and a used-product claim a key: each refuses the other's field
     with pytest.raises(PayloadError):
         payload("ownershipClaimReq", tid=TID, pin="9X4K2M", key=b"\x00" * 32)
     with pytest.raises(PayloadError):
-        payload("ownershipClaimReq", tid=TID, pin=None, key=None)
-    payload("ownershipClaimReq", tid=TID, pin=None, key=b"\x00" * 32)
+        payload("usedClaimReq", tid=TID, pin="9X4K2M", key=b"\x00" * 32)
+    payload("ownershipClaimReq", tid=TID, pin="9X4K2M")
+    payload("usedClaimReq", tid=TID, key=b"\x00" * 32)
 
 
 def test_payload_validation_errors():
@@ -144,7 +138,7 @@ def test_payload_validation_errors():
     with pytest.raises(PayloadError):
         payload("pinChallengeReq", tid=TID, challengeBy=1234, challengeType="%")
     with pytest.raises(PayloadError):
-        payload("ownershipClaimReq", tid=TID, pin="bad pin", key=None)
+        payload("ownershipClaimReq", tid=TID, pin="bad pin")
 
 
 def test_a_payload_is_checked_once_when_it_is_built(monkeypatch):
@@ -378,7 +372,7 @@ def test_mediator_view_hides_payload(parties):
 
 # payloads B2 has no handler for: each is refused as unexpected once its layer opens
 UNHANDLED = {
-    "ownershipClaimReq": payload("ownershipClaimReq", tid=TID, pin="AAAAAA", key=None),
+    "ownershipClaimReq": payload("ownershipClaimReq", tid=TID, pin="AAAAAA"),
     "ownershipTransferReq": payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01", tid=TID),
 }
 
@@ -513,9 +507,7 @@ CREDENTIALS = st.builds(credential, TEXT, TEXT, st.lists(st.tuples(TEXT, TEXT), 
 # the values each field type admits
 ADMITTED = {
     messages.STR: TEXT,
-    messages.INT: st.integers(),
     messages.BYTES: st.binary(max_size=40),
-    messages.OPT_BYTES: st.none() | st.binary(max_size=40),
     messages.FRACTION: st.fractions(),
     messages.STR_LIST: st.lists(TEXT, max_size=4),
     messages.CREDENTIAL: CREDENTIALS,
@@ -523,17 +515,14 @@ ADMITTED = {
     messages.REASON: st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=32),
     messages.CHALLENGE_TYPE: st.sampled_from(CHALLENGE_TYPES),
     messages.CHALLENGE_BY: st.integers(CHALLENGE_OPERANDS[0], CHALLENGE_OPERANDS[-1]),
-    messages.OPT_PIN: st.none() | PINS,
+    messages.PIN: PINS,
 }
 
 
 @st.composite
 def admitted_payloads(draw):
     kind = draw(st.sampled_from(tuple(KIND_FIELDS)))
-    body = {name: draw(ADMITTED[ftype]) for name, ftype in KIND_FIELDS[kind]}
-    if kind == "ownershipClaimReq":  # the one cross-field rule: a claim carries exactly one of pin and key
-        body["pin"], body["key"] = draw(st.tuples(PINS, st.none()) | st.tuples(st.none(), st.binary(max_size=40)))
-    return payload(kind, **body)
+    return payload(kind, **{name: draw(ADMITTED[ftype]) for name, ftype in KIND_FIELDS[kind]})
 
 
 @given(admitted_payloads())
@@ -555,6 +544,8 @@ OUT_OF_DOMAIN = [
     ("pinChallengeReq", "challengeType", "%"),
     ("problemReport", "reason", "Maybe"),
     ("ownershipClaimReq", "pin", "abc"),
+    ("ownershipClaimReq", "pin", None),  # no field type admits None: each claim kind carries its one secret
+    ("usedClaimReq", "key", None),
     ("pinChallengeReq", "challengeBy", True),
 ]
 

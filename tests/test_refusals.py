@@ -14,7 +14,7 @@ from handover import crypto
 from handover.agents import ClaimantAttribute, ManufacturerAgent, OwnershipClaimingData, WalletAgent
 from handover.credential import PRODUCT_ATTRIBUTE_NAMES, present_proof
 from handover.encoding import encode
-from handover.messages import mint_tid, payload, reply_to
+from handover.messages import REPLIES, mint_tid, payload
 
 from conftest import fresh_lifecycle, inner_plain, send_as, send_plain
 
@@ -48,12 +48,12 @@ def _pending_used_claim(cast, key=KEY):
 def _new_claim_of_a_missing_product(cast):
     tid = mint_tid(cast["MF"].rng)
     cast["MF"].claimants["PC-999"] = ClaimantAttribute("PC-999", tid, pin=PIN)
-    return payload("ownershipClaimReq", tid=tid, pin=PIN, key=None), "ownershipClaimResp", None
+    return payload("ownershipClaimReq", tid=tid, pin=PIN), "ownershipClaimResp", None
 
 
 def _used_claim_with_a_short_key(cast):
     tid = _pending_used_claim(cast)
-    return payload("ownershipClaimReq", tid=tid, pin=None, key=b"\x00" * 5), "pinChallengeReq", None
+    return payload("usedClaimReq", tid=tid, key=b"\x00" * 5), "pinChallengeReq", None
 
 
 def _transfer(code):
@@ -117,15 +117,15 @@ def _offer_with_a_broken_issuer_signature(cast):
     return payload("ownershipClaimResp", credential=broken), "ownershipClaimAck", {}
 
 
-def _claim(pin, key, reply_kind):
-    return lambda cast: (payload("ownershipClaimReq", tid=mint_tid(cast["MF"].rng), pin=pin, key=key), reply_kind, None)
+def _claim(kind, reply_kind, **secret):
+    return lambda cast: (payload(kind, tid=mint_tid(cast["MF"].rng), **secret), reply_kind, None)
 
 
 CASES = [
-    Case("B2", "MF", "ownershipClaimReq", "unknown-claim", _claim(PIN, None, "ownershipClaimResp")),
+    Case("B2", "MF", "ownershipClaimReq", "unknown-claim", _claim("ownershipClaimReq", "ownershipClaimResp", pin=PIN)),
     Case("B2", "MF", "ownershipClaimReq", "unknown-product", _new_claim_of_a_missing_product),
-    Case("B2", "MF", "ownershipClaimReq", "unknown-tid", _claim(None, KEY, "pinChallengeReq")),
-    Case("B2", "MF", "ownershipClaimReq", "bad-key", _used_claim_with_a_short_key),
+    Case("B2", "MF", "usedClaimReq", "unknown-tid", _claim("usedClaimReq", "pinChallengeReq", key=KEY)),
+    Case("B2", "MF", "usedClaimReq", "bad-key", _used_claim_with_a_short_key),
     Case("B2", "MF", "ownershipTransferReq", "duplicate-transfer", _transfer_while_one_is_pending),
     Case("B2", "MF", "ownershipTransferReq", "unknown-product", _transfer("PC-999")),
     Case("B2", "MF", "ownershipTransferReq", "not-transferable", _transfer_of_an_unsold_product),
@@ -172,7 +172,7 @@ def test_each_refusal_is_answered_once_with_its_reason(case, monkeypatch):
     sent, send = [], responder.send
     monkeypatch.setattr(responder, "send", lambda c, n, p, ctx=None: (sent.append((n, p)), send(c, n, p, ctx))[1])
     mark = len(world.trace)
-    assert reply_to(message) == reply_kind
+    assert REPLIES.get(message.kind) == reply_kind
     requester.send(conn, nonce, message)  # opens the requester's thread of the reply, if the message awaits one
     world.run_until_quiescent()
     assert sent == [(nonce, payload("problemReport", reason=case.reason))]  # exactly one answer, under the nonce
@@ -235,10 +235,10 @@ def test_a_kind_of_the_other_transport_is_refused_as_unexpected(leg):
     before, nonce = mf.state_dump(), crypto.fresh_nonce(world.rng)
     if leg == "connection":  # a sale of an unsold product, which the https leg would accept
         requester, conn = b2, b2.connections[mf.did]
-        message = payload("productSellingReq", **{**mf.products["PC-200"].to_attributes(), "email": b2.email})
+        message = payload("productSellingReq", productCode="PC-200", distributorID="DS", email=b2.email)
     else:
         requester, conn = ds, ds.link("MF")
-        message = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin=PIN, key=None)
+        message = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin=PIN)
     mark = len(world.trace)
     requester.send(conn, nonce, message)  # opens the requester's thread of the reply
     world.run_until_quiescent()
