@@ -11,6 +11,15 @@ Every leg runs one exchange rule, ``Agent._receive``: on a pairwise
 (``messages.REPLIES``), a reply must close an open thread, and a refusal gets
 one ``problemReport``.  Each transport has its own handler table, so a sale
 over a connection, or a connection kind over https, is ``unexpected-kind``.
+A thread's context must hold each field its reply's handler reads, or
+``send`` raises before anything is sent.
+
+Both ownership claims, new-product (TID and PIN) and used-product (TID, key
+and PIN challenge), run their own checks and end in one settlement,
+``ManufacturerAgent._settle``: revoke the seller's credential and notify the
+seller on its current connection (a used claim only), update the product,
+issue a fresh credential and offer it under the claim's nonce until the
+holder acknowledges it (Aries RFC 0015).
 """
 
 from __future__ import annotations
@@ -124,7 +133,7 @@ class ProductRecord:
     email: str = ""
     current_credential_id: Optional[str] = None
     current_credential: Optional[VerifiableCredential] = field(default=None, repr=False)  # that id's, not dumped
-    holder_did: str = field(default="", repr=False)  # the peer DID of ``conn_id``'s connection, not dumped
+    holder_did: str = field(default="", repr=False)  # the holder's DID: its current connection gets the notice
 
     def to_attributes(self) -> dict:
         return {
@@ -210,9 +219,13 @@ class Agent:
         return self.links.setdefault(agent_id, DirectLink(agent_id))
 
     def send(self, conn: Connection | DirectLink, nonce: bytes, p: MessagePayload, context: dict | None = None) -> None:
-        """Send ``p`` under ``nonce``; if it awaits a reply, open the thread that reply continues with ``context``.
-        Every leg of an exchange runs under its request's nonce (Aries RFC 0008), so an exchange is one thread."""
-        reply = REPLIES.get(p.kind)
+        """Send ``p`` under ``nonce``; if it awaits a reply, open the thread that reply continues with ``context``,
+        which must hold each field the reply's handler reads (``messages.REPLIES``) and may hold more.  Every leg of
+        an exchange runs under its request's nonce (Aries RFC 0008), so an exchange is one thread."""
+        reply, reads = REPLIES.get(p.kind, (None, ()))
+        missing = [name for name in reads if name not in (context or {})]
+        if missing:
+            raise AgentActionError(f"a {p.kind} needs the context {missing} that its {reply} handler reads")
         if reply is not None:
             conn.threads[nonce] = (reply, dict(context or {}))
         if isinstance(conn, DirectLink):
@@ -345,25 +358,6 @@ class ManufacturerAgent(Agent):
                 return None if issued and self.products[claim.product_code].conn_id != conn.conn_id else claim
         return None
 
-    def _issue(self, product: ProductRecord) -> VerifiableCredential:
-        vc = generate_vc(
-            product.to_attributes(),
-            self.cred_def_id,
-            self.did_key,
-            issued_at=self.world.tick(),
-            vdr=self.world.registry,
-        )
-        product.current_credential_id, product.current_credential = vc.credential_id, vc
-        self.world.emit(
-            channel=simnet.CHANNEL_REGISTRY,
-            kind="vc-issued",
-            frm=self.agent_id,
-            to=product.product_code,
-            verdict="ok",
-            meta={"productCode": product.product_code, "credentialId": vc.credential_id},
-        )
-        return vc
-
     # -- distributor channel ------------------------------------------------
 
     def _on_selling_req(self, link, nonce, p, context) -> str:
@@ -391,21 +385,9 @@ class ManufacturerAgent(Agent):
         claim = self._claimant_by_tid(p.body["tid"], False, conn)
         if claim is None or claim.pin != p.body["pin"]:
             return "rejected:unknown-claim"
-        product = self.products.get(claim.product_code)
-        if product is None:
+        if claim.product_code not in self.products:
             return "rejected:unknown-product"
-        if claim.credential is not None:  # issued, not yet acknowledged
-            return self._offer(conn, nonce, claim)
-        product.conn_id, product.holder_did = conn.conn_id, conn.remote_did
-        claim.credential = self._issue(product)
-        self._offer(conn, nonce, claim)
-        self._emit_product_updated(product, "new-purchase")
-        return "accepted"
-
-    def _offer(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
-        """Offer the claim's credential; its ack, or the holder's proof with it, settles the claim."""
-        self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential), {"claim": claim})
-        return "accepted"
+        return self._settle(conn, nonce, claim)
 
     # -- transfer authorisation ----------------------------------------------
 
@@ -500,49 +482,42 @@ class ManufacturerAgent(Agent):
         if not ok:
             # claimant entry stays; a legitimate buyer may retry the claim
             return f"rejected:{reason}"
-        if claim.credential is not None:  # committed, not yet acknowledged
-            return self._offer(conn, nonce, claim)
-        return self._commit_transfer(conn, nonce, claim)
+        return self._settle(conn, nonce, claim)
 
-    def _commit_transfer(self, buyer_conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
-        product = self.products[claim.product_code]
-        old_credential_id = product.current_credential_id
-        self.world.registry.revoke_credential(self.did, self.revocation_registry_id, old_credential_id)
-        self.world.emit(
-            channel=simnet.CHANNEL_REGISTRY,
-            kind="vc-revoked",
-            frm=self.agent_id,
-            to=product.product_code,
-            verdict="ok",
-            meta={"productCode": product.product_code, "credentialId": old_credential_id},
-        )
-        old_conn = self.connections.get(product.holder_did)
-        if old_conn is not None and old_conn.conn_id == product.conn_id:  # not if the holder has reconnected since
-            self.send(old_conn, crypto.fresh_nonce(self.rng), payload("revokeVC", productCode=product.product_code))
-        product.conn_id, product.holder_did = buyer_conn.conn_id, buyer_conn.remote_did
-        product.previously_sold_count += 1
-        product.last_purchase_date = self.world.tick()
-        product.email = self.world.agents[buyer_conn.remote_agent_id].email
-        claim.credential = self._issue(product)
-        # the issuance leg closes the claim's exchange, so it runs under the claim's nonce
-        self._offer(buyer_conn, nonce, claim)
-        self._emit_product_updated(product, "transfer-committed")
+    def _settle(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
+        """End a verified claim of either kind.  The first call updates the product (a used claim also revokes the
+        seller's credential and notifies the seller) and issues it a credential; every call offers that credential
+        under the claim's nonce, so a retry before the ack gets the same one again, and the ack settles the claim."""
+        product, used = self.products[claim.product_code], claim.encrypted_pin is not None
+        issuing = claim.credential is None
+        if issuing:
+            if used:
+                old_id = product.current_credential_id
+                self.world.registry.revoke_credential(self.did, self.revocation_registry_id, old_id)
+                self._record("vc-revoked", product, credentialId=old_id)
+                seller = self.connections.get(product.holder_did)  # current, even if the seller reconnected since
+                if seller is not None:
+                    self.send(seller, crypto.fresh_nonce(self.rng), payload("revokeVC", productCode=claim.product_code))
+                product.previously_sold_count += 1
+                product.last_purchase_date = self.world.tick()
+                product.email = self.world.agents[conn.remote_agent_id].email
+            product.conn_id, product.holder_did = conn.conn_id, conn.remote_did
+            vdr, issued_at = self.world.registry, self.world.tick()
+            vc = generate_vc(product.to_attributes(), self.cred_def_id, self.did_key, issued_at=issued_at, vdr=vdr)
+            product.current_credential_id, product.current_credential, claim.credential = vc.credential_id, vc, vc
+            self._record("vc-issued", product, credentialId=vc.credential_id)
+        self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential), {"claim": claim})
+        if issuing:
+            reason = "transfer-committed" if used else "new-purchase"
+            count = product.previously_sold_count
+            self._record("product-updated", product, previouslySoldCount=count, connId=product.conn_id, reason=reason)
         return "accepted"
 
-    def _emit_product_updated(self, product: ProductRecord, reason: str) -> None:
-        self.world.emit(
-            channel=simnet.CHANNEL_REGISTRY,
-            kind="product-updated",
-            frm=self.agent_id,
-            to=product.product_code,
-            verdict="ok",
-            meta={
-                "productCode": product.product_code,
-                "previouslySoldCount": product.previously_sold_count,
-                "connId": product.conn_id,
-                "reason": reason,
-            },
-        )
+    def _record(self, kind: str, product: ProductRecord, **meta) -> None:
+        """One ownership record (issuance, revocation, product update) of ``product`` on the registry channel."""
+        code = product.product_code
+        meta = {"productCode": code, **meta}
+        self.world.emit(channel=simnet.CHANNEL_REGISTRY, kind=kind, frm=self.agent_id, to=code, verdict="ok", meta=meta)
 
     def _on_ack(self, conn, nonce, p, context) -> str:
         # revocation and issuance took effect when their registry entries landed; an ack settles its claim

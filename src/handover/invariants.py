@@ -2,9 +2,10 @@
 
 Works on any trace produced by a run: the trace carries registry events
 (issuance, revocation, product updates), audit records (minted secrets and
-final state dumps), and the raw wire bytes of every routed message, which is
-everything the global checks need.  The PIN-secrecy check joins the wire bytes
-into one buffer and searches it once per secret needle.
+final state dumps), the raw wire bytes of every routed message and the payload
+bytes of every https message, which is everything the global checks need.
+The PIN-secrecy check joins the wire bytes into one buffer and searches it once
+per secret needle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def scan_trace(records: Iterable[dict]) -> list[dict]:
                 secrets.append({**meta, "seq": seq})
             elif kind == "state-dump":
                 dumps[rec["from"]] = (seq, {**meta.get("state", {})})  # raises unless the state is an object
-            if rec.get("channel") == "ssi" and "bytes" in meta:
+            if rec.get("channel") in ("ssi", "https") and "bytes" in meta:
                 wire_chunks.append((seq, bytes.fromhex(meta["bytes"])))
             if rec.get("channel") == "oob-email" and "fields" in meta:
                 wire_chunks.append((seq, canonical_json(meta["fields"]).encode("utf-8")))

@@ -30,8 +30,9 @@ used-product claim (TID and key) are two kinds.  ``problemReport`` is every
 refusal: its one field is a reason code (Aries RFC 0035), so acknowledgements
 carry no field.  ``REPLIES`` is the protocol's request/reply structure: the one
 kind that continues each kind's exchange under its nonce, on a connection and
-on the https sale leg alike.  A ``problemReport`` closes whichever exchange it
-names and is no reply kind, so one under no open thread still says why.
+on the https sale leg alike, and the context fields its handler reads.  A
+``problemReport`` closes whichever exchange it names and is no reply kind, so
+one under no open thread still says why.
 """
 
 from __future__ import annotations
@@ -166,21 +167,22 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
 
 _KIND_NAMES = {kind: {name for name, _ in spec} for kind, spec in KIND_FIELDS.items()}  # each kind's field names
 
-# The kind that continues each kind's exchange under its nonce (Aries RFC 0008); a kind with no entry awaits none.
-REPLIES: dict[str, str] = {
-    "productSellingReq": "productSellingResp",
-    "ownershipClaimReq": "ownershipClaimResp",
-    "usedClaimReq": "pinChallengeReq",
-    "ownershipClaimResp": "ownershipClaimAck",
-    "PINReq": "PINResp",
-    "ownershipTransferReq": "ownershipProofReq",
-    "ownershipProofReq": "ownershipProofResp",
-    "ownershipProofResp": "ownershipTransferResp",
-    "pinChallengeReq": "pinChallengeResp",
-    "pinChallengeResp": "ownershipClaimResp",
-    "revokeVC": "revokeVCResp",
+# The kind that continues each kind's exchange under its nonce (Aries RFC 0008), and the fields of the thread context
+# that reply's handler reads; a kind with no entry awaits none.
+REPLIES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "productSellingReq": ("productSellingResp", ("productCode", "email")),
+    "ownershipClaimReq": ("ownershipClaimResp", ()),
+    "usedClaimReq": ("pinChallengeReq", ()),
+    "ownershipClaimResp": ("ownershipClaimAck", ()),
+    "PINReq": ("PINResp", ("tid", "productCode")),
+    "ownershipTransferReq": ("ownershipProofReq", ("productCode",)),
+    "ownershipProofReq": ("ownershipProofResp", ("productCode", "encryptedPin", "tid", "challenge")),
+    "ownershipProofResp": ("ownershipTransferResp", ()),
+    "pinChallengeReq": ("pinChallengeResp", ("tid", "key", "challenge")),
+    "pinChallengeResp": ("ownershipClaimResp", ()),
+    "revokeVC": ("revokeVCResp", ()),
 }
-REPLY_KINDS = frozenset(REPLIES.values())  # each must continue an open thread of its receiver
+REPLY_KINDS = frozenset(reply for reply, _ in REPLIES.values())  # each must continue an open thread of its receiver
 
 
 def payload(kind: str, **fields: Any) -> MessagePayload:

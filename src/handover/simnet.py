@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from . import crypto
 from .encoding import plain
-from .messages import Envelope, MessagePayload, seal, unseal_at_mediator
+from .messages import Envelope, MessagePayload, canonical_encode_payload, seal, unseal_at_mediator
 from .registry import VerifiableDataRegistry
 
 MEDIATOR_ID = "MD"
@@ -232,7 +232,8 @@ class World:
         if event.channel == CHANNEL_SSI:
             body = event.body
             meta["bytes"] = body.outer_ciphertext.hex() if isinstance(body, Envelope) else bytes(body).hex()
-        elif event.channel == CHANNEL_HTTPS:
+        elif event.channel == CHANNEL_HTTPS:  # the pre-secured leg's plaintext: its payload, as a connection seals it
+            meta["bytes"] = canonical_encode_payload(event.body.payload).hex()
             meta["nonce"] = event.body.nonce.hex()
         elif event.channel == CHANNEL_OOB and event.body is not None:
             meta["fields"] = dict(sorted(event.body.fields.items()))

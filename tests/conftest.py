@@ -6,7 +6,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from handover import crypto
 from handover.crypto import Rng
 from handover.encoding import encode
-from handover.messages import Envelope
+from handover.messages import REPLIES, Envelope
 from handover.scenarios import builtin_scenario, run_scenario
 
 
@@ -19,6 +19,12 @@ def rng():
 def lifecycle_readonly():
     """One completed full lifecycle shared by read-only assertions."""
     return run_scenario(builtin_scenario("full-lifecycle"))
+
+
+def unread_context(kind):
+    """A thread context with each field that the handler of a ``kind`` reply reads, every one None: enough for
+    ``Agent.send`` to open the thread of a reply that never comes, or that comes as a problemReport."""
+    return dict.fromkeys(REPLIES[kind][1]) if kind in REPLIES else None
 
 
 def fresh_lifecycle(seed=None):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from handover import crypto, messages, simnet
 from handover.agents import (
     AdversaryWallet,
+    Agent,
     AgentActionError,
     DistributorAgent,
     ManufacturerAgent,
@@ -59,6 +60,7 @@ from conftest import (
     send_as,
     send_inner,
     send_plain,
+    unread_context,
     vc_signed,
 )
 
@@ -122,7 +124,7 @@ def open_threads(conn, kind):
 def send_keeping_no_thread(agent, conn, nonce, p):
     """``agent`` sends ``p`` but keeps no thread of it, as a peer that never answers: the reply it gets is a
     nonce-mismatch, and nothing answers that."""
-    agent.send(conn, nonce, p)
+    agent.send(conn, nonce, p, unread_context(p.kind))
     del conn.threads[nonce]
 
 
@@ -611,7 +613,8 @@ def test_pin_request_for_a_held_tid_rejected_state_unchanged():
     before = dataclasses.replace(entry)
     establish_connection(b3, b2)
     mark = len(world.trace)
-    b3.send(b3.connections[b2.did], crypto.fresh_nonce(world.rng), payload("PINReq", tid=tid))
+    request = payload("PINReq", tid=tid)
+    b3.send(b3.connections[b2.did], crypto.fresh_nonce(world.rng), request, {"tid": tid, "productCode": "PC-100"})
     world.run_until_quiescent()
     delta = world.trace[mark:]
     assert [r["verdict"] for r in delta if r["to"] == "B2"] == ["rejected:duplicate-tid"]
@@ -1322,6 +1325,20 @@ def test_revoke_notice_from_a_non_issuer_peer_changes_nothing():
     assert b1.credentials == {} and b1.sales == {}  # the issuer's notice, which the registry confirms, clears both
 
 
+def test_a_seller_that_reconnected_to_the_manufacturer_still_gets_the_revocation_notice():
+    # the notice goes to the seller's current connection with the manufacturer, not only to the one its credential
+    # was issued on, so the reconnected seller drops its revoked credential and its spent sale
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["script"].insert(3, {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"})  # just after B1's claim
+    result = run_scenario(parse_scenario(data))
+    assert result.ok
+    b1 = result.cast["B1"]
+    kinds = ("revokeVC", "revokeVCResp")
+    notices = [(r["to"], r["kind"], r["verdict"]) for r in result.world.trace if r["kind"] in kinds and r["to"] != "MD"]
+    assert notices == [("B1", "revokeVC", "accepted"), ("MF", "revokeVCResp", "accepted")]
+    assert b1.credentials == {} and b1.sales == {}
+
+
 def test_two_transfers_started_together_leave_one_claimant():
     world, cast = run_sale_and_claim()
     start_resale(world, cast)
@@ -1596,12 +1613,64 @@ def test_a_selling_response_with_no_open_sale_is_a_nonce_mismatch_on_either_leg(
 
 
 def test_every_reply_kind_is_a_payload_kind_that_some_agent_handles():
-    assert set(REPLIES) | set(REPLIES.values()) <= set(KIND_FIELDS)
+    assert set(REPLIES) | REPLY_KINDS <= set(KIND_FIELDS)
     assert "problemReport" not in REPLY_KINDS  # a refusal closes any thread, and one under none still reads why
     handled = set()
     for agent_class in (ManufacturerAgent, DistributorAgent, WalletAgent):
         handled |= agent_class.HANDLERS.keys() | agent_class.DIRECT_HANDLERS.keys()
     assert REPLY_KINDS <= handled
+
+
+@pytest.mark.parametrize("leg", ["connection", "https"])
+def test_a_thread_without_the_context_its_reply_handler_reads_is_refused_before_anything_is_sent(leg):
+    # the reply's handler would read the missing field when the reply arrives and raise then, mid-run
+    result = fresh_lifecycle()
+    world, b1, b2, ds = result.world, result.cast["B1"], result.cast["B2"], result.cast["DS"]
+    tid = mint_tid(world.rng)
+    if leg == "connection":
+        sender, conn, message = b1, b1.connections[b2.did], payload("PINReq", tid=tid)
+        context = {"tid": tid, "productCode": "PC-100"}
+    else:
+        sender, conn = ds, ds.link("MF")
+        message = payload("productSellingReq", productCode="PC-100", distributorID="DS", email=b1.email)
+        context = {"productCode": "PC-100", "email": b1.email}
+    first = next(iter(context))
+    before = (world._seq, list(world._queue), dict(world._routes), sender.state_dump())
+    for partial in (None, {}, {name: context[name] for name in context if name != first}):
+        with pytest.raises(AgentActionError, match=repr(first)):
+            sender.send(conn, crypto.fresh_nonce(world.rng), message, partial)
+    assert (world._seq, list(world._queue), dict(world._routes), sender.state_dump()) == before  # nothing sealed
+    # the full context, with a field no handler reads, opens the thread, and the reply finds what it reads
+    sender.send(conn, crypto.fresh_nonce(world.rng), message, {**context, "note": "unread"})
+    world.run_until_quiescent()
+    assert conn.threads == {}
+
+
+class ContextReads(dict):
+    """A thread context that notes the name of each field its handler reads by key; ``get`` reads an optional one."""
+
+    def __init__(self, context, reads):
+        super().__init__(context)
+        self.reads = reads
+
+    def __getitem__(self, name):
+        self.reads.add(name)
+        return super().__getitem__(name)
+
+
+def test_each_reply_row_names_the_context_fields_its_handler_reads(monkeypatch):
+    read = collections.defaultdict(set)  # reply kind -> the context fields an honest agent's handler read by key
+    handle = Agent.handle_payload
+
+    def recording(self, conn, nonce, p, context, handlers):
+        if context is not None and p.kind != "problemReport" and not isinstance(self, AdversaryWallet):
+            context = ContextReads(context, read[p.kind])
+        return handle(self, conn, nonce, p, context, handlers)
+
+    monkeypatch.setattr(Agent, "handle_payload", recording)
+    for name in sorted(BUILTIN_SCENARIOS):
+        assert run_scenario(builtin_scenario(name)).ok
+    assert dict(read) == {reply: set(reads) for reply, reads in REPLIES.values()}
 
 
 def consumed_deliveries(world):

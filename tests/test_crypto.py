@@ -457,8 +457,9 @@ def test_a_sealed_message_costs_no_x25519_agreement(monkeypatch):
     assert (connections, enrolled) == (3, 3)  # MF, B1 and B2 send; DS talks to MF over https only
     for extra in (0, 5):
         for _ in range(extra):
-            request = messages.payload("PINReq", tid=messages.mint_tid(world.rng))
-            b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
+            tid = messages.mint_tid(world.rng)
+            context = {"tid": tid, "productCode": "PC-100"}  # the thread a sale would open
+            b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), messages.payload("PINReq", tid=tid), context)
         world.run_until_quiescent()
         # MF has no handler for a PINReq, so it answers each with a problemReport
         assert sum(r["channel"] == "ssi" and r["to"] == "MD" for r in world.trace) == 16 + 2 * extra

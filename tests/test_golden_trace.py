@@ -13,53 +13,55 @@ receiver: a field that no receiver reads is wire bytes for nothing.
 """
 
 import copy
+import dataclasses
 import hashlib
 
 import pytest
 
 from handover.agents import Agent
 from handover.encoding import canonical_json
-from handover.messages import KIND_FIELDS, MessagePayload
+from handover.messages import KIND_FIELDS, MessagePayload, decode_payload, payload
 from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenario, run_scenario
+from handover.simnet import World
 
 GOLDEN = {
     "new-purchase": (
-        "45f80543bb82f0a1d22e3307397b0010c3ad77c04d3cc0bd081ca5eb934438ee",
+        "a941248840b063392c8bc7667e255929b3e4410c39cc4577429e01ea28088768",
         "b50bd021aadd2d5a1df4cbee19e620722a32fd325a8d46a3b4f63f95eb2b0d98",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "1a4d714097ffc822b224c1e1f855586be5a0e2d941595d2c3384c18ce73f0e3f",
+        "fb06b0d9214c46ee9c3463f8f9f1c71fe4fe2a18f08f357b13119e78bfb88100",
         "23f27ce5dbf3a524e181954fe6203d9bcf940a9c006dc7dfcd2083f0e15a2d6b",
         "ddff79d9b07e0b3f90e6af42f114b60e9e84d36cc3e11b5093ed30633c828ffc",
     ),
     "wrong-pin": (
-        "2644768e22fe2a7ea5102e057fa5d2f351579e05486459da63aa68448048274c",
+        "a1b37f1d9d008d96f88536f35baa4215ae83e0979783902c25ab7980589746d0",
         "7c6fea3a06ead4a326690e16297b4aadfb03ee06b9f15851118a51248d51b237",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "e88fe5afd4289e3ddda2263ceb9214d2d186e6268ea17705816eed46f59e35b9",
+        "eacd5fc91cc50b3325869bfaf9d22fb2327fff8c98b94b9483d0080743a07932",
         "2fef9be42627c8c788791d45d8b42d5453d5ad132fc7c667d52650b5979e773a",
         "a17350a18818393d49f8a5807415e1ff259d4b6f78a845098677335e8198cbb1",
     ),
     "duplicate-transfer": (
-        "8b2ac5e4b4790504bfbf7e938d84f5ba7b5f80cd916aeb7484c6b51fdaade47c",
+        "a49a07c255d285dab5c2f95d508d732728f227c135d26f562d39b4493f2adefd",
         "1bcc4455e954b8d9746e3e98b9b9d42d6b08825639d95c4ad8e45361e4d6bfc7",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "ceb3d8e3bf2b4d23122f6f04d6bc1c9a608d354c7249340c0022da489ac88f93",
+        "167e3e4320cbe26cf3a71edd081b85096d469fde141d03f3ea9923b3d24902cc",
         "1723fa2eba7fcaeb21d060eed8ff0bbf87a6f252c3d7c85067b9e500240d9f55",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "62dd14a1c7af3c3510b034748a81f42fb089052ac23e707238636bf4d2ed167d",
+        "b991b6f9363a233620d888a2adce3e34e9841f3a4706d13ac359430c3cd9e2da",
         "df1d585873647c8f71f429c150d96017a82a51d5ee065540d47bee871d1d12a2",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "c72cd22f30ab5ed47ddf78e1659550fbee6b8cff6b13da4a657cef006425863d",
+        "2ca12db99bf370ab0b4eff296743ae63c4e216b43fc4d8be9222c20f041b44d0",
         "8d16f9c3a0bc7d28c3e193d4707e0e42471005b93d52fce3b46d19fca1b2382f",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
@@ -88,12 +90,34 @@ def test_golden_trace_and_ledger(name):
     assert _digest(result.world.registry.entries) == ledger_sha
 
 
+def test_the_full_trace_digest_covers_the_sale_legs_payloads(monkeypatch):
+    # the https leg is not sealed, so its records carry the payload bytes themselves; a productSellingReq written
+    # with another distributorID moves the full-trace digest, and nothing else, when only its record has it
+    result = run_scenario(builtin_scenario("sale-only"))
+    https = [rec for rec in result.world.trace if rec["channel"] == "https"]
+    kinds = [decode_payload(bytes.fromhex(rec["meta"]["bytes"])).kind for rec in https]
+    assert kinds == [rec["kind"] for rec in https] == ["productSellingReq", "productSellingResp"]
+    event_meta = World._event_meta
+
+    def another_distributor(self, event):
+        if event.kind == "productSellingReq":
+            body = {**event.body.payload.body, "distributorID": "DS-ELSEWHERE"}
+            event = dataclasses.replace(event, body=dataclasses.replace(event.body, payload=payload(event.kind, **body)))
+        return event_meta(self, event)
+
+    monkeypatch.setattr(World, "_event_meta", another_distributor)
+    moved = run_scenario(builtin_scenario("sale-only"))
+    trace_sha, ledger_sha, behaviour_sha = GOLDEN["sale-only"]
+    assert _digest(moved.trace_lines()) != trace_sha
+    assert (_digest(moved.world.registry.entries), _behaviour_digest(moved.world.trace)) == (ledger_sha, behaviour_sha)
+
+
 # tamper in flight, tamper a delivered event, spoof without the endpoint key,
 # spoof from a sender with no connection, spoof with a connected sender's DID.
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "fb316b29ecc6fd5bd19fe5c7efd8cc855577669fc8a3397c52e7a9fd3f6ea85f",
+    "27d098094b0b8f21726ae193aab15ca0494d779b1d63b786870231ca6021f08f",
     "4ec361516d47e6cef55842b6dded7b3fd375fb5a9627d998ff83c8acec1cf909",
     "416423e96112ff36bbd3d808ba7b0cfb71f1149cc5ff37de88c61cf1279fd9dc",
 )

@@ -74,7 +74,7 @@ def wire_indices(records):
     return [
         i
         for i, rec in enumerate(records)
-        if (rec["channel"] == "ssi" and "bytes" in rec["meta"])
+        if (rec["channel"] in ("ssi", "https") and "bytes" in rec["meta"])
         or (rec["channel"] == "oob-email" and "fields" in rec["meta"])
     ]
 
@@ -124,8 +124,8 @@ def plant(records, secret_index, needle_kind, place, position, offset):
     needle = {"pin": pin.encode("ascii"), "raw": bytes.fromhex(key_hex), "hex": key_hex.encode("ascii")}[needle_kind]
     text = pin if needle_kind == "pin" else key_hex  # JSON fields and dumps hold text, so a raw key goes in as hex
     if place == "chunk":
-        ssi = [i for i in wire_indices(records) if records[i]["channel"] == "ssi"]
-        splice_bytes(records, ssi[position % len(ssi)], offset, needle)
+        chunks = [i for i in wire_indices(records) if "bytes" in records[i]["meta"]]  # sealed or https bytes
+        splice_bytes(records, chunks[position % len(chunks)], offset, needle)
     elif place == "split":
         pairs = split_pairs(records)
         plant_split(records, pairs[position % len(pairs)], needle, 1 + offset % (len(needle) - 1))
@@ -176,6 +176,17 @@ def test_needle_inside_one_chunk_is_reported_at_its_seq():
     secret = secrets_of(records)[2]
     index = [i for i in wire_indices(records) if records[i]["channel"] == "ssi"][7]
     splice_bytes(records, index, 5, bytes.fromhex(secret["keyHex"]))
+    joined, per_chunk = scan_both(records)
+    detail = f"secret of {secret['owner']} visible on the wire"
+    assert joined == per_chunk == [{"seq": records[index]["seq"], "invariant": "pin-secrecy", "detail": detail}]
+
+
+def test_a_secret_in_an_https_payload_is_visible_on_the_wire():
+    # the sale leg's records carry their payload bytes, and the scan reads them as it reads sealed bytes
+    records = list(fleet_trace())
+    secret = secrets_of(records)[1]
+    index = next(i for i, rec in enumerate(records) if rec["channel"] == "https")
+    splice_bytes(records, index, 3, secret["pin"].encode("ascii"))
     joined, per_chunk = scan_both(records)
     detail = f"secret of {secret['owner']} visible on the wire"
     assert joined == per_chunk == [{"seq": records[index]["seq"], "invariant": "pin-secrecy", "detail": detail}]

@@ -16,7 +16,7 @@ from handover.credential import PRODUCT_ATTRIBUTE_NAMES, present_proof
 from handover.encoding import encode
 from handover.messages import REPLIES, mint_tid, payload
 
-from conftest import fresh_lifecycle, inner_plain, send_as, send_plain
+from conftest import fresh_lifecycle, inner_plain, send_as, send_plain, unread_context
 
 KEY = bytes(range(32))
 PIN = "AAAAAA"
@@ -172,8 +172,9 @@ def test_each_refusal_is_answered_once_with_its_reason(case, monkeypatch):
     sent, send = [], responder.send
     monkeypatch.setattr(responder, "send", lambda c, n, p, ctx=None: (sent.append((n, p)), send(c, n, p, ctx))[1])
     mark = len(world.trace)
-    assert REPLIES.get(message.kind) == reply_kind
-    requester.send(conn, nonce, message)  # opens the requester's thread of the reply, if the message awaits one
+    assert REPLIES.get(message.kind, (None,))[0] == reply_kind
+    # opens the requester's thread of the reply, if the message awaits one
+    requester.send(conn, nonce, message, unread_context(message.kind))
     world.run_until_quiescent()
     assert sent == [(nonce, payload("problemReport", reason=case.reason))]  # exactly one answer, under the nonce
     # the report closes the requester's thread, if any, and its verdict repeats the reason either way: a message
@@ -240,7 +241,7 @@ def test_a_kind_of_the_other_transport_is_refused_as_unexpected(leg):
         requester, conn = ds, ds.link("MF")
         message = payload("ownershipClaimReq", tid=mint_tid(world.rng), pin=PIN)
     mark = len(world.trace)
-    requester.send(conn, nonce, message)  # opens the requester's thread of the reply
+    requester.send(conn, nonce, message, unread_context(message.kind))  # opens the requester's thread of the reply
     world.run_until_quiescent()
     delivered = [(r["to"], r["kind"], r["verdict"]) for r in world.trace[mark:] if r["to"] not in ("MD", "-")]
     assert delivered == [
