@@ -17,9 +17,10 @@ A thread's context must hold each field its reply's handler reads, or
 Both ownership claims, new-product (TID and PIN) and used-product (TID, key
 and PIN challenge), run their own checks and end in one settlement,
 ``ManufacturerAgent._settle``: revoke the seller's credential and notify the
-seller on its current connection (a used claim only), update the product,
-issue a fresh credential and offer it under the claim's nonce until the
-holder acknowledges it (Aries RFC 0015).
+seller on its current connection (a used claim only), issue a fresh
+credential to the claimant's DID and offer it under the claim's nonce until
+the holder acknowledges it (Aries RFC 0015).  That credential and that DID
+are all the manufacturer keeps of a product (``ProductRecord``).
 """
 
 from __future__ import annotations
@@ -122,30 +123,12 @@ class DirectLink:
 
 @dataclass
 class ProductRecord:
-    """Manufacturer-side state of one product."""
+    """Manufacturer-side state of one product: the credential last issued for it, which holds every attribute of
+    the product, and the DID it was issued to, the one holder that may present it.  Neither is set before the
+    first claim."""
 
-    product_code: str
-    distributor_id: str = ""
-    conn_id: str = ""
-    previously_sold_count: int = 0
-    first_purchase_date: int = 0
-    last_purchase_date: int = 0
-    email: str = ""
-    current_credential_id: Optional[str] = None
-    current_credential: Optional[VerifiableCredential] = field(default=None, repr=False)  # that id's, not dumped
-    holder_did: str = field(default="", repr=False)  # the holder's DID: its current connection gets the notice
-
-    def to_attributes(self) -> dict:
-        return {
-            "productCode": self.product_code,
-            "distributorID": self.distributor_id,
-            "ConnID": self.conn_id,
-            "status": "sold",  # a credential is only issued to a holder who bought the product
-            "previouslySoldCount": self.previously_sold_count,
-            "firstPurchaseDate": self.first_purchase_date,
-            "lastPurchaseDate": self.last_purchase_date,
-            "email": self.email,
-        }
+    credential: Optional[VerifiableCredential] = None
+    holder_did: str = ""
 
 
 @dataclass
@@ -156,8 +139,9 @@ class ClaimantAttribute:
     verified; until then a buyer's claim with the TID is ``unknown-tid``.
     The key and challenge of each claim attempt stay with that attempt.
     Once issued, the credential stays here until the holder acknowledges it
-    (Aries RFC 0015), so a retried claim gets the same credential again.  A
-    new-product claim holds the PIN, a used-product claim the encrypted PIN.
+    (Aries RFC 0015), so a retried claim from the holder's DID gets the same
+    credential again.  A new-product claim holds the PIN and the sale's
+    distributor, email and purchase tick; a used-product claim the encrypted PIN.
     """
 
     product_code: str
@@ -165,6 +149,9 @@ class ClaimantAttribute:
     pin: Optional[str] = None
     encrypted_pin: Optional[bytes] = None
     credential: Optional[VerifiableCredential] = None
+    distributor_id: str = ""
+    email: str = ""
+    sold_at: int = 0
 
 
 @dataclass
@@ -345,17 +332,16 @@ class ManufacturerAgent(Agent):
         self.products: dict[str, ProductRecord] = {}
         self.claimants: dict[str, ClaimantAttribute] = {}
 
-    def add_product(self, product_code: str) -> ProductRecord:
-        record = ProductRecord(product_code=product_code)
-        self.products[product_code] = record
-        return record
+    def add_product(self, product_code: str) -> None:
+        self.products[product_code] = ProductRecord()
 
     def _claimant_by_tid(self, tid: str, used: bool, conn: Connection) -> Optional[ClaimantAttribute]:
-        """The open new or ``used`` claim with ``tid``; once issued, only on the connection its credential went to."""
+        """The open new or ``used`` claim with ``tid``; once issued, only from the DID its credential went to, on
+        whichever connection."""
         for claim in self.claimants.values():
             if claim.tid == tid and (claim.encrypted_pin is not None) == used:
                 issued = claim.credential is not None
-                return None if issued and self.products[claim.product_code].conn_id != conn.conn_id else claim
+                return None if issued and self.products[claim.product_code].holder_did != conn.remote_did else claim
         return None
 
     # -- distributor channel ------------------------------------------------
@@ -366,17 +352,15 @@ class ManufacturerAgent(Agent):
         product = self.products.get(code)
         if product is None:
             return "rejected:unknown-product"
-        if product.current_credential_id is not None or code in self.claimants:
+        if product.credential is not None or code in self.claimants:
             return "rejected:already-sold"
-        product.distributor_id = body["distributorID"]
-        product.email = body["email"]
-        product.first_purchase_date = product.last_purchase_date = self.world.tick()
         tid = mint_tid(self.rng)
         pin = mint_pin(self.rng)
-        self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, pin=pin)
+        sale = {"distributor_id": body["distributorID"], "email": body["email"], "sold_at": self.world.tick()}
+        self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, pin=pin, **sale)
         self.send(link, nonce, payload("productSellingResp", tid=tid))
         fields = {"productCode": code, "pin": pin, "nonce": nonce.hex()}
-        self.world.send_email(self.agent_id, product.email, "pin", fields)
+        self.world.send_email(self.agent_id, body["email"], "pin", fields)
         return "accepted"
 
     # -- new-product claim (tid + pin) ---------------------------------------
@@ -385,9 +369,7 @@ class ManufacturerAgent(Agent):
         claim = self._claimant_by_tid(p.body["tid"], False, conn)
         if claim is None or claim.pin != p.body["pin"]:
             return "rejected:unknown-claim"
-        if claim.product_code not in self.products:
-            return "rejected:unknown-product"
-        return self._settle(conn, nonce, claim)
+        return self._settle(conn, nonce, claim, claim.email)
 
     # -- transfer authorisation ----------------------------------------------
 
@@ -399,7 +381,7 @@ class ManufacturerAgent(Agent):
         product = self.products.get(code)
         if product is None:
             return "unknown-product"
-        if product.current_credential_id is None:
+        if product.credential is None:
             return "not-transferable"
         return None
 
@@ -418,7 +400,7 @@ class ManufacturerAgent(Agent):
         code = context["productCode"]
         product = self.products[code]
         presentation = p.body["presentation"]
-        credential, issued = presentation.credential, product.current_credential
+        credential, issued = presentation.credential, product.credential
         report = verify_presentation(
             presentation, context["challenge"], self.world.registry, conn.remote_did, self.cred_def_id, issued
         )
@@ -428,6 +410,8 @@ class ManufacturerAgent(Agent):
             reason = "wrong-product"
         elif credential != issued:
             reason = "stale-credential"
+        elif conn.remote_did != product.holder_did:
+            reason = "not-holder"  # a copy of the current credential, presented by a DID it was not issued to
         else:
             # checked again: another proof for the product may have verified since the request
             reason = self._transfer_refusal(code)
@@ -453,7 +437,8 @@ class ManufacturerAgent(Agent):
         challenge = self.draw_challenge()
         challenge_req = payload("pinChallengeReq", tid=claim.tid, challengeBy=challenge[0], challengeType=challenge[1])
         # the key and challenge belong to this attempt alone; another claim with the TID cannot overwrite them
-        self.send(conn, nonce, challenge_req, {"tid": claim.tid, "key": key, "challenge": challenge})
+        context = {"tid": claim.tid, "key": key, "challenge": challenge, "email": p.body["email"]}
+        self.send(conn, nonce, challenge_req, context)
         return "accepted"
 
     def draw_challenge(self) -> tuple[int, str]:
@@ -482,40 +467,43 @@ class ManufacturerAgent(Agent):
         if not ok:
             # claimant entry stays; a legitimate buyer may retry the claim
             return f"rejected:{reason}"
-        return self._settle(conn, nonce, claim)
+        return self._settle(conn, nonce, claim, context["email"])
 
-    def _settle(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute) -> str:
-        """End a verified claim of either kind.  The first call updates the product (a used claim also revokes the
-        seller's credential and notifies the seller) and issues it a credential; every call offers that credential
+    def _settle(self, conn: Connection, nonce: bytes, claim: ClaimantAttribute, email: str) -> str:
+        """End a verified claim of either kind by the buyer with ``email``.  The first call issues the claimant a
+        credential over the product's next attributes, built from the sale (a new claim) or from the seller's
+        credential, which it revokes and notifies the seller of (a used claim).  Every call offers that credential
         under the claim's nonce, so a retry before the ack gets the same one again, and the ack settles the claim."""
-        product, used = self.products[claim.product_code], claim.encrypted_pin is not None
-        issuing = claim.credential is None
+        code, used = claim.product_code, claim.encrypted_pin is not None
+        product, issuing = self.products[code], claim.credential is None
         if issuing:
             if used:
-                old_id = product.current_credential_id
-                self.world.registry.revoke_credential(self.did, self.revocation_registry_id, old_id)
-                self._record("vc-revoked", product, credentialId=old_id)
+                old = product.credential
+                self.world.registry.revoke_credential(self.did, self.revocation_registry_id, old.credential_id)
+                self._record("vc-revoked", code, credentialId=old.credential_id)
                 seller = self.connections.get(product.holder_did)  # current, even if the seller reconnected since
                 if seller is not None:
-                    self.send(seller, crypto.fresh_nonce(self.rng), payload("revokeVC", productCode=claim.product_code))
-                product.previously_sold_count += 1
-                product.last_purchase_date = self.world.tick()
-                product.email = self.world.agents[conn.remote_agent_id].email
-            product.conn_id, product.holder_did = conn.conn_id, conn.remote_did
+                    self.send(seller, crypto.fresh_nonce(self.rng), payload("revokeVC", productCode=code))
+                attributes = dict(old.attributes)
+                count = int(attributes["previouslySoldCount"]) + 1  # the manufacturer's own signed value
+                attributes.update(previouslySoldCount=count, lastPurchaseDate=self.world.tick())
+            else:  # the sale's attributes; "sold", as a credential is only issued to a holder who bought the product
+                count, at = 0, claim.sold_at
+                attributes = dict(productCode=code, distributorID=claim.distributor_id, status="sold")
+                attributes.update(previouslySoldCount=count, firstPurchaseDate=at, lastPurchaseDate=at)
+            attributes.update(ConnID=conn.conn_id, email=email)
             vdr, issued_at = self.world.registry, self.world.tick()
-            vc = generate_vc(product.to_attributes(), self.cred_def_id, self.did_key, issued_at=issued_at, vdr=vdr)
-            product.current_credential_id, product.current_credential, claim.credential = vc.credential_id, vc, vc
-            self._record("vc-issued", product, credentialId=vc.credential_id)
+            vc = generate_vc(attributes, self.cred_def_id, self.did_key, issued_at=issued_at, vdr=vdr)
+            product.credential, product.holder_did, claim.credential = vc, conn.remote_did, vc
+            self._record("vc-issued", code, credentialId=vc.credential_id)
         self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential), {"claim": claim})
         if issuing:
             reason = "transfer-committed" if used else "new-purchase"
-            count = product.previously_sold_count
-            self._record("product-updated", product, previouslySoldCount=count, connId=product.conn_id, reason=reason)
+            self._record("product-updated", code, previouslySoldCount=count, connId=conn.conn_id, reason=reason)
         return "accepted"
 
-    def _record(self, kind: str, product: ProductRecord, **meta) -> None:
-        """One ownership record (issuance, revocation, product update) of ``product`` on the registry channel."""
-        code = product.product_code
+    def _record(self, kind: str, code: str, **meta) -> None:
+        """One ownership record (issuance, revocation, product update) of product ``code`` on the registry channel."""
         meta = {"productCode": code, **meta}
         self.world.emit(channel=simnet.CHANNEL_REGISTRY, kind=kind, frm=self.agent_id, to=code, verdict="ok", meta=meta)
 
@@ -603,7 +591,7 @@ class WalletAgent(Agent):
             raise AgentActionError(f"{self.agent_id} holds no purchase data for tid {tid}")
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
-        self.send(conn, nonce, payload("usedClaimReq", tid=tid, key=entry.key.key_bytes))
+        self.send(conn, nonce, payload("usedClaimReq", tid=tid, key=entry.key.key_bytes, email=self.email))
 
     # -- handlers -------------------------------------------------------------
 

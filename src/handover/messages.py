@@ -26,7 +26,7 @@ a lower or equal one is a replay before any decryption.
 
 Each of the seventeen payload kinds has one fixed shape (Aries RFC 0020) and
 carries only what its receiver reads: a new-product claim (TID and PIN) and a
-used-product claim (TID and key) are two kinds.  ``problemReport`` is every
+used-product claim (TID, key and the buyer's email) are two kinds.  ``problemReport`` is every
 refusal: its one field is a reason code (Aries RFC 0035), so acknowledgements
 carry no field.  ``REPLIES`` is the protocol's request/reply structure: the one
 kind that continues each kind's exchange under its nonce, on a connection and
@@ -148,7 +148,7 @@ KIND_FIELDS: dict[str, tuple[tuple[str, FieldType], ...]] = {
     "productSellingReq": (("productCode", STR), ("distributorID", STR), ("email", STR)),
     "productSellingResp": (("tid", STR),),
     "ownershipClaimReq": (("tid", STR), ("pin", PIN)),
-    "usedClaimReq": (("tid", STR), ("key", BYTES)),
+    "usedClaimReq": (("tid", STR), ("key", BYTES), ("email", STR)),
     "ownershipClaimResp": (("credential", CREDENTIAL),),
     "ownershipClaimAck": (),
     "PINReq": (("tid", STR),),
@@ -178,7 +178,7 @@ REPLIES: dict[str, tuple[str, tuple[str, ...]]] = {
     "ownershipTransferReq": ("ownershipProofReq", ("productCode",)),
     "ownershipProofReq": ("ownershipProofResp", ("productCode", "encryptedPin", "tid", "challenge")),
     "ownershipProofResp": ("ownershipTransferResp", ()),
-    "pinChallengeReq": ("pinChallengeResp", ("tid", "key", "challenge")),
+    "pinChallengeReq": ("pinChallengeResp", ("tid", "key", "challenge", "email")),
     "pinChallengeResp": ("ownershipClaimResp", ()),
     "revokeVC": ("revokeVCResp", ()),
 }

@@ -31,6 +31,18 @@ def fresh_lifecycle(seed=None):
     return run_scenario(builtin_scenario("full-lifecycle"), seed=seed)
 
 
+def product_attributes(manufacturer, code="PC-100"):
+    """The attributes, by name, of the credential ``manufacturer`` last issued for ``code``; none before its first
+    claim."""
+    vc = manufacturer.products[code].credential
+    return dict(vc.attributes) if vc is not None else {}
+
+
+def sold_count(manufacturer, code="PC-100"):
+    """The previouslySoldCount that ``manufacturer`` last signed for ``code``, as an int; 0 before its first claim."""
+    return int(product_attributes(manufacturer, code).get("previouslySoldCount", 0))
+
+
 # The two layer layouts and a credential's signed bytes, written from the spec
 # rather than taken from ``handover``, so the tests that use them check it.
 

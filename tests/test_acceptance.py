@@ -24,7 +24,7 @@ from handover.invariants import scan_trace
 from handover.messages import CHALLENGE_TYPES, mint_pin
 from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, build_world, execute_step, run_scenario
 
-from conftest import fresh_lifecycle
+from conftest import fresh_lifecycle, product_attributes, sold_count
 
 
 def _report(number, description):
@@ -68,9 +68,9 @@ def test_criterion_02_full_transfer_lifecycle():
     assert result.ok
     mf, b1, b2 = result.cast["MF"], result.cast["B1"], result.cast["B2"]
     product = mf.products["PC-100"]
-    assert product.previously_sold_count == 1
-    assert product.current_credential_id == b2.credentials["PC-100"].credential_id and "PC-100" not in mf.claimants
-    assert product.conn_id == b2.connections[mf.did].conn_id
+    assert sold_count(mf) == 1
+    assert product.credential.credential_id == b2.credentials["PC-100"].credential_id and "PC-100" not in mf.claimants
+    assert product_attributes(mf)["ConnID"] == b2.connections[mf.did].conn_id
     # the run up to the used claim holds the seller's credential as the whole run issued and then revoked it
     before_claim = run_scenario(dataclasses.replace(result.spec, script=result.spec.script[:-1]))
     sellers_vc = before_claim.cast["B1"].credentials["PC-100"]
@@ -200,7 +200,7 @@ def test_criterion_05_tamper_suite():
             target.kind == "ownershipTransferResp"
         )
         commit_expected = informational or index > commit_index
-        count = cast["MF"].products["PC-100"].previously_sold_count
+        count = sold_count(cast["MF"])
         assert count == (1 if commit_expected else 0), (index, target.kind, count)
         world.emit_state_dumps()
         assert scan_trace(world.trace) == []
@@ -231,8 +231,8 @@ def test_criterion_06_spoof_suite():
                 assert rec["verdict"].startswith("rejected:")
                 proof_failures += 1
         assert "PC-100" not in mf.claimants  # rolled back every time
-        assert mf.products["PC-100"].current_credential_id == owner_credential
-        assert mf.products["PC-100"].previously_sold_count == 0
+        assert mf.products["PC-100"].credential.credential_id == owner_credential
+        assert sold_count(mf) == 0
     assert accepted == 0
     assert proof_failures >= 80  # every real-product attempt dies at the proof step
     assert not world.registry.is_revoked(owner_credential)  # rightful owner untouched

@@ -20,6 +20,7 @@ from handover.agents import (
     DistributorAgent,
     ManufacturerAgent,
     PinFormatError,
+    ProductRecord,
     WalletAgent,
     establish_connection,
     evaluate_challenge,
@@ -29,6 +30,7 @@ from handover.crypto import DecryptError, SymmetricKey, sym_decrypt
 from handover.encoding import canonical_json, encode, encode_value
 from handover.invariants import scan_trace
 from handover.credential import (
+    PRODUCT_ATTRIBUTE_NAMES,
     PRODUCT_SCHEMA_ID,
     cred_def_id_of,
     present_proof,
@@ -57,9 +59,11 @@ from conftest import (
     layer,
     layer_counter,
     open_layer,
+    product_attributes,
     send_as,
     send_inner,
     send_plain,
+    sold_count,
     unread_context,
     vc_signed,
 )
@@ -350,7 +354,7 @@ def test_record_sale_emails_pin_and_tid():
     assert pin_mail["pin"] == claim.pin
     assert tid_mail["tid"] == claim.tid
     assert claim.encrypted_pin is None  # a new-product claim
-    assert cast["MF"].products["PC-100"].email == cast["B1"].email
+    assert claim.email == cast["B1"].email  # the sale's email rides on the claim until the credential carries it
 
 
 def test_record_sale_unknown_product_rejected():
@@ -378,10 +382,10 @@ def test_claim_new_issues_credential():
     vc = b1.credentials["PC-100"]
     product = mf.products["PC-100"]
     assert "PC-100" not in mf.claimants  # the holder's ack settled the claim
-    assert product.current_credential_id == vc.credential_id
-    assert product.conn_id == b1.connections[mf.did].conn_id
+    assert product.credential.credential_id == vc.credential_id
+    assert product.holder_did == b1.did
     assert dict(vc.attributes)["productCode"] == "PC-100"
-    assert dict(vc.attributes)["ConnID"] == product.conn_id
+    assert dict(vc.attributes)["ConnID"] == b1.connections[mf.did].conn_id
     assert "PC-100" not in mf.claimants  # entry consumed
     acks = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipClaimAck"]
     assert acks == ["accepted"]
@@ -443,7 +447,7 @@ def test_two_claims_on_one_connection_before_the_first_offer_strand_nothing():
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]
     assert offers == ["accepted", "accepted"]
     assert {code: vc.credential_id for code, vc in b1.credentials.items()} == {
-        code: mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
+        code: mf.products[code].credential.credential_id for code in ("PC-100", "PC-200")
     }
     assert mf.claimants == {}
     assert sum(r["kind"] == "vc-issued" for r in world.trace) == 2
@@ -506,7 +510,7 @@ def test_two_exchanges_of_one_kind_on_one_connection_both_complete(steps, seed):
     assert result.violations == []
     world, mf, b2 = result.world, result.cast["MF"], result.cast["B2"]
     assert {code: vc.credential_id for code, vc in b2.credentials.items()} == {
-        code: mf.products[code].current_credential_id for code in ("PC-100", "PC-200")
+        code: mf.products[code].credential.credential_id for code in ("PC-100", "PC-200")
     }
     issued = [r["meta"]["credentialId"] for r in world.trace if r["kind"] == "vc-issued"]
     assert len(issued) == 4
@@ -540,6 +544,30 @@ def test_lost_claim_ack_keeps_the_claim_until_a_retry_settles_it():
     assert claims == ["accepted", "rejected:unknown-claim", "accepted"]
     assert b1.credentials == {"PC-100": vc} and mf.claimants == {}
     assert sum(r["kind"] == "vc-issued" for r in world.trace) == 1
+
+
+def test_a_buyer_that_reconnects_before_its_offer_arrives_gets_the_same_credential_on_retry():
+    # the offer queued for the offline B1 is sealed to the connection B1 then replaces, so it cannot be opened; the
+    # claim is matched by B1's DID, not its connection, so the retry over the new connection gets that credential
+    script = [
+        {"op": "record_sale", "product": "PC-100", "buyer": "B1", "expect": "accepted"},
+        {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        {"op": "offline", "agent": "B1", "expect": "ok"},
+        {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
+        {"op": "connect", "a": "B1", "b": "MF", "expect": "ok"},
+        {"op": "online", "agent": "B1", "expect": "rejected:decrypt-error"},
+        {"op": "claim_new", "wallet": "B1", "expect": "accepted"},
+    ]
+    cast = {"manufacturer": "MF", "distributor": "DS", "wallets": ["B1"]}
+    data = {"name": "buyer-reconnects", "seed": 13, "cast": cast, "products": ["PC-100"], "script": script}
+    result = run_scenario(parse_scenario(data))
+    assert result.ok  # every step reads its expect, and the invariant scan finds nothing
+    world, mf, b1 = result.world, result.cast["MF"], result.cast["B1"]
+    assert b1.credentials == {"PC-100": mf.products["PC-100"].credential} and mf.claimants == {}
+    assert sum(r["kind"] == "vc-issued" for r in world.trace) == 1
+    # the credential's ConnID names the connection it was issued on
+    conn_ids = [r["meta"]["connId"] for r in world.trace if r["kind"] == "connection-established"]
+    assert product_attributes(mf)["ConnID"] == conn_ids[0] != b1.connections[mf.did].conn_id == conn_ids[1]
 
 
 def test_proof_with_the_credential_settles_an_unacknowledged_claim():
@@ -695,7 +723,7 @@ def test_transfer_with_revoked_credential_rejected_and_rolled_back():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert verdicts[-1] == "rejected:revoked"
     assert "PC-100" not in mf.claimants  # rolled back
-    assert mf.products["PC-100"].current_credential_id == cast["B2"].credentials["PC-100"].credential_id
+    assert mf.products["PC-100"].credential.credential_id == cast["B2"].credentials["PC-100"].credential_id
 
 
 def test_transfer_wrong_product_credential_rejected():
@@ -724,7 +752,7 @@ def test_transfer_wrong_product_credential_rejected():
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert verdicts[-1] == "rejected:wrong-product"
     assert "PC-100" not in cast["MF"].claimants  # rolled back
-    assert cast["MF"].products["PC-100"].current_credential_id == cast["B1"].credentials["PC-100"].credential_id
+    assert cast["MF"].products["PC-100"].credential.credential_id == cast["B1"].credentials["PC-100"].credential_id
 
 
 # -- the order of MF's proof checks --------------------------------------------------------
@@ -740,6 +768,7 @@ PROOF_CHECKS = (
     "revoked",
     "wrong-product",
     "stale-credential",
+    "not-holder",
 )
 
 
@@ -777,7 +806,7 @@ def faulted_proof(world, cast, faults):
     """``present(challenge)`` for B1's proof of the current PC-100 credential, changed to fail each check in
     ``faults`` and no check before the first of them."""
     mf, b1, eve = cast["MF"], cast["B1"], cast["EVE"]
-    vc = mf.products["PC-100"].current_credential
+    vc = mf.products["PC-100"].credential
     attributes = dict(vc.attributes)
     cred_def_id, issuer_key = vc.cred_def_id, mf.did_key
     if "wrong-issuer" in faults:  # validly signed under a definition the registry resolves, but not MF's
@@ -793,6 +822,8 @@ def faulted_proof(world, cast, faults):
         vc = dataclasses.replace(vc, issuer_signature=flipped(vc.issuer_signature, 0))
     if "revoked" in faults:
         world.registry.revoke_credential(mf.did, mf.revocation_registry_id, vc.credential_id)
+    if "not-holder" in faults:  # MF issued the current credential to another DID, and B1 presents a copy of it
+        mf.products["PC-100"].holder_did = eve.did
     holder_key = eve.did_key if "bad-holder-sig" in faults else b1.did_key
     if "nonce-mismatch" in faults:
         return lambda challenge: present_proof(vc, crypto.fresh_nonce(world.rng), holder_key)
@@ -815,7 +846,7 @@ def test_every_byte_flip_of_the_current_credential_is_checked_and_refused():
     # or its signature is no longer that credential, so its issuer signature is checked and fails
     world, cast = world_at_transfer()
     mf, b1 = cast["MF"], cast["B1"]
-    vc = mf.products["PC-100"].current_credential
+    vc = mf.products["PC-100"].credential
     for name in ("signed", "issuer_signature"):
         raw = getattr(vc, name)
         for index in range(len(raw)):
@@ -832,11 +863,32 @@ def test_every_byte_flip_of_the_current_credential_is_checked_and_refused():
                         expect = "rejected:unknown-issuer"
             verdict = transfer_proved_by(world, cast, lambda challenge: present_proof(changed, challenge, b1.did_key))
             assert verdict == expect, (name, index)
-    assert mf.products["PC-100"].current_credential is vc and "PC-100" not in mf.claimants
+    assert mf.products["PC-100"].credential is vc and "PC-100" not in mf.claimants
     assert transfer_proved_by(world, cast, lambda challenge: present_proof(vc, challenge, b1.did_key)) == "accepted"
 
 
 # -- used-product claim flow -------------------------------------------------------------
+
+
+def test_a_copy_of_the_current_credential_presented_by_another_did_is_not_holder():
+    # EVE holds a copy of B1's current credential, say one read off B1's connection, sells the product to its
+    # accomplice ACC and proves with its own DID key: the proof verifies, but MF issued the credential to B1's DID
+    world, cast = make_world(wallets=("B1", "EVE", "ACC"))
+    sell_to(world, cast)
+    claim_new(world, cast)
+    mf, b1, eve, acc = cast["MF"], cast["B1"], cast["EVE"], cast["ACC"]
+    eve.credentials["PC-100"] = b1.credentials["PC-100"]
+    start_resale(world, cast, seller="EVE", buyer="ACC")
+    record = dataclasses.replace(mf.products["PC-100"])
+    run_transfer(world, cast, seller="EVE")
+    proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
+    assert proofs == ["rejected:not-holder"]
+    assert mf.products["PC-100"] == record == ProductRecord(b1.credentials["PC-100"], b1.did) and mf.claimants == {}
+    claim_as_buyer(world, cast, buyer="ACC")
+    claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
+    assert claims == ["rejected:unknown-tid"] and acc.credentials == {}
+    world.emit_state_dumps()
+    assert scan_trace(world.trace) == []
 
 
 def claim_as_buyer(world, cast, buyer="B2"):
@@ -875,7 +927,7 @@ def test_lost_used_claim_offer_retry_gets_the_same_credential():
     mf, b2 = cast["MF"], cast["B2"]
     assert b2.credentials == {} and tid in b2.claiming
     vc = mf.claimants["PC-100"].credential
-    assert vc.credential_id == mf.products["PC-100"].current_credential_id
+    assert vc.credential_id == mf.products["PC-100"].credential.credential_id
     b2.claim_used(mf.did, tid)  # answers a fresh challenge, then gets the same credential
     world.run_until_quiescent()
     assert b2.credentials == {"PC-100": vc} and b2.claiming == {} and mf.claimants == {}
@@ -884,7 +936,7 @@ def test_lost_used_claim_offer_retry_gets_the_same_credential():
         "vc-revoked",
         "vc-issued",
     ]
-    assert mf.products["PC-100"].previously_sold_count == 1
+    assert sold_count(mf) == 1
 
 
 def test_lost_used_claim_ack_is_settled_by_the_holders_proof():
@@ -901,20 +953,21 @@ def test_lost_used_claim_ack_is_settled_by_the_holders_proof():
     assert proofs == ["accepted", "accepted"]
     assert mf.claimants["PC-100"].tid != tid and mf.claimants["PC-100"].credential is None
     claim_as_buyer(world, cast, buyer="B3")
-    assert cast["B3"].credentials["PC-100"].credential_id == mf.products["PC-100"].current_credential_id
+    assert cast["B3"].credentials["PC-100"].credential_id == mf.products["PC-100"].credential.credential_id
     assert b2.credentials == {} and b2.sales == {} and mf.claimants == {}
-    assert mf.products["PC-100"].previously_sold_count == 2
+    assert sold_count(mf) == 2
 
 
 def test_used_claim_commits_ownership():
     world, cast, old_vc = full_used_transfer()
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     product = mf.products["PC-100"]
-    assert product.current_credential_id == b2.credentials["PC-100"].credential_id and "PC-100" not in mf.claimants
-    assert product.previously_sold_count == 1
-    assert product.conn_id == b2.connections[mf.did].conn_id
-    assert product.email == b2.email
-    assert product.last_purchase_date > product.first_purchase_date
+    assert product.credential.credential_id == b2.credentials["PC-100"].credential_id and "PC-100" not in mf.claimants
+    attributes = product_attributes(mf)
+    assert sold_count(mf) == 1
+    assert attributes["ConnID"] == b2.connections[mf.did].conn_id
+    assert attributes["email"] == b2.email
+    assert int(attributes["lastPurchaseDate"]) > int(attributes["firstPurchaseDate"])
     new_vc = b2.credentials["PC-100"]
     assert world.registry.is_revoked(old_vc.credential_id)
     assert not world.registry.is_revoked(new_vc.credential_id)
@@ -953,7 +1006,7 @@ def test_used_claim_wrong_key_rejected_state_unchanged():
     assert verdicts[-1] == "rejected:pin-decrypt"
     mf = cast["MF"]
     assert not world.registry.is_revoked(cast["B1"].credentials["PC-100"].credential_id)
-    assert mf.products["PC-100"].previously_sold_count == 0
+    assert sold_count(mf) == 0
     assert "PC-100" in mf.claimants  # entry stays; claim may be retried
 
 
@@ -1020,7 +1073,7 @@ def test_resale_after_a_buy_back_transfers_the_latest_sale():
     # the secrets of B2's first purchase, whose claim was used up long ago, cannot claim it again
     minted = [r["meta"] for r in world.trace if r["kind"] == "secret-minted"]
     first = next(meta for meta in minted if meta["owner"] == "B2")
-    claim = payload("usedClaimReq", tid=first["tid"], key=bytes.fromhex(first["keyHex"]))
+    claim = payload("usedClaimReq", tid=first["tid"], key=bytes.fromhex(first["keyHex"]), email=b2.email)
     b2.send(b2.connections[mf.did], crypto.fresh_nonce(world.rng), claim)
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
@@ -1069,7 +1122,7 @@ def test_a_proof_not_bound_to_the_connections_did_is_a_bad_holder_sig(forgery):
     run_transfer(world, cast)
     proofs = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "ownershipProofResp"]
     assert proofs == ["rejected:bad-holder-sig"]
-    assert mf.products["PC-100"].current_credential_id == b1.credentials["PC-100"].credential_id
+    assert mf.products["PC-100"].credential.credential_id == b1.credentials["PC-100"].credential_id
     assert "PC-100" not in mf.claimants
 
 
@@ -1089,7 +1142,7 @@ def test_no_one_publishes_a_did_document_under_a_key_its_did_does_not_derive_fro
     assert len(world.registry.entries) == entries
     assert world.registry.resolve_did(mf.did) == mf.did_key.public_key
     # so a credential EVE signs under MF's definition still fails under MF's key
-    attributes = tuple((name, "x") for name in mf.products["PC-100"].to_attributes())
+    attributes = tuple((name, "x") for name in PRODUCT_ATTRIBUTE_NAMES)
     forged = sign_vc(attributes, mf.cred_def_id, eve.did_key, world.tick())
     assert verify_credential_signature(forged, world.registry) == (False, "bad-issuer-sig")
     # and the forged transfers that follow get their verdicts, with no exception
@@ -1113,7 +1166,7 @@ def test_declined_proof_request_leaves_the_product_transferable():
     assert verdicts == expected
     world.emit_state_dumps()
     assert scan_trace(world.trace) == []
-    assert cast["MF"].products["PC-100"].previously_sold_count == 2
+    assert sold_count(cast["MF"]) == 2
     assert len(cast["B3"].credentials) == 1
 
 
@@ -1129,7 +1182,7 @@ def test_unanswered_transfer_request_leaves_no_state():
         request = payload("ownershipTransferReq", productCode="PC-100", encryptedPin=b"\x01" * 38, tid=tid)
         send_keeping_no_thread(b2, b2.connections[mf.did], crypto.fresh_nonce(world.rng), request)
         world.run_until_quiescent()
-    assert mf.products["PC-100"].current_credential_id == cast["B1"].credentials["PC-100"].credential_id
+    assert mf.products["PC-100"].credential.credential_id == cast["B1"].credentials["PC-100"].credential_id
     assert "PC-100" not in mf.claimants
     # each unanswered request leaves one open thread, and nothing of the requests it answered
     threads = mf.state_dump()["connections"][b2.did]["threads"]
@@ -1141,7 +1194,7 @@ def test_unanswered_transfer_request_leaves_no_state():
     b3.claim_used(mf.did, purchase(b3)[0])
     world.run_until_quiescent()
     assert len(b3.credentials) == 1
-    assert mf.products["PC-100"].conn_id == b3.connections[mf.did].conn_id
+    assert product_attributes(mf)["ConnID"] == b3.connections[mf.did].conn_id
 
 
 def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
@@ -1153,7 +1206,7 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     tid, _ = b1.sales["PC-100"]
     b2.claim_used(mf.did, tid)
     # the seller minted the TID: it claims with a key of its own before B2 answers its challenge
-    rival = payload("usedClaimReq", tid=tid, key=crypto.generate_symmetric_key(world.rng).key_bytes)
+    rival = payload("usedClaimReq", tid=tid, key=crypto.generate_symmetric_key(world.rng).key_bytes, email=b1.email)
     b1.send(b1.connections[mf.did], crypto.fresh_nonce(world.rng), rival)
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
@@ -1161,7 +1214,7 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     answers = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
     assert answers == ["accepted"]
     assert len(b2.credentials) == 1
-    assert mf.products["PC-100"].previously_sold_count == 1
+    assert sold_count(mf) == 1
 
 
 def test_state_dump_shows_an_open_exchange_with_its_context():
@@ -1238,7 +1291,7 @@ def test_unanswered_used_claims_leave_one_challenge_open():
     keys = {}
     for _ in range(3):
         nonce, key = crypto.fresh_nonce(world.rng), crypto.generate_symmetric_key(world.rng).key_bytes
-        attempt = payload("usedClaimReq", tid=tid, key=key)
+        attempt = payload("usedClaimReq", tid=tid, key=key, email=b1.email)
         send_keeping_no_thread(b1, b1.connections[mf.did], nonce, attempt)
         world.run_until_quiescent()
         keys[nonce] = key
@@ -1435,7 +1488,7 @@ def test_offered_credential_without_a_product_code_is_refused():
     nonce = crypto.fresh_nonce(world.rng)
     b1.connections[mf.did].threads[nonce] = ("ownershipClaimResp", {})  # a claim in flight
     conn = mf.connections[b1.did]
-    attributes = tuple((name, "x") for name in mf.products["PC-200"].to_attributes() if name != "productCode")
+    attributes = tuple((name, "x") for name in PRODUCT_ATTRIBUTE_NAMES if name != "productCode")
     nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, world.tick())
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
     world.run_until_quiescent()
@@ -1482,8 +1535,8 @@ def test_wallets_hold_only_live_state_over_round_trips(hand_overs):
     result = run_scenario(spec)
     assert result.ok
     mf, cast = result.cast["MF"], result.cast
-    assert mf.products["PC-100"].previously_sold_count == hand_overs
-    assert cast[owner].credentials["PC-100"].credential_id == mf.products["PC-100"].current_credential_id
+    assert sold_count(mf) == hand_overs
+    assert cast[owner].credentials["PC-100"].credential_id == mf.products["PC-100"].credential.credential_id
     assert cast[other].credentials == {}
     for wallet in (cast[owner], cast[other]):
         assert wallet.claiming == {} and wallet.sales == {}

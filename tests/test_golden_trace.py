@@ -26,42 +26,42 @@ from handover.simnet import World
 
 GOLDEN = {
     "new-purchase": (
-        "a941248840b063392c8bc7667e255929b3e4410c39cc4577429e01ea28088768",
+        "8154ba6f409a9822079a3828db289cc6547ae4cb500729ca3451579cd459ca0b",
         "b50bd021aadd2d5a1df4cbee19e620722a32fd325a8d46a3b4f63f95eb2b0d98",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "fb06b0d9214c46ee9c3463f8f9f1c71fe4fe2a18f08f357b13119e78bfb88100",
+        "a0500706b569ea33651a07c7fe4121b276ae4a2786f7aa1e242a3e050f0c4ede",
         "23f27ce5dbf3a524e181954fe6203d9bcf940a9c006dc7dfcd2083f0e15a2d6b",
         "ddff79d9b07e0b3f90e6af42f114b60e9e84d36cc3e11b5093ed30633c828ffc",
     ),
     "wrong-pin": (
-        "a1b37f1d9d008d96f88536f35baa4215ae83e0979783902c25ab7980589746d0",
+        "af4dee0a55f5064589ee295fd8021949560b26e7726d83d559e8fa0f37921605",
         "7c6fea3a06ead4a326690e16297b4aadfb03ee06b9f15851118a51248d51b237",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "eacd5fc91cc50b3325869bfaf9d22fb2327fff8c98b94b9483d0080743a07932",
+        "9e864364794956440526e864defff6c9d673c5dd05885e329b14005cb986579b",
         "2fef9be42627c8c788791d45d8b42d5453d5ad132fc7c667d52650b5979e773a",
         "a17350a18818393d49f8a5807415e1ff259d4b6f78a845098677335e8198cbb1",
     ),
     "duplicate-transfer": (
-        "a49a07c255d285dab5c2f95d508d732728f227c135d26f562d39b4493f2adefd",
+        "19473bea160f1626984f5c37958e0d54de1ccd423928cd16b36741f2fa792a0e",
         "1bcc4455e954b8d9746e3e98b9b9d42d6b08825639d95c4ad8e45361e4d6bfc7",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "167e3e4320cbe26cf3a71edd081b85096d469fde141d03f3ea9923b3d24902cc",
+        "3323e03490499aa563fd849f39dadd9c5ba8d3174be15b46ef3db7bbad633c06",
         "1723fa2eba7fcaeb21d060eed8ff0bbf87a6f252c3d7c85067b9e500240d9f55",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "b991b6f9363a233620d888a2adce3e34e9841f3a4706d13ac359430c3cd9e2da",
+        "82539cd21fbaa900ef92d07902246bac2acd6b118a41726fcbfe0983e184cf70",
         "df1d585873647c8f71f429c150d96017a82a51d5ee065540d47bee871d1d12a2",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "2ca12db99bf370ab0b4eff296743ae63c4e216b43fc4d8be9222c20f041b44d0",
+        "579a7837ab48736f05a49dc3a96d9ce2198bf57fa70f889d1d8fb0c21472dda7",
         "8d16f9c3a0bc7d28c3e193d4707e0e42471005b93d52fce3b46d19fca1b2382f",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
@@ -117,7 +117,7 @@ def test_the_full_trace_digest_covers_the_sale_legs_payloads(monkeypatch):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "27d098094b0b8f21726ae193aab15ca0494d779b1d63b786870231ca6021f08f",
+    "fe5a0d05bb95480ae0fea89db27ac18ce8826836b00ead8008b92ad94c613e39",
     "4ec361516d47e6cef55842b6dded7b3fd375fb5a9627d998ff83c8acec1cf909",
     "416423e96112ff36bbd3d808ba7b0cfb71f1149cc5ff37de88c61cf1279fd9dc",
 )

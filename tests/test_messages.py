@@ -64,7 +64,7 @@ def sample_payload(kind):
         "productSellingReq": dict(productCode="PC-100", distributorID="DS", email="b1@mail.local"),
         "productSellingResp": dict(tid=TID),
         "ownershipClaimReq": dict(tid=TID, pin="9X4K2M"),
-        "usedClaimReq": dict(tid=TID, key=b"\x00" * 32),
+        "usedClaimReq": dict(tid=TID, key=b"\x00" * 32, email="b2@mail.local"),
         "ownershipClaimResp": dict(credential=vc),
         "ownershipClaimAck": dict(),
         "PINReq": dict(tid=TID),
@@ -116,9 +116,9 @@ def test_claim_req_exactly_one_secret():
     with pytest.raises(PayloadError):
         payload("ownershipClaimReq", tid=TID, pin="9X4K2M", key=b"\x00" * 32)
     with pytest.raises(PayloadError):
-        payload("usedClaimReq", tid=TID, pin="9X4K2M", key=b"\x00" * 32)
+        payload("usedClaimReq", tid=TID, pin="9X4K2M", key=b"\x00" * 32, email="b2@mail.local")
     payload("ownershipClaimReq", tid=TID, pin="9X4K2M")
-    payload("usedClaimReq", tid=TID, key=b"\x00" * 32)
+    payload("usedClaimReq", tid=TID, key=b"\x00" * 32, email="b2@mail.local")
 
 
 def test_payload_validation_errors():

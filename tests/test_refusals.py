@@ -38,22 +38,16 @@ class Case:
 
 
 def _pending_used_claim(cast, key=KEY):
-    """A used claim of product PC-999 (not in the catalog) whose encrypted PIN ``key`` opens; returns its TID."""
+    """A pending used claim of PC-100 whose encrypted PIN ``key`` opens; returns its TID."""
     tid = mint_tid(cast["MF"].rng)
     encrypted_pin = crypto.sym_encrypt(crypto.SymmetricKey(key), 0, PIN.encode(), b"")
-    cast["MF"].claimants["PC-999"] = ClaimantAttribute("PC-999", tid, encrypted_pin=encrypted_pin)
+    cast["MF"].claimants["PC-100"] = ClaimantAttribute("PC-100", tid, encrypted_pin=encrypted_pin)
     return tid
-
-
-def _new_claim_of_a_missing_product(cast):
-    tid = mint_tid(cast["MF"].rng)
-    cast["MF"].claimants["PC-999"] = ClaimantAttribute("PC-999", tid, pin=PIN)
-    return payload("ownershipClaimReq", tid=tid, pin=PIN), "ownershipClaimResp", None
 
 
 def _used_claim_with_a_short_key(cast):
     tid = _pending_used_claim(cast)
-    return payload("usedClaimReq", tid=tid, key=b"\x00" * 5), "pinChallengeReq", None
+    return payload("usedClaimReq", tid=tid, key=b"\x00" * 5, email=cast["B2"].email), "pinChallengeReq", None
 
 
 def _transfer(code):
@@ -74,7 +68,8 @@ def _transfer_of_an_unsold_product(cast):
     return _transfer("PC-200")(cast)
 
 
-def _proof_signed_by_another_holder(cast):
+def _proof_of_b2s_credential_signed_by_b1(cast):
+    """From B2, a proof that another key signed; from B1, a copy of the current credential that MF issued to B2."""
     challenge, tid = crypto.fresh_nonce(cast["MF"].rng), mint_tid(cast["MF"].rng)
     context = {"productCode": "PC-100", "tid": tid, "encryptedPin": b"\x01" * 38, "challenge": challenge}
     presentation = present_proof(cast["B2"].credentials["PC-100"], challenge, cast["B1"].did_key)
@@ -85,7 +80,8 @@ def _challenge_answer(tid_of_answer=None, key=KEY, result=ANSWER):
     def setup(cast):
         tid = _pending_used_claim(cast)
         answer = payload("pinChallengeResp", tid=tid_of_answer or tid, challengeResult=result)
-        return answer, "ownershipClaimResp", {"tid": tid, "key": crypto.SymmetricKey(key), "challenge": (1234, "+")}
+        context = {"tid": tid, "key": crypto.SymmetricKey(key), "challenge": (1234, "+"), "email": cast["B2"].email}
+        return answer, "ownershipClaimResp", context
 
     return setup
 
@@ -123,13 +119,13 @@ def _claim(kind, reply_kind, **secret):
 
 CASES = [
     Case("B2", "MF", "ownershipClaimReq", "unknown-claim", _claim("ownershipClaimReq", "ownershipClaimResp", pin=PIN)),
-    Case("B2", "MF", "ownershipClaimReq", "unknown-product", _new_claim_of_a_missing_product),
-    Case("B2", "MF", "usedClaimReq", "unknown-tid", _claim("usedClaimReq", "pinChallengeReq", key=KEY)),
+    Case("B2", "MF", "usedClaimReq", "unknown-tid", _claim("usedClaimReq", "pinChallengeReq", key=KEY, email="b2@mail.local")),
     Case("B2", "MF", "usedClaimReq", "bad-key", _used_claim_with_a_short_key),
     Case("B2", "MF", "ownershipTransferReq", "duplicate-transfer", _transfer_while_one_is_pending),
     Case("B2", "MF", "ownershipTransferReq", "unknown-product", _transfer("PC-999")),
     Case("B2", "MF", "ownershipTransferReq", "not-transferable", _transfer_of_an_unsold_product),
-    Case("B2", "MF", "ownershipProofResp", "bad-holder-sig", _proof_signed_by_another_holder),
+    Case("B2", "MF", "ownershipProofResp", "bad-holder-sig", _proof_of_b2s_credential_signed_by_b1),
+    Case("B1", "MF", "ownershipProofResp", "not-holder", _proof_of_b2s_credential_signed_by_b1),
     Case("B2", "MF", "pinChallengeResp", "unknown-tid", _challenge_answer(tid_of_answer="ff" * 16)),
     Case("B2", "MF", "pinChallengeResp", "pin-decrypt", _challenge_answer(key=bytes(32))),
     Case("B2", "MF", "pinChallengeResp", "challenge-mismatch", _challenge_answer(result=ANSWER + 1)),
