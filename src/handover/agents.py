@@ -101,12 +101,11 @@ class Connection:
 
     conn_id: str
     local: crypto.KeyPair
-    remote_public_key: bytes
     remote_did: str
     remote_agent_id: str
     send_key: SymmetricKey = field(repr=False)
     receive_key: SymmetricKey = field(repr=False)
-    remote_kid: bytes = field(repr=False)  # the id of ``remote_public_key``, which every sealed message leads with
+    remote_kid: bytes = field(repr=False)  # the id of the peer's key, which every message sealed to it leads with
     threads: dict[bytes, tuple[str, dict]] = field(default_factory=dict)
     sent: int = 0
     received: int = 0
@@ -288,12 +287,11 @@ def establish_connection(inviter: Agent, invitee: Agent) -> tuple[Connection, Co
     on both sides, so replaying an invitation never recovers old traffic.
     """
     world = inviter.world
-    conn_id = world.rng.token(8).hex()
+    conn_id = world.rng.randbytes(8).hex()
     keys = {side: crypto.generate_keypair(world.transport_rng) for side in (inviter, invitee)}  # X25519: they only agree
     pair = crypto.channel_keys(keys[inviter], keys[invitee].public_key)  # the invitee's pair is the inviter's swapped
     for side, peer, (send, receive) in ((inviter, invitee, pair), (invitee, inviter, pair[::-1])):
-        remote = keys[peer]
-        conn = Connection(conn_id, keys[side], remote.public_key, peer.did, peer.agent_id, send, receive, remote.kid)
+        conn = Connection(conn_id, keys[side], peer.did, peer.agent_id, send, receive, keys[peer].kid)
         side.add_connection(conn)
     world.emit(
         channel=simnet.CHANNEL_CONTROL,
@@ -600,7 +598,7 @@ class WalletAgent(Agent):
         if tid in self.claiming:  # the first purchase keeps its secrets; a peer cannot overwrite them
             return "rejected:duplicate-tid"
         pin = mint_pin(self.rng)
-        key = crypto.generate_symmetric_key(self.rng)
+        key = SymmetricKey(self.rng.randbytes(crypto.SYM_KEY_LEN))
         encrypted_pin = crypto.sym_encrypt(key, 0, pin.encode("ascii"), b"")  # the key is fresh, so counter 0 is too
         self.claiming[tid] = OwnershipClaimingData(pin, key)
         self.world.emit(
@@ -699,7 +697,7 @@ class AdversaryWallet(WalletAgent):
             raise AgentActionError(f"unknown forgery mode {mode!r}")
         conn = self.connection_with(manufacturer_did)
         nonce = crypto.fresh_nonce(self.rng)
-        fake_pin_ct = self.rng.token(40)  # drawn before the TID
+        fake_pin_ct = self.rng.randbytes(40)  # drawn before the TID
         context = {"productCode": product_code, "mode": mode, "victimCredDefId": cred_def_id_of(manufacturer_did)}
         self._request_transfer(conn, nonce, product_code, mint_tid(self.rng), fake_pin_ct, context)
 

@@ -1,10 +1,10 @@
-"""Cryptographic toolkit: seeded randomness, signing and agreement keys,
-channel keys, hybrid and symmetric authenticated encryption, nonces, DID
-derivation.
+"""Cryptographic toolkit: signing and agreement keys, channel keys, hybrid and
+symmetric authenticated encryption, nonces, DID derivation.
 
-Every random draw goes through an injected :class:`Rng` handle so that a whole
-simulation run is reproducible from a single seed.  A key has one job, as DID
-Core keeps ``assertionMethod`` apart from ``keyAgreement``: an Ed25519
+Every random draw comes from an injected, seeded :class:`random.Random`
+(``simnet.World`` has two), so a whole simulation run is reproducible from a
+single seed; it is no CSPRNG, as determinism is the point.  A key has one job,
+as DID Core keeps ``assertionMethod`` apart from ``keyAgreement``: an Ed25519
 :class:`SigningKey` derives a DID and signs credentials and presentations; an
 X25519 :class:`KeyPair` only agrees.  Each is a raw 32-byte public key and a
 private key parsed once; a pair also carries its key id.  :func:`sym_encrypt`
@@ -59,26 +59,6 @@ class DecryptError(CryptoError):
     """Ciphertext failed authentication or is structurally invalid."""
 
 
-class Rng:
-    """Deterministic byte/number source; a world has two, one per concern (``simnet.World``).
-
-    Not a CSPRNG: determinism under a fixed seed is the point, so adversarial
-    scenarios replay bit-exactly.
-    """
-
-    def __init__(self, seed: int | str | None = None) -> None:
-        self._inner = random.Random(seed)
-
-    def token(self, n: int) -> bytes:
-        return self._inner.randbytes(n)
-
-    def randint(self, lo: int, hi: int) -> int:
-        return self._inner.randint(lo, hi)
-
-    def choice(self, seq):
-        return self._inner.choice(seq)
-
-
 @dataclass(frozen=True)
 class SigningKey:
     """An Ed25519 DID key; ``signer``, its private key, is outside ``==``, ``hash`` and ``repr``, and so every dump."""
@@ -112,16 +92,16 @@ class SymmetricKey:
         return SymmetricKey, (self.key_bytes,)
 
 
-def generate_keypair(rng: Rng) -> KeyPair:
+def generate_keypair(rng: random.Random) -> KeyPair:
     """Generate a fresh X25519 agreement pair from the injected RNG (32 bytes)."""
-    agreer = X25519PrivateKey.from_private_bytes(rng.token(32))
+    agreer = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     public_key = agreer.public_key().public_bytes_raw()
     return KeyPair(public_key, agreer, key_id(public_key))
 
 
-def generate_signing_key(rng: Rng) -> SigningKey:
+def generate_signing_key(rng: random.Random) -> SigningKey:
     """Generate a fresh Ed25519 DID key from the injected RNG (32 bytes)."""
-    signer = Ed25519PrivateKey.from_private_bytes(rng.token(32))
+    signer = Ed25519PrivateKey.from_private_bytes(rng.randbytes(32))
     return SigningKey(signer.public_key().public_bytes_raw(), signer)
 
 
@@ -176,15 +156,15 @@ def key_id(public_key: bytes) -> bytes:
     return hashlib.sha256(b"handover/key-id-v1" + public_key).digest()[:KEY_ID_LEN]
 
 
-def asym_encrypt(rng: Rng, public_key: bytes, plaintext: bytes) -> bytes:
+def asym_encrypt(rng: random.Random, public_key: bytes, plaintext: bytes) -> bytes:
     """Hybrid encryption to ``public_key`` (ECDH-ES, RFC 7518 4.6): recipient key id (8) || ephemeral X25519 key (32)
     || AES-GCM IV (12) || ciphertext+tag, under a key that hashes in the ephemeral and the recipient's key."""
     _check_key(public_key, "public key")
-    ephemeral = X25519PrivateKey.from_private_bytes(rng.token(32))
+    ephemeral = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
     eph_pub = ephemeral.public_key().public_bytes_raw()
     shared = ephemeral.exchange(X25519PublicKey.from_public_bytes(public_key))
     key = _hybrid_key(shared, eph_pub, public_key)
-    iv = rng.token(_GCM_IV_LEN)
+    iv = rng.randbytes(_GCM_IV_LEN)
     return key_id(public_key) + eph_pub + iv + AESGCM(key).encrypt(iv, bytes(plaintext), None)
 
 
@@ -204,10 +184,6 @@ def asym_decrypt(keys: KeyPair, ciphertext: bytes) -> bytes:
         raise DecryptError("authentication failed") from exc
 
 
-def generate_symmetric_key(rng: Rng) -> SymmetricKey:
-    return SymmetricKey(rng.token(SYM_KEY_LEN))
-
-
 def sym_encrypt(key: SymmetricKey, counter: int, plaintext: bytes, associated_data: bytes) -> bytes:
     """AES-GCM with ``counter`` as the 12-byte big-endian IV: ciphertext+tag, the tag also over ``associated_data``."""
     return key.aead.encrypt(counter.to_bytes(_GCM_IV_LEN, "big"), bytes(plaintext), associated_data)
@@ -221,9 +197,9 @@ def sym_decrypt(key: SymmetricKey, counter: int, ciphertext: bytes, associated_d
         raise DecryptError("authentication failed") from exc
 
 
-def fresh_nonce(rng: Rng) -> bytes:
+def fresh_nonce(rng: random.Random) -> bytes:
     """Draw a fresh 16-byte nonce; collisions are negligible at simulation scale."""
-    return rng.token(NONCE_LEN)
+    return rng.randbytes(NONCE_LEN)
 
 
 def derive_did(verification_key: bytes) -> str:

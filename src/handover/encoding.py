@@ -1,9 +1,10 @@
 """Deterministic, injective binary encoding for everything that gets signed or encrypted.
 
 A tiny tagged length-prefixed format: two values encode to the same bytes only
-if they are equal, and decoding inverts encoding exactly.  Supported values:
-``None``, ``int``, ``str``, ``bytes``, :class:`fractions.Fraction`, and
-(nested) lists of those, at most ``MAX_NESTING`` deep when decoded.
+if they are equal, and decoding inverts encoding exactly.  It carries exactly
+the five types the wire does: ``int``, ``str``, ``bytes``,
+:class:`fractions.Fraction`, and (nested) lists of those, at most
+``MAX_NESTING`` deep when decoded.
 :func:`plain` and :func:`canonical_json` render engine state for the trace.
 """
 
@@ -23,7 +24,7 @@ class EncodingError(Exception):
 
 
 _HEAD = struct.Struct(">BI")  # tag, then a 4-byte big-endian length or item count
-_N, _I, _S, _B, _Q, _L = b"NISBQL"  # the decoder compares tags as integers
+_I, _S, _B, _Q, _L = b"ISBQL"  # the decoder compares tags as integers
 MAX_NESTING = 32  # lists and fractions the decoder accepts inside one another; the engine's values nest 5 deep
 _DUMPED: dict[type, tuple[str, ...]] = {}  # a dataclass -> the names of the fields :func:`plain` dumps
 
@@ -32,15 +33,13 @@ def _write(out: bytearray, value: Any) -> None:
     if isinstance(value, str):
         raw = value.encode()
         out += _HEAD.pack(_S, len(raw)) + raw
-    elif isinstance(value, (bytes, bytearray)):
+    elif isinstance(value, bytes):
         out += _HEAD.pack(_B, len(value))
         out += value
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         out += _HEAD.pack(_L, len(value))
         for item in value:
             _write(out, item)
-    elif value is None:
-        out += b"N"
     elif isinstance(value, int) and not isinstance(value, bool):  # booleans are not part of the wire format
         raw = str(value).encode()
         out += _HEAD.pack(_I, len(raw)) + raw
@@ -60,7 +59,7 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
     start = pos + 5
     if start <= len(data):
         tag, length = _HEAD.unpack_from(data, pos)
-    elif pos < len(data):  # too short for a head: an N or a Q, or any length overruns the input
+    elif pos < len(data):  # too short for a head: a Q, or any length overruns the input
         tag, length = data[pos], len(data)
     else:
         raise EncodingError("unexpected end of input")
@@ -86,8 +85,6 @@ def _decode_at(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
         if tag == _I and str(value).encode() != raw:
             raise EncodingError("integer digits are not canonical")
         return value, end
-    if tag == _N:
-        return None, pos + 1
     if tag == _Q:
         num, pos = _decode_at(data, pos + 1, depth + 1)
         den, pos = _decode_at(data, pos, depth + 1)
@@ -112,18 +109,15 @@ def encode(values: Sequence[Any]) -> bytes:
 
 def plain(value: Any) -> Any:
     """JSON-ready form of engine state: a dataclass becomes its fields by name, without those declared
-    ``repr=False``; bytes become hex, sets sorted lists, tuples and deques lists, and a dict key its plain
-    form."""
+    ``repr=False``; bytes become hex, tuples and deques lists, and a dict key its plain form."""
     if value is None or isinstance(value, (str, int)):  # the leaves, most of a dump
         return value
-    if isinstance(value, (bytes, bytearray)):
+    if isinstance(value, bytes):
         return value.hex()
     if isinstance(value, (list, tuple, deque)):
         return [plain(item) for item in value]
     if isinstance(value, dict):
         return {plain(k): plain(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return sorted(map(plain, value))
     names = _DUMPED.get(type(value)) or _DUMPED.setdefault(type(value), tuple(f.name for f in fields(value) if f.repr))
     return {name: plain(getattr(value, name)) for name in names}  # fields() raises unless a dataclass
 

@@ -37,6 +37,7 @@ one under no open thread still says why.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,12 +75,12 @@ class MessagePayload:
         validate_payload(self)  # so every payload is valid by construction
 
 
-def mint_tid(rng: crypto.Rng) -> str:
+def mint_tid(rng: random.Random) -> str:
     """Fresh tracking id, hex rendering of 16 random bytes."""
-    return rng.token(TID_LEN).hex()
+    return rng.randbytes(TID_LEN).hex()
 
 
-def mint_pin(rng: crypto.Rng) -> str:
+def mint_pin(rng: random.Random) -> str:
     """Fresh 6-8 character alphanumeric PIN."""
     length = rng.randint(6, 8)
     return "".join(rng.choice(PIN_ALPHABET) for _ in range(length))

@@ -9,13 +9,14 @@ traces replay byte-identically.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import crypto
 from .encoding import plain
-from .messages import Envelope, MessagePayload, canonical_encode_payload, seal, unseal_at_mediator
+from .messages import Envelope, MessagePayload, canonical_encode_payload, layer_counter, seal, unseal_at_mediator
 from .registry import VerifiableDataRegistry
 
 MEDIATOR_ID = "MD"
@@ -66,12 +67,16 @@ class SimError(Exception):
 @dataclass
 class Mediator:
     """Honest-but-curious relay: reads routing headers, forwards sealed payloads, holds them only while offline.
-    A sender's enrollment agrees with ``keys`` (``World.route``), so the mediator runs no agreement of its own."""
+    A sender's enrollment agrees with ``keys`` (``World.route``), so the mediator runs no agreement of its own.
+    Each sender's envelopes arrive in order, so an outer counter not above the last one opened under its route id
+    is a replay, refused before any decryption; a counter counts only once its layer authenticates (RFC 4303
+    3.4.3), so a forgery under another sender's route id cannot spend that sender's counters."""
 
     keys: crypto.KeyPair = field(repr=False)
     routes: dict[str, str] = field(default_factory=dict)
     queues: dict[str, deque] = field(default_factory=dict)  # offline agent id -> (inner layer, kind, meta) held for it
     route_keys: dict[bytes, crypto.SymmetricKey] = field(default_factory=dict, repr=False)  # route id -> route key
+    opened: dict[bytes, int] = field(default_factory=dict, repr=False)  # route id -> last outer counter opened
 
     def enroll(self, route_key: crypto.SymmetricKey) -> bytes:
         """Keep a sender's route key under the next route id, which that sender's envelopes lead with."""
@@ -80,10 +85,15 @@ class Mediator:
         return route_id
 
     def handle(self, world: "World", event: DeliveryEvent) -> str:
+        outer = event.body.outer_ciphertext
+        route_id, counter = outer[: crypto.KEY_ID_LEN], layer_counter(outer)
+        if counter <= self.opened.get(route_id, -1):
+            return "dead-letter:replay"
         try:
             recipient_did, inner = unseal_at_mediator(self.route_keys, event.body)
         except crypto.DecryptError:
             return "dead-letter:unreadable"
+        self.opened[route_id] = counter
         agent = world.agents.get(self.routes.get(recipient_did))
         if agent is None:
             return "dead-letter"
@@ -99,7 +109,7 @@ class Mediator:
         return "queued"
 
     def state_dump(self) -> dict:
-        """Routes and queues; its key pair and the route keys stay out."""
+        """Routes and queues; its key pair, the route keys and their counters stay out."""
         return plain(self)
 
 
@@ -107,8 +117,8 @@ class World:
     """One simulation universe: registry, mediator, agents, scheduler, trace."""
 
     def __init__(self, seed: int = 0) -> None:
-        self.rng = crypto.Rng(f"protocol:{seed}")  # what payloads, emails and the ledger carry
-        self.transport_rng = crypto.Rng(f"transport:{seed}")  # every X25519 pair, and the spoofs' keys and nonces
+        self.rng = random.Random(f"protocol:{seed}")  # what payloads, emails and the ledger carry
+        self.transport_rng = random.Random(f"transport:{seed}")  # every X25519 pair, and the spoofs' keys and nonces
         self.clock = 0
         self._seq = 0
         self._queue: deque[DeliveryEvent] = deque()

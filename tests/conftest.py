@@ -1,10 +1,10 @@
+import random
 import struct
 
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from handover import crypto
-from handover.crypto import Rng
 from handover.encoding import encode
 from handover.messages import REPLIES, Envelope
 from handover.scenarios import builtin_scenario, run_scenario
@@ -12,7 +12,7 @@ from handover.scenarios import builtin_scenario, run_scenario
 
 @pytest.fixture
 def rng():
-    return Rng(7)
+    return random.Random(7)
 
 
 @pytest.fixture(scope="session")
@@ -107,7 +107,7 @@ def send_plain(world, sender, recipient, plain, kind):
     ``recipient``, under its send key and its next counter, and deliver it; returns that inner layer."""
     conn = sender.connections[recipient.did]
     conn.sent += 1
-    inner = layer(crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent)
+    inner = layer(conn.remote_kid, conn.send_key, plain, conn.sent)
     send_inner(world, recipient, inner, kind)
     return inner
 

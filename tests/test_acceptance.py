@@ -5,6 +5,7 @@ report.  Every tolerance is pinned here; nothing is deferred.
 """
 
 import dataclasses
+import random
 import time
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from handover.agents import (
     pin_numeric,
 )
 from handover.credential import present_proof, verify_presentation
-from handover.crypto import Rng, generate_symmetric_key, sym_encrypt
+from handover.crypto import SymmetricKey, sym_encrypt
 from handover.encoding import canonical_json
 from handover.invariants import scan_trace
 from handover.messages import CHALLENGE_TYPES, mint_pin
@@ -85,7 +86,7 @@ def test_criterion_02_full_transfer_lifecycle():
 
 
 def test_criterion_03_pin_challenge_soundness():
-    rng = Rng(12321)
+    rng = random.Random(12321)
     world, cast = build_world(builtin_scenario("full-lifecycle"))
     mf = cast["MF"]
     false_accepts = false_rejects = 0
@@ -101,7 +102,7 @@ def test_criterion_03_pin_challenge_soundness():
         challenge_by = rng.randint(100, 9999)
         challenge_type = CHALLENGE_TYPES[sample % 4]
         ops_seen[challenge_type] += 1
-        key = generate_symmetric_key(rng)
+        key = SymmetricKey(rng.randbytes(32))
         claim = ClaimantAttribute(
             product_code="PC-100",
             tid="00" * 16,
@@ -157,7 +158,7 @@ def test_criterion_05_tamper_suite():
     # part A: flipping any of 64 sampled ciphertext positions is rejected
     result = fresh_lifecycle()
     world = result.world
-    sampler = Rng(999)
+    sampler = random.Random(999)
     before = _protocol_snapshot(world)
     flips = 0
     for seq in sorted(world.wire_log):

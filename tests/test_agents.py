@@ -203,7 +203,7 @@ def test_establish_connection_roundtrip():
     world, cast = make_world()
     a, b = establish_connection(cast["B1"], cast["B2"])
     assert a.conn_id == b.conn_id
-    assert a.remote_public_key == b.local.public_key
+    assert (a.remote_kid, b.remote_kid) == (b.local.kid, a.local.kid)
     # ping: a PINReq flows B1 -> MD -> B2 and the wallet answers
     cast["B1"].start_sell(cast["B2"].did, "PC-100")
     world.run_until_quiescent()
@@ -999,7 +999,7 @@ def test_used_claim_wrong_key_rejected_state_unchanged():
     run_transfer(world, cast)
     establish_connection(cast["B2"], cast["MF"])
     tid, entry = purchase(cast["B2"])
-    entry.key = crypto.generate_symmetric_key(world.rng)  # adversary swaps the key
+    entry.key = crypto.SymmetricKey(world.rng.randbytes(32))  # adversary swaps the key
     cast["B2"].claim_used(cast["MF"].did, tid)
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "pinChallengeResp"]
@@ -1206,7 +1206,7 @@ def test_seller_claim_in_flight_does_not_overwrite_the_buyers_challenge():
     tid, _ = b1.sales["PC-100"]
     b2.claim_used(mf.did, tid)
     # the seller minted the TID: it claims with a key of its own before B2 answers its challenge
-    rival = payload("usedClaimReq", tid=tid, key=crypto.generate_symmetric_key(world.rng).key_bytes, email=b1.email)
+    rival = payload("usedClaimReq", tid=tid, key=world.rng.randbytes(32), email=b1.email)
     b1.send(b1.connections[mf.did], crypto.fresh_nonce(world.rng), rival)
     world.run_until_quiescent()
     claims = [r["verdict"] for r in world.trace if r["to"] == "MF" and r["kind"] == "usedClaimReq"]
@@ -1271,10 +1271,12 @@ def test_no_trace_holds_private_key_material(name):
         assert key.public_key.hex() in text
         assert private.private_bytes_raw().hex() not in text
     assert result.world.mediator.keys.agreer.private_bytes_raw().hex() not in text
-    for conn in connections:
-        shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(conn.remote_public_key))
-        for secret in (conn.send_key.key_bytes, conn.receive_key.key_bytes, shared):
-            assert secret.hex() not in text
+    for agent in agents:
+        for conn in agent.connections.values():
+            peer = result.world.agents[conn.remote_agent_id].connections[agent.did].local.public_key
+            shared = conn.local.agreer.exchange(crypto.X25519PublicKey.from_public_bytes(peer))
+            for secret in (conn.send_key.key_bytes, conn.receive_key.key_bytes, shared):
+                assert secret.hex() not in text
     route_keys = result.world.mediator.route_keys
     assert len(route_keys) == len({r["from"] for r in result.world.trace if r["to"] == "MD"})  # one per sender
     for route_key in route_keys.values():
@@ -1290,7 +1292,7 @@ def test_unanswered_used_claims_leave_one_challenge_open():
     # the seller claims with the TID it minted and made-up keys, and never answers a challenge
     keys = {}
     for _ in range(3):
-        nonce, key = crypto.fresh_nonce(world.rng), crypto.generate_symmetric_key(world.rng).key_bytes
+        nonce, key = crypto.fresh_nonce(world.rng), world.rng.randbytes(32)
         attempt = payload("usedClaimReq", tid=tid, key=key, email=b1.email)
         send_keeping_no_thread(b1, b1.connections[mf.did], nonce, attempt)
         world.run_until_quiescent()
@@ -1743,17 +1745,19 @@ def authenticated_plain(recipient, inner):
 
 
 def test_replay_step_spends_no_endpoint_crypto(monkeypatch):
-    # a byte-exact copy is a replay before decryption: the replay step only
-    # opens the outer layer of the 16 replayed sender-to-mediator envelopes
+    # a byte-exact copy is a replay before decryption, at whichever hop it is replayed: the mediator opens none of
+    # the 16 replayed sender-to-mediator envelopes, and no agent any of the 16 replayed inner layers
     spec = builtin_scenario("replay-attack")
     world, cast = build_world(spec)
     for step in spec.script[:-1]:
         assert execute_step(world, cast, spec, step) == step.expect
+    mark = len(world.trace)
     unseals = count_calls(monkeypatch, simnet, "unseal_at_mediator")
     opens = count_calls(monkeypatch, messages, "open_inner")
     assert execute_step(world, cast, spec, spec.script[-1]) == "all-rejected"
-    assert (len(unseals), len(opens)) == (16, 0)
-    assert all(keys is world.mediator.route_keys for keys in unseals)
+    assert (len(unseals), len(opens)) == (0, 0)
+    verdicts = collections.Counter(r["verdict"] for r in world.trace[mark:] if r["channel"] == "ssi")
+    assert verdicts == {"dead-letter:replay": 16, "rejected:replay": 16}
 
 
 def test_replayed_spoof_is_checked_again(monkeypatch):
@@ -1828,7 +1832,7 @@ def test_every_delivery_reflected_to_its_sender_fails_the_tag():
         sender = world.agents[named.remote_agent_id]
         plain = authenticated_plain(recipient, event.body)
         counter = sender.connections[recipient.did].received + 1  # past the sender's replay check
-        inner = layer(crypto.key_id(named.remote_public_key), named.receive_key, plain, counter)
+        inner = layer(named.remote_kid, named.receive_key, plain, counter)
         send_inner(world, sender, inner, event.kind)
         assert (world.trace[-1]["to"], world.trace[-1]["verdict"]) == (sender.agent_id, "rejected:bad-signature")
     assert len(deliveries) == 16
@@ -1908,7 +1912,7 @@ def settled():
     return fresh_lifecycle()
 
 
-NOT_A_FIELD = st.one_of(st.binary(max_size=40), st.integers(), st.none())  # no field type admits these alone
+NOT_A_FIELD = st.one_of(st.binary(max_size=40), st.integers())  # no field type admits these alone
 
 
 @st.composite
@@ -2002,7 +2006,7 @@ MALFORMED_INNER = {
     "empty": (b"", "malformed-payload"),
     "one-short-of-a-nonce": (b"\x00" * 15, "malformed-payload"),
     # a nonce, then bytes that are no payload: the labelled layouts framed nonce and payload by the codec
-    "none-nonce": (encode(["inner", None, b""]), "malformed-payload"),
+    "none-nonce": (b"L\x00\x00\x00\x03S\x00\x00\x00\x05innerNB\x00\x00\x00\x00", "malformed-payload"),
     "old-five-field": (encode(["inner", "did:handover:x", b"\x00" * 16, b"", b""]), "malformed-payload"),
     "old-four-field": (encode(["inner", b"\x00" * 16, b"", b"\x00" * 32]), "malformed-payload"),
     "nonce-only": (b"\x00" * 16, "malformed-payload"),
@@ -2022,7 +2026,7 @@ def _deliver_from_b1(settled, plain):
     """MF's verdict on ``plain`` authenticated under B1's send key, delivered straight from the mediator."""
     mf, b1 = settled.cast["MF"], settled.cast["B1"]
     conn = b1.connections[mf.did]
-    body = layer(crypto.key_id(conn.remote_public_key), conn.send_key, plain, conn.sent + 1)
+    body = layer(conn.remote_kid, conn.send_key, plain, conn.sent + 1)
     return mf.deliver(DeliveryEvent(0, 0, frm="MD", to="MF", channel=CHANNEL_SSI, body=body, kind="x"))
 
 

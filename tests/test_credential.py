@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from handover.credential import (
     verify_credential_signature,
     verify_presentation,
 )
-from handover.crypto import Rng, derive_did, fresh_nonce, generate_signing_key
+from handover.crypto import derive_did, fresh_nonce, generate_signing_key
 from handover.registry import VerifiableDataRegistry
 
 from conftest import vc_signed
@@ -198,7 +199,7 @@ ATTRIBUTE_VALUES = st.fixed_dictionaries({name: st.text(max_size=12) for name in
 @given(attrs=ATTRIBUTE_VALUES, issued_at=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_wire_form_roundtrip_property(attrs, issued_at):
-    env = make_issuer_env(Rng(issued_at))
+    env = make_issuer_env(random.Random(issued_at))
     vc = issue(env, attrs, issued_at)
     wire = vc_to_wire(vc)
     assert wire == [vc.signed, vc.issuer_signature]
@@ -210,7 +211,7 @@ def test_wire_form_roundtrip_property(attrs, issued_at):
 @settings(max_examples=60, deadline=None)
 def test_any_byte_change_to_signed_bytes_is_caught_property(attrs, data):
     # a credential whose signed bytes changed either no longer decodes or no longer carries its issuer's signature
-    env = make_issuer_env(Rng(3))
+    env = make_issuer_env(random.Random(3))
     vc = issue(env, attrs)
     index = data.draw(st.integers(0, len(vc.signed) - 1), label="index")
     mask = data.draw(st.integers(1, 255), label="mask")

@@ -1,5 +1,6 @@
 import collections
 import copy
+import random
 import sys
 
 import pytest
@@ -13,7 +14,6 @@ from handover.scenarios import BUILTIN_SCENARIOS, builtin_scenario, parse_scenar
 from handover.crypto import (
     DecryptError,
     KeyFormatError,
-    Rng,
     SymmetricKey,
     asym_decrypt,
     asym_encrypt,
@@ -21,7 +21,6 @@ from handover.crypto import (
     fresh_nonce,
     generate_keypair,
     generate_signing_key,
-    generate_symmetric_key,
     sign,
     sym_decrypt,
     sym_encrypt,
@@ -30,26 +29,26 @@ from handover.crypto import (
 
 
 def test_same_seed_same_draws_byte_identical_keypair():
-    # re-run oracle: an independent Rng with the same seed replays the draws
-    first = generate_signing_key(Rng(42))
-    second = generate_signing_key(Rng(42))
+    # re-run oracle: an independent random.Random with the same seed replays the draws
+    first = generate_signing_key(random.Random(42))
+    second = generate_signing_key(random.Random(42))
     assert first.public_key == second.public_key
     assert sign(first, b"same draws") == sign(second, b"same draws")  # Ed25519 signing is deterministic
-    assert generate_keypair(Rng(42)).public_key == generate_keypair(Rng(42)).public_key
+    assert generate_keypair(random.Random(42)).public_key == generate_keypair(random.Random(42)).public_key
 
 
 def test_independent_states_distinct_keys():
     for generate in (generate_keypair, generate_signing_key):
-        assert generate(Rng(42)).public_key != generate(Rng(43)).public_key
+        assert generate(random.Random(42)).public_key != generate(random.Random(43)).public_key
 
 
 def test_same_seed_identical_nonces_and_ciphertexts():
-    a, b = Rng(9), Rng(9)
+    a, b = random.Random(9), random.Random(9)
     key_a, key_b = generate_keypair(a), generate_keypair(b)
     assert fresh_nonce(a) == fresh_nonce(b)
     ct_a = asym_encrypt(a, key_a.public_key, b"x")
     assert ct_a == asym_encrypt(b, key_b.public_key, b"x")
-    sym_a, sym_b = generate_symmetric_key(a), generate_symmetric_key(b)
+    sym_a, sym_b = SymmetricKey(a.randbytes(32)), SymmetricKey(b.randbytes(32))
     assert sym_encrypt(sym_a, 1, b"x", b"") == sym_encrypt(sym_b, 1, b"x", b"")
 
 
@@ -60,14 +59,14 @@ def test_two_draws_from_one_rng_distinct(rng):
 
 
 def test_each_key_draws_32_bytes_and_parses_one_private_key():
-    rng, replica = Rng(3), Rng(3)
+    rng, replica = random.Random(3), random.Random(3)
     did_key, agreement = generate_signing_key(rng), generate_keypair(rng)
-    signer = crypto.Ed25519PrivateKey.from_private_bytes(replica.token(32))
-    agreer = crypto.X25519PrivateKey.from_private_bytes(replica.token(32))
+    signer = crypto.Ed25519PrivateKey.from_private_bytes(replica.randbytes(32))
+    agreer = crypto.X25519PrivateKey.from_private_bytes(replica.randbytes(32))
     assert did_key.public_key == signer.public_key().public_bytes_raw()
     assert agreement.public_key == agreer.public_key().public_bytes_raw()
     assert agreement.kid == crypto.key_id(agreement.public_key)
-    assert rng.token(8) == replica.token(8)
+    assert rng.randbytes(8) == replica.randbytes(8)
 
 
 def test_sign_verify_roundtrip(rng):
@@ -86,7 +85,7 @@ def test_verify_wrong_key_fails(rng):
 def test_single_bit_flip_oracle(rng):
     # exhaustive: flipping any single bit of a 32-byte message breaks the signature
     keys = generate_signing_key(rng)
-    message = rng.token(32)
+    message = rng.randbytes(32)
     sig = sign(keys, message)
     for byte_index in range(32):
         for bit in range(8):
@@ -106,7 +105,7 @@ def test_sign_malformed_key(rng):
         verify(b"\x00" * 3, b"abc", b"\x00" * 64)
     # a key's parsed private key and key id take no part in ==, hash or repr
     for generate, private in ((generate_keypair, "agreer"), (generate_signing_key, "signer")):
-        first, second = generate(Rng(42)), generate(Rng(42))
+        first, second = generate(random.Random(42)), generate(random.Random(42))
         assert getattr(first, private) is not getattr(second, private)
         assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
         assert "signer" not in repr(first) and "agreer" not in repr(first) and "kid" not in repr(first)
@@ -225,11 +224,11 @@ def test_asym_wrong_private_key(rng):
 
 
 def test_asym_encrypt_draws_a_fresh_ephemeral_key_then_its_iv():
-    keys = generate_keypair(Rng(5))
-    rng, replica = Rng(11), Rng(11)
+    keys = generate_keypair(random.Random(5))
+    rng, replica = random.Random(11), random.Random(11)
     ct = asym_encrypt(rng, keys.public_key, b"route key")
-    eph_pub = crypto.X25519PrivateKey.from_private_bytes(replica.token(32)).public_key().public_bytes_raw()
-    assert ct[crypto.KEY_ID_LEN : crypto.KEY_ID_LEN + 44] == eph_pub + replica.token(12)
+    eph_pub = crypto.X25519PrivateKey.from_private_bytes(replica.randbytes(32)).public_key().public_bytes_raw()
+    assert ct[crypto.KEY_ID_LEN : crypto.KEY_ID_LEN + 44] == eph_pub + replica.randbytes(12)
     assert asym_encrypt(rng, keys.public_key, b"route key")[crypto.KEY_ID_LEN :][:32] != eph_pub
 
 
@@ -254,14 +253,14 @@ def test_asym_truncated_ciphertext(rng):
 
 
 def test_sym_roundtrip_pin(rng):
-    key = generate_symmetric_key(rng)
+    key = SymmetricKey(rng.randbytes(32))
     assert sym_decrypt(key, 0, sym_encrypt(key, 0, b"PIN:9X4K2M", b""), b"") == b"PIN:9X4K2M"
 
 
 def test_sym_associated_data_is_bound_and_empty_is_plain_gcm():
     # a PIN passes no associated data, and its bytes are those of AES-GCM with none, under the 12-byte
     # big-endian form of the counter as the IV and with no IV in front
-    key = generate_symmetric_key(Rng(3))
+    key = SymmetricKey(random.Random(3).randbytes(32))
     for counter in (0, 1, 2**64 - 1):
         iv = counter.to_bytes(12, "big")
         assert sym_encrypt(key, counter, b"PIN:9X4K2M", b"") == AESGCM(key.key_bytes).encrypt(iv, b"PIN:9X4K2M", None)
@@ -274,7 +273,7 @@ def test_sym_associated_data_is_bound_and_empty_is_plain_gcm():
 
 def test_sym_flip_every_byte_rejected(rng):
     # flip-one-byte oracle, exhaustive over the whole ciphertext
-    key = generate_symmetric_key(rng)
+    key = SymmetricKey(rng.randbytes(32))
     ct = sym_encrypt(key, 0, b"PIN:9X4K2M", b"")
     for index in range(len(ct)):
         mutated = bytearray(ct)
@@ -284,8 +283,8 @@ def test_sym_flip_every_byte_rejected(rng):
 
 
 def test_sym_wrong_key_never_silently_succeeds(rng):
-    key = generate_symmetric_key(rng)
-    other = generate_symmetric_key(rng)
+    key = SymmetricKey(rng.randbytes(32))
+    other = SymmetricKey(rng.randbytes(32))
     ct = sym_encrypt(key, 0, b"payload", b"")
     with pytest.raises(DecryptError):
         sym_decrypt(other, 0, ct, b"")
@@ -293,16 +292,16 @@ def test_sym_wrong_key_never_silently_succeeds(rng):
 
 def test_sym_distinct_keys_distinct_ciphertexts():
     # two keys under one counter and one plaintext give two ciphertexts
-    rng = Rng(5)
-    k1 = generate_symmetric_key(rng)
-    k2 = generate_symmetric_key(rng)
+    rng = random.Random(5)
+    k1 = SymmetricKey(rng.randbytes(32))
+    k2 = SymmetricKey(rng.randbytes(32))
     assert sym_encrypt(k1, 1, b"same", b"") != sym_encrypt(k2, 1, b"same", b"")
 
 
 def test_sym_counter_is_the_only_iv(rng):
     # the counter is the IV, so one key and one counter always give one ciphertext (which is why no key may see
     # a counter twice); another counter gives another, and only the counter that made a ciphertext opens it
-    key = generate_symmetric_key(rng)
+    key = SymmetricKey(rng.randbytes(32))
     assert sym_encrypt(key, 1, b"same", b"") == sym_encrypt(key, 1, b"same", b"")
     assert sym_encrypt(key, 1, b"same", b"") != sym_encrypt(key, 2, b"same", b"")
     with pytest.raises(DecryptError):
@@ -311,7 +310,7 @@ def test_sym_counter_is_the_only_iv(rng):
 
 def test_sym_decrypt_of_a_ciphertext_shorter_than_the_tag_raises_decrypt_error(rng):
     # a ciphertext of 0-15 bytes cannot hold the 16-byte tag; AES-GCM refuses it like any forgery
-    key = generate_symmetric_key(rng)
+    key = SymmetricKey(rng.randbytes(32))
     for length in range(16):
         with pytest.raises(DecryptError):
             sym_decrypt(key, 0, b"\x00" * length, b"")
@@ -347,7 +346,7 @@ def test_did_distinct_keys_distinct_ids(rng):
 @given(message=st.binary(min_size=1, max_size=600), seed=st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_sign_verify_property(message, seed):
-    rng = Rng(seed)
+    rng = random.Random(seed)
     keys = generate_signing_key(rng)
     assert verify(keys.public_key, message, sign(keys, message))
 
@@ -357,7 +356,7 @@ def test_sign_verify_property(message, seed):
 def test_each_key_does_its_one_job_property(message, seed):
     # a DID key, which signs (test_sign_verify_property), cannot agree; an agreement key agrees the same way
     # from both sides but cannot sign
-    rng = Rng(seed)
+    rng = random.Random(seed)
     did_key, a, b = generate_signing_key(rng), generate_keypair(rng), generate_keypair(rng)
     with pytest.raises(AttributeError):
         crypto.channel_keys(did_key, a.public_key)
@@ -389,7 +388,7 @@ def test_the_peer_of_a_channel_gets_its_keys_swapped_property(secrets):
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_hybrid_roundtrip_property(message, seed):
-    rng = Rng(seed)
+    rng = random.Random(seed)
     keys = generate_keypair(rng)
     assert asym_decrypt(keys, asym_encrypt(rng, keys.public_key, message)) == message
 
@@ -397,7 +396,7 @@ def test_hybrid_roundtrip_property(message, seed):
 @given(message=st.binary(max_size=600), seed=st.integers(0, 2**32), counter=st.integers(0, 2**64 - 1))
 @settings(max_examples=40, deadline=None)
 def test_symmetric_roundtrip_property(message, seed, counter):
-    key = generate_symmetric_key(Rng(seed))
+    key = SymmetricKey(random.Random(seed).randbytes(32))
     assert sym_decrypt(key, counter, sym_encrypt(key, counter, message, b""), b"") == message
 
 

@@ -26,37 +26,37 @@ from handover.simnet import World
 
 GOLDEN = {
     "new-purchase": (
-        "8154ba6f409a9822079a3828db289cc6547ae4cb500729ca3451579cd459ca0b",
+        "56d4ccccc55b6bfd07314b44473e0c3fa66f79d3a34d52f2ace394dc7ccd1d94",
         "b50bd021aadd2d5a1df4cbee19e620722a32fd325a8d46a3b4f63f95eb2b0d98",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "a0500706b569ea33651a07c7fe4121b276ae4a2786f7aa1e242a3e050f0c4ede",
+        "e0a129c8d8393016f7189cf855501be3d376f911abfdfa3c8ecb9c1ef1cbb27f",
         "23f27ce5dbf3a524e181954fe6203d9bcf940a9c006dc7dfcd2083f0e15a2d6b",
         "ddff79d9b07e0b3f90e6af42f114b60e9e84d36cc3e11b5093ed30633c828ffc",
     ),
     "wrong-pin": (
-        "af4dee0a55f5064589ee295fd8021949560b26e7726d83d559e8fa0f37921605",
+        "90bac0384184bb574a0120d95592a6ad97ab32149e74bdd02be1aca9805558ac",
         "7c6fea3a06ead4a326690e16297b4aadfb03ee06b9f15851118a51248d51b237",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "9e864364794956440526e864defff6c9d673c5dd05885e329b14005cb986579b",
+        "b3416f9708a35d911004987c89450febf9a3443b6e061f4afe282af9d7dbdf15",
         "2fef9be42627c8c788791d45d8b42d5453d5ad132fc7c667d52650b5979e773a",
-        "a17350a18818393d49f8a5807415e1ff259d4b6f78a845098677335e8198cbb1",
+        "ca1c4a7cb70700e0dea63d4ff2c2c865e2a4a1e951f98f6c2e1b7ed07eeb72af",
     ),
     "duplicate-transfer": (
-        "19473bea160f1626984f5c37958e0d54de1ccd423928cd16b36741f2fa792a0e",
+        "bbf7d629681d40131d4ad219b785845b32d57174e9d2f32c009331f1d6616af5",
         "1bcc4455e954b8d9746e3e98b9b9d42d6b08825639d95c4ad8e45361e4d6bfc7",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "3323e03490499aa563fd849f39dadd9c5ba8d3174be15b46ef3db7bbad633c06",
+        "4b91581956bd30896d00cf1ff837689fdf552fa3e28115dff1c67c072991c0b2",
         "1723fa2eba7fcaeb21d060eed8ff0bbf87a6f252c3d7c85067b9e500240d9f55",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "82539cd21fbaa900ef92d07902246bac2acd6b118a41726fcbfe0983e184cf70",
+        "1935388d2d640b8ea77468bb262ee804799393da871015e4bf10aa57bd212c04",
         "df1d585873647c8f71f429c150d96017a82a51d5ee065540d47bee871d1d12a2",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
@@ -117,7 +117,7 @@ def test_the_full_trace_digest_covers_the_sale_legs_payloads(monkeypatch):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "fe5a0d05bb95480ae0fea89db27ac18ce8826836b00ead8008b92ad94c613e39",
+    "9d32d72d7cd1d5c4832abd4980521cb7a7951648e7067e963649e9d392407ba5",
     "4ec361516d47e6cef55842b6dded7b3fd375fb5a9627d998ff83c8acec1cf909",
     "416423e96112ff36bbd3d808ba7b0cfb71f1149cc5ff37de88c61cf1279fd9dc",
 )

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from handover import crypto, messages
 from handover.credential import ProofPresentation, present_proof, vc_from_wire
-from handover.crypto import DecryptError, Rng, fresh_nonce, generate_keypair, generate_signing_key
+from handover.crypto import DecryptError, fresh_nonce, generate_keypair, generate_signing_key
 from handover.encoding import EncodingError, canonical_json, encode
 from handover.messages import (
     CHALLENGE_OPERANDS,
@@ -73,7 +74,7 @@ def sample_payload(kind):
         "ownershipTransferResp": dict(),
         "ownershipProofReq": dict(attributes=["productCode", "status"], challenge=b"\x04" * 16),
         "ownershipProofResp": dict(
-            presentation=present_proof(vc, b"\x04" * 16, generate_signing_key(Rng(1)))
+            presentation=present_proof(vc, b"\x04" * 16, generate_signing_key(random.Random(1)))
         ),
         "pinChallengeReq": dict(tid=TID, challengeBy=1234, challengeType="/"),
         "pinChallengeResp": dict(tid=TID, challengeResult=Fraction(15432, 125)),
@@ -164,7 +165,7 @@ def test_decode_garbage_rejected():
 
 
 def test_mint_pin_shape():
-    rng = Rng(3)
+    rng = random.Random(3)
     pins = [mint_pin(rng) for _ in range(1000)]
     assert all(is_valid_pin(p) for p in pins)
     assert {len(p) for p in pins} == {6, 7, 8}
@@ -234,7 +235,7 @@ def test_endpoint_wrong_key_fails(parties):
 def test_mediator_wrong_key_fails(parties):
     env, _, _ = sealed(parties)
     route_id = parties["route"][0]
-    for routes in ({route_id: crypto.generate_symmetric_key(parties["rng"])}, {}):  # another key, or none
+    for routes in ({route_id: crypto.SymmetricKey(parties["rng"].randbytes(32))}, {}):  # another key, or none
         with pytest.raises(DecryptError):
             unseal_at_mediator(routes, env)
 
@@ -261,10 +262,10 @@ def test_flip_outer_byte_rejected(parties):
 def test_seal_layout_draws_nothing_and_each_layer_opens_only_under_its_own_key(parties):
     world = parties["world"]
     streams = (parties["rng"], world.rng, world.transport_rng)
-    before = [rng._inner.getstate() for rng in streams]
+    before = [rng.getstate() for rng in streams]
     env, nonce, p = sealed(parties, nonce=b"\x07" * crypto.NONCE_LEN, counter=0x0102030405060708)
     # neither seal nor the route of an enrolled sender draws a random byte
-    assert [rng._inner.getstate() for rng in streams] == before
+    assert [rng.getstate() for rng in streams] == before
     outer = env.outer_ciphertext
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)
     # the inner layer: endpoint key id || counter || AES-GCM under the send key, with the counter as the IV and
@@ -446,7 +447,7 @@ def test_a_failed_tag_or_decode_advances_nothing(one_connection):
     world, b2, conn, send = one_connection
     send(fresh_nonce(world.rng), "ownershipClaimReq")
     received = conn.received
-    forged = layer(conn.local.kid, crypto.generate_symmetric_key(world.rng), b"", received + 5)
+    forged = layer(conn.local.kid, crypto.SymmetricKey(world.rng.randbytes(32)), b"", received + 5)
     not_a_payload = inner_plain(b"\x00" * 16, b"N")
     undecodable = layer(conn.local.kid, conn.receive_key, not_a_payload, received + 5)
     assert deliver_again(world, b2, forged) == "rejected:bad-signature"
@@ -556,8 +557,8 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
     with pytest.raises(PayloadError):
         payload(kind, **body)
     fields = [kind] + [value if field == name else ftype.to_wire(body[field]) for field, ftype in KIND_FIELDS[kind]]
-    if isinstance(value, bool):
-        with pytest.raises(EncodingError):  # the codec has no boolean, so no peer can send one
+    if value is None or isinstance(value, bool):
+        with pytest.raises(EncodingError):  # the codec has no None and no boolean, so no peer can send either
             encode(fields)
         return
     payload_bytes = encode(fields)
@@ -577,7 +578,7 @@ def test_out_of_domain_value_rejected_by_payload_and_on_the_wire(kind, name, val
 )
 @settings(max_examples=100, deadline=None)
 def test_any_nonce_and_payload_survive_the_envelope_property(nonce, p, did, counter):
-    parties = make_parties(Rng(5))
+    parties = make_parties(random.Random(5))
     endpoint = parties["endpoint"].kid
     env = seal(send_key(parties), counter, endpoint, parties["world"].route("sender"), did, nonce, p)
     recipient_did, inner = unseal_at_mediator(parties["routes"], env)

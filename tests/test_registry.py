@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from handover.credential import PRODUCT_SCHEMA_ID, cred_def_id_of, sign_vc, verify_credential_signature
-from handover.crypto import Rng, derive_did, generate_signing_key
+from handover.crypto import derive_did, generate_signing_key
 from handover.encoding import canonical_json
 from handover.registry import (
     AlreadyRevokedError,
@@ -36,7 +37,7 @@ def vdr(issuer, issuer_key):
 
 def test_first_entry_id_is_one():
     registry = VerifiableDataRegistry(clock=lambda: 0)
-    keys = generate_signing_key(Rng(1))
+    keys = generate_signing_key(random.Random(1))
     assert registry.publish_did_doc(derive_did(keys.public_key), keys.public_key) == 1
 
 

@@ -280,14 +280,21 @@ def test_default_tamper_copy_is_never_a_replay(seed):
 
 
 def test_replay_rejected_at_endpoint():
+    # a copy of the mediator's delivery reaches B, whose connection refuses the spent counter; a copy of A's
+    # envelope goes no further than the mediator, which refuses the spent route counter
     world, a, b = two_wallets()
     ping(world, a, b)
     world.run_until_quiescent()
-    submission_seq = min(world.wire_log)
-    world.replay(submission_seq)
-    world.run_until_quiescent()
-    injected = [r for r in world.trace if r.get("meta", {}).get("injected") == "replay" and r["to"] == "B"]
-    assert injected and injected[-1]["verdict"] == "rejected:replay"
+    submission_seq, delivery_seq = sorted(world.wire_log)[:2]
+    assert [(world.wire_log[seq].frm, world.wire_log[seq].to) for seq in (submission_seq, delivery_seq)] == [
+        ("A", "MD"),
+        ("MD", "B"),
+    ]
+    for seq, hop in ((delivery_seq, ("B", "rejected:replay")), (submission_seq, ("MD", "dead-letter:replay"))):
+        mark = len(world.trace)
+        world.replay(seq)
+        world.run_until_quiescent()
+        assert [(r["to"], r["verdict"]) for r in world.trace[mark:]] == [hop]
     assert len(b.claiming) == 1
 
 
@@ -296,17 +303,34 @@ def test_queued_message_keeps_the_meta_of_its_event():
     world, cast = build_world(spec)
     for step in spec.script:
         execute_step(world, cast, spec, step)
-    claim_seq = next(r["seq"] for r in world.trace if r["from"] == "B1" and r["kind"] == "ownershipClaimReq")
     world.set_online("MF", False)
-    world.replay(claim_seq)
+    world.spoof("MF", cast["B1"].did, payload("revokeVCResp"), cast["B1"].did)
     world.run_until_quiescent()
     assert world.trace[-1]["verdict"] == "queued"
     world.set_online("MF", True)
     world.run_until_quiescent()
     forwarded = next(r for r in reversed(world.trace) if (r["from"], r["to"]) == ("MD", "MF"))
-    assert forwarded["meta"]["injected"] == "replay"
-    assert forwarded["meta"]["of"] == claim_seq
-    assert forwarded["verdict"] == "rejected:replay"
+    assert forwarded["meta"]["injected"] == "spoof"
+    assert forwarded["meta"]["forgedSender"] == cast["B1"].did
+    assert forwarded["verdict"] == "rejected:bad-signature"
+
+
+def test_a_replay_cannot_fill_an_offline_recipients_queue():
+    # the mediator refuses a spent route counter before it queues anything, so a replayer cannot spend the queue
+    # of an offline recipient: B's queue holds A's message once, and B takes it once
+    world, a, b = two_wallets()
+    world.set_online("B", False)
+    ping(world, a, b)
+    world.run_until_quiescent()
+    submission_seq = max(world.wire_log)
+    world.replay(submission_seq)
+    world.run_until_quiescent()
+    assert [r["verdict"] for r in world.trace if r["to"] == "MD"] == ["queued", "dead-letter:replay"]
+    assert len(world.mediator.queues["B"]) == 1
+    mark = len(world.trace)
+    world.set_online("B", True)
+    world.run_until_quiescent()
+    assert [(r["to"], r["verdict"]) for r in world.trace[mark:] if r["to"] == "B"] == [("B", "accepted")]
 
 
 def test_offline_queue_holds_at_most_max_queued_messages():
@@ -333,7 +357,9 @@ def test_offline_queue_holds_at_most_max_queued_messages():
 
 MALFORMED_OUTER = {
     "not-a-list": b"N",  # one byte: shorter than the length prefix
-    "none-inner": encode(["route", "did:handover:nobody", None]),  # the labelled layout: its first bytes overrun it
+    # the labelled layout ["route", "did:handover:nobody", None] as the codec wrote it when it had a None tag:
+    # its first bytes overrun it
+    "none-inner": b"L\x00\x00\x00\x03S\x00\x00\x00\x05routeS\x00\x00\x00\x13did:handover:nobodyN",
     "empty": b"",
     "length-overruns": outer_plain(b"did:handover:nobody", b"")[:-1],
     "did-not-utf8": outer_plain(b"did:handover:\xff", b"inner"),
@@ -397,20 +423,28 @@ def test_envelope_under_an_unenrolled_or_another_senders_route_is_unreadable():
     recipient_did, inner = unseal_at_mediator(world.mediator.route_keys, Envelope(original))
     route_plain = outer_plain(recipient_did, inner)
     unenrolled = bytes(crypto.KEY_ID_LEN - 1) + b"\x09"
-    forged = [
-        unenrolled + original[crypto.KEY_ID_LEN :],  # an id no sender holds
-        b_id + original[crypto.KEY_ID_LEN :],  # relabelled as B's
-        b_id + layer(a_id, b_key, route_plain, 1)[crypto.KEY_ID_LEN :],  # B's key, A's id as associated data
-        layer(a_id, b_key, route_plain, 1),  # re-encrypted under B's key
-        layer(unenrolled, a_key, route_plain, 1),  # A's key under a new id
-        layer_head(a_id, 2) + original[HEAD_LEN:],  # another counter in the head than the one it was sealed under
-    ]
+    # each of A and B has sent 2 envelopes: a forgery under a counter either spent is refused before any
+    # decryption, and one under a fresh counter fails to authenticate
+    for counter, verdict in ((1, "dead-letter:replay"), (9, "dead-letter:unreadable")):
+        forged = [
+            layer_head(b_id, counter) + original[HEAD_LEN:],  # relabelled as B's
+            b_id + layer(a_id, b_key, route_plain, counter)[crypto.KEY_ID_LEN :],  # B's key, A's id as associated data
+            layer(a_id, b_key, route_plain, counter),  # re-encrypted under B's key
+            layer_head(a_id, counter + 1) + original[HEAD_LEN:],  # another counter in the head than it was sealed under
+        ]
+        mark = len(world.trace)
+        for outer in forged:
+            world.send_envelope("adversary", Envelope(outer), "PINReq")
+        world.run_until_quiescent()
+        assert [r["verdict"] for r in world.trace[mark:]] == [verdict] * len(forged)
+    # an id no sender holds has no spent counter, so any counter under it is merely unreadable
     mark = len(world.trace)
-    for outer in forged:
+    for outer in (unenrolled + original[crypto.KEY_ID_LEN :], layer(unenrolled, a_key, route_plain, 1)):
         world.send_envelope("adversary", Envelope(outer), "PINReq")
     world.run_until_quiescent()
-    assert [r["verdict"] for r in world.trace[mark:]] == ["dead-letter:unreadable"] * len(forged)
-    # the same layer under A's own route is forwarded (and B rejects the copy of a consumed message)
+    assert [r["verdict"] for r in world.trace[mark:]] == ["dead-letter:unreadable"] * 2
+    # none of them spent a counter: the same layer under A's own route and counter 9 is forwarded (and B rejects
+    # the copy of a consumed message)
     world.send_envelope("adversary", Envelope(layer(a_id, a_key, route_plain, 9)), "PINReq")
     world.run_until_quiescent()
     assert [r["verdict"] for r in world.trace[-2:]] == ["forwarded", "rejected:replay"]
