@@ -140,7 +140,7 @@ class ClaimantAttribute:
     Once issued, the credential stays here until the holder acknowledges it
     (Aries RFC 0015), so a retried claim from the holder's DID gets the same
     credential again.  A new-product claim holds the PIN and the sale's
-    distributor, email and purchase tick; a used-product claim the encrypted PIN.
+    distributor, email and registry height; a used-product claim the encrypted PIN.
     """
 
     product_code: str
@@ -354,7 +354,7 @@ class ManufacturerAgent(Agent):
             return "rejected:already-sold"
         tid = mint_tid(self.rng)
         pin = mint_pin(self.rng)
-        sale = {"distributor_id": body["distributorID"], "email": body["email"], "sold_at": self.world.tick()}
+        sale = {"distributor_id": body["distributorID"], "email": body["email"], "sold_at": self.world.registry.height}
         self.claimants[code] = ClaimantAttribute(product_code=code, tid=tid, pin=pin, **sale)
         self.send(link, nonce, payload("productSellingResp", tid=tid))
         fields = {"productCode": code, "pin": pin, "nonce": nonce.hex()}
@@ -416,9 +416,7 @@ class ManufacturerAgent(Agent):
         if reason is not None:
             return f"rejected:{reason}"
         # the proof shows the holder has the current credential: an unacknowledged offer of it is settled
-        self.claimants[code] = ClaimantAttribute(
-            product_code=code, tid=context["tid"], encrypted_pin=bytes(context["encryptedPin"])
-        )
+        self.claimants[code] = ClaimantAttribute(product_code=code, tid=context["tid"], encrypted_pin=context["encryptedPin"])
         self.send(conn, nonce, payload("ownershipTransferResp"))
         return "accepted"
 
@@ -429,7 +427,7 @@ class ManufacturerAgent(Agent):
         if claim is None:
             return "rejected:unknown-tid"
         try:
-            key = SymmetricKey(bytes(p.body["key"]))
+            key = SymmetricKey(p.body["key"])
         except crypto.KeyFormatError:
             return "rejected:bad-key"
         challenge = self.draw_challenge()
@@ -484,14 +482,14 @@ class ManufacturerAgent(Agent):
                     self.send(seller, crypto.fresh_nonce(self.rng), payload("revokeVC", productCode=code))
                 attributes = dict(old.attributes)
                 count = int(attributes["previouslySoldCount"]) + 1  # the manufacturer's own signed value
-                attributes.update(previouslySoldCount=count, lastPurchaseDate=self.world.tick())
+                # dated after the revocation entry, so later than the sale or purchase that dated the old credential
+                attributes.update(previouslySoldCount=count, lastPurchaseDate=self.world.registry.height)
             else:  # the sale's attributes; "sold", as a credential is only issued to a holder who bought the product
                 count, at = 0, claim.sold_at
                 attributes = dict(productCode=code, distributorID=claim.distributor_id, status="sold")
                 attributes.update(previouslySoldCount=count, firstPurchaseDate=at, lastPurchaseDate=at)
             attributes.update(ConnID=conn.conn_id, email=email)
-            vdr, issued_at = self.world.registry, self.world.tick()
-            vc = generate_vc(attributes, self.cred_def_id, self.did_key, issued_at=issued_at, vdr=vdr)
+            vc = generate_vc(attributes, self.cred_def_id, self.did_key, vdr=self.world.registry)
             product.credential, product.holder_did, claim.credential = vc, conn.remote_did, vc
             self._record("vc-issued", code, credentialId=vc.credential_id)
         self.send(conn, nonce, payload("ownershipClaimResp", credential=claim.credential), {"claim": claim})
@@ -622,7 +620,7 @@ class WalletAgent(Agent):
         if p.body["tid"] != context["tid"]:
             return "rejected:tid-mismatch"
         # opaque to this wallet; a later sale of the product replaces an earlier one
-        self.sales[context["productCode"]] = (context["tid"], bytes(p.body["encryptedPin"]))
+        self.sales[context["productCode"]] = (context["tid"], p.body["encryptedPin"])
         return "accepted"
 
     def _select_credential(self, context: dict, requested: list[str]) -> Optional[VerifiableCredential]:
@@ -636,7 +634,7 @@ class WalletAgent(Agent):
         vc = self._select_credential(context, p.body["attributes"])
         if vc is None:
             return "rejected:no-matching-credential"
-        presentation = present_proof(vc, bytes(p.body["challenge"]), self.did_key)
+        presentation = present_proof(vc, p.body["challenge"], self.did_key)
         self.send(conn, nonce, payload("ownershipProofResp", presentation=presentation), context)
         return "accepted"
 
@@ -716,4 +714,4 @@ class AdversaryWallet(WalletAgent):
         attributes.update(
             productCode=context["productCode"], previouslySoldCount="0", firstPurchaseDate="0", lastPurchaseDate="0"
         )
-        return sign_vc(tuple(attributes.items()), cred_def_id, self.did_key, self.world.tick())
+        return sign_vc(tuple(attributes.items()), cred_def_id, self.did_key)

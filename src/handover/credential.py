@@ -113,7 +113,6 @@ def generate_vc(
     attributes: Mapping[str, object],
     cred_def_id: str,
     issuer_keys: crypto.SigningKey,
-    issued_at: int,
     vdr: VerifiableDataRegistry,
 ) -> VerifiableCredential:
     """Issue a credential over ``attributes``; names must match the schema exactly."""
@@ -124,16 +123,17 @@ def generate_vc(
     if missing or extra:
         raise SchemaMismatchError(f"missing={missing} extra={extra}")
     ordered = tuple((name, str(attributes[name])) for name in PRODUCT_ATTRIBUTE_NAMES)
-    return sign_vc(ordered, cred_def_id, issuer_keys, issued_at)
+    return sign_vc(ordered, cred_def_id, issuer_keys)
 
 
 def sign_vc(
-    ordered: tuple[tuple[str, str], ...], cred_def_id: str, issuer_keys: crypto.SigningKey, issued_at: int
+    ordered: tuple[tuple[str, str], ...], cred_def_id: str, issuer_keys: crypto.SigningKey
 ) -> VerifiableCredential:
-    """Sign ``ordered`` attributes under ``cred_def_id``, checking neither against the registry.
-    ``issued_at`` only feeds the credential id."""
+    """Sign ``ordered`` attributes under ``cred_def_id``, checking neither against the registry; the id hashes both."""
     attrs = [[n, v] for n, v in ordered]
-    credential_id = "vc-" + hashlib.sha256(encode([cred_def_id, attrs, issued_at])).hexdigest()[:24]
+    # no counter needed: each issuance for a product has its own previouslySoldCount (0 for the new claim, one
+    # more per used claim), so no two issuances under one definition share their attributes
+    credential_id = "vc-" + hashlib.sha256(encode([cred_def_id, attrs])).hexdigest()[:24]
     signed = encode(["vc", credential_id, cred_def_id, attrs])
     return VerifiableCredential(credential_id, cred_def_id, ordered, crypto.sign(issuer_keys, signed), signed)
 
@@ -145,7 +145,7 @@ def presentation_signing_bytes(vc: VerifiableCredential, challenge_nonce: bytes)
 def present_proof(vc: VerifiableCredential, challenge_nonce: bytes, holder_key: crypto.SigningKey) -> ProofPresentation:
     """Wrap a credential in a presentation bound to ``challenge_nonce``, signed with the holder's DID key."""
     signature = crypto.sign(holder_key, presentation_signing_bytes(vc, challenge_nonce))
-    return ProofPresentation(credential=vc, challenge_nonce=bytes(challenge_nonce), presentation_signature=signature)
+    return ProofPresentation(credential=vc, challenge_nonce=challenge_nonce, presentation_signature=signature)
 
 
 def verify_credential_signature(vc: VerifiableCredential, vdr: VerifiableDataRegistry) -> tuple[bool, str]:
@@ -153,10 +153,8 @@ def verify_credential_signature(vc: VerifiableCredential, vdr: VerifiableDataReg
     cred_def = vdr.find_cred_def(vc.cred_def_id)
     if cred_def is None:
         return False, "unknown-issuer"
-    issuer_key = vdr.resolve_did(cred_def["issuer_did"])
-    if issuer_key is None:
-        return False, "unknown-issuer"
-    ok = crypto.verify(issuer_key, vc.signed, vc.issuer_signature)
+    # a definition is published only by its issuer, whose DID document is already on the registry for good
+    ok = crypto.verify(vdr.resolve_did(cred_def["issuer_did"]), vc.signed, vc.issuer_signature)
     return (True, "") if ok else (False, "bad-issuer-sig")
 
 

@@ -106,22 +106,22 @@ def generate_signing_key(rng: random.Random) -> SigningKey:
 
 
 def _check_key(key: bytes, what: str) -> None:
-    if not isinstance(key, (bytes, bytearray)) or len(key) != _PUBLIC_KEY_LEN:
-        raise KeyFormatError(f"{what} must be {_PUBLIC_KEY_LEN} bytes, got {len(key) if isinstance(key, (bytes, bytearray)) else type(key)}")
+    if not isinstance(key, bytes) or len(key) != _PUBLIC_KEY_LEN:
+        raise KeyFormatError(f"{what} must be {_PUBLIC_KEY_LEN} bytes, got {len(key) if isinstance(key, bytes) else type(key)}")
 
 
 def sign(keys: SigningKey, message: bytes) -> bytes:
     """Sign ``message``; the signature verifies only under ``keys.public_key``."""
     if not message:
         raise ValueError("refusing to sign an empty message")
-    return keys.signer.sign(bytes(message))
+    return keys.signer.sign(message)
 
 
 def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """Return True iff ``signature`` is valid for ``message`` under ``public_key``."""
     _check_key(public_key, "public key")
     try:
-        Ed25519PublicKey.from_public_bytes(public_key).verify(bytes(signature), bytes(message))
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
@@ -186,13 +186,13 @@ def asym_decrypt(keys: KeyPair, ciphertext: bytes) -> bytes:
 
 def sym_encrypt(key: SymmetricKey, counter: int, plaintext: bytes, associated_data: bytes) -> bytes:
     """AES-GCM with ``counter`` as the 12-byte big-endian IV: ciphertext+tag, the tag also over ``associated_data``."""
-    return key.aead.encrypt(counter.to_bytes(_GCM_IV_LEN, "big"), bytes(plaintext), associated_data)
+    return key.aead.encrypt(counter.to_bytes(_GCM_IV_LEN, "big"), plaintext, associated_data)
 
 
 def sym_decrypt(key: SymmetricKey, counter: int, ciphertext: bytes, associated_data: bytes) -> bytes:
     """Invert :func:`sym_encrypt`; raises :class:`DecryptError` on tampering or another key, counter or data."""
     try:
-        return key.aead.decrypt(counter.to_bytes(_GCM_IV_LEN, "big"), bytes(ciphertext), associated_data)
+        return key.aead.decrypt(counter.to_bytes(_GCM_IV_LEN, "big"), ciphertext, associated_data)
     except InvalidTag as exc:  # also a ciphertext shorter than the tag
         raise DecryptError("authentication failed") from exc
 

@@ -126,7 +126,7 @@ def _presentation_from_wire(value: Any) -> ProofPresentation:
 
 
 STR = FieldType("a str", lambda v: isinstance(v, str))
-BYTES = FieldType("bytes", lambda v: isinstance(v, (bytes, bytearray)), to_wire=bytes, from_json=_hex_from_json)
+BYTES = FieldType("bytes", lambda v: isinstance(v, bytes), from_json=_hex_from_json)
 FRACTION = FieldType(
     "a fraction",
     lambda v: isinstance(v, Fraction),

@@ -3,12 +3,13 @@ credential schemas, credential definitions, and revocation events.
 
 The registry is a single in-process log with optional newline-delimited JSON
 persistence.  There is no consensus machinery; the log plays the trust-anchor
-role only.  Timestamps come from an injected logical clock.
+role only.  Its height, the number of entries, is the protocol's one clock, as
+an Indy ledger's sequence number is, so a transport hop moves no ledger line.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from . import crypto
 from .encoding import canonical_json
@@ -39,8 +40,7 @@ class VerifiableDataRegistry:
     :meth:`write_ledger` writes; those lines are the only full copy.
     """
 
-    def __init__(self, clock: Callable[[], int]) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._entries: list[str] = []
         self._keys: dict[str, bytes] = {}  # DID -> the verification key it derives from
         self._cred_defs: dict[str, dict] = {}
@@ -53,6 +53,11 @@ class VerifiableDataRegistry:
     def entries(self) -> tuple[str, ...]:
         """One canonical JSON line per entry, in append order."""
         return tuple(self._entries)
+
+    @property
+    def height(self) -> int:
+        """Entries so far, the id of the last; what dates a sale and a purchase."""
+        return len(self._entries)
 
     def publish(self, kind: str, doc: dict, author_did: str) -> int:
         """Append one entry; returns its id. Ids start at 1 and only grow.
@@ -89,8 +94,8 @@ class VerifiableDataRegistry:
                 raise AuthorizationError(f"{author_did} is not the issuer of {doc['registry_id']}")
             if doc["credential_id"] in self._revoked:
                 raise AlreadyRevokedError(doc["credential_id"])
-        entry_id = len(self._entries) + 1
-        entry = dict(entry_id=entry_id, kind=kind, payload=doc, author_did=author_did, timestamp=self._clock())
+        entry_id = self.height + 1
+        entry = dict(entry_id=entry_id, kind=kind, payload=doc, author_did=author_did)
         self._entries.append(canonical_json(entry))
         if kind == "did-doc":
             self._keys[author_did] = key

@@ -2,9 +2,10 @@
 mediator, out-of-band email channel, and the drop/tamper/replay/spoof attacks.
 
 Logical time advances one tick per hop: every event is delivered one tick
-after it is sent, so one FIFO queue holds the events in delivery order.  A run
-is a pure function of the seed, the scenario, and the attacks applied, so
-traces replay byte-identically.
+after it is sent, so one FIFO queue holds the events in delivery order.  Ticks
+date trace records and bound a run only; the registry's height dates protocol
+values, so a hop moves no credential or ledger line.  A run is a pure function
+of the seed, scenario and attacks, so traces replay byte-identically.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class World:
         self._tampers: dict[int, list[tuple[int, int]]] = {}  # seq -> (byte index, mask) of each tamper
         self.trace: list[dict] = []
         self.wire_log: dict[int, DeliveryEvent] = {}
-        self.registry = VerifiableDataRegistry(clock=self.tick)
+        self.registry = VerifiableDataRegistry()
         self.mediator = Mediator(crypto.generate_keypair(self.transport_rng))
         self._routes: dict[str, tuple[bytes, crypto.SymmetricKey, int]] = {}  # sender -> (route id, key, envelopes)
         self.agents: dict[str, Any] = {}
@@ -153,9 +154,6 @@ class World:
         route_id, key, sealed = self._routes[sender]
         self._routes[sender] = route = (route_id, key, sealed + 1)
         return route
-
-    def tick(self) -> int:
-        return self.clock
 
     def set_online(self, agent_id: str, online: bool) -> None:
         """Going online passes the agent's queue on in send order, each layer with its event's meta; it is then gone."""
@@ -196,7 +194,7 @@ class World:
         return self.schedule(frm=sender_id, to=MEDIATOR_ID, channel=CHANNEL_SSI, body=envelope, kind=kind)
 
     def send_direct(self, sender_id: str, recipient_id: str, nonce: bytes, payload: MessagePayload) -> int:
-        dm = DirectMessage(nonce=bytes(nonce), payload=payload)
+        dm = DirectMessage(nonce=nonce, payload=payload)
         return self.schedule(frm=sender_id, to=recipient_id, channel=CHANNEL_HTTPS, body=dm, kind=payload.kind)
 
     def send_email(self, sender_id: str, to_email: str, subject: str, fields: dict) -> int:
@@ -241,7 +239,7 @@ class World:
         meta = dict(event.extra)
         if event.channel == CHANNEL_SSI:
             body = event.body
-            meta["bytes"] = body.outer_ciphertext.hex() if isinstance(body, Envelope) else bytes(body).hex()
+            meta["bytes"] = body.outer_ciphertext.hex() if isinstance(body, Envelope) else body.hex()
         elif event.channel == CHANNEL_HTTPS:  # the pre-secured leg's plaintext: its payload, as a connection seals it
             meta["bytes"] = canonical_encode_payload(event.body.payload).hex()
             meta["nonce"] = event.body.nonce.hex()

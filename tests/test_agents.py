@@ -815,9 +815,10 @@ def faulted_proof(world, cast, faults):
         cred_def_id = "creddef:did:handover:nobody:ghost"
     if "wrong-product" in faults:
         attributes["productCode"] = "PC-999"
+    if "stale-credential" in faults:  # validly signed by MF, but not the credential it last issued for the product
+        attributes["lastPurchaseDate"] = str(int(attributes["lastPurchaseDate"]) - 1)
     if cred_def_id != vc.cred_def_id or {"wrong-product", "stale-credential"} & set(faults):
-        # signed now, so under a fresh id: never the current credential
-        vc = sign_vc(tuple(attributes.items()), cred_def_id, issuer_key, world.tick())
+        vc = sign_vc(tuple(attributes.items()), cred_def_id, issuer_key)
     if "bad-issuer-sig" in faults:
         vc = dataclasses.replace(vc, issuer_signature=flipped(vc.issuer_signature, 0))
     if "revoked" in faults:
@@ -1143,7 +1144,7 @@ def test_no_one_publishes_a_did_document_under_a_key_its_did_does_not_derive_fro
     assert world.registry.resolve_did(mf.did) == mf.did_key.public_key
     # so a credential EVE signs under MF's definition still fails under MF's key
     attributes = tuple((name, "x") for name in PRODUCT_ATTRIBUTE_NAMES)
-    forged = sign_vc(attributes, mf.cred_def_id, eve.did_key, world.tick())
+    forged = sign_vc(attributes, mf.cred_def_id, eve.did_key)
     assert verify_credential_signature(forged, world.registry) == (False, "bad-issuer-sig")
     # and the forged transfers that follow get their verdicts, with no exception
     for mode, expect in (("self-issued", "wrong-issuer"), ("garbage", "bad-issuer-sig")):
@@ -1455,13 +1456,15 @@ def test_signed_message_of_an_unhandled_kind_rejected_state_unchanged():
     assert after == before
 
 
-@pytest.mark.parametrize("reason", ["revoked", "bad-issuer-sig"])
+@pytest.mark.parametrize("reason", ["revoked", "unknown-issuer", "bad-issuer-sig"])
 def test_offered_credential_that_fails_its_check_is_refused(reason):
     world, cast, old_vc = full_used_transfer()
     mf, b1, b2 = cast["MF"], cast["B1"], cast["B2"]
     new_vc = b2.credentials["PC-100"]
     if reason == "revoked":
         offered = old_vc
+    elif reason == "unknown-issuer":  # signed by MF under a definition no one published
+        offered = sign_vc(new_vc.attributes, "creddef:did:handover:nobody:ghost", mf.did_key)
     else:
         offered = dataclasses.replace(new_vc, issuer_signature=bytes(len(new_vc.issuer_signature)))
     # B1 has a claim in flight, so its thread of a credential offer is open
@@ -1491,7 +1494,7 @@ def test_offered_credential_without_a_product_code_is_refused():
     b1.connections[mf.did].threads[nonce] = ("ownershipClaimResp", {})  # a claim in flight
     conn = mf.connections[b1.did]
     attributes = tuple((name, "x") for name in PRODUCT_ATTRIBUTE_NAMES if name != "productCode")
-    nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key, world.tick())
+    nameless = sign_vc(attributes, mf.cred_def_id, mf.did_key)
     mf.send(conn, nonce, payload("ownershipClaimResp", credential=nameless))
     world.run_until_quiescent()
     offers = [r["verdict"] for r in world.trace if r["to"] == "B1" and r["kind"] == "ownershipClaimResp"]

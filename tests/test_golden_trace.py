@@ -10,6 +10,9 @@ change that only moves wire bytes or state dumps keeps it unchanged.
 
 The same runs show that every field of every payload kind is read by some
 receiver: a field that no receiver reads is wire bytes for nothing.
+
+The registry's height is the protocol's clock, so an attack step, which adds
+hops and no ledger entry, moves no ledger line and no issued credential.
 """
 
 import copy
@@ -26,43 +29,43 @@ from handover.simnet import World
 
 GOLDEN = {
     "new-purchase": (
-        "56d4ccccc55b6bfd07314b44473e0c3fa66f79d3a34d52f2ace394dc7ccd1d94",
-        "b50bd021aadd2d5a1df4cbee19e620722a32fd325a8d46a3b4f63f95eb2b0d98",
+        "6ab604272dc2882ed53d5149e35ac675eade50f7076ca9eaf31327616261501f",
+        "a2092a0f7a8d98e9243c65c458801d99662b8996febf849fc707ee24398f92aa",
         "3c5d39c7ab14301602428086d1f1acd2bbf64b9af0bc6770fa0291a477d9317b",
     ),
     "full-lifecycle": (
-        "e0a129c8d8393016f7189cf855501be3d376f911abfdfa3c8ecb9c1ef1cbb27f",
-        "23f27ce5dbf3a524e181954fe6203d9bcf940a9c006dc7dfcd2083f0e15a2d6b",
+        "a053c38139a260f80233ef9445fd92abd1a4b6c590547d9fa5375bc68a7dac7f",
+        "75ad4dae69c1684c6a983070b74984a4e524f88a9f04306e0136d785cebb949e",
         "ddff79d9b07e0b3f90e6af42f114b60e9e84d36cc3e11b5093ed30633c828ffc",
     ),
     "wrong-pin": (
-        "90bac0384184bb574a0120d95592a6ad97ab32149e74bdd02be1aca9805558ac",
-        "7c6fea3a06ead4a326690e16297b4aadfb03ee06b9f15851118a51248d51b237",
+        "eb7176cbe0fcc662f091a6fb8273bae41b2d47776390b0d3dc13e1f81cb79d1e",
+        "320340c095d548ebf92184be4e9241c27ba7d6fb81e9c413f94e884856b6bed3",
         "546c8ecb1619e48331e1ef6d407a3aba85d62b87dbbdb171d9e7d1c758e05212",
     ),
     "replay-attack": (
-        "b3416f9708a35d911004987c89450febf9a3443b6e061f4afe282af9d7dbdf15",
-        "2fef9be42627c8c788791d45d8b42d5453d5ad132fc7c667d52650b5979e773a",
+        "88f932ed62abcfc82ad9368be5a5f83238a9a645043016d6cb8c61f2caeaaeab",
+        "1cd92575e3741cae1bc6bfd0dc7024914a277eb4a825874df73ffd3675b9312a",
         "ca1c4a7cb70700e0dea63d4ff2c2c865e2a4a1e951f98f6c2e1b7ed07eeb72af",
     ),
     "duplicate-transfer": (
-        "bbf7d629681d40131d4ad219b785845b32d57174e9d2f32c009331f1d6616af5",
-        "1bcc4455e954b8d9746e3e98b9b9d42d6b08825639d95c4ad8e45361e4d6bfc7",
+        "aadaa43dc4a912d58036264a2c058ee9610955ee1e27552a4987f3c4e0de2c32",
+        "00cb65f391dd0aa307bd594fd21ed49343dd27952666aca52f74a058d5b22075",
         "c0ec7c89e2dd1028fad147026e27757260b64447993e927431443393d1ff9180",
     ),
     "spoof-attack": (
-        "4b91581956bd30896d00cf1ff837689fdf552fa3e28115dff1c67c072991c0b2",
-        "1723fa2eba7fcaeb21d060eed8ff0bbf87a6f252c3d7c85067b9e500240d9f55",
+        "0c75cce5cd9346778e41fc9800273ea4708ee6a9ff2e7ca9482be4e345f3e631",
+        "167ff33a68ff20f1a98e2423599ca4ab056879d4c22b0f942c9a19ad9c691d32",
         "f1a0b056b614279b25cb32867cef57fbb95c961eba7d645f0fdcd385ce5ad872",
     ),
     "offline-claim": (
-        "1935388d2d640b8ea77468bb262ee804799393da871015e4bf10aa57bd212c04",
-        "df1d585873647c8f71f429c150d96017a82a51d5ee065540d47bee871d1d12a2",
+        "9630bd794e991a98f40988c14ecfb65268d8bf285c0acfbef088e09699fb8b5f",
+        "9746ff00a2e098bb93171f6c1a09b4fe50055b737b8756248818b4bfc2b99cc3",
         "36b6f9d15e66ea18d124f2b5943b2ba59cfb147e29db968ce8f96bbd152d6fc8",
     ),
     "sale-only": (
-        "579a7837ab48736f05a49dc3a96d9ce2198bf57fa70f889d1d8fb0c21472dda7",
-        "8d16f9c3a0bc7d28c3e193d4707e0e42471005b93d52fce3b46d19fca1b2382f",
+        "4aae1a5bdce99b774b696918101b1fe3690dc2e8ad9ebcc6c5b7ad87835588b9",
+        "d3c516b2602c520de05bd9191e78123dbd9c521ad5f2fdad4e15ec4558085fa7",
         "8c934205613e4bbb1e5c46ca17b26e604f652b5e82a9134173ee7ec512a34fe7",
     ),
 }
@@ -117,8 +120,8 @@ def test_the_full_trace_digest_covers_the_sale_legs_payloads(monkeypatch):
 # The all-ssi tamper also tampers the copy the first tamper injected: the same
 # mask XORed in again restores the original bytes, and that copy is a replay.
 ATTACK_STEPS_GOLDEN = (
-    "9d32d72d7cd1d5c4832abd4980521cb7a7951648e7067e963649e9d392407ba5",
-    "4ec361516d47e6cef55842b6dded7b3fd375fb5a9627d998ff83c8acec1cf909",
+    "823bb268ac9c32f938d23e72e1f889fa5547a584a96c65910bdef04c86efe95e",
+    "f1564e87cd7b859849a21ecdc01e96bdac0c9a03ba182904d2b3c9561b7906e2",
     "416423e96112ff36bbd3d808ba7b0cfb71f1149cc5ff37de88c61cf1279fd9dc",
 )
 
@@ -148,6 +151,55 @@ def test_golden_attack_steps():
     assert _behaviour_digest(result.world.trace) == behaviour_sha
     assert _digest(result.trace_lines()) == trace_sha
     assert _digest(result.world.registry.entries) == ledger_sha
+
+
+def bench_attack_data(seed):
+    """The benchmark's ``attack`` workload at ``seed``, written out again here: full-lifecycle with EVE, a replay
+    and a tamper of every delivered message, EVE's three forged transfers, then two spoofs."""
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["name"], data["seed"] = "attack", seed
+    data["cast"]["adversaries"] = ["EVE"]
+    forged = [("self-issued", "wrong-issuer"), ("unknown-creddef", "unknown-issuer"), ("garbage", "bad-issuer-sig")]
+    data["script"] += [
+        {"op": "replay", "seq": "all-ssi", "expect": "all-rejected"},
+        {"op": "tamper", "seq": "all-ssi", "expect": "all-rejected"},
+        {"op": "connect", "a": "EVE", "b": "MF", "expect": "ok"},
+        *(
+            {"op": "adversary_transfer", "adversary": "EVE", "product": "PC-100", "mode": mode, "expect": f"rejected:{why}"}
+            for mode, why in forged
+        ),
+        {"op": "spoof", "a": "B2", "recipient": "MF", "knows_endpoint_key": True, "expect": "rejected:bad-signature"},
+        {"op": "spoof", "a": "B2", "recipient": "MF", "knows_endpoint_key": False, "expect": "rejected:decrypt-error"},
+    ]
+    return data
+
+
+def attack_after_claim_new(op):
+    """full-lifecycle with an ``op`` of every delivered message between the new claim and the resale."""
+    data = copy.deepcopy(BUILTIN_SCENARIOS["full-lifecycle"])
+    data["name"] = f"{op}-after-claim-new"
+    at = [step["op"] for step in data["script"]].index("claim_new") + 1
+    data["script"].insert(at, {"op": op, "seq": "all-ssi", "expect": "all-rejected"})
+    return data
+
+
+LEDGER_CASES = {name: BUILTIN_SCENARIOS[name] for name in sorted(BUILTIN_SCENARIOS)}
+LEDGER_CASES["bench-attack@1"] = bench_attack_data(1)
+LEDGER_CASES["replay-after-claim-new"] = attack_after_claim_new("replay")
+LEDGER_CASES["tamper-after-claim-new"] = attack_after_claim_new("tamper")
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_CASES))
+def test_no_ledger_byte_depends_on_attack_steps(name):
+    # a replay, tamper or spoof adds hops, never a registry entry: the run without them writes the same ledger and
+    # issues the same credentials
+    data = LEDGER_CASES[name]
+    honest = {**data, "script": [step for step in data["script"] if step["op"] not in ("replay", "tamper", "spoof")]}
+    runs = [run_scenario(parse_scenario(d)) for d in (data, honest)]
+    assert all(run.ok for run in runs)
+    issued = [[rec["meta"]["credentialId"] for rec in run.world.trace if rec["kind"] == "vc-issued"] for run in runs]
+    assert runs[0].world.registry.entries == runs[1].world.registry.entries
+    assert issued[0] == issued[1]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN) + ["attack-steps"])

@@ -164,6 +164,12 @@ def test_decode_garbage_rejected():
         decode_payload(encode(["PINReq"]))  # wrong field count
 
 
+def test_a_payload_with_a_field_too_many_is_refused():
+    # the one field PINReq declares is valid, so only the count refuses the payload: zip would drop the extra one
+    with pytest.raises(PayloadError, match="wrong field count"):
+        decode_payload(encode(["PINReq", TID, TID]))
+
+
 def test_mint_pin_shape():
     rng = random.Random(3)
     pins = [mint_pin(rng) for _ in range(1000)]

@@ -30,13 +30,13 @@ def issuer(issuer_key):
 
 @pytest.fixture
 def vdr(issuer, issuer_key):
-    registry = VerifiableDataRegistry(clock=lambda: 0)
+    registry = VerifiableDataRegistry()
     registry.publish_did_doc(issuer, issuer_key)
     return registry
 
 
 def test_first_entry_id_is_one():
-    registry = VerifiableDataRegistry(clock=lambda: 0)
+    registry = VerifiableDataRegistry()
     keys = generate_signing_key(random.Random(1))
     assert registry.publish_did_doc(derive_did(keys.public_key), keys.public_key) == 1
 
@@ -170,7 +170,7 @@ def test_the_first_write_of_a_credential_definition_id_wins():
     assert registry.entries == before
     held = b2.credentials["PC-100"]
     assert verify_credential_signature(held, registry) == (True, "")
-    forged = sign_vc(held.attributes, cred_def_id_of(mf.did), b2.did_key, result.world.tick())
+    forged = sign_vc(held.attributes, cred_def_id_of(mf.did), b2.did_key)
     assert verify_credential_signature(forged, registry) == (False, "bad-issuer-sig")
 
 

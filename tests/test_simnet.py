@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover import agents, crypto, simnet
-from handover.agents import WalletAgent, establish_connection
+from handover.agents import DistributorAgent, ManufacturerAgent, WalletAgent, establish_connection
 from handover.encoding import encode
 from handover.invariants import scan_trace
 from handover.messages import Envelope, mint_tid, payload, seal, unseal_at_mediator
@@ -113,6 +113,26 @@ def test_unknown_recipient_dead_letter():
     world.run_until_quiescent()
     verdicts = [r["verdict"] for r in world.trace if r["to"] == "MD"]
     assert verdicts == ["dead-letter"]
+
+
+def test_a_sale_to_an_email_no_agent_has_dead_letters_both_emails():
+    # the manufacturer's PIN email and the distributor's TID email go to a mailbox no agent reads
+    world = World(7)
+    mf, ds = ManufacturerAgent("MF", world), DistributorAgent("DS", world)
+    mf.add_product("PC-100")
+    ds.record_sale("MF", "PC-100", "nobody@mail.local")
+    assert world.run_until_quiescent()
+    emails = [(r["kind"], r["to"], r["verdict"]) for r in world.trace if r["channel"] == "oob-email"]
+    assert emails == [("pin", "unknown-mailbox", "dead-letter"), ("tid", "unknown-mailbox", "dead-letter")]
+
+
+@pytest.mark.parametrize("agent_id", ["A", "MD"])
+def test_an_agent_id_already_taken_or_the_mediators_is_refused(agent_id):
+    world = two_wallets()[0]
+    agents, entries = dict(world.agents), world.registry.entries
+    with pytest.raises(SimError, match=f"duplicate agent id {agent_id}"):
+        WalletAgent(agent_id, world)
+    assert (world.agents, world.registry.entries) == (agents, entries)
 
 
 def test_empty_world_runs_to_quiescence():
